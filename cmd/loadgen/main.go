@@ -1,7 +1,7 @@
 // Command loadgen drives a running chatgraphd over the v1 API and reports
 // serving-layer performance: latency percentiles, throughput, error and
 // shed rates, per operation and overall. It is the repeatable measurement
-// tool behind BENCH_serving.json and the CI loadgen-smoke job.
+// tool behind EXPERIMENTS.md's serving tables (E12–E18) and the CI smoke jobs.
 //
 // Two load models:
 //
@@ -58,7 +58,7 @@
 //
 //	chatgraphd -addr :8080 &
 //	loadgen -addr http://localhost:8080 -duration 5s -concurrency 4 \
-//	        -chat-frac 0.5 -json BENCH_serving.json -strict
+//	        -chat-frac 0.5 -json /tmp/serving.json -strict
 package main
 
 import (
@@ -99,7 +99,7 @@ func main() {
 		reupload     = flag.Bool("reupload", true, "send the graph JSON with every chat request (the stateless-client workload); false sends question-only chats")
 		jobsMix      = flag.Float64("jobs-mix", 0, "fraction of operations submitted as async jobs (POST /v1/jobs, polled to completion)")
 		jobsProbe    = flag.Int("jobs-probe", 0, "after the run, burst this many job submissions without polling to measure queue-full shedding (accepted ones are cancelled)")
-		jsonPath     = flag.String("json", "", "write the machine-readable report (BENCH_serving.json schema) to this file")
+		jsonPath     = flag.String("json", "", "write the machine-readable report (chatgraph.loadgen/v1 schema) to this file")
 		strict       = flag.Bool("strict", false, "exit 1 on any transport/status error or failed healthz//metrics probe")
 		readyWait    = flag.Duration("ready-wait", 0, "before the run, wait up to this long for GET /readyz to answer 200 (daemons without the endpoint count as ready)")
 		restartGrace = flag.Duration("restart-grace", 0, "retry transport errors and 503s with backoff for up to this long per request — lets a run span a daemon restart; recoveries are reported as reconnects")
@@ -1203,7 +1203,7 @@ type JobsReport struct {
 	Probe429       int `json:"probe_429,omitempty"`
 }
 
-// Report is the loadgen output schema (BENCH_serving.json). Schema is
+// Report is the loadgen output schema (chatgraph.loadgen/v1). Schema is
 // versioned so the perf-trajectory tooling can evolve it; the reupload,
 // cache, and jobs fields are additive.
 type Report struct {

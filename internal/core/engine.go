@@ -162,6 +162,7 @@ func NewEngineFromConfig(fc config.Config, registry *apis.Registry, env *apis.En
 		Prompt: llm.PromptConfig{
 			MaxPathLines:   fc.Sequentializer.MaxPathLines,
 			PathLength:     fc.Sequentializer.MaxPathLength,
+			Levels:         fc.Sequentializer.Levels,
 			MaxChainLength: fc.LLM.MaxChainLength,
 		},
 		TrainSeed:     seed,

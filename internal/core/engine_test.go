@@ -2,10 +2,15 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
+	"chatgraph/internal/config"
 	"chatgraph/internal/executor"
 	"chatgraph/internal/graph"
 )
@@ -132,5 +137,55 @@ func TestNewSessionShim(t *testing.T) {
 	}
 	if s.FileConfig() != nil {
 		t.Fatal("programmatic session reports a file config")
+	}
+}
+
+// sequentializer.levels must reach the prompt the LLM backend receives:
+// levels 1 drops the motif super-graph section, levels 2 keeps it. The
+// backend is an httptest chat-completions endpoint, so the assertion is on
+// the bytes that actually leave an engine built by NewEngineFromConfig.
+func TestConfigLevelsReachPrompt(t *testing.T) {
+	var prompt string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			Messages []struct{ Role, Content string }
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		for _, m := range req.Messages {
+			if m.Role == "user" {
+				prompt = m.Content
+			}
+		}
+		w.Write([]byte(`{"choices":[{"message":{"role":"assistant","content":"graph.stats"}}]}`)) //nolint:errcheck
+	}))
+	defer srv.Close()
+	g := graph.PlantedCommunities(2, 8, 0.8, 0.1, rand.New(rand.NewSource(3)))
+	for _, tc := range []struct {
+		levels    int
+		wantMotif bool
+	}{{1, false}, {2, true}} {
+		fc := config.Default()
+		fc.Finetune.Examples = 30
+		fc.Finetune.Epochs = 1
+		fc.Sequentializer.Levels = tc.levels
+		fc.LLM.Backend = "http"
+		fc.LLM.BaseURL = srv.URL
+		eng, err := NewEngineFromConfig(fc, nil, nil, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prompt = ""
+		if _, err := eng.NewSession().Ask(context.Background(), "Summarize the statistics of the graph", g, AskOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(prompt, "### GraphPaths") {
+			t.Fatalf("levels=%d: backend saw no path section:\n%s", tc.levels, prompt)
+		}
+		if got := strings.Contains(prompt, "### GraphMotifPaths"); got != tc.wantMotif {
+			t.Fatalf("levels=%d: motif section present = %v, want %v", tc.levels, got, tc.wantMotif)
+		}
 	}
 }

@@ -61,7 +61,7 @@ func CoreNumbers(g *Graph) []int {
 	for i := 0; i < n; i++ {
 		u := vert[i]
 		core[u] = int(deg[u])
-		for _, vn := range c.undNeighbors(NodeID(u)) {
+		for _, vn := range c.UndirectedNeighbors(NodeID(u)) {
 			v := int32(vn)
 			if deg[v] > deg[u] {
 				dv := deg[v]

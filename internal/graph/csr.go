@@ -259,9 +259,10 @@ func (c *CSR) InDegree(u NodeID) int {
 	return int(c.roffsets[u+1] - c.roffsets[u])
 }
 
-// undNeighbors returns u's neighbors in the undirected view (both edge
-// directions), ascending, parallel edges included.
-func (c *CSR) undNeighbors(u NodeID) []NodeID {
+// UndirectedNeighbors returns u's neighbors in the undirected view (both
+// edge directions), ascending, parallel edges included. Like OutNeighbors it
+// is a view into the frozen arrays: callers must not modify it.
+func (c *CSR) UndirectedNeighbors(u NodeID) []NodeID {
 	return c.utargets[c.uoffsets[u]:c.uoffsets[u+1]]
 }
 
@@ -458,34 +459,6 @@ func (c *CSR) bfsForward(src int32, sc *travScratch, depth []int32) int32 {
 func (c *CSR) eccFrom(src int32, sc *travScratch) int32 {
 	sc.nextEpoch()
 	return c.bfsForward(src, sc, sc.ints(c.n))
-}
-
-// eccFromQueue is the pure queue-frontier eccentricity BFS the hybrid
-// replaced, kept as the parity oracle and benchmark baseline for bfsFrom.
-func (c *CSR) eccFromQueue(src int32, sc *travScratch) int32 {
-	sc.nextEpoch()
-	depth := sc.ints(c.n)
-	q := sc.queue[:0]
-	defer func() { sc.queue = q[:0] }()
-	q = append(q, src)
-	sc.mark(src)
-	depth[src] = 0
-	var max int32
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		d := depth[u]
-		if d > max {
-			max = d
-		}
-		for _, v := range c.targets[c.offsets[u]:c.offsets[u+1]] {
-			if !sc.seen(int32(v)) {
-				sc.mark(int32(v))
-				depth[v] = d + 1
-				q = append(q, int32(v))
-			}
-		}
-	}
-	return max
 }
 
 // farthest returns the node at maximum BFS depth from src (ties broken by

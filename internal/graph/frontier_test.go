@@ -149,3 +149,31 @@ func TestEccentricitiesDense(t *testing.T) {
 		t.Fatalf("Eccentricities diverges from naive: r=%d/%d d=%d/%d", radius, wantR, diameter, wantD)
 	}
 }
+
+// eccFromQueue is the pure queue-frontier eccentricity BFS the hybrid
+// replaced, kept as the parity oracle and benchmark baseline for bfsFrom.
+func (c *CSR) eccFromQueue(src int32, sc *travScratch) int32 {
+	sc.nextEpoch()
+	depth := sc.ints(c.n)
+	q := sc.queue[:0]
+	defer func() { sc.queue = q[:0] }()
+	q = append(q, src)
+	sc.mark(src)
+	depth[src] = 0
+	var max int32
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		d := depth[u]
+		if d > max {
+			max = d
+		}
+		for _, v := range c.targets[c.offsets[u]:c.offsets[u+1]] {
+			if !sc.seen(int32(v)) {
+				sc.mark(int32(v))
+				depth[v] = d + 1
+				q = append(q, int32(v))
+			}
+		}
+	}
+	return max
+}

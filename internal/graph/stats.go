@@ -122,7 +122,7 @@ func (c *CSR) countTriangles() (int, float64) {
 	distinct := make([]int32, n)
 	parallel.ForEach(n, func(ui int) {
 		u := NodeID(ui)
-		nu := c.undNeighbors(u)
+		nu := c.UndirectedNeighbors(u)
 		// Distinct degree (rows are sorted; duplicates are adjacent).
 		var d int32
 		var pairSum int64
@@ -133,7 +133,7 @@ func (c *CSR) countTriangles() (int, float64) {
 			}
 			prev = v
 			d++
-			pairSum += int64(sortedIntersectionSize(nu, c.undNeighbors(v)))
+			pairSum += int64(sortedIntersectionSize(nu, c.UndirectedNeighbors(v)))
 		}
 		distinct[ui] = d
 		// Each unordered adjacent pair {v,w} ⊂ N(u) was counted once from v

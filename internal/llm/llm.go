@@ -50,6 +50,9 @@ type PromptConfig struct {
 	MaxPathLines int
 	// PathLength is the sequentializer's l (0 → 3).
 	PathLength int
+	// Levels is the sequentializer's structure-level count: 1 = paths only,
+	// 2 = paths plus the motif super-graph section (0 → 2).
+	Levels int
 	// MaxChainLength caps generated chains for clients that honor it
 	// (0 → 8). It is carried here so session config travels as one value.
 	MaxChainLength int
@@ -66,22 +69,33 @@ func BuildPrompt(question string, g *graph.Graph, kind graph.Kind, candidates []
 		cfg.PathLength = 3
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n\n", sectionQuestion, question)
-	fmt.Fprintf(&b, "%s\n%s\n\n", sectionKind, kind)
-	fmt.Fprintf(&b, "%s\n", sectionAPIs)
+	b.WriteString(sectionQuestion + "\n")
+	b.WriteString(question)
+	b.WriteString("\n\n" + sectionKind + "\n")
+	b.WriteString(kind.String())
+	b.WriteString("\n\n" + sectionAPIs + "\n")
 	for _, c := range candidates {
+		b.WriteString("- ")
+		b.WriteString(c)
 		if d := descriptions[c]; d != "" {
-			fmt.Fprintf(&b, "- %s: %s\n", c, d)
-		} else {
-			fmt.Fprintf(&b, "- %s\n", c)
+			b.WriteString(": ")
+			b.WriteString(d)
 		}
+		b.WriteByte('\n')
 	}
-	b.WriteString("\n")
+	b.WriteByte('\n')
 	if g != nil && g.NumNodes() > 0 {
-		res := seq.Sequentialize(g, seq.Options{MaxLength: cfg.PathLength, Levels: 2})
-		fmt.Fprintf(&b, "%s\n%s\n", sectionPaths, seq.RenderAll(g, res.Paths, cfg.MaxPathLines))
-		if len(res.SuperPaths) > 0 {
-			fmt.Fprintf(&b, "%s\n%s\n", sectionSuper, seq.RenderAll(res.Super, res.SuperPaths, cfg.MaxPathLines/2))
+		// Only the lines printed below are materialised; the elision counts
+		// stay exact because the sequentializer counts the rest.
+		res := seq.SequentializeHead(g, seq.Options{MaxLength: cfg.PathLength, Levels: cfg.Levels},
+			cfg.MaxPathLines, max(1, cfg.MaxPathLines/2))
+		b.WriteString(sectionPaths + "\n")
+		seq.RenderHead(&b, g, res.Paths, res.NumPaths)
+		b.WriteByte('\n')
+		if res.NumSuperPaths > 0 {
+			b.WriteString(sectionSuper + "\n")
+			seq.RenderHead(&b, res.Super, res.SuperPaths, res.NumSuperPaths)
+			b.WriteByte('\n')
 		}
 	}
 	system := "You are ChatGraph. Given the user question, the graph kind, the candidate " +

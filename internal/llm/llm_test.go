@@ -43,6 +43,54 @@ func TestBuildPromptNoGraph(t *testing.T) {
 	}
 }
 
+// sectionLines returns the non-empty lines of one "### " prompt section.
+func sectionLines(prompt, section string) []string {
+	_, rest, ok := strings.Cut(prompt, section+"\n")
+	if !ok {
+		return nil
+	}
+	body, _, _ := strings.Cut(rest, "\n\n")
+	return strings.Split(body, "\n")
+}
+
+// max_path_lines: 1 is a valid config; its motif cap (1/2 = 0) used to read
+// as "no cap" and print every super-path into the prompt.
+func TestBuildPromptMotifCapNeverUncapped(t *testing.T) {
+	g := graph.KnowledgeGraph(60, 180, rand.New(rand.NewSource(5)))
+	for _, tc := range []struct{ maxLines, wantPaths, wantMotif int }{
+		{1, 1, 1}, {2, 2, 1}, {3, 3, 1}, {0, 40, 20},
+	} {
+		u := BuildPrompt("Clean G", g, graph.KindKnowledge, nil, nil, PromptConfig{MaxPathLines: tc.maxLines})[1].Content
+		for _, sec := range []struct {
+			name string
+			want int
+		}{{sectionPaths, tc.wantPaths}, {sectionSuper, tc.wantMotif}} {
+			lines := sectionLines(u, sec.name)
+			// want path lines plus the elision marker.
+			if len(lines) != sec.want+1 || !strings.HasSuffix(lines[len(lines)-1], "more paths)") {
+				t.Fatalf("max_path_lines=%d: %s has %d lines, want %d + elision:\n%s",
+					tc.maxLines, sec.name, len(lines), sec.want, strings.Join(lines, "\n"))
+			}
+		}
+	}
+}
+
+func TestBuildPromptLevels(t *testing.T) {
+	g := graph.PlantedCommunities(2, 8, 0.8, 0.1, rand.New(rand.NewSource(6)))
+	for _, tc := range []struct {
+		levels    int
+		wantMotif bool
+	}{{0, true}, {1, false}, {2, true}} {
+		u := BuildPrompt("q", g, graph.KindSocial, nil, nil, PromptConfig{Levels: tc.levels})[1].Content
+		if got := strings.Contains(u, sectionSuper); got != tc.wantMotif {
+			t.Fatalf("Levels=%d: motif section present = %v, want %v", tc.levels, got, tc.wantMotif)
+		}
+		if !strings.Contains(u, sectionPaths) {
+			t.Fatalf("Levels=%d: paths section missing", tc.levels)
+		}
+	}
+}
+
 func TestParsePromptRoundTrip(t *testing.T) {
 	msgs := BuildPrompt("Clean G", nil, graph.KindKnowledge,
 		[]string{"kg.detect_all", "graph.apply_edits"},

@@ -5,19 +5,32 @@
 //  1. A length-constrained path cover — for every node u, paths starting at
 //     u of length at most l that cover the subgraph within l hops of u
 //     (following the cited prior work on localized pattern queries). Paths
-//     are extracted from the BFS tree rooted at u, so the per-node path
-//     count is bounded by the size of u's l-hop neighborhood and the total
-//     is O(|G|²·l) rather than the exponential count of all simple paths.
+//     are the root-to-leaf paths of the BFS tree rooted at u, so the per-node
+//     path count is bounded by the size of u's l-hop neighborhood and the
+//     total is O(|G|²·l) rather than the exponential count of all simple
+//     paths.
 //
 //  2. A motif super-graph (following RUM, ICDE 2019) — triangles are merged
 //     into motif super-nodes and the induced super-graph is sequentialized
 //     the same way, giving the LLM a second, coarser level that exposes
 //     multi-level structure (communities, protein tertiary structure, ...).
+//
+// One array-based BFS-tree kernel (bfsTree) builds every tree, and it has two
+// consumers. Sequentialize and PathCover materialise every leaf: the whole
+// cover, for callers that analyse it. SequentializeHead serves the prompt
+// builder, which prints a few dozen lines of a cover that is tens of
+// thousands of paths on a 200-node graph: it materialises only the first
+// paths and counts the leaves of every remaining root without building
+// them. Bounded keeps two things exact — the head is the full cover's prefix
+// (same paths, same order) and NumPaths/NumSuperPaths are the full cover's
+// sizes — so the "... (N more paths)" line, and with it the prompt, is
+// byte-identical to rendering the whole cover and truncating.
 package seq
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"chatgraph/internal/graph"
 )
@@ -57,20 +70,35 @@ type Result struct {
 	// original nodes merged into super-node i.
 	Super        *graph.Graph
 	SuperMembers [][]graph.NodeID
+	// NumPaths and NumSuperPaths are the sizes of the whole covers. They
+	// exceed len(Paths) and len(SuperPaths) only in a SequentializeHead
+	// result, whose slices hold the printed heads.
+	NumPaths, NumSuperPaths int
 }
 
-// Sequentialize decomposes g according to opts.
+// Sequentialize decomposes g according to opts, materialising every path.
 func Sequentialize(g *graph.Graph, opts Options) Result {
+	return sequentialize(g, opts, -1, -1)
+}
+
+// SequentializeHead is Sequentialize for a consumer that prints at most
+// maxPaths level-0 and maxSuperPaths level-1 paths: Paths and SuperPaths hold
+// only those heads of the covers (the same paths, in the same order, as the
+// full result's prefixes) while NumPaths and NumSuperPaths stay exact.
+func SequentializeHead(g *graph.Graph, opts Options, maxPaths, maxSuperPaths int) Result {
+	return sequentialize(g, opts, max(maxPaths, 0), max(maxSuperPaths, 0))
+}
+
+func sequentialize(g *graph.Graph, opts Options, limit, superLimit int) Result {
 	opts.setDefaults()
-	res := Result{Paths: PathCover(g, opts.MaxLength, opts.MaxPathsPerNode)}
+	var res Result
+	res.Paths, res.NumPaths = cover(g, opts.MaxLength, opts.MaxPathsPerNode, limit)
 	if opts.Levels >= 2 && g.NumNodes() > 0 {
-		super, members := SuperGraph(g)
-		res.Super = super
-		res.SuperMembers = members
+		res.Super, res.SuperMembers = SuperGraph(g)
 		// Only sequentialize the super level when it actually coarsens the
 		// graph; otherwise it duplicates level 0.
-		if super.NumNodes() < g.NumNodes() {
-			res.SuperPaths = PathCover(super, opts.MaxLength, opts.MaxPathsPerNode)
+		if res.Super.NumNodes() < g.NumNodes() {
+			res.SuperPaths, res.NumSuperPaths = cover(res.Super, opts.MaxLength, opts.MaxPathsPerNode, superLimit)
 		}
 	}
 	return res
@@ -81,69 +109,134 @@ func Sequentialize(g *graph.Graph, opts Options) Result {
 // one path starting at u (the covering property the paper requires), and
 // every path has at most l edges. maxPerNode ≤ 0 means unlimited.
 func PathCover(g *graph.Graph, l int, maxPerNode int) []Path {
-	var out []Path
-	for _, n := range g.Nodes() {
-		paths := coverFrom(g, n.ID, l)
-		if maxPerNode > 0 && len(paths) > maxPerNode {
-			paths = paths[:maxPerNode]
-		}
-		out = append(out, paths...)
-	}
-	return out
+	paths, _ := cover(g, l, maxPerNode, -1)
+	return paths
 }
 
-// coverFrom builds the BFS tree of radius l rooted at u and returns its
-// root-to-leaf paths.
-func coverFrom(g *graph.Graph, u graph.NodeID, l int) []Path {
-	parent := map[graph.NodeID]graph.NodeID{u: u}
-	depth := map[graph.NodeID]int{u: 0}
-	var order []graph.NodeID
+// cover runs the BFS-tree kernel from every node in ID order. It returns the
+// first limit paths of the cover (all of them when limit < 0) and the size of
+// the whole cover: past the limit a root's leaves are counted, not built.
+func cover(g *graph.Graph, l, maxPerNode, limit int) (paths []Path, total int) {
+	if limit < 0 {
+		// A counting pass costs one more BFS per root and sizes the output
+		// exactly, which is cheaper than regrowing a slice of slice headers.
+		if _, limit = cover(g, l, maxPerNode, 0); limit > 0 {
+			paths = make([]Path, 0, limit)
+		}
+	}
 	c := g.Freeze()
-	c.BFS(u, func(id graph.NodeID, d int) bool {
-		if d > l {
-			return false
+	n := c.NumNodes()
+	t := leaseTree(n)
+	defer treePool.Put(t)
+	for u := 0; u < n; u++ {
+		leaves := t.build(c, int32(u), l)
+		if maxPerNode > 0 && leaves > maxPerNode {
+			leaves = maxPerNode
 		}
-		order = append(order, id)
-		for _, nb := range c.OutNeighbors(id) {
-			if _, seen := parent[nb]; !seen && d < l {
-				parent[nb] = id
-				depth[nb] = d + 1
+		total += leaves
+		if limit >= 0 {
+			leaves = min(leaves, limit-len(paths))
+		}
+		paths = t.appendPaths(paths, leaves)
+	}
+	return paths, total
+}
+
+// bfsTree is the one BFS-tree implementation behind every path cover: the
+// radius-l tree of the current root in flat arrays indexed by node, stamped
+// with an epoch so moving to the next root costs O(1) instead of a clear.
+// Instances recycle through treePool (the graph.travScratch pattern), so
+// concurrent covers over one shared frozen graph each lease their own.
+type bfsTree struct {
+	// stamp[v] == epoch marks v as in the current root's tree; parent, depth
+	// and kids (child count) are valid only for stamped nodes.
+	stamp  []uint32
+	epoch  uint32
+	parent []int32
+	depth  []int32
+	kids   []int32
+	// order lists the tree's nodes in BFS order (the queue, kept whole).
+	order []int32
+}
+
+var treePool = sync.Pool{New: func() any { return new(bfsTree) }}
+
+func leaseTree(n int) *bfsTree {
+	t := treePool.Get().(*bfsTree)
+	if cap(t.stamp) < n {
+		t.stamp = make([]uint32, n)
+		t.epoch = 0
+		t.parent = make([]int32, n)
+		t.depth = make([]int32, n)
+		t.kids = make([]int32, n)
+	}
+	return t
+}
+
+// build grows the tree of radius l rooted at root over the forward adjacency
+// (neighbors ascending, first discoverer is the parent) and returns its leaf
+// count — the number of root-to-leaf paths. A lone root is its own leaf.
+func (t *bfsTree) build(c *graph.CSR, root int32, l int) int {
+	t.epoch++
+	if t.epoch == 0 { // wrapped: stale stamps could collide, so really clear
+		clear(t.stamp)
+		t.epoch = 1
+	}
+	stamp, n := t.stamp, c.NumNodes()
+	q := append(t.order[:0], root)
+	stamp[root] = t.epoch
+	t.depth[root], t.kids[root] = 0, 0
+	internal := 0
+	// Once every node is in the tree no scan can add a child: stop early.
+	for head := 0; head < len(q) && len(q) < n; head++ {
+		u := q[head]
+		d := t.depth[u]
+		if int(d) >= l {
+			break // BFS order: everything still queued sits on the rim too
+		}
+		for _, v := range c.OutNeighbors(graph.NodeID(u)) {
+			if stamp[v] == t.epoch {
+				continue
 			}
-		}
-		return true
-	})
-	// Drop nodes BFS reported but the radius excluded from the tree.
-	inTree := make(map[graph.NodeID]bool, len(parent))
-	for id := range parent {
-		inTree[id] = true
-	}
-	hasChild := make(map[graph.NodeID]bool, len(parent))
-	for id, p := range parent {
-		if id != u && inTree[p] {
-			hasChild[p] = true
+			stamp[v] = t.epoch
+			t.parent[v], t.depth[v], t.kids[v] = u, d+1, 0
+			if t.kids[u] == 0 {
+				internal++
+			}
+			t.kids[u]++
+			q = append(q, int32(v))
 		}
 	}
-	var paths []Path
-	for _, id := range order {
-		if !inTree[id] || hasChild[id] {
+	t.order = q
+	return len(q) - internal
+}
+
+// appendPaths materialises the first k leaves of the current tree, in BFS
+// order, as root-to-leaf paths carved out of one backing array.
+func (t *bfsTree) appendPaths(paths []Path, k int) []Path {
+	if k <= 0 {
+		return paths
+	}
+	size, last := 0, 0
+	for found := 0; found < k; last++ {
+		if v := t.order[last]; t.kids[v] == 0 {
+			size += int(t.depth[v]) + 1
+			found++
+		}
+	}
+	slab := make([]graph.NodeID, size)
+	for _, v := range t.order[:last] {
+		if t.kids[v] != 0 {
 			continue
 		}
-		// id is a leaf: walk up to the root.
-		var rev Path
-		for cur := id; ; cur = parent[cur] {
-			rev = append(rev, cur)
-			if cur == u {
-				break
-			}
-		}
-		p := make(Path, len(rev))
-		for i := range rev {
-			p[i] = rev[len(rev)-1-i]
+		n := int(t.depth[v]) + 1
+		p := slab[:n:n]
+		slab = slab[n:]
+		for i := n - 1; i >= 0; i-- {
+			p[i] = graph.NodeID(v)
+			v = t.parent[v]
 		}
 		paths = append(paths, p)
-	}
-	if len(paths) == 0 {
-		paths = append(paths, Path{u}) // isolated node still yields itself
 	}
 	return paths
 }
@@ -153,34 +246,52 @@ func coverFrom(g *graph.Graph, u graph.NodeID, l int) []Path {
 // carry the semantics (element symbols, entity names).
 func Render(g *graph.Graph, p Path) string {
 	var b strings.Builder
+	renderPath(&b, g, p)
+	return b.String()
+}
+
+func renderPath(b *strings.Builder, g *graph.Graph, p Path) {
+	var num [20]byte
 	for i, id := range p {
 		if i > 0 {
 			b.WriteString(" - ")
 		}
-		n := g.Node(id)
-		if n.Label != "" {
-			fmt.Fprintf(&b, "v%d[%s]", id, n.Label)
-		} else {
-			fmt.Fprintf(&b, "v%d", id)
+		b.WriteByte('v')
+		b.Write(strconv.AppendInt(num[:0], int64(id), 10))
+		if label := g.Node(id).Label; label != "" {
+			b.WriteByte('[')
+			b.WriteString(label)
+			b.WriteByte(']')
 		}
 	}
-	return b.String()
 }
 
 // RenderAll renders every path, one per line, capped at maxLines (≤ 0 means
-// no cap) with a trailing elision marker when truncated. This is the exact
-// text block the prompt builder injects.
+// no cap) with a trailing elision marker when truncated.
 func RenderAll(g *graph.Graph, ps []Path, maxLines int) string {
+	head := ps
+	if maxLines > 0 && len(ps) > maxLines {
+		head = ps[:maxLines]
+	}
 	var b strings.Builder
-	for i, p := range ps {
-		if maxLines > 0 && i >= maxLines {
-			fmt.Fprintf(&b, "... (%d more paths)\n", len(ps)-maxLines)
-			break
-		}
-		b.WriteString(Render(g, p))
+	RenderHead(&b, g, head, len(ps))
+	return b.String()
+}
+
+// RenderHead appends head to b, one path per line, then the elision marker
+// for the total-len(head) paths of the cover that head leaves out. This is
+// the exact text block the prompt builder injects.
+func RenderHead(b *strings.Builder, g *graph.Graph, head []Path, total int) {
+	for _, p := range head {
+		renderPath(b, g, p)
 		b.WriteByte('\n')
 	}
-	return b.String()
+	if total > len(head) {
+		var num [20]byte
+		b.WriteString("... (")
+		b.Write(strconv.AppendInt(num[:0], int64(total-len(head)), 10))
+		b.WriteString(" more paths)\n")
+	}
 }
 
 // CoverageOK verifies the covering property: every node within l hops of u

@@ -1,8 +1,7 @@
 package seq
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 
 	"chatgraph/internal/graph"
 )
@@ -18,59 +17,57 @@ import (
 // rings) collapse into single super-nodes — exactly the multi-level signal
 // the sequentializer wants to expose.
 func SuperGraph(g *graph.Graph) (*graph.Graph, [][]graph.NodeID) {
-	n := g.NumNodes()
+	c := g.Freeze()
+	n := c.NumNodes()
 	uf := newUnionFind(n)
-	// Merge the three corners of every triangle.
-	neigh := make([]map[graph.NodeID]bool, n)
-	for i := 0; i < n; i++ {
-		neigh[i] = make(map[graph.NodeID]bool)
-	}
-	for _, e := range g.Edges() {
-		neigh[e.From][e.To] = true
-		neigh[e.To][e.From] = true
-	}
+	// Merge the three corners of every triangle u < v < w: for each edge
+	// {u, v}, a w > v present in both sorted neighbor rows closes one.
 	for u := 0; u < n; u++ {
-		for v := range neigh[u] {
-			if int(v) <= u {
+		row := c.UndirectedNeighbors(graph.NodeID(u))
+		for i, v := range row {
+			if int(v) <= u || i > 0 && row[i-1] == v {
 				continue
 			}
-			for w := range neigh[u] {
-				if w <= v || !neigh[v][w] {
-					continue
+			a, b := row[i+1:], c.UndirectedNeighbors(v)
+			for len(a) > 0 && len(b) > 0 {
+				switch {
+				case a[0] < b[0]:
+					a = a[1:]
+				case a[0] > b[0]:
+					b = b[1:]
+				default:
+					if a[0] > v {
+						uf.union(u, int(v))
+						uf.union(u, int(a[0]))
+					}
+					a, b = a[1:], b[1:]
 				}
-				uf.union(u, int(v))
-				uf.union(u, int(w))
 			}
 		}
 	}
-	// Build super-nodes per union-find root, ordered by smallest member so
-	// output is deterministic.
-	rootMembers := make(map[int][]graph.NodeID)
+	// One super-node per union-find root, numbered by smallest member so
+	// output is deterministic; the ascending scan keeps member lists sorted.
+	// superOf[r] is set for a root r as soon as its first member is seen.
+	superOf := make([]graph.NodeID, n)
+	for i := range superOf {
+		superOf[i] = -1
+	}
+	var members [][]graph.NodeID
 	for i := 0; i < n; i++ {
 		r := uf.find(i)
-		rootMembers[r] = append(rootMembers[r], graph.NodeID(i))
+		if superOf[r] < 0 {
+			superOf[r] = graph.NodeID(len(members))
+			members = append(members, nil)
+		}
+		superOf[i] = superOf[r]
+		members[superOf[i]] = append(members[superOf[i]], graph.NodeID(i))
 	}
-	roots := make([]int, 0, len(rootMembers))
-	for r := range rootMembers {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		return rootMembers[roots[i]][0] < rootMembers[roots[j]][0]
-	})
 	super := graph.New()
 	super.Name = g.Name + "_super"
-	superOf := make([]graph.NodeID, n)
-	members := make([][]graph.NodeID, 0, len(roots))
-	for _, r := range roots {
-		ms := rootMembers[r]
-		sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-		label := superLabel(g, ms)
-		sid := super.AddNode(label)
-		super.SetNodeAttr(sid, "size", fmt.Sprintf("%d", len(ms)))
-		for _, m := range ms {
-			superOf[m] = sid
-		}
-		members = append(members, ms)
+	super.Grow(len(members), 0)
+	for _, ms := range members {
+		sid := super.AddNode(superLabel(g, ms))
+		super.SetNodeAttr(sid, "size", strconv.Itoa(len(ms)))
 	}
 	// Cross edges between distinct super-nodes, deduplicated.
 	seen := make(map[[2]graph.NodeID]bool)
@@ -108,7 +105,7 @@ func superLabel(g *graph.Graph, ms []graph.NodeID) string {
 			best, bestCount = l, c
 		}
 	}
-	return fmt.Sprintf("motif:%s*%d", best, len(ms))
+	return "motif:" + best + "*" + strconv.Itoa(len(ms))
 }
 
 // unionFind is a standard path-halving union-find over [0, n).
