@@ -41,6 +41,17 @@ func BenchmarkLoss(b *testing.B) {
 	}
 }
 
+// BenchmarkMinLoss is the rollout search's inner call: one generated chain
+// against a question's two equivalent four-step truths.
+func BenchmarkMinLoss(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	c, truths := randomChain(rng, 5), []Chain{randomChain(rng, 4), randomChain(rng, 4)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MinLoss(c, truths, 0.5)
+	}
+}
+
 func BenchmarkParse(b *testing.B) {
 	text := "graph.classify -> community.detect(max_iters=20) -> report.compose(style=brief)"
 	b.ReportAllocs()

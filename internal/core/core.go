@@ -36,7 +36,8 @@ type Config struct {
 	// was built around when both are set.
 	Env *apis.Env
 	// Model is the finetuned chain-generation model (nil → trained on a
-	// generated dataset with TrainSeed).
+	// generated dataset with TrainSeed, unless Client is set: an external
+	// client never reads it, so none is trained).
 	Model *finetune.Model
 	// Client generates chains (nil → llm.SimClient over Model).
 	Client llm.Client

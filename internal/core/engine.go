@@ -73,7 +73,9 @@ type Engine struct {
 // NewEngine builds the shared engine from cfg, applying the same defaults
 // NewSession always has: a Default registry over a fresh Env, a model
 // trained on a generated dataset, a SimClient over that model, and a τ-MG
-// retrieval index over the registry descriptions.
+// retrieval index over the registry descriptions. The model is trained only
+// when it will generate chains: with cfg.Client set and cfg.Model nil,
+// nothing is trained.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Env == nil {
 		cfg.Env = &apis.Env{}
@@ -97,26 +99,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.RetrievalK <= 0 {
 		cfg.RetrievalK = 6
 	}
-	if cfg.Model == nil {
-		n := cfg.TrainExamples
-		if n <= 0 {
-			n = 400
-		}
-		tc := cfg.Train
-		if tc.Epochs == 0 {
-			tc.Epochs = 2
-		}
-		if tc.Search.Rollouts == 0 {
-			tc.Search.Rollouts = 4
-		}
-		if tc.Seed == 0 {
-			tc.Seed = cfg.TrainSeed
-		}
-		rng := rand.New(rand.NewSource(cfg.TrainSeed))
-		ds := finetune.GenerateDataset(n, rng)
-		cfg.Model = finetune.Train(cfg.Registry.Names(), ds, tc)
-	}
 	if cfg.Client == nil {
+		// Only the SimClient reads the model, so an engine handed an
+		// external Client trains nothing.
+		if cfg.Model == nil {
+			cfg.Model = trainDefaultModel(cfg)
+		}
 		maxLen := cfg.Prompt.MaxChainLength
 		if maxLen <= 0 {
 			maxLen = 8
@@ -139,6 +127,27 @@ func NewEngine(cfg Config) (*Engine, error) {
 		descs:    ix.Descriptions(),
 		met:      newEngineMetrics(),
 	}, nil
+}
+
+// trainDefaultModel finetunes the chain-generation model on a dataset
+// generated from cfg.TrainSeed, with NewEngine's training defaults.
+func trainDefaultModel(cfg Config) *finetune.Model {
+	n := cfg.TrainExamples
+	if n <= 0 {
+		n = 400
+	}
+	tc := cfg.Train
+	if tc.Epochs == 0 {
+		tc.Epochs = 2
+	}
+	if tc.Search.Rollouts == 0 {
+		tc.Search.Rollouts = 4
+	}
+	if tc.Seed == 0 {
+		tc.Seed = cfg.TrainSeed
+	}
+	ds := finetune.GenerateDataset(n, rand.New(rand.NewSource(cfg.TrainSeed)))
+	return finetune.Train(cfg.Registry.Names(), ds, tc)
 }
 
 // NewEngineFromConfig builds an Engine from the Fig. 3-style parameter set:
@@ -235,7 +244,9 @@ func (e *Engine) Env() *apis.Env { return e.env }
 // instance.
 func (e *Engine) Graphs() *graphstore.Store { return e.graphs }
 
-// Model exposes the chain-generation model the engine was built with.
+// Model exposes the chain-generation model the engine was built with. It is
+// nil for an externally-backed engine (Config.Client set, Config.Model not):
+// such an engine generates chains through its Client and trains no model.
 func (e *Engine) Model() *finetune.Model { return e.model }
 
 // FileConfig returns the config.Config the engine was built from, or nil

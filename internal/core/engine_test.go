@@ -12,6 +12,7 @@ import (
 
 	"chatgraph/internal/config"
 	"chatgraph/internal/executor"
+	"chatgraph/internal/finetune"
 	"chatgraph/internal/graph"
 )
 
@@ -122,6 +123,26 @@ func TestEngineRetrieveBatch(t *testing.T) {
 	// k ≤ 0 falls back to the engine's RetrievalK default.
 	if def := eng.RetrieveBatch(queries[:1], 0); len(def[0]) == 0 {
 		t.Fatal("default-k batch returned no hits")
+	}
+}
+
+// TestExternalClientTrainsNoModel: only the SimClient reads the model, so an
+// engine handed its Client (chatgraphd -llm URL) has none, unless the caller
+// supplied one.
+func TestExternalClientTrainsNoModel(t *testing.T) {
+	eng, err := NewEngine(Config{Client: failingClient{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Model() != nil {
+		t.Fatal("engine with an external client trained a model nothing reads")
+	}
+	m := finetune.NewModel(eng.Registry().Names())
+	if eng, err = NewEngine(Config{Client: failingClient{}, Model: m}); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Model() != m {
+		t.Fatal("engine dropped the model it was given")
 	}
 }
 

@@ -1,10 +1,9 @@
 package finetune
 
 import (
-	"sort"
+	"slices"
 
 	"chatgraph/internal/chain"
-	"chatgraph/internal/embed"
 	"chatgraph/internal/graph"
 )
 
@@ -14,8 +13,10 @@ import (
 // for accuracy on questions where the first token is ambiguous; the
 // BenchmarkDecodingStrategies ablation quantifies the trade.
 
-type beamEntry struct {
-	c     chain.Chain
+// beam is one partial chain of the search, as API ids. ids is never written
+// after creation, so a finished beam carried into the next step shares it.
+type beam struct {
+	ids   []int
 	score float64
 	done  bool
 }
@@ -29,69 +30,67 @@ func (m *Model) DecodeBeam(question string, kind graph.Kind, maxLen, width int) 
 	if maxLen <= 0 {
 		maxLen = 8
 	}
-	qTokens := embed.Tokenize(question)
-	beams := []beamEntry{{}}
+	q := m.newQuery(question, kind)
+	// One step's continuations are numbered beam*(v+1)+token, token v being
+	// "this beam as it is" (ended now, or finished earlier), so the bounded
+	// select that ranks APIs also ranks continuations, and only the width
+	// survivors are materialised.
+	v := len(m.vocab)
+	beams := []beam{{}}
+	sel := make([]scored, 0, width)
 	for step := 0; step < maxLen; step++ {
-		var next []beamEntry
+		sel = sel[:0]
 		expanded := false
-		for _, b := range beams {
+		for bi, b := range beams {
 			if b.done {
-				next = append(next, b)
+				sel = pushTop(sel, width, scored{bi*(v+1) + v, b.score})
 				continue
 			}
-			prev := startToken
-			used := make(map[string]bool, len(b.c))
-			for _, s := range b.c {
-				used[s.API] = true
-			}
-			if len(b.c) > 0 {
-				prev = b.c[len(b.c)-1].API
-			}
+			row := q.logRow(q.prevOf(b.ids))
 			// Ending is one candidate continuation (only for non-empty
 			// chains: every question needs at least one API).
-			if len(b.c) > 0 {
-				next = append(next, beamEntry{c: b.c, score: b.score + m.scoreEnd(prev), done: true})
+			if len(b.ids) > 0 {
+				sel = pushTop(sel, width, scored{bi*(v+1) + v, b.score + row[v]})
 			}
-			for _, api := range m.vocab {
-				if used[api] {
+			q.mark(b.ids, true)
+			for api, used := range q.used {
+				if used {
 					continue
 				}
 				expanded = true
-				nc := append(b.c.Clone(), chain.Step{API: api})
-				next = append(next, beamEntry{c: nc, score: b.score + m.score(prev, api, qTokens, kind)})
+				sel = pushTop(sel, width, scored{bi*(v+1) + api, b.score + q.score(row, api)})
 			}
+			q.mark(b.ids, false)
 		}
-		sort.SliceStable(next, func(i, j int) bool { return next[i].score > next[j].score })
-		if len(next) > width {
-			next = next[:width]
+		next := make([]beam, len(sel))
+		allDone := true
+		for i, x := range sel {
+			b, tok := beams[x.id/(v+1)], x.id%(v+1)
+			if tok == v {
+				next[i] = beam{ids: b.ids, score: x.s, done: true}
+				continue
+			}
+			allDone = false
+			next[i] = beam{ids: append(slices.Clip(b.ids), tok), score: x.s}
 		}
 		beams = next
-		if !expanded {
-			break
-		}
-		allDone := true
-		for _, b := range beams {
-			if !b.done {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
+		if !expanded || allDone {
 			break
 		}
 	}
 	// Prefer the best finished beam; fall back to the best overall.
-	for _, b := range beams {
-		if b.done && len(b.c) > 0 {
-			return b.c
-		}
+	best := slices.IndexFunc(beams, func(b beam) bool { return b.done && len(b.ids) > 0 })
+	if best < 0 {
+		best = slices.IndexFunc(beams, func(b beam) bool { return len(b.ids) > 0 })
 	}
-	for _, b := range beams {
-		if len(b.c) > 0 {
-			return b.c
-		}
+	if best < 0 {
+		return nil
 	}
-	return nil
+	c := make(chain.Chain, len(beams[best].ids))
+	for i, id := range beams[best].ids {
+		c[i] = chain.Step{API: m.vocab[id]}
+	}
+	return c
 }
 
 // EvaluateBeam mirrors Evaluate using beam decoding with the given width.

@@ -1,7 +1,11 @@
 package finetune
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"chatgraph/internal/apis"
@@ -85,11 +89,18 @@ func TestDecodeEmptyModelStillTerminates(t *testing.T) {
 }
 
 func TestObserveIgnoresEmptyAndZeroWeight(t *testing.T) {
-	m := NewModel(vocab())
+	m, fresh := NewModel(vocab()), NewModel(vocab())
 	m.Observe("q", graph.KindSocial, nil, 1)
 	m.Observe("q", graph.KindSocial, chain.Chain{chain.Step{API: "graph.stats"}}, 0)
-	if len(m.trans) != 0 {
-		t.Fatal("empty/zero-weight observation mutated model")
+	m.Observe("q", graph.KindSocial, chain.Chain{chain.Step{API: "graph.stats"}}, -1)
+	// One real observation moves graph.stats to the front, so the ignored
+	// ones leaving the ranking as a fresh model's shows they left no weight.
+	n := len(vocab())
+	if got, want := m.TopCandidates(nil, "q", graph.KindSocial, n), fresh.TopCandidates(nil, "q", graph.KindSocial, n); !slices.Equal(got, want) {
+		t.Fatalf("empty/zero-weight observation mutated model: candidates %v, fresh model %v", got, want)
+	}
+	if got, want := m.Decode("q", graph.KindSocial, 8), fresh.Decode("q", graph.KindSocial, 8); !got.Equal(want) {
+		t.Fatalf("empty/zero-weight observation mutated model: Decode %s, fresh model %s", got, want)
 	}
 }
 
@@ -106,6 +117,114 @@ func TestTopCandidatesRanked(t *testing.T) {
 	if cands[0] != "community.detect" {
 		t.Fatalf("top candidate = %s", cands[0])
 	}
+	if all := m.TopCandidates(nil, "find communities", graph.KindSocial, 1000); len(all) != len(vocab()) {
+		t.Fatalf("k beyond the vocabulary returned %d candidates, want all %d", len(all), len(vocab()))
+	}
+	for _, k := range []int{0, -1} {
+		if got := m.TopCandidates(nil, "find communities", graph.KindSocial, k); got != nil {
+			t.Fatalf("TopCandidates(k=%d) = %v, want nil", k, got)
+		}
+	}
+}
+
+// weightBits is every weight and running total of m in a fixed order, as
+// bit patterns.
+func weightBits(m *Model) []uint64 {
+	var bits []uint64
+	add := func(r *row) {
+		bits = append(bits, math.Float64bits(r.tot))
+		for _, w := range r.w {
+			bits = append(bits, math.Float64bits(w))
+		}
+	}
+	for _, r := range m.trans {
+		add(r)
+	}
+	toks := make([]string, 0, len(m.affinity))
+	for tok := range m.affinity {
+		toks = append(toks, tok)
+	}
+	slices.Sort(toks)
+	for _, tok := range toks {
+		add(m.affinity[tok])
+	}
+	for kind := graph.KindUnknown; kind <= graph.KindKnowledge; kind++ {
+		if r := m.kindPrior[kind]; r != nil {
+			add(r)
+		}
+	}
+	return bits
+}
+
+// TestTrainBitReproducible: row totals accumulate in Observe order, not by
+// re-summing maps in Go's randomised iteration order, so the same seed gives
+// the same weights to the last bit — what lets the bench oracle byte-compare
+// a daemon's replies with a model trained in another process.
+func TestTrainBitReproducible(t *testing.T) {
+	ds := GenerateDataset(200, rand.New(rand.NewSource(30)))
+	train := func(seed int64) []uint64 {
+		return weightBits(Train(vocab(), ds, TrainConfig{Epochs: 2, Search: SearchConfig{Rollouts: 4}, Seed: seed}))
+	}
+	a, b := train(31), train(31)
+	if !slices.Equal(a, b) {
+		t.Fatal("same seed trained twice gave different weights")
+	}
+	if slices.Equal(a, train(32)) {
+		t.Fatal("a different seed gave identical weights: the rollouts do not reach the model")
+	}
+}
+
+// TestDecodeAllocsIndependentOfVocabulary: a Decode allocates its query, its
+// chain and one log-transition row per position — a count the vocabulary
+// size must not enter.
+func TestDecodeAllocsIndependentOfVocabulary(t *testing.T) {
+	ds := GenerateDataset(200, rand.New(rand.NewSource(33)))
+	allocs := func(extra int) float64 {
+		v := vocab()
+		for i := 0; i < extra; i++ {
+			v = append(v, fmt.Sprintf("pad.api%03d", i))
+		}
+		m := Train(v, ds, TrainConfig{Epochs: 1, Seed: 34})
+		ex := ds[0]
+		if len(m.Decode(ex.Question, ex.Kind, 8)) < 2 {
+			t.Fatalf("Decode(%q) too short to measure", ex.Question)
+		}
+		return testing.AllocsPerRun(50, func() { m.Decode(ex.Question, ex.Kind, 8) })
+	}
+	small, large := allocs(0), allocs(400)
+	if small != large {
+		t.Fatalf("Decode allocs grew with the vocabulary: %v at %d APIs, %v at %d", small, len(vocab()), large, len(vocab())+400)
+	}
+	if small > 24 {
+		t.Fatalf("Decode allocs = %v, want ≤ 24", small)
+	}
+}
+
+// TestDecodeConcurrent decodes from many goroutines on one trained model
+// (run under -race): the per-question query is built per call and nothing
+// is cached on the Model, so generation only reads it.
+func TestDecodeConcurrent(t *testing.T) {
+	ds := GenerateDataset(120, rand.New(rand.NewSource(35)))
+	m := Train(vocab(), ds, TrainConfig{Epochs: 1, Search: SearchConfig{Rollouts: 2}, Seed: 36})
+	want := make([]chain.Chain, len(ds))
+	for i, ex := range ds {
+		want[i] = m.DecodeBeam(ex.Question, ex.Kind, 8, 1+i%3)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, ex := range ds {
+				if got := m.DecodeBeam(ex.Question, ex.Kind, 8, 1+i%3); !got.Equal(want[i]) {
+					t.Errorf("concurrent DecodeBeam(%q) = %s, want %s", ex.Question, got, want[i])
+					return
+				}
+				m.TopCandidates(want[i][:1], ex.Question, ex.Kind, 4)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSearchPredictConvergesToTruth(t *testing.T) {
@@ -116,6 +235,13 @@ func TestSearchPredictConvergesToTruth(t *testing.T) {
 	pred := SearchPredict(m, "Clean G", graph.KindKnowledge, truth, SearchConfig{Rollouts: 8}, rng)
 	if loss, _ := chain.MinLoss(pred, truth, 0.5); loss > 1 {
 		t.Fatalf("SearchPredict loss = %v for %s", loss, pred)
+	}
+}
+
+func TestSearchPredictWithoutTruths(t *testing.T) {
+	m := Train(vocab(), GenerateDataset(60, rand.New(rand.NewSource(12))), TrainConfig{Epochs: 0, Seed: 13})
+	if pred := SearchPredict(m, "Clean G", graph.KindKnowledge, nil, SearchConfig{Rollouts: 2}, rand.New(rand.NewSource(14))); len(pred) != 0 {
+		t.Fatalf("SearchPredict with no ground truth = %s, want nothing", pred)
 	}
 }
 

@@ -1,8 +1,7 @@
 package finetune
 
 import (
-	"math"
-	"sort"
+	"slices"
 
 	"chatgraph/internal/chain"
 	"chatgraph/internal/embed"
@@ -15,42 +14,97 @@ const (
 	endToken   = "<end>"
 )
 
+// row is one dense weight row indexed by API id, with its running total.
+// The total only changes in add, so scoring never re-sums a row, and it
+// accumulates in Observe order, so it does not depend on the process.
+type row struct {
+	w   []float64
+	tot float64
+}
+
+func (r *row) add(id int, w float64) {
+	if id >= len(r.w) {
+		r.w = append(r.w, make([]float64, id+1-len(r.w))...)
+	}
+	r.w[id] += w
+	r.tot += w
+}
+
 // Model is the chain-generation model the finetuning produces: a smoothed
 // bigram transition model over API tokens combined with question-keyword
 // affinities and graph-kind priors. It is the offline stand-in for the
 // finetuned LLM head — small, deterministic, and trained with exactly the
 // signals the paper describes (node-matching loss via rollout search).
+//
+// Every API has a small integer id and every weight row is a []float64
+// indexed by it: the sorted vocabulary takes ids 0..V-1 (so id order is name
+// order), <start> is V, <end> is V+1, and a name outside the vocabulary is
+// interned from V+2 when Observe first sees it. Such a name counts toward
+// row totals but is never emitted. Every row has at least V+2 entries.
+//
+// Observe mutates the model; everything else only reads it, so a trained
+// model may be decoded from any number of goroutines.
 type Model struct {
-	// trans[prev][next] are transition weights (pseudo-counts).
-	trans map[string]map[string]float64
-	// affinity[token][api] links question keywords to APIs.
-	affinity map[string]map[string]float64
-	// kindPrior[kind][api] links graph kinds to APIs.
-	kindPrior map[graph.Kind]map[string]float64
-	// vocab is every API name the model may emit.
+	// vocab is every API name the model may emit, sorted; vocab[id] names id.
 	vocab []string
+	// ids maps a name (vocabulary, frame token or interned) to its id.
+	ids map[string]int
+	// trans[prev].w[next] are transition weights (pseudo-counts).
+	trans []*row
+	// affinity[token].w[api] links question keywords to APIs.
+	affinity map[string]*row
+	// kindPrior[kind].w[api] links graph kinds to APIs.
+	kindPrior map[graph.Kind]*row
 }
 
 // NewModel returns an empty model over the given API vocabulary.
 func NewModel(vocab []string) *Model {
-	v := append([]string(nil), vocab...)
-	sort.Strings(v)
-	return &Model{
-		trans:     make(map[string]map[string]float64),
-		affinity:  make(map[string]map[string]float64),
-		kindPrior: make(map[graph.Kind]map[string]float64),
+	v := slices.Clone(vocab)
+	slices.Sort(v)
+	v = slices.Compact(v)
+	m := &Model{
 		vocab:     v,
+		ids:       make(map[string]int, len(v)+2),
+		affinity:  make(map[string]*row),
+		kindPrior: make(map[graph.Kind]*row),
 	}
+	for _, name := range v {
+		m.intern(name)
+	}
+	m.intern(startToken)
+	m.intern(endToken)
+	return m
 }
 
 // Vocab returns the API vocabulary (sorted).
 func (m *Model) Vocab() []string { return m.vocab }
 
-func bump(m map[string]map[string]float64, a, b string, w float64) {
-	if m[a] == nil {
-		m[a] = make(map[string]float64)
+func (m *Model) start() int { return len(m.vocab) }
+func (m *Model) end() int   { return len(m.vocab) + 1 }
+
+// newRow returns an empty row wide enough for every id known so far.
+func (m *Model) newRow() *row {
+	return &row{w: make([]float64, max(len(m.ids), len(m.vocab)+2))}
+}
+
+// intern returns the id of name, assigning the next one (and its transition
+// row) on first sight.
+func (m *Model) intern(name string) int {
+	id, ok := m.ids[name]
+	if !ok {
+		id = len(m.ids)
+		m.ids[name] = id
+		m.trans = append(m.trans, m.newRow())
 	}
-	m[a][b] += w
+	return id
+}
+
+// id returns the id of name, or -1 for a name the model has never seen.
+func (m *Model) id(name string) int {
+	if id, ok := m.ids[name]; ok {
+		return id
+	}
+	return -1
 }
 
 // Observe reinforces the model with one (question, kind, chain) triple at
@@ -60,69 +114,29 @@ func (m *Model) Observe(question string, kind graph.Kind, c chain.Chain, w float
 	if len(c) == 0 || w <= 0 {
 		return
 	}
-	prev := startToken
+	toks := embed.Tokenize(question)
+	affs := make([]*row, len(toks))
+	for i, tok := range toks {
+		if m.affinity[tok] == nil {
+			m.affinity[tok] = m.newRow()
+		}
+		affs[i] = m.affinity[tok]
+	}
+	if m.kindPrior[kind] == nil {
+		m.kindPrior[kind] = m.newRow()
+	}
+	prior := m.kindPrior[kind]
+	prev := m.start()
 	for _, s := range c {
-		bump(m.trans, prev, s.API, w)
-		prev = s.API
-		for _, tok := range embed.Tokenize(question) {
-			bump(m.affinity, tok, s.API, w)
+		api := m.intern(s.API)
+		m.trans[prev].add(api, w)
+		prev = api
+		for _, aff := range affs {
+			aff.add(api, w)
 		}
-		if m.kindPrior[kind] == nil {
-			m.kindPrior[kind] = make(map[string]float64)
-		}
-		m.kindPrior[kind][s.API] += w
+		prior.add(api, w)
 	}
-	bump(m.trans, prev, endToken, w)
-}
-
-// score returns the model's (log-space) preference for api following prev
-// given the question tokens and graph kind. Laplace smoothing keeps unseen
-// transitions possible.
-func (m *Model) score(prev, api string, qTokens []string, kind graph.Kind) float64 {
-	const eps = 0.1
-	row := m.trans[prev]
-	var rowTotal float64
-	for _, v := range row {
-		rowTotal += v
-	}
-	transP := (row[api] + eps) / (rowTotal + eps*float64(len(m.vocab)+1))
-	var aff float64
-	for _, tok := range qTokens {
-		if am := m.affinity[tok]; am != nil {
-			var tot float64
-			for _, v := range am {
-				tot += v
-			}
-			if tot > 0 {
-				aff += am[api] / tot
-			}
-		}
-	}
-	var prior float64
-	if km := m.kindPrior[kind]; km != nil {
-		var tot float64
-		for _, v := range km {
-			tot += v
-		}
-		if tot > 0 {
-			prior = km[api] / tot
-		}
-	}
-	// The affinity and prior weights must be strong enough that what the
-	// question asks for overrides the raw transition mass of unrelated but
-	// frequent tasks.
-	return math.Log(transP) + 4*aff + 2*prior
-}
-
-// scoreEnd is the score of terminating after prev.
-func (m *Model) scoreEnd(prev string) float64 {
-	const eps = 0.1
-	row := m.trans[prev]
-	var rowTotal float64
-	for _, v := range row {
-		rowTotal += v
-	}
-	return math.Log((row[endToken] + eps) / (rowTotal + eps*float64(len(m.vocab)+1)))
+	m.trans[prev].add(m.end(), w)
 }
 
 // Decode greedily generates a chain for the question: at each position the
@@ -133,71 +147,30 @@ func (m *Model) Decode(question string, kind graph.Kind, maxLen int) chain.Chain
 	if maxLen <= 0 {
 		maxLen = 8
 	}
-	qTokens := embed.Tokenize(question)
-	var c chain.Chain
-	used := make(map[string]bool, maxLen)
-	prev := startToken
-	for len(c) < maxLen {
-		bestAPI, bestScore := "", math.Inf(-1)
-		for _, api := range m.vocab {
-			if used[api] {
-				continue // API chains do not revisit an API
-			}
-			if s := m.score(prev, api, qTokens, kind); s > bestScore {
-				bestAPI, bestScore = api, s
-			}
-		}
-		// Terminate when ending beats every continuation (never on an
-		// empty chain — every question needs at least one API).
-		if len(c) > 0 && m.scoreEnd(prev) >= bestScore {
-			break
-		}
-		if bestAPI == "" {
-			break
-		}
-		c = append(c, chain.Step{API: bestAPI})
-		used[bestAPI] = true
-		prev = bestAPI
+	q := m.newQuery(question, kind)
+	w := m.newWalk(maxLen)
+	q.greedyComplete(w, maxLen)
+	if len(w.c) == 0 {
+		return nil
 	}
-	return c
+	return w.c
 }
 
 // TopCandidates returns the k APIs the model ranks highest as successors of
 // the current partial chain — the candidate set S of the paper's
-// search-based prediction.
+// search-based prediction. k ≤ 0 returns nil.
 func (m *Model) TopCandidates(partial chain.Chain, question string, kind graph.Kind, k int) []string {
-	prev := startToken
-	used := make(map[string]bool, len(partial))
-	for _, s := range partial {
-		used[s.API] = true
+	if k <= 0 {
+		return nil
 	}
-	if len(partial) > 0 {
-		prev = partial[len(partial)-1].API
+	ids := make([]int, len(partial))
+	for i, s := range partial {
+		ids[i] = m.id(s.API)
 	}
-	qTokens := embed.Tokenize(question)
-	type scored struct {
-		api string
-		s   float64
-	}
-	ss := make([]scored, 0, len(m.vocab))
-	for _, api := range m.vocab {
-		if used[api] {
-			continue // API chains do not revisit an API
-		}
-		ss = append(ss, scored{api, m.score(prev, api, qTokens, kind)})
-	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].s != ss[j].s {
-			return ss[i].s > ss[j].s
-		}
-		return ss[i].api < ss[j].api
-	})
-	if k > len(ss) {
-		k = len(ss)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = ss[i].api
+	top := m.newQuery(question, kind).top(ids, k)
+	out := make([]string, len(top))
+	for i, t := range top {
+		out[i] = m.vocab[t.id]
 	}
 	return out
 }

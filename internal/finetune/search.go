@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"chatgraph/internal/chain"
-	"chatgraph/internal/embed"
 	"chatgraph/internal/graph"
 )
 
@@ -47,90 +46,92 @@ func (c *SearchConfig) setDefaults() {
 // the partial chain alone (no lookahead) — the ablation baseline.
 func SearchPredict(m *Model, question string, kind graph.Kind, truths []chain.Chain, cfg SearchConfig, rng *rand.Rand) chain.Chain {
 	cfg.setDefaults()
-	var partial chain.Chain
-	for len(partial) < cfg.MaxLen {
-		cands := m.TopCandidates(partial, question, kind, cfg.Candidates)
+	// The model is constant for the whole search, so one query serves every
+	// candidate and rollout.
+	s := &search{q: m.newQuery(question, kind), w: m.newWalk(cfg.MaxLen), truths: truths, cfg: cfg, rng: rng}
+	w := s.w
+	cands := make([]scored, 0, cfg.Candidates)
+	for len(w.ids) < cfg.MaxLen {
+		n := len(w.ids)
+		cands = append(cands[:0], s.q.top(w.ids, cfg.Candidates)...)
 		if len(cands) == 0 {
 			break
 		}
-		bestAPI, bestLoss := "", math.Inf(1)
-		for _, api := range cands {
-			extended := append(partial.Clone(), chain.Step{API: api})
-			loss := m.rolloutScore(extended, question, kind, truths, cfg, rng)
-			if loss < bestLoss {
-				bestAPI, bestLoss = api, loss
+		bestAPI, bestLoss := -1, math.Inf(1)
+		for _, cand := range cands {
+			w.push(cand.id)
+			if loss := s.rolloutScore(); loss < bestLoss {
+				bestAPI, bestLoss = cand.id, loss
 			}
+			w.truncate(n)
 		}
-		// Consider stopping: the loss of the partial chain as-is.
-		stopLoss, _ := chain.MinLoss(partial, truths, cfg.Alpha)
-		if len(partial) > 0 && stopLoss <= bestLoss {
+		// Consider stopping: the loss of the partial chain as-is. With no
+		// truths every loss is +Inf and no candidate is ever best.
+		if bestAPI < 0 || n > 0 && s.loss() <= bestLoss {
 			break
 		}
-		partial = append(partial, chain.Step{API: bestAPI})
+		w.push(bestAPI)
 	}
-	return partial
+	if len(w.c) == 0 {
+		return nil
+	}
+	return w.c
 }
 
-// rolloutScore estimates how promising the prefix is: the minimum, over r
-// random model-guided completions, of the smallest loss against any ground
-// truth. r == 0 scores the prefix directly.
-func (m *Model) rolloutScore(prefix chain.Chain, question string, kind graph.Kind, truths []chain.Chain, cfg SearchConfig, rng *rand.Rand) float64 {
+// search is the state of one SearchPredict: the question's query, the chain
+// being grown (which every rollout extends and rolls back in place), and the
+// arguments the rollouts share.
+type search struct {
+	q      *query
+	w      *walk
+	truths []chain.Chain
+	cfg    SearchConfig
+	rng    *rand.Rand
+}
+
+// rolloutScore estimates how promising the walk's current prefix is: the
+// minimum, over r random model-guided completions, of the smallest loss
+// against any ground truth. r == 0 scores the prefix directly.
+func (s *search) rolloutScore() float64 {
+	n := len(s.w.ids)
 	// Two completions are always considered besides the random rollouts:
 	// the trivial one ("stop now") and the model-greedy one. They anchor
 	// the estimate so that a lucky random completion of a bad prefix
 	// cannot beat a good prefix whose rollouts happened to miss.
-	best, _ := chain.MinLoss(prefix, truths, cfg.Alpha)
-	if l, _ := chain.MinLoss(m.greedyComplete(prefix, question, kind, cfg.MaxLen), truths, cfg.Alpha); l < best {
-		best = l
+	best := s.loss()
+	s.q.greedyComplete(s.w, s.cfg.MaxLen)
+	best = min(best, s.loss())
+	for i := 0; i < s.cfg.Rollouts; i++ {
+		s.w.truncate(n)
+		s.randomComplete()
+		best = min(best, s.loss())
 	}
-	for i := 0; i < cfg.Rollouts; i++ {
-		full := m.randomComplete(prefix, question, kind, cfg.MaxLen, rng)
-		if l, _ := chain.MinLoss(full, truths, cfg.Alpha); l < best {
-			best = l
-		}
-	}
+	s.w.truncate(n)
 	return best
 }
 
-// greedyComplete extends prefix with the model's highest-scoring successor
-// until the end token wins or maxLen is hit.
-func (m *Model) greedyComplete(prefix chain.Chain, question string, kind graph.Kind, maxLen int) chain.Chain {
-	c := prefix.Clone()
-	for len(c) < maxLen {
-		cands := m.TopCandidates(c, question, kind, 1)
-		if len(cands) == 0 {
-			break
-		}
-		prev := startToken
-		if len(c) > 0 {
-			prev = c[len(c)-1].API
-		}
-		qTokens := embed.Tokenize(question)
-		if len(c) > 0 && m.scoreEnd(prev) >= m.score(prev, cands[0], qTokens, kind) {
-			break
-		}
-		c = append(c, chain.Step{API: cands[0]})
-	}
-	return c
+// loss is the walk's smallest loss against any ground truth.
+func (s *search) loss() float64 {
+	l, _ := chain.MinLoss(s.w.c, s.truths, s.cfg.Alpha)
+	return l
 }
 
-// randomComplete extends prefix to a full chain by sampling successors from
-// the model's top candidates until the end token is sampled or maxLen hit.
-func (m *Model) randomComplete(prefix chain.Chain, question string, kind graph.Kind, maxLen int, rng *rand.Rand) chain.Chain {
-	c := prefix.Clone()
-	for len(c) < maxLen {
+// randomComplete extends the walk to a full chain by sampling successors
+// from the model's top candidates until the end token is sampled or MaxLen
+// hit.
+func (s *search) randomComplete() {
+	for len(s.w.ids) < s.cfg.MaxLen {
 		// Sample among top-4 candidates plus a stop chance that grows with
 		// length, approximating the model's end-token probability mass.
-		if rng.Float64() < 0.15*float64(len(c)) {
+		if s.rng.Float64() < 0.15*float64(len(s.w.ids)) {
 			break
 		}
-		cands := m.TopCandidates(c, question, kind, 4)
+		cands := s.q.top(s.w.ids, 4)
 		if len(cands) == 0 {
 			break
 		}
-		c = append(c, chain.Step{API: cands[rng.Intn(len(cands))]})
+		s.w.push(cands[s.rng.Intn(len(cands))].id)
 	}
-	return c
 }
 
 // TrainConfig tunes Train.
