@@ -47,11 +47,11 @@ func sharedSession(b *testing.B) *core.Session {
 		benchEnv = &apis.Env{}
 		reg := apis.Default(benchEnv)
 		core.SeedMoleculeDB(benchEnv, 1000, rand.New(rand.NewSource(77)))
-		var err error
-		benchSess, err = core.NewSession(core.Config{Registry: reg, Env: benchEnv, TrainSeed: 77})
+		eng, err := core.NewEngine(core.Config{Registry: reg, Env: benchEnv, TrainSeed: 77})
 		if err != nil {
 			panic(err)
 		}
+		benchSess = eng.NewSession()
 	})
 	return benchSess
 }

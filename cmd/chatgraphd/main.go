@@ -9,7 +9,7 @@
 // pinned chain outside the request deadline, GET /v1/jobs/{id} polls it
 // (?stream=1 tails NDJSON progress), DELETE /v1/jobs/{id} cancels; the pool
 // is sized by -job-workers/-job-queue and finished jobs are retained for
-// -job-retention. Legacy endpoints: POST /chat, GET /apis, GET /suggest,
+// -job-retention. Demo-panel endpoints: GET /apis, GET /suggest,
 // GET /config, GET /healthz. Observability: GET /metrics (Prometheus text
 // format). Overload policy: -max-inflight sheds with 429,
 // -session-rate/-session-burst rate-limit each session's chats, and

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,7 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"chatgraph/internal/core"
+	"chatgraph/internal/llm"
 	"chatgraph/internal/metrics"
+	"chatgraph/internal/server"
 )
 
 func jsonBody(v any) io.Reader {
@@ -535,6 +540,56 @@ func TestRouterJobPlacementByContent(t *testing.T) {
 			}
 		}
 		f.mu.Unlock()
+	}
+}
+
+// noLLM is the chain generator of the real backends below: the test never
+// chats, so it is never called — and an engine given a Client trains nothing.
+type noLLM struct{}
+
+func (noLLM) Complete(context.Context, []llm.Message) (string, error) {
+	return "", errors.New("cluster test: no chat expected")
+}
+
+// TestRouterRemovedChatRouteIs404 sends the removed single-conversation
+// POST /chat through a router fronting real chatgraphd handlers: the router
+// has no special case for it any more, so it is spread like any unknown path
+// and the client sees the backend's own 404 (with X-Backend naming who said
+// so) — not a router-made answer, and not a content-hash placement.
+func TestRouterRemovedChatRouteIs404(t *testing.T) {
+	backends := make([]*fakeBackend, 2)
+	for i := range backends {
+		eng, err := core.NewEngine(core.Config{Client: noLLM{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(eng, server.Options{Metrics: metrics.NewRegistry()})
+		t.Cleanup(srv.Close)
+		backends[i] = &fakeBackend{ts: httptest.NewServer(srv.Handler())}
+		t.Cleanup(backends[i].ts.Close)
+	}
+	_, rt := testRouter(t, backends...)
+
+	body := []byte(`{"question":"Summarize the statistics of the graph","graph":{"nodes":[{"id":0},{"id":1}],"edges":[{"from":0,"to":1}]}}`)
+	served := map[string]bool{}
+	for i := 0; i < 4; i++ {
+		resp, err := http.Post(rt.URL+"/chat", "application/json", jsonRaw(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST /chat through the router = %d, want the backend's 404", resp.StatusCode)
+		}
+		if resp.Header.Get("X-Request-ID") == "" {
+			t.Fatal("404 did not come from a chatgraphd backend (no X-Request-ID)")
+		}
+		served[resp.Header.Get("X-Backend")] = true
+	}
+	// Identical uploads used to pin to one shard by content hash; as an
+	// unknown path they rotate over the pool.
+	if len(served) != 2 || served[""] {
+		t.Fatalf("POST /chat was answered by %v, want both backends in rotation", served)
 	}
 }
 

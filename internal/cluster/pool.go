@@ -10,11 +10,11 @@
 // IDs itself and hashes id → backend with HRW, so any later request
 // carrying that id deterministically re-derives its owner, with no routing
 // table, across router restarts, for any router replica fed the same
-// backend list. Graph-bearing uploads with no pinned identity (job
-// submissions, legacy /chat) are placed by the graph's canonical content
-// hash instead, so identical interned graphs concentrate on one shard's
-// caches rather than duplicating across the pool. Stateless routes spread
-// round-robin over healthy backends and may retry on the next hop.
+// backend list. Job submissions, which carry a graph but no identity yet,
+// are placed by the graph's canonical content hash instead, so identical
+// interned graphs concentrate on one shard's caches rather than duplicating
+// across the pool. Stateless routes spread round-robin over healthy
+// backends and may retry on the next hop.
 package cluster
 
 import (

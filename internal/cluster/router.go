@@ -151,8 +151,6 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		rt.toOwner(w, r, body, aff.Key)
-	case server.AffinityUpload:
-		rt.placed(w, r, body)
 	case server.AffinityFanout:
 		rt.fanout(w, r)
 	default:
@@ -260,26 +258,6 @@ func (rt *Router) toOwner(w http.ResponseWriter, r *http.Request, body []byte, k
 	b := rt.pool.Owner(key)
 	if b == nil || !b.Routable() {
 		rt.refuse(w, b, "owner backend down")
-		return
-	}
-	rt.forwardTo(w, r, body, b)
-}
-
-// placed routes the legacy /chat endpoint: content-hash placement when a
-// graph rides along, round-robin otherwise. Never retried — the chain may
-// have executed before a transport failure.
-func (rt *Router) placed(w http.ResponseWriter, r *http.Request, body []byte) {
-	var b *Backend
-	if ck, ok := server.UploadContentKey(body); ok {
-		b = rt.pool.Owner(ck)
-		if b != nil && !b.Routable() {
-			b = rt.pool.FirstRoutable(ck)
-		}
-	} else {
-		b = rt.nextUp()
-	}
-	if b == nil {
-		rt.refuse(w, nil, "no backends up")
 		return
 	}
 	rt.forwardTo(w, r, body, b)
@@ -474,16 +452,6 @@ func (rt *Router) upBackends() []*Backend {
 		}
 	}
 	return out
-}
-
-// nextUp returns the next up backend in round-robin order, nil when the
-// pool is dark.
-func (rt *Router) nextUp() *Backend {
-	ups := rt.upBackends()
-	if len(ups) == 0 {
-		return nil
-	}
-	return ups[int(rt.rr.Add(1))%len(ups)]
 }
 
 // hopByHop are the headers a proxy must not forward (RFC 9110 §7.6.1).

@@ -28,7 +28,7 @@ import (
 	"chatgraph/internal/retrieve"
 )
 
-// Config assembles a Session. Zero-value fields get working defaults.
+// Config assembles an Engine. Zero-value fields get working defaults.
 type Config struct {
 	// Registry is the API catalog (nil → apis.Default with a fresh Env).
 	Registry *apis.Registry
@@ -89,8 +89,7 @@ type AskOptions struct {
 // the dialog history, so creating one per user is cheap. A Session
 // serializes its own Ask calls (a conversation is one dialog), but distinct
 // Sessions over the same Engine run fully concurrently. History reads never
-// wait on an in-flight Ask, so AskOptions callbacks may call History (or
-// WriteTranscript) freely.
+// wait on an in-flight Ask, so AskOptions callbacks may call History freely.
 type Session struct {
 	eng *Engine
 	// askMu serializes Ask/AskWithChain: one conversation is one dialog.
@@ -134,19 +133,6 @@ func (s *Session) RestoreHistory(turns []Turn) {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()
 	s.history = append(s.history, turns...)
-}
-
-// NewSession builds a fresh Engine from cfg and returns a conversation over
-// it — the original single-user constructor, kept as a compatibility shim.
-// Services that host many conversations should call NewEngine once and mint
-// sessions with Engine.NewSession instead, sharing the trained model and
-// retrieval index.
-func NewSession(cfg Config) (*Session, error) {
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return eng.NewSession(), nil
 }
 
 // Engine returns the shared engine this conversation runs on.
@@ -209,23 +195,8 @@ func (s *Session) Ask(ctx context.Context, question string, g *graph.Graph, opts
 	s.eng.fillArgs(generated, question)
 
 	// 3. Confirmation + execution with monitoring.
-	res, err := s.eng.exec.Run(ctx, g, generated, executor.Options{
-		Confirm: opts.Confirm,
-		OnEvent: func(e executor.Event) {
-			turn.Events = append(turn.Events, e)
-			if opts.OnEvent != nil {
-				opts.OnEvent(e)
-			}
-		},
-	})
-	if err != nil {
-		return turn, err
-	}
-	turn.Chain = res.Executed
-	turn.Answer = res.Final.Text
-	turn.Elapsed = time.Since(start)
-	s.appendTurn(turn)
-	return turn, nil
+	err = s.execute(ctx, g, generated, opts, &turn, start)
+	return turn, err
 }
 
 // AskWithChain skips generation and runs a user-supplied chain — the path
@@ -240,6 +211,14 @@ func (s *Session) AskWithChain(ctx context.Context, question string, g *graph.Gr
 		g = graph.New()
 	}
 	turn.Kind = graph.Classify(g)
+	err = s.execute(ctx, g, c, opts, &turn, start)
+	return turn, err
+}
+
+// execute is the tail Ask and AskWithChain share: run c against g under the
+// caller's confirmer, collecting progress events into turn, then complete
+// the turn and record it in the history. A failed run records nothing.
+func (s *Session) execute(ctx context.Context, g *graph.Graph, c chain.Chain, opts AskOptions, turn *Turn, start time.Time) error {
 	res, err := s.eng.exec.Run(ctx, g, c, executor.Options{
 		Confirm: opts.Confirm,
 		OnEvent: func(e executor.Event) {
@@ -250,13 +229,13 @@ func (s *Session) AskWithChain(ctx context.Context, question string, g *graph.Gr
 		},
 	})
 	if err != nil {
-		return turn, err
+		return err
 	}
 	turn.Chain = res.Executed
 	turn.Answer = res.Final.Text
 	turn.Elapsed = time.Since(start)
-	s.appendTurn(turn)
-	return turn, nil
+	s.appendTurn(*turn)
+	return nil
 }
 
 // retrieveCandidates merges the top-k retrieval hits with the always-on glue
@@ -409,11 +388,8 @@ func SeedMoleculeDB(env *apis.Env, n int, rng *rand.Rand) {
 }
 
 // ParseKind inverts graph.Kind.String; unrecognized names (including the
-// empty string) are KindUnknown. Transcript and WAL replay use it.
-func ParseKind(s string) graph.Kind { return parseKindName(s) }
-
-// parseKindName inverts graph.Kind.String for transcript round trips.
-func parseKindName(s string) graph.Kind {
+// empty string) are KindUnknown. WAL replay and GET /suggest use it.
+func ParseKind(s string) graph.Kind {
 	switch s {
 	case "social":
 		return graph.KindSocial

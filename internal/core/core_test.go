@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -30,12 +29,26 @@ func session(t *testing.T) *Session {
 		env := &apis.Env{}
 		reg := apis.Default(env)
 		SeedMoleculeDB(env, 50, rand.New(rand.NewSource(9)))
-		sess, sessErr = NewSession(Config{Registry: reg, Env: env, TrainSeed: 1, TrainExamples: 300})
+		var eng *Engine
+		if eng, sessErr = NewEngine(Config{Registry: reg, Env: env, TrainSeed: 1, TrainExamples: 300}); sessErr == nil {
+			sess = eng.NewSession()
+		}
 	})
 	if sessErr != nil {
 		t.Fatal(sessErr)
 	}
 	return sess
+}
+
+// newSession builds a private engine from cfg and mints one conversation
+// over it, for tests that must not share the package-wide session.
+func newSession(t *testing.T, cfg Config) *Session {
+	t.Helper()
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.NewSession()
 }
 
 func TestScenarioUnderstandingSocial(t *testing.T) {
@@ -211,10 +224,7 @@ func TestAskWithChain(t *testing.T) {
 func TestHistoryAccumulates(t *testing.T) {
 	env := &apis.Env{}
 	reg := apis.Default(env)
-	s, err := NewSession(Config{Registry: reg, Env: env, TrainSeed: 2, TrainExamples: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSession(t, Config{Registry: reg, Env: env, TrainSeed: 2, TrainExamples: 120})
 	g := graph.New()
 	g.AddNode("a")
 	for i := 0; i < 2; i++ {
@@ -302,10 +312,7 @@ func (failingClient) Complete(context.Context, []llm.Message) (string, error) {
 func TestAskClientError(t *testing.T) {
 	env := &apis.Env{}
 	reg := apis.Default(env)
-	s, err := NewSession(Config{Registry: reg, Env: env, Client: failingClient{}, TrainSeed: 3, TrainExamples: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSession(t, Config{Registry: reg, Env: env, Client: failingClient{}, TrainSeed: 3, TrainExamples: 50})
 	if _, err := s.Ask(context.Background(), "anything", nil, AskOptions{}); err == nil || !strings.Contains(err.Error(), "model unavailable") {
 		t.Fatalf("err = %v", err)
 	}
@@ -321,10 +328,7 @@ func (gibberishClient) Complete(context.Context, []llm.Message) (string, error) 
 func TestAskUnparseableChain(t *testing.T) {
 	env := &apis.Env{}
 	reg := apis.Default(env)
-	s, err := NewSession(Config{Registry: reg, Env: env, Client: gibberishClient{}, TrainSeed: 4, TrainExamples: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSession(t, Config{Registry: reg, Env: env, Client: gibberishClient{}, TrainSeed: 4, TrainExamples: 50})
 	if _, err := s.Ask(context.Background(), "anything", nil, AskOptions{}); err == nil || !strings.Contains(err.Error(), "unparseable") {
 		t.Fatalf("err = %v", err)
 	}
@@ -335,22 +339,22 @@ func TestNewSessionFromConfig(t *testing.T) {
 	fc.Finetune.Examples = 60
 	fc.Finetune.Epochs = 1
 	fc.ANN.TopK = 4
-	s, err := NewSessionFromConfig(fc, nil, nil, 5)
+	eng, err := NewEngineFromConfig(fc, nil, nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.FileConfig() == nil || s.FileConfig().ANN.TopK != 4 {
-		t.Fatalf("FileConfig = %+v", s.FileConfig())
+	if eng.FileConfig() == nil || eng.FileConfig().ANN.TopK != 4 {
+		t.Fatalf("FileConfig = %+v", eng.FileConfig())
 	}
 	g := graph.New()
 	g.AddNode("a")
-	if _, err := s.Ask(context.Background(), "Summarize the statistics of the graph", g, AskOptions{}); err != nil {
+	if _, err := eng.NewSession().Ask(context.Background(), "Summarize the statistics of the graph", g, AskOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid configs are rejected before any training happens.
 	bad := config.Default()
 	bad.ANN.Dim = 1
-	if _, err := NewSessionFromConfig(bad, nil, nil, 5); err == nil {
+	if _, err := NewEngineFromConfig(bad, nil, nil, 5); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -360,60 +364,90 @@ func TestNewSessionFromConfigHTTPBackend(t *testing.T) {
 	fc.Finetune.Examples = 30
 	fc.LLM.Backend = "http"
 	fc.LLM.BaseURL = "http://127.0.0.1:1" // nothing listens; Ask must fail cleanly
-	s, err := NewSessionFromConfig(fc, nil, nil, 6)
+	eng, err := NewEngineFromConfig(fc, nil, nil, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ask(context.Background(), "anything", nil, AskOptions{}); err == nil {
+	if _, err := eng.NewSession().Ask(context.Background(), "anything", nil, AskOptions{}); err == nil {
 		t.Fatal("unreachable HTTP backend succeeded")
 	}
 }
 
+// TestTranscriptRoundTrip pins the History → RestoreHistory contract the
+// daemon's recovery rests on (the name dates from the transcript files this
+// pair replaced): a snapshot restored into another session keeps order and
+// every field, and restoring into a non-empty session appends.
 func TestTranscriptRoundTrip(t *testing.T) {
-	s := session(t)
+	s := session(t).Engine().NewSession()
+	g := graph.New()
+	g.AddNode("a")
+	for _, q := range []string{"Summarize the statistics of the graph", "Is the network connected?"} {
+		if _, err := s.Ask(context.Background(), q, g, AskOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.History()
+
+	s2 := s.Engine().NewSession()
+	s2.RestoreHistory(want)
+	got := s2.History()
+	if len(got) != len(want) {
+		t.Fatalf("restored %d turns, want %d", len(got), len(want))
+	}
+	for i := range want {
+		w, r := want[i], got[i]
+		if r.Question != w.Question || r.Kind != w.Kind || r.Answer != w.Answer || r.Elapsed != w.Elapsed ||
+			!r.Chain.Equal(w.Chain) || len(r.Candidates) != len(w.Candidates) || len(r.Events) != len(w.Events) {
+			t.Fatalf("restored turn %d differs:\n%+v\n%+v", i, r, w)
+		}
+	}
+
+	// Restoring into a session that already has turns appends after them.
+	s2.RestoreHistory(want[:1])
+	if got = s2.History(); len(got) != len(want)+1 || got[len(want)].Question != want[0].Question {
+		t.Fatalf("restore into a non-empty session did not append: %d turns", len(got))
+	}
+	// History is a snapshot: the restore above never reached the source.
+	if len(s.History()) != len(want) {
+		t.Fatalf("source history changed: %d turns, want %d", len(s.History()), len(want))
+	}
+}
+
+// TestTranscriptErrors pins what recovery must not do: restored turns were
+// already durable, so the turn observer is not notified for them — but it is
+// for the next live turn, with the index that follows the restored ones. An
+// unrecognised kind name in a persisted record degrades to KindUnknown.
+func TestTranscriptErrors(t *testing.T) {
+	s := session(t).Engine().NewSession()
+	type seen struct {
+		index    int
+		question string
+	}
+	var observed []seen
+	s.SetTurnObserver(func(index int, t Turn) { observed = append(observed, seen{index, t.Question}) })
+
+	s.RestoreHistory([]Turn{
+		{Question: "restored one", Kind: ParseKind("social"), Answer: "a1"},
+		{Question: "restored two", Kind: ParseKind("nonsense"), Answer: "a2"},
+	})
+	if len(observed) != 0 {
+		t.Fatalf("turn observer notified for restored turns: %+v", observed)
+	}
+	hist := s.History()
+	if len(hist) != 2 || hist[0].Kind != graph.KindSocial || hist[1].Kind != graph.KindUnknown {
+		t.Fatalf("restored history = %+v", hist)
+	}
+	if ParseKind("") != graph.KindUnknown {
+		t.Fatal(`ParseKind("") is not KindUnknown`)
+	}
+
 	g := graph.New()
 	g.AddNode("a")
 	if _, err := s.Ask(context.Background(), "Summarize the statistics of the graph", g, AskOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	before := len(s.History())
-	path := filepath.Join(t.TempDir(), "transcript.json")
-	if err := s.SaveTranscript(path); err != nil {
-		t.Fatal(err)
-	}
-	// Restore into a fresh session.
-	env := &apis.Env{}
-	s2, err := NewSession(Config{Registry: apis.Default(env), Env: env, TrainSeed: 3, TrainExamples: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := s2.LoadTranscript(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != before || len(s2.History()) != before {
-		t.Fatalf("restored %d turns, want %d", n, before)
-	}
-	got := s2.History()[len(s2.History())-1]
-	want := s.History()[len(s.History())-1]
-	if got.Question != want.Question || got.Answer != want.Answer || !got.Chain.Equal(want.Chain) {
-		t.Fatalf("restored turn differs:\n%+v\n%+v", got, want)
-	}
-}
-
-func TestTranscriptErrors(t *testing.T) {
-	s := session(t)
-	if _, err := s.LoadTranscript(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Fatal("missing transcript loaded")
-	}
-	if _, err := s.ReadTranscript(strings.NewReader("{bad")); err == nil {
-		t.Fatal("malformed transcript loaded")
-	}
-	if _, err := s.ReadTranscript(strings.NewReader(`{"version":9,"turns":[]}`)); err == nil {
-		t.Fatal("future version loaded")
-	}
-	if _, err := s.ReadTranscript(strings.NewReader(`{"version":1,"turns":[{"chain":"a(bad"}]}`)); err == nil {
-		t.Fatal("malformed chain loaded")
+	if len(observed) != 1 || observed[0].index != 2 || observed[0].question != "Summarize the statistics of the graph" {
+		t.Fatalf("live turn after a restore observed as %+v, want one notification at index 2", observed)
 	}
 }
 

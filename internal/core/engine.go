@@ -70,12 +70,11 @@ type Engine struct {
 	fileConfig *config.Config
 }
 
-// NewEngine builds the shared engine from cfg, applying the same defaults
-// NewSession always has: a Default registry over a fresh Env, a model
-// trained on a generated dataset, a SimClient over that model, and a τ-MG
-// retrieval index over the registry descriptions. The model is trained only
-// when it will generate chains: with cfg.Client set and cfg.Model nil,
-// nothing is trained.
+// NewEngine builds the shared engine from cfg, defaulting every zero-value
+// field: a Default registry over a fresh Env, a model trained on a generated
+// dataset, a SimClient over that model, and a τ-MG retrieval index over the
+// registry descriptions. The model is trained only when it will generate
+// chains: with cfg.Client set and cfg.Model nil, nothing is trained.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Env == nil {
 		cfg.Env = &apis.Env{}

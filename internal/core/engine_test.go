@@ -146,18 +146,21 @@ func TestExternalClientTrainsNoModel(t *testing.T) {
 	}
 }
 
-// TestNewSessionShim confirms the one-call compatibility constructor still
-// produces a working conversation backed by its own engine.
+// TestNewSessionShim keeps its name from the one-call constructor it used to
+// cover; what it pins now is the path that replaced it: an all-defaults
+// Config builds a working engine, and Engine.NewSession mints a conversation
+// backed by that engine.
 func TestNewSessionShim(t *testing.T) {
-	s, err := NewSession(Config{TrainSeed: 9, TrainExamples: 40})
+	eng, err := NewEngine(Config{TrainSeed: 9, TrainExamples: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Engine() == nil || s.Engine().Model() == nil {
-		t.Fatal("shim session has no engine")
+	s := eng.NewSession()
+	if s.Engine() != eng || eng.Model() == nil {
+		t.Fatal("minted session is not backed by the trained engine")
 	}
-	if s.FileConfig() != nil {
-		t.Fatal("programmatic session reports a file config")
+	if eng.FileConfig() != nil {
+		t.Fatal("programmatic engine reports a file config")
 	}
 }
 

@@ -154,7 +154,7 @@ var ErrQueueFull = errors.New("jobs: queue full")
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("jobs: manager closed")
 
-// ErrDuplicateID is returned by SubmitWithID when the pinned job ID is
+// ErrDuplicateID is returned by SubmitOwned when the pinned job ID is
 // already stored (queued, running, or retained finished).
 var ErrDuplicateID = errors.New("jobs: job id already exists")
 
@@ -364,24 +364,20 @@ func New(opts Options) *Manager {
 	return m
 }
 
-// Submit enqueues task at the given priority, returning the stored Job. A
-// full queue returns ErrQueueFull; a closed manager returns ErrClosed.
+// Submit enqueues task at the given priority under a minted ID with no
+// owner, returning the stored Job. A full queue returns ErrQueueFull; a
+// closed manager returns ErrClosed.
 func (m *Manager) Submit(pri Priority, task Task) (*Job, error) {
-	return m.SubmitWithID("", pri, task)
+	return m.SubmitOwned("", "", pri, task)
 }
 
-// SubmitWithID enqueues task under a caller-chosen job ID — the hook a
-// cluster router uses to make job identity routable: the router mints an ID
-// whose rendezvous hash selects the placement backend, so every later poll
-// or cancel for that ID hashes back to the owning backend with no lookup
-// table. An empty id mints a random one (plain Submit). A duplicate id
-// returns ErrDuplicateID.
-func (m *Manager) SubmitWithID(id string, pri Priority, task Task) (*Job, error) {
-	return m.SubmitOwned(id, "", pri, task)
-}
-
-// SubmitOwned is SubmitWithID with the owning tenant's name recorded on
-// the job; ownership decides who may poll, stream, or cancel it.
+// SubmitOwned is Submit under a caller-chosen job ID with the owning
+// tenant's name recorded on the job; ownership decides who may poll, stream,
+// or cancel it. The pinned ID is the hook a cluster router uses to make job
+// identity routable: the router mints an ID whose rendezvous hash selects
+// the placement backend, so every later poll or cancel for that ID hashes
+// back to the owning backend with no lookup table. An empty id mints a
+// random one; a duplicate id returns ErrDuplicateID.
 func (m *Manager) SubmitOwned(id, owner string, pri Priority, task Task) (*Job, error) {
 	if pri < PriorityLow || pri > PriorityHigh {
 		pri = PriorityNormal

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,8 @@ import (
 	"chatgraph/internal/llm"
 	"chatgraph/internal/metrics"
 	"chatgraph/internal/parallel"
+	"chatgraph/internal/ratelimit"
+	"chatgraph/internal/tenant"
 )
 
 // slowClient is an llm.Client that holds every completion for delay (or
@@ -200,24 +203,7 @@ func TestHealthzAndMetricsBypassGate(t *testing.T) {
 	eng := slowEngine(t, 500*time.Millisecond)
 	srv, ts := newAdmissionServer(t, eng, Options{MaxInFlight: 1})
 
-	info := mustCreateSession(t, ts)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, err := http.Post(ts.URL+"/v1/sessions/"+info.SessionID+"/chat", "application/json", bytes.NewReader(chatBody(t)))
-		if err == nil {
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-		}
-	}()
-	// Wait until the chat occupies the only slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.hm.gatedInFlight.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("chat never entered the gate")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	holdGate(t, srv, ts, "")
 	for _, path := range []string{"/healthz", "/metrics"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -232,7 +218,6 @@ func TestHealthzAndMetricsBypassGate(t *testing.T) {
 			t.Fatalf("/metrics does not show the saturated gate:\n%s", body)
 		}
 	}
-	<-done
 }
 
 // TestSessionRateLimit drives one session past its token bucket with a
@@ -291,15 +276,16 @@ func TestSessionRateLimit(t *testing.T) {
 	}
 }
 
-// TestTokenBucketRefill pins the bucket math directly: drained bucket,
-// deterministic clock, token-per-second refill.
+// TestTokenBucketRefill pins the bucket math as the session limiter uses it
+// (the shared bucket's own arithmetic test lives in internal/ratelimit):
+// drained bucket, deterministic clock, token-per-second refill.
 func TestTokenBucketRefill(t *testing.T) {
-	var b tokenBucket
+	var b ratelimit.Bucket
 	now := time.Unix(1000, 0)
-	if ok, _ := b.take(1, 1, now); !ok {
+	if ok, _ := b.Take(1, 1, now); !ok {
 		t.Fatal("first take from a full bucket failed")
 	}
-	ok, retry := b.take(1, 1, now)
+	ok, retry := b.Take(1, 1, now)
 	if ok {
 		t.Fatal("second immediate take should fail at burst 1")
 	}
@@ -307,12 +293,12 @@ func TestTokenBucketRefill(t *testing.T) {
 		t.Fatalf("retry = %v, want (0, 1s]", retry)
 	}
 	// Half a second later: still empty.
-	if ok, _ := b.take(1, 1, now.Add(500*time.Millisecond)); ok {
+	if ok, _ := b.Take(1, 1, now.Add(500*time.Millisecond)); ok {
 		t.Fatal("bucket refilled too fast")
 	}
 	// After the advertised wait, a token is available. The failed take at
 	// +500ms already banked half a token, so +1.5s is comfortably enough.
-	if ok, _ := b.take(1, 1, now.Add(1500*time.Millisecond)); !ok {
+	if ok, _ := b.Take(1, 1, now.Add(1500*time.Millisecond)); !ok {
 		t.Fatal("bucket did not refill after 1.5s at 1 rps")
 	}
 }
@@ -428,4 +414,156 @@ func mustCreateSession(t *testing.T, ts *httptest.Server) SessionInfo {
 		t.Fatal(err)
 	}
 	return info
+}
+
+// holdGate occupies one admission slot with a chat that stays in flight for
+// the engine's delay, returning once the slot is provably held; the cleanup
+// waits the chat out.
+func holdGate(t *testing.T, srv *Server, ts *httptest.Server, key string) {
+	t.Helper()
+	sid := doReqJSON(t, http.MethodPost, ts.URL+"/v1/sessions", key, nil).body["session_id"].(string)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		doReq(t, http.MethodPost, ts.URL+"/v1/sessions/"+sid+"/chat", key, chatBody(t))
+	}()
+	t.Cleanup(func() { <-done })
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.hm.gatedInFlight.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("holder chat never entered the gate")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestAdmissionOrder pins the order of the admission stages (ready → resolve
+// key → fair gate → tenant rate → global rate): a request that would fail two
+// stages is answered by the earlier one, and the later one is not charged —
+// no counter of the later stage moves and no token of it is spent. Every
+// probe is a POST /v1/retrieve, the cheapest gated route.
+func TestAdmissionOrder(t *testing.T) {
+	probeBody := []byte(`{"queries":["communities"],"k":3}`)
+	probe := func(t *testing.T, ts *httptest.Server, key string) *http.Response {
+		return doReq(t, http.MethodPost, ts.URL+"/v1/retrieve", key, probeBody)
+	}
+	// Two weight-1 tenants over capacity 1 with anonymous disabled: both
+	// guaranteed shares floor to 0 and the one slot is the shared borrow
+	// pool, so whoever holds it puts every other request over its fair share.
+	// "metered" has a one-token bucket that takes hours to refill.
+	twoTenants := func(t *testing.T) *tenant.Registry {
+		return mustRegistry(t, &tenant.Config{
+			Tenants: []tenant.TenantConfig{
+				{Name: "holder", Keys: []string{"k-holder"}},
+				{Name: "metered", Keys: []string{"k-metered"}, Quota: tenant.Quota{RPS: 0.0001, Burst: 1}},
+			},
+			Anonymous: &tenant.AnonymousConfig{Disabled: true},
+		})
+	}
+	cases := []struct {
+		name string
+		// run builds the server, drives it into the doubly-failing state, and
+		// returns the probe's response.
+		run    func(t *testing.T) (*Server, *http.Response)
+		status int
+		// want lists exposition lines that must be present afterwards: the
+		// answering stage's counter at 1, the later stage's at 0.
+		want []string
+	}{
+		{
+			name: "not ready + bad key",
+			run: func(t *testing.T) (*Server, *http.Response) {
+				srv, ts := newAdmissionServer(t, slowEngine(t, 0), Options{Tenants: twoTenants(t)})
+				srv.ready.Store(false)
+				return srv, probe(t, ts, "k-bogus")
+			},
+			status: http.StatusServiceUnavailable,
+			want:   []string{`chatgraph_auth_failures_total{reason="unknown_key"} 0`},
+		},
+		{
+			name: "bad key + full gate",
+			run: func(t *testing.T) (*Server, *http.Response) {
+				srv, ts := newAdmissionServer(t, slowEngine(t, 300*time.Millisecond), Options{Tenants: twoTenants(t), MaxInFlight: 1})
+				holdGate(t, srv, ts, "k-holder")
+				return srv, probe(t, ts, "k-bogus")
+			},
+			status: http.StatusUnauthorized,
+			want: []string{
+				`chatgraph_auth_failures_total{reason="unknown_key"} 1`,
+				`chatgraph_http_shed_total{reason="in_flight"} 0`,
+			},
+		},
+		{
+			name: "over fair share + empty tenant bucket",
+			run: func(t *testing.T) (*Server, *http.Response) {
+				srv, ts := newAdmissionServer(t, slowEngine(t, 300*time.Millisecond), Options{Tenants: twoTenants(t), MaxInFlight: 1})
+				if resp := probe(t, ts, "k-metered"); resp.StatusCode != http.StatusOK {
+					t.Fatalf("draining the metered bucket = %d, want 200", resp.StatusCode)
+				}
+				holdGate(t, srv, ts, "k-holder")
+				return srv, probe(t, ts, "k-metered")
+			},
+			status: http.StatusTooManyRequests,
+			want: []string{
+				`chatgraph_tenant_shed_total{reason="fair_share",tenant="metered"} 1`,
+				`chatgraph_tenant_shed_total{reason="tenant_rate",tenant="metered"} 0`,
+				`chatgraph_http_shed_total{reason="tenant_rate"} 0`,
+			},
+		},
+		{
+			name: "tenant ok + global bucket empty",
+			run: func(t *testing.T) (*Server, *http.Response) {
+				srv, ts := newAdmissionServer(t, slowEngine(t, 0), Options{Tenants: twoTenants(t), MaxRPS: 0.25})
+				if resp := probe(t, ts, "k-holder"); resp.StatusCode != http.StatusOK {
+					t.Fatalf("draining the global bucket = %d, want 200", resp.StatusCode)
+				}
+				return srv, probe(t, ts, "k-holder")
+			},
+			status: http.StatusTooManyRequests,
+			want: []string{
+				`chatgraph_http_shed_total{reason="max_rps"} 1`,
+				`chatgraph_http_shed_total{reason="tenant_rate"} 0`,
+				`chatgraph_http_shed_total{reason="in_flight"} 0`,
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, resp := tc.run(t)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.status)
+			}
+			if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
+				if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+					t.Fatalf("Retry-After = %q on a %d, want an integer ≥ 1", resp.Header.Get("Retry-After"), resp.StatusCode)
+				}
+			}
+			var b strings.Builder
+			srv.Metrics().WritePrometheus(&b)
+			for _, want := range tc.want {
+				if !strings.Contains(b.String(), want+"\n") {
+					t.Errorf("exposition missing %q:\n%s", want, b.String())
+				}
+			}
+		})
+	}
+
+	// A request shed at the fair gate keeps its tenant token: the metered
+	// tenant's only token survives a gate refusal and admits it afterwards.
+	t.Run("gate refusal spends no tenant token", func(t *testing.T) {
+		srv, ts := newAdmissionServer(t, slowEngine(t, 300*time.Millisecond), Options{Tenants: twoTenants(t), MaxInFlight: 1})
+		holdGate(t, srv, ts, "k-holder")
+		if resp := probe(t, ts, "k-metered"); resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("probe against a held gate = %d, want 429", resp.StatusCode)
+		}
+		for deadline := time.Now().Add(5 * time.Second); srv.hm.gatedInFlight.Value() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("holder chat never left the gate")
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if resp := probe(t, ts, "k-metered"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("after the gate reopened = %d, want 200: the refused request spent the tenant's only token", resp.StatusCode)
+		}
+	})
 }

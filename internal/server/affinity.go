@@ -29,10 +29,6 @@ const (
 	// AffinityJob routes must reach the backend that owns the job named in
 	// the path. An empty Key marks job submission.
 	AffinityJob
-	// AffinityUpload routes carry an optional graph upload and no path
-	// identity: placement should follow the graph's content hash so
-	// identical interned graphs concentrate on one shard.
-	AffinityUpload
 	// AffinityFanout routes aggregate state that lives on every backend
 	// (list endpoints); a cluster tier answers them by merging per-backend
 	// responses.
@@ -46,8 +42,6 @@ func (c AffinityClass) String() string {
 		return "session"
 	case AffinityJob:
 		return "job"
-	case AffinityUpload:
-		return "upload"
 	case AffinityFanout:
 		return "fanout"
 	default:
@@ -101,28 +95,20 @@ func ClassifyRoute(method, path string) RouteAffinity {
 		// Stateless read over the engine-immutable index: any backend,
 		// retry freely.
 		return RouteAffinity{Class: AffinityNone, Idempotent: true}
-	case path == "/chat":
-		// The legacy shared conversation is per-backend state, but clients
-		// of the legacy endpoint never had cross-request continuity
-		// guarantees; place by uploaded content so repeat uploads hit one
-		// shard's caches. Never retried: the chain may have run.
-		return RouteAffinity{Class: AffinityUpload}
-	case path == "/apis" || path == "/suggest" || path == "/config" || path == "/healthz" || path == "/readyz":
+	case path == "/apis" || path == "/suggest" || path == "/config" || path == "/healthz" || path == "/readyz" || path == "/metrics":
 		return RouteAffinity{Class: AffinityNone, Idempotent: true}
 	default:
 		return RouteAffinity{}
 	}
 }
 
-// uploadBody is the slice of the chat/job POST schema placement cares
-// about: both ChatRequest and JobRequest carry the uploaded graph under the
-// same field name.
+// uploadBody is the slice of the JobRequest schema placement cares about.
 type uploadBody struct {
 	Graph json.RawMessage `json:"graph"`
 }
 
-// UploadContentKey extracts the content-hash routing key from a chat or job
-// POST body: the canonical ContentHash of the uploaded graph, the same
+// UploadContentKey extracts the content-hash routing key from a job
+// submission body: the canonical ContentHash of the uploaded graph, the same
 // identity the graphstore interns by, so a cluster tier concentrates
 // identical (even permuted-but-isomorphic-identical) uploads onto one
 // shard. ok is false when the body has no parseable graph — the request

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
+
+	"chatgraph/internal/metrics"
 )
 
 // TestClassifyRoute pins the affinity contract to the actual route table:
@@ -27,21 +30,47 @@ func TestClassifyRoute(t *testing.T) {
 		{http.MethodGet, "/v1/jobs/j1", AffinityJob, "j1", true},
 		{http.MethodDelete, "/v1/jobs/j1", AffinityJob, "j1", true},
 		{http.MethodPost, "/v1/retrieve", AffinityNone, "", true},
-		{http.MethodPost, "/chat", AffinityUpload, "", false},
 		{http.MethodGet, "/apis", AffinityNone, "", true},
 		{http.MethodGet, "/suggest", AffinityNone, "", true},
 		{http.MethodGet, "/config", AffinityNone, "", true},
 		{http.MethodGet, "/healthz", AffinityNone, "", true},
 		{http.MethodGet, "/readyz", AffinityNone, "", true},
 		// Unknown routes must classify as non-idempotent AffinityNone: the
-		// router forwards them somewhere but never replays them.
+		// router forwards them somewhere but never replays them. The removed
+		// single-conversation POST /chat is now one of them.
 		{http.MethodPost, "/no/such/route", AffinityNone, "", false},
+		{http.MethodPost, "/chat", AffinityNone, "", false},
 	}
 	for _, tc := range cases {
 		aff := ClassifyRoute(tc.method, tc.path)
 		if aff.Class != tc.class || aff.Key != tc.key || aff.Idempotent != tc.idempotent {
 			t.Errorf("ClassifyRoute(%s %s) = {%s key=%q idem=%v}, want {%s key=%q idem=%v}",
 				tc.method, tc.path, aff.Class, aff.Key, aff.Idempotent, tc.class, tc.key, tc.idempotent)
+		}
+	}
+}
+
+// TestRouteTableClassified walks every pattern Handler registers and
+// requires ClassifyRoute to know it: a route added to the server without a
+// routing contract would otherwise reach the cluster router as "unknown" —
+// spread to any backend and never retried — which silently breaks a route
+// that carries a session or job id.
+func TestRouteTableClassified(t *testing.T) {
+	srv := New(slowEngine(t, 0), Options{Metrics: metrics.NewRegistry()})
+	t.Cleanup(srv.Close)
+	for _, rt := range srv.routes() {
+		// A pattern is "[METHOD ]/path"; the bare ones answer GET.
+		method, path, ok := strings.Cut(rt.pattern, " ")
+		if !ok {
+			method, path = http.MethodGet, rt.pattern
+		}
+		path = strings.ReplaceAll(path, "{id}", "abc123")
+		aff := ClassifyRoute(method, path)
+		if aff == (RouteAffinity{}) {
+			t.Errorf("route %q (%s) is unknown to ClassifyRoute", rt.pattern, rt.name)
+		}
+		if strings.Contains(rt.pattern, "{id}") && aff.Key != "abc123" {
+			t.Errorf("route %q: ClassifyRoute extracted key %q, want the path id", rt.pattern, aff.Key)
 		}
 	}
 }

@@ -29,12 +29,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 		return
 	}
-	w.Header().Set("Retry-After", "1")
+	setRetryAfter(w, 0)
 	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "recovering"})
 }
-
-// Ready reports whether the server is accepting gated traffic.
-func (s *Server) Ready() bool { return s.ready.Load() }
 
 func unixNS(t time.Time) int64 {
 	if t.IsZero() {
@@ -79,8 +76,8 @@ func (s *Server) attachTurnLog(m *managed) {
 	})
 }
 
-// turnRecord converts a completed turn to its durable wire form (the same
-// text shapes the transcript files use).
+// turnRecord converts a completed turn to its durable wire form; Recover
+// inverts it (chain.Parse, core.ParseKind) into Session.RestoreHistory.
 func turnRecord(sessionID string, index int, t core.Turn) durable.TurnRecord {
 	return durable.TurnRecord{
 		SessionID: sessionID,
@@ -107,35 +104,11 @@ func (s *Server) persistGraph(g *graph.Graph) string {
 	return sha
 }
 
-// logJobSubmit records an accepted async job.
-func (s *Server) logJobSubmit(j *jobs.Job, req JobRequest, graphSHA string) {
-	if s.opts.Durable == nil {
-		return
-	}
-	st := j.Status()
-	err := s.opts.Durable.LogJobSubmit(durable.JobRecord{
-		ID:              st.ID,
-		Tenant:          st.Owner,
-		Priority:        st.Priority.String(),
-		Question:        req.Question,
-		Chain:           req.Chain,
-		GraphSHA:        graphSHA,
-		State:           jobs.StateQueued.String(),
-		SubmittedUnixNS: unixNS(st.Submitted),
-	})
-	if err != nil {
-		log.Printf("server: durable: job submit %s: %v", st.ID, err)
-	}
-}
-
-// onJobTerminal is the job pool's OnTerminal hook: it records the settled
-// outcome — including the result payload for completed jobs — so a restart
-// can answer GET /v1/jobs/{id} for work that finished in a previous
-// incarnation. The pool invokes it outside its locks.
-func (s *Server) onJobTerminal(st jobs.Status) {
-	if s.opts.Durable == nil {
-		return
-	}
+// jobRecord is the one place a job status becomes its durable form: the
+// identity and timing fields, the error text, and — for a completed job —
+// the result payload, so a restart can answer GET /v1/jobs/{id} for work
+// that finished in a previous incarnation.
+func jobRecord(st jobs.Status) durable.JobRecord {
 	rec := durable.JobRecord{
 		ID:              st.ID,
 		Tenant:          st.Owner,
@@ -155,7 +128,31 @@ func (s *Server) onJobTerminal(st jobs.Status) {
 			log.Printf("server: durable: encode job %s result: %v", st.ID, err)
 		}
 	}
-	if err := s.opts.Durable.LogJobDone(rec); err != nil {
+	return rec
+}
+
+// logJobSubmit records an accepted async job.
+func (s *Server) logJobSubmit(j *jobs.Job, req JobRequest, graphSHA string) {
+	if s.opts.Durable == nil {
+		return
+	}
+	// The submit record describes the job as accepted, whatever a fast
+	// worker has done to it since; the terminal record carries the rest.
+	st := j.Status()
+	rec := jobRecord(jobs.Status{ID: st.ID, Owner: st.Owner, Priority: st.Priority, State: jobs.StateQueued, Submitted: st.Submitted})
+	rec.Question, rec.Chain, rec.GraphSHA = req.Question, req.Chain, graphSHA
+	if err := s.opts.Durable.LogJobSubmit(rec); err != nil {
+		log.Printf("server: durable: job submit %s: %v", st.ID, err)
+	}
+}
+
+// onJobTerminal is the job pool's OnTerminal hook: it records the settled
+// outcome. The pool invokes it outside its locks.
+func (s *Server) onJobTerminal(st jobs.Status) {
+	if s.opts.Durable == nil {
+		return
+	}
+	if err := s.opts.Durable.LogJobDone(jobRecord(st)); err != nil {
 		log.Printf("server: durable: job done %s: %v", st.ID, err)
 	}
 }
@@ -312,24 +309,7 @@ func (s *Server) Checkpoint() error {
 		all := s.jobs.All()
 		recs := make([]durable.JobRecord, 0, len(all))
 		for _, st := range all {
-			rec := durable.JobRecord{
-				ID:              st.ID,
-				Tenant:          st.Owner,
-				Priority:        st.Priority.String(),
-				State:           st.State.String(),
-				SubmittedUnixNS: unixNS(st.Submitted),
-				StartedUnixNS:   unixNS(st.Started),
-				FinishedUnixNS:  unixNS(st.Finished),
-			}
-			if st.Err != nil {
-				rec.Error = st.Err.Error()
-			}
-			if resp, ok := st.Result.(ChatResponse); ok && st.State == jobs.StateDone {
-				if data, err := json.Marshal(resp); err == nil {
-					rec.Result = data
-				}
-			}
-			recs = append(recs, rec)
+			recs = append(recs, jobRecord(st))
 		}
 		return sessions, recs
 	})

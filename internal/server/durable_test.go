@@ -193,7 +193,7 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	// 100% of committed state must be back: the session with both turns...
-	m, err := srv2.mgr.Get(si.SessionID)
+	m, err := srv2.mgr.Get(si.SessionID, srv2.tenants.Anonymous())
 	if err != nil {
 		t.Fatalf("session %s not recovered: %v", si.SessionID, err)
 	}
@@ -229,7 +229,11 @@ func TestCrashRecovery(t *testing.T) {
 
 	// Ownership came back from the log: the restored session and job carry
 	// their tenant.
-	ownedM, err := srv2.mgr.Get(ownedSID)
+	durTenant, err := srv2.tenants.Resolve("k-dur")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownedM, err := srv2.mgr.Get(ownedSID, durTenant)
 	if err != nil {
 		t.Fatalf("owned session not recovered: %v", err)
 	}
@@ -377,10 +381,10 @@ func TestRecoverExpiredSessions(t *testing.T) {
 	if err := srv.Recover(state); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.mgr.Get("stale"); err == nil {
+	if _, err := srv.mgr.Get("stale", srv.tenants.Anonymous()); err == nil {
 		t.Fatal("stale session resurrected past its TTL")
 	}
-	if _, err := srv.mgr.Get("fresh"); err != nil {
+	if _, err := srv.mgr.Get("fresh", srv.tenants.Anonymous()); err != nil {
 		t.Fatalf("fresh session not recovered: %v", err)
 	}
 	if srv.mgr.Restored() != 1 {

@@ -177,14 +177,20 @@ func TestInternParity(t *testing.T) {
 		{Question: "Clean G", Graph: kg}, // cleaning chain may mutate → clone path
 		{Question: "Clean G", Graph: kg}, // re-upload after a mutating chain
 	}
+	// One conversation per server carries the whole sequence, so history
+	// growth is part of what must not differ.
+	var chatURL [2]string
+	for j, ts := range []*httptest.Server{interned, plain} {
+		chatURL[j] = ts.URL + "/v1/sessions/" + mustCreateSession(t, ts).SessionID + "/chat"
+	}
 	for i, req := range requests {
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got [2][]byte
-		for j, base := range []string{interned.URL, plain.URL} {
-			resp, err := http.Post(base+"/chat", "application/json", bytes.NewReader(body))
+		for j, url := range chatURL {
+			resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,7 +12,6 @@ import (
 	"chatgraph/internal/chain"
 	"chatgraph/internal/core"
 	"chatgraph/internal/executor"
-	"chatgraph/internal/graph"
 	"chatgraph/internal/jobs"
 )
 
@@ -100,7 +99,7 @@ func jobInfo(st jobs.Status) JobInfo {
 // A full queue sheds with 429 + Retry-After, mirroring the admission gate.
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBody)).Decode(&req); err != nil {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return
 	}
@@ -117,17 +116,9 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, ErrBadID.Error())
 		return
 	}
-	var g *graph.Graph
-	var graphSHA string
-	if len(req.Graph) > 0 {
-		if g, err = graph.ParseJSON(req.Graph); err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad graph: %v", err))
-			return
-		}
-		if !s.opts.DisableGraphIntern {
-			g = s.eng.Graphs().Intern(g)
-		}
-		graphSHA = s.persistGraph(g)
+	g, graphSHA, ok := s.internUpload(w, r, req.Graph)
+	if !ok {
+		return
 	}
 	var c chain.Chain
 	if req.Chain != "" {
@@ -169,8 +160,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusConflict, err.Error())
 		return
 	case errors.Is(err, jobs.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, r, http.StatusTooManyRequests, "job queue full, retry later")
+		shed(w, r, http.StatusTooManyRequests, 0, "job queue full, retry later")
 		return
 	case errors.Is(err, jobs.ErrClosed):
 		writeError(w, r, http.StatusServiceUnavailable, "job pool shut down")
@@ -225,7 +215,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if stream := r.URL.Query().Get("stream"); stream == "1" || stream == "true" {
+	if wantsStream(r) {
 		s.streamJob(w, r, j)
 		return
 	}
@@ -236,22 +226,12 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // format: one line per execution event, then a final "result" or "error"
 // line once the job is terminal.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *jobs.Job) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	writeLine := func(v any) {
-		enc.Encode(v) //nolint:errcheck // best effort once streaming
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	out := startNDJSON(w, r)
 	n := 0
 	for {
 		evs, state, changed := j.EventsSince(n)
 		for _, e := range evs {
-			writeLine(chatEventOf(e))
+			out.event(e)
 		}
 		n += len(evs)
 		if state.Terminal() {
@@ -265,15 +245,14 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *jobs.Job) 
 	}
 	st := j.Status()
 	if resp, ok := st.Result.(ChatResponse); ok && st.State == jobs.StateDone {
-		resp.Events = nil // already streamed line by line
-		writeLine(streamResult{Type: "result", Result: resp})
+		out.result(resp)
 		return
 	}
 	msg := st.State.String()
 	if st.Err != nil {
 		msg = st.Err.Error()
 	}
-	writeLine(streamError{Type: "error", Error: msg, RequestID: requestID(r)})
+	out.fail(msg)
 }
 
 // handleJobCancel cancels the job: a queued job lands in "cancelled"

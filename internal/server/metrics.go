@@ -1,11 +1,7 @@
 package server
 
 import (
-	"context"
-	"math"
 	"net/http"
-	"strconv"
-	"sync"
 	"time"
 
 	"chatgraph/internal/metrics"
@@ -119,131 +115,4 @@ func (s *Server) instrument(route string, h http.Handler) http.Handler {
 		}
 		rm.classes[class].Inc()
 	})
-}
-
-// admission gates h behind the server's overload policy: API-key → tenant
-// resolution (401/403), the weighted-fair in-flight gate that partitions
-// MaxInFlight into per-tenant guaranteed shares, the tenant's rate bucket,
-// the global MaxRPS bucket, and a per-request context deadline so a stuck
-// chain cannot pin a session lock forever. Every 429 carries a Retry-After
-// derived from the actual refill time (minimum 1s). Health and metrics
-// routes are never gated — an overloaded server must still report that it
-// is overloaded.
-func (s *Server) admission(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		// A server mid-recovery refuses work outright: its session and job
-		// state is still being rebuilt, so admitting a request would answer
-		// from a half-restored world.
-		if !s.ready.Load() {
-			w.Header().Set("Retry-After", "1")
-			writeError(w, r, http.StatusServiceUnavailable, "server recovering, retry later")
-			return
-		}
-		r, release, ts, ok := s.tenantAdmission(w, r)
-		if !ok {
-			return
-		}
-		defer release()
-		// The gauge tracks total admitted occupancy across tenants — the
-		// value the old single semaphore enforced, kept for dashboards.
-		s.hm.gatedInFlight.Inc()
-		defer s.hm.gatedInFlight.Dec()
-		if rate := s.opts.MaxRPS; rate > 0 {
-			// Burst is ~a quarter second of budget so short arrival spikes
-			// ride through while the sustained rate holds at the cap.
-			burst := math.Max(1, math.Ceil(rate/4))
-			if ok, retry := s.globalBucket.take(rate, burst, time.Now()); !ok {
-				s.hm.shedRPS.Inc()
-				setRetryAfter(w, retry)
-				writeError(w, r, http.StatusTooManyRequests, "server rate capacity exceeded, retry later")
-				return
-			}
-		}
-		if t := s.opts.RequestTimeout; t > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), t)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		start := time.Now()
-		next(w, r)
-		ts.duration.Observe(time.Since(start).Seconds())
-	}
-}
-
-// retryAfterSecs rounds a bucket refill wait up to the integer seconds an
-// HTTP Retry-After header carries, never below 1 — every shed path goes
-// through this one rounding so all 429 layers agree.
-func retryAfterSecs(d time.Duration) int {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// setRetryAfter stamps the unified Retry-After header for a shed reply.
-func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(d)))
-}
-
-// tokenBucket is a classic continuous-refill rate limiter; one lives on each
-// managed session. The mutex is per-session, so concurrent chats on
-// different sessions never contend.
-type tokenBucket struct {
-	mu     sync.Mutex
-	tokens float64
-	last   time.Time
-	primed bool
-}
-
-// take removes one token, refilling at rate tokens/sec up to burst. When the
-// bucket is empty it reports how long until a token is available.
-func (b *tokenBucket) take(rate, burst float64, now time.Time) (ok bool, retryAfter time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.primed {
-		b.tokens = burst
-		b.last = now
-		b.primed = true
-	}
-	// Refill and advance the clock only for forward time: now is read
-	// before the mutex is taken, so a late-arriving earlier timestamp must
-	// not rewind last (that would refill the same interval twice).
-	if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {
-		b.tokens = math.Min(burst, b.tokens+elapsed*rate)
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	return false, time.Duration((1 - b.tokens) / rate * float64(time.Second))
-}
-
-// sessionBurst resolves the configured burst: default is one second's worth
-// of tokens, never less than 1.
-func (s *Server) sessionBurst() float64 {
-	if s.opts.SessionBurst > 0 {
-		return float64(s.opts.SessionBurst)
-	}
-	return math.Max(1, math.Ceil(s.opts.SessionRate))
-}
-
-// rateLimit applies the session-scoped token bucket b, writing the 429
-// itself when the budget is spent. A zero SessionRate disables limiting.
-// The bucket is passed in rather than pulled off a managed session so the
-// legacy shared conversation's bucket rides the same arithmetic (and the
-// same Retry-After rounding) as the v1 per-session buckets.
-func (s *Server) rateLimit(w http.ResponseWriter, r *http.Request, b *tokenBucket) (ok bool) {
-	if s.opts.SessionRate <= 0 {
-		return true
-	}
-	allowed, retry := b.take(s.opts.SessionRate, s.sessionBurst(), time.Now())
-	if allowed {
-		return true
-	}
-	s.hm.shedRate.Inc()
-	setRetryAfter(w, retry)
-	writeError(w, r, http.StatusTooManyRequests, "session rate limit exceeded, retry later")
-	return false
 }

@@ -7,12 +7,11 @@
 // the per-request deadline run asynchronously: POST /v1/jobs accepts the
 // same chat payload (plus an optional pinned chain and priority), GET
 // /v1/jobs/{id} polls status and result (?stream=1 tails progress events
-// as NDJSON, live or replayed), and DELETE /v1/jobs/{id} cancels. The single-conversation
-// endpoints mirroring the paper's Gradio panels (Fig. 2/3) remain: POST
-// /chat (one shared legacy conversation), GET /suggest, GET /apis,
-// GET /config, GET /healthz. All state shared between conversations lives
-// in the immutable core.Engine, so handlers lock per session only and N
-// users chat concurrently.
+// as NDJSON, live or replayed), and DELETE /v1/jobs/{id} cancels. The
+// read-only endpoints mirroring the paper's Gradio panels (Fig. 2/3) sit
+// beside it: GET /suggest, GET /apis, GET /config, GET /healthz. All state
+// shared between conversations lives in the immutable core.Engine, so
+// handlers lock per session only and N users chat concurrently.
 package server
 
 import (
@@ -32,6 +31,7 @@ import (
 	"chatgraph/internal/graph"
 	"chatgraph/internal/jobs"
 	"chatgraph/internal/metrics"
+	"chatgraph/internal/ratelimit"
 	"chatgraph/internal/tenant"
 )
 
@@ -105,17 +105,12 @@ type Server struct {
 	hm   *httpMetrics
 	// jobs is the async execution pool behind the /v1/jobs surface.
 	jobs *jobs.Manager
-	// legacy backs the pre-v1 single-conversation POST /chat endpoint.
-	legacy *core.Session
 	// ready gates traffic during boot recovery: false answers /readyz with
 	// 503 and sheds the admission-gated routes. Servers without a durable
 	// store are born ready.
 	ready atomic.Bool
 	// globalBucket enforces Options.MaxRPS across every gated route.
-	globalBucket tokenBucket
-	// legacyBucket rate-limits the shared legacy /chat conversation under
-	// the same SessionRate/SessionBurst arithmetic as v1 sessions.
-	legacyBucket tokenBucket
+	globalBucket ratelimit.Bucket
 	// tenants resolves API keys and runs the weighted-fair gate; tm holds
 	// the per-tenant metric handles (bounded label set).
 	tenants *tenant.Registry
@@ -133,7 +128,6 @@ func New(eng *core.Engine, opts Options) *Server {
 		mgr:     NewSessionManager(eng, opts.SessionTTL, opts.MaxSessions),
 		opts:    opts,
 		hm:      newHTTPMetrics(reg),
-		legacy:  eng.NewSession(),
 		tenants: opts.Tenants,
 	}
 	if s.tenants == nil {
@@ -191,50 +185,67 @@ func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 // exited. Call it after draining HTTP traffic.
 func (s *Server) Close() { s.jobs.Close() }
 
+// route is one row of the server's route table.
+type route struct {
+	// pattern is the ServeMux pattern; name is the stable low-cardinality
+	// label the route's metrics carry.
+	pattern, name string
+	h             http.HandlerFunc
+	// gated routes run behind the admission policy (admission.go).
+	gated bool
+}
+
+// routes is the whole HTTP surface as data, so a test can walk it and hold
+// ClassifyRoute (the cluster router's view of the same surface) to it.
+func (s *Server) routes() []route {
+	return []route{
+		// v1 multi-session surface.
+		{"POST /v1/sessions", "v1.sessions.create", s.handleSessionCreate, true},
+		{"GET /v1/sessions", "v1.sessions.list", s.handleSessionList, true},
+		{"DELETE /v1/sessions/{id}", "v1.sessions.delete", s.handleSessionDelete, true},
+		{"POST /v1/sessions/{id}/chat", "v1.chat", s.handleSessionChat, true},
+		{"GET /v1/sessions/{id}/history", "v1.history", s.handleSessionHistory, true},
+		{"POST /v1/retrieve", "v1.retrieve", s.handleRetrieve, true},
+		// Async job surface. Submission and listing are admission-gated like
+		// the other heavy routes (the per-request deadline only bounds the
+		// enqueue, never the job); status, streaming, and cancel are not —
+		// a long NDJSON tail must outlive RequestTimeout, and cancelling must
+		// work on an overloaded server.
+		{"POST /v1/jobs", "v1.jobs.create", s.handleJobCreate, true},
+		{"GET /v1/jobs", "v1.jobs.list", s.handleJobList, true},
+		{"GET /v1/jobs/{id}", "v1.jobs.get", s.handleJobGet, false},
+		{"DELETE /v1/jobs/{id}", "v1.jobs.cancel", s.handleJobCancel, false},
+		// The demo UI's read-only panels.
+		{"/apis", "apis", s.handleAPIs, false},
+		{"/suggest", "suggest", s.handleSuggest, false},
+		{"/config", "config", s.handleConfig, false},
+		{"/healthz", "healthz", func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		}, false},
+		// Readiness is distinct from liveness: a recovering server is alive
+		// (healthz 200) but not ready (readyz 503), so orchestrators and load
+		// generators wait for replay instead of hammering a server that sheds.
+		// Like the other probe routes, readyz bypasses the admission gate.
+		{"GET /readyz", "readyz", s.handleReadyz, false},
+		{"GET /metrics", "metrics", s.hm.reg.Handler().ServeHTTP, false},
+	}
+}
+
 // Handler returns the route table wrapped with request-ID tagging. Every
 // route is instrumented (request counter, latency histogram, in-flight
 // gauge) under a stable low-cardinality route name; the heavy routes are
-// additionally gated by the admission policy (max-in-flight shedding and
-// the per-request deadline). /healthz and /metrics bypass the gate so an
-// overloaded server still reports that it is overloaded.
+// additionally gated by the admission policy (shedding and the per-request
+// deadline). /healthz and /metrics bypass the gate so an overloaded server
+// still reports that it is overloaded.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern, route string, h http.HandlerFunc, gated bool) {
-		if gated {
+	for _, rt := range s.routes() {
+		h := rt.h
+		if rt.gated {
 			h = s.admission(h)
 		}
-		mux.Handle(pattern, s.instrument(route, h))
+		mux.Handle(rt.pattern, s.instrument(rt.name, h))
 	}
-	// v1 multi-session surface.
-	handle("POST /v1/sessions", "v1.sessions.create", s.handleSessionCreate, true)
-	handle("GET /v1/sessions", "v1.sessions.list", s.handleSessionList, true)
-	handle("DELETE /v1/sessions/{id}", "v1.sessions.delete", s.handleSessionDelete, true)
-	handle("POST /v1/sessions/{id}/chat", "v1.chat", s.handleSessionChat, true)
-	handle("GET /v1/sessions/{id}/history", "v1.history", s.handleSessionHistory, true)
-	handle("POST /v1/retrieve", "v1.retrieve", s.handleRetrieve, true)
-	// Async job surface. Submission and listing are admission-gated like
-	// the other heavy routes (the per-request deadline only bounds the
-	// enqueue, never the job); status, streaming, and cancel are not —
-	// a long NDJSON tail must outlive RequestTimeout, and cancelling must
-	// work on an overloaded server.
-	handle("POST /v1/jobs", "v1.jobs.create", s.handleJobCreate, true)
-	handle("GET /v1/jobs", "v1.jobs.list", s.handleJobList, true)
-	handle("GET /v1/jobs/{id}", "v1.jobs.get", s.handleJobGet, false)
-	handle("DELETE /v1/jobs/{id}", "v1.jobs.cancel", s.handleJobCancel, false)
-	// Legacy single-conversation surface.
-	handle("/chat", "chat", s.handleChat, true)
-	handle("/apis", "apis", s.handleAPIs, false)
-	handle("/suggest", "suggest", s.handleSuggest, false)
-	handle("/config", "config", s.handleConfig, false)
-	handle("/healthz", "healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	}, false)
-	// Readiness is distinct from liveness: a recovering server is alive
-	// (healthz 200) but not ready (readyz 503), so orchestrators and load
-	// generators wait for replay instead of hammering a server that sheds.
-	// Like the other probe routes, readyz bypasses the admission gate.
-	handle("GET /readyz", "readyz", s.handleReadyz, false)
-	mux.Handle("GET /metrics", s.instrument("metrics", s.hm.reg.Handler()))
 	return withRequestID(mux)
 }
 
@@ -327,8 +338,8 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 // owns it, answering cross-tenant (and unknown) IDs with an
 // indistinguishable 404 so session IDs cannot be probed across tenants.
 func (s *Server) getOwnedSession(w http.ResponseWriter, r *http.Request, id string) (*managed, bool) {
-	m, err := s.mgr.Get(id)
-	if err != nil || !ownedBy(m.Tenant, s.currentTenant(r)) {
+	m, err := s.mgr.Get(id, s.currentTenant(r))
+	if err != nil {
 		writeError(w, r, http.StatusNotFound, "no such session")
 		return nil, false
 	}
@@ -380,15 +391,14 @@ func (s *Server) handleSessionChat(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if !s.rateLimit(w, r, &m.bucket) {
+	if !s.sessionRateLimit(w, r, &m.bucket) {
 		return
 	}
 	q, g, ok := s.decodeChat(w, r)
 	if !ok {
 		return
 	}
-	stream := r.URL.Query().Get("stream")
-	if stream == "1" || stream == "true" {
+	if wantsStream(r) {
 		s.streamChat(w, r, m.Session, q, g)
 		return
 	}
@@ -410,41 +420,69 @@ func askStatus(err error) int {
 	return http.StatusUnprocessableEntity
 }
 
-// streamChat answers one Ask as NDJSON: one line per execution event as it
-// happens, then a final "result" (or "error") line.
-func (s *Server) streamChat(w http.ResponseWriter, r *http.Request, sess *core.Session, q string, g *graph.Graph) {
+// wantsStream reports whether the request asked for an NDJSON stream.
+func wantsStream(r *http.Request) bool {
+	stream := r.URL.Query().Get("stream")
+	return stream == "1" || stream == "true"
+}
+
+// ndjson is the one NDJSON line writer, shared by streamed chats and job
+// tails so both speak the same wire format: one line per execution event as
+// it happens, flushed, then a final "result" or "error" line.
+type ndjson struct {
+	enc     *json.Encoder
+	flusher http.Flusher
+	reqID   string
+}
+
+// startNDJSON commits the 200 and the streaming headers; from here on errors
+// can only be reported in-band, as the final line.
+func startNDJSON(w http.ResponseWriter, r *http.Request) *ndjson {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	writeLine := func(v any) {
-		enc.Encode(v) //nolint:errcheck // best effort once streaming
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	turn, err := sess.Ask(r.Context(), q, g, core.AskOptions{
-		OnEvent: func(e executor.Event) {
-			writeLine(chatEventOf(e))
-		},
-	})
-	if err != nil {
-		writeLine(streamError{Type: "error", Error: err.Error(), RequestID: requestID(r)})
-		return
-	}
-	resp := chatResponse(turn)
-	resp.Events = nil // already streamed line by line
-	writeLine(streamResult{Type: "result", Result: resp})
+	return &ndjson{enc: json.NewEncoder(w), flusher: flusher, reqID: requestID(r)}
 }
 
-// streamResult is the final NDJSON line of a successful streamed chat.
+func (n *ndjson) line(v any) {
+	n.enc.Encode(v) //nolint:errcheck // best effort once streaming
+	if n.flusher != nil {
+		n.flusher.Flush()
+	}
+}
+
+func (n *ndjson) event(e executor.Event) { n.line(chatEventOf(e)) }
+
+// result ends a successful stream.
+func (n *ndjson) result(resp ChatResponse) {
+	resp.Events = nil // already streamed line by line
+	n.line(streamResult{Type: "result", Result: resp})
+}
+
+// fail ends a failed stream.
+func (n *ndjson) fail(msg string) {
+	n.line(streamError{Type: "error", Error: msg, RequestID: n.reqID})
+}
+
+// streamChat answers one Ask as NDJSON.
+func (s *Server) streamChat(w http.ResponseWriter, r *http.Request, sess *core.Session, q string, g *graph.Graph) {
+	out := startNDJSON(w, r)
+	turn, err := sess.Ask(r.Context(), q, g, core.AskOptions{OnEvent: out.event})
+	if err != nil {
+		out.fail(err.Error())
+		return
+	}
+	out.result(chatResponse(turn))
+}
+
+// streamResult is the final NDJSON line of a successful stream.
 type streamResult struct {
 	Type   string       `json:"type"`
 	Result ChatResponse `json:"result"`
 }
 
-// streamError is the final NDJSON line of a failed streamed chat.
+// streamError is the final NDJSON line of a failed stream.
 type streamError struct {
 	Type      string `json:"type"`
 	Error     string `json:"error"`
@@ -518,7 +556,7 @@ func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ChatRequest is the chat payload (legacy /chat and /v1 .../chat).
+// ChatRequest is the POST /v1/sessions/{id}/chat payload.
 type ChatRequest struct {
 	Question string `json:"question"`
 	// Graph is the uploaded graph in the graph JSON wire format (optional).
@@ -542,16 +580,14 @@ type ChatResponse struct {
 	ElapsedMS int64       `json:"elapsed_ms"`
 }
 
+// maxUploadBody caps a chat or job submission body (question + graph).
+const maxUploadBody = 8 << 20
+
 // decodeChat parses and validates a chat body, writing the error response
-// itself when ok is false. Uploaded graphs are interned through the
-// engine's graph store: a payload whose content was seen before — in this
-// session, another session, or a deleted one — resolves to the one shared
-// instance, so the CSR, stats memo, and invoke-cache entries built for it
-// are reused instead of rebuilt. Chains that edit the graph get a private
-// clone inside the executor, so sharing is invisible to callers.
+// itself when ok is false.
 func (s *Server) decodeChat(w http.ResponseWriter, r *http.Request) (question string, g *graph.Graph, ok bool) {
 	var req ChatRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBody)).Decode(&req); err != nil {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return "", nil, false
 	}
@@ -559,19 +595,32 @@ func (s *Server) decodeChat(w http.ResponseWriter, r *http.Request) (question st
 		writeError(w, r, http.StatusBadRequest, "question is required")
 		return "", nil, false
 	}
-	if len(req.Graph) > 0 {
-		var err error
-		g, err = graph.ParseJSON(req.Graph)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad graph: %v", err))
-			return "", nil, false
-		}
-		if !s.opts.DisableGraphIntern {
-			g = s.eng.Graphs().Intern(g)
-		}
-		s.persistGraph(g)
+	g, _, ok = s.internUpload(w, r, req.Graph)
+	return req.Question, g, ok
+}
+
+// internUpload is the one road an uploaded graph takes into the server,
+// from a chat or a job submission: parse (400 on a bad graph, written here),
+// intern through the engine's graph store, persist the blob. A payload whose
+// content was seen before — in this session, another session, or a deleted
+// one — resolves to the one shared instance, so the CSR, stats memo, and
+// invoke-cache entries built for it are reused instead of rebuilt. Chains
+// that edit the graph get a private clone inside the executor, so sharing is
+// invisible to callers. An empty raw is a request without a graph: nil, "",
+// ok. sha is the durable blob name ("" without a durable store).
+func (s *Server) internUpload(w http.ResponseWriter, r *http.Request, raw json.RawMessage) (g *graph.Graph, sha string, ok bool) {
+	if len(raw) == 0 {
+		return nil, "", true
 	}
-	return req.Question, g, true
+	g, err := graph.ParseJSON(raw)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad graph: %v", err))
+		return nil, "", false
+	}
+	if !s.opts.DisableGraphIntern {
+		g = s.eng.Graphs().Intern(g)
+	}
+	return g, s.persistGraph(g), true
 }
 
 // chatEventOf converts an execution event to its wire form.
@@ -599,31 +648,6 @@ func chatResponse(turn core.Turn) ChatResponse {
 	return resp
 }
 
-func (s *Server) handleChat(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	// The shared legacy conversation pays the same per-session budget as a
-	// v1 session — before this bucket existed, /chat bypassed
-	// SessionRate entirely and was the cheap way around the rate policy.
-	if !s.rateLimit(w, r, &s.legacyBucket) {
-		return
-	}
-	q, g, ok := s.decodeChat(w, r)
-	if !ok {
-		return
-	}
-	// The legacy endpoint is one shared conversation; Session serializes
-	// its own Ask calls, so no server-level lock is needed.
-	turn, err := s.legacy.Ask(r.Context(), q, g, core.AskOptions{})
-	if err != nil {
-		writeError(w, r, askStatus(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, chatResponse(turn))
-}
-
 // APIInfo is one /apis entry.
 type APIInfo struct {
 	Name        string `json:"name"`
@@ -648,17 +672,11 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	kind := graph.KindUnknown
-	switch v := r.URL.Query().Get("kind"); v {
-	case "", "unknown":
-		// No uploaded graph yet: generic suggestions.
-	case "social":
-		kind = graph.KindSocial
-	case "molecule":
-		kind = graph.KindMolecule
-	case "knowledge":
-		kind = graph.KindKnowledge
-	default:
+	// No kind (or "unknown") means no uploaded graph yet: generic
+	// suggestions. Any other name ParseKind does not know is a client error.
+	v := r.URL.Query().Get("kind")
+	kind := core.ParseKind(v)
+	if kind == graph.KindUnknown && v != "" && v != "unknown" {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("unknown kind %q (want social, molecule, knowledge, or unknown)", v))
 		return
 	}
@@ -695,16 +713,4 @@ type errorBody struct {
 
 func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg, RequestID: requestID(r)})
-}
-
-// ListenAndServe runs the server until the listener fails. Daemons that
-// need graceful shutdown should build their own http.Server around
-// Handler() instead.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	return srv.ListenAndServe()
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -38,16 +37,10 @@ func testServer(t *testing.T) *httptest.Server {
 	return srvTest
 }
 
+// postChat chats once on a fresh session of the shared server.
 func postChat(t *testing.T, body any) (*http.Response, ChatResponse) {
 	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(testServer(t).URL+"/chat", "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := postSessionChat(t, createSession(t).SessionID, "", body)
 	defer resp.Body.Close()
 	var cr ChatResponse
 	json.NewDecoder(resp.Body).Decode(&cr) //nolint:errcheck
@@ -85,18 +78,19 @@ func TestChatValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad graph status = %d", resp.StatusCode)
 	}
-	r, err := http.Get(testServer(t).URL + "/chat")
+	r, err := http.Get(testServer(t).URL + "/v1/sessions/" + createSession(t).SessionID + "/chat")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Body.Close()
 	if r.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /chat status = %d", r.StatusCode)
+		t.Fatalf("GET on the chat route status = %d", r.StatusCode)
 	}
 }
 
 func TestChatMalformedJSON(t *testing.T) {
-	resp, err := http.Post(testServer(t).URL+"/chat", "application/json", strings.NewReader("{nope"))
+	url := testServer(t).URL + "/v1/sessions/" + createSession(t).SessionID + "/chat"
+	resp, err := http.Post(url, "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +121,7 @@ func TestAPIsEndpoint(t *testing.T) {
 }
 
 func TestSuggestEndpoint(t *testing.T) {
-	for _, kind := range []string{"social", "molecule", "knowledge", ""} {
+	for _, kind := range []string{"social", "molecule", "knowledge", "unknown", ""} {
 		resp, err := http.Get(testServer(t).URL + "/suggest?kind=" + kind)
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"chatgraph/internal/core"
+	"chatgraph/internal/ratelimit"
+	"chatgraph/internal/tenant"
 )
 
 // DefaultSessionTTL is how long an idle session survives when Options does
@@ -18,15 +20,15 @@ const DefaultSessionTTL = 30 * time.Minute
 // DefaultMaxSessions caps live sessions when Options does not say otherwise.
 const DefaultMaxSessions = 4096
 
-// ErrTooManySessions is returned by Create when the manager is at capacity
-// even after expiring idle sessions.
+// ErrTooManySessions is returned by CreateWithID when the manager is at
+// capacity even after expiring idle sessions.
 var ErrTooManySessions = fmt.Errorf("server: session limit reached")
 
 // ErrNoSession is returned by Get for unknown or expired session IDs.
 var ErrNoSession = fmt.Errorf("server: no such session")
 
-// ErrSessionExists is returned by Create when a caller-pinned session ID
-// collides with a live session.
+// ErrSessionExists is returned by CreateWithID when a caller-pinned session
+// ID collides with a live session.
 var ErrSessionExists = fmt.Errorf("server: session id already exists")
 
 // ErrBadID is returned when a caller-pinned session or job ID is not
@@ -44,8 +46,9 @@ type managed struct {
 	Tenant string
 	// lastUsed is unix nanoseconds, advanced on every touch.
 	lastUsed atomic.Int64
-	// bucket rate-limits this session's chat requests (see Server.rateLimit).
-	bucket tokenBucket
+	// bucket rate-limits this session's chat requests (see
+	// Server.sessionRateLimit).
+	bucket ratelimit.Bucket
 }
 
 func (m *managed) touch(now time.Time)  { m.lastUsed.Store(now.UnixNano()) }
@@ -58,8 +61,8 @@ func (m *managed) expired(now time.Time, ttl time.Duration) bool {
 // one shared Engine. The registry is a sync.Map so session lookups on the
 // hot chat path never contend with each other; only the live-session count
 // is shared, as an atomic. Expiry is lazy (checked on every access) plus a
-// sweep on each Create, so no janitor goroutine is required — long-lived
-// daemons may still run one via Sweep.
+// sweep when a create finds the manager full, so no janitor goroutine is
+// required — long-lived daemons may still run one via Sweep.
 type SessionManager struct {
 	eng *core.Engine
 	ttl time.Duration
@@ -95,21 +98,16 @@ func (sm *SessionManager) TTL() time.Duration { return sm.ttl }
 // Len reports the number of live (possibly idle-but-unexpired) sessions.
 func (sm *SessionManager) Len() int { return int(sm.count.Load()) }
 
-// Create mints a new session owned by tenant, expiring idle ones first if
-// at capacity.
-func (sm *SessionManager) Create(tenant string) (*managed, error) {
-	return sm.CreateWithID("", tenant)
-}
-
-// CreateWithID creates a session under a caller-chosen ID — the hook a
-// cluster router uses to pin a session onto the backend its rendezvous hash
-// selects: the router mints the ID, derives the owner from it, and forwards
-// the create with the ID attached, so every later request for that session
-// hashes back to the same backend with no routing table. An empty id mints
-// a random one (plain Create). Pinned IDs must be 8-64 lowercase hex
+// CreateWithID creates a session owned by the tenant named tenantName,
+// expiring idle ones first if at capacity. A non-empty id is caller-chosen —
+// the hook a cluster router uses to pin a session onto the backend its
+// rendezvous hash selects: the router mints the ID, derives the owner from
+// it, and forwards the create with the ID attached, so every later request
+// for that session hashes back to the same backend with no routing table. An
+// empty id mints a random one. Pinned IDs must be 8-64 lowercase hex
 // characters (ErrBadID) and must not collide with a live session
-// (ErrSessionExists). tenant records the owning tenant's name.
-func (sm *SessionManager) CreateWithID(id, tenant string) (*managed, error) {
+// (ErrSessionExists).
+func (sm *SessionManager) CreateWithID(id, tenantName string) (*managed, error) {
 	if id != "" && !validPinnedID(id) {
 		return nil, ErrBadID
 	}
@@ -133,7 +131,7 @@ func (sm *SessionManager) CreateWithID(id, tenant string) (*managed, error) {
 		ID:      id,
 		Session: sm.eng.NewSession(),
 		Created: now,
-		Tenant:  tenant,
+		Tenant:  tenantName,
 	}
 	m.touch(now)
 	sm.sessions.Store(m.ID, m)
@@ -148,7 +146,7 @@ func (sm *SessionManager) CreateWithID(id, tenant string) (*managed, error) {
 // The rate bucket comes back empty — a fresh bucket is fine, lost
 // ownership is not. The restored session's history is empty; the caller
 // rebuilds it via core.Session.RestoreHistory.
-func (sm *SessionManager) Restore(id string, created, lastUsed time.Time, tenant string) (*managed, error) {
+func (sm *SessionManager) Restore(id string, created, lastUsed time.Time, tenantName string) (*managed, error) {
 	if id == "" {
 		return nil, fmt.Errorf("server: restore: empty session id")
 	}
@@ -164,7 +162,7 @@ func (sm *SessionManager) Restore(id string, created, lastUsed time.Time, tenant
 		ID:      id,
 		Session: sm.eng.NewSession(),
 		Created: created,
-		Tenant:  tenant,
+		Tenant:  tenantName,
 	}
 	m.lastUsed.Store(lastUsed.UnixNano())
 	sm.sessions.Store(m.ID, m)
@@ -177,9 +175,11 @@ func (sm *SessionManager) Restore(id string, created, lastUsed time.Time, tenant
 // at boot.
 func (sm *SessionManager) Restored() int { return int(sm.restored.Load()) }
 
-// Get returns the live session with the given ID, touching its idle clock.
-// Expired sessions are removed on sight and reported as ErrNoSession.
-func (sm *SessionManager) Get(id string) (*managed, error) {
+// Get returns the live session with the given ID if owner owns it, touching
+// its idle clock. Expired sessions are removed on sight and reported as
+// ErrNoSession — and so is another tenant's session, before the touch: a
+// caller that is told the session does not exist must not have kept it alive.
+func (sm *SessionManager) Get(id string, owner *tenant.Tenant) (*managed, error) {
 	v, ok := sm.sessions.Load(id)
 	if !ok {
 		return nil, ErrNoSession
@@ -188,6 +188,9 @@ func (sm *SessionManager) Get(id string) (*managed, error) {
 	now := time.Now()
 	if m.expired(now, sm.ttl) {
 		sm.removeExpired(id)
+		return nil, ErrNoSession
+	}
+	if !ownedBy(m.Tenant, owner) {
 		return nil, ErrNoSession
 	}
 	m.touch(now)

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"net/http"
-	"time"
 
 	"chatgraph/internal/metrics"
 	"chatgraph/internal/tenant"
@@ -119,41 +117,3 @@ func newTenantMetrics(reg *metrics.Registry, tr *tenant.Registry) *tenantMetrics
 // series returns the handles for t (always present: the registry's
 // tenant set is exactly what newTenantMetrics enumerated).
 func (tm *tenantMetrics) series(t *tenant.Tenant) *tenantSeries { return tm.byName[t.Name] }
-
-// tenantAdmission runs the tenancy half of the admission policy: resolve
-// the API key (401/403), then the weighted-fair in-flight gate (with the
-// tenant's own in-flight quota), then the tenant's rate bucket. It
-// returns the request annotated with the tenant, the fair-gate release
-// (to defer), and the tenant series for latency observation; ok=false
-// means the response has been written.
-func (s *Server) tenantAdmission(w http.ResponseWriter, r *http.Request) (_ *http.Request, release func(), ts *tenantSeries, ok bool) {
-	tn, err := s.tenants.Resolve(r.Header.Get(APIKeyHeader))
-	if err != nil {
-		s.writeAuthError(w, r, err)
-		return r, nil, nil, false
-	}
-	r = r.WithContext(context.WithValue(r.Context(), tenantCtxKey{}, tn))
-	ts = s.tm.series(tn)
-	ts.requests.Inc()
-	release, verdict := s.tenants.Acquire(tn)
-	if verdict != tenant.Admitted {
-		s.hm.shedInFlight.Inc()
-		if verdict == tenant.RejectedQuota {
-			ts.shedQuota.Inc()
-		} else {
-			ts.shedFair.Inc()
-		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, r, http.StatusTooManyRequests, "tenant over capacity, retry later")
-		return r, nil, nil, false
-	}
-	if allowed, retry := tn.TakeToken(time.Now()); !allowed {
-		release()
-		s.hm.shedTenantRate.Inc()
-		ts.shedRate.Inc()
-		setRetryAfter(w, retry)
-		writeError(w, r, http.StatusTooManyRequests, "tenant rate limit exceeded, retry later")
-		return r, nil, nil, false
-	}
-	return r, release, ts, true
-}

@@ -50,12 +50,13 @@ func mustRegistry(t *testing.T, cfg *tenant.Config) *tenant.Registry {
 	return reg
 }
 
-// TestLegacyChatRateLimited is the regression test for the rate-limit bypass
-// on the legacy endpoint: POST /chat used to call the shared conversation
-// directly, skipping the session token bucket entirely, so a client that
-// never upgraded to /v1 could sidestep -session-rate. The legacy path now
-// owns a bucket under the same policy: burst requests past it must shed 429
-// with Retry-After, exactly like a v1 session would.
+// TestLegacyChatRateLimited guards the rate-limit bypass the single-
+// conversation endpoint once was: POST /chat used to reach a shared
+// conversation without passing the session token bucket, so a client that
+// never upgraded to /v1 could sidestep -session-rate. The bypass is now
+// closed the simple way — the endpoint is gone: POST /chat is 404, is never
+// shed, and spends no token anywhere, so the one remaining chat road still
+// admits exactly its burst afterwards.
 func TestLegacyChatRateLimited(t *testing.T) {
 	eng := slowEngine(t, 0)
 	srv, ts := newAdmissionServer(t, eng, Options{
@@ -64,26 +65,33 @@ func TestLegacyChatRateLimited(t *testing.T) {
 	})
 	body := chatBody(t)
 
-	var ok2xx, shed, other int
 	for i := 0; i < 6; i++ {
-		resp := doReq(t, http.MethodPost, ts.URL+"/chat", "", body)
+		if resp := doReq(t, http.MethodPost, ts.URL+"/chat", "", body); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST /chat #%d = %d, want 404", i, resp.StatusCode)
+		}
+	}
+	if got := srv.hm.shedRate.Value(); got != 0 {
+		t.Fatalf("POST /chat was shed %d times; it must not reach a limiter at all", got)
+	}
+
+	info := mustCreateSession(t, ts)
+	var ok2xx, shed int
+	for i := 0; i < 6; i++ {
+		resp := doReq(t, http.MethodPost, ts.URL+"/v1/sessions/"+info.SessionID+"/chat", "", body)
 		switch resp.StatusCode {
 		case http.StatusOK:
 			ok2xx++
 		case http.StatusTooManyRequests:
 			shed++
 			if resp.Header.Get("Retry-After") == "" {
-				t.Fatal("legacy 429 without Retry-After")
+				t.Fatal("429 without Retry-After")
 			}
 		default:
-			other++
+			t.Fatalf("unexpected status %d", resp.StatusCode)
 		}
 	}
-	if other != 0 {
-		t.Fatalf("unexpected non-200/429 responses: %d", other)
-	}
 	if ok2xx != 2 || shed != 4 {
-		t.Fatalf("burst=2 over 6 legacy chats: ok=%d shed=%d (bypass regressed?)", ok2xx, shed)
+		t.Fatalf("burst=2 over 6 chats after the /chat probes: ok=%d shed=%d", ok2xx, shed)
 	}
 	if got := srv.hm.shedRate.Value(); got != uint64(shed) {
 		t.Fatalf("session_rate shed metric = %d, observed %d", got, shed)
@@ -275,6 +283,33 @@ func TestCrossTenantOwnership(t *testing.T) {
 	jl := doReqJSON(t, http.MethodGet, ts.URL+"/v1/jobs", "kb", nil)
 	if jobsArr, ok := jl.body["jobs"].([]any); !ok || len(jobsArr) != 0 {
 		t.Fatalf("beta's job list leaks: %v", jl.body["jobs"])
+	}
+
+	// A probe that is answered 404 must not have touched the session either:
+	// beta hammering alpha's short-lived session id for longer than the TTL
+	// must not keep it alive past the TTL.
+	const ttl = 300 * time.Millisecond
+	_, short := newAdmissionServer(t, eng, Options{
+		SessionTTL: ttl,
+		Tenants: mustRegistry(t, &tenant.Config{Tenants: []tenant.TenantConfig{
+			{Name: "alpha", Keys: []string{"ka"}},
+			{Name: "beta", Keys: []string{"kb"}},
+		}}),
+	})
+	created := time.Now()
+	resp = doReqJSON(t, http.MethodPost, short.URL+"/v1/sessions", "ka", nil)
+	if resp.status != http.StatusCreated {
+		t.Fatalf("alpha short-ttl create = %d", resp.status)
+	}
+	victim := short.URL + "/v1/sessions/" + resp.body["session_id"].(string) + "/history"
+	for time.Since(created) < ttl+100*time.Millisecond {
+		if r := doReq(t, http.MethodGet, victim, "kb", nil); r.StatusCode != http.StatusNotFound {
+			t.Fatalf("beta probing alpha's session = %d, want 404", r.StatusCode)
+		}
+		time.Sleep(ttl / 10)
+	}
+	if r := doReq(t, http.MethodGet, victim, "ka", nil); r.StatusCode != http.StatusNotFound {
+		t.Fatalf("alpha's session outlived its %v TTL under foreign probes: owner read = %d, want 404", ttl, r.StatusCode)
 	}
 }
 

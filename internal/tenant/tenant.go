@@ -24,11 +24,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"chatgraph/internal/ratelimit"
 )
 
 // AnonymousName is the reserved name of the built-in tenant that owns
@@ -100,7 +100,7 @@ type Tenant struct {
 	// SetCapacity; 0 when no capacity is configured.
 	share    int64
 	inflight atomic.Int64
-	bucket   bucket
+	bucket   ratelimit.Bucket
 }
 
 // Share reports the tenant's guaranteed in-flight slots under the
@@ -117,11 +117,7 @@ func (t *Tenant) TakeToken(now time.Time) (ok bool, retryAfter time.Duration) {
 	if t.Quota.RPS <= 0 {
 		return true, 0
 	}
-	burst := float64(t.Quota.Burst)
-	if burst <= 0 {
-		burst = math.Max(1, math.Ceil(t.Quota.RPS))
-	}
-	return t.bucket.take(t.Quota.RPS, burst, now)
+	return t.bucket.Take(t.Quota.RPS, ratelimit.Burst(t.Quota.Burst, t.Quota.RPS), now)
 }
 
 // Registry resolves API keys to tenants and runs the weighted-fair
@@ -255,9 +251,6 @@ func (r *Registry) Names() []string {
 // Anonymous returns the built-in anonymous tenant.
 func (r *Registry) Anonymous() *Tenant { return r.anon }
 
-// Capacity reports the gate capacity set by SetCapacity.
-func (r *Registry) Capacity() int { return r.capacity }
-
 // Slack reports the shared borrow pool size (capacity − Σ shares).
 func (r *Registry) Slack() int { return int(r.slack) }
 
@@ -330,34 +323,4 @@ func (r *Registry) Acquire(t *Tenant) (release func(), v Verdict) {
 	r.borrowed.Add(-1)
 	t.inflight.Add(-1)
 	return nil, RejectedShare
-}
-
-// bucket is a continuous-refill token bucket (one per tenant, mutex
-// per-tenant so tenants never contend with each other).
-type bucket struct {
-	mu     sync.Mutex
-	tokens float64
-	last   time.Time
-	primed bool
-}
-
-func (b *bucket) take(rate, burst float64, now time.Time) (ok bool, retryAfter time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.primed {
-		b.tokens = burst
-		b.last = now
-		b.primed = true
-	}
-	// Only forward time refills: now is read before the lock, so a late-
-	// arriving earlier timestamp must not rewind last.
-	if elapsed := now.Sub(b.last).Seconds(); elapsed > 0 {
-		b.tokens = math.Min(burst, b.tokens+elapsed*rate)
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	return false, time.Duration((1 - b.tokens) / rate * float64(time.Second))
 }
