@@ -167,17 +167,38 @@ func BenchmarkJSONRoundTrip(b *testing.B) {
 	}
 }
 
+// uploadShapes are the graphs the bench workloads upload: the BA graphs the
+// older cases used, plus chat_large_cold's two — a 4×50 planted-community
+// graph (distinct labels, one repeated attr) and a 300-entity knowledge graph
+// (typed nodes, a handful of relation labels on 900 edges).
+type benchShape struct {
+	name string
+	g    *Graph
+}
+
+func uploadShapes(b *testing.B, baSizes ...int) []benchShape {
+	b.Helper()
+	var out []benchShape
+	for _, n := range baSizes {
+		out = append(out, benchShape{fmt.Sprintf("n%d", n), benchGraph(b, n)})
+	}
+	rng := rand.New(rand.NewSource(7))
+	return append(out,
+		benchShape{"sbm4x50", PlantedCommunities(4, 50, .3, .02, rng)},
+		benchShape{"kg300", KnowledgeGraph(300, 900, rng)})
+}
+
 // BenchmarkParseJSON isolates the wire → Graph decode (the hot path of every
 // graph upload), excluding serialization.
 func BenchmarkParseJSON(b *testing.B) {
-	for _, n := range []int{500, 2000} {
-		g := benchGraph(b, n)
-		data, err := g.MarshalJSON()
+	for _, tc := range uploadShapes(b, 500, 2000) {
+		data, err := tc.g.MarshalJSON()
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
 				if _, err := ParseJSON(data); err != nil {
 					b.Fatal(err)
@@ -188,18 +209,20 @@ func BenchmarkParseJSON(b *testing.B) {
 }
 
 func BenchmarkContentHash(b *testing.B) {
-	for _, n := range []int{100, 1000} {
-		g := benchGraph(b, n)
-		b.Run(fmt.Sprintf("cold_n%d", n), func(b *testing.B) {
+	for _, tc := range uploadShapes(b, 100, 1000) {
+		g := tc.g
+		b.Run("cold_"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				// Re-bump so every iteration pays the full canonical hash
-				// (MarkShared-free mutation: relabel to the same value).
-				g.SetNodeLabel(0, "u0")
+				// (MarkShared-free mutation: relabel to the same value) plus
+				// the exact hash, as one intern does.
+				g.SetNodeLabel(0, g.Node(0).Label)
 				g.ContentHash()
+				g.ExactHash()
 			}
 		})
-		b.Run(fmt.Sprintf("cached_n%d", n), func(b *testing.B) {
+		b.Run("cached_"+tc.name, func(b *testing.B) {
 			g.ContentHash()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

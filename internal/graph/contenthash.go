@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -21,19 +22,24 @@ import (
 // The fingerprint is a Weisfeiler-Leman style canonical hash:
 //
 //  1. every node gets a signature from its label and sorted attributes;
-//  2. a few rounds of neighborhood refinement fold each node's sorted
-//     incident-edge contributions (direction flag, neighbor signature, edge
-//     label, weight) back into its signature, so structure — not just label
-//     multisets — reaches the hash;
+//  2. a few rounds of neighborhood refinement fold the multiset of each
+//     node's incident-edge contributions (direction flag, neighbor
+//     signature, edge label, weight) back into its signature, so structure
+//     — not just label multisets — reaches the hash;
 //  3. the final digest covers the directedness flag, the name, the node and
-//     edge counts, the sorted multiset of node signatures, and the sorted
-//     multiset of edge signatures (endpoint signatures normalized for
-//     undirected edges).
+//     edge counts, the multiset of node signatures, and the multiset of
+//     edge signatures (endpoint signatures normalized for undirected
+//     edges).
 //
-// Sorting every multiset makes the hash invariant under node and edge
-// insertion order and under attribute-map iteration order; folding the
-// refined signatures in makes any single mutation (node/edge added or
-// removed, weight, label, or attribute changed) flip the hash with
+// A multiset enters as its size and the lane-wise sum of its members'
+// signatures (sig128.add): addition is what makes the hash invariant under
+// node and edge insertion order without sorting anything — once words were
+// absorbed whole, sorting 128-bit keys was most of what the hash cost — and
+// every member is itself the output of the keyed mixing below, so which
+// multisets share a sum is as unpredictable to a client as the lanes are.
+// Attribute maps are the one sorted piece (by key, a handful per node).
+// Folding the refined signatures in makes any single mutation (node/edge
+// added or removed, weight, label, or attribute changed) flip the hash with
 // overwhelming probability. Like any structural canonicalization short of
 // full graph canonization, WL-equivalent non-isomorphic graphs can collide;
 // for the upload-dedup workload (byte-identical or trivially reordered
@@ -66,77 +72,105 @@ func (h ExactHash) String() string { return hex.EncodeToString(h[:]) }
 // so repeated identity checks on an unmutated graph cost a mutex hop —
 // cheap enough to sit on the per-request intern and invoke-cache paths.
 func (g *Graph) ContentHash() ContentHash {
-	g.frozenMu.Lock()
-	defer g.frozenMu.Unlock()
-	if !g.hashValid || g.hashVersion != g.version {
-		g.hash = computeContentHash(g)
-		g.hashVersion = g.version
-		g.hashValid = true
-	}
-	return g.hash
+	c, _ := g.hashes()
+	return c
 }
 
 // ExactHash returns the index-order fingerprint of g's current version,
 // cached like ContentHash.
 func (g *Graph) ExactHash() ExactHash {
-	g.frozenMu.Lock()
-	defer g.frozenMu.Unlock()
-	if !g.exactValid || g.exactVersion != g.version {
-		g.exact = computeExactHash(g)
-		g.exactVersion = g.version
-		g.exactValid = true
-	}
-	return g.exact
+	_, e := g.hashes()
+	return e
 }
 
-// sig128 is one 128-bit running signature: two 64-bit FNV-1a lanes seeded
-// differently and fed identical bytes. Not cryptographic — a fingerprint
-// with enough width that independent contents never collide in practice.
+// hashes computes and caches both fingerprints together: every consumer that
+// keys on identity (the intern store, the invocation cache) asks for the
+// pair, and the two share the per-node signature pass.
+func (g *Graph) hashes() (ContentHash, ExactHash) {
+	g.frozenMu.Lock()
+	defer g.frozenMu.Unlock()
+	if !g.hashValid || g.hashVersion != g.version {
+		base := nodeSigs(g)
+		// Exact first: the canonical hash refines and sorts base in place.
+		g.exact = computeExactHash(g, base)
+		g.hash = computeContentHash(g, base)
+		g.hashVersion = g.version
+		g.hashValid = true
+	}
+	return g.hash, g.exact
+}
+
+// sig128 is one 128-bit running signature: two 64-bit lanes fed identical
+// words, each with its own per-process initial state and its own per-process
+// odd multiplier. A lane absorbs a whole word per step with one folded
+// 64×64→128 multiply, state' = hi ⊕ lo of (state ⊕ word) · key — the mixing
+// step of wyhash and of the Go runtime's portable map hash. Folding the
+// high half back in is what lets a flipped top bit of the word reach every
+// bit of the state; a plain 64-bit multiply only ever carries differences
+// upward, which a second crafted word could cancel without knowing the key.
+// Not cryptographic — a keyed fingerprint with enough width that
+// independent contents never collide in practice.
 type sig128 struct{ a, b uint64 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// hashSeed perturbs both lane seeds with per-process entropy. ContentHash
-// values are only ever compared within one process (the intern store and
-// the invocation cache live and die with it), so nothing needs the hash to
-// be stable across runs — and an unpredictable seed means a client cannot
-// offline-craft two different payloads that collide and poison the shared
-// caches of other sessions.
-var hashSeed = func() [2]uint64 {
-	var b [16]byte
+// hashKey is the per-process entropy behind every signature: the lanes'
+// initial states and multipliers. ContentHash values are only ever compared
+// within one process (the intern store and the invocation cache live and
+// die with it), so nothing needs the hash to be stable across runs — and
+// with both the starting state and the multiplier unpredictable, how a
+// difference in one word spreads through a lane is unknown to a client, who
+// therefore cannot offline-craft two different payloads that collide and
+// poison the shared caches of other sessions.
+var hashKey = func() (k struct{ initA, initB, mulA, mulB uint64 }) {
+	var b [32]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; a fixed seed
+		// crypto/rand never fails on supported platforms; a fixed key
 		// would silently weaken the collision story, so fail loudly.
-		panic(fmt.Sprintf("graph: content-hash seed entropy: %v", err))
+		panic(fmt.Sprintf("graph: content-hash key entropy: %v", err))
 	}
-	return [2]uint64{
-		binary.LittleEndian.Uint64(b[:8]),
-		binary.LittleEndian.Uint64(b[8:]),
-	}
+	k.initA = binary.LittleEndian.Uint64(b[0:])
+	k.initB = binary.LittleEndian.Uint64(b[8:])
+	// Odd multipliers with the top bit set: the low half of the product is
+	// then a bijection of the word and the high half is never trivially 0.
+	k.mulA = binary.LittleEndian.Uint64(b[16:]) | 1<<63 | 1
+	k.mulB = binary.LittleEndian.Uint64(b[24:]) | 1<<63 | 1
+	return k
 }()
 
-func newSig() sig128 { return sig128{fnvOffset64 ^ hashSeed[0], fnvOffset64 ^ hashSeed[1]} }
+func newSig() sig128 { return sig128{hashKey.initA, hashKey.initB} }
 
-func (s *sig128) writeByte(c byte) {
-	s.a = (s.a ^ uint64(c)) * fnvPrime64
-	s.b = (s.b ^ uint64(c)) * fnvPrime64
+func foldMul(x, k uint64) uint64 {
+	hi, lo := bits.Mul64(x, k)
+	return hi ^ lo
 }
 
 func (s *sig128) writeUint64(v uint64) {
-	for i := 0; i < 8; i++ {
-		s.writeByte(byte(v >> (8 * i)))
+	s.a = foldMul(s.a^v, hashKey.mulA)
+	s.b = foldMul(s.b^v, hashKey.mulB)
+}
+
+func (s *sig128) writeBool(v bool) {
+	if v {
+		s.writeUint64(1)
+	} else {
+		s.writeUint64(0)
 	}
 }
 
 // writeString length-prefixes the bytes so concatenated fields can never
-// alias each other ("ab"+"c" vs "a"+"bc").
+// alias each other ("ab"+"c" vs "a"+"bc"), then absorbs them eight at a
+// time; the zero padding of the last word is unambiguous under the prefix.
 func (s *sig128) writeString(v string) {
 	s.writeUint64(uint64(len(v)))
-	for i := 0; i < len(v); i++ {
-		s.writeByte(v[i])
+	for ; len(v) >= 8; v = v[8:] {
+		s.writeUint64(uint64(v[0]) | uint64(v[1])<<8 | uint64(v[2])<<16 | uint64(v[3])<<24 |
+			uint64(v[4])<<32 | uint64(v[5])<<40 | uint64(v[6])<<48 | uint64(v[7])<<56)
+	}
+	if len(v) > 0 {
+		var w uint64
+		for i := 0; i < len(v); i++ {
+			w |= uint64(v[i]) << (8 * i)
+		}
+		s.writeUint64(w)
 	}
 }
 
@@ -145,7 +179,21 @@ func (s *sig128) writeSig(o sig128) {
 	s.writeUint64(o.b)
 }
 
-// less orders signatures for the sorted-multiset folds.
+// bytes renders the signature as the 16 bytes both hash types are.
+func (s sig128) bytes() (out [16]byte) {
+	binary.LittleEndian.PutUint64(out[:8], s.a)
+	binary.LittleEndian.PutUint64(out[8:], s.b)
+	return out
+}
+
+// add folds o into a multiset accumulator: lane-wise, wrapping, so the
+// order members arrive in cannot matter and a repeated member counts twice.
+func (s *sig128) add(o sig128) {
+	s.a += o.a
+	s.b += o.b
+}
+
+// less orders the two endpoint signatures of an undirected edge.
 func (s sig128) less(o sig128) bool {
 	if s.a != o.a {
 		return s.a < o.a
@@ -156,32 +204,42 @@ func (s sig128) less(o sig128) bool {
 // wlRounds is how many neighborhood-refinement sweeps the hash runs. Two
 // rounds fold every node's 2-hop structure in — enough to separate graphs
 // with equal label and edge multisets but different wiring, while keeping
-// the hash O(rounds · (V log V + E log d)).
+// the hash O(rounds · (V + E)).
 const wlRounds = 2
 
-// nodeSig hashes one node's intrinsic content: label plus sorted attrs.
-func nodeSig(n *Node, keys []string) sig128 {
-	s := newSig()
-	s.writeString(n.Label)
-	keys = keys[:0]
-	for k := range n.Attrs {
-		keys = append(keys, k)
+// nodeSigs hashes every node's intrinsic content — label plus sorted
+// attrs — once; it is the starting point of the canonical refinement and, in
+// index order, the node half of the exact hash.
+func nodeSigs(g *Graph) []sig128 {
+	sigs := make([]sig128, len(g.nodes))
+	keys := make([]string, 0, 8)
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		s := newSig()
+		s.writeString(n.Label)
+		keys = keys[:0]
+		for k := range n.Attrs {
+			keys = append(keys, k)
+		}
+		if len(keys) > 1 {
+			sort.Strings(keys)
+		}
+		s.writeUint64(uint64(len(keys)))
+		for _, k := range keys {
+			s.writeString(k)
+			s.writeString(n.Attrs[k])
+		}
+		sigs[i] = s
 	}
-	sort.Strings(keys)
-	s.writeUint64(uint64(len(keys)))
-	for _, k := range keys {
-		s.writeString(k)
-		s.writeString(n.Attrs[k])
-	}
-	return s
+	return sigs
 }
 
 // edgeContrib hashes one incident edge as seen from a node: a direction
 // flag (0 undirected, 1 outgoing, 2 incoming), the far endpoint's current
 // signature, and the edge's label and weight.
-func edgeContrib(dir byte, far sig128, label string, weight float64) sig128 {
+func edgeContrib(dir uint64, far sig128, label string, weight float64) sig128 {
 	s := newSig()
-	s.writeByte(dir)
+	s.writeUint64(dir)
 	s.writeSig(far)
 	s.writeString(label)
 	s.writeUint64(weightBits(weight))
@@ -197,46 +255,41 @@ func weightBits(w float64) uint64 {
 	return math.Float64bits(w)
 }
 
-func computeContentHash(g *Graph) ContentHash {
+// computeContentHash runs the refinement from the per-node signatures in
+// sigs, which it consumes.
+func computeContentHash(g *Graph, sigs []sig128) ContentHash {
 	n := len(g.nodes)
-	sigs := make([]sig128, n)
-	keyScratch := make([]string, 0, 8)
-	for i := range g.nodes {
-		sigs[i] = nodeSig(&g.nodes[i], keyScratch)
-	}
 
-	// Neighborhood refinement: fold each node's sorted incident-edge
-	// contributions into its signature, wlRounds times.
+	// Neighborhood refinement: fold the multiset of each node's
+	// incident-edge contributions into its signature, wlRounds times.
 	next := make([]sig128, n)
-	var contribs []sig128
 	for round := 0; round < wlRounds; round++ {
 		for u := 0; u < n; u++ {
-			contribs = contribs[:0]
+			var contribs sig128
 			for _, ei := range g.adj[u] {
 				e := &g.edges[ei]
 				if g.directed {
-					contribs = append(contribs, edgeContrib(1, sigs[e.To], e.Label, e.Weight))
+					contribs.add(edgeContrib(1, sigs[e.To], e.Label, e.Weight))
 				} else {
 					far := e.To
 					if int(e.To) == u {
 						far = e.From
 					}
-					contribs = append(contribs, edgeContrib(0, sigs[far], e.Label, e.Weight))
+					contribs.add(edgeContrib(0, sigs[far], e.Label, e.Weight))
 				}
 			}
+			degree := len(g.adj[u])
 			if g.directed {
 				for _, ei := range g.radj[u] {
 					e := &g.edges[ei]
-					contribs = append(contribs, edgeContrib(2, sigs[e.From], e.Label, e.Weight))
+					contribs.add(edgeContrib(2, sigs[e.From], e.Label, e.Weight))
 				}
+				degree += len(g.radj[u])
 			}
-			sortSigs(contribs)
 			s := newSig()
 			s.writeSig(sigs[u])
-			s.writeUint64(uint64(len(contribs)))
-			for _, c := range contribs {
-				s.writeSig(c)
-			}
+			s.writeUint64(uint64(degree))
+			s.writeSig(contribs)
 			next[u] = s
 		}
 		sigs, next = next, sigs
@@ -244,7 +297,10 @@ func computeContentHash(g *Graph) ContentHash {
 
 	// Edge signatures over the refined endpoint signatures; undirected
 	// endpoints are normalized so (u,v) and (v,u) insertions agree.
-	edgeSigs := make([]sig128, len(g.edges))
+	var nodeSet, edgeSet sig128
+	for _, s := range sigs {
+		nodeSet.add(s)
+	}
 	for i := range g.edges {
 		e := &g.edges[i]
 		from, to := sigs[e.From], sigs[e.To]
@@ -256,73 +312,32 @@ func computeContentHash(g *Graph) ContentHash {
 		s.writeSig(to)
 		s.writeString(e.Label)
 		s.writeUint64(weightBits(e.Weight))
-		edgeSigs[i] = s
+		edgeSet.add(s)
 	}
-	sortSigs(edgeSigs)
-	nodeSorted := sigs
-	sortSigs(nodeSorted)
 
 	final := newSig()
-	final.writeString("chatgraph.contenthash/1")
-	if g.directed {
-		final.writeByte(1)
-	} else {
-		final.writeByte(0)
-	}
+	final.writeString("chatgraph.contenthash/2")
+	final.writeBool(g.directed)
 	final.writeString(g.Name)
 	final.writeUint64(uint64(n))
 	final.writeUint64(uint64(len(g.edges)))
-	for _, s := range nodeSorted {
-		final.writeSig(s)
-	}
-	for _, s := range edgeSigs {
-		final.writeSig(s)
-	}
-
-	var out ContentHash
-	for i := 0; i < 8; i++ {
-		out[i] = byte(final.a >> (8 * i))
-		out[8+i] = byte(final.b >> (8 * i))
-	}
-	return out
+	final.writeSig(nodeSet)
+	final.writeSig(edgeSet)
+	return final.bytes()
 }
 
-// sigSlice implements sort.Interface directly, mirroring csr.go's rowSorter:
-// the per-row sorts run once per node per refinement round, and sort.Slice's
-// per-call closure allocations would dominate the hash cost.
-type sigSlice []sig128
-
-func (s sigSlice) Len() int           { return len(s) }
-func (s sigSlice) Less(i, j int) bool { return s[i].less(s[j]) }
-func (s sigSlice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
 // computeExactHash walks the representation in index order: every field an
-// API can observe, at the position it observes it. Attribute maps are the
-// one sorted piece — map iteration order is not observable.
-func computeExactHash(g *Graph) ExactHash {
+// API can observe, at the position it observes it. A node enters as its
+// signature from nodes (attribute maps are the one sorted piece there — map
+// iteration order is not observable).
+func computeExactHash(g *Graph, nodes []sig128) ExactHash {
 	s := newSig()
-	s.writeString("chatgraph.exacthash/1")
-	if g.directed {
-		s.writeByte(1)
-	} else {
-		s.writeByte(0)
-	}
+	s.writeString("chatgraph.exacthash/2")
+	s.writeBool(g.directed)
 	s.writeString(g.Name)
-	s.writeUint64(uint64(len(g.nodes)))
-	keys := make([]string, 0, 8)
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		s.writeString(n.Label)
-		keys = keys[:0]
-		for k := range n.Attrs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		s.writeUint64(uint64(len(keys)))
-		for _, k := range keys {
-			s.writeString(k)
-			s.writeString(n.Attrs[k])
-		}
+	s.writeUint64(uint64(len(nodes)))
+	for _, n := range nodes {
+		s.writeSig(n)
 	}
 	s.writeUint64(uint64(len(g.edges)))
 	for i := range g.edges {
@@ -332,22 +347,5 @@ func computeExactHash(g *Graph) ExactHash {
 		s.writeString(e.Label)
 		s.writeUint64(weightBits(e.Weight))
 	}
-	var out ExactHash
-	for i := 0; i < 8; i++ {
-		out[i] = byte(s.a >> (8 * i))
-		out[8+i] = byte(s.b >> (8 * i))
-	}
-	return out
-}
-
-func sortSigs(s []sig128) {
-	if len(s) <= 24 {
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j].less(s[j-1]); j-- {
-				s[j], s[j-1] = s[j-1], s[j]
-			}
-		}
-		return
-	}
-	sort.Sort(sigSlice(s))
+	return s.bytes()
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -49,6 +51,37 @@ func fuzzSeedCorpus(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
+	for _, s := range scannerSeeds {
+		f.Add([]byte(s))
+	}
+}
+
+// scannerSeeds aim at the line between what the schema scanner decodes
+// itself and what it hands back to encoding/json: string escapes, surrogate
+// pairs, invalid UTF-8, number spellings an int or a float64 field does and
+// does not take, and every spelling of a key that still names a field.
+var scannerSeeds = []string{
+	`{"name":"a\"b\\c\/d\b\f\n\r\t\u00e9\u20AC","nodes":[{"id":0,"label":"\ud83d\ude00","attrs":{"\u006b":"\u0076"}}],"edges":[]}`,
+	`{"nodes":[{"id":0,"label":"\ud83d"},{"id":1,"label":"\ude00\ud83d"},{"id":2,"label":"\ud83d\u0041"},{"id":3,"label":"\ud83dx"}],"edges":[]}`,
+	"{\"nodes\":[{\"id\":0,\"label\":\"a\xffb\xe2\x82\"},{\"id\":1,\"label\":\"\xf0\x9f\x98\x80\xc3\"}],\"edges\":[]}",
+	"{\"name\":\"raw\x01control\"}",
+	"{\"name\":\"\u00e9\u4e16\ufffd\"}",
+	`{"name":"bad \x escape"}`, `{"name":"short \u12"}`, `{"name":"quote \' escape"}`, `{"name":"unterminated`,
+	`{"nodes":[{"id":1e2}]}`, `{"nodes":[{"id":1.0}]}`, `{"nodes":[{"id":-0},{"id":-7}],"edges":[{"from":-0,"to":-7}]}`,
+	`{"nodes":[{"id":01}]}`, `{"nodes":[{"id":-}]}`, `{"nodes":[{"id":+1}]}`, `{"nodes":[{"id":"1"}]}`,
+	`{"nodes":[{"id":999999999999999999},{"id":1000000000000000000}]}`,
+	`{"nodes":[{"id":9223372036854775807}]}`, `{"nodes":[{"id":9223372036854775808}]}`, `{"nodes":[{"id":-9223372036854775808}]}`,
+	`{"nodes":[{"id":0},{"id":1}],"edges":[{"from":0,"to":1,"weight":-0},{"from":0,"to":1,"weight":-0.0},{"from":0,"to":1,"weight":0e0},{"from":1,"to":0,"weight":1E+2},{"from":1,"to":0,"weight":2.5e-3},{"from":1,"to":0,"weight":12345678901234567890}]}`,
+	`{"nodes":[{"id":0},{"id":1}],"edges":[{"from":0,"to":1,"weight":0.1},{"from":0,"to":1,"weight":123456789012345.6},{"from":0,"to":1,"weight":4.9e-324},{"from":0,"to":1,"weight":1e-400}]}`,
+	`{"edges":[{"weight":1e999}]}`, `{"edges":[{"weight":1.}]}`, `{"edges":[{"weight":.5}]}`, `{"edges":[{"weight":1e}]}`, `{"edges":[{"weight":0x10}]}`, `{"edges":[{"weight":01.5}]}`, `{"edges":[{"weight":Infinity}]}`, `{"edges":[{"weight":"1"}]}`,
+	`{"Nodes":[{"ID":4}],"EDGES":[]}`, `{"nodes":[{"id":1,"id":2}]}`, `{"nodes":[{"id":1}],"nodes":[{"id":2}]}`, `{"n\u006fdes":[{"id":3}]}`, "{\"node\u017f\":[{\"id\":3}]}", "{\"nodes\":[{\"\u212aey\":1}]}",
+	`{"nodes":[{"id":0,"attrs":{"k":"v","k":"w","":""}}]}`, `{"nodes":[{"id":0,"attrs":{}}]}`, `{"nodes":[{"id":0,"attrs":null}]}`, `{"nodes":[{"id":0,"attrs":{"k":null}}]}`, `{"nodes":[{"id":0,"attrs":{"k":1}}]}`, `{"nodes":[{"id":0,"label":null}]}`,
+	`{"name":null,"directed":null}`, `{"directed":"true"}`, `{"directed":truex}`, `{"directed":tru`, `null`, `[]`, `"g"`, `7`, ``, ` `,
+	" \t\r\n{ \"nodes\" : [ { \"id\" : 0 , \"label\" : \"a\" } , { \"id\" : 1 } ] , \"edges\" : [ { \"from\" : 0 , \"to\" : 1 } ] } \n",
+	`{"nodes":[{"id":0}],"edges":[]} x`, `{"nodes":[{"id":0}],"edges":[]}{}`, `{"nodes":[{"id":0},],"edges":[]}`, `{"nodes":[{"id":0}],}`, `{"nodes":[{"id":0}]"edges":[]}`, `{"nodes":[{"id":0}}`, `{"nodes":[{"id":0]]}`,
+	`{"nodes":[{"id":0}],"x":` + strings.Repeat("[", 40) + `{"y":[{"z":"]}"}]}` + strings.Repeat("]", 40) + `}`,
+	`{"x":` + strings.Repeat("[", 10001) + strings.Repeat("]", 10001) + `}`,
+	`{"nodes":[0,0,0],"edges":[{},{}]}`, `{"nodes":[{},{}]}`, `{"nodes":{},"edges":""}`,
 }
 
 // graphsEquivalent compares two graphs field by field (nil and empty attr
@@ -81,13 +114,71 @@ func graphsEquivalent(a, b *Graph) error {
 	return nil
 }
 
-// FuzzParseJSON: for any input the parser accepts, parse → serialize →
+// parseJSONOracle is ParseJSON as it was before the schema scanner existed —
+// encoding/json into jsonGraph, then loadWire — and stays the reference the
+// scanner is held to.
+func parseJSONOracle(data []byte) (*Graph, error) {
+	var jg jsonGraph
+	if err := json.Unmarshal(data, &jg); err != nil {
+		return nil, fmt.Errorf("graph: decode: %w", err)
+	}
+	g := New()
+	g.Name, g.directed = jg.Name, jg.Directed
+	g.bump()
+	if err := g.loadWire(&jg); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// checkAgainstOracle holds ParseJSON to the oracle on one input: the same
+// accept/reject decision, error text, graph and version — and, where the
+// scanner took the input itself, a jsonGraph identical to encoding/json's
+// down to nil-versus-empty and the sign of a zero weight.
+func checkAgainstOracle(t *testing.T, data []byte) (*Graph, error) {
+	t.Helper()
+	g, err := ParseJSON(data)
+	og, oerr := parseJSONOracle(data)
+	switch {
+	case (err == nil) != (oerr == nil):
+		t.Fatalf("ParseJSON err = %v, oracle err = %v\ninput: %q", err, oerr, data)
+	case err != nil:
+		if err.Error() != oerr.Error() {
+			t.Fatalf("error text %q, oracle %q\ninput: %q", err, oerr, data)
+		}
+	default:
+		if derr := graphsEquivalent(g, og); derr != nil {
+			t.Fatalf("graph differs from the oracle's: %v\ninput: %q", derr, data)
+		}
+		if g.Version() != og.Version() {
+			t.Fatalf("version %d, oracle %d\ninput: %q", g.Version(), og.Version(), data)
+		}
+	}
+	var sj, oj jsonGraph
+	if scanWire(data, &sj) {
+		if uerr := json.Unmarshal(data, &oj); uerr != nil {
+			t.Fatalf("scanner accepted what encoding/json rejects: %v\ninput: %q", uerr, data)
+		}
+		if !reflect.DeepEqual(sj, oj) {
+			t.Fatalf("scanner decoded %+v, encoding/json %+v\ninput: %q", sj, oj, data)
+		}
+		for i := range sj.Edges {
+			if math.Float64bits(sj.Edges[i].Weight) != math.Float64bits(oj.Edges[i].Weight) {
+				t.Fatalf("edge %d weight bits differ: %v vs %v\ninput: %q", i, sj.Edges[i].Weight, oj.Edges[i].Weight, data)
+			}
+		}
+	}
+	return g, err
+}
+
+// FuzzParseJSON: ParseJSON must agree with the encoding/json-only oracle on
+// every input, and for any input the parser accepts, parse → serialize →
 // reparse must never panic, must re-accept its own output, must reproduce
 // the graph exactly, and must serialize stably.
 func FuzzParseJSON(f *testing.F) {
 	fuzzSeedCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ParseJSON(data)
+		g, err := checkAgainstOracle(t, data)
 		if err != nil {
 			return // rejected inputs just need to not panic
 		}

@@ -60,14 +60,13 @@ type Graph struct {
 	// both memoized for the current version.
 	frozenMu sync.Mutex
 	frozen   *CSR
-	// Cached ContentHash/ExactHash for their versions; the valid flags
-	// distinguish "never computed" from "version 0 computed".
-	hash         ContentHash
-	hashVersion  uint64
-	hashValid    bool
-	exact        ExactHash
-	exactVersion uint64
-	exactValid   bool
+	// Cached ContentHash and ExactHash, computed together for hashVersion;
+	// the valid flag distinguishes "never computed" from "version 0
+	// computed".
+	hash        ContentHash
+	exact       ExactHash
+	hashVersion uint64
+	hashValid   bool
 	// shared marks a graph interned by graphstore and visible to any number
 	// of concurrent readers. Shared graphs must never mutate: the executor
 	// clones them before running a mutating chain, and race-enabled builds
@@ -350,11 +349,18 @@ func (g *Graph) TotalDegree(u NodeID) int {
 }
 
 // Clone returns a deep copy of g. The copy is private: it is never marked
-// shared (even when g is an interned graph), and its content hash is
-// recomputed lazily rather than copied, so cloning a shared graph races
-// with nothing.
+// shared (even when g is an interned graph). It says exactly what g says at
+// the same version, so fingerprints g has already computed are the copy's
+// too — the executor's clone of an interned graph does not hash 300 nodes
+// again just to find the invoke-cache entries of the original — and the
+// copy's first mutation invalidates them like any other.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{Name: g.Name, directed: g.directed, version: g.version}
+	g.frozenMu.Lock()
+	if g.hashValid && g.hashVersion == g.version {
+		c.hash, c.exact, c.hashVersion, c.hashValid = g.hash, g.exact, g.version, true
+	}
+	g.frozenMu.Unlock()
 	c.nodes = make([]Node, len(g.nodes))
 	copy(c.nodes, g.nodes)
 	for i, n := range g.nodes {

@@ -53,11 +53,17 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the upload wire format. Node IDs in the payload may
-// be sparse; they are remapped to dense IDs preserving payload order.
+// be sparse; they are remapped to dense IDs preserving payload order. The
+// schema scanner (scan.go) decodes what it fully understands in one pass;
+// whatever it declines goes through encoding/json on the same bytes, so
+// results and error texts for those inputs are encoding/json's.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var jg jsonGraph
-	if err := json.Unmarshal(data, &jg); err != nil {
-		return fmt.Errorf("graph: decode: %w", err)
+	if !scanWire(data, &jg) {
+		jg = jsonGraph{}
+		if err := json.Unmarshal(data, &jg); err != nil {
+			return fmt.Errorf("graph: decode: %w", err)
+		}
 	}
 	// Reset in place (a whole-struct copy would copy the freeze mutex) and
 	// bump the version so any cached view of the old contents is invalid.

@@ -3,8 +3,6 @@ package server
 import (
 	"encoding/json"
 	"strings"
-
-	"chatgraph/internal/graph"
 )
 
 // This file is the routing contract shared between the server and the
@@ -119,12 +117,9 @@ type uploadBody struct {
 // same router sends the same content to the same shard.
 func UploadContentKey(body []byte) (string, bool) {
 	var req uploadBody
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Graph) == 0 {
+	up, err := decodeUpload(body, func(data []byte) error { return json.Unmarshal(data, &req) }, &req.Graph)
+	if err != nil || up.g == nil {
 		return "", false
 	}
-	g, err := graph.ParseJSON(req.Graph)
-	if err != nil {
-		return "", false
-	}
-	return g.ContentHash().String(), true
+	return up.g.ContentHash().String(), true
 }

@@ -99,7 +99,8 @@ func jobInfo(st jobs.Status) JobInfo {
 // A full queue sheds with 429 + Retry-After, mirroring the admission gate.
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBody)).Decode(&req); err != nil {
+	up, err := readUpload(w, r, &req, &req.Graph)
+	if err != nil {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return
 	}
@@ -116,7 +117,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, ErrBadID.Error())
 		return
 	}
-	g, graphSHA, ok := s.internUpload(w, r, req.Graph)
+	g, graphSHA, ok := s.internUpload(w, r, up)
 	if !ok {
 		return
 	}

@@ -580,14 +580,12 @@ type ChatResponse struct {
 	ElapsedMS int64       `json:"elapsed_ms"`
 }
 
-// maxUploadBody caps a chat or job submission body (question + graph).
-const maxUploadBody = 8 << 20
-
 // decodeChat parses and validates a chat body, writing the error response
 // itself when ok is false.
 func (s *Server) decodeChat(w http.ResponseWriter, r *http.Request) (question string, g *graph.Graph, ok bool) {
 	var req ChatRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBody)).Decode(&req); err != nil {
+	up, err := readUpload(w, r, &req, &req.Graph)
+	if err != nil {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return "", nil, false
 	}
@@ -595,32 +593,8 @@ func (s *Server) decodeChat(w http.ResponseWriter, r *http.Request) (question st
 		writeError(w, r, http.StatusBadRequest, "question is required")
 		return "", nil, false
 	}
-	g, _, ok = s.internUpload(w, r, req.Graph)
+	g, _, ok = s.internUpload(w, r, up)
 	return req.Question, g, ok
-}
-
-// internUpload is the one road an uploaded graph takes into the server,
-// from a chat or a job submission: parse (400 on a bad graph, written here),
-// intern through the engine's graph store, persist the blob. A payload whose
-// content was seen before — in this session, another session, or a deleted
-// one — resolves to the one shared instance, so the CSR, stats memo, and
-// invoke-cache entries built for it are reused instead of rebuilt. Chains
-// that edit the graph get a private clone inside the executor, so sharing is
-// invisible to callers. An empty raw is a request without a graph: nil, "",
-// ok. sha is the durable blob name ("" without a durable store).
-func (s *Server) internUpload(w http.ResponseWriter, r *http.Request, raw json.RawMessage) (g *graph.Graph, sha string, ok bool) {
-	if len(raw) == 0 {
-		return nil, "", true
-	}
-	g, err := graph.ParseJSON(raw)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad graph: %v", err))
-		return nil, "", false
-	}
-	if !s.opts.DisableGraphIntern {
-		g = s.eng.Graphs().Intern(g)
-	}
-	return g, s.persistGraph(g), true
 }
 
 // chatEventOf converts an execution event to its wire form.
