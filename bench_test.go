@@ -272,7 +272,7 @@ func BenchmarkANNSearchBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	idx.SearchBatch(queries, annK) // warm the scratch/worker pools
+	ann.SearchBatch(idx, queries, annK) // warm the scratch/worker pools
 	b.Run("loop", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -285,7 +285,7 @@ func BenchmarkANNSearchBatch(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			idx.SearchBatch(queries, annK)
+			ann.SearchBatch(idx, queries, annK)
 		}
 		b.ReportMetric(float64(len(queries)*b.N)/b.Elapsed().Seconds(), "queries/s")
 	})

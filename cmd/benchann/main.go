@@ -218,7 +218,7 @@ func runBatchMode(rng *rand.Rand, sizes string, dim, nq, k, batchSize int) {
 				if hi > len(qs) {
 					hi = len(qs)
 				}
-				idx.SearchBatch(qs[base:hi], k)
+				ann.SearchBatch(idx, qs[base:hi], k)
 			}
 			batched := time.Since(start)
 

@@ -47,10 +47,35 @@ import (
 	"chatgraph/internal/core"
 	"chatgraph/internal/durable"
 	"chatgraph/internal/jobs"
-	"chatgraph/internal/llm"
 	"chatgraph/internal/server"
 	"chatgraph/internal/tenant"
 )
+
+// effectiveConfig resolves the one configuration the daemon runs and
+// GET /config reports: the defaults, then the -config file if given, then
+// the flags. -quantize and -rerank-factor layer over a file so one config
+// can serve both tiers in an A/B rollout; -llm/-model apply only without a
+// file, whose llm block otherwise wins. The result validates as a unit, so
+// a flag is held to the same bound, with the same message, as the file
+// field it sets.
+func effectiveConfig(cfgPath string, quantize bool, rerank int, llmURL, llmModel string) (config.Config, error) {
+	fc := config.Default()
+	if cfgPath != "" {
+		var err error
+		if fc, err = config.Load(cfgPath); err != nil {
+			return config.Config{}, err
+		}
+	} else if llmURL != "" {
+		fc.LLM.Backend, fc.LLM.BaseURL, fc.LLM.Model = "http", llmURL, llmModel
+	}
+	if quantize {
+		fc.ANN.Quantize = true
+	}
+	if rerank != 0 {
+		fc.ANN.RerankFactor = rerank
+	}
+	return fc, fc.Validate()
+}
 
 func main() {
 	var (
@@ -88,36 +113,17 @@ func main() {
 		log.Fatalf("chatgraphd: -write-timeout %s must exceed -request-timeout %s (or the connection dies before the 504 can be written)", *writeTimeout, *reqTimeout)
 	}
 
+	fc, err := effectiveConfig(*cfgPath, *quantize, *rerank, *llmURL, *llmModel)
+	if err != nil {
+		log.Fatalf("chatgraphd: %v", err)
+	}
+
 	rng := rand.New(rand.NewSource(*seed))
 	env := &apis.Env{}
 	reg := apis.Default(env)
 	core.SeedMoleculeDB(env, *mols, rng)
 	log.Println("training chain-generation model ...")
-	var eng *core.Engine
-	var err error
-	if *cfgPath != "" {
-		fc, cfgErr := config.Load(*cfgPath)
-		if cfgErr != nil {
-			log.Fatalf("chatgraphd: %v", cfgErr)
-		}
-		// The quantization flags layer over the file so one config can serve
-		// both tiers in an A/B rollout.
-		if *quantize {
-			fc.ANN.Quantize = true
-		}
-		if *rerank > 0 {
-			fc.ANN.RerankFactor = *rerank
-		}
-		eng, err = core.NewEngineFromConfig(fc, reg, env, *seed)
-	} else {
-		cfg := core.Config{Registry: reg, Env: env, TrainSeed: *seed}
-		cfg.Retrieve.Quantize = *quantize
-		cfg.Retrieve.RerankFactor = *rerank
-		if *llmURL != "" {
-			cfg.Client = &llm.HTTPClient{BaseURL: *llmURL, Model: *llmModel}
-		}
-		eng, err = core.NewEngine(cfg)
-	}
+	eng, err := core.NewEngineFromConfig(fc, reg, env, *seed)
 	if err != nil {
 		log.Fatalf("chatgraphd: %v", err)
 	}

@@ -15,7 +15,10 @@
 // norms. Per-search working state (visited stamps, heaps, distance tiles)
 // recycles through a sync.Pool, so single searches allocate only their
 // result slice and SearchBatch serves concurrent queries over one shared
-// index without locks or garbage.
+// index without locks or garbage. Every proximity graph routes through one
+// beam-search loop and the flat scan is one tile loop, both parameterised
+// over a distSource that hides which precision tier scores a row; the int8
+// tier exists on the two indexes retrieval can build (BruteForce, TauMG).
 package ann
 
 import (
@@ -48,9 +51,6 @@ type Index interface {
 	Search(q []float32, k int) []Result
 	// SearchWithStats is Search plus per-query work counters.
 	SearchWithStats(q []float32, k int) ([]Result, SearchStats)
-	// SearchBatch answers many queries in one call, fanning them across a
-	// bounded worker pool. out[i] is the result list for qs[i].
-	SearchBatch(qs [][]float32, k int) [][]Result
 	// Len reports how many vectors are indexed.
 	Len() int
 }
@@ -98,8 +98,10 @@ func (b *BruteForce) Search(q []float32, k int) []Result {
 const bruteTile = 256
 
 // SearchWithStats implements Index. The scan computes squared distances a
-// tile at a time with the fused kernel and feeds them into a k-bounded
-// max-heap, so no n-sized buffer is ever materialized.
+// tile at a time with the fused kernel of whichever tier serves the index
+// and feeds them into a bounded max-heap, so no n-sized buffer is ever
+// materialized. On the int8 tier the heap over-fetches rerank·k candidates
+// and only those touch f32 rows.
 func (b *BruteForce) SearchWithStats(q []float32, k int) ([]Result, SearchStats) {
 	n := b.mat.Rows()
 	if k <= 0 || n == 0 {
@@ -110,48 +112,20 @@ func (b *BruteForce) SearchWithStats(q []float32, k int) ([]Result, SearchStats)
 	}
 	sc := getScratch(0)
 	defer putScratch(sc)
-	if b.quant.enabled() {
-		return b.searchQuant(q, k, sc)
-	}
-	qn := vecmath.SquaredNorm(q)
+	src, m := b.quant.source(b.mat, q, k, sc)
 	tile := sc.distTile(bruteTile)
 	for base := 0; base < n; base += bruteTile {
 		hi := base + bruteTile
 		if hi > n {
 			hi = n
 		}
-		b.mat.L2SquaredRange(q, qn, base, hi, tile)
-		for j, d := range tile[:hi-base] {
-			boundedInsert(&sc.best, Result{ID: base + j, Dist: d}, k)
-		}
-	}
-	return drainSorted(&sc.best, k), SearchStats{DistComps: n, Hops: 1}
-}
-
-// searchQuant is the two-stage brute-force scan: tile the int8 codes into a
-// rerank·k-bounded heap, then rerank those candidates against the f32 rows.
-func (b *BruteForce) searchQuant(q []float32, k int, sc *searchScratch) ([]Result, SearchStats) {
-	n := b.mat.Rows()
-	m := b.quant.overfetch(k, n)
-	b.quant.qmat.QuantizeQuery(q, &sc.qq)
-	tile := sc.distTile(bruteTile)
-	for base := 0; base < n; base += bruteTile {
-		hi := base + bruteTile
-		if hi > n {
-			hi = n
-		}
-		b.quant.qmat.L2SquaredRange(&sc.qq, base, hi, tile)
+		src.distRange(base, hi, tile)
 		for j, d := range tile[:hi-base] {
 			boundedInsert(&sc.best, Result{ID: base + j, Dist: d}, m)
 		}
 	}
 	stats := SearchStats{DistComps: n, Hops: 1}
-	return rerankExact(b.mat, q, vecmath.SquaredNorm(q), sc, k, &stats), stats
-}
-
-// SearchBatch implements Index.
-func (b *BruteForce) SearchBatch(qs [][]float32, k int) [][]Result {
-	return searchBatch(b, qs, k)
+	return src.finish(sc, k, m, &stats), stats
 }
 
 // Recall computes |approx ∩ exact| / |exact| treating the result lists as ID
@@ -173,18 +147,51 @@ func Recall(approx, exact []Result) float64 {
 	return float64(hit) / float64(len(exact))
 }
 
-// graphIndex is the shared machinery of all proximity-graph indexes: the
-// flat vector matrix, adjacency, an entry point, and beam-search routing.
+// graphIndex is the shared machinery of the single-layer proximity-graph
+// indexes (τ-MG, NSW): the flat vector matrix, adjacency, an entry point,
+// and the Index methods over beam-search routing.
 type graphIndex struct {
 	mat   *vecmath.Matrix
 	adj   [][]int32
 	entry int
 	beam  int        // default ef for search, ≥ k
-	quant quantStore // optional int8 routing tier (see quantBeam)
+	quant quantStore // optional int8 routing tier (τ-MG only)
 }
 
 // Len implements Index.
 func (g *graphIndex) Len() int { return g.mat.Rows() }
+
+// Search implements Index using beam search with the configured beam width.
+func (g *graphIndex) Search(q []float32, k int) []Result {
+	rs, _ := g.SearchWithStats(q, k)
+	return rs
+}
+
+// SearchWithStats implements Index: route from the entry point toward q
+// keeping max(beam, k) candidates and return the closest k. On the int8
+// tier routing keeps at least rerank·k candidates and the best rerank·k are
+// reranked exactly. Scratch state comes from the shared pool, so concurrent
+// searches over one index are race-free and allocation-free apart from the
+// result slice.
+func (g *graphIndex) SearchWithStats(q []float32, k int) ([]Result, SearchStats) {
+	var stats SearchStats
+	n := g.mat.Rows()
+	if n == 0 || k <= 0 {
+		return nil, stats
+	}
+	if k > n {
+		k = n
+	}
+	sc := getScratch(n)
+	defer putScratch(sc)
+	src, m := g.quant.source(g.mat, q, k, sc)
+	ef := g.beam
+	if ef < m {
+		ef = m
+	}
+	beamSearch(&src, g.adj, g.entry, ef, sc, &stats)
+	return src.finish(sc, k, m, &stats), stats
+}
 
 // medoid returns the index of the row closest to the matrix mean; used as
 // the routing entry point.
@@ -202,22 +209,6 @@ func medoid(m *vecmath.Matrix) int {
 		}
 	}
 	return best
-}
-
-// beamSearch routes from the entry point toward q keeping up to ef
-// candidates and returning the closest k, the standard best-first search
-// used by graph ANN indexes. Scratch state comes from the shared pool, so
-// concurrent searches over one index are race-free and allocation-free
-// apart from the result slice.
-func (g *graphIndex) beamSearch(q []float32, ef, k int) ([]Result, SearchStats) {
-	var stats SearchStats
-	if g.mat.Rows() == 0 || ef <= 0 || k <= 0 {
-		return nil, stats
-	}
-	sc := getScratch(g.mat.Rows())
-	defer putScratch(sc)
-	qn := vecmath.SquaredNorm(q)
-	return beamSearchAdj(g.mat, g.adj, g.entry, ef, k, q, qn, sc, &stats), stats
 }
 
 // GreedyRoute performs the paper's single-path greedy routing: from the
@@ -250,15 +241,6 @@ func (g *graphIndex) GreedyRoute(q []float32) (Result, SearchStats) {
 			return Result{ID: cur, Dist: sqrtf(curDist)}, stats
 		}
 	}
-}
-
-// Degrees returns the out-degree of every node, for index-size diagnostics.
-func (g *graphIndex) Degrees() []int {
-	ds := make([]int, len(g.adj))
-	for i, a := range g.adj {
-		ds[i] = len(a)
-	}
-	return ds
 }
 
 // AvgDegree returns the mean out-degree of the proximity graph.

@@ -20,7 +20,6 @@ type HNSW struct {
 	maxLvl int
 	m      int
 	beam   int
-	quant  quantStore
 }
 
 // HNSWConfig tunes construction.
@@ -33,11 +32,6 @@ type HNSWConfig struct {
 	Beam int
 	// Seed drives level sampling.
 	Seed int64
-	// Quant gates two-stage search: the upper-layer greedy descent stays
-	// f32 (it touches a handful of sparse nodes), the layer-0 beam routes
-	// over int8 codes, and the rerank·k best are reranked exactly.
-	// Construction always links with f32 distances.
-	Quant QuantConfig
 }
 
 func (c *HNSWConfig) setDefaults() {
@@ -83,7 +77,6 @@ func NewHNSW(vecs [][]float32, cfg HNSWConfig) (*HNSW, error) {
 			h.entry = i
 		}
 	}
-	h.quant = newQuantStore(h.mat, cfg.Quant)
 	return h, nil
 }
 
@@ -98,10 +91,12 @@ func (h *HNSW) insert(i, efc int) {
 	}
 	sc := getScratch(h.mat.Rows())
 	defer putScratch(sc)
-	var stats SearchStats // required by beamSearchAdj; construction discards it
+	src := distSource{mat: h.mat, q: q, qn: qn}
+	var stats SearchStats // required by beamSearch; construction discards it
 	// Beam insert on the node's layers, top-down.
 	for l := min(h.levels[i], h.maxLvl); l >= 0; l-- {
-		cands := beamSearchAdj(h.mat, h.layers[l], cur, efc, efc, q, qn, sc, &stats)
+		beamSearch(&src, h.layers[l], cur, efc, sc, &stats)
+		cands := drainSorted(&sc.best, efc)
 		budget := h.m
 		if l == 0 {
 			budget = 2 * h.m
@@ -192,29 +187,9 @@ func (h *HNSW) SearchWithStats(q []float32, k int) ([]Result, SearchStats) {
 	}
 	sc := getScratch(h.mat.Rows())
 	defer putScratch(sc)
-	if h.quant.enabled() {
-		n := h.mat.Rows()
-		if k > n {
-			k = n
-		}
-		m := h.quant.overfetch(k, n)
-		if ef < m {
-			ef = m
-		}
-		h.quant.qmat.QuantizeQuery(q, &sc.qq)
-		beamSearchAdjQ(h.quant.qmat, h.layers[0], cur, ef, sc, &stats)
-		for len(sc.best) > m {
-			maxPop(&sc.best)
-		}
-		return rerankExact(h.mat, q, qn, sc, k, &stats), stats
-	}
-	rs := beamSearchAdj(h.mat, h.layers[0], cur, ef, k, q, qn, sc, &stats)
-	return rs, stats
-}
-
-// SearchBatch implements Index.
-func (h *HNSW) SearchBatch(qs [][]float32, k int) [][]Result {
-	return searchBatch(h, qs, k)
+	src := distSource{mat: h.mat, q: q, qn: qn}
+	beamSearch(&src, h.layers[0], cur, ef, sc, &stats)
+	return drainSorted(&sc.best, k), stats
 }
 
 // MaxLevel reports the top layer index (diagnostics).

@@ -17,7 +17,6 @@ type IVFFlat struct {
 	centroids *vecmath.Matrix
 	cells     [][]int32
 	nprobe    int
-	quant     quantStore
 }
 
 // IVFConfig tunes construction.
@@ -30,11 +29,6 @@ type IVFConfig struct {
 	KMeansIters int
 	// Seed drives centroid initialization.
 	Seed int64
-	// Quant gates the two-stage quantized cell scan: cells are scanned with
-	// int8 kernels, and only the rerank·k survivors touch f32 rows.
-	// Centroid ranking stays f32 (centroids are few and accuracy there
-	// decides which cells are probed at all).
-	Quant QuantConfig
 }
 
 // NewIVFFlat builds the index with Lloyd's k-means.
@@ -139,9 +133,7 @@ func NewIVFFlat(vecs [][]float32, cfg IVFConfig) (*IVFFlat, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &IVFFlat{mat: mustMatrix(vecs), centroids: cmat, cells: cells, nprobe: cfg.NProbe}
-	ix.quant = newQuantStore(ix.mat, cfg.Quant)
-	return ix, nil
+	return &IVFFlat{mat: mustMatrix(vecs), centroids: cmat, cells: cells, nprobe: cfg.NProbe}, nil
 }
 
 // Len implements Index.
@@ -178,14 +170,6 @@ func (ix *IVFFlat) SearchWithStats(q []float32, k int) ([]Result, SearchStats) {
 	for i, d := range tile {
 		boundedInsert(&sc.cells, Result{ID: i, Dist: d}, probe)
 	}
-	// With the quantized tier, cell scans rank with int8 kernels into an
-	// over-fetched heap; the exact rerank below restores f32 precision.
-	quant := ix.quant.enabled()
-	heapK := k
-	if quant {
-		heapK = ix.quant.overfetch(k, ix.mat.Rows())
-		ix.quant.qmat.QuantizeQuery(q, &sc.qq)
-	}
 	for p := range sc.cells {
 		stats.Hops++
 		ids := ix.cells[sc.cells[p].ID]
@@ -193,25 +177,13 @@ func (ix *IVFFlat) SearchWithStats(q []float32, k int) ([]Result, SearchStats) {
 			continue
 		}
 		tile = sc.distTile(len(ids))
-		if quant {
-			ix.quant.qmat.L2SquaredToRows(&sc.qq, ids, tile)
-		} else {
-			ix.mat.L2SquaredToRows(q, qn, ids, tile)
-		}
+		ix.mat.L2SquaredToRows(q, qn, ids, tile)
 		stats.DistComps += len(ids)
 		for j, d := range tile[:len(ids)] {
-			boundedInsert(&sc.best, Result{ID: int(ids[j]), Dist: d}, heapK)
+			boundedInsert(&sc.best, Result{ID: int(ids[j]), Dist: d}, k)
 		}
 	}
-	if quant {
-		return rerankExact(ix.mat, q, qn, sc, k, &stats), stats
-	}
 	return drainSorted(&sc.best, k), stats
-}
-
-// SearchBatch implements Index.
-func (ix *IVFFlat) SearchBatch(qs [][]float32, k int) [][]Result {
-	return searchBatch(ix, qs, k)
 }
 
 // NProbe returns the configured probe count (diagnostics).

@@ -18,9 +18,6 @@ type NSWConfig struct {
 	EFConstruction int
 	// Beam is the default search beam width (0 → 64).
 	Beam int
-	// Quant gates two-stage search (int8 routing + exact rerank);
-	// construction always links with f32 distances.
-	Quant QuantConfig
 }
 
 func (c *NSWConfig) setDefaults() {
@@ -48,38 +45,18 @@ func NewNSW(vecs [][]float32, cfg NSWConfig) (*NSW, error) {
 	g.adj = make([][]int32, 1, len(vecs))
 	g.entry = 0
 	g.beam = cfg.Beam
+	sc := getScratch(len(vecs))
+	defer putScratch(sc)
+	var stats SearchStats // required by beamSearch; construction discards it
 	for i := 1; i < len(vecs); i++ {
-		targets, _ := g.beamSearch(g.mat.Row(i), cfg.EFConstruction, cfg.M)
+		src := distSource{mat: g.mat, q: g.mat.Row(i), qn: g.mat.SquaredNorm(i)}
+		beamSearch(&src, g.adj, g.entry, cfg.EFConstruction, sc, &stats)
 		g.adj = append(g.adj, nil)
-		for _, tgt := range targets {
+		for _, tgt := range drainSorted(&sc.best, cfg.M) {
 			g.adj[i] = append(g.adj[i], int32(tgt.ID))
 			g.adj[tgt.ID] = append(g.adj[tgt.ID], int32(i))
 		}
 	}
 	g.entry = medoid(g.mat)
-	g.quant = newQuantStore(g.mat, cfg.Quant)
 	return g, nil
-}
-
-// Search implements Index.
-func (g *NSW) Search(q []float32, k int) []Result {
-	rs, _ := g.SearchWithStats(q, k)
-	return rs
-}
-
-// SearchWithStats implements Index.
-func (g *NSW) SearchWithStats(q []float32, k int) ([]Result, SearchStats) {
-	ef := g.beam
-	if ef < k {
-		ef = k
-	}
-	if g.quant.enabled() {
-		return g.quantBeam(q, ef, k)
-	}
-	return g.beamSearch(q, ef, k)
-}
-
-// SearchBatch implements Index.
-func (g *NSW) SearchBatch(qs [][]float32, k int) [][]Result {
-	return searchBatch(g, qs, k)
 }

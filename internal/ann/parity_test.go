@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"chatgraph/internal/vecmath"
 )
 
 // naiveTopK is the pre-refactor brute-force baseline, reimplemented the way
@@ -148,7 +150,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, idx := range indexes {
-		batch := idx.SearchBatch(queries, 5)
+		batch := SearchBatch(idx, queries, 5)
 		if len(batch) != len(queries) {
 			t.Fatalf("%s: batch returned %d lists", name, len(batch))
 		}
@@ -158,7 +160,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 			}
 		}
 	}
-	empty := indexes["bruteforce"].SearchBatch(nil, 5)
+	empty := SearchBatch(indexes["bruteforce"], nil, 5)
 	if len(empty) != 0 {
 		t.Fatalf("empty batch returned %d lists", len(empty))
 	}
@@ -173,7 +175,7 @@ func TestSearchBatchRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := idx.SearchBatch(queries, 5)
+	want := SearchBatch(idx, queries, 5)
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for w := 0; w < 16; w++ {
@@ -182,7 +184,7 @@ func TestSearchBatchRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				if w%2 == 0 {
-					got := idx.SearchBatch(queries, 5)
+					got := SearchBatch(idx, queries, 5)
 					if !reflect.DeepEqual(got, want) {
 						errs <- "concurrent SearchBatch diverged"
 						return
@@ -235,6 +237,252 @@ func TestGraphSearchAllocs(t *testing.T) {
 		}
 		if allocs > limit {
 			t.Errorf("%s: %.1f allocs/op, want ≤ %.0f", name, allocs, limit)
+		}
+	}
+}
+
+// The oracle* functions below are the paired f32 / int8 search loops as they
+// stood before they were merged into beamSearch, distSource and
+// BruteForce.SearchWithStats — kept verbatim (renamed only) so the merged
+// loops are held to DeepEqual results and SearchStats against the code they
+// replaced.
+
+func oracleBeamSearchAdj(mat *vecmath.Matrix, adj [][]int32, entry, ef, k int, q []float32, qn float32, sc *searchScratch, stats *SearchStats) []Result {
+	if mat.Rows() == 0 || ef <= 0 || k <= 0 {
+		return nil
+	}
+	sc.nextEpoch()
+	start := Result{ID: entry, Dist: mat.L2SquaredTo(q, qn, entry)}
+	stats.DistComps++
+	sc.frontier = sc.frontier[:0]
+	sc.best = sc.best[:0]
+	minPush(&sc.frontier, start)
+	maxPush(&sc.best, start)
+	sc.mark(int32(entry))
+	for len(sc.frontier) > 0 {
+		cur := minPop(&sc.frontier)
+		if len(sc.best) >= ef && cur.Dist > sc.best[0].Dist {
+			break
+		}
+		stats.Hops++
+		for _, nb := range adj[cur.ID] {
+			if sc.seen(nb) {
+				continue
+			}
+			sc.mark(nb)
+			d := mat.L2SquaredTo(q, qn, int(nb))
+			stats.DistComps++
+			if len(sc.best) < ef || d < sc.best[0].Dist {
+				minPush(&sc.frontier, Result{ID: int(nb), Dist: d})
+				maxPush(&sc.best, Result{ID: int(nb), Dist: d})
+				if len(sc.best) > ef {
+					maxPop(&sc.best)
+				}
+			}
+		}
+	}
+	return drainSorted(&sc.best, k)
+}
+
+func oracleBeamSearchAdjQ(qmat *vecmath.QuantizedMatrix, adj [][]int32, entry, ef int, sc *searchScratch, stats *SearchStats) {
+	if qmat.Rows() == 0 || ef <= 0 {
+		return
+	}
+	sc.nextEpoch()
+	start := Result{ID: entry, Dist: qmat.L2SquaredTo(&sc.qq, entry)}
+	stats.DistComps++
+	sc.frontier = sc.frontier[:0]
+	sc.best = sc.best[:0]
+	minPush(&sc.frontier, start)
+	maxPush(&sc.best, start)
+	sc.mark(int32(entry))
+	for len(sc.frontier) > 0 {
+		cur := minPop(&sc.frontier)
+		if len(sc.best) >= ef && cur.Dist > sc.best[0].Dist {
+			break
+		}
+		stats.Hops++
+		for _, nb := range adj[cur.ID] {
+			if sc.seen(nb) {
+				continue
+			}
+			sc.mark(nb)
+			d := qmat.L2SquaredTo(&sc.qq, int(nb))
+			stats.DistComps++
+			if len(sc.best) < ef || d < sc.best[0].Dist {
+				minPush(&sc.frontier, Result{ID: int(nb), Dist: d})
+				maxPush(&sc.best, Result{ID: int(nb), Dist: d})
+				if len(sc.best) > ef {
+					maxPop(&sc.best)
+				}
+			}
+		}
+	}
+}
+
+func oracleRerankExact(mat *vecmath.Matrix, q []float32, qn float32, sc *searchScratch, k int, stats *SearchStats) []Result {
+	cands := append(sc.frontier[:0], sc.best...)
+	sc.best = sc.best[:0]
+	for _, c := range cands {
+		boundedInsert(&sc.best, Result{ID: c.ID, Dist: mat.L2SquaredTo(q, qn, c.ID)}, k)
+	}
+	stats.DistComps += len(cands)
+	sc.frontier = cands[:0]
+	return drainSorted(&sc.best, k)
+}
+
+// oracleGraphSearch is the old TauMG / NSW SearchWithStats: beamSearch on
+// the f32 tier, quantBeam on the int8 tier.
+func oracleGraphSearch(g *graphIndex, q []float32, k int) ([]Result, SearchStats) {
+	var stats SearchStats
+	ef := g.beam
+	if ef < k {
+		ef = k
+	}
+	n := g.mat.Rows()
+	if n == 0 || ef <= 0 || k <= 0 {
+		return nil, stats
+	}
+	sc := getScratch(n)
+	defer putScratch(sc)
+	if g.quant.qmat == nil {
+		qn := vecmath.SquaredNorm(q)
+		return oracleBeamSearchAdj(g.mat, g.adj, g.entry, ef, k, q, qn, sc, &stats), stats
+	}
+	if k > n {
+		k = n
+	}
+	m := k * g.quant.rerank
+	if m > n {
+		m = n
+	}
+	if ef < m {
+		ef = m
+	}
+	g.quant.qmat.QuantizeQuery(q, &sc.qq)
+	oracleBeamSearchAdjQ(g.quant.qmat, g.adj, g.entry, ef, sc, &stats)
+	for len(sc.best) > m {
+		maxPop(&sc.best)
+	}
+	return oracleRerankExact(g.mat, q, vecmath.SquaredNorm(q), sc, k, &stats), stats
+}
+
+// oracleHNSWSearch is the old f32 HNSW.SearchWithStats.
+func oracleHNSWSearch(h *HNSW, q []float32, k int) ([]Result, SearchStats) {
+	var stats SearchStats
+	if h.mat.Rows() == 0 || k <= 0 {
+		return nil, stats
+	}
+	ef := h.beam
+	if ef < k {
+		ef = k
+	}
+	qn := vecmath.SquaredNorm(q)
+	cur := h.entry
+	for l := h.maxLvl; l > 0; l-- {
+		before := cur
+		cur = h.greedyLayer(q, qn, cur, l)
+		if cur != before {
+			stats.Hops++
+		}
+	}
+	sc := getScratch(h.mat.Rows())
+	defer putScratch(sc)
+	rs := oracleBeamSearchAdj(h.mat, h.layers[0], cur, ef, k, q, qn, sc, &stats)
+	return rs, stats
+}
+
+// oracleFlatSearch is the old BruteForce.SearchWithStats with its int8 twin
+// searchQuant: two copies of the tile loop.
+func oracleFlatSearch(b *BruteForce, q []float32, k int) ([]Result, SearchStats) {
+	n := b.mat.Rows()
+	if k <= 0 || n == 0 {
+		return nil, SearchStats{}
+	}
+	if k > n {
+		k = n
+	}
+	sc := getScratch(0)
+	defer putScratch(sc)
+	tile := sc.distTile(bruteTile)
+	if b.quant.qmat != nil {
+		m := k * b.quant.rerank
+		if m > n {
+			m = n
+		}
+		b.quant.qmat.QuantizeQuery(q, &sc.qq)
+		for base := 0; base < n; base += bruteTile {
+			hi := base + bruteTile
+			if hi > n {
+				hi = n
+			}
+			b.quant.qmat.L2SquaredRange(&sc.qq, base, hi, tile)
+			for j, d := range tile[:hi-base] {
+				boundedInsert(&sc.best, Result{ID: base + j, Dist: d}, m)
+			}
+		}
+		stats := SearchStats{DistComps: n, Hops: 1}
+		return oracleRerankExact(b.mat, q, vecmath.SquaredNorm(q), sc, k, &stats), stats
+	}
+	qn := vecmath.SquaredNorm(q)
+	for base := 0; base < n; base += bruteTile {
+		hi := base + bruteTile
+		if hi > n {
+			hi = n
+		}
+		b.mat.L2SquaredRange(q, qn, base, hi, tile)
+		for j, d := range tile[:hi-base] {
+			boundedInsert(&sc.best, Result{ID: base + j, Dist: d}, k)
+		}
+	}
+	return drainSorted(&sc.best, k), SearchStats{DistComps: n, Hops: 1}
+}
+
+// TestMergedLoopsMatchOracle: the single routing loop and the single tile
+// loop must return exactly — results and work counters — what the paired
+// f32 / int8 loops they replaced returned, for every index that searches
+// through them, on both fixture shapes and at k below, at and above the
+// beam width.
+func TestMergedLoopsMatchOracle(t *testing.T) {
+	type searcher func(q []float32, k int) ([]Result, SearchStats)
+	quant := QuantConfig{Enabled: true}
+	for shape, fx := range quantFixtures() {
+		vecs := fx.vecs
+		taumg, err := NewTauMG(vecs, TauMGConfig{Tau: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		taumgQ, err := NewTauMG(vecs, TauMGConfig{Tau: 0.05, Quant: quant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nsw, err := NewNSW(vecs, NSWConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hnsw, err := NewHNSW(vecs, HNSWConfig{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, flatQ := NewBruteForce(vecs), NewBruteForceQuant(vecs, quant)
+		pairs := map[string][2]searcher{
+			"taumg-f32":  {taumg.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleGraphSearch(&taumg.graphIndex, q, k) }},
+			"taumg-int8": {taumgQ.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleGraphSearch(&taumgQ.graphIndex, q, k) }},
+			"nsw-f32":    {nsw.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleGraphSearch(&nsw.graphIndex, q, k) }},
+			"hnsw-f32":   {hnsw.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleHNSWSearch(hnsw, q, k) }},
+			"flat-f32":   {flat.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleFlatSearch(flat, q, k) }},
+			"flat-int8":  {flatQ.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleFlatSearch(flatQ, q, k) }},
+		}
+		for name, pair := range pairs {
+			for _, k := range []int{1, 10, 64, 100, len(vecs) + 5} {
+				for qi, q := range fx.queries {
+					got, gotStats := pair[0](q, k)
+					want, wantStats := pair[1](q, k)
+					if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+						t.Fatalf("%s/%s k=%d query %d:\n got %+v %+v\nwant %+v %+v", shape, name, k, qi, got, gotStats, want, wantStats)
+					}
+				}
+			}
 		}
 	}
 }

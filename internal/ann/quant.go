@@ -2,12 +2,13 @@ package ann
 
 import "chatgraph/internal/vecmath"
 
-// QuantConfig gates the two-stage quantized search path every index can
-// carry: stage 1 ranks candidates with int8 kernels over a
-// vecmath.QuantizedMatrix (¼ the scanned bytes of the f32 store), stage 2
-// reranks the RerankFactor·k best quantized candidates exactly against the
-// retained f32 Matrix. The f32 matrix stays resident (rerank needs it), so
-// the ÷4 applies to the tier every candidate touches, not total RSS.
+// QuantConfig gates the two-stage quantized search path of the two indexes
+// retrieval can build, BruteForce and TauMG: stage 1 ranks candidates with
+// int8 kernels over a vecmath.QuantizedMatrix (¼ the scanned bytes of the
+// f32 store), stage 2 reranks the RerankFactor·k best quantized candidates
+// exactly against the retained f32 Matrix. The f32 matrix stays resident
+// (rerank needs it), so the ÷4 applies to the tier every candidate touches,
+// not total RSS.
 type QuantConfig struct {
 	// Enabled turns the quantized tier on.
 	Enabled bool
@@ -25,7 +26,7 @@ const DefaultRerankFactor = 4
 
 // quantStore is the per-index quantized tier: the int8 view of the index's
 // matrix plus the resolved rerank factor. A zero quantStore means the f32
-// path (enabled reports false).
+// path.
 type quantStore struct {
 	qmat   *vecmath.QuantizedMatrix
 	rerank int
@@ -42,96 +43,50 @@ func newQuantStore(m *vecmath.Matrix, cfg QuantConfig) quantStore {
 	return quantStore{qmat: vecmath.Quantize(m), rerank: f}
 }
 
-func (qs *quantStore) enabled() bool { return qs.qmat != nil }
-
 // overfetch resolves the stage-1 candidate count for a top-k query over n
-// rows: rerank·k, clamped to n.
+// rows (1 ≤ k ≤ n): rerank·k saturating at n. The product is never formed
+// past n, so an absurd rerank factor degrades to an exact scan instead of
+// overflowing into a negative heap bound.
 func (qs *quantStore) overfetch(k, n int) int {
-	m := k * qs.rerank
-	if m > n {
-		m = n
+	if qs.rerank > n/k {
+		return n
 	}
-	return m
+	return k * qs.rerank
 }
 
-// rerankExact is stage 2: recompute exact f32 distances for every candidate
-// sitting in sc.best (stage 1's quantized top-m) and return the closest k,
-// sorted. Candidates stage through sc.frontier — idle between stages — so
-// the rerank allocates nothing beyond the result slice.
-func rerankExact(mat *vecmath.Matrix, q []float32, qn float32, sc *searchScratch, k int, stats *SearchStats) []Result {
+// source opens a two-stage search over mat for query q: it returns the
+// distance source stage 1 ranks with and m, the number of candidates
+// stage 1 must keep — k on the f32 path, rerank·k (≤ n) on the int8 path,
+// where q is also quantized into the scratch. finish closes the search.
+func (qs *quantStore) source(mat *vecmath.Matrix, q []float32, k int, sc *searchScratch) (distSource, int) {
+	src := distSource{mat: mat, q: q, qn: vecmath.SquaredNorm(q)}
+	if qs.qmat == nil {
+		return src, k
+	}
+	qs.qmat.QuantizeQuery(q, &sc.qq)
+	src.qmat, src.qq = qs.qmat, &sc.qq
+	return src, qs.overfetch(k, mat.Rows())
+}
+
+// finish turns stage 1's candidates in sc.best into the sorted top-k. On
+// the f32 path that is a drain; on the int8 path the candidates are trimmed
+// to the m best by quantized distance and stage 2 recomputes their exact
+// f32 distances. Candidates stage through sc.frontier — idle once routing
+// or scanning is over — so the rerank allocates nothing beyond the result
+// slice.
+func (s *distSource) finish(sc *searchScratch, k, m int, stats *SearchStats) []Result {
+	if s.qmat == nil {
+		return drainSorted(&sc.best, k)
+	}
+	for len(sc.best) > m {
+		maxPop(&sc.best)
+	}
 	cands := append(sc.frontier[:0], sc.best...)
 	sc.best = sc.best[:0]
 	for _, c := range cands {
-		boundedInsert(&sc.best, Result{ID: c.ID, Dist: mat.L2SquaredTo(q, qn, c.ID)}, k)
+		boundedInsert(&sc.best, Result{ID: c.ID, Dist: s.mat.L2SquaredTo(s.q, s.qn, c.ID)}, k)
 	}
 	stats.DistComps += len(cands)
 	sc.frontier = cands[:0]
 	return drainSorted(&sc.best, k)
-}
-
-// beamSearchAdjQ is beamSearchAdj's stage-1 twin: the same best-first
-// routing over one adjacency table, but with every distance computed by the
-// fused int8 kernel against the quantized matrix. It leaves the ef best
-// quantized candidates in sc.best (squared quantized distances, undrained)
-// for rerankExact; sc.qq must already hold the quantized query.
-func beamSearchAdjQ(qmat *vecmath.QuantizedMatrix, adj [][]int32, entry, ef int, sc *searchScratch, stats *SearchStats) {
-	if qmat.Rows() == 0 || ef <= 0 {
-		return
-	}
-	sc.nextEpoch()
-	start := Result{ID: entry, Dist: qmat.L2SquaredTo(&sc.qq, entry)}
-	stats.DistComps++
-	sc.frontier = sc.frontier[:0]
-	sc.best = sc.best[:0]
-	minPush(&sc.frontier, start)
-	maxPush(&sc.best, start)
-	sc.mark(int32(entry))
-	for len(sc.frontier) > 0 {
-		cur := minPop(&sc.frontier)
-		if len(sc.best) >= ef && cur.Dist > sc.best[0].Dist {
-			break
-		}
-		stats.Hops++
-		for _, nb := range adj[cur.ID] {
-			if sc.seen(nb) {
-				continue
-			}
-			sc.mark(nb)
-			d := qmat.L2SquaredTo(&sc.qq, int(nb))
-			stats.DistComps++
-			if len(sc.best) < ef || d < sc.best[0].Dist {
-				minPush(&sc.frontier, Result{ID: int(nb), Dist: d})
-				maxPush(&sc.best, Result{ID: int(nb), Dist: d})
-				if len(sc.best) > ef {
-					maxPop(&sc.best)
-				}
-			}
-		}
-	}
-}
-
-// quantBeam is the quantized two-stage search shared by the graph indexes:
-// route with int8 distances keeping max(ef, rerank·k) candidates, then
-// rerank the rerank·k best exactly.
-func (g *graphIndex) quantBeam(q []float32, ef, k int) ([]Result, SearchStats) {
-	var stats SearchStats
-	n := g.mat.Rows()
-	if n == 0 || ef <= 0 || k <= 0 {
-		return nil, stats
-	}
-	if k > n {
-		k = n
-	}
-	m := g.quant.overfetch(k, n)
-	if ef < m {
-		ef = m
-	}
-	sc := getScratch(n)
-	defer putScratch(sc)
-	g.quant.qmat.QuantizeQuery(q, &sc.qq)
-	beamSearchAdjQ(g.quant.qmat, g.adj, g.entry, ef, sc, &stats)
-	for len(sc.best) > m {
-		maxPop(&sc.best)
-	}
-	return rerankExact(g.mat, q, vecmath.SquaredNorm(q), sc, k, &stats), stats
 }

@@ -204,19 +204,50 @@ func drainSorted(h *[]Result, k int) []Result {
 
 func sqrtf(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 
-// beamSearchAdj is the routing core shared by every proximity-graph index:
-// best-first search over one adjacency table from entry toward q, keeping
-// up to ef candidates and returning the closest k, sorted. All distances
-// are computed fused against mat's precomputed norms and compared squared;
-// only the k returned results pay a sqrt. The caller provides the scratch
-// (heaps + visited epochs), so the search itself allocates only its result
-// slice.
-func beamSearchAdj(mat *vecmath.Matrix, adj [][]int32, entry, ef, k int, q []float32, qn float32, sc *searchScratch, stats *SearchStats) []Result {
-	if mat.Rows() == 0 || ef <= 0 || k <= 0 {
-		return nil
+// distSource scores index rows against one query. It is the single thing
+// the routing loop and the flat scan are parameterised over: the f32 tier
+// holds (mat, q, ‖q‖²), the int8 tier additionally holds the quantized
+// matrix and the quantized query, and a non-nil qmat selects it. A struct
+// with a branch rather than an interface or closure, so building one
+// allocates nothing and the tile form reaches the fused range kernels
+// directly — the flat scan pays one predictable branch per tile, not an
+// indirect call per row.
+type distSource struct {
+	mat  *vecmath.Matrix
+	q    []float32
+	qn   float32 // ‖q‖²
+	qmat *vecmath.QuantizedMatrix
+	qq   *vecmath.QuantizedQuery
+}
+
+// dist returns the squared distance from the query to row i.
+func (s *distSource) dist(i int) float32 {
+	if s.qmat != nil {
+		return s.qmat.L2SquaredTo(s.qq, i)
 	}
+	return s.mat.L2SquaredTo(s.q, s.qn, i)
+}
+
+// distRange is dist's tile form: squared distances to rows lo..hi−1 into
+// dst[0:hi−lo].
+func (s *distSource) distRange(lo, hi int, dst []float32) {
+	if s.qmat != nil {
+		s.qmat.L2SquaredRange(s.qq, lo, hi, dst)
+		return
+	}
+	s.mat.L2SquaredRange(s.q, s.qn, lo, hi, dst)
+}
+
+// beamSearch is the one routing loop every proximity-graph index shares,
+// at search and at construction time: best-first search over one adjacency
+// table from entry toward the query behind src, keeping up to ef
+// candidates. Distances are compared squared. The ef best candidates are
+// left in sc.best, undrained, for the caller to trim, rerank or drain; the
+// caller provides the scratch (heaps + visited epochs), so routing itself
+// allocates nothing. ef must be positive and the index non-empty.
+func beamSearch(src *distSource, adj [][]int32, entry, ef int, sc *searchScratch, stats *SearchStats) {
 	sc.nextEpoch()
-	start := Result{ID: entry, Dist: mat.L2SquaredTo(q, qn, entry)}
+	start := Result{ID: entry, Dist: src.dist(entry)}
 	stats.DistComps++
 	sc.frontier = sc.frontier[:0]
 	sc.best = sc.best[:0]
@@ -234,7 +265,7 @@ func beamSearchAdj(mat *vecmath.Matrix, adj [][]int32, entry, ef, k int, q []flo
 				continue
 			}
 			sc.mark(nb)
-			d := mat.L2SquaredTo(q, qn, int(nb))
+			d := src.dist(int(nb))
 			stats.DistComps++
 			if len(sc.best) < ef || d < sc.best[0].Dist {
 				minPush(&sc.frontier, Result{ID: int(nb), Dist: d})
@@ -245,15 +276,14 @@ func beamSearchAdj(mat *vecmath.Matrix, adj [][]int32, entry, ef, k int, q []flo
 			}
 		}
 	}
-	return drainSorted(&sc.best, k)
 }
 
-// searchBatch fans qs across a bounded worker pool (at most GOMAXPROCS
+// SearchBatch fans qs across a bounded worker pool (at most GOMAXPROCS
 // goroutines) and returns one result list per query, in input order. Every
 // worker leases its own scratch through the pool, so batches over one
 // shared index are race-free and per-query allocation-free; out[i] is nil
 // only when qs[i] produced no results.
-func searchBatch(ix Index, qs [][]float32, k int) [][]Result {
+func SearchBatch(ix Index, qs [][]float32, k int) [][]Result {
 	out := make([][]Result, len(qs))
 	if len(qs) == 0 || k <= 0 {
 		return out

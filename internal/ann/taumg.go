@@ -26,7 +26,14 @@ type TauMG struct {
 type TauMGConfig struct {
 	// Tau is the τ parameter of the occlusion rule. Zero yields MRNG.
 	Tau float32
-	// MaxDegree caps per-node out-degree (0 means the default 32).
+	// MaxDegree caps per-node out-degree (0 means the default 32). The cap
+	// is what the paper's exactness guarantee is traded for: candidates
+	// arrive nearest first, so a truncated node loses its longest surviving
+	// edges, and the larger τ is the more edges survive occlusion to be
+	// truncated. With MaxDegree = n and CandidatePool = n−1 greedy routing
+	// is exact for every query within τ of its nearest neighbour
+	// (TestTauMGGuaranteeWithinTau); with the defaults it is not, and
+	// recall falls as τ grows (EXPERIMENTS.md E22).
 	MaxDegree int
 	// CandidatePool is how many nearest neighbors are considered per node
 	// during construction (0 means the default 96). Larger pools build
@@ -184,29 +191,6 @@ func (t *TauMG) ensureReachable() {
 
 // Tau returns the τ the graph was built with.
 func (t *TauMG) Tau() float32 { return t.tau }
-
-// Search implements Index using beam search with the configured beam width.
-func (t *TauMG) Search(q []float32, k int) []Result {
-	rs, _ := t.SearchWithStats(q, k)
-	return rs
-}
-
-// SearchWithStats implements Index.
-func (t *TauMG) SearchWithStats(q []float32, k int) ([]Result, SearchStats) {
-	ef := t.beam
-	if ef < k {
-		ef = k
-	}
-	if t.quant.enabled() {
-		return t.quantBeam(q, ef, k)
-	}
-	return t.beamSearch(q, ef, k)
-}
-
-// SearchBatch implements Index.
-func (t *TauMG) SearchBatch(qs [][]float32, k int) [][]Result {
-	return searchBatch(t, qs, k)
-}
 
 // NewMRNG builds the MRNG baseline: a τ-MG with τ = 0, whose occlusion rule
 // is exactly the monotonic relative neighborhood rule.

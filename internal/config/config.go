@@ -17,8 +17,6 @@ type ANN struct {
 	Dim int `json:"dim"`
 	// Tau is the τ of the τ-MG occlusion rule.
 	Tau float64 `json:"tau"`
-	// Epsilon is the target approximation ratio of Definition 2.
-	Epsilon float64 `json:"epsilon"`
 	// TopK is how many candidate APIs retrieval returns.
 	TopK int `json:"top_k"`
 	// Quantize enables the int8 two-stage retrieval tier: candidates rank
@@ -76,7 +74,7 @@ type Config struct {
 // Default returns the parameter values the demo ships with.
 func Default() Config {
 	return Config{
-		ANN:            ANN{Dim: 512, Tau: 0.05, Epsilon: 0.05, TopK: 6},
+		ANN:            ANN{Dim: 512, Tau: 0.05, TopK: 6},
 		Sequentializer: Sequentializer{MaxPathLength: 3, Levels: 2, MaxPathLines: 40},
 		Finetune:       Finetune{Rollouts: 4, Alpha: 0.5, Epochs: 2, Examples: 400},
 		LLM:            LLM{Backend: "sim", Temperature: 0, MaxChainLength: 8},
@@ -90,8 +88,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: ann.dim %d outside [8, 4096]", c.ANN.Dim)
 	case c.ANN.Tau < 0:
 		return fmt.Errorf("config: ann.tau %g must be non-negative", c.ANN.Tau)
-	case c.ANN.Epsilon < 0 || c.ANN.Epsilon > 1:
-		return fmt.Errorf("config: ann.epsilon %g outside [0, 1]", c.ANN.Epsilon)
 	case c.ANN.TopK < 1 || c.ANN.TopK > 64:
 		return fmt.Errorf("config: ann.top_k %d outside [1, 64]", c.ANN.TopK)
 	case c.ANN.RerankFactor < 0 || c.ANN.RerankFactor > 256:

@@ -20,8 +20,8 @@ func TestValidateCatchesEveryField(t *testing.T) {
 	}{
 		{"dim", func(c *Config) { c.ANN.Dim = 4 }, "ann.dim"},
 		{"tau", func(c *Config) { c.ANN.Tau = -1 }, "ann.tau"},
-		{"epsilon", func(c *Config) { c.ANN.Epsilon = 2 }, "ann.epsilon"},
 		{"topk", func(c *Config) { c.ANN.TopK = 0 }, "ann.top_k"},
+		{"rerank", func(c *Config) { c.ANN.RerankFactor = 257 }, "ann.rerank_factor"},
 		{"pathlen", func(c *Config) { c.Sequentializer.MaxPathLength = 0 }, "max_path_length"},
 		{"levels", func(c *Config) { c.Sequentializer.Levels = 3 }, "levels"},
 		{"pathlines", func(c *Config) { c.Sequentializer.MaxPathLines = 0 }, "max_path_lines"},
@@ -44,6 +44,9 @@ func TestValidateCatchesEveryField(t *testing.T) {
 	}
 }
 
+// The input keeps an "epsilon" key: the field it once set is gone (nothing
+// read it), and files written before that must keep loading — unknown keys
+// are ignored.
 func TestParseOverDefaults(t *testing.T) {
 	c, err := Parse([]byte(`{"ann":{"dim":256,"tau":0.1,"epsilon":0.05,"top_k":8}}`))
 	if err != nil {

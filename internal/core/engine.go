@@ -45,8 +45,9 @@ func newEngineMetrics() *engineMetrics {
 
 // Engine is the immutable, concurrency-safe bundle of everything expensive
 // that ChatGraph conversations share: the API registry, the substrate
-// environment, the finetuned chain-generation model, the τ-MG retrieval
-// index, the LLM client, and the chain executor. Build one Engine per
+// environment, the finetuned chain-generation model, the API retrieval
+// index (an exact flat scan at the default registry's size, a τ-MG above
+// retrieve's threshold), the LLM client, and the chain executor. Build one Engine per
 // process (training the model and building the index happen here) and mint
 // cheap per-conversation Sessions from it with NewSession. All Engine state
 // is read-only after construction, so any number of Sessions may Ask
@@ -66,13 +67,13 @@ type Engine struct {
 	descs map[string]string
 	// met are the process-wide engine instruments (never nil).
 	met *engineMetrics
-	// fileConfig is set when the engine was built from a config file.
+	// fileConfig is set when the engine was built by NewEngineFromConfig.
 	fileConfig *config.Config
 }
 
 // NewEngine builds the shared engine from cfg, defaulting every zero-value
 // field: a Default registry over a fresh Env, a model trained on a generated
-// dataset, a SimClient over that model, and a τ-MG retrieval index over the
+// dataset, a SimClient over that model, and a retrieval index over the
 // registry descriptions. The model is trained only when it will generate
 // chains: with cfg.Client set and cfg.Model nil, nothing is trained.
 func NewEngine(cfg Config) (*Engine, error) {

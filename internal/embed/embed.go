@@ -116,7 +116,7 @@ func (h *Hashing) Embed(text string) []float32 {
 // EmbedBatch embeds many texts in one call, fanning them across a bounded
 // worker pool (at most GOMAXPROCS goroutines). Embed only takes the IDF
 // read-lock, so workers never contend on writes; out[i] is the embedding of
-// texts[i]. It is the companion to ann.Index.SearchBatch on the batched
+// texts[i]. It is the companion to ann.SearchBatch on the batched
 // retrieval path.
 func (h *Hashing) EmbedBatch(texts []string) [][]float32 {
 	out := make([][]float32, len(texts))

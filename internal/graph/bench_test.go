@@ -62,11 +62,16 @@ func BenchmarkFreeze(b *testing.B) {
 	}
 }
 
+// BenchmarkEccentricities runs the all-source sweep on the BA sizes and on
+// the upload shapes the serving benchmark sends: sbm4x50 is
+// chat_large_cold's social graph, the size at which the hybrid bitset BFS
+// has to earn its keep (EXPERIMENTS.md E22: ≈ 2× there against a queue-only
+// build, nothing on kg300).
 func BenchmarkEccentricities(b *testing.B) {
-	for _, n := range []int{500, 2000} {
-		g := benchGraph(b, n)
+	for _, tc := range uploadShapes(b, 500, 2000) {
+		g := tc.g
 		g.Freeze()
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Eccentricities(g)

@@ -1,9 +1,11 @@
 // Package retrieve implements the paper's API retrieval module: API
 // descriptions are embedded into high-dimensional vectors and, given a user
-// prompt, the most relevant APIs are found by ANN search over a τ-MG
-// proximity-graph index (falling back to exact search for tiny registries,
-// where an index buys nothing). The built Index is immutable, so single and
-// batched lookups may run concurrently from any number of sessions.
+// prompt, the most relevant APIs are found by nearest-neighbour search: an
+// exact flat scan for registries up to exactThreshold entries — which
+// includes the default registry, so that is what every daemon serves — and
+// a τ-MG proximity-graph index above it. The built Index is immutable, so
+// single and batched lookups may run concurrently from any number of
+// sessions.
 package retrieve
 
 import (
@@ -25,13 +27,10 @@ type Scored struct {
 
 // Config tunes index construction.
 type Config struct {
-	// Dim is the embedding dimensionality (0 → 128).
+	// Dim is the embedding dimensionality (0 → 512).
 	Dim int
 	// Tau is the τ-MG parameter (0 is valid: MRNG).
 	Tau float32
-	// ExactThreshold: registries with at most this many APIs use brute
-	// force instead of a proximity graph (0 → 64).
-	ExactThreshold int
 	// Quantize enables the int8 two-stage search tier on whichever index is
 	// built: candidates rank on quantized codes (¼ the scanned bytes) and
 	// the RerankFactor·k best are reranked with exact f32 distances.
@@ -40,6 +39,29 @@ type Config struct {
 	// (0 → ann.DefaultRerankFactor). Ignored unless Quantize is set.
 	RerankFactor int
 }
+
+// exactThreshold is the registry size up to which New builds the exact flat
+// scan instead of a τ-MG. It is a constant, not a setting: the only number
+// that should move it is the measured crossover, and that sits far above
+// both it and the registry. Median µs per Search at d = 512, k = 6 on a
+// padded registry (BenchmarkRetrievalCrossover, 5 runs per cell;
+// EXPERIMENTS.md E22 has the spread):
+//
+//	n            flat f32  flat int8  τ-MG f32  τ-MG int8
+//	39 (served)      14.9       15.8      22.1       20.2
+//	64               25.1       18.5      32.6       21.1
+//	128              48.2       24.9      58.1       34.2
+//	256              92.2       28.5     118.7       40.7
+//	512             179.9       47.6     216.8       81.4
+//	1024            433.7       90.8     365.2      106.6
+//	2048            814.6      105.7     448.5       90.3
+//	4096           1476.5      198.0     547.1      121.9
+//
+// τ-MG first wins between n = 512 and 1024 (f32) and between 1024 and 2048
+// (int8); apis.Default registers 39 APIs. Raising the constant to the
+// crossover is one line here plus re-padding the two fixtures that build a
+// τ-MG through New (TestTauMGPathUsed pads to 80, evalchains E10 to 512).
+const exactThreshold = 64
 
 // Index retrieves APIs by embedding similarity.
 type Index struct {
@@ -58,9 +80,6 @@ func New(reg *apis.Registry, cfg Config) (*Index, error) {
 	if cfg.Dim <= 0 {
 		cfg.Dim = 512
 	}
-	if cfg.ExactThreshold <= 0 {
-		cfg.ExactThreshold = 64
-	}
 	ix := &Index{
 		emb:   embed.NewHashing(cfg.Dim),
 		descs: make(map[string]string, len(all)),
@@ -75,7 +94,7 @@ func New(reg *apis.Registry, cfg Config) (*Index, error) {
 	ix.emb.Fit(corpus)
 	vecs := ix.emb.EmbedBatch(corpus)
 	quant := ann.QuantConfig{Enabled: cfg.Quantize, RerankFactor: cfg.RerankFactor}
-	if len(vecs) <= cfg.ExactThreshold {
+	if len(vecs) <= exactThreshold {
 		ix.search = ann.NewBruteForceQuant(vecs, quant)
 		return ix, nil
 	}
@@ -117,7 +136,7 @@ func (ix *Index) TopAPIs(query string, k int) []Scored {
 }
 
 // TopAPIsBatch answers many queries in one pass: queries are embedded by
-// embed.Hashing.EmbedBatch and searched by ann.Index.SearchBatch, both over
+// embed.Hashing.EmbedBatch and searched by ann.SearchBatch, both over
 // bounded worker pools, so a service can amortize a burst of retrievals
 // across cores instead of paying the one-at-a-time loop. out[i] is the
 // ranked hit list for queries[i].
@@ -127,7 +146,7 @@ func (ix *Index) TopAPIsBatch(queries []string, k int) [][]Scored {
 		return out
 	}
 	qs := ix.emb.EmbedBatch(queries)
-	for i, rs := range ix.search.SearchBatch(qs, k) {
+	for i, rs := range ann.SearchBatch(ix.search, qs, k) {
 		out[i] = ix.scored(rs)
 	}
 	return out

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"chatgraph/internal/ann"
 	"chatgraph/internal/apis"
+	"chatgraph/internal/embed"
 )
 
 func TestNewRejectsEmptyRegistry(t *testing.T) {
@@ -161,14 +163,14 @@ func TestTopAPIsTieBreakByName(t *testing.T) {
 	}
 }
 
-// TestTauMGPathUsed forces the proximity-graph path by lowering the exact
-// threshold and padding the registry past it.
-func TestTauMGPathUsed(t *testing.T) {
+// paddedRegistry is the default registry grown to n APIs with synthetic
+// padding operations — past exactThreshold, so New builds a τ-MG over it.
+func paddedRegistry(t testing.TB, n int) *apis.Registry {
+	t.Helper()
 	reg := apis.Default(nil)
-	for i := 0; reg.Len() < 80; i++ {
-		name := fmt.Sprintf("pad.api%d", i)
+	for i := 0; reg.Len() < n; i++ {
 		if err := reg.Register(apis.API{
-			Name:        name,
+			Name:        fmt.Sprintf("pad.api%d", i),
 			Description: fmt.Sprintf("padding operation number %d for index scale testing", i),
 			Category:    "util",
 			Fn:          func(apis.Input) (apis.Output, error) { return apis.Output{Text: "pad"}, nil },
@@ -176,9 +178,18 @@ func TestTauMGPathUsed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := New(reg, Config{ExactThreshold: 16, Tau: 0.05})
+	return reg
+}
+
+// TestTauMGPathUsed forces the proximity-graph path by padding the registry
+// past the exact threshold.
+func TestTauMGPathUsed(t *testing.T) {
+	ix, err := New(paddedRegistry(t, 80), Config{Tau: 0.05})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := ix.search.(*ann.TauMG); !ok {
+		t.Fatalf("padded registry is served by %T, want *ann.TauMG", ix.search)
 	}
 	hits := ix.Names("detect communities in the social network", 5)
 	found := false
@@ -192,23 +203,41 @@ func TestTauMGPathUsed(t *testing.T) {
 	}
 }
 
+// TestDefaultRegistryServesFlatScan pins which index every daemon serves
+// from: the default registry is below exactThreshold, so retrieval is the
+// exact flat scan. The day the registry outgrows the threshold and
+// retrieval silently becomes approximate, this test names it.
+func TestDefaultRegistryServesFlatScan(t *testing.T) {
+	ix, err := New(apis.Default(nil), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ix.search.(*ann.BruteForce); !ok {
+		t.Fatalf("default registry (%d APIs, exactThreshold %d) is served by %T, want *ann.BruteForce",
+			ix.Len(), exactThreshold, ix.search)
+	}
+}
+
+// TestRerankFactorOverflow: a rerank factor whose product with k overflows
+// int (chatgraphd -quantize -rerank-factor 4611686018427387904 reached here
+// unvalidated) must saturate to an exact scan, not panic on every query.
+func TestRerankFactorOverflow(t *testing.T) {
+	ix, err := New(apis.Default(nil), Config{Quantize: true, RerankFactor: 1 << 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := ix.TopAPIs("detect the communities of this social network", 6); len(hits) != 6 {
+		t.Fatalf("hits = %+v, want 6", hits)
+	}
+}
+
 // TestQuantizedRetrievalParity: with the int8 tier enabled, retrieval must
 // keep recall ≥ 0.95 against the f32 index on both the brute-force path
-// (default registry) and the τ-MG path (padded registry), and every hit must
-// carry an exact f32 distance (stage 2 reranks exactly).
+// (default registry — what a -quantize daemon serves) and the τ-MG path
+// (padded registry), and every hit must carry an exact f32 distance (stage
+// 2 reranks exactly).
 func TestQuantizedRetrievalParity(t *testing.T) {
-	reg := apis.Default(nil)
-	for i := 0; reg.Len() < 80; i++ {
-		name := fmt.Sprintf("pad.api%d", i)
-		if err := reg.Register(apis.API{
-			Name:        name,
-			Description: fmt.Sprintf("padding operation number %d for index scale testing", i),
-			Category:    "util",
-			Fn:          func(apis.Input) (apis.Output, error) { return apis.Output{Text: "pad"}, nil },
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	padded := paddedRegistry(t, 80)
 	queries := []string{
 		"detect the communities of this social network",
 		"predict the toxicity of the molecule",
@@ -218,11 +247,13 @@ func TestQuantizedRetrievalParity(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
+		reg  *apis.Registry
 		cfg  Config
 	}{
-		{"bruteforce", Config{}},
-		{"taumg", Config{ExactThreshold: 16, Tau: 0.05}},
+		{"bruteforce", apis.Default(nil), Config{}},
+		{"taumg", padded, Config{Tau: 0.05}},
 	} {
+		reg := tc.reg
 		f32Cfg, q8Cfg := tc.cfg, tc.cfg
 		q8Cfg.Quantize = true
 		f32, err := New(reg, f32Cfg)
@@ -256,5 +287,59 @@ func TestQuantizedRetrievalParity(t *testing.T) {
 				t.Errorf("%s: query %q quantized recall@10 = %.2f, want ≥ 0.95", tc.name, q, recall)
 			}
 		}
+	}
+}
+
+// BenchmarkRetrievalCrossover is the measurement behind exactThreshold:
+// one Search (k = 6, embedding excluded) over the default registry padded
+// to n descriptions, on each index New could build and each precision tier.
+// The n = 39 row is what every daemon serves; the row at which taumg first
+// beats flat is the crossover the constant should one day be raised to.
+//
+//	go test -run '^$' -bench RetrievalCrossover -count 3 ./internal/retrieve
+func BenchmarkRetrievalCrossover(b *testing.B) {
+	queries := []string{
+		"detect the communities of this social network",
+		"predict the toxicity of the molecule",
+		"shortest path between two nodes",
+		"rank nodes by importance",
+		"clean the knowledge graph noise",
+	}
+	quant := ann.QuantConfig{Enabled: true}
+	for _, n := range []int{39, 64, 128, 256, 512, 1024, 2048, 4096} {
+		// The indexes are built inside the size's sub-benchmark so a -bench
+		// filter such as /n39/ does not pay for the n = 4096 τ-MG builds.
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			var corpus []string
+			for _, a := range paddedRegistry(b, n).All() {
+				corpus = append(corpus, a.Name+" "+a.Description)
+			}
+			emb := embed.NewHashing(512)
+			emb.Fit(corpus)
+			vecs, qs := emb.EmbedBatch(corpus), emb.EmbedBatch(queries)
+			taumg, err := ann.NewTauMG(vecs, ann.TauMGConfig{Tau: 0.05})
+			if err != nil {
+				b.Fatal(err)
+			}
+			taumgQ, err := ann.NewTauMG(vecs, ann.TauMGConfig{Tau: 0.05, Quant: quant})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, tc := range []struct {
+				name string
+				ix   ann.Index
+			}{
+				{"flat-f32", ann.NewBruteForce(vecs)},
+				{"flat-int8", ann.NewBruteForceQuant(vecs, quant)},
+				{"taumg-f32", taumg},
+				{"taumg-int8", taumgQ},
+			} {
+				b.Run(tc.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						tc.ix.Search(qs[i%len(qs)], 6)
+					}
+				})
+			}
+		})
 	}
 }

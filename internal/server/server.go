@@ -658,7 +658,10 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleConfig exposes the Fig. 3 parameter panel: the configuration the
-// engine was built with (defaults when it was assembled in code).
+// engine was built from. chatgraphd always builds its engine from one —
+// defaults, file and flags resolved together — so this is what the daemon
+// runs; only an engine assembled in code (tests, the bench oracle) has none
+// and answers the defaults.
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, r, http.StatusMethodNotAllowed, "GET required")

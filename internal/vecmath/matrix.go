@@ -1,9 +1,6 @@
 package vecmath
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a contiguous row-major store of equal-length float32 vectors:
 // one flat data slice plus the dimensionality, with the squared L2 norm of
@@ -101,20 +98,6 @@ func SquaredNorm(v []float32) float32 {
 	return s
 }
 
-// DotInto computes q · Row(r) for every r in rows into dst[j]. A nil rows
-// selects every row in order (dst must then hold Rows() entries).
-func (m *Matrix) DotInto(q []float32, rows []int32, dst []float32) {
-	if rows == nil {
-		for i := 0; i < m.Rows(); i++ {
-			dst[i] = dot(q, m.Row(i))
-		}
-		return
-	}
-	for j, r := range rows {
-		dst[j] = dot(q, m.Row(int(r)))
-	}
-}
-
 // L2SquaredToRows computes the squared Euclidean distance from q to every
 // selected row into dst using the dot trick against the precomputed row
 // norms: dst[j] = qNorm + ‖row‖² − 2·q·row, clamped at zero (the fused form
@@ -151,12 +134,6 @@ func (m *Matrix) L2SquaredTo(q []float32, qNorm float32, i int) float32 {
 // dot trick, with both norms read from the precomputed table.
 func (m *Matrix) L2SquaredRows(i, j int) float32 {
 	return clampNonNeg(m.norms[i] + m.norms[j] - 2*dot(m.Row(i), m.Row(j)))
-}
-
-// L2To returns the Euclidean distance from q to Row(i); the sqrt of
-// L2SquaredTo, provided because search results report linear distances.
-func (m *Matrix) L2To(q []float32, qNorm float32, i int) float32 {
-	return float32(math.Sqrt(float64(m.L2SquaredTo(q, qNorm, i))))
 }
 
 // Mean returns the component-wise mean of all rows, or nil for an empty

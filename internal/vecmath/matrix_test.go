@@ -75,22 +75,15 @@ func TestAppendRow(t *testing.T) {
 	m.AppendRow([]float32{1})
 }
 
+// TestDotIntoMatchesDot: the unexported dot kernel every fused distance
+// shares must agree with the exported Dot on matrix rows.
 func TestDotIntoMatchesDot(t *testing.T) {
 	rows := randRows(20, 9, 2)
 	m, _ := FromRows(rows)
 	q := randRows(1, 9, 3)[0]
-	all := make([]float32, 20)
-	m.DotInto(q, nil, all)
-	some := make([]float32, 3)
-	m.DotInto(q, []int32{4, 0, 19}, some)
 	for i, r := range rows {
-		if absDiff(all[i], Dot(q, r)) > 1e-4 {
-			t.Fatalf("DotInto[%d] = %v, want %v", i, all[i], Dot(q, r))
-		}
-	}
-	for j, id := range []int{4, 0, 19} {
-		if absDiff(some[j], Dot(q, rows[id])) > 1e-4 {
-			t.Fatalf("DotInto rows[%d] = %v, want %v", id, some[j], Dot(q, rows[id]))
+		if got := dot(q, m.Row(i)); absDiff(got, Dot(q, r)) > 1e-4 {
+			t.Fatalf("dot(q, Row(%d)) = %v, want %v", i, got, Dot(q, r))
 		}
 	}
 }
@@ -109,9 +102,6 @@ func TestFusedL2MatchesDirect(t *testing.T) {
 		}
 		if absDiff(m.L2SquaredTo(q, qn, i), want) > 1e-3 {
 			t.Fatalf("L2SquaredTo(%d) = %v, direct %v", i, m.L2SquaredTo(q, qn, i), want)
-		}
-		if absDiff(m.L2To(q, qn, i), L2(q, r)) > 1e-3 {
-			t.Fatalf("L2To(%d) = %v, direct %v", i, m.L2To(q, qn, i), L2(q, r))
 		}
 	}
 	// Range tile form agrees with the full form.

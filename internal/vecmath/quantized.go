@@ -125,15 +125,6 @@ func (q *QuantizedMatrix) Row(i int) []int8 {
 	return q.codes[i*q.dim : (i+1)*q.dim : (i+1)*q.dim]
 }
 
-// Dequantize reconstructs row i into dst (which must hold Dim() entries) —
-// the test hook for bounding reconstruction error.
-func (q *QuantizedMatrix) Dequantize(i int, dst []float32) {
-	s, o := q.scales[i], q.offsets[i]
-	for j, c := range q.Row(i) {
-		dst[j] = o + s*float32(c)
-	}
-}
-
 // QuantizedQuery is a query vector quantized against its own affine range,
 // ready for fused int8 distance kernels. The Codes buffer is caller-owned
 // and recycled across searches (the ANN scratch pool holds one per leased
@@ -207,13 +198,5 @@ func (m *QuantizedMatrix) L2SquaredTo(qq *QuantizedQuery, i int) float32 {
 func (m *QuantizedMatrix) L2SquaredRange(qq *QuantizedQuery, lo, hi int, dst []float32) {
 	for i := lo; i < hi; i++ {
 		dst[i-lo] = m.L2SquaredTo(qq, i)
-	}
-}
-
-// L2SquaredToRows computes the quantized squared distances to every
-// selected row into dst, mirroring Matrix.L2SquaredToRows for cell scans.
-func (m *QuantizedMatrix) L2SquaredToRows(qq *QuantizedQuery, rows []int32, dst []float32) {
-	for j, r := range rows {
-		dst[j] = m.L2SquaredTo(qq, int(r))
 	}
 }

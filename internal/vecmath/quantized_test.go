@@ -27,6 +27,15 @@ func mustFromRows(t testing.TB, rows [][]float32) *Matrix {
 	return m
 }
 
+// dequantize reconstructs row i of q into dst through the row's affine map,
+// for bounding reconstruction error.
+func dequantize(q *QuantizedMatrix, i int, dst []float32) {
+	s, o := q.scales[i], q.offsets[i]
+	for j, c := range q.Row(i) {
+		dst[j] = o + s*float32(c)
+	}
+}
+
 // TestQuantizeRoundTrip: dequantized rows must sit within half a
 // quantization step of the originals, component-wise.
 func TestQuantizeRoundTrip(t *testing.T) {
@@ -39,7 +48,7 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	}
 	dst := make([]float32, m.Dim())
 	for i := 0; i < m.Rows(); i++ {
-		q.Dequantize(i, dst)
+		dequantize(q, i, dst)
 		lo, hi := rows[i][0], rows[i][0]
 		for _, x := range rows[i] {
 			if x < lo {
@@ -65,7 +74,7 @@ func TestQuantizeConstantRow(t *testing.T) {
 	q := Quantize(m)
 	dst := make([]float32, 4)
 	for i := 0; i < 2; i++ {
-		q.Dequantize(i, dst)
+		dequantize(q, i, dst)
 		for j, x := range dst {
 			if x != m.Row(i)[j] {
 				t.Fatalf("row %d comp %d: %g != %g", i, j, x, m.Row(i)[j])
@@ -101,7 +110,7 @@ func TestQuantizedDistanceAccuracy(t *testing.T) {
 		}
 		for i := 0; i < m.Rows(); i++ {
 			got := q.L2SquaredTo(&qq, i)
-			q.Dequantize(i, dr)
+			dequantize(q, i, dr)
 			wantDeq := L2Squared(dq, dr)
 			if math.Abs(float64(got-wantDeq)) > 1e-2*float64(wantDeq)+1e-3 {
 				t.Fatalf("row %d: fused dist %g != dequantized dist %g", i, got, wantDeq)
@@ -116,8 +125,8 @@ func TestQuantizedDistanceAccuracy(t *testing.T) {
 	}
 }
 
-// TestQuantizedKernelsMatchScalar: the tiled/row-list kernels must agree
-// with the single-distance form, and dotInt8's unrolled lanes must match a
+// TestQuantizedKernelsMatchScalar: the tiled kernel must agree with the
+// single-distance form, and dotInt8's unrolled lanes must match a
 // scalar accumulate on lengths around the unroll boundary.
 func TestQuantizedKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -129,16 +138,9 @@ func TestQuantizedKernelsMatchScalar(t *testing.T) {
 		q.QuantizeQuery(rows[0], &qq)
 		dst := make([]float32, q.Rows())
 		q.L2SquaredRange(&qq, 0, q.Rows(), dst)
-		ids := make([]int32, q.Rows())
-		dst2 := make([]float32, q.Rows())
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		q.L2SquaredToRows(&qq, ids, dst2)
 		for i := 0; i < q.Rows(); i++ {
-			want := q.L2SquaredTo(&qq, i)
-			if dst[i] != want || dst2[i] != want {
-				t.Fatalf("d=%d row %d: range %g rows %g single %g", d, i, dst[i], dst2[i], want)
+			if want := q.L2SquaredTo(&qq, i); dst[i] != want {
+				t.Fatalf("d=%d row %d: range %g single %g", d, i, dst[i], want)
 			}
 		}
 		// dotInt8 vs scalar reference.

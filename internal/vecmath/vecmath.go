@@ -29,21 +29,9 @@ func Norm(a []float32) float32 {
 	return float32(math.Sqrt(float64(s)))
 }
 
-// L2 returns the Euclidean distance between a and b.
-func L2(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vecmath: l2 of mismatched lengths %d and %d", len(a), len(b)))
-	}
-	var s float32
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return float32(math.Sqrt(float64(s)))
-}
-
-// L2Squared returns the squared Euclidean distance between a and b. It is
-// cheaper than L2 and order-equivalent, so index routing uses it internally.
+// L2Squared returns the squared Euclidean distance between a and b, the
+// direct (subtract-and-square) form; index routing compares squared
+// distances and pays a sqrt only on the results it reports.
 func L2Squared(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vecmath: l2sq of mismatched lengths %d and %d", len(a), len(b)))
