@@ -50,6 +50,24 @@ func BenchmarkComputeStats(b *testing.B) {
 			ComputeStats(g)
 		}
 	})
+	// chat_large_cold's uploads, statistics only (the CSR is already built):
+	// what a never-seen graph pays for graph.stats.
+	for _, tc := range uploadShapes(b) {
+		c := tc.g.Freeze()
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.computeStats()
+			}
+		})
+		for name, bitRows := range map[string]bool{"bits": true, "list": false} {
+			b.Run(tc.name+"/triangles_"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.triangleStats(bitRows)
+				}
+			})
+		}
+	}
 }
 
 func BenchmarkFreeze(b *testing.B) {

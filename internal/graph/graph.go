@@ -227,6 +227,22 @@ func (g *Graph) HasEdge(from, to NodeID) bool {
 	return false
 }
 
+// HasEdgeLabeled reports whether an edge from→to (either direction for
+// undirected graphs) carries exactly the given label — the edge
+// RemoveEdgeLabeled would delete.
+func (g *Graph) HasEdgeLabeled(from, to NodeID, label string) bool {
+	if !g.valid(from) || !g.valid(to) {
+		return false
+	}
+	for _, ei := range g.adj[from] {
+		e := &g.edges[ei]
+		if e.Label == label && (e.From == from && e.To == to || !g.directed && e.From == to && e.To == from) {
+			return true
+		}
+	}
+	return false
+}
+
 // EdgeBetween returns the first edge between from and to and true, or a zero
 // Edge and false when none exists.
 func (g *Graph) EdgeBetween(from, to NodeID) (Edge, bool) {

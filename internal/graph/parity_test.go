@@ -561,14 +561,41 @@ func TestEccentricitiesParity(t *testing.T) {
 }
 
 func TestTrianglesParity(t *testing.T) {
-	for name, g := range parityFixtures(t) {
-		tri, cc := g.Freeze().countTriangles()
+	fixtures := parityFixtures(t)
+	// The serving benchmark's large uploads, and graphs whose bit rows span
+	// two and three words, one of them directed with parallel edges.
+	rng := rand.New(rand.NewSource(8))
+	fixtures["sbm4x50"] = PlantedCommunities(4, 50, .3, .02, rng)
+	fixtures["kg300"] = KnowledgeGraph(300, 900, rng)
+	fixtures["er100"] = ErdosRenyi(100, .1, rng)
+	multi := NewDirected()
+	for i := 0; i < 150; i++ {
+		multi.AddNode("")
+	}
+	for i := 0; i < 900; i++ {
+		u, v := NodeID(rng.Intn(150)), NodeID(rng.Intn(150))
+		if multi.AddEdge(u, v) == nil && i%5 == 0 {
+			multi.AddEdge(v, u) //nolint:errcheck
+			multi.AddEdge(u, v) //nolint:errcheck
+		}
+	}
+	fixtures["directed_multi150"] = multi
+	for name, g := range fixtures {
+		c := g.Freeze()
+		tri, cc := c.countTriangles()
 		wantTri, wantCC := naiveCountTriangles(g)
 		if tri != wantTri {
 			t.Fatalf("%s: triangles = %d, want %d", name, tri, wantTri)
 		}
 		if math.Abs(cc-wantCC) > 1e-12 {
 			t.Fatalf("%s: clustering = %v, want %v", name, cc, wantCC)
+		}
+		// countTriangles took one kernel by the graph's density; the other
+		// must agree with it to the last bit.
+		bitTri, bitCC := c.triangleStats(true)
+		listTri, listCC := c.triangleStats(false)
+		if bitTri != listTri || math.Float64bits(bitCC) != math.Float64bits(listCC) || tri != listTri || cc != listCC {
+			t.Fatalf("%s: bit rows (%d, %v), lists (%d, %v), chosen (%d, %v)", name, bitTri, bitCC, listTri, listCC, tri, cc)
 		}
 	}
 }

@@ -32,6 +32,9 @@ type travScratch struct {
 	curBits  []uint64
 	nextBits []uint64
 	visBits  []uint64
+	// rows holds adjacency bit rows for the duration of one kernel; see
+	// bitrows.go.
+	rows []uint64
 }
 
 // heapEntry is one Dijkstra priority-queue item.

@@ -3,11 +3,23 @@
 // inferring missing edges with logical rules, injecting synthetic noise for
 // evaluation, and producing an edit plan the executor applies after user
 // confirmation.
+//
+// A detector pass reads the graph through a view (node types in a slice,
+// signature relations numbered in label order) and works on integers from
+// there: triples are 12-byte comparable map keys, the valid triples' adjacency
+// is one offset array indexed by relation·n + subject, and rule conclusions
+// are sorted as 16-byte records before any Issue is built. The string-keyed
+// detectors this replaced are the reference in parity_test.go; the issue
+// lists are identical. Apply is label-aware in both directions: it removes
+// the edge carrying the issue's relation and adds a missing triple unless that
+// very triple is stored, whatever other relations join the same two entities.
 package kg
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,113 +91,224 @@ func NewDetector() *Detector {
 	return &Detector{Signatures: TypeSignatures(graph.KGRelationTypes()), Rules: DefaultRules()}
 }
 
+// triple identifies one stored or inferred fact within a detector pass, its
+// relation by the view's id: a 12-byte comparable map key, so looking one up
+// builds nothing.
+type triple struct {
+	from, to, rel int32
+}
+
+// view is what one detector pass reads a graph through, so that the
+// per-triple work is array indexing: each node's "type" attribute looked up
+// once, and the signature relations numbered in label order (a relation's id
+// is its index in names, so sorting by id sorts by label).
+type view struct {
+	types []string    // node → "type" attribute
+	names []string    // relation id → label, ascending
+	sigs  [][2]string // relation id → required (subject, object) types
+	// ids maps a label to its relation id. incorrect numbers the labels that
+	// have no signature as it meets them, after the ones that do, so that a
+	// duplicate of such an edge still collides with it.
+	ids map[string]int32
+}
+
+func (d *Detector) view(g *graph.Graph) *view {
+	v := &view{
+		types: make([]string, g.NumNodes()),
+		names: make([]string, 0, len(d.Signatures)),
+		sigs:  make([][2]string, len(d.Signatures)),
+		ids:   make(map[string]int32, len(d.Signatures)),
+	}
+	for i, n := range g.Nodes() {
+		v.types[i] = n.Attrs["type"]
+	}
+	for rel := range d.Signatures {
+		v.names = append(v.names, rel)
+	}
+	sort.Strings(v.names)
+	for id, rel := range v.names {
+		v.sigs[id] = d.Signatures[rel]
+		v.ids[rel] = int32(id)
+	}
+	return v
+}
+
+// rel returns the id of a relation that has a signature.
+func (v *view) rel(label string) (id int32, ok bool) {
+	id, ok = v.ids[label]
+	return id, ok && int(id) < len(v.names)
+}
+
+// valid reports whether the triple satisfies relation rel's type signature.
+func (v *view) valid(from graph.NodeID, rel int32, to graph.NodeID) bool {
+	return v.types[from] == v.sigs[rel][0] && v.types[to] == v.sigs[rel][1]
+}
+
 // DetectIncorrect flags edges whose endpoint types violate the relation
 // signature and duplicate edges (same endpoints and label stored twice).
 func (d *Detector) DetectIncorrect(g *graph.Graph) []Issue {
+	issues, _ := d.incorrect(g, d.view(g))
+	return d.cap(issues)
+}
+
+// incorrect also returns the set of triples g stores, which it has to build
+// to find the duplicates and which missing needs next.
+func (d *Detector) incorrect(g *graph.Graph, v *view) ([]Issue, map[triple]struct{}) {
 	var issues []Issue
-	seen := make(map[string]bool, g.NumEdges())
+	stored := make(map[triple]struct{}, g.NumEdges())
 	for _, e := range g.Edges() {
-		key := tripleKey(e.From, e.Label, e.To)
-		if seen[key] {
+		rel, seen := v.ids[e.Label]
+		if !seen {
+			rel = int32(len(v.ids))
+			v.ids[e.Label] = rel
+		}
+		key := triple{int32(e.From), int32(e.To), rel}
+		if _, dup := stored[key]; dup {
 			issues = append(issues, Issue{
 				Kind: "incorrect", From: e.From, To: e.To, Label: e.Label,
 				Reason: "duplicate triple",
 			})
 			continue
 		}
-		seen[key] = true
-		sig, ok := d.Signatures[e.Label]
-		if !ok {
+		stored[key] = struct{}{}
+		if int(rel) >= len(v.names) {
 			issues = append(issues, Issue{
 				Kind: "incorrect", From: e.From, To: e.To, Label: e.Label,
 				Reason: "unknown relation",
 			})
 			continue
 		}
-		st := g.Node(e.From).Attrs["type"]
-		ot := g.Node(e.To).Attrs["type"]
-		if st != sig[0] || ot != sig[1] {
+		if !v.valid(e.From, rel, e.To) {
+			sig := v.sigs[rel]
 			issues = append(issues, Issue{
 				Kind: "incorrect", From: e.From, To: e.To, Label: e.Label,
-				Reason: fmt.Sprintf("type violation: %s(%s,%s) requires (%s,%s)", e.Label, st, ot, sig[0], sig[1]),
+				Reason: fmt.Sprintf("type violation: %s(%s,%s) requires (%s,%s)", e.Label, v.types[e.From], v.types[e.To], sig[0], sig[1]),
 			})
 		}
 	}
-	return d.cap(issues)
+	return issues, stored
 }
 
 // DetectMissing applies the inference rules and reports conclusions not
 // present in the graph.
 func (d *Detector) DetectMissing(g *graph.Graph) []Issue {
-	// byRel[label][from] = set of to-nodes. Only signature-valid triples
-	// feed the rules: inferring over an incorrect edge would launder its
-	// error into plausible-looking "missing" conclusions.
-	byRel := make(map[string]map[graph.NodeID][]graph.NodeID)
-	has := make(map[string]bool, g.NumEdges())
+	v := d.view(g)
+	stored := make(map[triple]struct{}, g.NumEdges())
 	for _, e := range g.Edges() {
-		has[tripleKey(e.From, e.Label, e.To)] = true
-		if !d.validTriple(g, e.From, e.Label, e.To) {
+		// No rule concludes a relation that has no signature.
+		if rel, ok := v.rel(e.Label); ok {
+			stored[triple{int32(e.From), int32(e.To), rel}] = struct{}{}
+		}
+	}
+	return d.cap(d.missing(g, v, stored, nil))
+}
+
+// inferred is one rule conclusion before it becomes an Issue: small enough
+// to sort by value, with from<<32|to as one word and the relation id
+// standing in for label order.
+type inferred struct {
+	ends      uint64
+	rel, rule int32
+}
+
+// missing appends the rule conclusions absent from stored to issues, ordered
+// by (from, to, label). stored gains every conclusion reported.
+func (d *Detector) missing(g *graph.Graph, v *view, stored map[triple]struct{}, issues []Issue) []Issue {
+	// Adjacency of the signature-valid triples, one row per (relation,
+	// subject): row k = rel·n + from is tos[off[k]:off[k+1]]. Only valid
+	// triples feed the rules: inferring over an incorrect edge would launder
+	// its error into plausible-looking "missing" conclusions. The counting
+	// sort runs one slot ahead — counts land in off[k+2], so after the prefix
+	// sums off[k+1] is row k's start, and filling advances it to row k's end,
+	// which is row k+1's start.
+	n := g.NumNodes()
+	off := make([]int32, len(v.names)*n+2)
+	edges := g.Edges()
+	rels := make([]int32, len(edges)) // edge → relation id, -1 if it feeds no rule
+	for i, e := range edges {
+		rel, ok := v.rel(e.Label)
+		if !ok || !v.valid(e.From, rel, e.To) {
+			rels[i] = -1
 			continue
 		}
-		if byRel[e.Label] == nil {
-			byRel[e.Label] = make(map[graph.NodeID][]graph.NodeID)
-		}
-		byRel[e.Label][e.From] = append(byRel[e.Label][e.From], e.To)
+		rels[i] = rel
+		off[int(rel)*n+int(e.From)+2]++
 	}
-	var issues []Issue
-	emit := func(from graph.NodeID, rel string, to graph.NodeID, why string) {
-		if from == to || has[tripleKey(from, rel, to)] {
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	tos := make([]int32, off[len(off)-1])
+	for i, e := range edges {
+		if rels[i] >= 0 {
+			k := int(rels[i])*n + int(e.From) + 1
+			tos[off[k]] = int32(e.To)
+			off[k]++
+		}
+	}
+	row := func(rel int32, from int) []int32 {
+		k := int(rel)*n + from
+		return tos[off[k]:off[k+1]]
+	}
+
+	var found []inferred
+	emit := func(from, to int32, rel int32, rule int) {
+		key := triple{from, to, rel}
+		if _, ok := stored[key]; from == to || ok {
 			return
 		}
-		if !d.validTriple(g, from, rel, to) {
+		if !v.valid(graph.NodeID(from), rel, graph.NodeID(to)) {
 			return
 		}
-		has[tripleKey(from, rel, to)] = true // dedup across rules
-		issues = append(issues, Issue{Kind: "missing", From: from, To: to, Label: rel, Reason: why})
+		stored[key] = struct{}{} // dedup across rules
+		found = append(found, inferred{uint64(from)<<32 | uint64(to), rel, int32(rule)})
 	}
-	for _, r := range d.Rules {
+	for ri, r := range d.Rules {
+		// A transitive rule is the composition of its relation with itself.
+		body1, body2, head := r.Rel, r.Rel, r.Rel
+		if r.Kind == "composition" {
+			body1, body2, head = r.Body1, r.Body2, r.Head
+		}
+		b1, ok1 := v.rel(body1)
+		b2, ok2 := v.rel(body2)
+		h, ok3 := v.rel(head)
+		if !ok1 || !ok2 || !ok3 {
+			continue // a relation without a signature has no valid triples
+		}
 		switch r.Kind {
 		case "symmetric":
-			for from, tos := range byRel[r.Rel] {
-				for _, to := range tos {
-					emit(to, r.Rel, from, r.Name)
+			for from := 0; from < n; from++ {
+				for _, to := range row(b1, from) {
+					emit(to, int32(from), h, ri)
 				}
 			}
-		case "transitive":
-			for x, ys := range byRel[r.Rel] {
-				for _, y := range ys {
-					for _, z := range byRel[r.Rel][y] {
-						emit(x, r.Rel, z, r.Name)
-					}
-				}
-			}
-		case "composition":
-			for x, ys := range byRel[r.Body1] {
-				for _, y := range ys {
-					for _, z := range byRel[r.Body2][y] {
-						emit(x, r.Head, z, r.Name)
+		case "transitive", "composition":
+			for x := 0; x < n; x++ {
+				for _, y := range row(b1, x) {
+					for _, z := range row(b2, int(y)) {
+						emit(int32(x), z, h, ri)
 					}
 				}
 			}
 		}
 	}
-	sort.Slice(issues, func(i, j int) bool {
-		if issues[i].From != issues[j].From {
-			return issues[i].From < issues[j].From
-		}
-		if issues[i].To != issues[j].To {
-			return issues[i].To < issues[j].To
-		}
-		return issues[i].Label < issues[j].Label
+	slices.SortFunc(found, func(a, b inferred) int {
+		return cmp.Or(cmp.Compare(a.ends, b.ends), cmp.Compare(a.rel, b.rel))
 	})
-	return d.cap(issues)
+	issues = slices.Grow(issues, len(found))
+	for _, f := range found {
+		issues = append(issues, Issue{
+			Kind: "missing", From: graph.NodeID(f.ends >> 32), To: graph.NodeID(uint32(f.ends)),
+			Label: v.names[f.rel], Reason: d.Rules[f.rule].Name,
+		})
+	}
+	return issues
 }
 
 // Detect runs both detectors, incorrect first.
 func (d *Detector) Detect(g *graph.Graph) []Issue {
-	issues := d.DetectIncorrect(g)
-	issues = append(issues, d.DetectMissing(g)...)
-	return d.cap(issues)
+	v := d.view(g)
+	issues, stored := d.incorrect(g, v)
+	return d.cap(d.missing(g, v, stored, issues))
 }
 
 func (d *Detector) cap(issues []Issue) []Issue {
@@ -195,19 +318,8 @@ func (d *Detector) cap(issues []Issue) []Issue {
 	return issues
 }
 
-// validTriple reports whether the triple satisfies its relation's type
-// signature (unknown relations never validate).
-func (d *Detector) validTriple(g *graph.Graph, from graph.NodeID, rel string, to graph.NodeID) bool {
-	sig, ok := d.Signatures[rel]
-	if !ok {
-		return false
-	}
-	return g.Node(from).Attrs["type"] == sig[0] && g.Node(to).Attrs["type"] == sig[1]
-}
-
-// tripleKey renders "from|rel|to" with strconv instead of fmt: the
-// detection and inference loops build one key per (candidate) triple, and
-// Sprintf's reflection was the dominant allocation there.
+// tripleKey renders "from|rel|to"; rule mining and Score key their triple
+// sets on it.
 func tripleKey(from graph.NodeID, rel string, to graph.NodeID) string {
 	var b strings.Builder
 	b.Grow(len(rel) + 16)
@@ -222,6 +334,13 @@ func tripleKey(from graph.NodeID, rel string, to graph.NodeID) string {
 // Apply edits g in place according to the accepted issues: incorrect edges
 // are removed, missing edges added. It returns how many edits succeeded.
 func Apply(g *graph.Graph, issues []Issue) int {
+	missing := 0
+	for _, is := range issues {
+		if is.Kind == "missing" {
+			missing++
+		}
+	}
+	g.Grow(0, missing)
 	applied := 0
 	for _, is := range issues {
 		switch is.Kind {
@@ -232,7 +351,9 @@ func Apply(g *graph.Graph, issues []Issue) int {
 				applied++
 			}
 		case "missing":
-			if !g.HasEdge(is.From, is.To) {
+			// Label-aware too: another relation between the same entities
+			// does not stand in for the missing one.
+			if !g.HasEdgeLabeled(is.From, is.To, is.Label) {
 				if err := g.AddEdgeLabeled(is.From, is.To, is.Label, 1); err == nil {
 					applied++
 				}

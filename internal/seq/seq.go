@@ -21,13 +21,15 @@
 // builder, which prints a few dozen lines of a cover that is tens of
 // thousands of paths on a 200-node graph: it materialises only the first
 // paths and counts the leaves of every remaining root without building
-// them. Bounded keeps two things exact — the head is the full cover's prefix
+// them — over the graph's adjacency bit rows (graph.CSR.OutBitRows) when it
+// is dense enough to have them. Bounded keeps two things exact — the head is the full cover's prefix
 // (same paths, same order) and NumPaths/NumSuperPaths are the full cover's
 // sizes — so the "... (N more paths)" line, and with it the prompt, is
 // byte-identical to rendering the whole cover and truncating.
 package seq
 
 import (
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -113,13 +115,16 @@ func PathCover(g *graph.Graph, l int, maxPerNode int) []Path {
 	return paths
 }
 
-// cover runs the BFS-tree kernel from every node in ID order. It returns the
-// first limit paths of the cover (all of them when limit < 0) and the size of
-// the whole cover: past the limit a root's leaves are counted, not built.
+// cover walks the BFS tree of every node in ID order. It returns the first
+// limit paths of the cover (all of them when limit < 0) and the size of the
+// whole cover. Roots whose leaves reach the output are built by the list
+// kernel, which records the parent and depth appendPaths needs; every root
+// after that — all of them in a sizing pass — is only counted, over the
+// graph's adjacency bit rows when it has them.
 func cover(g *graph.Graph, l, maxPerNode, limit int) (paths []Path, total int) {
 	if limit < 0 {
-		// A counting pass costs one more BFS per root and sizes the output
-		// exactly, which is cheaper than regrowing a slice of slice headers.
+		// A counting pass sizes the output exactly, which is cheaper than
+		// regrowing a slice of slice headers.
 		if _, limit = cover(g, l, maxPerNode, 0); limit > 0 {
 			paths = make([]Path, 0, limit)
 		}
@@ -128,16 +133,31 @@ func cover(g *graph.Graph, l, maxPerNode, limit int) (paths []Path, total int) {
 	n := c.NumNodes()
 	t := leaseTree(n)
 	defer treePool.Put(t)
-	for u := 0; u < n; u++ {
+	u := 0
+	for ; u < n && len(paths) < limit; u++ {
 		leaves := t.build(c, int32(u), l)
 		if maxPerNode > 0 && leaves > maxPerNode {
 			leaves = maxPerNode
 		}
 		total += leaves
-		if limit >= 0 {
-			leaves = min(leaves, limit-len(paths))
+		paths = t.appendPaths(paths, min(leaves, limit-len(paths)))
+	}
+	if u == n {
+		return paths, total
+	}
+	var words int
+	t.rows, words = c.OutBitRows(t.rows)
+	for ; u < n; u++ {
+		var leaves int
+		if words > 0 {
+			leaves = t.countLeaves(t.rows, words, n, int32(u), l)
+		} else {
+			leaves = t.build(c, int32(u), l)
 		}
-		paths = t.appendPaths(paths, leaves)
+		if maxPerNode > 0 && leaves > maxPerNode {
+			leaves = maxPerNode
+		}
+		total += leaves
 	}
 	return paths, total
 }
@@ -157,6 +177,9 @@ type bfsTree struct {
 	kids   []int32
 	// order lists the tree's nodes in BFS order (the queue, kept whole).
 	order []int32
+	// rows and vis back the count-only roots: the graph's adjacency bit rows,
+	// filled once per cover, and the current root's visited set.
+	rows, vis []uint64
 }
 
 var treePool = sync.Pool{New: func() any { return new(bfsTree) }}
@@ -209,6 +232,50 @@ func (t *bfsTree) build(c *graph.CSR, root int32, l int) int {
 	}
 	t.order = q
 	return len(q) - internal
+}
+
+// countLeaves returns what build would for root — the leaf count of the same
+// first-discoverer tree — from the adjacency bit rows, recording no tree. A
+// node's children are row[u] &^ visited, claimed word by word; their bits
+// are extracted (ascending, so the queue keeps neighbour order) only on
+// levels that will be expanded again, and on the last level, where most of a
+// tree's nodes sit, merely counted.
+func (t *bfsTree) countLeaves(rows []uint64, words, n int, root int32, l int) int {
+	if cap(t.vis) < words {
+		t.vis = make([]uint64, words)
+	}
+	vis := t.vis[:words]
+	clear(vis)
+	vis[root>>6] = 1 << (uint(root) & 63)
+	q := append(t.order[:0], root)
+	size, internal := 1, 0
+	for lo, d := 0, 0; d < l && size < n && lo < len(q); d++ {
+		hi := len(q)
+		rim := d+1 == l
+		for _, u := range q[lo:hi] {
+			found := size
+			for w, x := range rows[int(u)*words:][:words] {
+				x &^= vis[w]
+				if x == 0 {
+					continue
+				}
+				vis[w] |= x
+				size += bits.OnesCount64(x)
+				for ; !rim && x != 0; x &= x - 1 {
+					q = append(q, int32(w<<6+bits.TrailingZeros64(x)))
+				}
+			}
+			if size > found {
+				internal++
+				if size == n {
+					break // every node is in the tree: no later scan adds a child
+				}
+			}
+		}
+		lo = hi
+	}
+	t.order = q
+	return size - internal
 }
 
 // appendPaths materialises the first k leaves of the current tree, in BFS

@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"slices"
 	"strconv"
 
 	"chatgraph/internal/graph"
@@ -18,14 +19,62 @@ import (
 // the sequentializer wants to expose.
 func SuperGraph(g *graph.Graph) (*graph.Graph, [][]graph.NodeID) {
 	c := g.Freeze()
+	t := treePool.Get().(*bfsTree) // for its bit-row buffer, as cover uses it
+	var words int
+	t.rows, words = c.UndirectedBitRows(t.rows)
+	members, superOf := motifSets(c, t.rows, words)
+	treePool.Put(t)
+	// Cross edges between distinct super-nodes, one per pair: packed
+	// (low, high) keys, sorted so duplicates are adjacent.
+	var cross []uint64
+	for _, e := range g.Edges() {
+		a, b := superOf[e.From], superOf[e.To]
+		if a == b {
+			continue
+		}
+		if a > b {
+			a, b = b, a
+		}
+		cross = append(cross, uint64(a)<<32|uint64(b))
+	}
+	slices.Sort(cross)
+	cross = slices.Compact(cross)
+	super := graph.New()
+	super.Name = g.Name + "_super"
+	super.Grow(len(members), len(cross))
+	for _, ms := range members {
+		super.AddNode(superLabel(g, ms))
+	}
+	for _, k := range cross {
+		super.AddEdge(graph.NodeID(k>>32), graph.NodeID(uint32(k))) //nolint:errcheck // endpoints valid by construction
+	}
+	return super, members
+}
+
+// motifSets partitions the nodes into motif sets — the connected components
+// of the edges that lie on a triangle — and returns each set's members and
+// each node's set. Given the undirected adjacency bit rows (words > 0) an
+// edge {u, v} lies on a triangle iff row[u] & row[v] ≠ 0; without them the
+// sorted neighbour lists of u and v are merge-intersected for a w > v, which
+// finds every triangle u < v < w once. Either way all three corners of every
+// triangle end up in one set.
+func motifSets(c *graph.CSR, rows []uint64, words int) (members [][]graph.NodeID, setOf []graph.NodeID) {
 	n := c.NumNodes()
 	uf := newUnionFind(n)
-	// Merge the three corners of every triangle u < v < w: for each edge
-	// {u, v}, a w > v present in both sorted neighbor rows closes one.
 	for u := 0; u < n; u++ {
 		row := c.UndirectedNeighbors(graph.NodeID(u))
 		for i, v := range row {
 			if int(v) <= u || i > 0 && row[i-1] == v {
+				continue
+			}
+			if words > 0 {
+				ru, rv := rows[u*words:][:words], rows[int(v)*words:][:words]
+				for w, x := range ru {
+					if x&rv[w] != 0 {
+						uf.union(u, int(v))
+						break
+					}
+				}
 				continue
 			}
 			a, b := row[i+1:], c.UndirectedNeighbors(v)
@@ -45,48 +94,23 @@ func SuperGraph(g *graph.Graph) (*graph.Graph, [][]graph.NodeID) {
 			}
 		}
 	}
-	// One super-node per union-find root, numbered by smallest member so
-	// output is deterministic; the ascending scan keeps member lists sorted.
-	// superOf[r] is set for a root r as soon as its first member is seen.
-	superOf := make([]graph.NodeID, n)
-	for i := range superOf {
-		superOf[i] = -1
+	// One set per union-find root, numbered by smallest member so output is
+	// deterministic; the ascending scan keeps member lists sorted. setOf[r]
+	// is set for a root r as soon as its first member is seen.
+	setOf = make([]graph.NodeID, n)
+	for i := range setOf {
+		setOf[i] = -1
 	}
-	var members [][]graph.NodeID
 	for i := 0; i < n; i++ {
 		r := uf.find(i)
-		if superOf[r] < 0 {
-			superOf[r] = graph.NodeID(len(members))
+		if setOf[r] < 0 {
+			setOf[r] = graph.NodeID(len(members))
 			members = append(members, nil)
 		}
-		superOf[i] = superOf[r]
-		members[superOf[i]] = append(members[superOf[i]], graph.NodeID(i))
+		setOf[i] = setOf[r]
+		members[setOf[i]] = append(members[setOf[i]], graph.NodeID(i))
 	}
-	super := graph.New()
-	super.Name = g.Name + "_super"
-	super.Grow(len(members), 0)
-	for _, ms := range members {
-		sid := super.AddNode(superLabel(g, ms))
-		super.SetNodeAttr(sid, "size", strconv.Itoa(len(ms)))
-	}
-	// Cross edges between distinct super-nodes, deduplicated.
-	seen := make(map[[2]graph.NodeID]bool)
-	for _, e := range g.Edges() {
-		a, b := superOf[e.From], superOf[e.To]
-		if a == b {
-			continue
-		}
-		if a > b {
-			a, b = b, a
-		}
-		key := [2]graph.NodeID{a, b}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		super.AddEdge(a, b) //nolint:errcheck // endpoints valid by construction
-	}
-	return super, members
+	return members, setOf
 }
 
 // superLabel names a super-node after its dominant member label, prefixed
