@@ -260,18 +260,13 @@ func (r *Registry) Invoke(s chain.Step, in Input) (Output, error) {
 		in.Args = s.Args
 	}
 	if a.Memoizable && in.Graph != nil && in.Env != nil && in.Env.Cache != nil {
-		key := cacheKey{
-			hash:    in.Graph.ContentHash(),
-			exact:   in.Graph.ExactHash(),
-			version: in.Graph.Version(),
-			api:     a.Name,
-			args:    canonicalArgs(in.Args),
-		}
+		key := cacheKey{hash: in.Graph.ContentHash(), api: a.Name, args: canonicalArgs(in.Args)}
 		if out, ok := in.Env.Cache.get(key); ok {
 			return out, nil
 		}
+		version := in.Graph.Version()
 		out, err := a.Fn(in)
-		if err == nil && in.Graph.Version() == key.version {
+		if err == nil && in.Graph.Version() == version {
 			in.Env.Cache.put(key, out)
 		}
 		return out, err

@@ -24,25 +24,20 @@ var (
 )
 
 // cacheKey identifies one memoizable invocation by graph *content*, not
-// graph pointer: the canonical content hash, the index-order exact hash,
-// the graph's mutation version at invoke time, the API, and the
-// canonicalized arguments. Content keying is what lets two sessions that
-// upload the same graph share one entry pool, and it removes the
-// pointer-keying hazard entirely: the cache holds no graph references, so
-// a freed graph's recycled address can never alias a stale entry — an old
-// entry is reachable only by presenting the same content again, in which
-// case it is not stale. The exact hash is the equality witness: canonical
-// hashing erases ordering (by design), but node IDs are observable through
-// args and outputs, so WL-equivalent or permuted graphs must not share
-// entries. The version rides along as a belt-and-suspenders discriminator
-// (identical parses of identical JSON produce identical versions, so
-// cross-upload sharing is unaffected).
+// graph pointer: the content hash, the API, and the canonicalized arguments.
+// Content keying is what lets two sessions that upload the same graph share
+// one entry pool, and it removes the pointer-keying hazard entirely: the
+// cache holds no graph references, so a freed graph's recycled address can
+// never alias a stale entry — an old entry is reachable only by presenting
+// the same content again, in which case it is not stale. The hash covers
+// node and edge order (node IDs are observable through args and outputs),
+// so permuted uploads do not share entries. The graph's mutation version is
+// not part of the key — the hash is recomputed whenever it moves —
+// Registry.Invoke checks it around the call instead.
 type cacheKey struct {
-	hash    graph.ContentHash
-	exact   graph.ExactHash
-	version uint64
-	api     string
-	args    string
+	hash graph.ContentHash
+	api  string
+	args string
 }
 
 // InvokeCache is a bounded, concurrency-safe LRU over API invocation

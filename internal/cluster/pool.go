@@ -11,7 +11,7 @@
 // carrying that id deterministically re-derives its owner, with no routing
 // table, across router restarts, for any router replica fed the same
 // backend list. Job submissions, which carry a graph but no identity yet,
-// are placed by the graph's canonical content hash instead, so identical
+// are placed by the graph's content hash instead, so identical
 // interned graphs concentrate on one shard's caches rather than duplicating
 // across the pool. Stateless routes spread round-robin over healthy
 // backends and may retry on the next hop.

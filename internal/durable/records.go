@@ -8,9 +8,9 @@
 // serving layer so a restart — graceful or kill -9 — loses nothing that
 // reached the log.
 //
-// Identity note: the in-memory graph hashes (graph.ContentHash/ExactHash)
-// are seeded with per-process entropy as cache-poisoning hardening, so they
-// cannot name anything on disk. Durable graph identity is the SHA-256 of
+// Identity note: the in-memory graph hash (graph.ContentHash) is seeded
+// with per-process entropy as cache-poisoning hardening, so it cannot name
+// anything on disk. Durable graph identity is the SHA-256 of
 // the canonical JSON wire form — a deliberate stable-key policy, echoing
 // the entity-canonicalization lesson from the cross-lingual entity-linking
 // work: durable identity is chosen, not inherited from process lifetime.

@@ -150,13 +150,13 @@ type Store struct {
 	closed  bool
 	snapSeq uint64
 
-	// blobMu guards the blob indexes. blobByExact short-circuits repeat
+	// blobMu guards the blob indexes. blobByHash short-circuits repeat
 	// uploads of a content this process has already persisted without
 	// re-marshaling; blobSHAs is every blob known committed on disk, the
 	// set the next manifest references.
-	blobMu      sync.Mutex
-	blobByExact map[graph.ExactHash]string
-	blobSHAs    map[string]bool
+	blobMu     sync.Mutex
+	blobByHash map[graph.ContentHash]string
+	blobSHAs   map[string]bool
 
 	stopSync chan struct{}
 	syncWG   sync.WaitGroup
@@ -200,11 +200,11 @@ func Open(opts Options) (*Store, *State, error) {
 		reg = metrics.Default()
 	}
 	s := &Store{
-		dir:         opts.Dir,
-		opts:        opts,
-		blobByExact: make(map[graph.ExactHash]string),
-		blobSHAs:    make(map[string]bool),
-		stopSync:    make(chan struct{}),
+		dir:        opts.Dir,
+		opts:       opts,
+		blobByHash: make(map[graph.ContentHash]string),
+		blobSHAs:   make(map[string]bool),
+		stopSync:   make(chan struct{}),
 	}
 	s.met = newStoreMetrics(reg, s)
 	for _, d := range []string{s.dir, s.walDir(), s.blobDir(), s.snapDir()} {
@@ -468,17 +468,17 @@ func (s *Store) LogJobDone(j JobRecord) error {
 // (SHA-256 hex of the canonical JSON wire form). The blob is written once —
 // repeat uploads of the same content return the recorded SHA without
 // touching disk — and a graph record is appended to the WAL on first sight
-// so recovery knows the blob is live. The in-memory exact hash only
+// so recovery knows the blob is live. The in-memory content hash only
 // short-circuits re-marshaling; it never names anything on disk (it is
 // per-process seeded by design).
 func (s *Store) PersistGraph(g *graph.Graph) (string, error) {
 	if g == nil {
 		return "", nil
 	}
-	exact := g.ExactHash()
+	h := g.ContentHash()
 	s.blobMu.Lock()
 	defer s.blobMu.Unlock()
-	if sha, ok := s.blobByExact[exact]; ok {
+	if sha, ok := s.blobByHash[h]; ok {
 		return sha, nil
 	}
 	data, err := g.MarshalJSON()
@@ -502,7 +502,7 @@ func (s *Store) PersistGraph(g *graph.Graph) (string, error) {
 			return "", err
 		}
 	}
-	s.blobByExact[exact] = sha
+	s.blobByHash[h] = sha
 	return sha, nil
 }
 

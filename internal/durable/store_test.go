@@ -226,8 +226,7 @@ func TestPersistGraphDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same content through a distinct instance (different ExactHash identity
-	// path) must land on the same blob.
+	// Same content through a distinct instance must land on the same blob.
 	sha2, err := st.PersistGraph(g2)
 	if err != nil {
 		t.Fatal(err)

@@ -231,18 +231,26 @@ func BenchmarkParseJSON(b *testing.B) {
 	}
 }
 
+// BenchmarkContentHash times the one fingerprint an upload pays for: cold_*
+// is an intern miss, cached_* every later identity check. Beside the BA sizes
+// it runs the four shapes the serving benchmark uploads — mol30 and sbm2x10
+// (chat_small_hot, mixed_durable), sbm4x50 and kg300 (chat_large_cold) — so
+// EXPERIMENTS.md E24's table is reproducible from here.
 func BenchmarkContentHash(b *testing.B) {
-	for _, tc := range uploadShapes(b, 100, 1000) {
+	rng := rand.New(rand.NewSource(11))
+	shapes := append(uploadShapes(b, 100, 1000),
+		benchShape{"mol30", Molecule(30, rng)},
+		benchShape{"sbm2x10", PlantedCommunities(2, 10, .5, .05, rng)})
+	for _, tc := range shapes {
 		g := tc.g
 		b.Run("cold_"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				// Re-bump so every iteration pays the full canonical hash
-				// (MarkShared-free mutation: relabel to the same value) plus
-				// the exact hash, as one intern does.
+				// Re-bump so every iteration pays the full hash, as one
+				// intern miss does (MarkShared-free mutation: relabel to
+				// the same value).
 				g.SetNodeLabel(0, g.Node(0).Label)
 				g.ContentHash()
-				g.ExactHash()
 			}
 		})
 		b.Run("cached_"+tc.name, func(b *testing.B) {

@@ -53,18 +53,17 @@ type Graph struct {
 	radj  [][]int // directed only: edges entering u
 	edges []Edge
 
-	// version counts mutations; Freeze and the executor's invocation cache
-	// key on it, so any structural or label change invalidates both.
+	// version counts mutations; Freeze and the cached content hash are
+	// memoized per version, so any structural or label change invalidates
+	// both.
 	version uint64
 	// frozenMu guards frozen (the cached CSR) and the cached content hash,
 	// both memoized for the current version.
 	frozenMu sync.Mutex
 	frozen   *CSR
-	// Cached ContentHash and ExactHash, computed together for hashVersion;
-	// the valid flag distinguishes "never computed" from "version 0
-	// computed".
+	// Cached ContentHash, computed for hashVersion; the valid flag
+	// distinguishes "never computed" from "version 0 computed".
 	hash        ContentHash
-	exact       ExactHash
 	hashVersion uint64
 	hashValid   bool
 	// shared marks a graph interned by graphstore and visible to any number
@@ -366,15 +365,15 @@ func (g *Graph) TotalDegree(u NodeID) int {
 
 // Clone returns a deep copy of g. The copy is private: it is never marked
 // shared (even when g is an interned graph). It says exactly what g says at
-// the same version, so fingerprints g has already computed are the copy's
+// the same version, so a fingerprint g has already computed is the copy's
 // too — the executor's clone of an interned graph does not hash 300 nodes
 // again just to find the invoke-cache entries of the original — and the
-// copy's first mutation invalidates them like any other.
+// copy's first mutation invalidates it like any other.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{Name: g.Name, directed: g.directed, version: g.version}
 	g.frozenMu.Lock()
 	if g.hashValid && g.hashVersion == g.version {
-		c.hash, c.exact, c.hashVersion, c.hashValid = g.hash, g.exact, g.version, true
+		c.hash, c.hashVersion, c.hashValid = g.hash, g.version, true
 	}
 	g.frozenMu.Unlock()
 	c.nodes = make([]Node, len(g.nodes))

@@ -9,44 +9,27 @@ import (
 	"testing"
 )
 
-// describe renders a spec two ways: in index order (what ExactHash must
-// separate) and canonically — nodes and edges as sorted multisets, undirected
-// endpoints normalised — which, because every node label in these specs is
-// unique, is exactly the content ContentHash must separate.
-func (sp chSpec) describe() (exact, canonical string) {
-	node := func(i int) string {
+// describe renders a spec in index order — exactly the content ContentHash
+// must separate.
+func (sp chSpec) describe() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%q %v", sp.name, sp.directed)
+	for i, label := range sp.labels {
 		keys := make([]string, 0, len(sp.attrs[i]))
 		for k := range sp.attrs[i] {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		var b strings.Builder
-		fmt.Fprintf(&b, "%q", sp.labels[i])
+		fmt.Fprintf(&b, "\n%q", label)
 		for _, k := range keys {
 			fmt.Fprintf(&b, " %q=%q", k, sp.attrs[i][k])
 		}
-		return b.String()
 	}
-	nodes := make([]string, len(sp.labels))
-	for i := range nodes {
-		nodes[i] = node(i)
+	b.WriteString("\n--")
+	for _, e := range sp.edges {
+		fmt.Fprintf(&b, "\n%d>%d %q %x", e.from, e.to, e.label, math.Float64bits(e.weight))
 	}
-	edges := make([]string, len(sp.edges))
-	canonEdges := make([]string, len(sp.edges))
-	for i, e := range sp.edges {
-		edges[i] = fmt.Sprintf("%d>%d %q %x", e.from, e.to, e.label, math.Float64bits(e.weight))
-		from, to := sp.labels[e.from], sp.labels[e.to]
-		if !sp.directed && to < from {
-			from, to = to, from
-		}
-		canonEdges[i] = fmt.Sprintf("%q>%q %q %x", from, to, e.label, math.Float64bits(e.weight))
-	}
-	head := fmt.Sprintf("%q %v", sp.name, sp.directed)
-	exact = head + "\n" + strings.Join(nodes, "\n") + "\n--\n" + strings.Join(edges, "\n")
-	sort.Strings(nodes)
-	sort.Strings(canonEdges)
-	canonical = head + "\n" + strings.Join(nodes, "\n") + "\n--\n" + strings.Join(canonEdges, "\n")
-	return exact, canonical
+	return b.String()
 }
 
 // clone deep-copies the parts of a spec the perturbations touch.
@@ -75,33 +58,24 @@ func flipBit(s string, byteIdx int, bit uint) string {
 // a sibling in one field — one bit of a label byte, one ulp of a weight, one
 // endpoint, an attribute's key and value swapped, a byte moved across a
 // field boundary ("ab"+"c" vs "a"+"bc") — must produce as many distinct
-// ContentHashes as there are distinct contents and as many distinct
-// ExactHashes as distinct representations.
+// ContentHashes as there are distinct representations.
 func TestHashesSeparateSingleFieldPerturbations(t *testing.T) {
 	want := 200_000
 	if raceEnabled {
 		want = 20_000 // one goroutine, nothing to race: keep the instrumented run short
 	}
 	rng := rand.New(rand.NewSource(99))
-	contents := make(map[ContentHash]string, want)
-	exacts := make(map[ExactHash]string, want)
-	distinctContents := make(map[string]struct{}, want)
-	distinctExacts := make(map[string]struct{}, want)
+	hashes := make(map[ContentHash]string, want)
+	distinct := make(map[string]struct{}, want)
 	total := 0
 	add := func(sp chSpec) {
 		total++
-		g := sp.build(t, nil, nil)
-		ex, canon := sp.describe()
-		distinctExacts[ex] = struct{}{}
-		distinctContents[canon] = struct{}{}
-		if prev, ok := contents[g.ContentHash()]; ok && prev != canon {
-			t.Fatalf("ContentHash collision between\n%s\nand\n%s", prev, canon)
+		h, desc := sp.build(t, nil, nil).ContentHash(), sp.describe()
+		distinct[desc] = struct{}{}
+		if prev, ok := hashes[h]; ok && prev != desc {
+			t.Fatalf("ContentHash collision between\n%s\nand\n%s", prev, desc)
 		}
-		contents[g.ContentHash()] = canon
-		if prev, ok := exacts[g.ExactHash()]; ok && prev != ex {
-			t.Fatalf("ExactHash collision between\n%s\nand\n%s", prev, ex)
-		}
-		exacts[g.ExactHash()] = ex
+		hashes[h] = desc
 	}
 
 	for base := 0; total < want; base++ {
@@ -121,15 +95,6 @@ func TestHashesSeparateSingleFieldPerturbations(t *testing.T) {
 		variant := func(mutate func(c *chSpec)) {
 			c := sp.clone()
 			mutate(&c)
-			// describe leans on unique labels; drop the rare flip that
-			// lands one label on another.
-			seen := map[string]bool{}
-			for _, l := range c.labels {
-				if seen[l] {
-					return
-				}
-				seen[l] = true
-			}
 			add(c)
 		}
 		for i := 0; i < n; i++ {
@@ -165,12 +130,11 @@ func TestHashesSeparateSingleFieldPerturbations(t *testing.T) {
 		// A byte crosses from the name into the first label.
 		variant(func(c *chSpec) { c.name, c.labels[0] = c.name+c.labels[0][:1], c.labels[0][1:] })
 	}
-	if len(contents) != len(distinctContents) || len(exacts) != len(distinctExacts) {
-		t.Fatalf("%d graphs: %d ContentHashes for %d contents, %d ExactHashes for %d representations",
-			total, len(contents), len(distinctContents), len(exacts), len(distinctExacts))
+	if len(hashes) != len(distinct) {
+		t.Fatalf("%d graphs: %d ContentHashes for %d representations", total, len(hashes), len(distinct))
 	}
-	if len(distinctExacts) < want*9/10 {
-		t.Fatalf("the perturbations produced only %d distinct representations of %d graphs", len(distinctExacts), total)
+	if len(distinct) < want*9/10 {
+		t.Fatalf("the perturbations produced only %d distinct representations of %d graphs", len(distinct), total)
 	}
 }
 
@@ -224,28 +188,28 @@ func TestWriteStringBoundaries(t *testing.T) {
 	}
 }
 
-// TestCloneCarriesHashes: a clone of a graph whose fingerprints are known
-// starts with them, and loses them at its first mutation.
+// TestCloneCarriesHashes: a clone of a graph whose fingerprint is known
+// starts with it, and loses it at its first mutation.
 func TestCloneCarriesHashes(t *testing.T) {
 	g := KnowledgeGraph(30, 60, rand.New(rand.NewSource(4)))
-	ch, eh := g.ContentHash(), g.ExactHash()
+	h := g.ContentHash()
 	c := g.Clone()
 	if !c.hashValid || c.hashVersion != c.version {
-		t.Fatal("clone did not inherit the cached fingerprints")
+		t.Fatal("clone did not inherit the cached fingerprint")
 	}
-	if c.ContentHash() != ch || c.ExactHash() != eh {
-		t.Fatal("clone's fingerprints differ from the original's")
+	if c.ContentHash() != h {
+		t.Fatal("clone's fingerprint differs from the original's")
 	}
 	c.SetNodeLabel(0, "edited")
-	if c.ContentHash() == ch || c.ExactHash() == eh {
-		t.Fatal("mutated clone kept the original's fingerprints")
+	if c.ContentHash() == h {
+		t.Fatal("mutated clone kept the original's fingerprint")
 	}
-	if g.ContentHash() != ch || g.ExactHash() != eh {
-		t.Fatal("mutating the clone changed the original's fingerprints")
+	if g.ContentHash() != h {
+		t.Fatal("mutating the clone changed the original's fingerprint")
 	}
 	// A clone taken before any hash was computed computes its own.
 	fresh := KnowledgeGraph(30, 60, rand.New(rand.NewSource(4)))
-	if fc := fresh.Clone(); fc.hashValid || fc.ContentHash() != ch {
+	if fc := fresh.Clone(); fc.hashValid || fc.ContentHash() != h {
 		t.Fatal("clone of an unhashed graph")
 	}
 }

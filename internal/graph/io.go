@@ -199,8 +199,8 @@ func (g *Graph) loadWire(jg *jsonGraph) error {
 
 	g.nodes, g.edges, g.adj, g.radj = nodes, edges, adj, radj
 	// The version advances exactly as the incremental path did: the caller's
-	// reset bump plus one per node and per edge, so round-trip version
-	// equality (an invoke-cache key property) holds.
+	// reset bump plus one per node and per edge, so parsing the same bytes
+	// twice yields the same Version() (exported, and pinned by tests).
 	g.version += uint64(n + m)
 	return nil
 }

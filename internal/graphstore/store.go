@@ -56,7 +56,7 @@ type Store struct {
 	capacity int
 	maxBytes int64
 	ll       *list.List // most-recent first; values are *entry
-	entries  map[storeKey]*list.Element
+	entries  map[graph.ContentHash]*list.Element
 	bytes    int64 // estimated retained bytes across entries
 
 	hits      uint64
@@ -64,21 +64,8 @@ type Store struct {
 	evictions uint64
 }
 
-// storeKey pairs the canonical content hash with the index-order exact
-// hash. The canonical hash is the identity the layer is named for; the
-// exact hash is the equality witness that keeps a canonical-hash
-// coincidence (WL-equivalent non-isomorphic graphs, permuted insertion
-// orders — both observably different through node-ID-based APIs) from
-// aliasing two uploads onto one instance. Non-identical uploads that
-// merely share a canonical hash intern separately — they do not dedupe,
-// which is the correct outcome, not a missed one.
-type storeKey struct {
-	content graph.ContentHash
-	exact   graph.ExactHash
-}
-
 type entry struct {
-	key   storeKey
+	key   graph.ContentHash
 	g     *graph.Graph
 	bytes int64
 }
@@ -90,23 +77,14 @@ type entry struct {
 // several stores in one process (tests), the most recently constructed one
 // wins the gauges.
 func New(capacity int) *Store {
-	return NewSized(capacity, 0)
-}
-
-// NewSized is New with an explicit byte budget (maxBytes <= 0 gets
-// DefaultMaxBytes).
-func NewSized(capacity int, maxBytes int64) *Store {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
-	}
 	s := &Store{
 		capacity: capacity,
-		maxBytes: maxBytes,
+		maxBytes: DefaultMaxBytes,
 		ll:       list.New(),
-		entries:  make(map[storeKey]*list.Element, capacity),
+		entries:  make(map[graph.ContentHash]*list.Element, capacity),
 	}
 	metrics.Default().GaugeFunc("chatgraph_graphstore_size",
 		"Graphs currently interned.", nil,
@@ -137,17 +115,19 @@ func approxBytes(g *graph.Graph) int64 {
 	return b
 }
 
-// Intern resolves g to the canonical shared instance for its content: the
-// first graph interned with this content hash wins and is returned for
-// every subsequent upload of equal content; g itself is returned (and
-// becomes the canonical instance) on first sight. The returned graph is
+// Intern resolves g to the one shared instance for its content: the first
+// graph interned with this content hash wins and is returned for every
+// subsequent upload of equal content; g itself is returned (and becomes the
+// shared instance) on first sight. Equal content means equal in index order
+// — the same nodes listed in another order are another graph (node IDs are
+// observable through the APIs) and intern separately. The returned graph is
 // marked Shared — callers must treat it as immutable and clone before any
 // mutation. A nil store or nil graph passes through untouched.
 func (s *Store) Intern(g *graph.Graph) *graph.Graph {
 	if s == nil || g == nil {
 		return g
 	}
-	k := storeKey{content: g.ContentHash(), exact: g.ExactHash()}
+	k := g.ContentHash()
 	s.mu.Lock()
 	if el, ok := s.entries[k]; ok {
 		s.ll.MoveToFront(el)
@@ -187,23 +167,6 @@ func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.bytes
-}
-
-// Lookup returns an interned graph with the given canonical content hash
-// (scanning in recency order), without promoting it in the LRU or touching
-// counters — introspection, not the hot path.
-func (s *Store) Lookup(h graph.ContentHash) (*graph.Graph, bool) {
-	if s == nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*entry); e.key.content == h {
-			return e.g, true
-		}
-	}
-	return nil, false
 }
 
 // Len reports the number of interned graphs.

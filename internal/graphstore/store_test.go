@@ -3,6 +3,7 @@ package graphstore
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -81,8 +82,8 @@ func TestInternLRUEviction(t *testing.T) {
 	}
 }
 
-// TestInternDiscriminatesCanonicalCollisions: graphs that collide under
-// the canonical ContentHash (1-WL equivalent: a 6-cycle vs two disjoint
+// TestInternDiscriminatesCanonicalCollisions: graphs an order-erasing
+// fingerprint would conflate (1-WL equivalent: a 6-cycle vs two disjoint
 // triangles, identical labels) or that are permuted insertions of the same
 // logical graph must intern to separate instances — they are observably
 // different through node-ID APIs, so aliasing either pair would serve one
@@ -102,14 +103,11 @@ func TestInternDiscriminatesCanonicalCollisions(t *testing.T) {
 	}
 	cycle := mk([][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
 	triangles := mk([][2]int{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}})
-	if cycle.ContentHash() != triangles.ContentHash() {
-		t.Fatal("fixture assumption broken: WL twins no longer collide canonically")
-	}
 	s := New(8)
 	a := s.Intern(cycle)
 	b := s.Intern(triangles)
 	if a == b {
-		t.Fatal("canonical-hash collision aliased two different graphs")
+		t.Fatal("WL-equivalent graphs aliased onto one instance")
 	}
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
@@ -122,7 +120,7 @@ func TestInternDiscriminatesCanonicalCollisions(t *testing.T) {
 		t.Fatal("triangles re-upload missed its instance")
 	}
 
-	// Permuted node insertion: same canonical hash, different dense IDs —
+	// Permuted node insertion: the same nodes under different dense IDs —
 	// separate instances, each stable for its own ordering.
 	xy := graph.New()
 	xy.AddNode("x")
@@ -143,7 +141,8 @@ func TestInternDiscriminatesCanonicalCollisions(t *testing.T) {
 // entry count — varied large uploads must evict instead of pinning
 // unbounded memory.
 func TestInternByteBudget(t *testing.T) {
-	s := NewSized(1024, 4096)
+	s := New(1024)
+	s.maxBytes = 4096
 	var kept []*graph.Graph
 	for i := int64(0); i < 8; i++ {
 		g := graph.PlantedCommunities(2, 6, 0.7, 0.1, rand.New(rand.NewSource(100+i)))
@@ -158,13 +157,20 @@ func TestInternByteBudget(t *testing.T) {
 	if s.Len() >= 8 {
 		t.Fatalf("Len = %d, want fewer than the 8 interned graphs", s.Len())
 	}
-	// The newest content must have survived.
-	if _, ok := s.Lookup(kept[7].ContentHash()); !ok {
+	// The newest content must have survived: re-interning it is a hit on
+	// the same instance.
+	hitsBefore, _ := s.Counters()
+	again := graph.PlantedCommunities(2, 6, 0.7, 0.1, rand.New(rand.NewSource(107)))
+	if s.Intern(again) != kept[7] {
 		t.Fatal("most recent graph evicted")
+	}
+	if hits, _ := s.Counters(); hits != hitsBefore+1 {
+		t.Fatalf("re-interning the survivor: hits %d → %d, want +1", hitsBefore, hits)
 	}
 	// A single graph larger than the whole budget is still interned (the
 	// store never evicts the entry it just inserted).
-	huge := NewSized(4, 64)
+	huge := New(4)
+	huge.maxBytes = 64
 	g := huge.Intern(parse(t, graphJSON(t, 1)))
 	if huge.Len() != 1 {
 		t.Fatalf("oversized graph not retained: Len = %d", huge.Len())
@@ -182,18 +188,6 @@ func TestNilStoreAndNilGraphPassThrough(t *testing.T) {
 	}
 	if New(1).Intern(nil) != nil {
 		t.Fatal("nil graph must pass through")
-	}
-}
-
-func TestLookup(t *testing.T) {
-	s := New(4)
-	g := s.Intern(parse(t, graphJSON(t, 1)))
-	got, ok := s.Lookup(g.ContentHash())
-	if !ok || got != g {
-		t.Fatal("Lookup missed an interned graph")
-	}
-	if _, ok := s.Lookup(graph.ContentHash{}); ok {
-		t.Fatal("Lookup invented an entry")
 	}
 }
 
@@ -244,5 +238,77 @@ func TestInternRaceWithChains(t *testing.T) {
 	wg.Wait()
 	if s.Len() != len(payloads) {
 		t.Fatalf("store holds %d graphs, want %d", s.Len(), len(payloads))
+	}
+}
+
+// TestInternWireSpellings is the dedupe contract, stated once: which
+// differences between two uploads the identity layer erases (spelling — it
+// never reaches the representation) and which it keeps (anything an API can
+// observe, node and edge order included). Rows marked encoding/json use a
+// spelling the schema scanner declines (graph/scan.go: null, case-folded
+// keys), so both parse roads are shown to end in the one hash.
+func TestInternWireSpellings(t *testing.T) {
+	const (
+		ann   = `{"id":0,"label":"ann","attrs":{"type":"person","age":"41"}}`
+		bob   = `{"id":1,"label":"bob"}`
+		knows = `{"from":0,"to":1,"label":"knows","weight":2.5}`
+		plain = `{"from":1,"to":2}`
+		base  = `{"name":"G","directed":false,"nodes":[` + ann + `,` + bob + `,{"id":2,"label":"cat"}],"edges":[` + knows + `,` + plain + `]}`
+	)
+	// sub respells one piece of base.
+	sub := func(old, new string) string {
+		if strings.Count(base, old) != 1 {
+			t.Fatalf("%q does not occur exactly once in the base upload", old)
+		}
+		return strings.Replace(base, old, new, 1)
+	}
+	rows := []struct {
+		name string
+		same bool
+		json string
+	}{
+		{"byte-identical", true, base},
+		{"extra whitespace", true, ` { "name" : "G" , "directed" : false ,
+			"nodes" : [ { "id" : 0 , "label" : "ann" , "attrs" : { "type" : "person" , "age" : "41" } } , ` + bob + `, {"id":2,"label":"cat"} ] ,
+			"edges" : [ ` + knows + ` , { "from" : 1 , "to" : 2 } ] } `},
+		{"object members reordered", true, `{"edges":[{"weight":2.5,"label":"knows","to":1,"from":0},{"to":2,"from":1}],` +
+			`"nodes":[{"attrs":{"age":"41","type":"person"},"label":"ann","id":0},{"label":"bob","id":1},{"label":"cat","id":2}],` +
+			`"directed":false,"name":"G"}`},
+		{"default weight spelled 1", true, sub(plain, `{"from":1,"to":2,"weight":1}`)},
+		{"default weight spelled 1.0", true, sub(plain, `{"from":1,"to":2,"weight":1.0}`)},
+		{"sparse ids in the same order", true, `{"name":"G","directed":false,` +
+			`"nodes":[{"id":10,"label":"ann","attrs":{"type":"person","age":"41"}},{"id":20,"label":"bob"},{"id":30,"label":"cat"}],` +
+			`"edges":[{"from":10,"to":20,"label":"knows","weight":2.5},{"from":20,"to":30}]}`},
+		{"empty attrs object", true, sub(bob, `{"id":1,"label":"bob","attrs":{}}`)},
+		{"null attrs (encoding/json)", true, sub(bob, `{"id":1,"label":"bob","attrs":null}`)},
+		{"case-folded key (encoding/json)", true, sub(`"nodes"`, `"NODES"`)},
+
+		{"nodes listed in another order", false, sub(ann+`,`+bob, bob+`,`+ann)},
+		{"edges listed in another order", false, sub(knows+`,`+plain, plain+`,`+knows)},
+		{"undirected endpoints swapped", false, sub(plain, `{"from":2,"to":1}`)},
+		{"one label bit", false, sub(`"cat"`, `"cau"`)},
+		{"one attribute bit (encoding/json)", false, sub(ann, `{"id":0,"label":"ann","Attrs":{"type":"person","age":"40"}}`)},
+		{"one weight ulp", false, sub(`2.5`, `2.5000000000000004`)},
+		{"directed flipped", false, sub(`"directed":false`, `"directed":true`)},
+		{"name changed", false, sub(`"name":"G"`, `"name":"H"`)},
+	}
+	s := New(64)
+	first := s.Intern(parse(t, []byte(base)))
+	apart := 1
+	for _, row := range rows {
+		got := s.Intern(parse(t, []byte(row.json)))
+		if row.same && got != first {
+			t.Errorf("%s: interned apart from the base upload; a respelling must dedupe", row.name)
+		}
+		if !row.same {
+			apart++
+			if got == first {
+				t.Errorf("%s: interned onto the base upload; an observable difference must not dedupe", row.name)
+			}
+		}
+	}
+	// The rows that stay apart from the base stay apart from each other too.
+	if s.Len() != apart {
+		t.Fatalf("store holds %d graphs, want %d", s.Len(), apart)
 	}
 }

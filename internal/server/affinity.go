@@ -106,11 +106,11 @@ type uploadBody struct {
 }
 
 // UploadContentKey extracts the content-hash routing key from a job
-// submission body: the canonical ContentHash of the uploaded graph, the same
-// identity the graphstore interns by, so a cluster tier concentrates
-// identical (even permuted-but-isomorphic-identical) uploads onto one
-// shard. ok is false when the body has no parseable graph — the request
-// then has no content identity and the caller falls back to spreading it.
+// submission body: the ContentHash of the uploaded graph, the same identity
+// the graphstore interns by, so a cluster tier concentrates identical
+// uploads — however their JSON is spelled — onto one shard. ok is false
+// when the body has no parseable graph — the request then has no content
+// identity and the caller falls back to spreading it.
 //
 // The hash is computed with this process's own seed, so the key is only
 // meaningful within one router process — which is all placement needs: the

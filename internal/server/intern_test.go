@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -101,8 +102,8 @@ func TestUploadsInternToOneInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	interned, ok := srvEngine.Graphs().Lookup(g.ContentHash())
-	if !ok {
+	interned := srvEngine.Graphs().Intern(g)
+	if interned == g {
 		t.Fatal("uploaded content not in the store")
 	}
 	if !interned.Shared() {
@@ -152,15 +153,18 @@ func parityEngine(t *testing.T, seed int64) *core.Engine {
 	return eng
 }
 
-// TestInternParity: the same request sequence against two identically
-// seeded engines — one interning uploads, one not — must produce
-// byte-identical chat responses (modulo wall-clock timings). Interning is a
-// cache layer; it must never be observable in answers, chains, or events.
+// TestInternParity: the same request sequence through the interning server
+// and straight into an identically seeded engine — one conversation,
+// every graph freshly parsed and private — must produce byte-identical chat
+// responses (modulo wall-clock timings). Interning is a cache layer; it
+// must never be observable in answers, chains, or events.
 func TestInternParity(t *testing.T) {
 	interned := httptest.NewServer(New(parityEngine(t, 77), Options{}).Handler())
 	defer interned.Close()
-	plain := httptest.NewServer(New(parityEngine(t, 77), Options{DisableGraphIntern: true}).Handler())
-	defer plain.Close()
+	// One conversation per side carries the whole sequence, so history
+	// growth is part of what must not differ.
+	chatURL := interned.URL + "/v1/sessions/" + mustCreateSession(t, interned).SessionID + "/chat"
+	ref := parityEngine(t, 77).NewSession()
 
 	social, err := json.Marshal(graph.PlantedCommunities(2, 8, 0.7, 0.1, rand.New(rand.NewSource(5))))
 	if err != nil {
@@ -172,40 +176,43 @@ func TestInternParity(t *testing.T) {
 	}
 	requests := []ChatRequest{
 		{Question: "Summarize the statistics of the graph", Graph: social},
-		{Question: "Summarize the statistics of the graph", Graph: social}, // re-upload: cache hit on one side
+		{Question: "Summarize the statistics of the graph", Graph: social}, // re-upload: intern + cache hit on the server
 		{Question: "Is the network connected?", Graph: social},
 		{Question: "Clean G", Graph: kg}, // cleaning chain may mutate → clone path
 		{Question: "Clean G", Graph: kg}, // re-upload after a mutating chain
-	}
-	// One conversation per server carries the whole sequence, so history
-	// growth is part of what must not differ.
-	var chatURL [2]string
-	for j, ts := range []*httptest.Server{interned, plain} {
-		chatURL[j] = ts.URL + "/v1/sessions/" + mustCreateSession(t, ts).SessionID + "/chat"
 	}
 	for i, req := range requests {
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got [2][]byte
-		for j, url := range chatURL {
-			resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw := new(bytes.Buffer)
-			if _, err := raw.ReadFrom(resp.Body); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("request %d to server %d: status %d: %s", i, j, resp.StatusCode, raw.Bytes())
-			}
-			got[j] = canonicalResponse(t, raw.Bytes())
+		resp, err := http.Post(chatURL, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got[0], got[1]) {
-			t.Fatalf("request %d: interned and non-interned responses differ:\n%s\nvs\n%s", i, got[0], got[1])
+		raw := new(bytes.Buffer)
+		if _, err := raw.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, raw.Bytes())
+		}
+
+		g, err := graph.ParseJSON(req.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		turn, err := ref.Ask(context.Background(), req.Question, g, core.AskOptions{})
+		if err != nil {
+			t.Fatalf("request %d: engine: %v", i, err)
+		}
+		want, err := json.Marshal(chatResponse(turn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := canonicalResponse(t, raw.Bytes()), canonicalResponse(t, want); !bytes.Equal(got, want) {
+			t.Fatalf("request %d: interning server and engine responses differ:\n%s\nvs\n%s", i, got, want)
 		}
 	}
 }

@@ -68,10 +68,6 @@ type Options struct {
 	// RequestTimeout bounds one gated request's lifetime via a context
 	// deadline; expired chats answer 504. 0 disables the deadline.
 	RequestTimeout time.Duration
-	// DisableGraphIntern bypasses the engine's graph store, so every upload
-	// keeps its private *graph.Graph (pre-interning behavior). Parity tests
-	// use it; production servers should leave interning on.
-	DisableGraphIntern bool
 	// JobWorkers sizes the async job worker pool (0 → jobs.DefaultWorkers).
 	JobWorkers int
 	// JobQueue caps queued (not yet running) jobs; a full queue sheds

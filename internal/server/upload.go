@@ -119,9 +119,6 @@ func (s *Server) internUpload(w http.ResponseWriter, r *http.Request, up upload)
 	if up.g == nil {
 		return nil, "", true
 	}
-	g = up.g
-	if !s.opts.DisableGraphIntern {
-		g = s.eng.Graphs().Intern(g)
-	}
+	g = s.eng.Graphs().Intern(up.g)
 	return g, s.persistGraph(g), true
 }

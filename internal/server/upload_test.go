@@ -328,7 +328,7 @@ func sameUpload(got upload, gotErr error, want upload, wantErr error) error {
 	}
 	gj, _ := json.Marshal(got.g)
 	wj, _ := json.Marshal(want.g)
-	if !bytes.Equal(gj, wj) || got.g.ExactHash() != want.g.ExactHash() || got.g.Version() != want.g.Version() {
+	if !bytes.Equal(gj, wj) || got.g.ContentHash() != want.g.ContentHash() || got.g.Version() != want.g.Version() {
 		return fmt.Errorf("graph %s, oracle %s", gj, wj)
 	}
 	return nil

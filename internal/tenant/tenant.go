@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"sync/atomic"
 	"time"
@@ -48,6 +49,12 @@ var (
 	// (HTTP 403).
 	ErrDisabled = errors.New("tenant: tenant disabled")
 )
+
+// maxWeight bounds a configured weight. Fair shares are c·w_i/Σw: with
+// every weight at most 2²⁰ the sum cannot leave int64 for any tenant list
+// that fits in memory, and a typo like 144115188075855873 fails at load
+// instead of wrapping the sum negative and voiding every guarantee.
+const maxWeight = 1 << 20
 
 // Quota is one tenant's admission budget. Zero values mean "unlimited"
 // for that axis; the weighted-fair share still applies regardless.
@@ -141,6 +148,9 @@ func New(cfg *Config) (*Registry, error) {
 	anon := &Tenant{Name: AnonymousName, Weight: 1}
 	if cfg != nil && cfg.Anonymous != nil {
 		a := cfg.Anonymous
+		if a.Weight > maxWeight {
+			return nil, fmt.Errorf("tenant: anonymous: weight %d above the maximum %d", a.Weight, maxWeight)
+		}
 		anon.Quota = a.Quota
 		anon.Disabled = a.Disabled
 		if a.Weight > 0 {
@@ -162,6 +172,9 @@ func New(cfg *Config) (*Registry, error) {
 		seenName[tc.Name] = true
 		if tc.Weight < 0 || tc.RPS < 0 || tc.Burst < 0 || tc.MaxInFlight < 0 {
 			return nil, fmt.Errorf("tenant: tenant %q: negative weight or quota", tc.Name)
+		}
+		if tc.Weight > maxWeight {
+			return nil, fmt.Errorf("tenant: tenant %q: weight %d above the maximum %d", tc.Name, tc.Weight, maxWeight)
 		}
 		if len(tc.Keys) == 0 && !tc.Disabled {
 			return nil, fmt.Errorf("tenant: tenant %q: at least one key is required", tc.Name)
@@ -269,22 +282,26 @@ func (r *Registry) SetCapacity(c int) {
 		}
 		return
 	}
-	sumW := 0
+	var sumW uint64 // cannot wrap: every weight is at most maxWeight
 	for _, t := range all {
 		if !t.Disabled {
-			sumW += t.Weight
+			sumW += uint64(t.Weight)
 		}
 	}
-	assigned := 0
+	var assigned int64
 	for _, t := range all {
 		if t.Disabled || sumW == 0 {
 			t.share = 0
 			continue
 		}
-		t.share = int64(c * t.Weight / sumW)
-		assigned += int(t.share)
+		// c·w in 128 bits: the quotient is at most c (w ≤ Σw), but the
+		// product leaves int64 once a capacity passes 2⁴³.
+		hi, lo := bits.Mul64(uint64(c), uint64(t.Weight))
+		share, _ := bits.Div64(hi, lo, sumW)
+		t.share = int64(share)
+		assigned += t.share
 	}
-	r.slack = int64(c - assigned)
+	r.slack = int64(c) - assigned
 }
 
 // Verdict is the fair gate's admission decision.
