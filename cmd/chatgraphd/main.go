@@ -84,7 +84,7 @@ func main() {
 		llmURL      = flag.String("llm", "", "OpenAI-style endpoint for chain generation (default: built-in model)")
 		llmModel    = flag.String("model", "vicuna-13b", "model name sent to the -llm endpoint")
 		seed        = flag.Int64("seed", 42, "seed for training and the molecule database")
-		quantize    = flag.Bool("quantize", false, "serve retrieval from the int8 quantized tier with exact f32 rerank")
+		quantize    = flag.Bool("quantize", false, "serve τ-MG retrieval (registries above 64 APIs) from the int8 quantized tier with exact f32 rerank")
 		rerank      = flag.Int("rerank-factor", 0, "quantized over-fetch multiple for the f32 rerank (0 = default 4; needs -quantize)")
 		mols        = flag.Int("molecules", 200, "molecules to seed the similarity database with")
 		sessionTTL  = flag.Duration("session-ttl", server.DefaultSessionTTL, "idle timeout after which a v1 session expires")

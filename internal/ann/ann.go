@@ -107,25 +107,44 @@ func (b *BruteForce) SearchWithStats(q []float32, k int) ([]Result, SearchStats)
 	if k <= 0 || n == 0 {
 		return nil, SearchStats{}
 	}
-	if k > n {
-		k = n
-	}
+	k = min(k, n)
 	sc := getScratch(0)
 	defer putScratch(sc)
 	src, m := b.quant.source(b.mat, q, k, sc)
+	b.scan(&src, m, sc)
+	stats := SearchStats{DistComps: n, Hops: 1}
+	return src.finish(sc, k, m, &stats), stats
+}
+
+// scan is the flat scan's tile loop: the m nearest rows under src, by
+// squared distance, left in sc.best.
+func (b *BruteForce) scan(src *distSource, m int, sc *searchScratch) {
+	n := b.mat.Rows()
 	tile := sc.distTile(bruteTile)
 	for base := 0; base < n; base += bruteTile {
-		hi := base + bruteTile
-		if hi > n {
-			hi = n
-		}
+		hi := min(base+bruteTile, n)
 		src.distRange(base, hi, tile)
 		for j, d := range tile[:hi-base] {
 			boundedInsert(&sc.best, Result{ID: base + j, Dist: d}, m)
 		}
 	}
-	stats := SearchStats{DistComps: n, Hops: 1}
-	return src.finish(sc, k, m, &stats), stats
+}
+
+// SearchSparse is Search for a query given by its non-zero entries: the same
+// scratch, bounded heap and (Dist, ID) order, and (see
+// vecmath.L2SquaredRangeSparse) the same float32 bits as Search on the dense
+// vector q scatters to. It scores f32 rows whatever the index's tier: at
+// rows × non-zeros there is nothing left for an int8 first stage to save.
+func (b *BruteForce) SearchSparse(q vecmath.Sparse, k int) []Result {
+	n := b.mat.Rows()
+	if k <= 0 || n == 0 {
+		return nil
+	}
+	sc := getScratch(0)
+	defer putScratch(sc)
+	src := distSource{mat: b.mat, sq: &q, qn: vecmath.SquaredNorm(q.Val)}
+	b.scan(&src, min(k, n), sc)
+	return drainSorted(&sc.best, k)
 }
 
 // Recall computes |approx ∩ exact| / |exact| treating the result lists as ID

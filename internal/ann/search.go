@@ -207,14 +207,16 @@ func sqrtf(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 // distSource scores index rows against one query. It is the single thing
 // the routing loop and the flat scan are parameterised over: the f32 tier
 // holds (mat, q, ‖q‖²), the int8 tier additionally holds the quantized
-// matrix and the quantized query, and a non-nil qmat selects it. A struct
-// with a branch rather than an interface or closure, so building one
+// matrix and the quantized query, and a non-nil qmat selects it; a non-nil
+// sq is an f32 query given by its non-zero entries (tile form only). A
+// struct with a branch rather than an interface or closure, so building one
 // allocates nothing and the tile form reaches the fused range kernels
 // directly — the flat scan pays one predictable branch per tile, not an
 // indirect call per row.
 type distSource struct {
 	mat  *vecmath.Matrix
 	q    []float32
+	sq   *vecmath.Sparse
 	qn   float32 // ‖q‖²
 	qmat *vecmath.QuantizedMatrix
 	qq   *vecmath.QuantizedQuery
@@ -231,11 +233,14 @@ func (s *distSource) dist(i int) float32 {
 // distRange is dist's tile form: squared distances to rows lo..hi−1 into
 // dst[0:hi−lo].
 func (s *distSource) distRange(lo, hi int, dst []float32) {
-	if s.qmat != nil {
+	switch {
+	case s.qmat != nil:
 		s.qmat.L2SquaredRange(s.qq, lo, hi, dst)
-		return
+	case s.sq != nil:
+		s.mat.L2SquaredRangeSparse(*s.sq, s.qn, lo, hi, dst)
+	default:
+		s.mat.L2SquaredRange(s.q, s.qn, lo, hi, dst)
 	}
-	s.mat.L2SquaredRange(s.q, s.qn, lo, hi, dst)
 }
 
 // beamSearch is the one routing loop every proximity-graph index shares,

@@ -513,7 +513,5 @@ func errBody(msg string) map[string]string { return map[string]string{"error": m
 func rtWriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // best effort once status is written
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // best effort once status is written
 }

@@ -19,8 +19,9 @@ type ANN struct {
 	Tau float64 `json:"tau"`
 	// TopK is how many candidate APIs retrieval returns.
 	TopK int `json:"top_k"`
-	// Quantize enables the int8 two-stage retrieval tier: candidates rank
-	// on quantized codes, the rerank_factor·k best rerank on exact f32.
+	// Quantize enables the int8 two-stage tier of τ-MG retrieval (a registry
+	// small enough for the flat scan is always scanned exactly): candidates
+	// rank on quantized codes, the rerank_factor·k best rerank on exact f32.
 	Quantize bool `json:"quantize,omitempty"`
 	// RerankFactor is the quantized over-fetch multiple (0 → the ann
 	// package default, 4). Only meaningful with Quantize set.

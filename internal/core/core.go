@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -238,21 +239,14 @@ func (s *Session) execute(ctx context.Context, g *graph.Graph, c chain.Chain, op
 	return nil
 }
 
-// retrieveCandidates merges the top-k retrieval hits with the always-on glue
-// APIs, deduplicated, preserving relevance order.
+// retrieveCandidates merges the top-k retrieval hits (distinct by
+// construction) with the always-on glue APIs they do not already name,
+// preserving relevance order.
 func (e *Engine) retrieveCandidates(question string) []string {
 	hits := e.index.Names(question, e.cfg.RetrievalK)
-	seen := make(map[string]bool, len(hits)+len(alwaysCandidates))
-	out := make([]string, 0, len(hits)+len(alwaysCandidates))
-	for _, h := range hits {
-		if !seen[h] {
-			seen[h] = true
-			out = append(out, h)
-		}
-	}
+	out := append(make([]string, 0, len(hits)+len(alwaysCandidates)), hits...)
 	for _, a := range alwaysCandidates {
-		if _, ok := e.registry.Get(a); ok && !seen[a] {
-			seen[a] = true
+		if _, ok := e.registry.Get(a); ok && !slices.Contains(out, a) {
 			out = append(out, a)
 		}
 	}

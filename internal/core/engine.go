@@ -214,9 +214,9 @@ func (e *Engine) Registry() *apis.Registry { return e.registry }
 // immutable, so callers may search it concurrently with live sessions.
 func (e *Engine) Retrieval() *retrieve.Index { return e.index }
 
-// RetrieveBatch answers many retrieval queries in one batched pass over the
-// shared index (pooled embed + ANN worker fan-out). k ≤ 0 uses the engine's
-// configured RetrievalK. out[i] is the ranked hit list for queries[i].
+// RetrieveBatch answers many retrieval queries in one call on the shared
+// index. k ≤ 0 uses the engine's configured RetrievalK. out[i] is the ranked
+// hit list for queries[i].
 func (e *Engine) RetrieveBatch(queries []string, k int) [][]retrieve.Scored {
 	if k <= 0 {
 		k = e.cfg.RetrievalK

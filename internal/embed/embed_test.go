@@ -38,8 +38,9 @@ func TestStemmerMergesVariants(t *testing.T) {
 		{"cleaned", "clean"},
 	}
 	for _, p := range pairs {
-		if got := stem(p[0]); got != stem(p[1]) {
-			t.Errorf("stem(%q) = %q, stem(%q) = %q; want equal", p[0], got, p[1], stem(p[1]))
+		got, want := string(stem([]byte(p[0]))), string(stem([]byte(p[1])))
+		if got != want {
+			t.Errorf("stem(%q) = %q, stem(%q) = %q; want equal", p[0], got, p[1], want)
 		}
 	}
 }
@@ -85,13 +86,19 @@ func TestSimilarTextsCloserThanUnrelated(t *testing.T) {
 
 func TestFitChangesWeighting(t *testing.T) {
 	e := NewHashing(128)
-	before := e.idf("commun")
+	idf := func(tok string) float32 { return e.idfByDF[e.df[tok]] }
+	before := idf("commun")
 	e.Fit([]string{"community detection", "community structure", "community analysis", "toxicity"})
 	if e.docCount != 4 {
 		t.Fatalf("docCount = %d", e.docCount)
 	}
-	after := e.idf("commun")
-	rare := e.idf("toxic")
+	after := idf("commun")
+	rare := idf("toxic")
+	for _, tok := range []string{"commun", "toxic", "absent"} {
+		if got, want := idf(tok), oracleIDF(e, tok); got != want {
+			t.Fatalf("idf(%q) = %v, oracle %v", tok, got, want)
+		}
+	}
 	if after >= before+1 {
 		t.Fatalf("idf of frequent term should drop toward 1: before %v after %v", before, after)
 	}
@@ -147,11 +154,31 @@ func TestQuickEmbedNorm(t *testing.T) {
 	}
 }
 
+// BenchmarkEmbed times one prompt at d = 512, the dimensionality every
+// daemon serves: dense is Embed, sparse is EmbedSparse into reused storage
+// (what retrieval below exactThreshold calls), oracle the map-based
+// embedder they replaced.
 func BenchmarkEmbed(b *testing.B) {
-	e := NewHashing(128)
+	e := NewHashing(512)
 	e.Fit([]string{"detect communities in a social network", "compute toxicity"})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Embed("write a brief report for this graph including communities and connectivity")
-	}
+	const prompt = "write a brief report for this graph including communities and connectivity"
+	b.Run("dense", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e.Embed(prompt)
+		}
+	})
+	b.Run("sparse", func(b *testing.B) {
+		b.ReportAllocs()
+		var q vecmath.Sparse
+		for i := 0; i < b.N; i++ {
+			q = e.EmbedSparse(prompt, q)
+		}
+	})
+	b.Run("oracle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			oracleEmbed(e, prompt)
+		}
+	})
 }

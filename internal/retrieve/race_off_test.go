@@ -1,0 +1,8 @@
+//go:build !race
+
+package retrieve
+
+// raceEnabled reports whether the race detector instruments this build;
+// allocation-count tests skip under it (instrumentation allocates, and
+// sync.Pool drops items at random).
+const raceEnabled = false

@@ -9,20 +9,25 @@
 package retrieve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 
 	"chatgraph/internal/ann"
 	"chatgraph/internal/apis"
 	"chatgraph/internal/embed"
+	"chatgraph/internal/vecmath"
 )
 
-// Scored is one retrieval hit.
+// Scored is one retrieval hit; the tags are POST /v1/retrieve's spelling.
 type Scored struct {
-	Name string
+	Name        string `json:"name"`
+	Description string `json:"description"`
 	// Distance is the L2 distance between prompt and description
 	// embeddings (smaller is more relevant).
-	Distance float32
+	Distance float32 `json:"distance"`
 }
 
 // Config tunes index construction.
@@ -31,9 +36,10 @@ type Config struct {
 	Dim int
 	// Tau is the τ-MG parameter (0 is valid: MRNG).
 	Tau float32
-	// Quantize enables the int8 two-stage search tier on whichever index is
-	// built: candidates rank on quantized codes (¼ the scanned bytes) and
-	// the RerankFactor·k best are reranked with exact f32 distances.
+	// Quantize enables the int8 two-stage search tier of the τ-MG (up to
+	// exactThreshold entries the scan is exact either way): candidates rank
+	// on quantized codes (¼ the scanned bytes) and the RerankFactor·k best
+	// are reranked with exact f32 distances.
 	Quantize bool
 	// RerankFactor is the quantized over-fetch multiple
 	// (0 → ann.DefaultRerankFactor). Ignored unless Quantize is set.
@@ -45,30 +51,34 @@ type Config struct {
 // that should move it is the measured crossover, and that sits far above
 // both it and the registry. Median µs per Search at d = 512, k = 6 on a
 // padded registry (BenchmarkRetrievalCrossover, 5 runs per cell;
-// EXPERIMENTS.md E22 has the spread):
+// EXPERIMENTS.md E25 has the spread); flat sparse is what New serves:
 //
-//	n            flat f32  flat int8  τ-MG f32  τ-MG int8
-//	39 (served)      14.9       15.8      22.1       20.2
-//	64               25.1       18.5      32.6       21.1
-//	128              48.2       24.9      58.1       34.2
-//	256              92.2       28.5     118.7       40.7
-//	512             179.9       47.6     216.8       81.4
-//	1024            433.7       90.8     365.2      106.6
-//	2048            814.6      105.7     448.5       90.3
-//	4096           1476.5      198.0     547.1      121.9
+//	n            flat sparse  flat f32  flat int8  τ-MG f32  τ-MG int8
+//	39 (served)          1.1      19.0       20.3      25.8       20.3
+//	64                   1.7      34.3       19.3      43.5       27.0
+//	128                  2.5      69.6       28.3      85.0       40.4
+//	256                  4.6     135.5       36.9     140.6       55.3
+//	512                 10.1     257.2       49.7     273.3       85.6
+//	1024                31.4     508.2       82.4     411.9      104.0
+//	2048                74.9    1073.1      152.8     688.4      151.2
+//	4096               205.9    2326.5      302.0     836.4      181.1
 //
-// τ-MG first wins between n = 512 and 1024 (f32) and between 1024 and 2048
-// (int8); apis.Default registers 39 APIs. Raising the constant to the
-// crossover is one line here plus re-padding the two fixtures that build a
-// τ-MG through New (TestTauMGPathUsed pads to 80, evalchains E10 to 512).
+// The sparse scan costs n × non-zeros, not n × d: τ-MG int8 first beats it
+// between n = 2048 and 4096, τ-MG f32 not by 4096. The constant stays at 64
+// in the PR that added the column; raising it is one line here plus re-padding
+// the two fixtures that build a τ-MG through New (TestTauMGPathUsed pads to
+// 80, evalchains E10 to 512).
 const exactThreshold = 64
 
 // Index retrieves APIs by embedding similarity.
 type Index struct {
-	emb    *embed.Hashing
-	names  []string
-	descs  map[string]string
-	search ann.Index
+	emb      *embed.Hashing
+	names    []string
+	rowDescs []string // by row, like names
+	descs    map[string]string
+	// flat (its sparse-query scan) serves up to exactThreshold rows, else graph.
+	flat  *ann.BruteForce
+	graph *ann.TauMG
 }
 
 // New embeds every registered API description and builds the ANN index.
@@ -89,20 +99,21 @@ func New(reg *apis.Registry, cfg Config) (*Index, error) {
 		text := a.Name + " " + a.Description
 		corpus = append(corpus, text)
 		ix.names = append(ix.names, a.Name)
+		ix.rowDescs = append(ix.rowDescs, a.Description)
 		ix.descs[a.Name] = a.Description
 	}
 	ix.emb.Fit(corpus)
 	vecs := ix.emb.EmbedBatch(corpus)
-	quant := ann.QuantConfig{Enabled: cfg.Quantize, RerankFactor: cfg.RerankFactor}
 	if len(vecs) <= exactThreshold {
-		ix.search = ann.NewBruteForceQuant(vecs, quant)
+		ix.flat = ann.NewBruteForce(vecs)
 		return ix, nil
 	}
+	quant := ann.QuantConfig{Enabled: cfg.Quantize, RerankFactor: cfg.RerankFactor}
 	idx, err := ann.NewTauMG(vecs, ann.TauMGConfig{Tau: cfg.Tau, Quant: quant})
 	if err != nil {
 		return nil, fmt.Errorf("retrieve: build index: %w", err)
 	}
-	ix.search = idx
+	ix.graph = idx
 	return ix, nil
 }
 
@@ -116,13 +127,7 @@ func (ix *Index) Description(name string) string { return ix.descs[name] }
 // is defensive: the underlying map is engine-shared state, so handing out
 // the internal reference would let any caller corrupt every session's
 // prompts.
-func (ix *Index) Descriptions() map[string]string {
-	out := make(map[string]string, len(ix.descs))
-	for k, v := range ix.descs {
-		out[k] = v
-	}
-	return out
-}
+func (ix *Index) Descriptions() map[string]string { return maps.Clone(ix.descs) }
 
 // TopAPIs returns the k APIs whose descriptions are nearest to the query
 // text, most relevant first. Equal distances are broken by name, so the
@@ -131,22 +136,31 @@ func (ix *Index) TopAPIs(query string, k int) []Scored {
 	if k <= 0 {
 		return nil
 	}
-	q := ix.emb.Embed(query)
-	return ix.scored(ix.search.Search(q, k))
+	if ix.flat == nil {
+		return ix.scored(ix.graph.Search(ix.emb.Embed(query), k))
+	}
+	// Stack room for the ≈ 20 buckets a prompt touches; more spill to the heap.
+	q := vecmath.Sparse{Idx: make([]int32, 0, 64), Val: make([]float32, 0, 64)}
+	return ix.scored(ix.flat.SearchSparse(ix.emb.EmbedSparse(query, q), k))
 }
 
-// TopAPIsBatch answers many queries in one pass: queries are embedded by
-// embed.Hashing.EmbedBatch and searched by ann.SearchBatch, both over
-// bounded worker pools, so a service can amortize a burst of retrievals
-// across cores instead of paying the one-at-a-time loop. out[i] is the
-// ranked hit list for queries[i].
+// TopAPIsBatch answers many queries in one call; out[i] is the ranked hit
+// list for queries[i]. The flat regime loops serially: at ≈ 3 µs a query the
+// largest batch the server admits is under a millisecond, less than a worker
+// pool's hand-off. The τ-MG embeds and searches across bounded worker pools.
 func (ix *Index) TopAPIsBatch(queries []string, k int) [][]Scored {
 	out := make([][]Scored, len(queries))
-	if k <= 0 || len(queries) == 0 {
+	if k <= 0 {
+		return out
+	}
+	if ix.flat != nil {
+		for i, q := range queries {
+			out[i] = ix.TopAPIs(q, k)
+		}
 		return out
 	}
 	qs := ix.emb.EmbedBatch(queries)
-	for i, rs := range ann.SearchBatch(ix.search, qs, k) {
+	for i, rs := range ann.SearchBatch(ix.graph, qs, k) {
 		out[i] = ix.scored(rs)
 	}
 	return out
@@ -156,13 +170,10 @@ func (ix *Index) TopAPIsBatch(queries []string, k int) [][]Scored {
 func (ix *Index) scored(rs []ann.Result) []Scored {
 	out := make([]Scored, 0, len(rs))
 	for _, r := range rs {
-		out = append(out, Scored{Name: ix.names[r.ID], Distance: r.Dist})
+		out = append(out, Scored{Name: ix.names[r.ID], Description: ix.rowDescs[r.ID], Distance: r.Dist})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
-		}
-		return out[i].Name < out[j].Name
+	slices.SortStableFunc(out, func(a, b Scored) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), strings.Compare(a.Name, b.Name))
 	})
 	return out
 }

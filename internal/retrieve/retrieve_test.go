@@ -2,11 +2,14 @@ package retrieve
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"chatgraph/internal/ann"
 	"chatgraph/internal/apis"
 	"chatgraph/internal/embed"
+	"chatgraph/internal/vecmath"
 )
 
 func TestNewRejectsEmptyRegistry(t *testing.T) {
@@ -188,8 +191,8 @@ func TestTauMGPathUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ix.search.(*ann.TauMG); !ok {
-		t.Fatalf("padded registry is served by %T, want *ann.TauMG", ix.search)
+	if ix.graph == nil || ix.flat != nil {
+		t.Fatalf("padded registry is served by flat %v, graph %v; want the τ-MG alone", ix.flat != nil, ix.graph != nil)
 	}
 	hits := ix.Names("detect communities in the social network", 5)
 	found := false
@@ -205,17 +208,95 @@ func TestTauMGPathUsed(t *testing.T) {
 
 // TestDefaultRegistryServesFlatScan pins which index every daemon serves
 // from: the default registry is below exactThreshold, so retrieval is the
-// exact flat scan. The day the registry outgrows the threshold and
+// exact flat scan — with Quantize set too, where the hits must carry the
+// same exact distances. The day the registry outgrows the threshold and
 // retrieval silently becomes approximate, this test names it.
 func TestDefaultRegistryServesFlatScan(t *testing.T) {
 	ix, err := New(apis.Default(nil), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ix.search.(*ann.BruteForce); !ok {
-		t.Fatalf("default registry (%d APIs, exactThreshold %d) is served by %T, want *ann.BruteForce",
-			ix.Len(), exactThreshold, ix.search)
+	q8, err := New(apis.Default(nil), Config{Quantize: true, RerankFactor: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, ix := range []*Index{ix, q8} {
+		if ix.flat == nil || ix.graph != nil {
+			t.Fatalf("default registry (%d APIs, exactThreshold %d) is served by flat %v, graph %v; want the flat scan alone",
+				ix.Len(), exactThreshold, ix.flat != nil, ix.graph != nil)
+		}
+	}
+	const query = "detect the communities of this social network"
+	want := denseTopAPIs(ix, query, ix.Len())
+	if got := q8.TopAPIs(query, ix.Len()); !slices.Equal(got, want) {
+		t.Fatalf("Quantize: true below the threshold answered\n%+v\nwant the exact scan's\n%+v", got, want)
+	}
+}
+
+// denseTopAPIs is TopAPIs through the dense embedding and BruteForce.Search
+// — what the flat regime served before the sparse scan, kept as its parity
+// reference.
+func denseTopAPIs(ix *Index, query string, k int) []Scored {
+	return ix.scored(ix.flat.Search(ix.emb.Embed(query), k))
+}
+
+// TestTopAPIsAllocs pins the flat regime's steady-state allocations: a
+// lookup allocates what it returns and nothing per term, bucket or row.
+func TestTopAPIsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ix, err := New(apis.Default(nil), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const query = "What communities are in this network? and Who are the most influential nodes?"
+	if got := testing.AllocsPerRun(200, func() { ix.Names(query, 5) }); got > 3 {
+		t.Errorf("Names allocates %v per call, want ≤ 3 (the raw hits, the scored hits, the names)", got)
+	}
+	batch := make([]string, 16)
+	for i := range batch {
+		batch[i] = fmt.Sprintf("%s number %d", query, i)
+	}
+	if got := testing.AllocsPerRun(100, func() { ix.TopAPIsBatch(batch, 5) }); got > 1+2*float64(len(batch)) {
+		t.Errorf("TopAPIsBatch allocates %v per %d queries, want ≤ 2 per query (its hits, its list) + 1", got, len(batch))
+	}
+}
+
+// TestTopAPIsConcurrent hammers one index from many goroutines: the pooled
+// scratch is leased per call, so every answer must equal the serial one
+// (run under -race in CI).
+func TestTopAPIsConcurrent(t *testing.T) {
+	ix, err := New(apis.Default(nil), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"detect the communities of this social network",
+		"predict the toxicity of the molecule",
+		"shortest path between two nodes",
+		"the of and",
+	}
+	want := ix.TopAPIsBatch(queries, 5)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				q := (g + i) % len(queries)
+				if got := ix.TopAPIs(queries[q], 5); !slices.Equal(got, want[q]) {
+					t.Errorf("goroutine %d: TopAPIs(%q) = %+v, want %+v", g, queries[q], got, want[q])
+					return
+				}
+				if got := ix.TopAPIsBatch(queries, 5); !slices.Equal(got[q], want[q]) {
+					t.Errorf("goroutine %d: TopAPIsBatch[%d] = %+v, want %+v", g, q, got[q], want[q])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestRerankFactorOverflow: a rerank factor whose product with k overflows
@@ -292,9 +373,11 @@ func TestQuantizedRetrievalParity(t *testing.T) {
 
 // BenchmarkRetrievalCrossover is the measurement behind exactThreshold:
 // one Search (k = 6, embedding excluded) over the default registry padded
-// to n descriptions, on each index New could build and each precision tier.
-// The n = 39 row is what every daemon serves; the row at which taumg first
-// beats flat is the crossover the constant should one day be raised to.
+// to n descriptions, on each index New could build and each precision tier;
+// flat-sparse is the scan New serves below the threshold, the other flat
+// columns its dense predecessors. The n = 39 row is what every daemon
+// serves; the row at which taumg first beats flat-sparse is the crossover
+// the constant should one day be raised to.
 //
 //	go test -run '^$' -bench RetrievalCrossover -count 3 ./internal/retrieve
 func BenchmarkRetrievalCrossover(b *testing.B) {
@@ -317,6 +400,16 @@ func BenchmarkRetrievalCrossover(b *testing.B) {
 			emb := embed.NewHashing(512)
 			emb.Fit(corpus)
 			vecs, qs := emb.EmbedBatch(corpus), emb.EmbedBatch(queries)
+			flat := ann.NewBruteForce(vecs)
+			b.Run("flat-sparse", func(b *testing.B) {
+				sqs := make([]vecmath.Sparse, len(queries))
+				for i, q := range queries {
+					sqs[i] = emb.EmbedSparse(q, vecmath.Sparse{})
+				}
+				for i := 0; i < b.N; i++ {
+					flat.SearchSparse(sqs[i%len(sqs)], 6)
+				}
+			})
 			taumg, err := ann.NewTauMG(vecs, ann.TauMGConfig{Tau: 0.05})
 			if err != nil {
 				b.Fatal(err)
@@ -329,7 +422,7 @@ func BenchmarkRetrievalCrossover(b *testing.B) {
 				name string
 				ix   ann.Index
 			}{
-				{"flat-f32", ann.NewBruteForce(vecs)},
+				{"flat-f32", flat},
 				{"flat-int8", ann.NewBruteForceQuant(vecs, quant)},
 				{"taumg-f32", taumg},
 				{"taumg-int8", taumgQ},

@@ -32,6 +32,7 @@ import (
 	"chatgraph/internal/jobs"
 	"chatgraph/internal/metrics"
 	"chatgraph/internal/ratelimit"
+	"chatgraph/internal/retrieve"
 	"chatgraph/internal/tenant"
 )
 
@@ -500,12 +501,9 @@ type RetrieveRequest struct {
 	K int `json:"k,omitempty"`
 }
 
-// RetrieveHit is one ranked API for one query.
-type RetrieveHit struct {
-	Name        string  `json:"name"`
-	Description string  `json:"description"`
-	Distance    float32 `json:"distance"`
-}
+// RetrieveHit is one ranked API for one query: the retrieval layer's hit,
+// encoded as it stands.
+type RetrieveHit = retrieve.Scored
 
 // RetrieveResponse answers a retrieval batch; Results[i] ranks the APIs for
 // Queries[i], most relevant first.
@@ -514,8 +512,8 @@ type RetrieveResponse struct {
 }
 
 // handleRetrieve serves the batched retrieval endpoint: many queries in,
-// one engine-level RetrieveBatch (pooled embedding + ANN fan-out) out. It
-// needs no session — retrieval state is engine-immutable.
+// one engine-level RetrieveBatch out. It needs no session — retrieval state
+// is engine-immutable.
 func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
 	var req RetrieveRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
@@ -540,16 +538,7 @@ func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("k must be in [0, %d]", maxRetrieveK))
 		return
 	}
-	ix := s.eng.Retrieval()
-	resp := RetrieveResponse{Results: make([][]RetrieveHit, len(req.Queries))}
-	for i, hits := range s.eng.RetrieveBatch(req.Queries, req.K) {
-		out := make([]RetrieveHit, 0, len(hits))
-		for _, h := range hits {
-			out = append(out, RetrieveHit{Name: h.Name, Description: ix.Description(h.Name), Distance: h.Distance})
-		}
-		resp.Results[i] = out
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, RetrieveResponse{Results: s.eng.RetrieveBatch(req.Queries, req.K)})
 }
 
 // ChatRequest is the POST /v1/sessions/{id}/chat payload.
@@ -673,9 +662,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // best effort once status is written
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // best effort once status is written
 }
 
 // errorBody is the JSON shape of every error reply.

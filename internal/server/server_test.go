@@ -21,7 +21,7 @@ var (
 	srvEngine *core.Engine
 )
 
-func testServer(t *testing.T) *httptest.Server {
+func testServer(t testing.TB) *httptest.Server {
 	t.Helper()
 	srvOnce.Do(func() {
 		env := &apis.Env{}

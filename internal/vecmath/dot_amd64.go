@@ -29,7 +29,10 @@ func xgetbv0() (eax, edx uint32)
 
 // dotInt8AVX2 computes the int32 inner product of a[0:n] and b[0:n] where n
 // is a positive multiple of 16, 16 sign-extended int16 lanes at a time
-// (VPMOVSXBW + VPMADDWD into int32 accumulators).
+// (VPMOVSXBW + VPMADDWD into int32 accumulators). It only reads its
+// pointers; unannotated, every query an ann distSource carries escapes.
+//
+//go:noescape
 func dotInt8AVX2(a, b *int8, n int) int32
 
 // dotInt8 returns the int32 inner product of two int8 code vectors,

@@ -124,6 +124,30 @@ func (m *Matrix) L2SquaredRange(q []float32, qNorm float32, lo, hi int, dst []fl
 	}
 }
 
+// Sparse is a vector stored as its non-zero entries: Val[j] is the component
+// at dimension Idx[j], and Idx is strictly ascending.
+type Sparse struct {
+	Idx []int32
+	Val []float32
+}
+
+// L2SquaredRangeSparse is L2SquaredRange for a sparse query (qNorm is
+// SquaredNorm(q.Val)): same dot trick, clamp and row norms, and the same
+// float32 bits, because dot is a sequential sum in index order to which a
+// zero component adds ±0. A dot that reassociates (SIMD lanes, unrolled
+// partial sums) would end that.
+func (m *Matrix) L2SquaredRangeSparse(q Sparse, qNorm float32, lo, hi int, dst []float32) {
+	val := q.Val[:len(q.Idx)]
+	for i := lo; i < hi; i++ {
+		row := m.Row(i)
+		var s float32
+		for j, ix := range q.Idx {
+			s += val[j] * row[ix]
+		}
+		dst[i-lo] = clampNonNeg(qNorm + m.norms[i] - 2*s)
+	}
+}
+
 // L2SquaredTo returns the squared distance from q to Row(i) via the dot
 // trick. qNorm must be SquaredNorm(q).
 func (m *Matrix) L2SquaredTo(q []float32, qNorm float32, i int) float32 {
