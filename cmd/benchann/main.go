@@ -9,13 +9,6 @@
 // chunks of N (worker-pool fan-out over GOMAXPROCS cores) and prints
 // queries/sec plus the speedup — the E10 evidence that the batched surface
 // amortizes retrieval across cores.
-//
-// With -quantize it runs the E15 quantization sweep instead: for every
-// dataset size and every rerank factor in -rerank-factor it builds f32 and
-// int8 twins (brute force and τ-MG) and prints recall@k against exact
-// search, queries/sec for both tiers, the resulting speedup, and the
-// vector-store memory ratio — the recall-vs-speedup frontier of the
-// two-stage quantized path.
 package main
 
 import (
@@ -27,29 +20,22 @@ import (
 	"time"
 
 	"chatgraph/internal/ann"
-	"chatgraph/internal/vecmath"
 )
 
 func main() {
 	var (
-		sizes    = flag.String("sizes", "1000,2000,5000", "comma-separated dataset sizes")
-		dim      = flag.Int("dim", 64, "vector dimensionality")
-		queries  = flag.Int("queries", 200, "queries per cell")
-		k        = flag.Int("k", 10, "neighbors per query")
-		taus     = flag.String("taus", "0,0.05,0.15", "comma-separated tau values")
-		seed     = flag.Int64("seed", 1, "random seed")
-		epsilon  = flag.Float64("epsilon", 0.05, "epsilon for the Definition 2 approximation rate")
-		batch    = flag.Int("batch", 0, "batch size for the batch-throughput mode (0 disables)")
-		quantize = flag.Bool("quantize", false, "run the quantization sweep (recall vs speedup per rerank factor)")
-		rerank   = flag.String("rerank-factor", "1,2,4,8", "comma-separated rerank factors for the -quantize sweep")
+		sizes   = flag.String("sizes", "1000,2000,5000", "comma-separated dataset sizes")
+		dim     = flag.Int("dim", 64, "vector dimensionality")
+		queries = flag.Int("queries", 200, "queries per cell")
+		k       = flag.Int("k", 10, "neighbors per query")
+		taus    = flag.String("taus", "0,0.05,0.15", "comma-separated tau values")
+		seed    = flag.Int64("seed", 1, "random seed")
+		epsilon = flag.Float64("epsilon", 0.05, "epsilon for the Definition 2 approximation rate")
+		batch   = flag.Int("batch", 0, "batch size for the batch-throughput mode (0 disables)")
 	)
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	if *quantize {
-		runQuantMode(rng, *sizes, *rerank, *dim, *queries, *k)
-		return
-	}
 	if *batch > 0 {
 		runBatchMode(rng, *sizes, *dim, *queries, *k, *batch)
 		return
@@ -108,72 +94,6 @@ func parseSizes(sizes string) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// runQuantMode prints the E15 quantization sweep: per dataset size, index
-// family, and rerank factor, the recall@k of the two-stage int8 path against
-// exact f32 search, sequential queries/sec for both tiers, the speedup, and
-// the vector-store memory ratio.
-func runQuantMode(rng *rand.Rand, sizes, reranks string, dim, nq, k int) {
-	factors := parseSizes(reranks)
-	fmt.Printf("quantization sweep: %d queries, k=%d, dim=%d (int8 scan + f32 rerank vs pure f32)\n\n", nq, k, dim)
-	fmt.Printf("%-8s %-14s %7s %9s %12s %12s %9s %7s\n",
-		"n", "index", "rerank", "recall@k", "f32-qps", "int8-qps", "speedup", "mem")
-	for _, n := range parseSizes(sizes) {
-		vecs := ann.ClusteredVectors(n, dim, 16, 0.3, rng)
-		qs := ann.ClusteredVectors(nq, dim, 16, 0.3, rng)
-		exact := ann.NewBruteForce(vecs)
-
-		mat, err := vecmath.FromRows(vecs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchann: %v\n", err)
-			os.Exit(1)
-		}
-		memRatio := float64(mat.Bytes()) / float64(vecmath.Quantize(mat).Bytes())
-
-		families := []struct {
-			name  string
-			build func(q ann.QuantConfig) (ann.Index, error)
-		}{
-			{"bruteforce", func(q ann.QuantConfig) (ann.Index, error) {
-				return ann.NewBruteForceQuant(vecs, q), nil
-			}},
-			{"tau-mg(0.05)", func(q ann.QuantConfig) (ann.Index, error) {
-				return ann.NewTauMG(vecs, ann.TauMGConfig{Tau: 0.05, Quant: q})
-			}},
-		}
-		for _, fam := range families {
-			f32idx, err := fam.build(ann.QuantConfig{})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchann: %v\n", err)
-				os.Exit(1)
-			}
-			f32idx.Search(qs[0], k) // warm the scratch pool
-			start := time.Now()
-			for _, q := range qs {
-				f32idx.Search(q, k)
-			}
-			f32QPS := float64(len(qs)) / time.Since(start).Seconds()
-
-			for _, rf := range factors {
-				qidx, err := fam.build(ann.QuantConfig{Enabled: true, RerankFactor: rf})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "benchann: %v\n", err)
-					os.Exit(1)
-				}
-				qidx.Search(qs[0], k)
-				start := time.Now()
-				for _, q := range qs {
-					qidx.Search(q, k)
-				}
-				intQPS := float64(len(qs)) / time.Since(start).Seconds()
-				ev := ann.Evaluate(qidx, exact, qs, k, 0.05)
-				fmt.Printf("%-8d %-14s %7d %9.3f %12.0f %12.0f %8.2fx %6.2fx\n",
-					n, fam.name, rf, ev.RecallAtK, f32QPS, intQPS, intQPS/f32QPS, memRatio)
-			}
-		}
-		fmt.Println()
-	}
 }
 
 // runBatchMode prints the E10 batch-throughput table: per index, queries/sec

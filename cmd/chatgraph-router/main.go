@@ -27,8 +27,10 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
+	"os"
 	"os/signal"
 	"strings"
 	"syscall"
@@ -52,6 +54,11 @@ func main() {
 		tenantsPath  = flag.String("tenants", "", "tenant config file for per-tenant router metrics (enforcement stays on the backends); empty = no tenant labels")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops at the first non-flag; the flags after it would be dropped.
+		fmt.Fprintf(os.Stderr, "chatgraph-router: unexpected argument %q (flags after it would be ignored)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if strings.TrimSpace(*backends) == "" {
 		log.Fatal("chatgraph-router: -backends is required")
 	}

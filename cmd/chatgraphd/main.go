@@ -35,9 +35,11 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"math/rand"
 	"net/http"
+	"os"
 	"os/signal"
 	"syscall"
 	"time"
@@ -53,12 +55,9 @@ import (
 
 // effectiveConfig resolves the one configuration the daemon runs and
 // GET /config reports: the defaults, then the -config file if given, then
-// the flags. -quantize and -rerank-factor layer over a file so one config
-// can serve both tiers in an A/B rollout; -llm/-model apply only without a
-// file, whose llm block otherwise wins. The result validates as a unit, so
-// a flag is held to the same bound, with the same message, as the file
-// field it sets.
-func effectiveConfig(cfgPath string, quantize bool, rerank int, llmURL, llmModel string) (config.Config, error) {
+// the flags. -llm/-model apply only without a file, whose llm block
+// otherwise wins.
+func effectiveConfig(cfgPath, llmURL, llmModel string) (config.Config, error) {
 	fc := config.Default()
 	if cfgPath != "" {
 		var err error
@@ -67,12 +66,6 @@ func effectiveConfig(cfgPath string, quantize bool, rerank int, llmURL, llmModel
 		}
 	} else if llmURL != "" {
 		fc.LLM.Backend, fc.LLM.BaseURL, fc.LLM.Model = "http", llmURL, llmModel
-	}
-	if quantize {
-		fc.ANN.Quantize = true
-	}
-	if rerank != 0 {
-		fc.ANN.RerankFactor = rerank
 	}
 	return fc, fc.Validate()
 }
@@ -84,8 +77,6 @@ func main() {
 		llmURL      = flag.String("llm", "", "OpenAI-style endpoint for chain generation (default: built-in model)")
 		llmModel    = flag.String("model", "vicuna-13b", "model name sent to the -llm endpoint")
 		seed        = flag.Int64("seed", 42, "seed for training and the molecule database")
-		quantize    = flag.Bool("quantize", false, "serve τ-MG retrieval (registries above 64 APIs) from the int8 quantized tier with exact f32 rerank")
-		rerank      = flag.Int("rerank-factor", 0, "quantized over-fetch multiple for the f32 rerank (0 = default 4; needs -quantize)")
 		mols        = flag.Int("molecules", 200, "molecules to seed the similarity database with")
 		sessionTTL  = flag.Duration("session-ttl", server.DefaultSessionTTL, "idle timeout after which a v1 session expires")
 		maxSessions = flag.Int("max-sessions", server.DefaultMaxSessions, "cap on concurrently live v1 sessions")
@@ -108,12 +99,21 @@ func main() {
 		walSyncEvery = flag.Duration("wal-sync-interval", durable.DefaultSyncInterval, "fsync cadence for -wal-sync interval")
 		snapEvery    = flag.Duration("snapshot-interval", 5*time.Minute, "how often to checkpoint state and rotate the WAL (0 = only on shutdown; needs -data-dir)")
 	)
+	// Parsed and ignored: bench/workload.go starts mixed_durable with it, and
+	// bench/ changes in benchmark-only PRs. It goes with that line.
+	flag.Bool("quantize", false, "no effect; retained for existing launch lines")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops at the first non-flag, so everything after it — a
+		// -data-dir, a -tenants — would be silently dropped.
+		fmt.Fprintf(os.Stderr, "chatgraphd: unexpected argument %q (flags after it would be ignored)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if *writeTimeout > 0 && *writeTimeout <= *reqTimeout {
 		log.Fatalf("chatgraphd: -write-timeout %s must exceed -request-timeout %s (or the connection dies before the 504 can be written)", *writeTimeout, *reqTimeout)
 	}
 
-	fc, err := effectiveConfig(*cfgPath, *quantize, *rerank, *llmURL, *llmModel)
+	fc, err := effectiveConfig(*cfgPath, *llmURL, *llmModel)
 	if err != nil {
 		log.Fatalf("chatgraphd: %v", err)
 	}

@@ -1,54 +1,85 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"chatgraph/internal/config"
 	"chatgraph/internal/core"
 	"chatgraph/internal/server"
 )
 
+// TestMain lets a test run the daemon's main in a child process: the child
+// is this test binary, re-executed with the variable set and the daemon's
+// arguments as its own.
+func TestMain(m *testing.M) {
+	if os.Getenv("CHATGRAPHD_TEST_RUN_MAIN") == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestStrayArgumentRefused: flag parsing stops at the first non-flag, so
+// `chatgraphd stray -data-dir d` used to boot an in-memory daemon that
+// acknowledged turns it would never persist. It must exit 2 naming the
+// argument, before anything is built or opened.
+func TestStrayArgumentRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-addr", "127.0.0.1:0", "-molecules", "5", "stray", "-data-dir", dir)
+	cmd.Env = append(os.Environ(), "CHATGRAPHD_TEST_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("err = %v, want exit status 2; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `"stray"`) {
+		t.Errorf("output does not name the stray argument:\n%s", out)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("data dir was touched (stat err = %v)", err)
+	}
+}
+
 func TestEffectiveConfig(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "config.json")
-	if err := os.WriteFile(file, []byte(`{"ann":{"top_k":4,"rerank_factor":2},"llm":{"backend":"http","base_url":"http://file.example/v1","model":"from-file","temperature":0,"max_chain_length":8}}`), 0o644); err != nil {
+	if err := os.WriteFile(file, []byte(`{"ann":{"top_k":4},"llm":{"backend":"http","base_url":"http://file.example/v1","model":"from-file","temperature":0,"max_chain_length":8}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	const rerankBound = "config: ann.rerank_factor 4611686018427387904 outside [0, 256]"
 	for _, tc := range []struct {
-		name     string
-		cfgPath  string
-		quantize bool
-		rerank   int
-		llmURL   string
-		want     func(*config.Config)
-		wantErr  string
+		name    string
+		cfgPath string
+		llmURL  string
+		want    func(*config.Config)
+		wantErr string
 	}{
 		{name: "no file, no flags", want: func(*config.Config) {}},
-		{name: "no file, flags", quantize: true, rerank: 8, llmURL: "http://flag.example/v1", want: func(c *config.Config) {
-			c.ANN.Quantize, c.ANN.RerankFactor = true, 8
+		{name: "no file, flags", llmURL: "http://flag.example/v1", want: func(c *config.Config) {
 			c.LLM.Backend, c.LLM.BaseURL, c.LLM.Model = "http", "http://flag.example/v1", "flag-model"
 		}},
 		{name: "file", cfgPath: file, want: func(c *config.Config) {
-			c.ANN.TopK, c.ANN.RerankFactor = 4, 2
+			c.ANN.TopK = 4
 			c.LLM.Backend, c.LLM.BaseURL, c.LLM.Model = "http", "http://file.example/v1", "from-file"
 		}},
-		// Quantization flags layer over the file; the file's llm block
-		// overrides -llm/-model.
-		{name: "file + flags", cfgPath: file, quantize: true, rerank: 8, llmURL: "http://flag.example/v1", want: func(c *config.Config) {
-			c.ANN.TopK, c.ANN.Quantize, c.ANN.RerankFactor = 4, true, 8
+		// The file's llm block overrides -llm/-model.
+		{name: "file + flags", cfgPath: file, llmURL: "http://flag.example/v1", want: func(c *config.Config) {
+			c.ANN.TopK = 4
 			c.LLM.Backend, c.LLM.BaseURL, c.LLM.Model = "http", "http://file.example/v1", "from-file"
 		}},
-		{name: "bad rerank, no file", quantize: true, rerank: 1 << 62, wantErr: rerankBound},
-		{name: "bad rerank, file", cfgPath: file, quantize: true, rerank: 1 << 62, wantErr: rerankBound},
 		{name: "missing file", cfgPath: file + ".absent", wantErr: "no such file"},
 	} {
-		got, err := effectiveConfig(tc.cfgPath, tc.quantize, tc.rerank, tc.llmURL, "flag-model")
+		got, err := effectiveConfig(tc.cfgPath, tc.llmURL, "flag-model")
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
@@ -68,10 +99,10 @@ func TestEffectiveConfig(t *testing.T) {
 }
 
 // TestConfigEndpointReportsFlags: GET /config must describe the daemon that
-// is running. A daemon started with flags only (-quantize -rerank-factor 8
-// -llm URL) used to answer the compiled-in defaults.
+// is running. A daemon started with flags only (-llm URL) used to answer the
+// compiled-in defaults.
 func TestConfigEndpointReportsFlags(t *testing.T) {
-	fc, err := effectiveConfig("", true, 8, "http://127.0.0.1:1/v1", "flag-model")
+	fc, err := effectiveConfig("", "http://127.0.0.1:1/v1", "flag-model")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +124,7 @@ func TestConfigEndpointReportsFlags(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if got != fc || !got.ANN.Quantize || got.ANN.RerankFactor != 8 || got.LLM.Backend != "http" {
+	if got != fc || got.LLM.Backend != "http" {
 		t.Fatalf("/config = %+v, daemon runs %+v", got, fc)
 	}
 }

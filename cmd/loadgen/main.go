@@ -112,6 +112,11 @@ func main() {
 		burstMult    = flag.Int("burst-mult", 5, "open loop: arrival-rate multiplier inside a burst")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops at the first non-flag; the flags after it would be dropped.
+		fmt.Fprintf(os.Stderr, "loadgen: unexpected argument %q (flags after it would be ignored)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if *mode != "closed" && *mode != "open" {
 		log.Fatalf("loadgen: -mode must be closed or open, got %q", *mode)
 	}

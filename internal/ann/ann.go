@@ -17,8 +17,7 @@
 // result slice and SearchBatch serves concurrent queries over one shared
 // index without locks or garbage. Every proximity graph routes through one
 // beam-search loop and the flat scan is one tile loop, both parameterised
-// over a distSource that hides which precision tier scores a row; the int8
-// tier exists on the two indexes retrieval can build (BruteForce, TauMG).
+// over a distSource that hides whether the query is dense or sparse.
 package ann
 
 import (
@@ -56,27 +55,15 @@ type Index interface {
 }
 
 // BruteForce is the exact baseline: a fused linear scan over the flat
-// matrix with a k-bounded heap, O(n·d + n·log k) per query. With the
-// quantized tier enabled the scan runs over int8 codes and only the
-// rerank·k best candidates touch f32 rows, making it approximate (recall
-// bounded by the rerank factor) but far cheaper per candidate.
+// matrix with a k-bounded heap, O(n·d + n·log k) per query.
 type BruteForce struct {
-	mat   *vecmath.Matrix
-	quant quantStore
+	mat *vecmath.Matrix
 }
 
 // NewBruteForce copies vecs into a contiguous matrix. It panics on ragged
 // input; an empty input yields a searchable empty index.
 func NewBruteForce(vecs [][]float32) *BruteForce {
 	return &BruteForce{mat: mustMatrix(vecs)}
-}
-
-// NewBruteForceQuant is NewBruteForce plus the two-stage quantized scan
-// described by cfg. With cfg.Enabled false it is exactly NewBruteForce.
-func NewBruteForceQuant(vecs [][]float32, cfg QuantConfig) *BruteForce {
-	b := NewBruteForce(vecs)
-	b.quant = newQuantStore(b.mat, cfg)
-	return b
 }
 
 // newBruteForceMatrix shares an already-built matrix (used by index
@@ -98,10 +85,8 @@ func (b *BruteForce) Search(q []float32, k int) []Result {
 const bruteTile = 256
 
 // SearchWithStats implements Index. The scan computes squared distances a
-// tile at a time with the fused kernel of whichever tier serves the index
-// and feeds them into a bounded max-heap, so no n-sized buffer is ever
-// materialized. On the int8 tier the heap over-fetches rerank·k candidates
-// and only those touch f32 rows.
+// tile at a time with the fused kernel and feeds them into a bounded
+// max-heap, so no n-sized buffer is ever materialized.
 func (b *BruteForce) SearchWithStats(q []float32, k int) ([]Result, SearchStats) {
 	n := b.mat.Rows()
 	if k <= 0 || n == 0 {
@@ -110,22 +95,21 @@ func (b *BruteForce) SearchWithStats(q []float32, k int) ([]Result, SearchStats)
 	k = min(k, n)
 	sc := getScratch(0)
 	defer putScratch(sc)
-	src, m := b.quant.source(b.mat, q, k, sc)
-	b.scan(&src, m, sc)
-	stats := SearchStats{DistComps: n, Hops: 1}
-	return src.finish(sc, k, m, &stats), stats
+	src := distSource{mat: b.mat, q: q, qn: vecmath.SquaredNorm(q)}
+	b.scan(&src, k, sc)
+	return drainSorted(&sc.best, k), SearchStats{DistComps: n, Hops: 1}
 }
 
-// scan is the flat scan's tile loop: the m nearest rows under src, by
+// scan is the flat scan's tile loop: the k nearest rows under src, by
 // squared distance, left in sc.best.
-func (b *BruteForce) scan(src *distSource, m int, sc *searchScratch) {
+func (b *BruteForce) scan(src *distSource, k int, sc *searchScratch) {
 	n := b.mat.Rows()
 	tile := sc.distTile(bruteTile)
 	for base := 0; base < n; base += bruteTile {
 		hi := min(base+bruteTile, n)
 		src.distRange(base, hi, tile)
 		for j, d := range tile[:hi-base] {
-			boundedInsert(&sc.best, Result{ID: base + j, Dist: d}, m)
+			boundedInsert(&sc.best, Result{ID: base + j, Dist: d}, k)
 		}
 	}
 }
@@ -133,8 +117,7 @@ func (b *BruteForce) scan(src *distSource, m int, sc *searchScratch) {
 // SearchSparse is Search for a query given by its non-zero entries: the same
 // scratch, bounded heap and (Dist, ID) order, and (see
 // vecmath.L2SquaredRangeSparse) the same float32 bits as Search on the dense
-// vector q scatters to. It scores f32 rows whatever the index's tier: at
-// rows × non-zeros there is nothing left for an int8 first stage to save.
+// vector q scatters to.
 func (b *BruteForce) SearchSparse(q vecmath.Sparse, k int) []Result {
 	n := b.mat.Rows()
 	if k <= 0 || n == 0 {
@@ -173,8 +156,7 @@ type graphIndex struct {
 	mat   *vecmath.Matrix
 	adj   [][]int32
 	entry int
-	beam  int        // default ef for search, ≥ k
-	quant quantStore // optional int8 routing tier (τ-MG only)
+	beam  int // default ef for search, ≥ k
 }
 
 // Len implements Index.
@@ -187,11 +169,9 @@ func (g *graphIndex) Search(q []float32, k int) []Result {
 }
 
 // SearchWithStats implements Index: route from the entry point toward q
-// keeping max(beam, k) candidates and return the closest k. On the int8
-// tier routing keeps at least rerank·k candidates and the best rerank·k are
-// reranked exactly. Scratch state comes from the shared pool, so concurrent
-// searches over one index are race-free and allocation-free apart from the
-// result slice.
+// keeping max(beam, k) candidates and return the closest k. Scratch state
+// comes from the shared pool, so concurrent searches over one index are
+// race-free and allocation-free apart from the result slice.
 func (g *graphIndex) SearchWithStats(q []float32, k int) ([]Result, SearchStats) {
 	var stats SearchStats
 	n := g.mat.Rows()
@@ -203,13 +183,9 @@ func (g *graphIndex) SearchWithStats(q []float32, k int) ([]Result, SearchStats)
 	}
 	sc := getScratch(n)
 	defer putScratch(sc)
-	src, m := g.quant.source(g.mat, q, k, sc)
-	ef := g.beam
-	if ef < m {
-		ef = m
-	}
-	beamSearch(&src, g.adj, g.entry, ef, sc, &stats)
-	return src.finish(sc, k, m, &stats), stats
+	src := distSource{mat: g.mat, q: q, qn: vecmath.SquaredNorm(q)}
+	beamSearch(&src, g.adj, g.entry, max(g.beam, k), sc, &stats)
+	return drainSorted(&sc.best, k), stats
 }
 
 // medoid returns the index of the row closest to the matrix mean; used as

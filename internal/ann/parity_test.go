@@ -241,8 +241,8 @@ func TestGraphSearchAllocs(t *testing.T) {
 	}
 }
 
-// The oracle* functions below are the paired f32 / int8 search loops as they
-// stood before they were merged into beamSearch, distSource and
+// The oracle* functions below are the per-index search loops as they stood
+// before they were merged into beamSearch, distSource and
 // BruteForce.SearchWithStats — kept verbatim (renamed only) so the merged
 // loops are held to DeepEqual results and SearchStats against the code they
 // replaced.
@@ -284,55 +284,7 @@ func oracleBeamSearchAdj(mat *vecmath.Matrix, adj [][]int32, entry, ef, k int, q
 	return drainSorted(&sc.best, k)
 }
 
-func oracleBeamSearchAdjQ(qmat *vecmath.QuantizedMatrix, adj [][]int32, entry, ef int, sc *searchScratch, stats *SearchStats) {
-	if qmat.Rows() == 0 || ef <= 0 {
-		return
-	}
-	sc.nextEpoch()
-	start := Result{ID: entry, Dist: qmat.L2SquaredTo(&sc.qq, entry)}
-	stats.DistComps++
-	sc.frontier = sc.frontier[:0]
-	sc.best = sc.best[:0]
-	minPush(&sc.frontier, start)
-	maxPush(&sc.best, start)
-	sc.mark(int32(entry))
-	for len(sc.frontier) > 0 {
-		cur := minPop(&sc.frontier)
-		if len(sc.best) >= ef && cur.Dist > sc.best[0].Dist {
-			break
-		}
-		stats.Hops++
-		for _, nb := range adj[cur.ID] {
-			if sc.seen(nb) {
-				continue
-			}
-			sc.mark(nb)
-			d := qmat.L2SquaredTo(&sc.qq, int(nb))
-			stats.DistComps++
-			if len(sc.best) < ef || d < sc.best[0].Dist {
-				minPush(&sc.frontier, Result{ID: int(nb), Dist: d})
-				maxPush(&sc.best, Result{ID: int(nb), Dist: d})
-				if len(sc.best) > ef {
-					maxPop(&sc.best)
-				}
-			}
-		}
-	}
-}
-
-func oracleRerankExact(mat *vecmath.Matrix, q []float32, qn float32, sc *searchScratch, k int, stats *SearchStats) []Result {
-	cands := append(sc.frontier[:0], sc.best...)
-	sc.best = sc.best[:0]
-	for _, c := range cands {
-		boundedInsert(&sc.best, Result{ID: c.ID, Dist: mat.L2SquaredTo(q, qn, c.ID)}, k)
-	}
-	stats.DistComps += len(cands)
-	sc.frontier = cands[:0]
-	return drainSorted(&sc.best, k)
-}
-
-// oracleGraphSearch is the old TauMG / NSW SearchWithStats: beamSearch on
-// the f32 tier, quantBeam on the int8 tier.
+// oracleGraphSearch is the old TauMG / NSW SearchWithStats.
 func oracleGraphSearch(g *graphIndex, q []float32, k int) ([]Result, SearchStats) {
 	var stats SearchStats
 	ef := g.beam
@@ -345,26 +297,8 @@ func oracleGraphSearch(g *graphIndex, q []float32, k int) ([]Result, SearchStats
 	}
 	sc := getScratch(n)
 	defer putScratch(sc)
-	if g.quant.qmat == nil {
-		qn := vecmath.SquaredNorm(q)
-		return oracleBeamSearchAdj(g.mat, g.adj, g.entry, ef, k, q, qn, sc, &stats), stats
-	}
-	if k > n {
-		k = n
-	}
-	m := k * g.quant.rerank
-	if m > n {
-		m = n
-	}
-	if ef < m {
-		ef = m
-	}
-	g.quant.qmat.QuantizeQuery(q, &sc.qq)
-	oracleBeamSearchAdjQ(g.quant.qmat, g.adj, g.entry, ef, sc, &stats)
-	for len(sc.best) > m {
-		maxPop(&sc.best)
-	}
-	return oracleRerankExact(g.mat, q, vecmath.SquaredNorm(q), sc, k, &stats), stats
+	qn := vecmath.SquaredNorm(q)
+	return oracleBeamSearchAdj(g.mat, g.adj, g.entry, ef, k, q, qn, sc, &stats), stats
 }
 
 // oracleHNSWSearch is the old f32 HNSW.SearchWithStats.
@@ -392,8 +326,7 @@ func oracleHNSWSearch(h *HNSW, q []float32, k int) ([]Result, SearchStats) {
 	return rs, stats
 }
 
-// oracleFlatSearch is the old BruteForce.SearchWithStats with its int8 twin
-// searchQuant: two copies of the tile loop.
+// oracleFlatSearch is the old BruteForce.SearchWithStats.
 func oracleFlatSearch(b *BruteForce, q []float32, k int) ([]Result, SearchStats) {
 	n := b.mat.Rows()
 	if k <= 0 || n == 0 {
@@ -405,25 +338,6 @@ func oracleFlatSearch(b *BruteForce, q []float32, k int) ([]Result, SearchStats)
 	sc := getScratch(0)
 	defer putScratch(sc)
 	tile := sc.distTile(bruteTile)
-	if b.quant.qmat != nil {
-		m := k * b.quant.rerank
-		if m > n {
-			m = n
-		}
-		b.quant.qmat.QuantizeQuery(q, &sc.qq)
-		for base := 0; base < n; base += bruteTile {
-			hi := base + bruteTile
-			if hi > n {
-				hi = n
-			}
-			b.quant.qmat.L2SquaredRange(&sc.qq, base, hi, tile)
-			for j, d := range tile[:hi-base] {
-				boundedInsert(&sc.best, Result{ID: base + j, Dist: d}, m)
-			}
-		}
-		stats := SearchStats{DistComps: n, Hops: 1}
-		return oracleRerankExact(b.mat, q, vecmath.SquaredNorm(q), sc, k, &stats), stats
-	}
 	qn := vecmath.SquaredNorm(q)
 	for base := 0; base < n; base += bruteTile {
 		hi := base + bruteTile
@@ -438,21 +352,28 @@ func oracleFlatSearch(b *BruteForce, q []float32, k int) ([]Result, SearchStats)
 	return drainSorted(&sc.best, k), SearchStats{DistComps: n, Hops: 1}
 }
 
+// shapeFixtures returns the two dataset shapes the merged loops are held to:
+// isotropic random vectors and clustered vectors (the regime retrieval
+// embeddings live in).
+func shapeFixtures() map[string]struct{ vecs, queries [][]float32 } {
+	rngR := rand.New(rand.NewSource(41))
+	rngC := rand.New(rand.NewSource(42))
+	return map[string]struct{ vecs, queries [][]float32 }{
+		"random":    {RandomVectors(400, 32, rngR), RandomVectors(50, 32, rngR)},
+		"clustered": {ClusteredVectors(400, 32, 8, 0.2, rngC), ClusteredVectors(50, 32, 8, 0.2, rngC)},
+	}
+}
+
 // TestMergedLoopsMatchOracle: the single routing loop and the single tile
-// loop must return exactly — results and work counters — what the paired
-// f32 / int8 loops they replaced returned, for every index that searches
+// loop must return exactly — results and work counters — what the loops
+// they replaced returned, for every index that searches
 // through them, on both fixture shapes and at k below, at and above the
 // beam width.
 func TestMergedLoopsMatchOracle(t *testing.T) {
 	type searcher func(q []float32, k int) ([]Result, SearchStats)
-	quant := QuantConfig{Enabled: true}
-	for shape, fx := range quantFixtures() {
+	for shape, fx := range shapeFixtures() {
 		vecs := fx.vecs
 		taumg, err := NewTauMG(vecs, TauMGConfig{Tau: 0.05})
-		if err != nil {
-			t.Fatal(err)
-		}
-		taumgQ, err := NewTauMG(vecs, TauMGConfig{Tau: 0.05, Quant: quant})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,14 +385,12 @@ func TestMergedLoopsMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, flatQ := NewBruteForce(vecs), NewBruteForceQuant(vecs, quant)
+		flat := NewBruteForce(vecs)
 		pairs := map[string][2]searcher{
-			"taumg-f32":  {taumg.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleGraphSearch(&taumg.graphIndex, q, k) }},
-			"taumg-int8": {taumgQ.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleGraphSearch(&taumgQ.graphIndex, q, k) }},
-			"nsw-f32":    {nsw.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleGraphSearch(&nsw.graphIndex, q, k) }},
-			"hnsw-f32":   {hnsw.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleHNSWSearch(hnsw, q, k) }},
-			"flat-f32":   {flat.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleFlatSearch(flat, q, k) }},
-			"flat-int8":  {flatQ.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleFlatSearch(flatQ, q, k) }},
+			"taumg-f32": {taumg.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleGraphSearch(&taumg.graphIndex, q, k) }},
+			"nsw-f32":   {nsw.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleGraphSearch(&nsw.graphIndex, q, k) }},
+			"hnsw-f32":  {hnsw.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleHNSWSearch(hnsw, q, k) }},
+			"flat-f32":  {flat.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleFlatSearch(flat, q, k) }},
 		}
 		for name, pair := range pairs {
 			for _, k := range []int{1, 10, 64, 100, len(vecs) + 5} {

@@ -26,10 +26,6 @@ type searchScratch struct {
 	dists []float32
 	// cells ranks IVF cells by centroid distance.
 	cells []Result
-	// qq holds the quantized query for two-stage search; its code buffer
-	// recycles with the scratch, so quantizing a query allocates nothing at
-	// steady state.
-	qq vecmath.QuantizedQuery
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -205,49 +201,39 @@ func drainSorted(h *[]Result, k int) []Result {
 func sqrtf(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 
 // distSource scores index rows against one query. It is the single thing
-// the routing loop and the flat scan are parameterised over: the f32 tier
-// holds (mat, q, ‖q‖²), the int8 tier additionally holds the quantized
-// matrix and the quantized query, and a non-nil qmat selects it; a non-nil
-// sq is an f32 query given by its non-zero entries (tile form only). A
-// struct with a branch rather than an interface or closure, so building one
-// allocates nothing and the tile form reaches the fused range kernels
-// directly — the flat scan pays one predictable branch per tile, not an
-// indirect call per row.
+// the routing loop and the flat scan are parameterised over: (mat, q, ‖q‖²)
+// for a dense query, or a non-nil sq for a query given by its non-zero
+// entries (tile form only). A struct with a branch rather than an interface
+// or closure, so building one allocates nothing and the tile form reaches
+// the fused range kernels directly — the flat scan pays one predictable
+// branch per tile, not an indirect call per row.
 type distSource struct {
-	mat  *vecmath.Matrix
-	q    []float32
-	sq   *vecmath.Sparse
-	qn   float32 // ‖q‖²
-	qmat *vecmath.QuantizedMatrix
-	qq   *vecmath.QuantizedQuery
+	mat *vecmath.Matrix
+	q   []float32
+	sq  *vecmath.Sparse
+	qn  float32 // ‖q‖²
 }
 
-// dist returns the squared distance from the query to row i.
+// dist returns the squared distance from the dense query to row i.
 func (s *distSource) dist(i int) float32 {
-	if s.qmat != nil {
-		return s.qmat.L2SquaredTo(s.qq, i)
-	}
 	return s.mat.L2SquaredTo(s.q, s.qn, i)
 }
 
 // distRange is dist's tile form: squared distances to rows lo..hi−1 into
 // dst[0:hi−lo].
 func (s *distSource) distRange(lo, hi int, dst []float32) {
-	switch {
-	case s.qmat != nil:
-		s.qmat.L2SquaredRange(s.qq, lo, hi, dst)
-	case s.sq != nil:
+	if s.sq != nil {
 		s.mat.L2SquaredRangeSparse(*s.sq, s.qn, lo, hi, dst)
-	default:
-		s.mat.L2SquaredRange(s.q, s.qn, lo, hi, dst)
+		return
 	}
+	s.mat.L2SquaredRange(s.q, s.qn, lo, hi, dst)
 }
 
 // beamSearch is the one routing loop every proximity-graph index shares,
 // at search and at construction time: best-first search over one adjacency
 // table from entry toward the query behind src, keeping up to ef
 // candidates. Distances are compared squared. The ef best candidates are
-// left in sc.best, undrained, for the caller to trim, rerank or drain; the
+// left in sc.best, undrained, for the caller to trim or drain; the
 // caller provides the scratch (heaps + visited epochs), so routing itself
 // allocates nothing. ef must be positive and the index non-empty.
 func beamSearch(src *distSource, adj [][]int32, entry, ef int, sc *searchScratch, stats *SearchStats) {

@@ -49,10 +49,6 @@ type TauMGConfig struct {
 	// Seed drives the random candidate sampling (build is deterministic
 	// for a fixed seed).
 	Seed int64
-	// Quant gates two-stage search: beam routing over int8 codes, exact f32
-	// rerank of the rerank·k best. Construction always uses f32 distances —
-	// the graph itself is identical either way.
-	Quant QuantConfig
 }
 
 func (c *TauMGConfig) setDefaults() {
@@ -123,7 +119,6 @@ func NewTauMG(vecs [][]float32, cfg TauMGConfig) (*TauMG, error) {
 	}
 	t.entry = medoid(t.mat)
 	t.ensureReachable()
-	t.quant = newQuantStore(t.mat, cfg.Quant)
 	return t, nil
 }
 

@@ -61,6 +61,14 @@ func (in Input) IntArg(name string, def int) int {
 	return n
 }
 
+// FloatArg is IntArg for "float" parameters.
+func (in Input) FloatArg(name string, def float64) float64 {
+	if f, err := strconv.ParseFloat(in.Arg(name, ""), 64); err == nil {
+		return f
+	}
+	return def
+}
+
 // Env carries the shared substrate resources APIs may need.
 type Env struct {
 	// MolDB is the molecule database for similarity search (scenario 2).

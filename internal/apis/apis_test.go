@@ -487,6 +487,9 @@ func TestInputArgHelpers(t *testing.T) {
 	if in.IntArg("a", 1) != 5 || in.IntArg("b", 2) != 2 || in.IntArg("c", 3) != 3 || in.IntArg("missing", 4) != 4 {
 		t.Fatal("IntArg defaults wrong")
 	}
+	if in.FloatArg("a", 1) != 5 || in.FloatArg("b", 2.5) != 2.5 || in.FloatArg("c", 3.5) != 3.5 || in.FloatArg("missing", 4.5) != 4.5 {
+		t.Fatal("FloatArg defaults wrong")
+	}
 	if in.Arg("a", "d") != "5" || in.Arg("b", "d") != "d" || in.Arg("missing", "d") != "d" {
 		t.Fatal("Arg defaults wrong")
 	}

@@ -52,13 +52,9 @@ func registerClean(r *Registry, env *Env) {
 			{Name: "min_confidence", Description: "minimum confidence", Kind: "float", Default: "0.6"},
 		},
 		Fn: func(in Input) (Output, error) {
-			minConf := 0.6
-			if v := in.Arg("min_confidence", ""); v != "" {
-				fmt.Sscanf(v, "%g", &minConf) //nolint:errcheck // validated as float already
-			}
 			mined := kg.MineRules(in.Graph, kg.MineConfig{
 				MinSupport:    in.IntArg("min_support", 3),
-				MinConfidence: minConf,
+				MinConfidence: in.FloatArg("min_confidence", 0.6),
 			})
 			if len(mined) == 0 {
 				return Output{Text: "No rules met the support and confidence thresholds.", Data: mined}, nil

@@ -88,7 +88,12 @@ func registerUnderstand(r *Registry, _ *Env) {
 			{Name: "damping", Description: "damping factor", Kind: "float", Default: "0.85"},
 		},
 		Fn: func(in Input) (Output, error) {
-			scores := PageRank(in.Graph, 0.85, 50)
+			damping := in.FloatArg("damping", 0.85)
+			// Negated so that NaN, which ParseFloat accepts, is refused too.
+			if !(damping > 0 && damping < 1) {
+				return Output{}, fmt.Errorf("centrality.pagerank: damping %v outside (0, 1)", damping)
+			}
+			scores := PageRank(in.Graph, damping, 50)
 			return rankOutput(in.Graph, scores, in.IntArg("top", 5), "pagerank"), nil
 		},
 	})

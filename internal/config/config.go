@@ -19,13 +19,6 @@ type ANN struct {
 	Tau float64 `json:"tau"`
 	// TopK is how many candidate APIs retrieval returns.
 	TopK int `json:"top_k"`
-	// Quantize enables the int8 two-stage tier of τ-MG retrieval (a registry
-	// small enough for the flat scan is always scanned exactly): candidates
-	// rank on quantized codes, the rerank_factor·k best rerank on exact f32.
-	Quantize bool `json:"quantize,omitempty"`
-	// RerankFactor is the quantized over-fetch multiple (0 → the ann
-	// package default, 4). Only meaningful with Quantize set.
-	RerankFactor int `json:"rerank_factor,omitempty"`
 }
 
 // Sequentializer holds the graph-sequentializer parameters.
@@ -91,8 +84,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: ann.tau %g must be non-negative", c.ANN.Tau)
 	case c.ANN.TopK < 1 || c.ANN.TopK > 64:
 		return fmt.Errorf("config: ann.top_k %d outside [1, 64]", c.ANN.TopK)
-	case c.ANN.RerankFactor < 0 || c.ANN.RerankFactor > 256:
-		return fmt.Errorf("config: ann.rerank_factor %d outside [0, 256]", c.ANN.RerankFactor)
 	case c.Sequentializer.MaxPathLength < 1 || c.Sequentializer.MaxPathLength > 8:
 		return fmt.Errorf("config: sequentializer.max_path_length %d outside [1, 8]", c.Sequentializer.MaxPathLength)
 	case c.Sequentializer.Levels < 1 || c.Sequentializer.Levels > 2:

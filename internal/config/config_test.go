@@ -1,6 +1,7 @@
 package config
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -21,7 +22,6 @@ func TestValidateCatchesEveryField(t *testing.T) {
 		{"dim", func(c *Config) { c.ANN.Dim = 4 }, "ann.dim"},
 		{"tau", func(c *Config) { c.ANN.Tau = -1 }, "ann.tau"},
 		{"topk", func(c *Config) { c.ANN.TopK = 0 }, "ann.top_k"},
-		{"rerank", func(c *Config) { c.ANN.RerankFactor = 257 }, "ann.rerank_factor"},
 		{"pathlen", func(c *Config) { c.Sequentializer.MaxPathLength = 0 }, "max_path_length"},
 		{"levels", func(c *Config) { c.Sequentializer.Levels = 3 }, "levels"},
 		{"pathlines", func(c *Config) { c.Sequentializer.MaxPathLines = 0 }, "max_path_lines"},
@@ -58,6 +58,29 @@ func TestParseOverDefaults(t *testing.T) {
 	// Untouched sections keep defaults.
 	if c.Finetune.Rollouts != Default().Finetune.Rollouts {
 		t.Fatalf("finetune defaults lost: %+v", c.Finetune)
+	}
+}
+
+// TestRetiredANNFieldsLoadAndAreNotReported: "quantize" and "rerank_factor"
+// selected a retrieval tier that is deleted. A file written for it must keep
+// loading, whatever the values, and the encoding GET /config serves must not
+// list the keys.
+func TestRetiredANNFieldsLoadAndAreNotReported(t *testing.T) {
+	c, err := Parse([]byte(`{"ann":{"dim":256,"quantize":true,"rerank_factor":8}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ANN.Dim != 256 {
+		t.Fatalf("parsed ANN = %+v", c.ANN)
+	}
+	out, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"quantize", "rerank_factor"} {
+		if strings.Contains(string(out), key) {
+			t.Errorf("encoded config still lists %q: %s", key, out)
+		}
 	}
 }
 

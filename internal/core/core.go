@@ -380,18 +380,3 @@ func SeedMoleculeDB(env *apis.Env, n int, rng *rand.Rand) {
 		env.MolDB.Add(fmt.Sprintf("mol_%03d", i), graph.Molecule(size, rng))
 	}
 }
-
-// ParseKind inverts graph.Kind.String; unrecognized names (including the
-// empty string) are KindUnknown. WAL replay and GET /suggest use it.
-func ParseKind(s string) graph.Kind {
-	switch s {
-	case "social":
-		return graph.KindSocial
-	case "molecule":
-		return graph.KindMolecule
-	case "knowledge":
-		return graph.KindKnowledge
-	default:
-		return graph.KindUnknown
-	}
-}

@@ -415,8 +415,7 @@ func TestTranscriptRoundTrip(t *testing.T) {
 
 // TestTranscriptErrors pins what recovery must not do: restored turns were
 // already durable, so the turn observer is not notified for them — but it is
-// for the next live turn, with the index that follows the restored ones. An
-// unrecognised kind name in a persisted record degrades to KindUnknown.
+// for the next live turn, with the index that follows the restored ones.
 func TestTranscriptErrors(t *testing.T) {
 	s := session(t).Engine().NewSession()
 	type seen struct {
@@ -427,8 +426,8 @@ func TestTranscriptErrors(t *testing.T) {
 	s.SetTurnObserver(func(index int, t Turn) { observed = append(observed, seen{index, t.Question}) })
 
 	s.RestoreHistory([]Turn{
-		{Question: "restored one", Kind: ParseKind("social"), Answer: "a1"},
-		{Question: "restored two", Kind: ParseKind("nonsense"), Answer: "a2"},
+		{Question: "restored one", Kind: graph.KindSocial, Answer: "a1"},
+		{Question: "restored two", Kind: graph.KindUnknown, Answer: "a2"},
 	})
 	if len(observed) != 0 {
 		t.Fatalf("turn observer notified for restored turns: %+v", observed)
@@ -436,9 +435,6 @@ func TestTranscriptErrors(t *testing.T) {
 	hist := s.History()
 	if len(hist) != 2 || hist[0].Kind != graph.KindSocial || hist[1].Kind != graph.KindUnknown {
 		t.Fatalf("restored history = %+v", hist)
-	}
-	if ParseKind("") != graph.KindUnknown {
-		t.Fatal(`ParseKind("") is not KindUnknown`)
 	}
 
 	g := graph.New()

@@ -163,10 +163,8 @@ func NewEngineFromConfig(fc config.Config, registry *apis.Registry, env *apis.En
 		Env:        env,
 		RetrievalK: fc.ANN.TopK,
 		Retrieve: retrieve.Config{
-			Dim:          fc.ANN.Dim,
-			Tau:          float32(fc.ANN.Tau),
-			Quantize:     fc.ANN.Quantize,
-			RerankFactor: fc.ANN.RerankFactor,
+			Dim: fc.ANN.Dim,
+			Tau: float32(fc.ANN.Tau),
 		},
 		Prompt: llm.PromptConfig{
 			MaxPathLines:   fc.Sequentializer.MaxPathLines,

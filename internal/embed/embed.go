@@ -4,8 +4,7 @@
 // model; offline we substitute a deterministic TF-IDF feature-hashing
 // embedder. It preserves the property retrieval needs — lexically and
 // topically similar texts land near each other — while being reproducible
-// and dependency-free. The Embedder interface lets a real model be plugged
-// in without touching the retrieval path.
+// and dependency-free.
 package embed
 
 import (
@@ -19,16 +18,7 @@ import (
 	"chatgraph/internal/vecmath"
 )
 
-// Embedder converts text to a fixed-dimension vector.
-type Embedder interface {
-	// Embed returns a deterministic vector for text. Implementations must
-	// return unit-norm vectors of Dim() length.
-	Embed(text string) []float32
-	// Dim reports the embedding dimensionality.
-	Dim() int
-}
-
-// Hashing is the default Embedder: unigram+bigram feature hashing with a
+// Hashing is the embedder: unigram+bigram feature hashing with a
 // smoothed IDF table learned from the corpus registered via Fit. It is safe
 // for concurrent use after Fit.
 type Hashing struct {
@@ -52,7 +42,7 @@ func NewHashing(dim int) *Hashing {
 	return &Hashing{dim: dim, df: make(map[string]int), idfByDF: []float32{1}}
 }
 
-// Dim implements Embedder.
+// Dim reports the embedding dimensionality.
 func (h *Hashing) Dim() int { return h.dim }
 
 // Fit registers corpus documents so the embedder can weight rare terms more
@@ -126,7 +116,8 @@ func (h *Hashing) EmbedSparse(text string, dst vecmath.Sparse) vecmath.Sparse {
 	return dst
 }
 
-// Embed implements Embedder: EmbedSparse scattered into a dense vector.
+// Embed returns the deterministic unit-norm vector of Dim() length for
+// text: EmbedSparse scattered into a dense vector.
 func (h *Hashing) Embed(text string) []float32 {
 	v := make([]float32, h.dim)
 	q := h.EmbedSparse(text, vecmath.Sparse{Idx: make([]int32, 0, 64), Val: make([]float32, 0, 64)})
@@ -323,6 +314,6 @@ func sibilantBefore(tok []byte) bool {
 
 // Similarity returns the cosine similarity between the embeddings of a and b
 // under e.
-func Similarity(e Embedder, a, b string) float32 {
+func Similarity(e *Hashing, a, b string) float32 {
 	return vecmath.Cosine(e.Embed(a), e.Embed(b))
 }

@@ -394,6 +394,21 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// TestKindRoundTrip: ParseKind inverts String on every kind — WAL replay
+// reads back what turnRecord wrote — and maps anything else to KindUnknown.
+func TestKindRoundTrip(t *testing.T) {
+	for _, k := range []Kind{KindUnknown, KindSocial, KindMolecule, KindKnowledge} {
+		if got := ParseKind(k.String()); got != k {
+			t.Errorf("ParseKind(%q) = %s, want %s", k.String(), got, k)
+		}
+	}
+	for _, name := range []string{"", "Social", "hypergraph"} {
+		if got := ParseKind(name); got != KindUnknown {
+			t.Errorf("ParseKind(%q) = %s, want unknown", name, got)
+		}
+	}
+}
+
 // Property: for any random graph, every BFS distance from node 0 is either
 // -1 or at most n-1, and neighbors are mutual in undirected graphs.
 func TestQuickBFSAndSymmetry(t *testing.T) {

@@ -296,6 +296,21 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind inverts String; unrecognized names (including the empty string)
+// are KindUnknown.
+func ParseKind(s string) Kind {
+	switch s {
+	case "social":
+		return KindSocial
+	case "molecule":
+		return KindMolecule
+	case "knowledge":
+		return KindKnowledge
+	default:
+		return KindUnknown
+	}
+}
+
 // Classify predicts the graph category from cheap structural and label
 // signals. This implements the paper's "ChatGraph first predicts the type of
 // G" step (§IV-1). Like ComputeStats, the result is memoized per graph

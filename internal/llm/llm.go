@@ -132,7 +132,7 @@ func parsePrompt(messages []Message) (question string, kind graph.Kind, candidat
 					question = trimmed
 				}
 			case sectionKind:
-				kind = parseKind(trimmed)
+				kind = graph.ParseKind(trimmed)
 			case sectionAPIs:
 				name := strings.TrimPrefix(trimmed, "- ")
 				if i := strings.IndexByte(name, ':'); i > 0 {
@@ -146,19 +146,6 @@ func parsePrompt(messages []Message) (question string, kind graph.Kind, candidat
 		return "", graph.KindUnknown, nil, fmt.Errorf("llm: prompt missing %s section", sectionQuestion)
 	}
 	return question, kind, candidates, nil
-}
-
-func parseKind(s string) graph.Kind {
-	switch s {
-	case "social":
-		return graph.KindSocial
-	case "molecule":
-		return graph.KindMolecule
-	case "knowledge":
-		return graph.KindKnowledge
-	default:
-		return graph.KindUnknown
-	}
 }
 
 // SimClient is the deterministic offline LLM: it parses the structured

@@ -36,14 +36,12 @@ type Config struct {
 	Dim int
 	// Tau is the τ-MG parameter (0 is valid: MRNG).
 	Tau float32
-	// Quantize enables the int8 two-stage search tier of the τ-MG (up to
-	// exactThreshold entries the scan is exact either way): candidates rank
-	// on quantized codes (¼ the scanned bytes) and the RerankFactor·k best
-	// are reranked with exact f32 distances.
+	// Quantize is ignored.
+	//
+	// Deprecated: the tier it selected is deleted (DESIGN.md "One
+	// precision"). The field stays only because bench/oracle.go sets it and
+	// bench/ changes in benchmark-only PRs; it goes with that assignment.
 	Quantize bool
-	// RerankFactor is the quantized over-fetch multiple
-	// (0 → ann.DefaultRerankFactor). Ignored unless Quantize is set.
-	RerankFactor int
 }
 
 // exactThreshold is the registry size up to which New builds the exact flat
@@ -53,21 +51,20 @@ type Config struct {
 // padded registry (BenchmarkRetrievalCrossover, 5 runs per cell;
 // EXPERIMENTS.md E25 has the spread); flat sparse is what New serves:
 //
-//	n            flat sparse  flat f32  flat int8  τ-MG f32  τ-MG int8
-//	39 (served)          1.1      19.0       20.3      25.8       20.3
-//	64                   1.7      34.3       19.3      43.5       27.0
-//	128                  2.5      69.6       28.3      85.0       40.4
-//	256                  4.6     135.5       36.9     140.6       55.3
-//	512                 10.1     257.2       49.7     273.3       85.6
-//	1024                31.4     508.2       82.4     411.9      104.0
-//	2048                74.9    1073.1      152.8     688.4      151.2
-//	4096               205.9    2326.5      302.0     836.4      181.1
+//	n            flat sparse  flat dense      τ-MG
+//	39 (served)          1.1        19.0      25.8
+//	64                   1.7        34.3      43.5
+//	128                  2.5        69.6      85.0
+//	256                  4.6       135.5     140.6
+//	512                 10.1       257.2     273.3
+//	1024                31.4       508.2     411.9
+//	2048                74.9      1073.1     688.4
+//	4096               205.9      2326.5     836.4
 //
-// The sparse scan costs n × non-zeros, not n × d: τ-MG int8 first beats it
-// between n = 2048 and 4096, τ-MG f32 not by 4096. The constant stays at 64
-// in the PR that added the column; raising it is one line here plus re-padding
-// the two fixtures that build a τ-MG through New (TestTauMGPathUsed pads to
-// 80, evalchains E10 to 512).
+// The sparse scan costs n × non-zeros, not n × d: the τ-MG does not beat it
+// by n = 4096. The constant stays at 64 in the PR that added the column;
+// raising it is one line here plus re-padding the two fixtures that build a
+// τ-MG through New (TestTauMGPathUsed pads to 80, evalchains E10 to 512).
 const exactThreshold = 64
 
 // Index retrieves APIs by embedding similarity.
@@ -108,8 +105,7 @@ func New(reg *apis.Registry, cfg Config) (*Index, error) {
 		ix.flat = ann.NewBruteForce(vecs)
 		return ix, nil
 	}
-	quant := ann.QuantConfig{Enabled: cfg.Quantize, RerankFactor: cfg.RerankFactor}
-	idx, err := ann.NewTauMG(vecs, ann.TauMGConfig{Tau: cfg.Tau, Quant: quant})
+	idx, err := ann.NewTauMG(vecs, ann.TauMGConfig{Tau: cfg.Tau})
 	if err != nil {
 		return nil, fmt.Errorf("retrieve: build index: %w", err)
 	}

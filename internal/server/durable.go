@@ -77,7 +77,7 @@ func (s *Server) attachTurnLog(m *managed) {
 }
 
 // turnRecord converts a completed turn to its durable wire form; Recover
-// inverts it (chain.Parse, core.ParseKind) into Session.RestoreHistory.
+// inverts it (chain.Parse, graph.ParseKind) into Session.RestoreHistory.
 func turnRecord(sessionID string, index int, t core.Turn) durable.TurnRecord {
 	return durable.TurnRecord{
 		SessionID: sessionID,
@@ -214,7 +214,7 @@ func (s *Server) Recover(st *durable.State) error {
 			}
 			restored = append(restored, core.Turn{
 				Question: tr.Question,
-				Kind:     core.ParseKind(tr.Kind),
+				Kind:     graph.ParseKind(tr.Kind),
 				Chain:    c,
 				Answer:   tr.Answer,
 				Elapsed:  time.Duration(tr.ElapsedMS) * time.Millisecond,

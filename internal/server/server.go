@@ -634,7 +634,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	// No kind (or "unknown") means no uploaded graph yet: generic
 	// suggestions. Any other name ParseKind does not know is a client error.
 	v := r.URL.Query().Get("kind")
-	kind := core.ParseKind(v)
+	kind := graph.ParseKind(v)
 	if kind == graph.KindUnknown && v != "" && v != "unknown" {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("unknown kind %q (want social, molecule, knowledge, or unknown)", v))
 		return
