@@ -6,6 +6,7 @@
 //	E3 Fig. 6  BenchmarkScenarioCleaning        chat-based graph cleaning
 //	E4 Fig. 7  BenchmarkScenarioMonitoring      chain confirmation + monitoring
 //	E5 §II-D   BenchmarkANN*                    τ-MG vs MRNG vs NSW vs brute force
+//	                                            (greedy routing: internal/ann BenchmarkANNGreedyRouting)
 //	E6 §II-B   BenchmarkPathCover               path-cover size/coverage
 //	E7 §II-C   BenchmarkRollouts                rollout-search ablation
 //	E8 Fig. 1  BenchmarkAPIRetrieval            retrieval hit rate
@@ -118,7 +119,7 @@ func BenchmarkScenarioCleaning(b *testing.B) {
 		if _, err := s.Ask(context.Background(), "Clean G", g, core.AskOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		cleaned = corruption - countIncorrect(s, g)
+		cleaned = corruption - countIncorrect(g)
 	}
 	b.ReportMetric(float64(cleaned)/float64(corruption), "incorrect-removed-frac")
 }
@@ -148,8 +149,8 @@ func injectForBench(g *graph.Graph, rng *rand.Rand) int {
 	return injected
 }
 
-func countIncorrect(s *core.Session, g *graph.Graph) int {
-	return len(s.Env().Detector.DetectIncorrect(g))
+func countIncorrect(g *graph.Graph) int {
+	return len(benchEnv.Detector.DetectIncorrect(g))
 }
 
 // --- E4: chain confirmation and monitoring (Fig. 7) ---
@@ -223,7 +224,7 @@ func BenchmarkANNTauMG(b *testing.B) {
 
 func BenchmarkANNMRNG(b *testing.B) {
 	benchIndex(b, func(vecs [][]float32) ann.Index {
-		idx, err := ann.NewMRNG(vecs, 32, 64)
+		idx, err := ann.NewTauMG(vecs, ann.TauMGConfig{Tau: 0, MaxDegree: 32, Beam: 64})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,26 +235,6 @@ func BenchmarkANNMRNG(b *testing.B) {
 func BenchmarkANNNSW(b *testing.B) {
 	benchIndex(b, func(vecs [][]float32) ann.Index {
 		idx, err := ann.NewNSW(vecs, ann.NSWConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return idx
-	})
-}
-
-func BenchmarkANNIVFFlat(b *testing.B) {
-	benchIndex(b, func(vecs [][]float32) ann.Index {
-		idx, err := ann.NewIVFFlat(vecs, ann.IVFConfig{Seed: 6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return idx
-	})
-}
-
-func BenchmarkANNHNSW(b *testing.B) {
-	benchIndex(b, func(vecs [][]float32) ann.Index {
-		idx, err := ann.NewHNSW(vecs, ann.HNSWConfig{Seed: 5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -329,59 +310,6 @@ func BenchmarkRetrievalBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkANNGreedyRouting compares the paper's single-path greedy routing
-// across proximity graphs — τ-MG's selling point is fewer routing hops at
-// equal accuracy. The τ-MG monotonicity guarantee applies to queries whose
-// nearest neighbor lies within τ, so queries are small perturbations of
-// base vectors, and the degree budget is widened (truncating non-occluded
-// edges would void the guarantee).
-func BenchmarkANNGreedyRouting(b *testing.B) {
-	rng := rand.New(rand.NewSource(55))
-	vecs := ann.RandomVectors(2000, 16, rng)
-	exact := ann.NewBruteForce(vecs)
-	// τ is calibrated to a tenth of the mean nearest-neighbor distance.
-	var meanNN float32
-	for i := 0; i < 50; i++ {
-		meanNN += exact.Search(vecs[i], 2)[1].Dist
-	}
-	meanNN /= 50
-	tau := 0.1 * meanNN
-	queries := make([][]float32, 200)
-	for i := range queries {
-		base := vecs[rng.Intn(len(vecs))]
-		q := make([]float32, len(base))
-		for j := range q {
-			q[j] = base[j] + float32(rng.NormFloat64())*tau/8
-		}
-		queries[i] = q
-	}
-	for _, cfg := range []struct {
-		name string
-		tau  float32
-	}{{"mrng", 0}, {"tau-mg", tau}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			idx, err := ann.NewTauMG(vecs, ann.TauMGConfig{Tau: cfg.tau, MaxDegree: 64, CandidatePool: 192})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var hops, correct float64
-			for _, q := range queries {
-				r, st := idx.GreedyRoute(q)
-				hops += float64(st.Hops)
-				if truth := exact.Search(q, 1); len(truth) > 0 && truth[0].ID == r.ID {
-					correct++
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				idx.GreedyRoute(queries[i%len(queries)])
-			}
-			b.ReportMetric(hops/float64(len(queries)), "hops")
-			b.ReportMetric(correct/float64(len(queries)), "exact-nn-rate")
-		})
-	}
-}
-
 // --- E6: length-constrained path cover (§II-B) ---
 
 func BenchmarkPathCover(b *testing.B) {
@@ -392,27 +320,11 @@ func BenchmarkPathCover(b *testing.B) {
 			var paths []seq.Path
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				paths = seq.PathCover(g, l, 0)
+				paths = seq.Sequentialize(g, seq.Options{MaxLength: l, Levels: 1}).Paths
 			}
 			b.ReportMetric(float64(len(paths)), "paths")
 			b.ReportMetric(float64(len(paths))/float64(g.NumNodes()), "paths/node")
 		})
-	}
-}
-
-// TestPathCoverBound is the E6 correctness side: the covering property holds
-// and the count stays polynomial, at every l.
-func TestPathCoverBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := graph.BarabasiAlbert(120, 2, rng)
-	for _, l := range []int{1, 2, 3} {
-		paths := seq.PathCover(g, l, 0)
-		if !seq.CoverageOK(g, paths, l) {
-			t.Fatalf("coverage violated at l=%d", l)
-		}
-		if n := g.NumNodes(); len(paths) > n*n*l {
-			t.Fatalf("path count %d exceeds n²·l at l=%d", len(paths), l)
-		}
 	}
 }
 
@@ -463,28 +375,6 @@ func BenchmarkChainPrediction(b *testing.B) {
 	}
 	b.ReportMetric(res.ExactMatch, "exact-match")
 	b.ReportMetric(res.MeanGED, "mean-ged")
-}
-
-// BenchmarkDecodingStrategies is the greedy-vs-beam ablation on the trained
-// model: exact match and latency per decode width.
-func BenchmarkDecodingStrategies(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	ds := finetune.GenerateDataset(400, rng)
-	train, test := finetune.SplitDataset(ds, 0.25, rng)
-	vocab := apis.Default(nil).Names()
-	m := finetune.Train(vocab, train, finetune.TrainConfig{Epochs: 2, Search: finetune.SearchConfig{Rollouts: 4}, Seed: 14})
-	for _, width := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("beam=%d", width), func(b *testing.B) {
-			res := finetune.EvaluateBeam(m, test, 0.5, width)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ex := test[i%len(test)]
-				m.DecodeBeam(ex.Question, ex.Kind, 8, width)
-			}
-			b.ReportMetric(res.ExactMatch, "exact-match")
-			b.ReportMetric(res.MeanGED, "mean-ged")
-		})
-	}
 }
 
 // --- E8: API retrieval quality (Fig. 1 / Fig. 3) ---

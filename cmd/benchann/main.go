@@ -114,8 +114,6 @@ func runBatchMode(rng *rand.Rand, sizes string, dim, nq, k, batchSize int) {
 		}{
 			{"bruteforce", func() (ann.Index, error) { return ann.NewBruteForce(vecs), nil }},
 			{"tau-mg(0.05)", func() (ann.Index, error) { return ann.NewTauMG(vecs, ann.TauMGConfig{Tau: 0.05}) }},
-			{"hnsw", func() (ann.Index, error) { return ann.NewHNSW(vecs, ann.HNSWConfig{Seed: 1}) }},
-			{"ivf", func() (ann.Index, error) { return ann.NewIVFFlat(vecs, ann.IVFConfig{Seed: 1}) }},
 		}
 		for _, spec := range indexes {
 			idx, err := spec.build()

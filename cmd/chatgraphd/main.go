@@ -109,6 +109,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chatgraphd: unexpected argument %q (flags after it would be ignored)\n", flag.Arg(0))
 		os.Exit(2)
 	}
+	if *dataDir == "" {
+		// These tune the durability layer and do nothing without one; a
+		// daemon asked for -wal-sync always must not boot in-memory and
+		// acknowledge turns it will never persist.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "wal-sync", "wal-sync-interval", "snapshot-interval":
+				fmt.Fprintf(os.Stderr, "chatgraphd: -%s needs -data-dir\n", f.Name)
+				os.Exit(2)
+			}
+		})
+	}
 	if *writeTimeout > 0 && *writeTimeout <= *reqTimeout {
 		log.Fatalf("chatgraphd: -write-timeout %s must exceed -request-timeout %s (or the connection dies before the 504 can be written)", *writeTimeout, *reqTimeout)
 	}

@@ -29,26 +29,58 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runMain runs the daemon's main with args in a child process and returns
+// what it printed and its exit status.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "CHATGRAPHD_TEST_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("run %v: %v; output:\n%s", args, err, out)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
+
 // TestStrayArgumentRefused: flag parsing stops at the first non-flag, so
 // `chatgraphd stray -data-dir d` used to boot an in-memory daemon that
 // acknowledged turns it would never persist. It must exit 2 naming the
 // argument, before anything is built or opened.
 func TestStrayArgumentRefused(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], "-addr", "127.0.0.1:0", "-molecules", "5", "stray", "-data-dir", dir)
-	cmd.Env = append(os.Environ(), "CHATGRAPHD_TEST_RUN_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("err = %v, want exit status 2; output:\n%s", err, out)
+	out, code := runMain(t, "-addr", "127.0.0.1:0", "-molecules", "5", "stray", "-data-dir", dir)
+	if code != 2 {
+		t.Fatalf("exit status %d, want 2; output:\n%s", code, out)
 	}
-	if !strings.Contains(string(out), `"stray"`) {
+	if !strings.Contains(out, `"stray"`) {
 		t.Errorf("output does not name the stray argument:\n%s", out)
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Errorf("data dir was touched (stat err = %v)", err)
+	}
+}
+
+// TestDurabilityFlagsNeedDataDir: -wal-sync, -wal-sync-interval and
+// -snapshot-interval were read only inside `if *dataDir != ""`, so without
+// -data-dir even `-wal-sync bogus` booted an in-memory daemon and logged
+// nothing. Each, set explicitly, must exit 2 naming the flag.
+func TestDurabilityFlagsNeedDataDir(t *testing.T) {
+	for _, args := range [][]string{
+		{"-wal-sync", "always"},
+		{"-wal-sync-interval", "1s"},
+		{"-snapshot-interval", "0"},
+		{"-snapshot-interval", "1s", "-wal-sync", "bogus"}, // named in flag.Visit's (lexical) order
+	} {
+		out, code := runMain(t, append([]string{"-addr", "127.0.0.1:0", "-molecules", "5"}, args...)...)
+		if code != 2 {
+			t.Errorf("%v: exit status %d, want 2; output:\n%s", args, code, out)
+		}
+		if want := args[0] + " needs -data-dir"; !strings.Contains(out, want) {
+			t.Errorf("%v: output lacks %q:\n%s", args, want, out)
+		}
 	}
 }
 

@@ -430,12 +430,6 @@ type reconnector struct {
 	count atomic.Int64
 }
 
-// retryable classifies one attempt: transport errors and 503 are the two
-// shapes a restarting daemon produces.
-func retryable(status int, err error) bool {
-	return err != nil || status == http.StatusServiceUnavailable
-}
-
 // do runs op, retrying while op reports a retryable failure and the grace
 // period has budget. It returns op's final verdict either way; a recovery
 // after ≥1 failure bumps the reconnect counter.

@@ -22,7 +22,6 @@ package ann
 
 import (
 	"fmt"
-	"math"
 
 	"chatgraph/internal/vecmath"
 )
@@ -50,8 +49,6 @@ type Index interface {
 	Search(q []float32, k int) []Result
 	// SearchWithStats is Search plus per-query work counters.
 	SearchWithStats(q []float32, k int) ([]Result, SearchStats)
-	// Len reports how many vectors are indexed.
-	Len() int
 }
 
 // BruteForce is the exact baseline: a fused linear scan over the flat
@@ -69,9 +66,6 @@ func NewBruteForce(vecs [][]float32) *BruteForce {
 // newBruteForceMatrix shares an already-built matrix (used by index
 // construction to avoid duplicating vector storage).
 func newBruteForceMatrix(m *vecmath.Matrix) *BruteForce { return &BruteForce{mat: m} }
-
-// Len implements Index.
-func (b *BruteForce) Len() int { return b.mat.Rows() }
 
 // Search implements Index.
 func (b *BruteForce) Search(q []float32, k int) []Result {
@@ -159,9 +153,6 @@ type graphIndex struct {
 	beam  int // default ef for search, ≥ k
 }
 
-// Len implements Index.
-func (g *graphIndex) Len() int { return g.mat.Rows() }
-
 // Search implements Index using beam search with the configured beam width.
 func (g *graphIndex) Search(q []float32, k int) []Result {
 	rs, _ := g.SearchWithStats(q, k)
@@ -204,50 +195,6 @@ func medoid(m *vecmath.Matrix) int {
 		}
 	}
 	return best
-}
-
-// GreedyRoute performs the paper's single-path greedy routing: from the
-// entry point repeatedly move to the neighbor closest to q; stop when no
-// neighbor improves. It returns the final node and the routing stats. On a
-// τ-monotonic graph this finds the exact nearest neighbor of queries whose
-// nearest neighbor is within τ of the query (the τ-MG guarantee). The walk
-// compares squared distances and allocates nothing.
-func (g *graphIndex) GreedyRoute(q []float32) (Result, SearchStats) {
-	var stats SearchStats
-	if g.mat.Rows() == 0 {
-		return Result{ID: -1, Dist: float32(math.Inf(1))}, stats
-	}
-	qn := vecmath.SquaredNorm(q)
-	cur := g.entry
-	curDist := g.mat.L2SquaredTo(q, qn, cur)
-	stats.DistComps++
-	for {
-		stats.Hops++
-		improved := false
-		for _, nb := range g.adj[cur] {
-			d := g.mat.L2SquaredTo(q, qn, int(nb))
-			stats.DistComps++
-			if d < curDist {
-				cur, curDist = int(nb), d
-				improved = true
-			}
-		}
-		if !improved {
-			return Result{ID: cur, Dist: sqrtf(curDist)}, stats
-		}
-	}
-}
-
-// AvgDegree returns the mean out-degree of the proximity graph.
-func (g *graphIndex) AvgDegree() float64 {
-	if len(g.adj) == 0 {
-		return 0
-	}
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	return float64(total) / float64(len(g.adj))
 }
 
 func checkVectors(vecs [][]float32) error {

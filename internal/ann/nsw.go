@@ -2,7 +2,7 @@ package ann
 
 // NSW is the navigable-small-world baseline: vectors are inserted one at a
 // time, each connecting bidirectionally to the M nearest nodes found by a
-// beam search over the graph built so far. It is the classic pre-HNSW
+// beam search over the graph built so far. It is the classic single-layer
 // construction the ANN surveys cited by the paper benchmark against.
 type NSW struct {
 	graphIndex

@@ -95,37 +95,6 @@ func TestGraphIndexParity(t *testing.T) {
 	}
 }
 
-// TestIVFFullProbeParity: probing every cell is an exact search, so IVF
-// must match the baseline too.
-func TestIVFFullProbeParity(t *testing.T) {
-	vecs, queries := parityFixture()
-	ivf, err := NewIVFFlat(vecs, IVFConfig{NList: 8, NProbe: 8, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		sameIDs(t, "ivf", ivf.Search(q, 10), naiveTopK(vecs, q, 10))
-	}
-}
-
-// TestHNSWParityRecall: HNSW's pruning keeps no exactness guarantee even
-// at full beam, so it is held to perfect recall@10 on the fixture instead
-// of per-rank identity.
-func TestHNSWParityRecall(t *testing.T) {
-	vecs, queries := parityFixture()
-	idx, err := NewHNSW(vecs, HNSWConfig{Seed: 7, Beam: len(vecs)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0.0
-	for _, q := range queries {
-		total += Recall(idx.Search(q, 10), naiveTopK(vecs, q, 10))
-	}
-	if avg := total / float64(len(queries)); avg < 0.99 {
-		t.Fatalf("HNSW full-beam recall@10 = %.3f, want ≥ 0.99", avg)
-	}
-}
-
 // TestSearchBatchMatchesSearch: the batch surface must be a pure fan-out —
 // identical results to the one-query loop, in input order, for every index
 // type.
@@ -139,13 +108,8 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 	} else {
 		t.Fatal(err)
 	}
-	if idx, err := NewHNSW(vecs, HNSWConfig{Seed: 1}); err == nil {
-		indexes["hnsw"] = idx
-	} else {
-		t.Fatal(err)
-	}
-	if idx, err := NewIVFFlat(vecs, IVFConfig{Seed: 1}); err == nil {
-		indexes["ivf"] = idx
+	if idx, err := NewNSW(vecs, NSWConfig{}); err == nil {
+		indexes["nsw"] = idx
 	} else {
 		t.Fatal(err)
 	}
@@ -219,14 +183,9 @@ func TestGraphSearchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	bf := NewBruteForce(vecs)
-	ivf, err := NewIVFFlat(vecs, IVFConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, fn := range map[string]func(){
 		"taumg":      func() { taumg.Search(queries[0], 10) },
 		"bruteforce": func() { bf.Search(queries[0], 10) },
-		"ivf":        func() { ivf.Search(queries[0], 10) },
 		"greedy":     func() { taumg.GreedyRoute(queries[0]) },
 	} {
 		fn() // warm the pool
@@ -301,31 +260,6 @@ func oracleGraphSearch(g *graphIndex, q []float32, k int) ([]Result, SearchStats
 	return oracleBeamSearchAdj(g.mat, g.adj, g.entry, ef, k, q, qn, sc, &stats), stats
 }
 
-// oracleHNSWSearch is the old f32 HNSW.SearchWithStats.
-func oracleHNSWSearch(h *HNSW, q []float32, k int) ([]Result, SearchStats) {
-	var stats SearchStats
-	if h.mat.Rows() == 0 || k <= 0 {
-		return nil, stats
-	}
-	ef := h.beam
-	if ef < k {
-		ef = k
-	}
-	qn := vecmath.SquaredNorm(q)
-	cur := h.entry
-	for l := h.maxLvl; l > 0; l-- {
-		before := cur
-		cur = h.greedyLayer(q, qn, cur, l)
-		if cur != before {
-			stats.Hops++
-		}
-	}
-	sc := getScratch(h.mat.Rows())
-	defer putScratch(sc)
-	rs := oracleBeamSearchAdj(h.mat, h.layers[0], cur, ef, k, q, qn, sc, &stats)
-	return rs, stats
-}
-
 // oracleFlatSearch is the old BruteForce.SearchWithStats.
 func oracleFlatSearch(b *BruteForce, q []float32, k int) ([]Result, SearchStats) {
 	n := b.mat.Rows()
@@ -381,15 +315,10 @@ func TestMergedLoopsMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hnsw, err := NewHNSW(vecs, HNSWConfig{Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
 		flat := NewBruteForce(vecs)
 		pairs := map[string][2]searcher{
 			"taumg-f32": {taumg.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleGraphSearch(&taumg.graphIndex, q, k) }},
 			"nsw-f32":   {nsw.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleGraphSearch(&nsw.graphIndex, q, k) }},
-			"hnsw-f32":  {hnsw.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleHNSWSearch(hnsw, q, k) }},
 			"flat-f32":  {flat.SearchWithStats, func(q []float32, k int) ([]Result, SearchStats) { return oracleFlatSearch(flat, q, k) }},
 		}
 		for name, pair := range pairs {

@@ -24,8 +24,6 @@ type searchScratch struct {
 	best     []Result
 	// dists is the tile buffer for fused distance kernels.
 	dists []float32
-	// cells ranks IVF cells by centroid distance.
-	cells []Result
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -42,13 +40,12 @@ func getScratch(n int) *searchScratch {
 	sc.nextEpoch()
 	sc.frontier = sc.frontier[:0]
 	sc.best = sc.best[:0]
-	sc.cells = sc.cells[:0]
 	return sc
 }
 
 // nextEpoch invalidates the visited buffer in O(1). Called once per
-// routing pass — a search that routes several times over one scratch
-// (HNSW's layers) must not see a previous pass's stamps.
+// routing pass: NSW construction routes once per inserted vector over one
+// scratch, and a pass must not see the previous one's stamps.
 func (sc *searchScratch) nextEpoch() {
 	sc.epoch++
 	if sc.epoch == 0 {

@@ -14,7 +14,7 @@ import (
 //	is occluded (not added) if u′ lies in ball(u, δ(u,v)) ∩ ball(v, δ(u,v)−3τ),
 //	i.e. δ(u,u′) < δ(u,v) and δ(v,u′) < δ(u,v) − 3τ.
 //
-// With τ = 0 the rule degenerates to the MRNG rule, so NewMRNG simply calls
+// With τ = 0 the rule degenerates to the MRNG rule, so the MRNG baseline is
 // NewTauMG with τ = 0. Larger τ keeps more long edges, which shortens greedy
 // routing paths at the cost of degree — the trade-off benchmark E5 sweeps.
 type TauMG struct {
@@ -182,15 +182,6 @@ func (t *TauMG) ensureReachable() {
 			}
 		}
 	}
-}
-
-// Tau returns the τ the graph was built with.
-func (t *TauMG) Tau() float32 { return t.tau }
-
-// NewMRNG builds the MRNG baseline: a τ-MG with τ = 0, whose occlusion rule
-// is exactly the monotonic relative neighborhood rule.
-func NewMRNG(vecs [][]float32, maxDegree, beam int) (*TauMG, error) {
-	return NewTauMG(vecs, TauMGConfig{Tau: 0, MaxDegree: maxDegree, Beam: beam})
 }
 
 // sortResults orders hits by distance then ID, the canonical result order.

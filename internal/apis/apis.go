@@ -193,17 +193,6 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// ByCategory returns the APIs in one category, sorted by name.
-func (r *Registry) ByCategory(cat string) []API {
-	var out []API
-	for _, a := range r.All() {
-		if a.Category == cat {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // ValidateStep implements chain.Validator: the API must exist, required
 // params must be present, and enum/int params must parse.
 func (r *Registry) ValidateStep(s chain.Step) error {

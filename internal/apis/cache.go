@@ -116,13 +116,6 @@ func (c *InvokeCache) put(k cacheKey, out Output) {
 	}
 }
 
-// Len reports the number of live entries.
-func (c *InvokeCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Counters returns the lifetime hit and miss counts.
 func (c *InvokeCache) Counters() (hits, misses uint64) {
 	c.mu.Lock()

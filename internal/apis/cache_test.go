@@ -13,6 +13,13 @@ import (
 
 // countingRegistry returns a registry with one memoizable and one
 // non-memoizable API, each counting its executions.
+// Len reports the number of live entries; only the tests count them.
+func (c *InvokeCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
 func countingRegistry(t *testing.T) (*Registry, *int, *int) {
 	t.Helper()
 	r := NewRegistry()

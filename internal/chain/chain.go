@@ -81,16 +81,9 @@ func (c Chain) String() string {
 	return strings.Join(parts, " -> ")
 }
 
-// APIs returns the API names in order.
-func (c Chain) APIs() []string {
-	out := make([]string, len(c))
-	for i, s := range c {
-		out[i] = s.API
-	}
-	return out
-}
-
-// Equal reports element-wise equality.
+// Equal reports element-wise equality. Only tests compare whole chains: the
+// finetune parity tests against their oracle, core's and durable's round
+// trips.
 func (c Chain) Equal(o Chain) bool {
 	if len(c) != len(o) {
 		return false

@@ -92,14 +92,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestAPIs(t *testing.T) {
-	c := mk("a", "b", "c")
-	got := c.APIs()
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("APIs = %v", got)
-	}
-}
-
 func TestEditDistanceBasics(t *testing.T) {
 	a := mk("x", "y", "z")
 	if d := EditDistance(a, a); d != 0 {

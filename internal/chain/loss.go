@@ -98,37 +98,6 @@ func (s *scratch) editDistance(a, b Chain) float64 {
 	return prev[m]
 }
 
-// Matching is a one-to-one assignment between the steps of two chains.
-// Pairs[i] = j means step i of the first chain matches step j of the second;
-// -1 means unmatched.
-type Matching struct {
-	Pairs []int
-	// Cost is the total substitution cost over matched pairs.
-	Cost float64
-}
-
-// OptimalMatching computes the minimum-cost one-to-one matching between the
-// steps of a and b using the Hungarian algorithm on a square matrix padded
-// with dummy rows/columns of cost 1 (the cost of leaving a node unmatched,
-// equal to an insert/delete in the edit distance).
-func OptimalMatching(a, b Chain) Matching {
-	if len(a) == 0 && len(b) == 0 {
-		return Matching{}
-	}
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	s.match(a, b)
-	mt := Matching{Pairs: make([]int, len(a))}
-	for i := range a {
-		mt.Pairs[i] = -1
-		if j, c := s.pair(i, len(b)); j >= 0 {
-			mt.Pairs[i] = j
-			mt.Cost += c
-		}
-	}
-	return mt
-}
-
 // match fills s.cost with the padded substitution matrix of a and b and
 // solves the assignment into s.assign.
 func (s *scratch) match(a, b Chain) {
@@ -164,15 +133,9 @@ func (s *scratch) pair(i, m int) (int, float64) {
 	return -1, 0
 }
 
-// Loss evaluates Definition 1 for the generated chain c against the ground
+// loss evaluates Definition 1 for the generated chain c against the ground
 // truth truth: min_M X + αY with X the edit distance and Y the one-to-one
 // regularizer under the optimal matching.
-func Loss(c, truth Chain, alpha float64) float64 {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	return s.loss(c, truth, alpha)
-}
-
 func (s *scratch) loss(c, truth Chain, alpha float64) float64 {
 	x := s.editDistance(c, truth)
 	matched := 0
@@ -191,7 +154,7 @@ func (s *scratch) loss(c, truth Chain, alpha float64) float64 {
 	return x + alpha*y
 }
 
-// MinLoss returns the smallest Loss of c against any of the ground-truth
+// MinLoss returns the smallest loss of c against any of the ground-truth
 // chains — the paper's "there may be several API chains that are equivalent"
 // property — plus the index of the closest truth. An empty truth set yields
 // (+Inf, -1).

@@ -7,6 +7,49 @@ import (
 	"testing"
 )
 
+// Loss and OptimalMatching are the single-pair views of the loss kernels
+// MinLoss runs: nothing but the tests asks for one pair's loss or for the
+// matching itself, and the tests hold both to the references below.
+
+// Loss evaluates Definition 1 for the generated chain c against one ground
+// truth.
+func Loss(c, truth Chain, alpha float64) float64 {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.loss(c, truth, alpha)
+}
+
+// Matching is a one-to-one assignment between the steps of two chains.
+// Pairs[i] = j means step i of the first chain matches step j of the second;
+// -1 means unmatched.
+type Matching struct {
+	Pairs []int
+	// Cost is the total substitution cost over matched pairs.
+	Cost float64
+}
+
+// OptimalMatching computes the minimum-cost one-to-one matching between the
+// steps of a and b using the Hungarian algorithm on a square matrix padded
+// with dummy rows/columns of cost 1 (the cost of leaving a node unmatched,
+// equal to an insert/delete in the edit distance).
+func OptimalMatching(a, b Chain) Matching {
+	if len(a) == 0 && len(b) == 0 {
+		return Matching{}
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.match(a, b)
+	mt := Matching{Pairs: make([]int, len(a))}
+	for i := range a {
+		mt.Pairs[i] = -1
+		if j, c := s.pair(i, len(b)); j >= 0 {
+			mt.Pairs[i] = j
+			mt.Cost += c
+		}
+	}
+	return mt
+}
+
 // refEditDistance, refOptimalMatching, refLoss and refHungarian are the
 // implementations the pooled-scratch ones replaced, kept verbatim as the
 // reference: fresh slices per call, a [][]float64 cost matrix, and Y counted

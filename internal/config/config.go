@@ -33,11 +33,14 @@ type Sequentializer struct {
 
 // Finetune holds the API chain-oriented finetuning parameters.
 type Finetune struct {
-	// Rollouts is r, the random rollouts per candidate.
+	// Rollouts is r, the random rollouts per candidate; 0 is the
+	// no-lookahead ablation and is trained as such.
 	Rollouts int `json:"rollouts"`
 	// Alpha weighs the one-to-one matching regularizer in Definition 1.
+	// Positive: the finetuning code reads 0 as "use 0.5".
 	Alpha float64 `json:"alpha"`
-	// Epochs of rollout refinement.
+	// Epochs of rollout refinement, at least 1: the finetuning code reads
+	// 0 as "use 2".
 	Epochs int `json:"epochs"`
 	// Examples sizes the synthetic dataset.
 	Examples int `json:"examples"`
@@ -92,10 +95,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: sequentializer.max_path_lines must be positive")
 	case c.Finetune.Rollouts < 0 || c.Finetune.Rollouts > 256:
 		return fmt.Errorf("config: finetune.rollouts %d outside [0, 256]", c.Finetune.Rollouts)
-	case c.Finetune.Alpha < 0:
-		return fmt.Errorf("config: finetune.alpha %g must be non-negative", c.Finetune.Alpha)
-	case c.Finetune.Epochs < 0 || c.Finetune.Epochs > 64:
-		return fmt.Errorf("config: finetune.epochs %d outside [0, 64]", c.Finetune.Epochs)
+	case c.Finetune.Alpha <= 0:
+		return fmt.Errorf("config: finetune.alpha %g must be positive", c.Finetune.Alpha)
+	case c.Finetune.Epochs < 1 || c.Finetune.Epochs > 64:
+		return fmt.Errorf("config: finetune.epochs %d outside [1, 64]", c.Finetune.Epochs)
 	case c.Finetune.Examples < 1:
 		return fmt.Errorf("config: finetune.examples must be positive")
 	case c.LLM.Backend != "sim" && c.LLM.Backend != "http":
@@ -129,16 +132,4 @@ func Parse(data []byte) (Config, error) {
 		return Config{}, err
 	}
 	return c, nil
-}
-
-// Save writes the config as indented JSON.
-func (c Config) Save(path string) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return fmt.Errorf("config: encode: %w", err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -50,11 +50,9 @@ type Config struct {
 	Prompt llm.PromptConfig
 	// TrainSeed seeds the default model's training (used when Model nil).
 	TrainSeed int64
-	// TrainExamples sizes the default model's dataset (0 → 400).
+	// TrainExamples sizes the default model's dataset (0 → 400); it is
+	// finetuned for 2 epochs at r = 4.
 	TrainExamples int
-	// Train tunes the default model's finetuning (zero value → Epochs 2,
-	// Rollouts 4).
-	Train finetune.TrainConfig
 	// GraphStore interns uploaded graphs by content hash so identical
 	// payloads share one instance, one CSR, and one invoke-cache entry
 	// pool (nil → a graphstore.DefaultCapacity store).
@@ -135,15 +133,6 @@ func (s *Session) RestoreHistory(turns []Turn) {
 	defer s.histMu.Unlock()
 	s.history = append(s.history, turns...)
 }
-
-// Engine returns the shared engine this conversation runs on.
-func (s *Session) Engine() *Engine { return s.eng }
-
-// Registry exposes the engine's API catalog.
-func (s *Session) Registry() *apis.Registry { return s.eng.registry }
-
-// Env exposes the shared substrate environment.
-func (s *Session) Env() *apis.Env { return s.eng.env }
 
 // History returns a snapshot of the completed turns in order.
 func (s *Session) History() []Turn {

@@ -240,7 +240,7 @@ func TestHistoryAccumulates(t *testing.T) {
 func TestFillArgsFromQuestion(t *testing.T) {
 	s := session(t)
 	c := chain.Chain{chain.NewStep("path.shortest")}
-	s.Engine().fillArgs(c, "what is the shortest path from node 3 to node 7")
+	s.eng.fillArgs(c, "what is the shortest path from node 3 to node 7")
 	if c[0].Args["from"] != "3" || c[0].Args["to"] != "7" {
 		t.Fatalf("args = %v", c[0].Args)
 	}
@@ -256,7 +256,7 @@ func TestPathQuestionEndToEnd(t *testing.T) {
 		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1)) //nolint:errcheck
 	}
 	c := chain.Chain{chain.NewStep("path.shortest")}
-	s.Engine().fillArgs(c, "shortest path from 0 to 5")
+	s.eng.fillArgs(c, "shortest path from 0 to 5")
 	turn, err := s.AskWithChain(context.Background(), "shortest path from 0 to 5", g, c, AskOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestSuggestedQuestionsPerKind(t *testing.T) {
 
 func TestRetrieveCandidatesIncludeGlue(t *testing.T) {
 	s := session(t)
-	cands := s.Engine().retrieveCandidates("detect communities")
+	cands := s.eng.retrieveCandidates("detect communities")
 	hasClassify := false
 	for _, c := range cands {
 		if c == "graph.classify" {
@@ -378,7 +378,7 @@ func TestNewSessionFromConfigHTTPBackend(t *testing.T) {
 // pair replaced): a snapshot restored into another session keeps order and
 // every field, and restoring into a non-empty session appends.
 func TestTranscriptRoundTrip(t *testing.T) {
-	s := session(t).Engine().NewSession()
+	s := session(t).eng.NewSession()
 	g := graph.New()
 	g.AddNode("a")
 	for _, q := range []string{"Summarize the statistics of the graph", "Is the network connected?"} {
@@ -388,7 +388,7 @@ func TestTranscriptRoundTrip(t *testing.T) {
 	}
 	want := s.History()
 
-	s2 := s.Engine().NewSession()
+	s2 := s.eng.NewSession()
 	s2.RestoreHistory(want)
 	got := s2.History()
 	if len(got) != len(want) {
@@ -417,7 +417,7 @@ func TestTranscriptRoundTrip(t *testing.T) {
 // already durable, so the turn observer is not notified for them — but it is
 // for the next live turn, with the index that follows the restored ones.
 func TestTranscriptErrors(t *testing.T) {
-	s := session(t).Engine().NewSession()
+	s := session(t).eng.NewSession()
 	type seen struct {
 		index    int
 		question string

@@ -129,34 +129,45 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// trainDefaultModel finetunes the chain-generation model on a dataset
-// generated from cfg.TrainSeed, with NewEngine's training defaults.
+// trainDefaultModel finetunes the chain-generation model with NewEngine's
+// training defaults: TrainExamples (0 → 400) generated examples, 2
+// rollout-refinement epochs, r = 4.
 func trainDefaultModel(cfg Config) *finetune.Model {
 	n := cfg.TrainExamples
 	if n <= 0 {
 		n = 400
 	}
-	tc := cfg.Train
-	if tc.Epochs == 0 {
-		tc.Epochs = 2
-	}
-	if tc.Search.Rollouts == 0 {
-		tc.Search.Rollouts = 4
-	}
-	if tc.Seed == 0 {
-		tc.Seed = cfg.TrainSeed
-	}
-	ds := finetune.GenerateDataset(n, rand.New(rand.NewSource(cfg.TrainSeed)))
-	return finetune.Train(cfg.Registry.Names(), ds, tc)
+	return trainModel(cfg.Registry, n, cfg.TrainSeed, finetune.TrainConfig{
+		Epochs: 2,
+		Search: finetune.SearchConfig{Rollouts: 4},
+	})
+}
+
+// trainModel finetunes a model over the registry's vocabulary on n examples
+// generated from seed, which also drives the training RNG.
+func trainModel(registry *apis.Registry, n int, seed int64, tc finetune.TrainConfig) *finetune.Model {
+	tc.Seed = seed
+	ds := finetune.GenerateDataset(n, rand.New(rand.NewSource(seed)))
+	return finetune.Train(registry.Names(), ds, tc)
 }
 
 // NewEngineFromConfig builds an Engine from the Fig. 3-style parameter set:
 // ANN parameters shape the retrieval index, sequentializer parameters shape
 // the prompt, finetuning parameters shape model training, and the LLM block
 // selects the generation backend. registry/env may be nil for defaults.
+//
+// The model is trained here, from the file's values as written: NewEngine
+// reads a zero as "unset", and finetune.rollouts 0 (no lookahead) is a value
+// Validate accepts and GET /config reports.
 func NewEngineFromConfig(fc config.Config, registry *apis.Registry, env *apis.Env, seed int64) (*Engine, error) {
 	if err := fc.Validate(); err != nil {
 		return nil, err
+	}
+	if env == nil {
+		env = &apis.Env{}
+	}
+	if registry == nil {
+		registry = apis.Default(env)
 	}
 	cfg := Config{
 		Registry:   registry,
@@ -172,16 +183,6 @@ func NewEngineFromConfig(fc config.Config, registry *apis.Registry, env *apis.En
 			Levels:         fc.Sequentializer.Levels,
 			MaxChainLength: fc.LLM.MaxChainLength,
 		},
-		TrainSeed:     seed,
-		TrainExamples: fc.Finetune.Examples,
-		Train: finetune.TrainConfig{
-			Epochs: fc.Finetune.Epochs,
-			Search: finetune.SearchConfig{
-				Rollouts: fc.Finetune.Rollouts,
-				Alpha:    fc.Finetune.Alpha,
-			},
-			Seed: seed,
-		},
 	}
 	if fc.LLM.Backend == "http" {
 		cfg.Client = &llm.HTTPClient{
@@ -189,6 +190,14 @@ func NewEngineFromConfig(fc config.Config, registry *apis.Registry, env *apis.En
 			Model:       fc.LLM.Model,
 			Temperature: fc.LLM.Temperature,
 		}
+	} else {
+		cfg.Model = trainModel(registry, fc.Finetune.Examples, seed, finetune.TrainConfig{
+			Epochs: fc.Finetune.Epochs,
+			Search: finetune.SearchConfig{
+				Rollouts: fc.Finetune.Rollouts,
+				Alpha:    fc.Finetune.Alpha,
+			},
+		})
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ import (
 // N sessions minted from one engine run Ask in parallel with no data race
 // (run under -race) and each accumulates only its own history.
 func TestEngineSharedConcurrentSessions(t *testing.T) {
-	eng := session(t).Engine()
+	eng := session(t).eng
 	const nSessions, asksEach = 4, 3
 	sessions := make([]*Session, nSessions)
 	for i := range sessions {
@@ -54,9 +55,9 @@ func TestEngineSharedConcurrentSessions(t *testing.T) {
 }
 
 func TestEngineSessionIsolation(t *testing.T) {
-	eng := session(t).Engine()
+	eng := session(t).eng
 	a, b := eng.NewSession(), eng.NewSession()
-	if a.Engine() != eng || b.Engine() != eng {
+	if a.eng != eng || b.eng != eng {
 		t.Fatal("sessions do not share the engine")
 	}
 	g := graph.New()
@@ -70,16 +71,13 @@ func TestEngineSessionIsolation(t *testing.T) {
 	if len(b.History()) != 0 {
 		t.Fatalf("b history leaked %d turns from a", len(b.History()))
 	}
-	if a.Registry() != eng.Registry() || a.Env() != eng.Env() {
-		t.Fatal("session accessors do not delegate to the engine")
-	}
 }
 
 // TestHistoryDuringAsk confirms AskOptions callbacks (which run while the
 // Ask serialization lock is held) can still read the session: History must
 // not wait on an in-flight Ask.
 func TestHistoryDuringAsk(t *testing.T) {
-	s := session(t).Engine().NewSession()
+	s := session(t).eng.NewSession()
 	g := graph.New()
 	g.AddNode("x")
 	sawHistory := -1
@@ -100,7 +98,7 @@ func TestHistoryDuringAsk(t *testing.T) {
 // TestEngineRetrieveBatch: the engine's batched retrieval must agree with
 // the per-query index lookups and honor the configured default k.
 func TestEngineRetrieveBatch(t *testing.T) {
-	eng := session(t).Engine()
+	eng := session(t).eng
 	queries := []string{
 		"detect the communities of this social network",
 		"how toxic is this molecule",
@@ -156,11 +154,42 @@ func TestNewSessionShim(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := eng.NewSession()
-	if s.Engine() != eng || eng.Model() == nil {
+	if s.eng != eng || eng.Model() == nil {
 		t.Fatal("minted session is not backed by the trained engine")
 	}
 	if eng.FileConfig() != nil {
 		t.Fatal("programmatic engine reports a file config")
+	}
+}
+
+// TestConfigZerosAreTrainedOrRefused: a zero in the finetune block is either
+// refused by name or trained as written. It used to be accepted, echoed by
+// GET /config, and read as "unset" on the way to finetune.Train, so the
+// daemon ran a model identical to the default's.
+func TestConfigZerosAreTrainedOrRefused(t *testing.T) {
+	base := config.Default()
+	base.Finetune.Examples = 80
+	def, err := NewEngineFromConfig(base, nil, nil, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, zero := range map[string]func(*config.Finetune){
+		"finetune.rollouts": func(f *config.Finetune) { f.Rollouts = 0 },
+		"finetune.epochs":   func(f *config.Finetune) { f.Epochs = 0 },
+		"finetune.alpha":    func(f *config.Finetune) { f.Alpha = 0 },
+	} {
+		fc := base
+		zero(&fc.Finetune)
+		eng, err := NewEngineFromConfig(fc, nil, nil, 11)
+		if err != nil {
+			if !strings.Contains(err.Error(), field) {
+				t.Errorf("%s = 0 refused without naming the field: %v", field, err)
+			}
+			continue
+		}
+		if reflect.DeepEqual(eng.Model(), def.Model()) {
+			t.Errorf("%s = 0 was accepted and ignored: the model equals the default configuration's", field)
+		}
 	}
 }
 

@@ -42,9 +42,6 @@ func NewHashing(dim int) *Hashing {
 	return &Hashing{dim: dim, df: make(map[string]int), idfByDF: []float32{1}}
 }
 
-// Dim reports the embedding dimensionality.
-func (h *Hashing) Dim() int { return h.dim }
-
 // Fit registers corpus documents so the embedder can weight rare terms more
 // heavily (IDF). Calling Fit is optional — without it all terms weigh 1 —
 // and may be repeated to extend the corpus.
@@ -116,8 +113,8 @@ func (h *Hashing) EmbedSparse(text string, dst vecmath.Sparse) vecmath.Sparse {
 	return dst
 }
 
-// Embed returns the deterministic unit-norm vector of Dim() length for
-// text: EmbedSparse scattered into a dense vector.
+// Embed returns the deterministic unit-norm vector of the configured
+// dimensionality for text: EmbedSparse scattered into a dense vector.
 func (h *Hashing) Embed(text string) []float32 {
 	v := make([]float32, h.dim)
 	q := h.EmbedSparse(text, vecmath.Sparse{Idx: make([]int32, 0, 64), Val: make([]float32, 0, 64)})
@@ -310,10 +307,4 @@ func sibilantBefore(tok []byte) bool {
 	stem := tok[:len(tok)-2]
 	return hasSuffix(stem, "s") || hasSuffix(stem, "x") || hasSuffix(stem, "z") ||
 		hasSuffix(stem, "ch") || hasSuffix(stem, "sh")
-}
-
-// Similarity returns the cosine similarity between the embeddings of a and b
-// under e.
-func Similarity(e *Hashing, a, b string) float32 {
-	return vecmath.Cosine(e.Embed(a), e.Embed(b))
 }

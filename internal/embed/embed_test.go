@@ -57,7 +57,7 @@ func TestEmbedDeterministicUnitNorm(t *testing.T) {
 	if n := vecmath.Norm(v1); n < 0.999 || n > 1.001 {
 		t.Fatalf("norm = %v, want 1", n)
 	}
-	if len(v1) != 64 || e.Dim() != 64 {
+	if len(v1) != 64 || e.dim != 64 {
 		t.Fatalf("dim = %d", len(v1))
 	}
 }
@@ -68,6 +68,17 @@ func TestEmbedEmptyText(t *testing.T) {
 	if vecmath.Norm(v) != 0 {
 		t.Fatal("empty text embedding not zero")
 	}
+}
+
+// Similarity is the cosine similarity of two texts' embeddings. Embed
+// returns unit (or zero) vectors, so that is their inner product.
+func Similarity(e *Hashing, a, b string) float32 {
+	var s float32
+	va, vb := e.Embed(a), e.Embed(b)
+	for i := range va {
+		s += va[i] * vb[i]
+	}
+	return s
 }
 
 func TestSimilarTextsCloserThanUnrelated(t *testing.T) {
@@ -136,7 +147,7 @@ func TestEmbedBatchMatchesEmbed(t *testing.T) {
 }
 
 func TestDefaultDim(t *testing.T) {
-	if NewHashing(0).Dim() != 128 {
+	if NewHashing(0).dim != 128 {
 		t.Fatal("default dim not applied")
 	}
 }

@@ -201,13 +201,3 @@ func SplitDataset(examples []Example, frac float64, rng *rand.Rand) (train, test
 	}
 	return train, test
 }
-
-// Tasks lists the distinct task names in the template catalog.
-func Tasks() []string {
-	ts := templates()
-	names := make([]string, len(ts))
-	for i, t := range ts {
-		names[i] = t.task
-	}
-	return names
-}

@@ -63,8 +63,8 @@ func TestSplitDataset(t *testing.T) {
 }
 
 func TestTasksNonEmpty(t *testing.T) {
-	if len(Tasks()) < 8 {
-		t.Fatalf("Tasks = %v", Tasks())
+	if n := len(templates()); n < 8 {
+		t.Fatalf("the template catalog has %d tasks", n)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestDecodeConcurrent(t *testing.T) {
 	m := Train(vocab(), ds, TrainConfig{Epochs: 1, Search: SearchConfig{Rollouts: 2}, Seed: 36})
 	want := make([]chain.Chain, len(ds))
 	for i, ex := range ds {
-		want[i] = m.DecodeBeam(ex.Question, ex.Kind, 8, 1+i%3)
+		want[i] = m.Decode(ex.Question, ex.Kind, 8)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -219,8 +219,8 @@ func TestDecodeConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, ex := range ds {
-				if got := m.DecodeBeam(ex.Question, ex.Kind, 8, 1+i%3); !got.Equal(want[i]) {
-					t.Errorf("concurrent DecodeBeam(%q) = %s, want %s", ex.Question, got, want[i])
+				if got := m.Decode(ex.Question, ex.Kind, 8); !got.Equal(want[i]) {
+					t.Errorf("concurrent Decode(%q) = %s, want %s", ex.Question, got, want[i])
 					return
 				}
 				m.TopCandidates(want[i][:1], ex.Question, ex.Kind, 4)

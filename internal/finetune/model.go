@@ -76,9 +76,6 @@ func NewModel(vocab []string) *Model {
 	return m
 }
 
-// Vocab returns the API vocabulary (sorted).
-func (m *Model) Vocab() []string { return m.vocab }
-
 func (m *Model) start() int { return len(m.vocab) }
 func (m *Model) end() int   { return len(m.vocab) + 1 }
 
@@ -97,14 +94,6 @@ func (m *Model) intern(name string) int {
 		m.trans = append(m.trans, m.newRow())
 	}
 	return id
-}
-
-// id returns the id of name, or -1 for a name the model has never seen.
-func (m *Model) id(name string) int {
-	if id, ok := m.ids[name]; ok {
-		return id
-	}
-	return -1
 }
 
 // Observe reinforces the model with one (question, kind, chain) triple at
@@ -154,23 +143,4 @@ func (m *Model) Decode(question string, kind graph.Kind, maxLen int) chain.Chain
 		return nil
 	}
 	return w.c
-}
-
-// TopCandidates returns the k APIs the model ranks highest as successors of
-// the current partial chain — the candidate set S of the paper's
-// search-based prediction. k ≤ 0 returns nil.
-func (m *Model) TopCandidates(partial chain.Chain, question string, kind graph.Kind, k int) []string {
-	if k <= 0 {
-		return nil
-	}
-	ids := make([]int, len(partial))
-	for i, s := range partial {
-		ids[i] = m.id(s.API)
-	}
-	top := m.newQuery(question, kind).top(ids, k)
-	out := make([]string, len(top))
-	for i, t := range top {
-		out[i] = m.vocab[t.id]
-	}
-	return out
 }

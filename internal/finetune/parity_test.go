@@ -13,10 +13,41 @@ import (
 	"chatgraph/internal/graph"
 )
 
+// TopCandidates and id give the tests a by-name view of query.top, the
+// ranking the rollout search draws its candidate set from, so the dense
+// model's ranking can be compared with the oracle's after any partial chain.
+
+// id returns the id of name, or -1 for a name the model has never seen.
+func (m *Model) id(name string) int {
+	if id, ok := m.ids[name]; ok {
+		return id
+	}
+	return -1
+}
+
+// TopCandidates returns the k APIs the model ranks highest as successors of
+// the current partial chain — the candidate set S of the paper's
+// search-based prediction. k ≤ 0 returns nil.
+func (m *Model) TopCandidates(partial chain.Chain, question string, kind graph.Kind, k int) []string {
+	if k <= 0 {
+		return nil
+	}
+	ids := make([]int, len(partial))
+	for i, s := range partial {
+		ids[i] = m.id(s.API)
+	}
+	top := m.newQuery(question, kind).top(ids, k)
+	out := make([]string, len(top))
+	for i, t := range top {
+		out[i] = m.vocab[t.id]
+	}
+	return out
+}
+
 // The map-based model below is the implementation the dense Model replaced,
 // kept verbatim (renamed, otherwise unchanged) as the reference the parity
-// tests compare against: same Observe, score, Decode, DecodeBeam,
-// TopCandidates, rollout search and Train, over
+// tests compare against: same Observe, score, Decode, TopCandidates,
+// rollout search and Train, over
 // map[string]map[string]float64 rows whose totals are re-summed on every
 // score.
 
@@ -43,9 +74,6 @@ func newMapModel(vocab []string) *mapModel {
 		vocab:     v,
 	}
 }
-
-// Vocab returns the API vocabulary (sorted).
-func (m *mapModel) Vocab() []string { return m.vocab }
 
 func mapBump(m map[string]map[string]float64, a, b string, w float64) {
 	if m[a] == nil {
@@ -325,86 +353,6 @@ func mapTrain(vocab []string, examples []Example, cfg TrainConfig) *mapModel {
 	return m
 }
 
-type mapBeamEntry struct {
-	c     chain.Chain
-	score float64
-	done  bool
-}
-
-// DecodeBeam generates a chain with beam search of the given width
-// (width ≤ 1 falls back to greedy Decode). maxLen ≤ 0 means 8.
-func (m *mapModel) DecodeBeam(question string, kind graph.Kind, maxLen, width int) chain.Chain {
-	if width <= 1 {
-		return m.Decode(question, kind, maxLen)
-	}
-	if maxLen <= 0 {
-		maxLen = 8
-	}
-	qTokens := embed.Tokenize(question)
-	beams := []mapBeamEntry{{}}
-	for step := 0; step < maxLen; step++ {
-		var next []mapBeamEntry
-		expanded := false
-		for _, b := range beams {
-			if b.done {
-				next = append(next, b)
-				continue
-			}
-			prev := startToken
-			used := make(map[string]bool, len(b.c))
-			for _, s := range b.c {
-				used[s.API] = true
-			}
-			if len(b.c) > 0 {
-				prev = b.c[len(b.c)-1].API
-			}
-			// Ending is one candidate continuation (only for non-empty
-			// chains: every question needs at least one API).
-			if len(b.c) > 0 {
-				next = append(next, mapBeamEntry{c: b.c, score: b.score + m.scoreEnd(prev), done: true})
-			}
-			for _, api := range m.vocab {
-				if used[api] {
-					continue
-				}
-				expanded = true
-				nc := append(b.c.Clone(), chain.Step{API: api})
-				next = append(next, mapBeamEntry{c: nc, score: b.score + m.score(prev, api, qTokens, kind)})
-			}
-		}
-		sort.SliceStable(next, func(i, j int) bool { return next[i].score > next[j].score })
-		if len(next) > width {
-			next = next[:width]
-		}
-		beams = next
-		if !expanded {
-			break
-		}
-		allDone := true
-		for _, b := range beams {
-			if !b.done {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-	}
-	// Prefer the best finished beam; fall back to the best overall.
-	for _, b := range beams {
-		if b.done && len(b.c) > 0 {
-			return b.c
-		}
-	}
-	for _, b := range beams {
-		if len(b.c) > 0 {
-			return b.c
-		}
-	}
-	return nil
-}
-
 // TestDenseModelMatchesMapModel trains the dense Model and the map-based
 // oracle side by side and requires every generation entry point to return
 // the same chains on the training set and on held-out questions.
@@ -427,12 +375,6 @@ func TestDenseModelMatchesMapModel(t *testing.T) {
 					want := oracle.Decode(ex.Question, ex.Kind, 8)
 					if got := dense.Decode(ex.Question, ex.Kind, 8); !got.Equal(want) {
 						t.Fatalf("example %d %q: Decode = %s, oracle %s", i, ex.Question, got, want)
-					}
-					for _, width := range []int{2, 3} {
-						want := oracle.DecodeBeam(ex.Question, ex.Kind, 8, width)
-						if got := dense.DecodeBeam(ex.Question, ex.Kind, 8, width); !got.Equal(want) {
-							t.Fatalf("example %d %q: DecodeBeam(width %d) = %s, oracle %s", i, ex.Question, width, got, want)
-						}
 					}
 					// Candidates after every prefix of the decoded chain, at the
 					// sizes the search uses.
@@ -500,13 +442,11 @@ func TestObserveOutsideVocabulary(t *testing.T) {
 			t.Fatalf("TopCandidates(%s) emitted the out-of-vocabulary API", partial)
 		}
 	}
-	for _, width := range []int{1, 3} {
-		got, want := dense.DecodeBeam(q, graph.KindSocial, 8, width), oracle.DecodeBeam(q, graph.KindSocial, 8, width)
-		if !got.Equal(want) {
-			t.Fatalf("DecodeBeam(width %d) = %s, oracle %s", width, got, want)
-		}
-		if slices.Contains(got.APIs(), "ghost.api") {
-			t.Fatalf("DecodeBeam(width %d) emitted the out-of-vocabulary API: %s", width, got)
-		}
+	got, want := dense.Decode(q, graph.KindSocial, 8), oracle.Decode(q, graph.KindSocial, 8)
+	if !got.Equal(want) {
+		t.Fatalf("Decode = %s, oracle %s", got, want)
+	}
+	if slices.ContainsFunc(got, func(s chain.Step) bool { return s.API == "ghost.api" }) {
+		t.Fatalf("Decode emitted the out-of-vocabulary API: %s", got)
 	}
 }

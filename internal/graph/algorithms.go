@@ -80,17 +80,6 @@ func CoreNumbers(g *Graph) []int {
 	return core
 }
 
-// Degeneracy returns the graph degeneracy: the maximum core number.
-func Degeneracy(g *Graph) int {
-	max := 0
-	for _, c := range CoreNumbers(g) {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
 // bitAdjacencyMaxNodes bounds the dense n×n bitset the clique search
 // prefers: 4096 nodes cost 2 MB. Above it, membership falls back to binary
 // search over the sorted CSR rows — O(log d) per test, no extra memory —

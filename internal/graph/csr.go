@@ -212,17 +212,8 @@ func buildCSR(g *Graph) *CSR {
 	return c
 }
 
-// Version returns the graph version this view was frozen from.
-func (c *CSR) Version() uint64 { return c.version }
-
-// Directed reports whether the frozen graph stores directed edges.
-func (c *CSR) Directed() bool { return c.directed }
-
 // NumNodes returns the node count.
 func (c *CSR) NumNodes() int { return c.n }
-
-// NumEdges returns the edge count (each undirected edge counted once).
-func (c *CSR) NumEdges() int { return c.m }
 
 // OutNeighbors returns u's neighbors (out-neighbors for directed graphs) in
 // ascending ID order — the same contents and order as Graph.Neighbors, but
@@ -240,15 +231,6 @@ func (c *CSR) OutWeights(u NodeID) []float64 {
 // OutDegree returns len(OutNeighbors(u)) without materializing anything.
 func (c *CSR) OutDegree(u NodeID) int {
 	return int(c.offsets[u+1] - c.offsets[u])
-}
-
-// InNeighbors returns the sources of edges entering u, ascending. For
-// undirected graphs it equals OutNeighbors.
-func (c *CSR) InNeighbors(u NodeID) []NodeID {
-	if !c.directed {
-		return c.OutNeighbors(u)
-	}
-	return c.rtargets[c.roffsets[u]:c.roffsets[u+1]]
 }
 
 // InDegree returns the in-degree (Degree for undirected graphs).

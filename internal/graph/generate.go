@@ -11,7 +11,9 @@ import (
 // All take an explicit *rand.Rand so experiments are reproducible.
 
 // ErdosRenyi returns G(n, p): each unordered pair joined independently with
-// probability p.
+// probability p. No scenario runs on it; it is the random fixture of the
+// internal/seq property and parity tests (TestQuickPathsAreWalks,
+// TestSuperGraphPartitionParity) and of this package's own.
 func ErdosRenyi(n int, p float64, rng *rand.Rand) *Graph {
 	g := New()
 	g.Name = fmt.Sprintf("er_%d", n)
@@ -69,34 +71,6 @@ func BarabasiAlbert(n, m int, rng *rand.Rand) *Graph {
 		for t := range chosen {
 			g.AddEdge(u, t) //nolint:errcheck
 			stubs = append(stubs, u, t)
-		}
-	}
-	return g
-}
-
-// WattsStrogatz returns a small-world ring lattice with n nodes, k nearest
-// neighbours each side, and rewiring probability beta.
-func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *Graph {
-	g := New()
-	g.Name = fmt.Sprintf("ws_%d_%d", n, k)
-	for i := 0; i < n; i++ {
-		g.AddNode(fmt.Sprintf("w%d", i))
-	}
-	for i := 0; i < n; i++ {
-		for j := 1; j <= k; j++ {
-			t := (i + j) % n
-			if rng.Float64() < beta {
-				for tries := 0; tries < 8; tries++ {
-					cand := rng.Intn(n)
-					if cand != i && !g.HasEdge(NodeID(i), NodeID(cand)) {
-						t = cand
-						break
-					}
-				}
-			}
-			if !g.HasEdge(NodeID(i), NodeID(t)) && i != t {
-				g.AddEdge(NodeID(i), NodeID(t)) //nolint:errcheck
-			}
 		}
 	}
 	return g

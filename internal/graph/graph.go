@@ -141,7 +141,9 @@ func (g *Graph) AddNode(label string) NodeID {
 	return id
 }
 
-// AddNodeAttrs appends a node with label and a copy of attrs.
+// AddNodeAttrs appends a node with label and a copy of attrs. Only tests
+// build graphs this way (the typed fixtures of internal/kg and internal/apis);
+// the generators set attributes one at a time with SetNodeAttr.
 func (g *Graph) AddNodeAttrs(label string, attrs map[string]string) NodeID {
 	id := g.AddNode(label)
 	if len(attrs) > 0 {
@@ -242,21 +244,6 @@ func (g *Graph) HasEdgeLabeled(from, to NodeID, label string) bool {
 	return false
 }
 
-// EdgeBetween returns the first edge between from and to and true, or a zero
-// Edge and false when none exists.
-func (g *Graph) EdgeBetween(from, to NodeID) (Edge, bool) {
-	if !g.valid(from) || !g.valid(to) {
-		return Edge{}, false
-	}
-	for _, ei := range g.adj[from] {
-		e := g.edges[ei]
-		if e.From == from && e.To == to || !g.directed && e.From == to && e.To == from {
-			return e, true
-		}
-	}
-	return Edge{}, false
-}
-
 // RemoveEdge deletes one edge between from and to (the first found,
 // whatever its label) and reports whether an edge was removed. Removal is
 // O(E) because edge indexes are compacted; cleaning workloads remove few
@@ -325,43 +312,9 @@ func (g *Graph) Neighbors(u NodeID) []NodeID {
 	return out
 }
 
-// InNeighbors returns the IDs with an edge into u. For undirected graphs it
-// equals Neighbors.
-func (g *Graph) InNeighbors(u NodeID) []NodeID {
-	if !g.directed {
-		return g.Neighbors(u)
-	}
-	out := make([]NodeID, 0, len(g.radj[u]))
-	for _, ei := range g.radj[u] {
-		out = append(out, g.edges[ei].From)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Degree returns the number of incident edges at u (out-degree for directed
 // graphs).
 func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
-
-// InDegree returns the number of edges entering u. For undirected graphs it
-// equals Degree. Unlike InNeighbors it reads the adjacency length directly
-// and never materializes a slice.
-func (g *Graph) InDegree(u NodeID) int {
-	if !g.directed {
-		return len(g.adj[u])
-	}
-	return len(g.radj[u])
-}
-
-// TotalDegree returns the degree counting both directions: Degree for
-// undirected graphs, in-degree plus out-degree for directed ones — the
-// quantity the degree-sequence and stats code ranks by.
-func (g *Graph) TotalDegree(u NodeID) int {
-	if !g.directed {
-		return len(g.adj[u])
-	}
-	return len(g.adj[u]) + len(g.radj[u])
-}
 
 // Clone returns a deep copy of g. The copy is private: it is never marked
 // shared (even when g is an interned graph). It says exactly what g says at

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"encoding/json"
 	"math/rand"
 	"strings"
@@ -97,21 +96,6 @@ func TestRemoveEdge(t *testing.T) {
 	}
 	if g.RemoveEdge(0, 1) {
 		t.Fatal("RemoveEdge reported true for missing edge")
-	}
-}
-
-func TestEdgeBetween(t *testing.T) {
-	g := New()
-	a, b := g.AddNode("a"), g.AddNode("b")
-	if _, ok := g.EdgeBetween(a, b); ok {
-		t.Fatal("EdgeBetween found a phantom edge")
-	}
-	if err := g.AddEdgeLabeled(a, b, "knows", 2.5); err != nil {
-		t.Fatal(err)
-	}
-	e, ok := g.EdgeBetween(b, a) // reversed lookup on undirected graph
-	if !ok || e.Label != "knows" || e.Weight != 2.5 {
-		t.Fatalf("EdgeBetween = %+v, %v", e, ok)
 	}
 }
 
@@ -246,37 +230,6 @@ func TestJSONDefaultWeightOmitted(t *testing.T) {
 	}
 }
 
-func TestEdgeListRoundTrip(t *testing.T) {
-	in := "# comment\na b 2\nb c\n\nc a 0.5\n"
-	g, err := ParseEdgeList(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 3 || g.NumEdges() != 3 {
-		t.Fatalf("parsed %s", g)
-	}
-	var buf bytes.Buffer
-	if err := g.WriteEdgeList(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ParseEdgeList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumNodes() != 3 || g2.NumEdges() != 3 {
-		t.Fatalf("re-parsed %s", g2)
-	}
-}
-
-func TestParseEdgeListErrors(t *testing.T) {
-	if _, err := ParseEdgeList(strings.NewReader("justone\n")); err == nil {
-		t.Fatal("single-field line accepted")
-	}
-	if _, err := ParseEdgeList(strings.NewReader("a a\n")); err == nil {
-		t.Fatal("self-loop line accepted")
-	}
-}
-
 func TestGenerators(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	er := ErdosRenyi(50, 0.1, rng)
@@ -289,10 +242,6 @@ func TestGenerators(t *testing.T) {
 	}
 	if comps := ba.ConnectedComponents(); len(comps) != 1 {
 		t.Fatalf("BA components = %d, want connected", len(comps))
-	}
-	ws := WattsStrogatz(60, 2, 0.1, rng)
-	if ws.NumNodes() != 60 {
-		t.Fatalf("WS nodes = %d", ws.NumNodes())
 	}
 	sbm := PlantedCommunities(3, 10, 0.6, 0.02, rng)
 	if sbm.NumNodes() != 30 {

@@ -1,12 +1,8 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 )
 
 // jsonGraph is the wire form of a graph. It matches what the chat server and
@@ -212,77 +208,4 @@ func ParseJSON(data []byte) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// ParseEdgeList reads a whitespace-separated edge list, one "u v [label]"
-// per line; '#' starts a comment. Node IDs are arbitrary tokens and become
-// labels; dense IDs are assigned in first-appearance order.
-func ParseEdgeList(r io.Reader) (*Graph, error) {
-	g := New()
-	ids := make(map[string]NodeID)
-	intern := func(tok string) NodeID {
-		if id, ok := ids[tok]; ok {
-			return id
-		}
-		id := g.AddNode(tok)
-		ids[tok] = id
-		return id
-	}
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: edge list line %d: want at least 2 fields, got %q", lineNo, line)
-		}
-		u, v := intern(fields[0]), intern(fields[1])
-		label := ""
-		weight := 1.0
-		if len(fields) >= 3 {
-			if w, err := strconv.ParseFloat(fields[2], 64); err == nil {
-				weight = w
-			} else {
-				label = fields[2]
-			}
-		}
-		if err := g.AddEdgeLabeled(u, v, label, weight); err != nil {
-			return nil, fmt.Errorf("graph: edge list line %d: %w", lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: edge list: %w", err)
-	}
-	return g, nil
-}
-
-// WriteEdgeList writes g in the edge-list format accepted by ParseEdgeList,
-// using node labels when unique and IDs otherwise.
-func (g *Graph) WriteEdgeList(w io.Writer) error {
-	names := make([]string, len(g.nodes))
-	seen := make(map[string]bool, len(g.nodes))
-	unique := true
-	for i, n := range g.nodes {
-		names[i] = n.Label
-		if n.Label == "" || seen[n.Label] {
-			unique = false
-		}
-		seen[n.Label] = true
-	}
-	if !unique {
-		for i := range names {
-			names[i] = strconv.Itoa(i)
-		}
-	}
-	bw := bufio.NewWriter(w)
-	for _, e := range g.edges {
-		if _, err := fmt.Fprintf(bw, "%s %s %g\n", names[e.From], names[e.To], e.Weight); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

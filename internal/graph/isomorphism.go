@@ -57,12 +57,6 @@ func FindSubgraphIsomorphisms(pattern, host *Graph, opts IsoOptions) []SubgraphM
 	return st.found
 }
 
-// HasSubgraph reports whether pattern occurs in host.
-func HasSubgraph(pattern, host *Graph, opts IsoOptions) bool {
-	opts.MaxMatches = 1
-	return len(FindSubgraphIsomorphisms(pattern, host, opts)) > 0
-}
-
 type isoState struct {
 	pattern, host   *Graph
 	labelOK         func(string, string) bool

@@ -148,3 +148,9 @@ func TestQuickSubgraphIsoPlanted(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// HasSubgraph reports whether pattern occurs in host.
+func HasSubgraph(pattern, host *Graph, opts IsoOptions) bool {
+	opts.MaxMatches = 1
+	return len(FindSubgraphIsomorphisms(pattern, host, opts)) > 0
+}

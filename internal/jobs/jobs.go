@@ -497,9 +497,6 @@ func (m *Manager) QueueLen() int {
 	return m.queued
 }
 
-// Busy reports how many workers are executing a job right now.
-func (m *Manager) Busy() int { return int(m.busy.Load()) }
-
 // Len reports how many jobs the store holds (queued, running, and retained
 // finished).
 func (m *Manager) Len() int {

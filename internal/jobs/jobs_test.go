@@ -130,7 +130,7 @@ func TestPriorityFIFO(t *testing.T) {
 	// low2 runs last of the records; waiting on the final low job is not
 	// enough (low2 was submitted before normal2), so wait for all.
 	waitTerminal(t, last)
-	for m.QueueLen() > 0 || m.Busy() > 0 {
+	for m.QueueLen() > 0 || m.busy.Load() > 0 {
 		time.Sleep(time.Millisecond)
 	}
 	mu.Lock()

@@ -173,12 +173,3 @@ func MineRules(g *graph.Graph, cfg MineConfig) []MinedRule {
 	})
 	return out
 }
-
-// RulesOf strips the evidence, for plugging mined rules into a Detector.
-func RulesOf(mined []MinedRule) []Rule {
-	out := make([]Rule, len(mined))
-	for i, m := range mined {
-		out[i] = m.Rule
-	}
-	return out
-}

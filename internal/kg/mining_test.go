@@ -106,7 +106,10 @@ func TestMinedRulesDriveDetector(t *testing.T) {
 	g := symmetricKG()
 	mined := MineRules(g, MineConfig{MinSupport: 3, MinConfidence: 0.5})
 	d := NewDetector()
-	d.Rules = RulesOf(mined)
+	d.Rules = nil
+	for _, m := range mined {
+		d.Rules = append(d.Rules, m.Rule)
+	}
 	issues := d.DetectMissing(g)
 	// The stray one-directional spouse edge 8→9 should yield missing 9→8.
 	found := false

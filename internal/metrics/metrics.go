@@ -57,9 +57,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the value by delta (use negative deltas to decrement).
-func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
-
 // Inc adds one and returns the new value (handy for semaphore-style gauges).
 func (g *Gauge) Inc() int64 { return g.v.Add(1) }
 
@@ -135,45 +132,18 @@ func (h *Histogram) Snapshot() (bounds []float64, cumulative []uint64) {
 	return bounds, cumulative
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts by
-// attributing each bucket's mass to its upper bound — the same estimate
-// Prometheus' histogram_quantile makes, good to within one bucket width.
-func (h *Histogram) Quantile(q float64) float64 {
-	bounds, cum := h.Snapshot()
-	total := cum[len(cum)-1]
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	for i, c := range cum {
-		if c >= rank {
-			if i < len(bounds) {
-				return bounds[i]
-			}
-			return math.Inf(1) // landed in +Inf
-		}
-	}
-	return math.Inf(1)
-}
-
-// metric is anything a family can hold.
-type metric interface{ kind() string }
-
-func (c *Counter) kind() string   { return "counter" }
-func (g *Gauge) kind() string     { return "gauge" }
-func (h *Histogram) kind() string { return "histogram" }
+// metric is anything a family can hold: a *Counter, *Gauge, *Histogram or
+// *funcMetric (writeMetric's cases).
+type metric any
 
 // funcMetric is a counter- or gauge-typed sample computed at scrape time —
 // how externally owned values (cache counters, session counts) surface
 // without double bookkeeping on their own hot paths.
 type funcMetric struct {
-	typ string // "counter" or "gauge"
 	// fn holds a func() float64; atomic because scrapes read it outside the
 	// registry lock while re-registration may replace it.
 	fn atomic.Value
 }
-
-func (f *funcMetric) kind() string { return f.typ }
 
 func (f *funcMetric) eval() (float64, bool) {
 	if fn, ok := f.fn.Load().(func() float64); ok && fn != nil {
@@ -309,7 +279,7 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 }
 
 func (r *Registry) registerFunc(name, help, typ string, labels Labels, fn func() float64) {
-	m := r.metric(name, help, typ, labels, func() metric { return &funcMetric{typ: typ} })
+	m := r.metric(name, help, typ, labels, func() metric { return &funcMetric{} })
 	f, ok := m.(*funcMetric)
 	if !ok {
 		panic(fmt.Sprintf("metrics: %q already registered as a non-func %s", name, typ))

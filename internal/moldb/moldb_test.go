@@ -2,8 +2,6 @@ package moldb
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -130,111 +128,5 @@ func TestQuickSimilaritySymmetricBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPersistRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	db := New(2)
-	for i := 0; i < 10; i++ {
-		db.Add("m", graph.Molecule(10, rng))
-	}
-	q := benzeneLike("C")
-	db.Add("benzene", q.Clone())
-	path := filepath.Join(t.TempDir(), "mols.json")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != db.Len() {
-		t.Fatalf("Len = %d, want %d", got.Len(), db.Len())
-	}
-	// Search behaves identically after reload.
-	want := db.Search(q, 1)
-	have := got.Search(q, 1)
-	if len(have) != 1 || have[0].Name != want[0].Name || have[0].Similarity != want[0].Similarity {
-		t.Fatalf("search after reload = %+v, want %+v", have, want)
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Fatal("missing file loaded")
-	}
-	if _, err := ReadFrom(strings.NewReader("{bad")); err == nil {
-		t.Fatal("malformed JSON loaded")
-	}
-	if _, err := ReadFrom(strings.NewReader(`{"wl_iterations":2,"molecules":[{"name":"x"}]}`)); err == nil {
-		t.Fatal("nil graph accepted")
-	}
-}
-
-// TestLoadPartialFile pins the corruption contract for Load: a database file
-// cut short mid-write (the torn half the old non-atomic Save could leave)
-// must error cleanly at every truncation point — never panic, never yield a
-// partial database.
-func TestLoadPartialFile(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	db := New(2)
-	for i := 0; i < 5; i++ {
-		db.Add("m", graph.Molecule(8, rng))
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "mols.json")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := filepath.Join(dir, "torn.json")
-	for _, frac := range []float64{0, 0.25, 0.5, 0.9} {
-		cut := int(float64(len(data)) * frac)
-		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(torn); err == nil {
-			t.Fatalf("truncated at %d/%d bytes: loaded without error", cut, len(data))
-		}
-	}
-	// Same-length corruption inside the JSON must also fail, not half-parse.
-	// NUL bytes are invalid anywhere in a JSON document — inside or outside
-	// a string — so this fails regardless of where the midpoint lands.
-	rot := append([]byte(nil), data...)
-	copy(rot[len(rot)/2:], make([]byte, 13))
-	if err := os.WriteFile(torn, rot, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(torn); err == nil {
-		t.Fatal("bit-rotted file loaded without error")
-	}
-}
-
-// TestSaveLeavesNoTempLitter checks the atomic Save cleans up after itself:
-// the directory ends with exactly the target file.
-func TestSaveLeavesNoTempLitter(t *testing.T) {
-	db := New(2)
-	db.Add("benzene", benzeneLike("C"))
-	dir := t.TempDir()
-	path := filepath.Join(dir, "mols.json")
-	for i := 0; i < 3; i++ {
-		if err := db.Save(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 || ents[0].Name() != "mols.json" {
-		names := make([]string, len(ents))
-		for i, e := range ents {
-			names[i] = e.Name()
-		}
-		t.Fatalf("dir after saves = %v", names)
 	}
 }

@@ -113,9 +113,6 @@ func New(reg *apis.Registry, cfg Config) (*Index, error) {
 	return ix, nil
 }
 
-// Len reports the number of indexed APIs.
-func (ix *Index) Len() int { return len(ix.names) }
-
 // Description returns the indexed description of an API.
 func (ix *Index) Description(name string) string { return ix.descs[name] }
 

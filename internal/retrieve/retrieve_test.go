@@ -74,7 +74,7 @@ func TestDescriptionLookup(t *testing.T) {
 	if ix.Description("community.detect") == "" {
 		t.Fatal("description missing")
 	}
-	if len(ix.Descriptions()) != ix.Len() {
+	if len(ix.Descriptions()) != len(ix.names) {
 		t.Fatal("Descriptions incomplete")
 	}
 }
@@ -217,7 +217,7 @@ func TestDefaultRegistryServesFlatScan(t *testing.T) {
 	}
 	if ix.flat == nil || ix.graph != nil {
 		t.Fatalf("default registry (%d APIs, exactThreshold %d) is served by flat %v, graph %v; want the flat scan alone",
-			ix.Len(), exactThreshold, ix.flat != nil, ix.graph != nil)
+			len(ix.names), exactThreshold, ix.flat != nil, ix.graph != nil)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestSparseScanMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{1, 5, ix.Len()} {
+		for _, k := range []int{1, 5, tc.reg.Len()} {
 			batch := ix.TopAPIsBatch(queries, k)
 			for i, q := range queries {
 				want := retrieve.DenseTopAPIs(ix, q, k)

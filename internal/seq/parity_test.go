@@ -351,7 +351,7 @@ func TestBenchShapesUseBitRows(t *testing.T) {
 		_, und := c.UndirectedBitRows(nil)
 		if wantFwd := s.name != "kg300"; (fwd > 0) != wantFwd || und == 0 {
 			t.Errorf("%s (%d nodes, %d edges): bit rows for the path cover %v (want %v), for motifs and triangles %v (want true)",
-				s.name, c.NumNodes(), c.NumEdges(), fwd > 0, wantFwd, und > 0)
+				s.name, c.NumNodes(), s.g.NumEdges(), fwd > 0, wantFwd, und > 0)
 		}
 	}
 }

@@ -106,15 +106,6 @@ func sequentialize(g *graph.Graph, opts Options, limit, superLimit int) Result {
 	return res
 }
 
-// PathCover returns, for every node u of g, root-to-leaf paths of u's
-// depth-limited BFS tree. Every node within l hops of u appears on at least
-// one path starting at u (the covering property the paper requires), and
-// every path has at most l edges. maxPerNode ≤ 0 means unlimited.
-func PathCover(g *graph.Graph, l int, maxPerNode int) []Path {
-	paths, _ := cover(g, l, maxPerNode, -1)
-	return paths
-}
-
 // cover walks the BFS tree of every node in ID order. It returns the first
 // limit paths of the cover (all of them when limit < 0) and the size of the
 // whole cover. Roots whose leaves reach the output are built by the list
@@ -308,15 +299,9 @@ func (t *bfsTree) appendPaths(paths []Path, k int) []Path {
 	return paths
 }
 
-// Render writes one path as the token sequence fed to the LLM, e.g.
+// renderPath writes one path as the token sequence fed to the LLM, e.g.
 // "v0[C] - v3[O] - v4[N]". Labels are included when present because they
 // carry the semantics (element symbols, entity names).
-func Render(g *graph.Graph, p Path) string {
-	var b strings.Builder
-	renderPath(&b, g, p)
-	return b.String()
-}
-
 func renderPath(b *strings.Builder, g *graph.Graph, p Path) {
 	var num [20]byte
 	for i, id := range p {
@@ -359,33 +344,4 @@ func RenderHead(b *strings.Builder, g *graph.Graph, head []Path, total int) {
 		b.Write(strconv.AppendInt(num[:0], int64(total-len(head)), 10))
 		b.WriteString(" more paths)\n")
 	}
-}
-
-// CoverageOK verifies the covering property: every node within l hops of u
-// appears on at least one path starting at u, for every u. Tests and the E6
-// bench assert this invariant.
-func CoverageOK(g *graph.Graph, paths []Path, l int) bool {
-	covered := make(map[graph.NodeID]map[graph.NodeID]bool) // start → nodes on its paths
-	for _, p := range paths {
-		if len(p) == 0 {
-			return false
-		}
-		start := p[0]
-		if covered[start] == nil {
-			covered[start] = make(map[graph.NodeID]bool)
-		}
-		for _, id := range p {
-			covered[start][id] = true
-		}
-	}
-	for _, n := range g.Nodes() {
-		want := g.KHopSubgraphNodes(n.ID, l)
-		got := covered[n.ID]
-		for _, w := range want {
-			if !got[w] {
-				return false
-			}
-		}
-	}
-	return true
 }

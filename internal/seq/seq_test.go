@@ -29,6 +29,72 @@ func triangle() *graph.Graph {
 	return g
 }
 
+// PathCover, Render and CoverageOK are the tests' handles on the kernels: the
+// level-0 cover alone (Sequentialize with Levels 1), one rendered path, and
+// the checker of the covering property the paper requires.
+
+// PathCover returns, for every node u of g, root-to-leaf paths of u's
+// depth-limited BFS tree. Every node within l hops of u appears on at least
+// one path starting at u (the covering property the paper requires), and
+// every path has at most l edges. maxPerNode ≤ 0 means unlimited.
+func PathCover(g *graph.Graph, l int, maxPerNode int) []Path {
+	paths, _ := cover(g, l, maxPerNode, -1)
+	return paths
+}
+
+// Render writes one path as the token sequence fed to the LLM, e.g.
+// "v0[C] - v3[O] - v4[N]". Labels are included when present because they
+// carry the semantics (element symbols, entity names).
+func Render(g *graph.Graph, p Path) string {
+	var b strings.Builder
+	renderPath(&b, g, p)
+	return b.String()
+}
+
+// CoverageOK verifies the covering property: every node within l hops of u
+// appears on at least one path starting at u, for every u.
+func CoverageOK(g *graph.Graph, paths []Path, l int) bool {
+	covered := make(map[graph.NodeID]map[graph.NodeID]bool) // start → nodes on its paths
+	for _, p := range paths {
+		if len(p) == 0 {
+			return false
+		}
+		start := p[0]
+		if covered[start] == nil {
+			covered[start] = make(map[graph.NodeID]bool)
+		}
+		for _, id := range p {
+			covered[start][id] = true
+		}
+	}
+	for _, n := range g.Nodes() {
+		want := g.KHopSubgraphNodes(n.ID, l)
+		got := covered[n.ID]
+		for _, w := range want {
+			if !got[w] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestPathCoverBound is the E6 correctness side: the covering property holds
+// and the count stays polynomial, at every l.
+func TestPathCoverBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := graph.BarabasiAlbert(120, 2, rng)
+	for _, l := range []int{1, 2, 3} {
+		paths := PathCover(g, l, 0)
+		if !CoverageOK(g, paths, l) {
+			t.Fatalf("coverage violated at l=%d", l)
+		}
+		if n := g.NumNodes(); len(paths) > n*n*l {
+			t.Fatalf("path count %d exceeds n²·l at l=%d", len(paths), l)
+		}
+	}
+}
+
 func TestPathCoverLengthBound(t *testing.T) {
 	g := lineGraph(10)
 	for _, l := range []int{1, 2, 3} {

@@ -148,7 +148,7 @@ func TestInFlightShedding(t *testing.T) {
 		t.Fatalf("shed metric = %d, observed %d", got, shed.Load())
 	}
 	var b strings.Builder
-	srv.Metrics().WritePrometheus(&b)
+	srv.hm.reg.WritePrometheus(&b)
 	if !strings.Contains(b.String(), `chatgraph_http_shed_total{reason="in_flight"}`) {
 		t.Fatalf("exposition missing shed counter:\n%s", b.String())
 	}
@@ -539,7 +539,7 @@ func TestAdmissionOrder(t *testing.T) {
 				}
 			}
 			var b strings.Builder
-			srv.Metrics().WritePrometheus(&b)
+			srv.hm.reg.WritePrometheus(&b)
 			for _, want := range tc.want {
 				if !strings.Contains(b.String(), want+"\n") {
 					t.Errorf("exposition missing %q:\n%s", want, b.String())

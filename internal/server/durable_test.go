@@ -387,8 +387,8 @@ func TestRecoverExpiredSessions(t *testing.T) {
 	if _, err := srv.mgr.Get("fresh", srv.tenants.Anonymous()); err != nil {
 		t.Fatalf("fresh session not recovered: %v", err)
 	}
-	if srv.mgr.Restored() != 1 {
-		t.Fatalf("restored = %d, want 1", srv.mgr.Restored())
+	if n := srv.mgr.restored.Load(); n != 1 {
+		t.Fatalf("restored = %d, want 1", n)
 	}
 }
 

@@ -166,9 +166,6 @@ func New(eng *core.Engine, opts Options) *Server {
 	return s
 }
 
-// Metrics returns the registry the server instruments into.
-func (s *Server) Metrics() *metrics.Registry { return s.hm.reg }
-
 // Sessions exposes the session manager (daemons wire flags and sweepers to
 // it; tests inspect it).
 func (s *Server) Sessions() *SessionManager { return s.mgr }

@@ -171,10 +171,6 @@ func (sm *SessionManager) Restore(id string, created, lastUsed time.Time, tenant
 	return m, nil
 }
 
-// Restored reports how many sessions were rebuilt from the durability layer
-// at boot.
-func (sm *SessionManager) Restored() int { return int(sm.restored.Load()) }
-
 // Get returns the live session with the given ID if owner owns it, touching
 // its idle clock. Expired sessions are removed on sight and reported as
 // ErrNoSession — and so is another tenant's session, before the touch: a

@@ -196,7 +196,7 @@ func TestAuthSemantics(t *testing.T) {
 		t.Fatalf("disabled tenant = %d, want 403", resp.StatusCode)
 	}
 	var b strings.Builder
-	srv.Metrics().WritePrometheus(&b)
+	srv.hm.reg.WritePrometheus(&b)
 	for _, want := range []string{
 		`chatgraph_auth_failures_total{reason="unknown_key"} 1`,
 		`chatgraph_auth_failures_total{reason="disabled"} 1`,
@@ -216,7 +216,7 @@ func TestAuthSemantics(t *testing.T) {
 		t.Fatalf("keyless with anonymous disabled = %d, want 401", resp.StatusCode)
 	}
 	b.Reset()
-	srv2.Metrics().WritePrometheus(&b)
+	srv2.hm.reg.WritePrometheus(&b)
 	if !strings.Contains(b.String(), `chatgraph_auth_failures_total{reason="key_required"} 1`) {
 		t.Fatalf("exposition missing key_required counter:\n%s", b.String())
 	}
@@ -333,7 +333,7 @@ func TestTenantMetricsBounded(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	srv.Metrics().WritePrometheus(&b)
+	srv.hm.reg.WritePrometheus(&b)
 	out := b.String()
 	for _, want := range []string{
 		`chatgraph_tenant_requests_total{tenant="acme"} 1`,

@@ -36,15 +36,15 @@ func checkGate(t *testing.T, r *Registry, c int) {
 	r.SetCapacity(c)
 	defer r.SetCapacity(0)
 	all := append(append([]*Tenant{}, r.tenants...), r.anon)
-	sum := int64(r.Slack())
-	if r.Slack() < 0 {
-		t.Fatalf("capacity %d: slack %d", c, r.Slack())
+	sum := r.slack
+	if r.slack < 0 {
+		t.Fatalf("capacity %d: slack %d", c, r.slack)
 	}
 	for _, tn := range all {
-		if tn.Share() < 0 {
-			t.Fatalf("capacity %d: tenant %q share %d", c, tn.Name, tn.Share())
+		if tn.share < 0 {
+			t.Fatalf("capacity %d: tenant %q share %d", c, tn.Name, tn.share)
 		}
-		sum += int64(tn.Share())
+		sum += tn.share
 	}
 	if sum != int64(c) {
 		t.Fatalf("capacity %d: shares + slack = %d", c, sum)

@@ -110,13 +110,6 @@ type Tenant struct {
 	bucket   ratelimit.Bucket
 }
 
-// Share reports the tenant's guaranteed in-flight slots under the
-// current gate capacity.
-func (t *Tenant) Share() int { return int(t.share) }
-
-// InFlight reports the tenant's currently admitted request count.
-func (t *Tenant) InFlight() int64 { return t.inflight.Load() }
-
 // TakeToken spends one token from the tenant's rate bucket, reporting
 // how long until a token is available when the bucket is empty. Tenants
 // without an RPS quota always admit.
@@ -263,9 +256,6 @@ func (r *Registry) Names() []string {
 
 // Anonymous returns the built-in anonymous tenant.
 func (r *Registry) Anonymous() *Tenant { return r.anon }
-
-// Slack reports the shared borrow pool size (capacity − Σ shares).
-func (r *Registry) Slack() int { return int(r.slack) }
 
 // SetCapacity distributes capacity c into guaranteed per-tenant shares
 // by weight: share_i = floor(c·w_i/Σw) over the enabled tenants, with

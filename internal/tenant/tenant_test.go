@@ -95,14 +95,14 @@ func TestShares(t *testing.T) {
 	r.SetCapacity(8)
 	big, _ := r.Resolve("b")
 	small, _ := r.Resolve("s")
-	if big.Share() != 6 || small.Share() != 2 || r.Slack() != 0 {
-		t.Fatalf("shares = %d/%d slack %d, want 6/2 slack 0", big.Share(), small.Share(), r.Slack())
+	if big.share != 6 || small.share != 2 || r.slack != 0 {
+		t.Fatalf("shares = %d/%d slack %d, want 6/2 slack 0", big.share, small.share, r.slack)
 	}
 	// A capacity that does not divide evenly leaves the remainder as a
 	// shared borrow pool, never over-assigns.
 	r.SetCapacity(10)
-	if big.Share() != 7 || small.Share() != 2 || r.Slack() != 1 {
-		t.Fatalf("shares = %d/%d slack %d, want 7/2 slack 1", big.Share(), small.Share(), r.Slack())
+	if big.share != 7 || small.share != 2 || r.slack != 1 {
+		t.Fatalf("shares = %d/%d slack %d, want 7/2 slack 1", big.share, small.share, r.slack)
 	}
 }
 
@@ -129,13 +129,13 @@ func TestFairGateIsolation(t *testing.T) {
 			hostileAdmitted++
 		}
 	}
-	if hostileAdmitted != hostile.Share() {
-		t.Fatalf("hostile admitted %d, want its share %d", hostileAdmitted, hostile.Share())
+	if hostileAdmitted != int(hostile.share) {
+		t.Fatalf("hostile admitted %d, want its share %d", hostileAdmitted, hostile.share)
 	}
-	for i := 0; i < compliant.Share(); i++ {
+	for i := 0; i < int(compliant.share); i++ {
 		rel, v := r.Acquire(compliant)
 		if v != Admitted {
-			t.Fatalf("compliant shed at in-flight %d, under its share %d", i, compliant.Share())
+			t.Fatalf("compliant shed at in-flight %d, under its share %d", i, compliant.share)
 		}
 		releases = append(releases, rel)
 	}
@@ -146,9 +146,9 @@ func TestFairGateIsolation(t *testing.T) {
 	for _, rel := range releases {
 		rel()
 	}
-	if compliant.InFlight() != 0 || hostile.InFlight() != 0 || r.borrowed.Load() != 0 {
+	if compliant.inflight.Load() != 0 || hostile.inflight.Load() != 0 || r.borrowed.Load() != 0 {
 		t.Fatalf("leaked slots: compliant %d hostile %d borrowed %d",
-			compliant.InFlight(), hostile.InFlight(), r.borrowed.Load())
+			compliant.inflight.Load(), hostile.inflight.Load(), r.borrowed.Load())
 	}
 }
 
@@ -248,8 +248,8 @@ func TestAcquireConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if compliant.InFlight() != 0 || hostile.InFlight() != 0 || r.borrowed.Load() != 0 {
+	if compliant.inflight.Load() != 0 || hostile.inflight.Load() != 0 || r.borrowed.Load() != 0 {
 		t.Fatalf("leaked slots after churn: %d/%d/%d",
-			compliant.InFlight(), hostile.InFlight(), r.borrowed.Load())
+			compliant.inflight.Load(), hostile.inflight.Load(), r.borrowed.Load())
 	}
 }

@@ -51,15 +51,6 @@ func FromRows(rows [][]float32) (*Matrix, error) {
 	return m, nil
 }
 
-// Dim reports the vector dimensionality (0 for the empty matrix). A nil
-// matrix is a valid empty matrix.
-func (m *Matrix) Dim() int {
-	if m == nil {
-		return 0
-	}
-	return m.dim
-}
-
 // Rows reports the number of stored vectors. A nil matrix is a valid empty
 // matrix.
 func (m *Matrix) Rows() int {
@@ -96,23 +87,6 @@ func SquaredNorm(v []float32) float32 {
 		s += x * x
 	}
 	return s
-}
-
-// L2SquaredToRows computes the squared Euclidean distance from q to every
-// selected row into dst using the dot trick against the precomputed row
-// norms: dst[j] = qNorm + ‖row‖² − 2·q·row, clamped at zero (the fused form
-// can go epsilon-negative for coincident points). qNorm must be
-// SquaredNorm(q). A nil rows selects every row in order.
-func (m *Matrix) L2SquaredToRows(q []float32, qNorm float32, rows []int32, dst []float32) {
-	if rows == nil {
-		for i := 0; i < m.Rows(); i++ {
-			dst[i] = clampNonNeg(qNorm + m.norms[i] - 2*dot(q, m.Row(i)))
-		}
-		return
-	}
-	for j, r := range rows {
-		dst[j] = clampNonNeg(qNorm + m.norms[r] - 2*dot(q, m.Row(int(r))))
-	}
 }
 
 // L2SquaredRange computes the squared distances from q to rows lo..hi−1

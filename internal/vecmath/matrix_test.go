@@ -25,8 +25,8 @@ func TestFromRowsShapeAndContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rows() != 7 || m.Dim() != 5 {
-		t.Fatalf("shape = %dx%d", m.Rows(), m.Dim())
+	if m.Rows() != 7 || m.dim != 5 {
+		t.Fatalf("shape = %dx%d", m.Rows(), m.dim)
 	}
 	for i, r := range rows {
 		got := m.Row(i)
@@ -43,7 +43,7 @@ func TestFromRowsShapeAndContents(t *testing.T) {
 
 func TestFromRowsEdgeCases(t *testing.T) {
 	m, err := FromRows(nil)
-	if err != nil || m.Rows() != 0 || m.Dim() != 0 {
+	if err != nil || m.Rows() != 0 || m.dim != 0 {
 		t.Fatalf("empty input: m=%+v err=%v", m, err)
 	}
 	if _, err := FromRows([][]float32{{1, 2}, {1}}); err == nil {
@@ -53,7 +53,7 @@ func TestFromRowsEdgeCases(t *testing.T) {
 		t.Fatal("zero-dim rows accepted")
 	}
 	var nilMat *Matrix
-	if nilMat.Rows() != 0 || nilMat.Dim() != 0 {
+	if nilMat.Rows() != 0 {
 		t.Fatal("nil matrix not a valid empty matrix")
 	}
 }
@@ -75,48 +75,29 @@ func TestAppendRow(t *testing.T) {
 	m.AppendRow([]float32{1})
 }
 
-// TestDotIntoMatchesDot: the unexported dot kernel every fused distance
-// shares must agree with the exported Dot on matrix rows.
-func TestDotIntoMatchesDot(t *testing.T) {
-	rows := randRows(20, 9, 2)
-	m, _ := FromRows(rows)
-	q := randRows(1, 9, 3)[0]
-	for i, r := range rows {
-		if got := dot(q, m.Row(i)); absDiff(got, Dot(q, r)) > 1e-4 {
-			t.Fatalf("dot(q, Row(%d)) = %v, want %v", i, got, Dot(q, r))
-		}
-	}
-}
-
 func TestFusedL2MatchesDirect(t *testing.T) {
 	rows := randRows(30, 16, 4)
 	m, _ := FromRows(rows)
 	q := randRows(1, 16, 5)[0]
 	qn := SquaredNorm(q)
 	dst := make([]float32, 30)
-	m.L2SquaredToRows(q, qn, nil, dst)
+	m.L2SquaredRange(q, qn, 0, 30, dst)
 	for i, r := range rows {
-		want := L2Squared(q, r)
+		want := l2Squared(q, r)
 		if absDiff(dst[i], want) > 1e-3 {
-			t.Fatalf("L2SquaredToRows[%d] = %v, direct %v", i, dst[i], want)
+			t.Fatalf("L2SquaredRange[%d] = %v, direct %v", i, dst[i], want)
 		}
 		if absDiff(m.L2SquaredTo(q, qn, i), want) > 1e-3 {
 			t.Fatalf("L2SquaredTo(%d) = %v, direct %v", i, m.L2SquaredTo(q, qn, i), want)
 		}
 	}
-	// Range tile form agrees with the full form.
+	// A tile inside the range agrees with the full range.
 	tile := make([]float32, 10)
 	m.L2SquaredRange(q, qn, 10, 20, tile)
 	for j := range tile {
 		if tile[j] != dst[10+j] {
 			t.Fatalf("L2SquaredRange[%d] = %v, want %v", j, tile[j], dst[10+j])
 		}
-	}
-	// Row lists select the right rows.
-	listDst := make([]float32, 2)
-	m.L2SquaredToRows(q, qn, []int32{29, 0}, listDst)
-	if listDst[0] != dst[29] || listDst[1] != dst[0] {
-		t.Fatalf("row-list kernel mismatch: %v vs (%v, %v)", listDst, dst[29], dst[0])
 	}
 }
 

@@ -1,0 +1,284 @@
+// The reachability gate: every function and method declared in a non-test
+// file under internal/ or cmd/ must be reached, through non-test code, from
+// some binary's main (cmd/, examples/, bench/), an init, or a package-level
+// initializer. A function only its own tests call is code no program runs;
+// it goes, or it moves into a _test.go file.
+package chatgraph_test
+
+import (
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// reachKeep lists the functions the scan cannot see a caller for and that
+// stay anyway. Each entry names the test (in another package, so the
+// function cannot move into a _test.go file of its own) that needs it. An
+// entry the scan no longer needs fails the gate too, so the list cannot rot.
+var reachKeep = map[string]string{
+	"(*internal/durable.Store).Abort":      "the kill -9 stand-in of internal/server's TestCrashRecovery, TestRecoverExpiredSessions and TestRecoverInterruptedJob: closes the segment without the final sync or snapshot",
+	"(internal/chain.Chain).Equal":         "whole-chain comparison in internal/finetune's TestDenseModelMatchesMapModel, internal/core's and internal/durable's round-trip tests",
+	"(*internal/graph.Graph).AddNodeAttrs": "builds the typed knowledge-graph fixtures of internal/kg's and internal/apis' tests (kg_test.go's and mining_test.go's builders, TestDetectMissingAPI)",
+	"internal/graph.ErdosRenyi":            "the random fixture of internal/seq's TestPathCoverQuadraticBound, TestQuickPathsAreWalks, TestQuickSuperGraphPartition and TestSuperGraphPartitionParity",
+}
+
+// reachStdInterfaces are the standard-library interfaces whose methods only
+// the library calls: a module type that implements one keeps those methods
+// without a visible caller. (Error, ServeHTTP, Write and the like need no
+// entry: module code calls them through their interfaces too.)
+var reachStdInterfaces = []struct{ pkg, name string }{
+	{"fmt", "Stringer"},   // fmt verbs call String
+	{"sort", "Interface"}, // sort.Sort calls Len / Less / Swap
+}
+
+const reachModule = "chatgraph"
+
+// reachPkg is one type-checked package of the module, non-test files only.
+type reachPkg struct {
+	types *types.Package
+	info  *types.Info
+	files []*ast.File
+}
+
+// reachLoader type-checks module packages from source, once each, and hands
+// everything else to the standard library's source importer.
+type reachLoader struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*reachPkg // by directory relative to the module root
+	errs []error
+}
+
+func (l *reachLoader) Import(path string) (*types.Package, error) {
+	if rel, ok := strings.CutPrefix(path, reachModule+"/"); ok {
+		return l.load(rel).types, nil
+	}
+	return l.std.Import(path)
+}
+
+func (l *reachLoader) load(dir string) *reachPkg {
+	if p, ok := l.pkgs[dir]; ok {
+		return p
+	}
+	p := &reachPkg{info: &types.Info{
+		Defs: make(map[*ast.Ident]types.Object),
+		Uses: make(map[*ast.Ident]types.Object),
+	}}
+	l.pkgs[dir] = p
+	names, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, filepath.Base(name)); err != nil || !ok {
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			l.errs = append(l.errs, err)
+			continue
+		}
+		p.files = append(p.files, f)
+	}
+	conf := types.Config{Importer: l, Error: func(err error) { l.errs = append(l.errs, err) }}
+	path := reachModule
+	if dir != "." {
+		path += "/" + filepath.ToSlash(dir)
+	}
+	p.types, _ = conf.Check(path, l.fset, p.files, p.info)
+	return p
+}
+
+// reachName prints a function the way reachKeep spells it: FullName without
+// the module prefix.
+func reachName(fn *types.Func) string {
+	return strings.ReplaceAll(fn.FullName(), reachModule+"/", "")
+}
+
+func TestEveryFunctionIsReached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library it imports from source")
+	}
+	if build.Default.GOROOT == "" {
+		// A -trimpath test binary (CI's GOFLAGS) does not know where the
+		// standard library's source is; the go command that built it does.
+		out, err := exec.Command("go", "env", "GOROOT").Output()
+		if err != nil {
+			t.Fatalf("go env GOROOT: %v", err)
+		}
+		build.Default.GOROOT = strings.TrimSpace(string(out))
+		defer func() { build.Default.GOROOT = "" }()
+	}
+	l := &reachLoader{
+		fset: token.NewFileSet(),
+		pkgs: make(map[string]*reachPkg),
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+
+	// Every directory of the module that holds non-test Go.
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata" || path == filepath.Join("bench", "out")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			l.load(filepath.Dir(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.errs) > 0 {
+		t.Fatalf("type-checking the module: %v (and %d more)", l.errs[0], len(l.errs)-1)
+	}
+
+	// The reference graph: for each declared function, the functions its
+	// body names (called or taken as a value); the roots are what runs
+	// without being named — main, init, package-level initializers.
+	type decl struct {
+		fn    *types.Func
+		file  string
+		lines int
+	}
+	var (
+		decls []decl
+		refs  = make(map[*types.Func][]*types.Func)
+		roots []*types.Func
+		named []types.Type // every concrete named type of the module, for interface dispatch
+	)
+	collect := func(info *types.Info, n ast.Node) (out []*types.Func) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := info.Uses[id].(*types.Func); ok {
+					out = append(out, fn.Origin())
+				}
+			}
+			return true
+		})
+		return out
+	}
+	for dir, p := range l.pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
+				named = append(named, tn.Type())
+			}
+		}
+		checked := strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "internal/")
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						roots = append(roots, collect(p.info, d)...)
+					}
+				case *ast.FuncDecl:
+					fn := p.info.Defs[d.Name].(*types.Func)
+					if d.Body != nil {
+						refs[fn] = collect(p.info, d.Body)
+					}
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.types.Name() == "main") {
+						roots = append(roots, fn)
+					} else if checked {
+						pos := l.fset.Position(d.Pos())
+						decls = append(decls, decl{fn, pos.Filename, l.fset.Position(d.End()).Line - pos.Line + 1})
+					}
+				}
+			}
+		}
+	}
+
+	// methodsFor resolves an interface's methods on every module type that
+	// implements it.
+	methodsFor := func(iface *types.Interface, only string) (out []*types.Func) {
+		for _, T := range named {
+			for _, typ := range []types.Type{T, types.NewPointer(T)} {
+				if !types.Implements(typ, iface) {
+					continue
+				}
+				for i := 0; i < iface.NumMethods(); i++ {
+					m := iface.Method(i)
+					if only != "" && m.Name() != only {
+						continue
+					}
+					if obj, _, _ := types.LookupFieldOrMethod(typ, true, m.Pkg(), m.Name()); obj != nil {
+						if fn, ok := obj.(*types.Func); ok {
+							out = append(out, fn.Origin())
+						}
+					}
+				}
+				break
+			}
+		}
+		return out
+	}
+	for _, si := range reachStdInterfaces {
+		pkg, err := l.std.Import(si.pkg)
+		if err != nil {
+			t.Fatalf("import %s: %v", si.pkg, err)
+		}
+		iface, ok := pkg.Scope().Lookup(si.name).Type().Underlying().(*types.Interface)
+		if !ok {
+			t.Fatalf("%s.%s is not an interface", si.pkg, si.name)
+		}
+		roots = append(roots, methodsFor(iface, "")...)
+	}
+
+	reached := make(map[*types.Func]bool)
+	work := roots
+	for len(work) > 0 {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		if reached[fn] {
+			continue
+		}
+		reached[fn] = true
+		work = append(work, refs[fn]...)
+		// A call through an interface reaches that method on every module
+		// type that implements the interface.
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+				work = append(work, methodsFor(iface, fn.Name())...)
+			}
+		}
+	}
+
+	sort.Slice(decls, func(i, j int) bool { return reachName(decls[i].fn) < reachName(decls[j].fn) })
+	kept := make(map[string]bool)
+	dead := 0
+	for _, d := range decls {
+		if reached[d.fn] {
+			continue
+		}
+		name := reachName(d.fn)
+		if _, ok := reachKeep[name]; ok {
+			kept[name] = true
+			continue
+		}
+		dead += d.lines
+		t.Errorf("%s (%s, %d lines) is declared in non-test code and nothing but tests reaches it: delete it, move it into a _test.go file, or list it in reachKeep with the test that needs it", name, d.file, d.lines)
+	}
+	if dead > 0 {
+		t.Logf("%d lines of unreached functions", dead)
+	}
+	for name := range reachKeep {
+		if !kept[name] {
+			t.Errorf("reachKeep lists %s, which is reached from non-test code or no longer exists: drop the entry", name)
+		}
+	}
+}
