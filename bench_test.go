@@ -272,44 +272,6 @@ func BenchmarkANNSearchBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkRetrievalBatch measures the full batched retrieval path —
-// EmbedBatch + SearchBatch + ranking — against the sequential TopAPIs loop
-// over the same queries.
-func BenchmarkRetrievalBatch(b *testing.B) {
-	reg := apis.Default(nil)
-	ix, err := retrieve.New(reg, retrieve.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := []string{
-		"find the communities of the social network",
-		"who is the most influential node",
-		"how toxic is this molecule",
-		"find similar molecules in the database",
-		"clean the knowledge graph noise",
-		"shortest path between two nodes",
-		"count the triangles of the network",
-		"what is the molecular formula",
-	}
-	ix.TopAPIsBatch(queries, 5) // warm the pools
-	b.Run("loop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				ix.TopAPIs(q, 5)
-			}
-		}
-		b.ReportMetric(float64(len(queries)*b.N)/b.Elapsed().Seconds(), "queries/s")
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ix.TopAPIsBatch(queries, 5)
-		}
-		b.ReportMetric(float64(len(queries)*b.N)/b.Elapsed().Seconds(), "queries/s")
-	})
-}
-
 // --- E6: length-constrained path cover (§II-B) ---
 
 func BenchmarkPathCover(b *testing.B) {

@@ -109,6 +109,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chatgraphd: unexpected argument %q (flags after it would be ignored)\n", flag.Arg(0))
 		os.Exit(2)
 	}
+	// None of these offers 0 as a default in its help text, and the layers
+	// below read a non-positive value as "unset": the daemon would log the
+	// flag and run the package default.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"session-ttl", int64(*sessionTTL)},
+		{"max-sessions", int64(*maxSessions)},
+		{"job-workers", int64(*jobWorkers)},
+		{"job-queue", int64(*jobQueue)},
+		{"job-retention", int64(*jobRetention)},
+	} {
+		if f.v <= 0 {
+			fmt.Fprintf(os.Stderr, "chatgraphd: -%s must be positive\n", f.name)
+			os.Exit(2)
+		}
+	}
 	if *dataDir == "" {
 		// These tune the durability layer and do nothing without one; a
 		// daemon asked for -wal-sync always must not boot in-memory and
@@ -196,8 +214,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	go func() {
-		// The manager resolves non-positive TTL flags to its default.
-		ticker := time.NewTicker(srv.Sessions().TTL() / 2)
+		ticker := time.NewTicker(*sessionTTL / 2)
 		defer ticker.Stop()
 		for {
 			select {

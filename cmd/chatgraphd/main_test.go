@@ -84,6 +84,29 @@ func TestDurabilityFlagsNeedDataDir(t *testing.T) {
 	}
 }
 
+// TestSizingFlagsMustBePositive: the session and job layers read a
+// non-positive size as "unset", so `chatgraphd -job-workers 0 -job-queue 0
+// -max-sessions 0 -session-ttl 0` logged "session ttl 0s, max 0 sessions, …
+// 0 job workers, job queue 0" and served with 30 m / 4,096 / 2 / 64. Each
+// must exit 2 naming the flag.
+func TestSizingFlagsMustBePositive(t *testing.T) {
+	for _, args := range [][]string{
+		{"-session-ttl", "0"},
+		{"-max-sessions", "0"},
+		{"-job-workers", "0"},
+		{"-job-queue", "-1"},
+		{"-job-retention", "0"},
+	} {
+		out, code := runMain(t, append([]string{"-addr", "127.0.0.1:0", "-molecules", "5"}, args...)...)
+		if code != 2 {
+			t.Errorf("%v: exit status %d, want 2; output:\n%s", args, code, out)
+		}
+		if want := args[0] + " must be positive"; !strings.Contains(out, want) {
+			t.Errorf("%v: output lacks %q:\n%s", args, want, out)
+		}
+	}
+}
+
 func TestEffectiveConfig(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "config.json")
 	if err := os.WriteFile(file, []byte(`{"ann":{"top_k":4},"llm":{"backend":"http","base_url":"http://file.example/v1","model":"from-file","temperature":0,"max_chain_length":8}}`), 0o644); err != nil {

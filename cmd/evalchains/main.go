@@ -1,10 +1,9 @@
-// Command evalchains regenerates experiments E7–E11 as printed tables: the
-// rollout-search ablation, the per-task accuracy breakdown of the finetuned
-// model under its one (greedy) decoder, the API-retrieval hit
-// rate, the multi-session engine throughput scaling, the batched retrieval
-// throughput, and the graph-kernel table (cold vs cached executor
-// invocations, serial vs parallel eccentricities). It is the table-oriented
-// companion to `go test -bench`.
+// Command evalchains regenerates experiments E7–E9 and E11 as printed
+// tables: the rollout-search ablation, the per-task accuracy breakdown of the
+// finetuned model under its one (greedy) decoder, the API-retrieval hit
+// rate, the multi-session engine throughput scaling, and the graph-kernel
+// table (cold vs cached executor invocations, serial vs parallel
+// eccentricities). It is the table-oriented companion to `go test -bench`.
 package main
 
 import (
@@ -150,57 +149,6 @@ func main() {
 		wall := time.Since(start)
 		total := float64(nSessions * asksPerSession)
 		fmt.Printf("%-10d %12.1f %12.1f\n", nSessions, total/wall.Seconds(), float64(wall.Milliseconds()))
-	}
-
-	fmt.Println("\n== E10: batched retrieval throughput (TopAPIsBatch vs one-query-at-a-time loop) ==")
-	// A registry padded past retrieve's exact threshold pushes retrieval
-	// onto the τ-MG proximity-graph path, so the table measures the paper's
-	// index rather than the flat scan the default registry is served from.
-	padded := apis.Default(nil)
-	for i := 0; padded.Len() < 512; i++ {
-		name := fmt.Sprintf("pad.api%d", i)
-		if err := padded.Register(apis.API{
-			Name:        name,
-			Description: fmt.Sprintf("synthetic padding operation %d for batched retrieval scale testing", i),
-			Category:    "util",
-			Fn:          func(apis.Input) (apis.Output, error) { return apis.Output{Text: "pad"}, nil },
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "evalchains:", err)
-			os.Exit(1)
-		}
-	}
-	bix, err := retrieve.New(padded, retrieve.Config{Tau: 0.05})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "evalchains:", err)
-		os.Exit(1)
-	}
-	baseQueries := make([]string, 0, len(queries))
-	for _, q := range queries {
-		baseQueries = append(baseQueries, q.query)
-	}
-	bix.TopAPIsBatch(baseQueries, 5) // warm the scratch/worker pools
-	fmt.Printf("%-10s %12s %12s %9s\n", "batch", "loop-qps", "batch-qps", "speedup")
-	for _, batchSize := range []int{1, 8, 32, 128} {
-		qs := make([]string, batchSize)
-		for i := range qs {
-			qs[i] = baseQueries[i%len(baseQueries)]
-		}
-		const rounds = 20
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			for _, q := range qs {
-				bix.TopAPIs(q, 5)
-			}
-		}
-		loop := time.Since(start)
-		start = time.Now()
-		for r := 0; r < rounds; r++ {
-			bix.TopAPIsBatch(qs, 5)
-		}
-		batched := time.Since(start)
-		total := float64(rounds * batchSize)
-		fmt.Printf("%-10d %12.0f %12.0f %8.2fx\n",
-			batchSize, total/loop.Seconds(), total/batched.Seconds(), loop.Seconds()/batched.Seconds())
 	}
 
 	fmt.Println("\n== E11a: executor invocation cache (cold vs cached chain runs on one graph) ==")

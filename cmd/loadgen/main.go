@@ -49,10 +49,6 @@
 //     distribution over a pool of distinct graphs: the head of the
 //     distribution exercises the intern and invoke caches the way popular
 //     documents do, while the tail defeats them.
-//   - -burst-every/-burst-len/-burst-mult modulate the open-loop schedule
-//     into bursty arrivals — baseline -rate with periodic windows at a
-//     multiple of it, the arrival shape that exposes admission behavior a
-//     steady rate hides.
 //
 // Example:
 //
@@ -107,9 +103,6 @@ func main() {
 		hostileList  = flag.String("hostile-tenants", "", "comma-separated tenant names (from -tenant-keys) whose workers mix adversarial requests into their traffic; their expected 4xxs count as rejected, not errors")
 		hostileFrac  = flag.Float64("hostile-frac", 0.5, "fraction of a hostile tenant's operations that are adversarial")
 		graphsN      = flag.Int("graphs", 1, "distinct-graph pool size; > 1 picks each op's graph from a zipf popularity distribution over the pool")
-		burstEvery   = flag.Duration("burst-every", 0, "open loop: start an arrival burst this often (0 = steady arrivals)")
-		burstLen     = flag.Duration("burst-len", 500*time.Millisecond, "open loop: how long each burst lasts")
-		burstMult    = flag.Int("burst-mult", 5, "open loop: arrival-rate multiplier inside a burst")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -131,9 +124,6 @@ func main() {
 	}
 	if *graphsN < 1 {
 		log.Fatalf("loadgen: -graphs must be >= 1, got %d", *graphsN)
-	}
-	if *burstMult < 1 {
-		log.Fatalf("loadgen: -burst-mult must be >= 1, got %d", *burstMult)
 	}
 	tenants, err := parseTenants(*tenantKeys, *hostileList)
 	if err != nil {
@@ -327,26 +317,17 @@ func main() {
 			if now.After(deadline) {
 				break
 			}
-			// Burst modulation: inside a burst window every tick dispatches
-			// -burst-mult arrivals instead of one, so the schedule alternates
-			// between the baseline rate and burst-mult times it.
-			arrivals := 1
-			if *burstEvery > 0 && now.Sub(wallStart)%*burstEvery < *burstLen {
-				arrivals = *burstMult
-			}
-			for a := 0; a < arrivals; a++ {
-				select {
-				case slots <- struct{}{}:
-					wg.Add(1)
-					go func(wkr int, w *rand.Rand) {
-						defer wg.Done()
-						defer func() { <-slots }()
-						doOp(w, newZipf(w, *graphsN), wkr)
-					}(next, rand.New(rand.NewSource(*seed+int64(next)*7919)))
-					next++
-				default:
-					run.drop()
-				}
+			select {
+			case slots <- struct{}{}:
+				wg.Add(1)
+				go func(wkr int, w *rand.Rand) {
+					defer wg.Done()
+					defer func() { <-slots }()
+					doOp(w, newZipf(w, *graphsN), wkr)
+				}(next, rand.New(rand.NewSource(*seed+int64(next)*7919)))
+				next++
+			default:
+				run.drop()
 			}
 		}
 		wg.Wait()
@@ -372,11 +353,6 @@ func main() {
 	report.Cache = cacheDelta(cacheBefore, cacheAfter)
 	report.JobsMix = *jobsMix
 	report.GraphPool = *graphsN
-	if *burstEvery > 0 {
-		report.BurstEveryS = round2(burstEvery.Seconds())
-		report.BurstLenS = round2(burstLen.Seconds())
-		report.BurstMult = *burstMult
-	}
 	report.Reconnects = int(rc.count.Load())
 	if report.Reconnects > 0 {
 		log.Printf("loadgen: %d requests recovered via retry (daemon restart or recovery window)", report.Reconnects)
@@ -1218,11 +1194,7 @@ type Report struct {
 	JobsMix     float64 `json:"jobs_mix,omitempty"`
 	// GraphPool is the distinct-graph pool size (zipf-selected when > 1).
 	GraphPool int `json:"graph_pool,omitempty"`
-	// Burst fields echo the open-loop burst schedule when one was set.
-	BurstEveryS float64 `json:"burst_every_s,omitempty"`
-	BurstLenS   float64 `json:"burst_len_s,omitempty"`
-	BurstMult   int     `json:"burst_mult,omitempty"`
-	Drops       int     `json:"open_loop_drops,omitempty"`
+	Drops     int `json:"open_loop_drops,omitempty"`
 	// Reconnects counts requests that failed in transport (or answered 503)
 	// and then succeeded on a -restart-grace retry — nonzero means the run
 	// spanned a daemon restart or recovery window and rode it out.

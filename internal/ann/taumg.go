@@ -46,9 +46,6 @@ type TauMGConfig struct {
 	RandomCandidates int
 	// Beam is the default beam width (ef) for Search (0 means 64).
 	Beam int
-	// Seed drives the random candidate sampling (build is deterministic
-	// for a fixed seed).
-	Seed int64
 }
 
 func (c *TauMGConfig) setDefaults() {
@@ -91,7 +88,9 @@ func NewTauMG(vecs [][]float32, cfg TauMGConfig) (*TauMG, error) {
 	if pool > n-1 {
 		pool = n - 1
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
+	// A fixed seed: the random candidates, and so the build, are a function
+	// of the vectors alone.
+	rng := rand.New(rand.NewSource(int64(n)))
 	for u := 0; u < n; u++ {
 		cands := bf.Search(t.mat.Row(u), pool+1) // +1: the node itself is returned first
 		for r := 0; r < cfg.RandomCandidates; r++ {

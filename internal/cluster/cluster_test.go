@@ -551,13 +551,10 @@ func (noLLM) Complete(context.Context, []llm.Message) (string, error) {
 	return "", errors.New("cluster test: no chat expected")
 }
 
-// TestRouterRemovedChatRouteIs404 sends the removed single-conversation
-// POST /chat through a router fronting real chatgraphd handlers: the router
-// has no special case for it any more, so it is spread like any unknown path
-// and the client sees the backend's own 404 (with X-Backend naming who said
-// so) — not a router-made answer, and not a content-hash placement.
-func TestRouterRemovedChatRouteIs404(t *testing.T) {
-	backends := make([]*fakeBackend, 2)
+// realBackends serves n real chatgraphd handlers over noLLM engines.
+func realBackends(t *testing.T, n int) []*fakeBackend {
+	t.Helper()
+	backends := make([]*fakeBackend, n)
 	for i := range backends {
 		eng, err := core.NewEngine(core.Config{Client: noLLM{}})
 		if err != nil {
@@ -568,7 +565,57 @@ func TestRouterRemovedChatRouteIs404(t *testing.T) {
 		backends[i] = &fakeBackend{ts: httptest.NewServer(srv.Handler())}
 		t.Cleanup(backends[i].ts.Close)
 	}
-	_, rt := testRouter(t, backends...)
+	return backends
+}
+
+// TestRouterMintedJobIDIsTheOneBound: a job body may already spell the key
+// the router injects — empty, null, or in another case, all of which the
+// router reads as "mint one". The backend's decoder lets the last duplicate
+// win, so the minted id must be the one the backend binds: the 202 names a
+// job that its rendezvous owner holds, and a poll through the router finds
+// it. (Spliced in front, the body's own "" won, the backend minted a second
+// id, and the poll followed the first to a coin-flip owner: 404.)
+func TestRouterMintedJobIDIsTheOneBound(t *testing.T) {
+	pool, rt := testRouter(t, realBackends(t, 2)...)
+	for _, member := range []string{`"job_id":""`, `"Job_Id":""`, `"JOB_ID":null`, `"job_id":"", "job_id":null`} {
+		// Eight submissions each: a misbound id still hashes onto the
+		// right backend half the time.
+		for i := 0; i < 8; i++ {
+			body := fmt.Sprintf(`{"question":"Summarize the statistics of the graph", %s }`, member)
+			resp, err := http.Post(rt.URL+"/v1/jobs", "application/json", jsonRaw([]byte(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var created struct {
+				JobID string `json:"job_id"`
+			}
+			json.NewDecoder(resp.Body).Decode(&created) //nolint:errcheck
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted || created.JobID == "" {
+				t.Fatalf("%s: submit = %d, id %q", member, resp.StatusCode, created.JobID)
+			}
+			if owner := pool.Owner(created.JobID).Name; owner != resp.Header.Get("X-Backend") {
+				t.Fatalf("%s: job %s was accepted by %s but its id is owned by %s", member, created.JobID, resp.Header.Get("X-Backend"), owner)
+			}
+			poll, err := http.Get(rt.URL + "/v1/jobs/" + created.JobID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poll.Body.Close()
+			if poll.StatusCode != http.StatusOK {
+				t.Fatalf("%s: GET /v1/jobs/%s through the router = %d, want 200: an accepted job is lost", member, created.JobID, poll.StatusCode)
+			}
+		}
+	}
+}
+
+// TestRouterRemovedChatRouteIs404 sends the removed single-conversation
+// POST /chat through a router fronting real chatgraphd handlers: the router
+// has no special case for it any more, so it is spread like any unknown path
+// and the client sees the backend's own 404 (with X-Backend naming who said
+// so) — not a router-made answer, and not a content-hash placement.
+func TestRouterRemovedChatRouteIs404(t *testing.T) {
+	_, rt := testRouter(t, realBackends(t, 2)...)
 
 	body := []byte(`{"question":"Summarize the statistics of the graph","graph":{"nodes":[{"id":0},{"id":1}],"edges":[{"from":0,"to":1}]}}`)
 	served := map[string]bool{}
@@ -625,9 +672,13 @@ func TestRouterReadyz(t *testing.T) {
 func TestInjectField(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{`{}`, `{"job_id":"k"}`},
-		{`{"a":1}`, `{"job_id":"k","a":1}`},
-		{`  {"a":1}`, `  {"job_id":"k","a":1}`},
-		{`{ }`, `{"job_id":"k" }`},
+		{`{"a":1}`, `{"a":1,"job_id":"k"}`},
+		{`  {"a":1} `, `  {"a":1,"job_id":"k"} `},
+		{`{ }`, `{"job_id":"k"}`},
+		{`{"a":{}}`, `{"a":{},"job_id":"k"}`},
+		{`{"a":"{"}`, `{"a":"{","job_id":"k"}`},
+		{`{"job_id":"", "a":1 }`, `{"job_id":"", "a":1,"job_id":"k"}`},
+		{`null`, `null`},
 		{`not json`, `not json`},
 	}
 	for _, tc := range cases {
@@ -638,9 +689,14 @@ func TestInjectField(t *testing.T) {
 		if tc.in == `not json` {
 			continue
 		}
-		var m map[string]any
-		if err := json.Unmarshal([]byte(got), &m); err != nil {
+		// What the backend binds: the last duplicate wins.
+		var req struct {
+			JobID string `json:"job_id"`
+		}
+		if err := json.Unmarshal([]byte(got), &req); err != nil {
 			t.Errorf("injectField(%q) produced invalid JSON %q: %v", tc.in, got, err)
+		} else if tc.in != `null` && req.JobID != "k" {
+			t.Errorf("injectField(%q) = %q binds job_id %q, want the injected one", tc.in, got, req.JobID)
 		}
 	}
 }

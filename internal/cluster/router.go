@@ -486,24 +486,28 @@ func remoteIP(r *http.Request) string {
 	return strings.Trim(host, "[]")
 }
 
-// injectField splices `"field":"value"` into the front of a JSON object
-// body without re-encoding it — re-marshalling through a map would disturb
-// number formatting in graph payloads. A body that is not a JSON object
-// passes through untouched (the backend will reject it with its own 400).
+// injectField splices `"field":"value"` in as the last member of a JSON
+// object body without re-encoding it — re-marshalling through a map would
+// disturb number formatting in graph payloads. Last, because the backend's
+// decoder lets the last duplicate of a key win and matches keys without
+// regard to case: whatever the body already spells ("job_id":"", "Job_Id",
+// null), the injected value is the one the backend binds. The caller has
+// decoded body as JSON; one that is not an object passes through untouched
+// (the backend will reject it with its own 400).
 func injectField(body []byte, field, value string) []byte {
-	i := bytes.IndexByte(body, '{')
-	if i < 0 {
+	end := bytes.LastIndexByte(body, '}')
+	if trimmed := bytes.TrimLeft(body, " \t\r\n"); end < 0 || len(trimmed) == 0 || trimmed[0] != '{' {
 		return body
 	}
-	rest := bytes.TrimLeft(body[i+1:], " \t\r\n")
+	head := bytes.TrimRight(body[:end], " \t\r\n")
 	var out bytes.Buffer
 	out.Grow(len(body) + len(field) + len(value) + 8)
-	out.Write(body[:i+1])
-	fmt.Fprintf(&out, "%q:%q", field, value)
-	if len(rest) > 0 && rest[0] != '}' {
+	out.Write(head)
+	if head[len(head)-1] != '{' {
 		out.WriteByte(',')
 	}
-	out.Write(body[i+1:])
+	fmt.Fprintf(&out, "%q:%q", field, value)
+	out.Write(body[end:])
 	return out.Bytes()
 }
 

@@ -15,8 +15,6 @@ import (
 type ANN struct {
 	// Dim is the embedding dimensionality.
 	Dim int `json:"dim"`
-	// Tau is the τ of the τ-MG occlusion rule.
-	Tau float64 `json:"tau"`
 	// TopK is how many candidate APIs retrieval returns.
 	TopK int `json:"top_k"`
 }
@@ -71,7 +69,7 @@ type Config struct {
 // Default returns the parameter values the demo ships with.
 func Default() Config {
 	return Config{
-		ANN:            ANN{Dim: 512, Tau: 0.05, TopK: 6},
+		ANN:            ANN{Dim: 512, TopK: 6},
 		Sequentializer: Sequentializer{MaxPathLength: 3, Levels: 2, MaxPathLines: 40},
 		Finetune:       Finetune{Rollouts: 4, Alpha: 0.5, Epochs: 2, Examples: 400},
 		LLM:            LLM{Backend: "sim", Temperature: 0, MaxChainLength: 8},
@@ -83,8 +81,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.ANN.Dim < 8 || c.ANN.Dim > 4096:
 		return fmt.Errorf("config: ann.dim %d outside [8, 4096]", c.ANN.Dim)
-	case c.ANN.Tau < 0:
-		return fmt.Errorf("config: ann.tau %g must be non-negative", c.ANN.Tau)
 	case c.ANN.TopK < 1 || c.ANN.TopK > 64:
 		return fmt.Errorf("config: ann.top_k %d outside [1, 64]", c.ANN.TopK)
 	case c.Sequentializer.MaxPathLength < 1 || c.Sequentializer.MaxPathLength > 8:

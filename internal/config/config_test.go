@@ -21,7 +21,6 @@ func TestValidateCatchesEveryField(t *testing.T) {
 		want string
 	}{
 		{"dim", func(c *Config) { c.ANN.Dim = 4 }, "ann.dim"},
-		{"tau", func(c *Config) { c.ANN.Tau = -1 }, "ann.tau"},
 		{"topk", func(c *Config) { c.ANN.TopK = 0 }, "ann.top_k"},
 		{"pathlen", func(c *Config) { c.Sequentializer.MaxPathLength = 0 }, "max_path_length"},
 		{"levels", func(c *Config) { c.Sequentializer.Levels = 3 }, "levels"},
@@ -63,11 +62,12 @@ func TestParseOverDefaults(t *testing.T) {
 }
 
 // TestRetiredANNFieldsLoadAndAreNotReported: "quantize" and "rerank_factor"
-// selected a retrieval tier that is deleted. A file written for it must keep
-// loading, whatever the values, and the encoding GET /config serves must not
-// list the keys.
+// selected a retrieval tier that is deleted, and "tau" shaped a τ-MG that
+// retrieval no longer builds. A file written for them must keep loading,
+// whatever the values, and the encoding GET /config serves must not list the
+// keys.
 func TestRetiredANNFieldsLoadAndAreNotReported(t *testing.T) {
-	c, err := Parse([]byte(`{"ann":{"dim":256,"quantize":true,"rerank_factor":8}}`))
+	c, err := Parse([]byte(`{"ann":{"dim":256,"quantize":true,"rerank_factor":8,"tau":-1}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRetiredANNFieldsLoadAndAreNotReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"quantize", "rerank_factor"} {
+	for _, key := range []string{"quantize", "rerank_factor", "tau"} {
 		if strings.Contains(string(out), key) {
 			t.Errorf("encoded config still lists %q: %s", key, out)
 		}
@@ -99,7 +99,7 @@ func TestParseRejectsBadJSONAndValues(t *testing.T) {
 func TestLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "config.json")
 	orig := Default()
-	orig.ANN.Tau = 0.15
+	orig.ANN.TopK = 9
 	orig.Finetune.Rollouts = 16
 	data, err := json.Marshal(orig)
 	if err != nil {

@@ -3,10 +3,14 @@
 // API chain and a chat answer. One Ask call walks the full pipeline of the
 // paper's Fig. 1:
 //
-//	prompt ──► API retrieval (embed + τ-MG ANN) ──► graph-aware prompt
+//	prompt ──► API retrieval (embed + exact scan) ──► graph-aware prompt
 //	       (graph sequentializer paths + motif super-graph) ──► LLM chain
 //	       generation (finetuned transition model or HTTP LLM) ──► user
 //	       confirmation ──► chain execution with progress monitoring.
+//
+// The paper indexes API embeddings with a τ-MG; at registry scale the exact
+// scan is faster, so that is what retrieval serves, and the τ-MG is
+// measured by cmd/benchann.
 package core
 
 import (
@@ -24,7 +28,6 @@ import (
 	"chatgraph/internal/executor"
 	"chatgraph/internal/finetune"
 	"chatgraph/internal/graph"
-	"chatgraph/internal/graphstore"
 	"chatgraph/internal/llm"
 	"chatgraph/internal/retrieve"
 )
@@ -53,10 +56,6 @@ type Config struct {
 	// TrainExamples sizes the default model's dataset (0 → 400); it is
 	// finetuned for 2 epochs at r = 4.
 	TrainExamples int
-	// GraphStore interns uploaded graphs by content hash so identical
-	// payloads share one instance, one CSR, and one invoke-cache entry
-	// pool (nil → a graphstore.DefaultCapacity store).
-	GraphStore *graphstore.Store
 }
 
 // Turn records one completed question/answer exchange.

@@ -46,12 +46,11 @@ func newEngineMetrics() *engineMetrics {
 // Engine is the immutable, concurrency-safe bundle of everything expensive
 // that ChatGraph conversations share: the API registry, the substrate
 // environment, the finetuned chain-generation model, the API retrieval
-// index (an exact flat scan at the default registry's size, a τ-MG above
-// retrieve's threshold), the LLM client, and the chain executor. Build one Engine per
-// process (training the model and building the index happen here) and mint
-// cheap per-conversation Sessions from it with NewSession. All Engine state
-// is read-only after construction, so any number of Sessions may Ask
-// concurrently against the same Engine.
+// index (an exact flat scan), the LLM client, and the chain executor. Build
+// one Engine per process (training the model and building the index happen
+// here) and mint cheap per-conversation Sessions from it with NewSession. All
+// Engine state is read-only after construction, so any number of Sessions may
+// Ask concurrently against the same Engine.
 type Engine struct {
 	registry *apis.Registry
 	env      *apis.Env
@@ -59,8 +58,11 @@ type Engine struct {
 	client   llm.Client
 	index    *retrieve.Index
 	exec     *executor.Executor
-	graphs   *graphstore.Store
-	cfg      Config
+	// graphs interns every uploaded graph: re-uploads dedupe onto one shared
+	// instance, which is what turns the content-keyed invoke cache into a
+	// cross-session cache.
+	graphs *graphstore.Store
+	cfg    Config
 	// descs is the engine's private snapshot of the retrieval index's
 	// name → description map, taken once at construction so the per-Ask
 	// prompt build neither copies the map nor shares mutable state.
@@ -90,12 +92,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		// Registry+Env pair may arrive without it).
 		cfg.Env.Cache = apis.NewInvokeCache(apis.DefaultInvokeCacheSize)
 	}
-	if cfg.GraphStore == nil {
-		// Engines always intern: re-uploaded graphs dedupe onto one shared
-		// instance, which is what turns the content-keyed invoke cache into
-		// a cross-session cache.
-		cfg.GraphStore = graphstore.New(0)
-	}
 	if cfg.RetrievalK <= 0 {
 		cfg.RetrievalK = 6
 	}
@@ -122,7 +118,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		client:   cfg.Client,
 		index:    ix,
 		exec:     executor.New(cfg.Registry, cfg.Env),
-		graphs:   cfg.GraphStore,
+		graphs:   graphstore.New(0),
 		cfg:      cfg,
 		descs:    ix.Descriptions(),
 		met:      newEngineMetrics(),
@@ -173,10 +169,7 @@ func NewEngineFromConfig(fc config.Config, registry *apis.Registry, env *apis.En
 		Registry:   registry,
 		Env:        env,
 		RetrievalK: fc.ANN.TopK,
-		Retrieve: retrieve.Config{
-			Dim: fc.ANN.Dim,
-			Tau: float32(fc.ANN.Tau),
-		},
+		Retrieve:   retrieve.Config{Dim: fc.ANN.Dim},
 		Prompt: llm.PromptConfig{
 			MaxPathLines:   fc.Sequentializer.MaxPathLines,
 			PathLength:     fc.Sequentializer.MaxPathLength,

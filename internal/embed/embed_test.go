@@ -167,8 +167,7 @@ func TestQuickEmbedNorm(t *testing.T) {
 
 // BenchmarkEmbed times one prompt at d = 512, the dimensionality every
 // daemon serves: dense is Embed, sparse is EmbedSparse into reused storage
-// (what retrieval below exactThreshold calls), oracle the map-based
-// embedder they replaced.
+// (what retrieval calls), oracle the map-based embedder they replaced.
 func BenchmarkEmbed(b *testing.B) {
 	e := NewHashing(512)
 	e.Fit([]string{"detect communities in a social network", "compute toxicity"})

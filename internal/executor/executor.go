@@ -110,9 +110,10 @@ type Options struct {
 	Confirm Confirmer
 	// OnEvent receives progress events; nil discards them.
 	OnEvent func(Event)
-	// StepBudget caps executed steps as a runaway guard (0 = 64).
-	StepBudget int
 }
+
+// stepBudget caps executed steps as a runaway guard.
+const stepBudget = 64
 
 // Result is the outcome of a completed chain.
 type Result struct {
@@ -148,10 +149,6 @@ func (e *Executor) Run(ctx context.Context, g *graph.Graph, c chain.Chain, opts 
 	if emit == nil {
 		emit = func(Event) {}
 	}
-	budget := opts.StepBudget
-	if budget <= 0 {
-		budget = 64
-	}
 	if err := chain.Validate(c, e.reg); err != nil {
 		return Result{}, err
 	}
@@ -168,8 +165,8 @@ func (e *Executor) Run(ctx context.Context, g *graph.Graph, c chain.Chain, opts 
 			c = edited
 		}
 	}
-	if len(c) > budget {
-		return Result{}, fmt.Errorf("executor: chain has %d steps, budget is %d", len(c), budget)
+	if len(c) > stepBudget {
+		return Result{}, fmt.Errorf("executor: chain has %d steps, budget is %d", len(c), stepBudget)
 	}
 	if g != nil && g.Shared() && e.reg.ChainMutates(c) {
 		// g is an interned graph shared across sessions; a chain that edits

@@ -163,14 +163,14 @@ func TestRunCancelledContext(t *testing.T) {
 
 func TestRunStepBudget(t *testing.T) {
 	ex, g := setup()
-	long := make(chain.Chain, 3)
+	long := make(chain.Chain, stepBudget+1)
 	for i := range long {
 		long[i] = chain.NewStep("graph.stats")
 	}
-	if _, err := ex.Run(context.Background(), g, long, Options{StepBudget: 2}); err == nil {
+	if _, err := ex.Run(context.Background(), g, long, Options{}); err == nil {
 		t.Fatal("budget not enforced")
 	}
-	if _, err := ex.Run(context.Background(), g, long, Options{StepBudget: 3}); err != nil {
+	if _, err := ex.Run(context.Background(), g, long[:stepBudget], Options{}); err != nil {
 		t.Fatalf("within-budget chain failed: %v", err)
 	}
 }

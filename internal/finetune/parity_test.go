@@ -238,8 +238,8 @@ func (m *mapModel) TopCandidates(partial chain.Chain, question string, kind grap
 func mapSearchPredict(m *mapModel, question string, kind graph.Kind, truths []chain.Chain, cfg SearchConfig, rng *rand.Rand) chain.Chain {
 	cfg.setDefaults()
 	var partial chain.Chain
-	for len(partial) < cfg.MaxLen {
-		cands := m.TopCandidates(partial, question, kind, cfg.Candidates)
+	for len(partial) < searchMaxLen {
+		cands := m.TopCandidates(partial, question, kind, searchCandidates)
 		if len(cands) == 0 {
 			break
 		}
@@ -270,11 +270,11 @@ func (m *mapModel) rolloutScore(prefix chain.Chain, question string, kind graph.
 	// the estimate so that a lucky random completion of a bad prefix
 	// cannot beat a good prefix whose rollouts happened to miss.
 	best, _ := chain.MinLoss(prefix, truths, cfg.Alpha)
-	if l, _ := chain.MinLoss(m.greedyComplete(prefix, question, kind, cfg.MaxLen), truths, cfg.Alpha); l < best {
+	if l, _ := chain.MinLoss(m.greedyComplete(prefix, question, kind, searchMaxLen), truths, cfg.Alpha); l < best {
 		best = l
 	}
 	for i := 0; i < cfg.Rollouts; i++ {
-		full := m.randomComplete(prefix, question, kind, cfg.MaxLen, rng)
+		full := m.randomComplete(prefix, question, kind, searchMaxLen, rng)
 		if l, _ := chain.MinLoss(full, truths, cfg.Alpha); l < best {
 			best = l
 		}

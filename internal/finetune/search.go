@@ -20,21 +20,18 @@ type SearchConfig struct {
 	// Rollouts is r, the random completions per candidate (0 = greedy
 	// scoring without rollouts, the ablation baseline).
 	Rollouts int
-	// Candidates bounds the candidate set S per iteration (0 → 6).
-	Candidates int
-	// MaxLen caps generated chains (0 → 8).
-	MaxLen int
 	// Alpha weighs the one-to-one regularizer in the loss (0 → 0.5).
 	Alpha float64
 }
 
+const (
+	// searchCandidates bounds the candidate set S per iteration.
+	searchCandidates = 6
+	// searchMaxLen caps generated chains.
+	searchMaxLen = 8
+)
+
 func (c *SearchConfig) setDefaults() {
-	if c.Candidates <= 0 {
-		c.Candidates = 6
-	}
-	if c.MaxLen <= 0 {
-		c.MaxLen = 8
-	}
 	if c.Alpha == 0 {
 		c.Alpha = 0.5
 	}
@@ -48,12 +45,12 @@ func SearchPredict(m *Model, question string, kind graph.Kind, truths []chain.Ch
 	cfg.setDefaults()
 	// The model is constant for the whole search, so one query serves every
 	// candidate and rollout.
-	s := &search{q: m.newQuery(question, kind), w: m.newWalk(cfg.MaxLen), truths: truths, cfg: cfg, rng: rng}
+	s := &search{q: m.newQuery(question, kind), w: m.newWalk(searchMaxLen), truths: truths, cfg: cfg, rng: rng}
 	w := s.w
-	cands := make([]scored, 0, cfg.Candidates)
-	for len(w.ids) < cfg.MaxLen {
+	cands := make([]scored, 0, searchCandidates)
+	for len(w.ids) < searchMaxLen {
 		n := len(w.ids)
-		cands = append(cands[:0], s.q.top(w.ids, cfg.Candidates)...)
+		cands = append(cands[:0], s.q.top(w.ids, searchCandidates)...)
 		if len(cands) == 0 {
 			break
 		}
@@ -99,7 +96,7 @@ func (s *search) rolloutScore() float64 {
 	// the estimate so that a lucky random completion of a bad prefix
 	// cannot beat a good prefix whose rollouts happened to miss.
 	best := s.loss()
-	s.q.greedyComplete(s.w, s.cfg.MaxLen)
+	s.q.greedyComplete(s.w, searchMaxLen)
 	best = min(best, s.loss())
 	for i := 0; i < s.cfg.Rollouts; i++ {
 		s.w.truncate(n)
@@ -117,10 +114,10 @@ func (s *search) loss() float64 {
 }
 
 // randomComplete extends the walk to a full chain by sampling successors
-// from the model's top candidates until the end token is sampled or MaxLen
-// hit.
+// from the model's top candidates until the end token is sampled or
+// searchMaxLen hit.
 func (s *search) randomComplete() {
-	for len(s.w.ids) < s.cfg.MaxLen {
+	for len(s.w.ids) < searchMaxLen {
 		// Sample among top-4 candidates plus a stop chance that grows with
 		// length, approximating the model's end-token probability mass.
 		if s.rng.Float64() < 0.15*float64(len(s.w.ids)) {

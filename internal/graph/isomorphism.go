@@ -3,21 +3,16 @@ package graph
 import "sort"
 
 // Subgraph isomorphism in the VF2 style: find an injective mapping from
-// pattern nodes to host nodes that preserves labels and adjacency. This is
-// the primitive behind substructure search on molecules (the paper cites
-// subgraph-isomorphism testing as a core graph-query operation) and is
-// deliberately exact — patterns in chat workloads are small functional
-// groups, not whole graphs.
+// pattern nodes to host nodes that preserves labels (exact equality, with ""
+// in the pattern a wildcard) and adjacency. Non-edges of the pattern need not
+// be non-edges of the host image: plain subgraph matching (monomorphism),
+// which is what substructure search wants. This is the primitive behind
+// substructure search on molecules (the paper cites subgraph-isomorphism
+// testing as a core graph-query operation) and is deliberately exact —
+// patterns in chat workloads are small functional groups, not whole graphs.
 
 // IsoOptions tunes the matcher.
 type IsoOptions struct {
-	// LabelMatch compares a pattern label against a host label; nil means
-	// exact equality with "" in the pattern acting as a wildcard.
-	LabelMatch func(pattern, host string) bool
-	// Induced requires non-edges of the pattern to be non-edges of the
-	// host image (induced subgraph isomorphism). Default false: plain
-	// subgraph (monomorphism), which is what substructure search wants.
-	Induced bool
 	// MaxMatches stops the search after this many matches (0 = 1).
 	MaxMatches int
 }
@@ -34,15 +29,9 @@ func FindSubgraphIsomorphisms(pattern, host *Graph, opts IsoOptions) []SubgraphM
 	if opts.MaxMatches <= 0 {
 		opts.MaxMatches = 1
 	}
-	labelOK := opts.LabelMatch
-	if labelOK == nil {
-		labelOK = func(p, h string) bool { return p == "" || p == h }
-	}
 	st := &isoState{
 		pattern: pattern,
 		host:    host,
-		labelOK: labelOK,
-		induced: opts.Induced,
 		max:     opts.MaxMatches,
 		mapping: make([]NodeID, pattern.NumNodes()),
 		used:    make([]bool, host.NumNodes()),
@@ -59,8 +48,6 @@ func FindSubgraphIsomorphisms(pattern, host *Graph, opts IsoOptions) []SubgraphM
 
 type isoState struct {
 	pattern, host   *Graph
-	labelOK         func(string, string) bool
-	induced         bool
 	max             int
 	order           []NodeID
 	mapping         []NodeID
@@ -168,7 +155,7 @@ func (st *isoState) candidates(pu NodeID) []NodeID {
 // feasible checks label compatibility and adjacency consistency of mapping
 // pu → hv given the current partial mapping.
 func (st *isoState) feasible(pu, hv NodeID) bool {
-	if !st.labelOK(st.pattern.Node(pu).Label, st.host.Node(hv).Label) {
+	if p := st.pattern.Node(pu).Label; p != "" && p != st.host.Node(hv).Label {
 		return false
 	}
 	if st.pattern.Degree(pu) > st.host.Degree(hv) {
@@ -181,17 +168,6 @@ func (st *isoState) feasible(pu, hv NodeID) bool {
 		}
 		if !st.hostAdj[hv][img] {
 			return false
-		}
-	}
-	if st.induced {
-		for p := 0; p < st.pattern.NumNodes(); p++ {
-			img := st.mapping[p]
-			if img < 0 || st.patAdj[pu][NodeID(p)] {
-				continue
-			}
-			if st.hostAdj[hv][img] {
-				return false
-			}
 		}
 	}
 	return true

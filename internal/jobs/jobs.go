@@ -256,11 +256,13 @@ func (j *Job) notifyLocked() {
 
 // Defaults applied by New when Options fields are zero.
 const (
-	DefaultWorkers     = 2
-	DefaultQueueDepth  = 64
-	DefaultRetention   = 15 * time.Minute
-	DefaultMaxFinished = 256
+	DefaultWorkers    = 2
+	DefaultQueueDepth = 64
+	DefaultRetention  = 15 * time.Minute
 )
+
+// maxFinished caps retained finished jobs regardless of age.
+const maxFinished = 256
 
 // DurationBuckets are the job-duration histogram bounds in seconds. Jobs
 // exist precisely because work can outlive the request deadline, so the
@@ -279,9 +281,6 @@ type Options struct {
 	// Retention is how long finished jobs stay queryable (0 →
 	// DefaultRetention).
 	Retention time.Duration
-	// MaxFinished caps retained finished jobs regardless of age (0 →
-	// DefaultMaxFinished).
-	MaxFinished int
 	// Metrics is the registry the pool instruments into (nil →
 	// metrics.Default()).
 	Metrics *metrics.Registry
@@ -330,9 +329,6 @@ func New(opts Options) *Manager {
 	}
 	if opts.Retention <= 0 {
 		opts.Retention = DefaultRetention
-	}
-	if opts.MaxFinished <= 0 {
-		opts.MaxFinished = DefaultMaxFinished
 	}
 	reg := opts.Metrics
 	if reg == nil {
@@ -718,7 +714,7 @@ func (m *Manager) unqueueLocked(j *Job) {
 func (m *Manager) sweepLocked(now time.Time) {
 	idx := 0
 	for idx < len(m.finished) &&
-		(len(m.finished)-idx > m.opts.MaxFinished ||
+		(len(m.finished)-idx > maxFinished ||
 			now.Sub(m.finished[idx].finished) > m.opts.Retention) {
 		delete(m.jobs, m.finished[idx].ID)
 		m.finished[idx] = nil

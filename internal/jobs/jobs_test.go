@@ -280,9 +280,9 @@ func TestPanickingJobFailsWithoutKillingWorker(t *testing.T) {
 }
 
 func TestRetentionCountBound(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 1, MaxFinished: 2, Retention: time.Hour})
+	m := newTestManager(t, Options{Workers: 1, Retention: time.Hour})
 	var ids []string
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxFinished+3; i++ {
 		j, err := m.Submit(PriorityNormal, func(context.Context, func(executor.Event)) (any, error) {
 			return nil, nil
 		})
@@ -292,8 +292,8 @@ func TestRetentionCountBound(t *testing.T) {
 		waitTerminal(t, j)
 		ids = append(ids, j.ID)
 	}
-	if n := m.Len(); n != 2 {
-		t.Fatalf("retained = %d, want 2", n)
+	if n := m.Len(); n != maxFinished {
+		t.Fatalf("retained = %d, want %d", n, maxFinished)
 	}
 	for _, id := range ids[:3] {
 		if _, ok := m.Get(id); ok {

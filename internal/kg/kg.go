@@ -81,8 +81,6 @@ func DefaultRules() []Rule {
 type Detector struct {
 	Signatures TypeSignatures
 	Rules      []Rule
-	// MaxIssues caps the report size (0 = unlimited).
-	MaxIssues int
 }
 
 // NewDetector returns a Detector with the default signatures (matching the
@@ -148,7 +146,7 @@ func (v *view) valid(from graph.NodeID, rel int32, to graph.NodeID) bool {
 // signature and duplicate edges (same endpoints and label stored twice).
 func (d *Detector) DetectIncorrect(g *graph.Graph) []Issue {
 	issues, _ := d.incorrect(g, d.view(g))
-	return d.cap(issues)
+	return issues
 }
 
 // incorrect also returns the set of triples g stores, which it has to build
@@ -200,7 +198,7 @@ func (d *Detector) DetectMissing(g *graph.Graph) []Issue {
 			stored[triple{int32(e.From), int32(e.To), rel}] = struct{}{}
 		}
 	}
-	return d.cap(d.missing(g, v, stored, nil))
+	return d.missing(g, v, stored, nil)
 }
 
 // inferred is one rule conclusion before it becomes an Issue: small enough
@@ -308,14 +306,7 @@ func (d *Detector) missing(g *graph.Graph, v *view, stored map[triple]struct{}, 
 func (d *Detector) Detect(g *graph.Graph) []Issue {
 	v := d.view(g)
 	issues, stored := d.incorrect(g, v)
-	return d.cap(d.missing(g, v, stored, issues))
-}
-
-func (d *Detector) cap(issues []Issue) []Issue {
-	if d.MaxIssues > 0 && len(issues) > d.MaxIssues {
-		return issues[:d.MaxIssues]
-	}
-	return issues
+	return d.missing(g, v, stored, issues)
 }
 
 // tripleKey renders "from|rel|to"; rule mining and Score key their triple

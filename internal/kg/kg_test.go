@@ -110,15 +110,6 @@ func TestDetectNoFalsePositivesOnCleanGraph(t *testing.T) {
 	}
 }
 
-func TestMaxIssuesCap(t *testing.T) {
-	g, _ := tinyKG()
-	d := NewDetector()
-	d.MaxIssues = 1
-	if issues := d.Detect(g); len(issues) > 1 {
-		t.Fatalf("cap ignored: %d issues", len(issues))
-	}
-}
-
 func TestApply(t *testing.T) {
 	g, ids := tinyKG()
 	before := g.NumEdges()

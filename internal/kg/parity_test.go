@@ -46,7 +46,7 @@ func oracleDetectIncorrect(d *Detector, g *graph.Graph) []Issue {
 			})
 		}
 	}
-	return d.cap(issues)
+	return issues
 }
 
 func oracleValidTriple(d *Detector, g *graph.Graph, from graph.NodeID, rel string, to graph.NodeID) bool {
@@ -116,13 +116,11 @@ func oracleDetectMissing(d *Detector, g *graph.Graph) []Issue {
 		}
 		return issues[i].Label < issues[j].Label
 	})
-	return d.cap(issues)
+	return issues
 }
 
 func oracleDetect(d *Detector, g *graph.Graph) []Issue {
-	issues := oracleDetectIncorrect(d, g)
-	issues = append(issues, oracleDetectMissing(d, g)...)
-	return d.cap(issues)
+	return append(oracleDetectIncorrect(d, g), oracleDetectMissing(d, g)...)
 }
 
 // sameIssues is DeepEqual that does not tell a nil list from an empty one.
@@ -161,9 +159,7 @@ func TestDetectParity(t *testing.T) {
 		Rule{Name: "headless", Kind: "composition", Body1: "capital_of", Body2: "located_in", Head: "orbits"},
 		Rule{Name: "bad kind", Kind: "reflexive", Rel: "part_of"},
 		Rule{Name: "member symmetry", Kind: "symmetric", Rel: "member_of"})
-	capped := NewDetector()
-	capped.MaxIssues = 7
-	detectors := map[string]*Detector{"default": NewDetector(), "extra rules": mined, "capped": capped,
+	detectors := map[string]*Detector{"default": NewDetector(), "extra rules": mined,
 		"no signatures": {Rules: DefaultRules()}}
 
 	for gname, g := range graphs {

@@ -1,11 +1,12 @@
 // Package retrieve implements the paper's API retrieval module: API
 // descriptions are embedded into high-dimensional vectors and, given a user
 // prompt, the most relevant APIs are found by nearest-neighbour search: an
-// exact flat scan for registries up to exactThreshold entries — which
-// includes the default registry, so that is what every daemon serves — and
-// a τ-MG proximity-graph index above it. The built Index is immutable, so
-// single and batched lookups may run concurrently from any number of
-// sessions.
+// exact flat scan over the prompt's sparse embedding, at every registry
+// size. The paper's τ-MG proximity graph lives in internal/ann, measured by
+// cmd/benchann and BenchmarkRetrievalCrossover — the benchmark whose table
+// says when a graph index should come back here. The built Index is
+// immutable, so single and batched lookups may run concurrently from any
+// number of sessions.
 package retrieve
 
 import (
@@ -34,8 +35,6 @@ type Scored struct {
 type Config struct {
 	// Dim is the embedding dimensionality (0 → 512).
 	Dim int
-	// Tau is the τ-MG parameter (0 is valid: MRNG).
-	Tau float32
 	// Quantize is ignored.
 	//
 	// Deprecated: the tier it selected is deleted (DESIGN.md "One
@@ -44,41 +43,16 @@ type Config struct {
 	Quantize bool
 }
 
-// exactThreshold is the registry size up to which New builds the exact flat
-// scan instead of a τ-MG. It is a constant, not a setting: the only number
-// that should move it is the measured crossover, and that sits far above
-// both it and the registry. Median µs per Search at d = 512, k = 6 on a
-// padded registry (BenchmarkRetrievalCrossover, 5 runs per cell;
-// EXPERIMENTS.md E25 has the spread); flat sparse is what New serves:
-//
-//	n            flat sparse  flat dense      τ-MG
-//	39 (served)          1.1        19.0      25.8
-//	64                   1.7        34.3      43.5
-//	128                  2.5        69.6      85.0
-//	256                  4.6       135.5     140.6
-//	512                 10.1       257.2     273.3
-//	1024                31.4       508.2     411.9
-//	2048                74.9      1073.1     688.4
-//	4096               205.9      2326.5     836.4
-//
-// The sparse scan costs n × non-zeros, not n × d: the τ-MG does not beat it
-// by n = 4096. The constant stays at 64 in the PR that added the column;
-// raising it is one line here plus re-padding the two fixtures that build a
-// τ-MG through New (TestTauMGPathUsed pads to 80, evalchains E10 to 512).
-const exactThreshold = 64
-
 // Index retrieves APIs by embedding similarity.
 type Index struct {
 	emb      *embed.Hashing
 	names    []string
 	rowDescs []string // by row, like names
 	descs    map[string]string
-	// flat (its sparse-query scan) serves up to exactThreshold rows, else graph.
-	flat  *ann.BruteForce
-	graph *ann.TauMG
+	flat     *ann.BruteForce // searched through its sparse-query scan
 }
 
-// New embeds every registered API description and builds the ANN index.
+// New embeds every registered API description and builds the flat index.
 func New(reg *apis.Registry, cfg Config) (*Index, error) {
 	all := reg.All()
 	if len(all) == 0 {
@@ -100,16 +74,7 @@ func New(reg *apis.Registry, cfg Config) (*Index, error) {
 		ix.descs[a.Name] = a.Description
 	}
 	ix.emb.Fit(corpus)
-	vecs := ix.emb.EmbedBatch(corpus)
-	if len(vecs) <= exactThreshold {
-		ix.flat = ann.NewBruteForce(vecs)
-		return ix, nil
-	}
-	idx, err := ann.NewTauMG(vecs, ann.TauMGConfig{Tau: cfg.Tau})
-	if err != nil {
-		return nil, fmt.Errorf("retrieve: build index: %w", err)
-	}
-	ix.graph = idx
+	ix.flat = ann.NewBruteForce(ix.emb.EmbedBatch(corpus))
 	return ix, nil
 }
 
@@ -124,13 +89,10 @@ func (ix *Index) Descriptions() map[string]string { return maps.Clone(ix.descs) 
 
 // TopAPIs returns the k APIs whose descriptions are nearest to the query
 // text, most relevant first. Equal distances are broken by name, so the
-// ranking is deterministic across index types.
+// ranking does not depend on registration order.
 func (ix *Index) TopAPIs(query string, k int) []Scored {
 	if k <= 0 {
 		return nil
-	}
-	if ix.flat == nil {
-		return ix.scored(ix.graph.Search(ix.emb.Embed(query), k))
 	}
 	// Stack room for the ≈ 20 buckets a prompt touches; more spill to the heap.
 	q := vecmath.Sparse{Idx: make([]int32, 0, 64), Val: make([]float32, 0, 64)}
@@ -138,23 +100,13 @@ func (ix *Index) TopAPIs(query string, k int) []Scored {
 }
 
 // TopAPIsBatch answers many queries in one call; out[i] is the ranked hit
-// list for queries[i]. The flat regime loops serially: at ≈ 3 µs a query the
-// largest batch the server admits is under a millisecond, less than a worker
-// pool's hand-off. The τ-MG embeds and searches across bounded worker pools.
+// list for queries[i]. The loop is serial: at ≈ 3 µs a query the largest
+// batch the server admits is under a millisecond, less than a worker pool's
+// hand-off.
 func (ix *Index) TopAPIsBatch(queries []string, k int) [][]Scored {
 	out := make([][]Scored, len(queries))
-	if k <= 0 {
-		return out
-	}
-	if ix.flat != nil {
-		for i, q := range queries {
-			out[i] = ix.TopAPIs(q, k)
-		}
-		return out
-	}
-	qs := ix.emb.EmbedBatch(queries)
-	for i, rs := range ann.SearchBatch(ix.graph, qs, k) {
-		out[i] = ix.scored(rs)
+	for i, q := range queries {
+		out[i] = ix.TopAPIs(q, k)
 	}
 	return out
 }

@@ -167,7 +167,7 @@ func TestTopAPIsTieBreakByName(t *testing.T) {
 }
 
 // paddedRegistry is the default registry grown to n APIs with synthetic
-// padding operations — past exactThreshold, so New builds a τ-MG over it.
+// padding operations.
 func paddedRegistry(t testing.TB, n int) *apis.Registry {
 	t.Helper()
 	reg := apis.Default(nil)
@@ -184,51 +184,13 @@ func paddedRegistry(t testing.TB, n int) *apis.Registry {
 	return reg
 }
 
-// TestTauMGPathUsed forces the proximity-graph path by padding the registry
-// past the exact threshold.
-func TestTauMGPathUsed(t *testing.T) {
-	ix, err := New(paddedRegistry(t, 80), Config{Tau: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.graph == nil || ix.flat != nil {
-		t.Fatalf("padded registry is served by flat %v, graph %v; want the τ-MG alone", ix.flat != nil, ix.graph != nil)
-	}
-	hits := ix.Names("detect communities in the social network", 5)
-	found := false
-	for _, h := range hits {
-		if h == "community.detect" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("tau-MG retrieval top-5 = %v", hits)
-	}
-}
-
-// TestDefaultRegistryServesFlatScan pins which index every daemon serves
-// from: the default registry is below exactThreshold, so retrieval is the
-// exact flat scan. The day the registry outgrows the threshold and
-// retrieval silently becomes approximate, this test names it.
-func TestDefaultRegistryServesFlatScan(t *testing.T) {
-	ix, err := New(apis.Default(nil), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.flat == nil || ix.graph != nil {
-		t.Fatalf("default registry (%d APIs, exactThreshold %d) is served by flat %v, graph %v; want the flat scan alone",
-			len(ix.names), exactThreshold, ix.flat != nil, ix.graph != nil)
-	}
-}
-
 // denseTopAPIs is TopAPIs through the dense embedding and BruteForce.Search
-// — what the flat regime served before the sparse scan, kept as its parity
-// reference.
+// — what New served before the sparse scan, kept as its parity reference.
 func denseTopAPIs(ix *Index, query string, k int) []Scored {
 	return ix.scored(ix.flat.Search(ix.emb.Embed(query), k))
 }
 
-// TestTopAPIsAllocs pins the flat regime's steady-state allocations: a
+// TestTopAPIsAllocs pins a lookup's steady-state allocations: a
 // lookup allocates what it returns and nothing per term, bucket or row.
 func TestTopAPIsAllocs(t *testing.T) {
 	if raceEnabled {
@@ -289,8 +251,7 @@ func TestTopAPIsConcurrent(t *testing.T) {
 
 // TestQuantizeIsInert: Config.Quantize survives only as a name bench/ still
 // sets. An index built with it must answer with the same names and the same
-// Distance bits as one built without, in the flat regime (default registry)
-// and in the τ-MG regime (registry padded to 80).
+// Distance bits as one built without.
 func TestQuantizeIsInert(t *testing.T) {
 	queries := []string{
 		"detect the communities of this social network",
@@ -299,41 +260,46 @@ func TestQuantizeIsInert(t *testing.T) {
 		"rank nodes by importance",
 		"padding operation number 7",
 	}
-	for _, tc := range []struct {
-		name string
-		reg  *apis.Registry
-		cfg  Config
-	}{
-		{"flat", apis.Default(nil), Config{}},
-		{"taumg", paddedRegistry(t, 80), Config{Tau: 0.05}},
-	} {
-		plain, err := New(tc.reg, tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.cfg.Quantize = true
-		set, err := New(tc.reg, tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range queries {
-			// Scored holds strings and one float32 no embedding makes NaN,
-			// so == is equality of names and of Distance bits.
-			if got, want := set.TopAPIs(q, 10), plain.TopAPIs(q, 10); !slices.Equal(got, want) {
-				t.Errorf("%s: query %q with Quantize set answered\n%+v\nwant\n%+v", tc.name, q, got, want)
-			}
+	plain, err := New(apis.Default(nil), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := New(apis.Default(nil), Config{Quantize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		// Scored holds strings and one float32 no embedding makes NaN,
+		// so == is equality of names and of Distance bits.
+		if got, want := set.TopAPIs(q, 10), plain.TopAPIs(q, 10); !slices.Equal(got, want) {
+			t.Errorf("query %q with Quantize set answered\n%+v\nwant\n%+v", q, got, want)
 		}
 	}
 }
 
-// BenchmarkRetrievalCrossover is the measurement behind exactThreshold:
-// one Search (k = 6, embedding excluded) over the default registry padded
-// to n descriptions, on each index New could build; flat-sparse is the scan
-// New serves below the threshold, flat-dense its predecessor. The n = 39 row
-// is what every daemon serves; the row at which taumg first beats
-// flat-sparse is the crossover the constant should one day be raised to.
+// BenchmarkRetrievalCrossover is the measurement behind serving the flat
+// scan at every registry size: one Search (k = 6, embedding excluded) over the
+// default registry padded to n descriptions, on the index New builds
+// (flat-sparse), its predecessor (flat-dense) and the paper's τ-MG, all built
+// straight from internal/ann. The n = 39 row is what every daemon serves; a
+// row at which taumg beats flat-sparse is the evidence a graph index needs to
+// come back into New. Median µs per Search at d = 512, 5 runs per cell, -cpu 1
+// (EXPERIMENTS.md E28 has the spread):
 //
-//	go test -run '^$' -bench RetrievalCrossover -count 3 ./internal/retrieve
+//	n            flat-sparse  flat-dense      taumg
+//	39 (served)          0.9        14.6       18.5
+//	64                   1.7        23.5       36.6
+//	128                  1.9        44.7       56.6
+//	256                  3.3        89.5      101.2
+//	512                  6.6       173.1      194.4
+//	1024                26.6       347.1      329.6
+//	2048                60.8       819.1      513.3
+//	4096               136.1      1564.9      546.9
+//
+// The sparse scan costs n × non-zeros, not n × d: the τ-MG does not beat it
+// at 100 × the registry.
+//
+//	go test -run '^$' -bench RetrievalCrossover -count 5 -cpu 1 ./internal/retrieve
 func BenchmarkRetrievalCrossover(b *testing.B) {
 	queries := []string{
 		"detect the communities of this social network",

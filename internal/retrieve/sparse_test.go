@@ -11,10 +11,10 @@ import (
 	"chatgraph/internal/retrieve"
 )
 
-// TestSparseScanMatchesDense: what the flat regime serves — the sparse
-// embedding through BruteForce.SearchSparse — must equal the dense embedding
-// through BruteForce.Search hit for hit, names and Distance bits, on the
-// served registry and on the largest one the flat regime takes. The prompts
+// TestSparseScanMatchesDense: what New serves — the sparse embedding through
+// BruteForce.SearchSparse — must equal the dense embedding through
+// BruteForce.Search hit for hit, names and Distance bits, on the served
+// registry and on one padded to 64. The prompts
 // are the bench's query pool (every suggested question, then "A and B"
 // pairings), a zero vector (all stop-words) and nothing at all.
 func TestSparseScanMatchesDense(t *testing.T) {

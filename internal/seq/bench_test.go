@@ -100,7 +100,7 @@ func BenchmarkCoverCount(b *testing.B) {
 func BenchmarkRenderAll(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.BarabasiAlbert(100, 2, rng)
-	paths := PathCover(g, 2, 0)
+	paths := PathCover(g, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		RenderAll(g, paths, 40)

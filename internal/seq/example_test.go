@@ -15,7 +15,7 @@ func ExamplePathCover() {
 	g.AddEdge(a, b) //nolint:errcheck
 	g.AddEdge(b, c) //nolint:errcheck
 	g.AddEdge(c, a) //nolint:errcheck
-	paths := seq.PathCover(g, 1, 0)
+	paths := seq.PathCover(g, 1)
 	fmt.Println("paths:", len(paths))
 	fmt.Println("covers 1-hop neighborhoods:", seq.CoverageOK(g, paths, 1))
 	// Output:

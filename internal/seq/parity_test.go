@@ -14,14 +14,10 @@ import (
 // oraclePathCover is the map-based path cover the BFS-tree kernel replaced,
 // kept verbatim as the reference: one callback-driven CSR.BFS per root with
 // parent/depth/inTree/hasChild maps, every leaf walked up to the root.
-func oraclePathCover(g *graph.Graph, l int, maxPerNode int) []Path {
+func oraclePathCover(g *graph.Graph, l int) []Path {
 	var out []Path
 	for _, n := range g.Nodes() {
-		paths := oracleCoverFrom(g, n.ID, l)
-		if maxPerNode > 0 && len(paths) > maxPerNode {
-			paths = paths[:maxPerNode]
-		}
-		out = append(out, paths...)
+		out = append(out, oracleCoverFrom(g, n.ID, l)...)
 	}
 	return out
 }
@@ -154,7 +150,7 @@ func samePaths(a, b []Path) bool {
 // cover is DeepEqual, and every bounded head is its prefix with an exact
 // count. cover picks the count-only kernel by the graph's density, so both
 // are also run on every root, whichever side of the rule g falls on.
-func checkCoverParity(t *testing.T, g *graph.Graph, l, maxPerNode int) {
+func checkCoverParity(t *testing.T, g *graph.Graph, l int) {
 	t.Helper()
 	c := g.Freeze()
 	rows, words := testBitRows(c, c.OutNeighbors)
@@ -165,12 +161,12 @@ func checkCoverParity(t *testing.T, g *graph.Graph, l, maxPerNode int) {
 		}
 	}
 	treePool.Put(tree)
-	want := oraclePathCover(g, l, maxPerNode)
-	if got := PathCover(g, l, maxPerNode); !reflect.DeepEqual(got, want) {
-		t.Fatalf("l=%d cap=%d directed=%v: full cover differs from oracle\n got %v\nwant %v", l, maxPerNode, g.Directed(), got, want)
+	want := oraclePathCover(g, l)
+	if got := PathCover(g, l); !reflect.DeepEqual(got, want) {
+		t.Fatalf("l=%d directed=%v: full cover differs from oracle\n got %v\nwant %v", l, g.Directed(), got, want)
 	}
 	for _, k := range []int{0, 1, 7, len(want), len(want) + 5} {
-		head, total := cover(g, l, maxPerNode, k)
+		head, total := cover(g, l, k)
 		if total != len(want) {
 			t.Fatalf("l=%d k=%d: counted %d paths, oracle built %d", l, k, total, len(want))
 		}
@@ -185,21 +181,20 @@ func TestPathCoverParity(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		g := randomGraph(rng)
 		for l := 1; l <= 4; l++ {
-			checkCoverParity(t, g, l, 0)
+			checkCoverParity(t, g, l)
 		}
-		checkCoverParity(t, g, 1+rng.Intn(4), 1+rng.Intn(5))
-		checkCoverParity(t, g, 0, 0)
+		checkCoverParity(t, g, 0)
 	}
 }
 
 func FuzzPathCoverParity(f *testing.F) {
-	f.Add([]byte{5, 0, 1, 1, 2, 2, 0, 2, 3}, uint8(2), false, uint8(0))
-	f.Add([]byte{9, 0, 1, 0, 1, 1, 1, 3, 4, 4, 3}, uint8(3), true, uint8(2))
-	f.Add([]byte{0}, uint8(1), false, uint8(0))
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 0, 2, 3}, uint8(2), false)
+	f.Add([]byte{9, 0, 1, 0, 1, 1, 1, 3, 4, 4, 3}, uint8(3), true)
+	f.Add([]byte{0}, uint8(1), false)
 	// Two and three bit-row words; a directed pair stored twice and reversed.
-	f.Add([]byte{70, 0, 69, 69, 1, 1, 64, 64, 63, 63, 0, 0, 69}, uint8(3), false, uint8(0))
-	f.Add([]byte{140, 0, 130, 0, 130, 130, 0, 130, 64, 64, 128, 128, 1, 1, 139}, uint8(4), true, uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, l uint8, directed bool, maxPerNode uint8) {
+	f.Add([]byte{70, 0, 69, 69, 1, 1, 64, 64, 63, 63, 0, 0, 69}, uint8(3), false)
+	f.Add([]byte{140, 0, 130, 0, 130, 130, 0, 130, 64, 64, 128, 128, 1, 1, 139}, uint8(4), true)
+	f.Fuzz(func(t *testing.T, data []byte, l uint8, directed bool) {
 		if len(data) == 0 {
 			return
 		}
@@ -215,7 +210,7 @@ func FuzzPathCoverParity(f *testing.F) {
 		for i := 1; n > 0 && i+1 < len(data) && i < 400; i += 2 {
 			g.AddEdge(graph.NodeID(int(data[i])%n), graph.NodeID(int(data[i+1])%n)) //nolint:errcheck // self-loops rejected
 		}
-		checkCoverParity(t, g, int(l%5), int(maxPerNode%8))
+		checkCoverParity(t, g, int(l%5))
 	})
 }
 
@@ -292,7 +287,7 @@ func TestConcurrentCoversShareNoScratch(t *testing.T) {
 	g.MarkShared()
 	opts := Options{MaxLength: 3, Levels: 2}
 	want := SequentializeHead(g, opts, 40, 20)
-	wantFull := PathCover(g, 3, 0)
+	wantFull := PathCover(g, 3)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -300,7 +295,7 @@ func TestConcurrentCoversShareNoScratch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				if w%4 == 0 {
-					if got := PathCover(g, 3, 0); !reflect.DeepEqual(got, wantFull) {
+					if got := PathCover(g, 3); !reflect.DeepEqual(got, wantFull) {
 						t.Error("concurrent full cover diverged")
 						return
 					}
@@ -319,8 +314,7 @@ func TestConcurrentCoversShareNoScratch(t *testing.T) {
 }
 
 // TestBenchShapesUseBitRows pins which kernel serves the graphs the repository
-// benchmark uploads (bench/workload.go), as TestDefaultRegistryServesFlatScan
-// does for retrieval: every view the cold chat walks is dense enough for bit
+// benchmark uploads (bench/workload.go): every view the cold chat walks is dense enough for bit
 // rows except the forward view of the 300-entity knowledge graph, whose mean
 // out-degree of 3 is below its 5-word rows — the shape BenchmarkCoverCount
 // shows losing on them, and the reason the rule has a density term at all.

@@ -45,8 +45,6 @@ type Options struct {
 	// MaxLength is l, the maximum number of edges per path (and the hop
 	// radius each node's paths must cover). Zero means the default 3.
 	MaxLength int
-	// MaxPathsPerNode truncates pathological fans; zero means unlimited.
-	MaxPathsPerNode int
 	// Levels selects how many structure levels to emit: 1 = paths only,
 	// 2 = paths plus motif super-graph paths. Zero means 2.
 	Levels int
@@ -94,13 +92,13 @@ func SequentializeHead(g *graph.Graph, opts Options, maxPaths, maxSuperPaths int
 func sequentialize(g *graph.Graph, opts Options, limit, superLimit int) Result {
 	opts.setDefaults()
 	var res Result
-	res.Paths, res.NumPaths = cover(g, opts.MaxLength, opts.MaxPathsPerNode, limit)
+	res.Paths, res.NumPaths = cover(g, opts.MaxLength, limit)
 	if opts.Levels >= 2 && g.NumNodes() > 0 {
 		res.Super, res.SuperMembers = SuperGraph(g)
 		// Only sequentialize the super level when it actually coarsens the
 		// graph; otherwise it duplicates level 0.
 		if res.Super.NumNodes() < g.NumNodes() {
-			res.SuperPaths, res.NumSuperPaths = cover(res.Super, opts.MaxLength, opts.MaxPathsPerNode, superLimit)
+			res.SuperPaths, res.NumSuperPaths = cover(res.Super, opts.MaxLength, superLimit)
 		}
 	}
 	return res
@@ -112,11 +110,11 @@ func sequentialize(g *graph.Graph, opts Options, limit, superLimit int) Result {
 // kernel, which records the parent and depth appendPaths needs; every root
 // after that — all of them in a sizing pass — is only counted, over the
 // graph's adjacency bit rows when it has them.
-func cover(g *graph.Graph, l, maxPerNode, limit int) (paths []Path, total int) {
+func cover(g *graph.Graph, l, limit int) (paths []Path, total int) {
 	if limit < 0 {
 		// A counting pass sizes the output exactly, which is cheaper than
 		// regrowing a slice of slice headers.
-		if _, limit = cover(g, l, maxPerNode, 0); limit > 0 {
+		if _, limit = cover(g, l, 0); limit > 0 {
 			paths = make([]Path, 0, limit)
 		}
 	}
@@ -127,9 +125,6 @@ func cover(g *graph.Graph, l, maxPerNode, limit int) (paths []Path, total int) {
 	u := 0
 	for ; u < n && len(paths) < limit; u++ {
 		leaves := t.build(c, int32(u), l)
-		if maxPerNode > 0 && leaves > maxPerNode {
-			leaves = maxPerNode
-		}
 		total += leaves
 		paths = t.appendPaths(paths, min(leaves, limit-len(paths)))
 	}
@@ -139,16 +134,11 @@ func cover(g *graph.Graph, l, maxPerNode, limit int) (paths []Path, total int) {
 	var words int
 	t.rows, words = c.OutBitRows(t.rows)
 	for ; u < n; u++ {
-		var leaves int
 		if words > 0 {
-			leaves = t.countLeaves(t.rows, words, n, int32(u), l)
+			total += t.countLeaves(t.rows, words, n, int32(u), l)
 		} else {
-			leaves = t.build(c, int32(u), l)
+			total += t.build(c, int32(u), l)
 		}
-		if maxPerNode > 0 && leaves > maxPerNode {
-			leaves = maxPerNode
-		}
-		total += leaves
 	}
 	return paths, total
 }

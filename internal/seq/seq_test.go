@@ -36,9 +36,9 @@ func triangle() *graph.Graph {
 // PathCover returns, for every node u of g, root-to-leaf paths of u's
 // depth-limited BFS tree. Every node within l hops of u appears on at least
 // one path starting at u (the covering property the paper requires), and
-// every path has at most l edges. maxPerNode ≤ 0 means unlimited.
-func PathCover(g *graph.Graph, l int, maxPerNode int) []Path {
-	paths, _ := cover(g, l, maxPerNode, -1)
+// every path has at most l edges.
+func PathCover(g *graph.Graph, l int) []Path {
+	paths, _ := cover(g, l, -1)
 	return paths
 }
 
@@ -85,7 +85,7 @@ func TestPathCoverBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.BarabasiAlbert(120, 2, rng)
 	for _, l := range []int{1, 2, 3} {
-		paths := PathCover(g, l, 0)
+		paths := PathCover(g, l)
 		if !CoverageOK(g, paths, l) {
 			t.Fatalf("coverage violated at l=%d", l)
 		}
@@ -98,7 +98,7 @@ func TestPathCoverBound(t *testing.T) {
 func TestPathCoverLengthBound(t *testing.T) {
 	g := lineGraph(10)
 	for _, l := range []int{1, 2, 3} {
-		for _, p := range PathCover(g, l, 0) {
+		for _, p := range PathCover(g, l) {
 			if len(p)-1 > l {
 				t.Fatalf("path %v exceeds length %d", p, l)
 			}
@@ -110,7 +110,7 @@ func TestPathCoverCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, l := range []int{1, 2, 3} {
 		g := graph.BarabasiAlbert(40, 2, rng)
-		paths := PathCover(g, l, 0)
+		paths := PathCover(g, l)
 		if !CoverageOK(g, paths, l) {
 			t.Fatalf("coverage violated at l=%d", l)
 		}
@@ -120,7 +120,7 @@ func TestPathCoverCoverage(t *testing.T) {
 func TestPathCoverIsolatedNode(t *testing.T) {
 	g := graph.New()
 	g.AddNode("solo")
-	paths := PathCover(g, 2, 0)
+	paths := PathCover(g, 2)
 	if len(paths) != 1 || len(paths[0]) != 1 || paths[0][0] != 0 {
 		t.Fatalf("isolated node paths = %v", paths)
 	}
@@ -132,27 +132,10 @@ func TestPathCoverQuadraticBound(t *testing.T) {
 	g := graph.ErdosRenyi(30, 0.15, rng)
 	n := g.NumNodes()
 	for _, l := range []int{1, 2, 3} {
-		paths := PathCover(g, l, 0)
+		paths := PathCover(g, l)
 		if len(paths) > n*n*l {
 			t.Fatalf("l=%d produced %d paths for n=%d, exceeds n²·l", l, len(paths), n)
 		}
-	}
-}
-
-func TestPathCoverMaxPerNode(t *testing.T) {
-	g := graph.New()
-	hub := g.AddNode("hub")
-	for i := 0; i < 10; i++ {
-		leaf := g.AddNode("leaf")
-		g.AddEdge(hub, leaf) //nolint:errcheck
-	}
-	paths := PathCover(g, 1, 3)
-	perStart := make(map[graph.NodeID]int)
-	for _, p := range paths {
-		perStart[p[0]]++
-	}
-	if perStart[hub] > 3 {
-		t.Fatalf("hub emitted %d paths, cap was 3", perStart[hub])
 	}
 }
 
@@ -168,7 +151,7 @@ func TestRender(t *testing.T) {
 
 func TestRenderAllTruncation(t *testing.T) {
 	g := lineGraph(8)
-	paths := PathCover(g, 2, 0)
+	paths := PathCover(g, 2)
 	out := RenderAll(g, paths, 2)
 	if lines := strings.Count(out, "\n"); lines != 3 { // 2 paths + elision line
 		t.Fatalf("RenderAll emitted %d lines:\n%s", lines, out)
@@ -270,7 +253,7 @@ func TestQuickPathsAreWalks(t *testing.T) {
 		n := int(nRaw%25) + 2
 		l := int(lRaw%3) + 1
 		g := graph.ErdosRenyi(n, 0.2, rand.New(rand.NewSource(seed)))
-		for _, p := range PathCover(g, l, 0) {
+		for _, p := range PathCover(g, l) {
 			if len(p) == 0 || len(p)-1 > l {
 				return false
 			}

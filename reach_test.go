@@ -1,11 +1,14 @@
-// The reachability gate: every function and method declared in a non-test
+// The reachability gates. Every function and method declared in a non-test
 // file under internal/ or cmd/ must be reached, through non-test code, from
 // some binary's main (cmd/, examples/, bench/), an init, or a package-level
-// initializer. A function only its own tests call is code no program runs;
-// it goes, or it moves into a _test.go file.
+// initializer: a function only its own tests call is code no program runs;
+// it goes, or it moves into a _test.go file (TestEveryFunctionIsReached).
+// And every option field under internal/ must be set by non-test code: a
+// field nothing sets is a constant (TestEveryOptionIsSet).
 package chatgraph_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -15,8 +18,10 @@ import (
 	"io/fs"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -70,8 +75,9 @@ func (l *reachLoader) load(dir string) *reachPkg {
 		return p
 	}
 	p := &reachPkg{info: &types.Info{
-		Defs: make(map[*ast.Ident]types.Object),
-		Uses: make(map[*ast.Ident]types.Object),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
 	}}
 	l.pkgs[dir] = p
 	names, _ := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -104,48 +110,66 @@ func reachName(fn *types.Func) string {
 	return strings.ReplaceAll(fn.FullName(), reachModule+"/", "")
 }
 
-func TestEveryFunctionIsReached(t *testing.T) {
+// reachModuleOnce holds the type-checked module: both gates read it, one
+// load (≈ 4 s) serves them.
+var reachModuleOnce struct {
+	sync.Once
+	l   *reachLoader
+	err error
+}
+
+// loadModule type-checks every directory of the module that holds non-test
+// Go.
+func loadModule(t *testing.T) *reachLoader {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library it imports from source")
 	}
-	if build.Default.GOROOT == "" {
-		// A -trimpath test binary (CI's GOFLAGS) does not know where the
-		// standard library's source is; the go command that built it does.
-		out, err := exec.Command("go", "env", "GOROOT").Output()
-		if err != nil {
-			t.Fatalf("go env GOROOT: %v", err)
+	m := &reachModuleOnce
+	m.Do(func() {
+		if build.Default.GOROOT == "" {
+			// A -trimpath test binary (CI's GOFLAGS) does not know where the
+			// standard library's source is; the go command that built it does.
+			out, err := exec.Command("go", "env", "GOROOT").Output()
+			if err != nil {
+				m.err = fmt.Errorf("go env GOROOT: %w", err)
+				return
+			}
+			build.Default.GOROOT = strings.TrimSpace(string(out))
+			defer func() { build.Default.GOROOT = "" }()
 		}
-		build.Default.GOROOT = strings.TrimSpace(string(out))
-		defer func() { build.Default.GOROOT = "" }()
-	}
-	l := &reachLoader{
-		fset: token.NewFileSet(),
-		pkgs: make(map[string]*reachPkg),
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-
-	// Every directory of the module that holds non-test Go.
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+		l := &reachLoader{
+			fset: token.NewFileSet(),
+			pkgs: make(map[string]*reachPkg),
 		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata" || path == filepath.Join("bench", "out")) {
-				return filepath.SkipDir
+		l.std = importer.ForCompiler(l.fset, "source", nil)
+		m.err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata" || path == filepath.Join("bench", "out")) {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				l.load(filepath.Dir(path))
 			}
 			return nil
+		})
+		if m.err == nil && len(l.errs) > 0 {
+			m.err = fmt.Errorf("type-checking the module: %v (and %d more)", l.errs[0], len(l.errs)-1)
 		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			l.load(filepath.Dir(path))
-		}
-		return nil
+		m.l = l
 	})
-	if err != nil {
-		t.Fatal(err)
+	if m.err != nil {
+		t.Fatal(m.err)
 	}
-	if len(l.errs) > 0 {
-		t.Fatalf("type-checking the module: %v (and %d more)", l.errs[0], len(l.errs)-1)
-	}
+	return m.l
+}
+
+func TestEveryFunctionIsReached(t *testing.T) {
+	l := loadModule(t)
 
 	// The reference graph: for each declared function, the functions its
 	// body names (called or taken as a value); the roots are what runs
@@ -279,6 +303,120 @@ func TestEveryFunctionIsReached(t *testing.T) {
 	for name := range reachKeep {
 		if !kept[name] {
 			t.Errorf("reachKeep lists %s, which is reached from non-test code or no longer exists: drop the entry", name)
+		}
+	}
+}
+
+// optionKeep lists the option fields no non-test code sets and that stay
+// anyway, each with the test that needs the knob. An entry the scan no longer
+// needs fails the gate too.
+var optionKeep = map[string]string{
+	"internal/ann.NSWConfig.M":                  "the NSW baseline's degree, kept with its two siblings below as one build recipe; no test sets it yet, so it is the next to become a constant if the routing-parity tests never need a sparser graph",
+	"internal/ann.NSWConfig.EFConstruction":     "internal/ann's TestGraphIndexParity builds with the construction beam opened to n so the graph is connected and NSW must equal brute force",
+	"internal/ann.NSWConfig.Beam":               "internal/ann's TestGraphIndexParity searches with the beam opened to n (exhaustive routing)",
+	"internal/ann.TauMGConfig.MaxDegree":        "internal/ann's TestTauMGGuaranteeWithinTau: Definition 3's guarantee holds only for a build without the degree cap",
+	"internal/ann.TauMGConfig.CandidatePool":    "internal/ann's TestTauMGGuaranteeWithinTau: the guarantee needs every other node as a candidate",
+	"internal/ann.TauMGConfig.RandomCandidates": "internal/ann's TestTauMGGuaranteeWithinTau switches the sampled candidates off (-1) so the build is the exhaustive one",
+	"internal/ann.TauMGConfig.Beam":             "internal/ann's TestGraphIndexParity (beam opened to n) and root BenchmarkANNMRNG",
+	"internal/cluster.Options.Transport":        "the router's http.RoundTripper seam: ROADMAP item 1(c)'s faulting transport plugs in here; no test sets it yet, and it goes if that item lands without it",
+}
+
+// TestEveryOptionIsSet is the reachability gate asked of option fields: every
+// untagged field of an exported struct named *Options, *Config or Policy
+// under internal/ must be set by non-test code — as a composite-literal key
+// (or position) anywhere, or by an assignment, increment or address-of
+// outside the field's own package; an in-package `if x == 0 { x = d }` is a
+// default, not a caller. A field nothing sets has one value in every binary:
+// it becomes that constant. Tagged fields are set by the files they decode.
+func TestEveryOptionIsSet(t *testing.T) {
+	l := loadModule(t)
+
+	// The fields under the rule, by object.
+	fields := make(map[*types.Var]string)
+	for dir, p := range l.pkgs {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || name == "Policy") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				// An embedded struct is its own fields, promoted.
+				if st.Tag(i) == "" && !st.Field(i).Embedded() {
+					fields[st.Field(i)] = filepath.ToSlash(dir) + "." + name + "." + st.Field(i).Name()
+				}
+			}
+		}
+	}
+
+	set := make(map[*types.Var]bool)
+	for _, p := range l.pkgs {
+		// written marks the field a selector expression names, when the
+		// write happens outside the package that declares the field.
+		written := func(e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				if f, ok := p.info.Uses[sel.Sel].(*types.Var); ok && f.IsField() && f.Pkg() != p.types {
+					set[f] = true
+				}
+			}
+		}
+		for _, file := range p.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := p.info.Types[n].Type
+					if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+						typ = ptr.Elem() // an elided &T{…} inside a []*T literal
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); !ok {
+							set[st.Field(i)] = true
+						} else if f, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							set[f] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						written(lhs)
+					}
+				case *ast.IncDecStmt:
+					written(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						written(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []string
+	for f, name := range fields {
+		if !set[f] {
+			unset = append(unset, name)
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		if _, ok := optionKeep[name]; !ok {
+			t.Errorf("%s is an option no non-test code sets: make it the constant it has always been, or list it in optionKeep with the test that needs it", name)
+		}
+	}
+	for name := range optionKeep {
+		if _, ok := slices.BinarySearch(unset, name); !ok {
+			t.Errorf("optionKeep lists %s, which non-test code sets or which no longer exists: drop the entry", name)
 		}
 	}
 }
