@@ -153,7 +153,7 @@ func main() {
 	reg := apis.Default(env)
 	core.SeedMoleculeDB(env, *mols, rng)
 	log.Println("training chain-generation model ...")
-	eng, err := core.NewEngineFromConfig(fc, reg, env, *seed)
+	eng, err := core.NewEngine(core.Config{Registry: reg, Env: env, TrainSeed: *seed, Params: &fc})
 	if err != nil {
 		log.Fatalf("chatgraphd: %v", err)
 	}

@@ -162,7 +162,7 @@ func TestConfigEndpointReportsFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The http backend generates chains remotely, so nothing is trained.
-	eng, err := core.NewEngineFromConfig(fc, nil, nil, 1)
+	eng, err := core.NewEngine(core.Config{Params: &fc})
 	if err != nil {
 		t.Fatal(err)
 	}

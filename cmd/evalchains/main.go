@@ -19,6 +19,7 @@ import (
 
 	"chatgraph/internal/apis"
 	"chatgraph/internal/chain"
+	"chatgraph/internal/config"
 	"chatgraph/internal/core"
 	"chatgraph/internal/executor"
 	"chatgraph/internal/finetune"
@@ -110,12 +111,9 @@ func main() {
 
 	fmt.Println("\n== E9: multi-session engine throughput (concurrent Asks, one shared engine) ==")
 	env := &apis.Env{}
-	engine, err := core.NewEngine(core.Config{
-		Registry:      apis.Default(env),
-		Env:           env,
-		TrainSeed:     *seed,
-		TrainExamples: *nTrain / 2,
-	})
+	params := config.Default()
+	params.Finetune.Examples = *nTrain / 2
+	engine, err := core.NewEngine(core.Config{Registry: apis.Default(env), Env: env, TrainSeed: *seed, Params: &params})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalchains:", err)
 		os.Exit(1)

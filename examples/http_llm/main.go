@@ -51,9 +51,8 @@ func main() {
 	fc.LLM.Backend = "http"
 	fc.LLM.BaseURL = mock.URL
 	fc.LLM.Model = "vicuna-13b"
-	fc.Finetune.Examples = 50 // retrieval still needs a (small) model-free setup
 
-	eng, err := core.NewEngineFromConfig(fc, nil, nil, 99)
+	eng, err := core.NewEngine(core.Config{Params: &fc})
 	if err != nil {
 		log.Fatal(err)
 	}

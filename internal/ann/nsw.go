@@ -1,18 +1,18 @@
 package ann
 
 // NSW is the navigable-small-world baseline: vectors are inserted one at a
-// time, each connecting bidirectionally to the M nearest nodes found by a
+// time, each connecting bidirectionally to the nswM nearest nodes found by a
 // beam search over the graph built so far. It is the classic single-layer
 // construction the ANN surveys cited by the paper benchmark against.
 type NSW struct {
 	graphIndex
-	m int
 }
+
+// nswM is the number of bidirectional links per inserted node.
+const nswM = 16
 
 // NSWConfig tunes NSW construction.
 type NSWConfig struct {
-	// M is the number of bidirectional links per inserted node (0 → 16).
-	M int
 	// EFConstruction is the beam width used to find link targets during
 	// insertion (0 → 64).
 	EFConstruction int
@@ -21,9 +21,6 @@ type NSWConfig struct {
 }
 
 func (c *NSWConfig) setDefaults() {
-	if c.M <= 0 {
-		c.M = 16
-	}
 	if c.EFConstruction <= 0 {
 		c.EFConstruction = 64
 	}
@@ -40,7 +37,7 @@ func NewNSW(vecs [][]float32, cfg NSWConfig) (*NSW, error) {
 		return nil, err
 	}
 	cfg.setDefaults()
-	g := &NSW{m: cfg.M}
+	g := &NSW{}
 	g.mat = mustMatrix(vecs)
 	g.adj = make([][]int32, 1, len(vecs))
 	g.entry = 0
@@ -52,7 +49,7 @@ func NewNSW(vecs [][]float32, cfg NSWConfig) (*NSW, error) {
 		src := distSource{mat: g.mat, q: g.mat.Row(i), qn: g.mat.SquaredNorm(i)}
 		beamSearch(&src, g.adj, g.entry, cfg.EFConstruction, sc, &stats)
 		g.adj = append(g.adj, nil)
-		for _, tgt := range drainSorted(&sc.best, cfg.M) {
+		for _, tgt := range drainSorted(&sc.best, nswM) {
 			g.adj[i] = append(g.adj[i], int32(tgt.ID))
 			g.adj[tgt.ID] = append(g.adj[tgt.ID], int32(i))
 		}

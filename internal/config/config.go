@@ -37,8 +37,8 @@ type Finetune struct {
 	// Alpha weighs the one-to-one matching regularizer in Definition 1.
 	// Positive: the finetuning code reads 0 as "use 0.5".
 	Alpha float64 `json:"alpha"`
-	// Epochs of rollout refinement, at least 1: the finetuning code reads
-	// 0 as "use 2".
+	// Epochs of rollout refinement, at least 1: 0 would serve the
+	// count-initialized model, E7a's ablation baseline.
 	Epochs int `json:"epochs"`
 	// Examples sizes the synthetic dataset.
 	Examples int `json:"examples"`

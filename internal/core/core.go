@@ -25,6 +25,7 @@ import (
 
 	"chatgraph/internal/apis"
 	"chatgraph/internal/chain"
+	"chatgraph/internal/config"
 	"chatgraph/internal/executor"
 	"chatgraph/internal/finetune"
 	"chatgraph/internal/graph"
@@ -32,30 +33,29 @@ import (
 	"chatgraph/internal/retrieve"
 )
 
-// Config assembles an Engine. Zero-value fields get working defaults.
+// Config assembles an Engine.
 type Config struct {
 	// Registry is the API catalog (nil → apis.Default with a fresh Env).
 	Registry *apis.Registry
 	// Env is the shared substrate environment; must be the one Registry
 	// was built around when both are set.
 	Env *apis.Env
-	// Model is the finetuned chain-generation model (nil → trained on a
-	// generated dataset with TrainSeed, unless Client is set: an external
-	// client never reads it, so none is trained).
+	// Params is the Fig. 3 parameter set the engine runs (nil →
+	// config.Default()).
+	Params *config.Config
+	// Model is the finetuned chain-generation model (nil → trained from
+	// Params.Finetune with TrainSeed, unless the engine has another Client:
+	// only the SimClient reads it, so none is trained).
 	Model *finetune.Model
-	// Client generates chains (nil → llm.SimClient over Model).
+	// Client generates chains (nil → llm.HTTPClient for llm.backend "http",
+	// llm.SimClient over Model otherwise).
 	Client llm.Client
-	// RetrievalK is how many candidate APIs retrieval supplies (0 → 6).
-	RetrievalK int
-	// Retrieve tunes the retrieval index (zero value → package defaults).
+	// Retrieve is read by nothing: the index is built from Params.ANN.
+	// bench/oracle.go still sets its inert Quantize, and the field goes with
+	// chatgraphd's -quantize no-op.
 	Retrieve retrieve.Config
-	// Prompt tunes prompt construction.
-	Prompt llm.PromptConfig
-	// TrainSeed seeds the default model's training (used when Model nil).
+	// TrainSeed seeds the training dataset and RNG (used when Model is nil).
 	TrainSeed int64
-	// TrainExamples sizes the default model's dataset (0 → 400); it is
-	// finetuned for 2 epochs at r = 4.
-	TrainExamples int
 }
 
 // Turn records one completed question/answer exchange.
@@ -168,7 +168,7 @@ func (s *Session) Ask(ctx context.Context, question string, g *graph.Graph, opts
 	turn.Candidates = s.eng.retrieveCandidates(question)
 
 	// 2. Graph-aware prompt + chain generation.
-	msgs := llm.BuildPrompt(question, g, turn.Kind, turn.Candidates, s.eng.descs, s.eng.cfg.Prompt)
+	msgs := llm.BuildPrompt(question, g, turn.Kind, turn.Candidates, s.eng.descs, s.eng.prompt)
 	text, err := s.eng.client.Complete(ctx, msgs)
 	if err != nil {
 		return turn, fmt.Errorf("core: chain generation: %w", err)
@@ -231,7 +231,7 @@ func (s *Session) execute(ctx context.Context, g *graph.Graph, c chain.Chain, op
 // construction) with the always-on glue APIs they do not already name,
 // preserving relevance order.
 func (e *Engine) retrieveCandidates(question string) []string {
-	hits := e.index.Names(question, e.cfg.RetrievalK)
+	hits := e.index.Names(question, e.params.ANN.TopK)
 	out := append(make([]string, 0, len(hits)+len(alwaysCandidates)), hits...)
 	for _, a := range alwaysCandidates {
 		if _, ok := e.registry.Get(a); ok && !slices.Contains(out, a) {

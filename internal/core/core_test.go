@@ -30,7 +30,7 @@ func session(t *testing.T) *Session {
 		reg := apis.Default(env)
 		SeedMoleculeDB(env, 50, rand.New(rand.NewSource(9)))
 		var eng *Engine
-		if eng, sessErr = NewEngine(Config{Registry: reg, Env: env, TrainSeed: 1, TrainExamples: 300}); sessErr == nil {
+		if eng, sessErr = NewEngine(Config{Registry: reg, Env: env, TrainSeed: 1, Params: examples(300)}); sessErr == nil {
 			sess = eng.NewSession()
 		}
 	})
@@ -49,6 +49,14 @@ func newSession(t *testing.T, cfg Config) *Session {
 		t.Fatal(err)
 	}
 	return eng.NewSession()
+}
+
+// examples is the default parameter set with a training dataset of n
+// generated examples.
+func examples(n int) *config.Config {
+	p := config.Default()
+	p.Finetune.Examples = n
+	return &p
 }
 
 func TestScenarioUnderstandingSocial(t *testing.T) {
@@ -224,7 +232,7 @@ func TestAskWithChain(t *testing.T) {
 func TestHistoryAccumulates(t *testing.T) {
 	env := &apis.Env{}
 	reg := apis.Default(env)
-	s := newSession(t, Config{Registry: reg, Env: env, TrainSeed: 2, TrainExamples: 120})
+	s := newSession(t, Config{Registry: reg, Env: env, TrainSeed: 2, Params: examples(120)})
 	g := graph.New()
 	g.AddNode("a")
 	for i := 0; i < 2; i++ {
@@ -312,7 +320,7 @@ func (failingClient) Complete(context.Context, []llm.Message) (string, error) {
 func TestAskClientError(t *testing.T) {
 	env := &apis.Env{}
 	reg := apis.Default(env)
-	s := newSession(t, Config{Registry: reg, Env: env, Client: failingClient{}, TrainSeed: 3, TrainExamples: 50})
+	s := newSession(t, Config{Registry: reg, Env: env, Client: failingClient{}})
 	if _, err := s.Ask(context.Background(), "anything", nil, AskOptions{}); err == nil || !strings.Contains(err.Error(), "model unavailable") {
 		t.Fatalf("err = %v", err)
 	}
@@ -328,7 +336,7 @@ func (gibberishClient) Complete(context.Context, []llm.Message) (string, error) 
 func TestAskUnparseableChain(t *testing.T) {
 	env := &apis.Env{}
 	reg := apis.Default(env)
-	s := newSession(t, Config{Registry: reg, Env: env, Client: gibberishClient{}, TrainSeed: 4, TrainExamples: 50})
+	s := newSession(t, Config{Registry: reg, Env: env, Client: gibberishClient{}})
 	if _, err := s.Ask(context.Background(), "anything", nil, AskOptions{}); err == nil || !strings.Contains(err.Error(), "unparseable") {
 		t.Fatalf("err = %v", err)
 	}
@@ -339,12 +347,12 @@ func TestNewSessionFromConfig(t *testing.T) {
 	fc.Finetune.Examples = 60
 	fc.Finetune.Epochs = 1
 	fc.ANN.TopK = 4
-	eng, err := NewEngineFromConfig(fc, nil, nil, 5)
+	eng, err := NewEngine(Config{TrainSeed: 5, Params: &fc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.FileConfig() == nil || eng.FileConfig().ANN.TopK != 4 {
-		t.Fatalf("FileConfig = %+v", eng.FileConfig())
+	if eng.Params() != fc {
+		t.Fatalf("Params() = %+v, want %+v", eng.Params(), fc)
 	}
 	g := graph.New()
 	g.AddNode("a")
@@ -354,7 +362,7 @@ func TestNewSessionFromConfig(t *testing.T) {
 	// Invalid configs are rejected before any training happens.
 	bad := config.Default()
 	bad.ANN.Dim = 1
-	if _, err := NewEngineFromConfig(bad, nil, nil, 5); err == nil {
+	if _, err := NewEngine(Config{TrainSeed: 5, Params: &bad}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -364,9 +372,12 @@ func TestNewSessionFromConfigHTTPBackend(t *testing.T) {
 	fc.Finetune.Examples = 30
 	fc.LLM.Backend = "http"
 	fc.LLM.BaseURL = "http://127.0.0.1:1" // nothing listens; Ask must fail cleanly
-	eng, err := NewEngineFromConfig(fc, nil, nil, 6)
+	eng, err := NewEngine(Config{TrainSeed: 6, Params: &fc})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if eng.Model() != nil {
+		t.Fatal("http backend trained a model nothing reads")
 	}
 	if _, err := eng.NewSession().Ask(context.Background(), "anything", nil, AskOptions{}); err == nil {
 		t.Fatal("unreachable HTTP backend succeeded")

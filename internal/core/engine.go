@@ -62,23 +62,34 @@ type Engine struct {
 	// instance, which is what turns the content-keyed invoke cache into a
 	// cross-session cache.
 	graphs *graphstore.Store
-	cfg    Config
+	// params is the Fig. 3 parameter set the engine was built from and runs.
+	params config.Config
+	// prompt is params' sequentializer block as BuildPrompt takes it.
+	prompt llm.PromptConfig
 	// descs is the engine's private snapshot of the retrieval index's
 	// name → description map, taken once at construction so the per-Ask
 	// prompt build neither copies the map nor shares mutable state.
 	descs map[string]string
 	// met are the process-wide engine instruments (never nil).
 	met *engineMetrics
-	// fileConfig is set when the engine was built by NewEngineFromConfig.
-	fileConfig *config.Config
 }
 
-// NewEngine builds the shared engine from cfg, defaulting every zero-value
-// field: a Default registry over a fresh Env, a model trained on a generated
-// dataset, a SimClient over that model, and a retrieval index over the
-// registry descriptions. The model is trained only when it will generate
-// chains: with cfg.Client set and cfg.Model nil, nothing is trained.
+// NewEngine builds the shared engine from cfg. cfg.Params (nil →
+// config.Default()) is validated and is everything tunable: the index's
+// embedding dimension, the retrieval depth, the prompt's sequentializer
+// parameters, and the chain generator — an HTTPClient for llm.backend
+// "http", otherwise a SimClient over a model trained from the finetune block
+// as written. A nil Registry is apis.Default over Env (a fresh Env when nil).
+// cfg.Model and cfg.Client, when set, replace what would be built; only the
+// SimClient reads a model, so an engine with any other client trains none.
 func NewEngine(cfg Config) (*Engine, error) {
+	p := config.Default()
+	if cfg.Params != nil {
+		p = *cfg.Params
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Env == nil {
 		cfg.Env = &apis.Env{}
 	}
@@ -92,22 +103,21 @@ func NewEngine(cfg Config) (*Engine, error) {
 		// Registry+Env pair may arrive without it).
 		cfg.Env.Cache = apis.NewInvokeCache(apis.DefaultInvokeCacheSize)
 	}
-	if cfg.RetrievalK <= 0 {
-		cfg.RetrievalK = 6
+	if cfg.Client == nil && p.LLM.Backend == "http" {
+		cfg.Client = &llm.HTTPClient{BaseURL: p.LLM.BaseURL, Model: p.LLM.Model, Temperature: p.LLM.Temperature}
 	}
 	if cfg.Client == nil {
-		// Only the SimClient reads the model, so an engine handed an
-		// external Client trains nothing.
 		if cfg.Model == nil {
-			cfg.Model = trainDefaultModel(cfg)
+			ds := finetune.GenerateDataset(p.Finetune.Examples, rand.New(rand.NewSource(cfg.TrainSeed)))
+			cfg.Model = finetune.Train(cfg.Registry.Names(), ds, finetune.TrainConfig{
+				Epochs: p.Finetune.Epochs,
+				Search: finetune.SearchConfig{Rollouts: p.Finetune.Rollouts, Alpha: p.Finetune.Alpha},
+				Seed:   cfg.TrainSeed,
+			})
 		}
-		maxLen := cfg.Prompt.MaxChainLength
-		if maxLen <= 0 {
-			maxLen = 8
-		}
-		cfg.Client = llm.NewSimClient(cfg.Model, maxLen)
+		cfg.Client = llm.NewSimClient(cfg.Model, p.LLM.MaxChainLength)
 	}
-	ix, err := retrieve.New(cfg.Registry, cfg.Retrieve)
+	ix, err := retrieve.New(cfg.Registry, retrieve.Config{Dim: p.ANN.Dim})
 	if err != nil {
 		return nil, fmt.Errorf("core: build retrieval index: %w", err)
 	}
@@ -119,85 +129,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 		index:    ix,
 		exec:     executor.New(cfg.Registry, cfg.Env),
 		graphs:   graphstore.New(0),
-		cfg:      cfg,
-		descs:    ix.Descriptions(),
-		met:      newEngineMetrics(),
-	}, nil
-}
-
-// trainDefaultModel finetunes the chain-generation model with NewEngine's
-// training defaults: TrainExamples (0 → 400) generated examples, 2
-// rollout-refinement epochs, r = 4.
-func trainDefaultModel(cfg Config) *finetune.Model {
-	n := cfg.TrainExamples
-	if n <= 0 {
-		n = 400
-	}
-	return trainModel(cfg.Registry, n, cfg.TrainSeed, finetune.TrainConfig{
-		Epochs: 2,
-		Search: finetune.SearchConfig{Rollouts: 4},
-	})
-}
-
-// trainModel finetunes a model over the registry's vocabulary on n examples
-// generated from seed, which also drives the training RNG.
-func trainModel(registry *apis.Registry, n int, seed int64, tc finetune.TrainConfig) *finetune.Model {
-	tc.Seed = seed
-	ds := finetune.GenerateDataset(n, rand.New(rand.NewSource(seed)))
-	return finetune.Train(registry.Names(), ds, tc)
-}
-
-// NewEngineFromConfig builds an Engine from the Fig. 3-style parameter set:
-// ANN parameters shape the retrieval index, sequentializer parameters shape
-// the prompt, finetuning parameters shape model training, and the LLM block
-// selects the generation backend. registry/env may be nil for defaults.
-//
-// The model is trained here, from the file's values as written: NewEngine
-// reads a zero as "unset", and finetune.rollouts 0 (no lookahead) is a value
-// Validate accepts and GET /config reports.
-func NewEngineFromConfig(fc config.Config, registry *apis.Registry, env *apis.Env, seed int64) (*Engine, error) {
-	if err := fc.Validate(); err != nil {
-		return nil, err
-	}
-	if env == nil {
-		env = &apis.Env{}
-	}
-	if registry == nil {
-		registry = apis.Default(env)
-	}
-	cfg := Config{
-		Registry:   registry,
-		Env:        env,
-		RetrievalK: fc.ANN.TopK,
-		Retrieve:   retrieve.Config{Dim: fc.ANN.Dim},
-		Prompt: llm.PromptConfig{
-			MaxPathLines:   fc.Sequentializer.MaxPathLines,
-			PathLength:     fc.Sequentializer.MaxPathLength,
-			Levels:         fc.Sequentializer.Levels,
-			MaxChainLength: fc.LLM.MaxChainLength,
+		params:   p,
+		prompt: llm.PromptConfig{
+			MaxPathLines: p.Sequentializer.MaxPathLines,
+			PathLength:   p.Sequentializer.MaxPathLength,
+			Levels:       p.Sequentializer.Levels,
 		},
-	}
-	if fc.LLM.Backend == "http" {
-		cfg.Client = &llm.HTTPClient{
-			BaseURL:     fc.LLM.BaseURL,
-			Model:       fc.LLM.Model,
-			Temperature: fc.LLM.Temperature,
-		}
-	} else {
-		cfg.Model = trainModel(registry, fc.Finetune.Examples, seed, finetune.TrainConfig{
-			Epochs: fc.Finetune.Epochs,
-			Search: finetune.SearchConfig{
-				Rollouts: fc.Finetune.Rollouts,
-				Alpha:    fc.Finetune.Alpha,
-			},
-		})
-	}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.fileConfig = &fc
-	return e, nil
+		descs: ix.Descriptions(),
+		met:   newEngineMetrics(),
+	}, nil
 }
 
 // NewSession mints a lightweight conversation over the shared engine. It
@@ -215,11 +155,11 @@ func (e *Engine) Registry() *apis.Registry { return e.registry }
 func (e *Engine) Retrieval() *retrieve.Index { return e.index }
 
 // RetrieveBatch answers many retrieval queries in one call on the shared
-// index. k ≤ 0 uses the engine's configured RetrievalK. out[i] is the ranked
-// hit list for queries[i].
+// index. k ≤ 0 uses the engine's ann.top_k. out[i] is the ranked hit list
+// for queries[i].
 func (e *Engine) RetrieveBatch(queries []string, k int) [][]retrieve.Scored {
 	if k <= 0 {
-		k = e.cfg.RetrievalK
+		k = e.params.ANN.TopK
 	}
 	e.met.retrieveBatches.Inc()
 	e.met.retrieveQueries.Add(uint64(len(queries)))
@@ -245,10 +185,11 @@ func (e *Engine) Env() *apis.Env { return e.env }
 func (e *Engine) Graphs() *graphstore.Store { return e.graphs }
 
 // Model exposes the chain-generation model the engine was built with. It is
-// nil for an externally-backed engine (Config.Client set, Config.Model not):
-// such an engine generates chains through its Client and trains no model.
+// nil for an externally-backed engine (a Client set or built, Config.Model
+// not): such an engine generates chains through its Client and trains no
+// model.
 func (e *Engine) Model() *finetune.Model { return e.model }
 
-// FileConfig returns the config.Config the engine was built from, or nil
-// when it was assembled programmatically.
-func (e *Engine) FileConfig() *config.Config { return e.fileConfig }
+// Params returns the Fig. 3 parameter set the engine runs, the one
+// GET /config reports.
+func (e *Engine) Params() config.Config { return e.params }

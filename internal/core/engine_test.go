@@ -118,9 +118,9 @@ func TestEngineRetrieveBatch(t *testing.T) {
 			}
 		}
 	}
-	// k ≤ 0 falls back to the engine's RetrievalK default.
-	if def := eng.RetrieveBatch(queries[:1], 0); len(def[0]) == 0 {
-		t.Fatal("default-k batch returned no hits")
+	// k ≤ 0 falls back to the engine's ann.top_k.
+	if def := eng.RetrieveBatch(queries[:1], 0); len(def[0]) != eng.Params().ANN.TopK {
+		t.Fatalf("default-k batch returned %d hits, want ann.top_k = %d", len(def[0]), eng.Params().ANN.TopK)
 	}
 }
 
@@ -145,11 +145,13 @@ func TestExternalClientTrainsNoModel(t *testing.T) {
 }
 
 // TestNewSessionShim keeps its name from the one-call constructor it used to
-// cover; what it pins now is the path that replaced it: an all-defaults
-// Config builds a working engine, and Engine.NewSession mints a conversation
-// backed by that engine.
+// cover; what it pins now is the path that replaced it: NewEngine builds a
+// working engine, Engine.NewSession mints a conversation backed by it, and
+// Params() is the parameter set the engine runs — config.Default() when the
+// Config names none.
 func TestNewSessionShim(t *testing.T) {
-	eng, err := NewEngine(Config{TrainSeed: 9, TrainExamples: 40})
+	p := examples(40)
+	eng, err := NewEngine(Config{TrainSeed: 9, Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +159,15 @@ func TestNewSessionShim(t *testing.T) {
 	if s.eng != eng || eng.Model() == nil {
 		t.Fatal("minted session is not backed by the trained engine")
 	}
-	if eng.FileConfig() != nil {
-		t.Fatal("programmatic engine reports a file config")
+	if eng.Params() != *p {
+		t.Fatalf("Params() = %+v, engine built with %+v", eng.Params(), *p)
+	}
+	def, err := NewEngine(Config{Client: failingClient{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Params() != config.Default() {
+		t.Fatalf("engine built without Params reports %+v", def.Params())
 	}
 }
 
@@ -169,7 +178,7 @@ func TestNewSessionShim(t *testing.T) {
 func TestConfigZerosAreTrainedOrRefused(t *testing.T) {
 	base := config.Default()
 	base.Finetune.Examples = 80
-	def, err := NewEngineFromConfig(base, nil, nil, 11)
+	def, err := NewEngine(Config{TrainSeed: 11, Params: &base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +189,7 @@ func TestConfigZerosAreTrainedOrRefused(t *testing.T) {
 	} {
 		fc := base
 		zero(&fc.Finetune)
-		eng, err := NewEngineFromConfig(fc, nil, nil, 11)
+		eng, err := NewEngine(Config{TrainSeed: 11, Params: &fc})
 		if err != nil {
 			if !strings.Contains(err.Error(), field) {
 				t.Errorf("%s = 0 refused without naming the field: %v", field, err)
@@ -196,7 +205,7 @@ func TestConfigZerosAreTrainedOrRefused(t *testing.T) {
 // sequentializer.levels must reach the prompt the LLM backend receives:
 // levels 1 drops the motif super-graph section, levels 2 keeps it. The
 // backend is an httptest chat-completions endpoint, so the assertion is on
-// the bytes that actually leave an engine built by NewEngineFromConfig.
+// the bytes that actually leave an engine built from a config.Config.
 func TestConfigLevelsReachPrompt(t *testing.T) {
 	var prompt string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -226,7 +235,7 @@ func TestConfigLevelsReachPrompt(t *testing.T) {
 		fc.Sequentializer.Levels = tc.levels
 		fc.LLM.Backend = "http"
 		fc.LLM.BaseURL = srv.URL
-		eng, err := NewEngineFromConfig(fc, nil, nil, 7)
+		eng, err := NewEngine(Config{TrainSeed: 7, Params: &fc})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"chatgraph/internal/ann"
 	"chatgraph/internal/apis"
+	"chatgraph/internal/config"
 	"chatgraph/internal/core"
 	"chatgraph/internal/embed"
 	"chatgraph/internal/server"
@@ -33,7 +34,9 @@ func TestHostileRetrieveLinear(t *testing.T) {
 		t.Fatalf("fixture body is %d bytes, want just under the 1 MiB cap", len(body))
 	}
 	reg := apis.Default(nil)
-	eng, err := core.NewEngine(core.Config{Registry: reg, TrainSeed: 1, TrainExamples: 50})
+	params := config.Default()
+	params.Finetune.Examples = 50
+	eng, err := core.NewEngine(core.Config{Registry: reg, TrainSeed: 1, Params: &params})
 	if err != nil {
 		t.Fatal(err)
 	}

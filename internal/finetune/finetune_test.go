@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -238,6 +239,22 @@ func TestSearchPredictConvergesToTruth(t *testing.T) {
 	pred := SearchPredict(m, "Clean G", graph.KindKnowledge, truth, SearchConfig{Rollouts: 8}, rng)
 	if loss, _ := chain.MinLoss(pred, truth, 0.5); loss > 1 {
 		t.Fatalf("SearchPredict loss = %v for %s", loss, pred)
+	}
+}
+
+// TestTrainZeroEpochsIsCountsOnly: Epochs 0 is the count-initialized model
+// E7a's rollout ablation starts from — every ground-truth chain observed
+// once, no refinement. Train used to read the 0 as 2.
+func TestTrainZeroEpochsIsCountsOnly(t *testing.T) {
+	ds := GenerateDataset(60, rand.New(rand.NewSource(12)))
+	want := NewModel(vocab())
+	for _, ex := range ds {
+		for _, truth := range ex.Truths {
+			want.Observe(ex.Question, ex.Kind, truth, 1)
+		}
+	}
+	if got := Train(vocab(), ds, TrainConfig{Epochs: 0, Search: SearchConfig{Rollouts: 4}, Seed: 13}); !reflect.DeepEqual(got, want) {
+		t.Fatal("Train with Epochs 0 refined the count-initialized model")
 	}
 }
 

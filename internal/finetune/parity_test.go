@@ -330,9 +330,6 @@ func (m *mapModel) randomComplete(prefix chain.Chain, question string, kind grap
 // search finds more reliably with larger r) sharpen the model, high-loss
 // ones barely move it.
 func mapTrain(vocab []string, examples []Example, cfg TrainConfig) *mapModel {
-	if cfg.Epochs == 0 {
-		cfg.Epochs = 2
-	}
 	m := newMapModel(vocab)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, ex := range examples {

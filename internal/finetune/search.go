@@ -133,7 +133,8 @@ func (s *search) randomComplete() {
 
 // TrainConfig tunes Train.
 type TrainConfig struct {
-	// Epochs of rollout-refinement after count initialization (0 → 2).
+	// Epochs of rollout-refinement after count initialization; 0 leaves
+	// the count-initialized model.
 	Epochs int
 	// Search configures the per-example rollout search during refinement.
 	Search SearchConfig
@@ -148,9 +149,6 @@ type TrainConfig struct {
 // search finds more reliably with larger r) sharpen the model, high-loss
 // ones barely move it.
 func Train(vocab []string, examples []Example, cfg TrainConfig) *Model {
-	if cfg.Epochs == 0 {
-		cfg.Epochs = 2
-	}
 	m := NewModel(vocab)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, ex := range examples {

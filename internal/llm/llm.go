@@ -53,9 +53,6 @@ type PromptConfig struct {
 	// Levels is the sequentializer's structure-level count: 1 = paths only,
 	// 2 = paths plus the motif super-graph section (0 → 2).
 	Levels int
-	// MaxChainLength caps generated chains for clients that honor it
-	// (0 → 8). It is carried here so session config travels as one value.
-	MaxChainLength int
 }
 
 // BuildPrompt renders the ChatGraph prompt: the user question, the predicted

@@ -42,13 +42,7 @@ func (c *slowClient) Complete(ctx context.Context, _ []llm.Message) (string, err
 func slowEngine(t *testing.T, delay time.Duration) *core.Engine {
 	t.Helper()
 	env := &apis.Env{}
-	eng, err := core.NewEngine(core.Config{
-		Registry:      apis.Default(env),
-		Env:           env,
-		Client:        &slowClient{delay: delay},
-		TrainSeed:     1,
-		TrainExamples: 40,
-	})
+	eng, err := core.NewEngine(core.Config{Registry: apis.Default(env), Env: env, Client: &slowClient{delay: delay}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func durableEngine(t *testing.T) *core.Engine {
 		env := &apis.Env{}
 		reg := apis.Default(env)
 		core.SeedMoleculeDB(env, 30, rand.New(rand.NewSource(1)))
-		eng, err := core.NewEngine(core.Config{Registry: reg, Env: env, Model: model, TrainSeed: 1, TrainExamples: 250})
+		eng, err := core.NewEngine(core.Config{Registry: reg, Env: env, Model: model, TrainSeed: 1, Params: examples(250)})
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}

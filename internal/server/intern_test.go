@@ -146,7 +146,7 @@ func parityEngine(t *testing.T, seed int64) *core.Engine {
 	env := &apis.Env{}
 	reg := apis.Default(env)
 	core.SeedMoleculeDB(env, 20, rand.New(rand.NewSource(seed)))
-	eng, err := core.NewEngine(core.Config{Registry: reg, Env: env, TrainSeed: seed, TrainExamples: 150})
+	eng, err := core.NewEngine(core.Config{Registry: reg, Env: env, TrainSeed: seed, Params: examples(150)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"chatgraph/internal/config"
 	"chatgraph/internal/core"
 	"chatgraph/internal/durable"
 	"chatgraph/internal/executor"
@@ -639,21 +638,14 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"questions": core.SuggestedQuestions(kind)})
 }
 
-// handleConfig exposes the Fig. 3 parameter panel: the configuration the
-// engine was built from. chatgraphd always builds its engine from one —
-// defaults, file and flags resolved together — so this is what the daemon
-// runs; only an engine assembled in code (tests, the bench oracle) has none
-// and answers the defaults.
+// handleConfig exposes the Fig. 3 parameter panel: the parameter set the
+// engine runs.
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, r, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	if fc := s.eng.FileConfig(); fc != nil {
-		writeJSON(w, http.StatusOK, fc)
-		return
-	}
-	writeJSON(w, http.StatusOK, config.Default())
+	writeJSON(w, http.StatusOK, s.eng.Params())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -27,7 +27,7 @@ func testServer(t testing.TB) *httptest.Server {
 		env := &apis.Env{}
 		reg := apis.Default(env)
 		core.SeedMoleculeDB(env, 30, rand.New(rand.NewSource(1)))
-		eng, err := core.NewEngine(core.Config{Registry: reg, Env: env, TrainSeed: 1, TrainExamples: 250})
+		eng, err := core.NewEngine(core.Config{Registry: reg, Env: env, TrainSeed: 1, Params: examples(250)})
 		if err != nil {
 			panic(err)
 		}
@@ -35,6 +35,14 @@ func testServer(t testing.TB) *httptest.Server {
 		srvTest = httptest.NewServer(New(eng, Options{}).Handler())
 	})
 	return srvTest
+}
+
+// examples is the default parameter set with a training dataset of n
+// generated examples.
+func examples(n int) *config.Config {
+	p := config.Default()
+	p.Finetune.Examples = n
+	return &p
 }
 
 // postChat chats once on a fresh session of the shared server.
@@ -158,5 +166,48 @@ func TestConfigEndpoint(t *testing.T) {
 	}
 	if got.ANN.TopK == 0 || got.LLM.Backend == "" {
 		t.Fatalf("config = %+v", got)
+	}
+}
+
+// TestConfigIsWhatTheEngineRuns: an engine built in code answers GET /config
+// with its own parameters, and serves them — ann.top_k 4 is the depth of a
+// k = 0 retrieval. Such an engine used to report config.Default().
+func TestConfigIsWhatTheEngineRuns(t *testing.T) {
+	p := examples(40)
+	p.ANN.TopK = 4
+	eng, err := core.NewEngine(core.Config{TrainSeed: 1, Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(eng, Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/config")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got config.Config
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != *p {
+		t.Fatalf("/config = %+v, engine runs %+v", got, *p)
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/retrieve", "application/json", strings.NewReader(`{"queries":["detect communities in the network"],"k":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out RetrieveResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 1 || len(out.Results[0]) != 4 {
+		t.Fatalf("k = 0 retrieval answered %+v, want 4 hits", out.Results)
 	}
 }

@@ -259,7 +259,7 @@ func TestUploadContentKeyEnvelope(t *testing.T) {
 // graphstore.intern_ms and server.self_ms have a `go test -bench` twin.
 func BenchmarkDecodeChat(b *testing.B) {
 	env := &apis.Env{}
-	eng, err := core.NewEngine(core.Config{Registry: apis.Default(env), Env: env, TrainSeed: 1, TrainExamples: 50})
+	eng, err := core.NewEngine(core.Config{Registry: apis.Default(env), Env: env, TrainSeed: 1, Params: examples(50)})
 	if err != nil {
 		b.Fatal(err)
 	}
