@@ -60,6 +60,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -79,55 +80,79 @@ import (
 )
 
 func main() {
-	var (
-		addr         = flag.String("addr", "http://localhost:8080", "base URL of the chatgraphd (or chatgraph-router) to drive")
-		targets      = flag.String("targets", "", "comma-separated base URLs to spread load across (cluster mode: sessions and ops are partitioned over the targets and the report breaks results down per backend); empty = just -addr")
-		duration     = flag.Duration("duration", 5*time.Second, "how long to generate load")
-		concurrency  = flag.Int("concurrency", 4, "closed-loop worker count (open loop: max outstanding requests)")
-		mode         = flag.String("mode", "closed", "load model: closed (workers) or open (fixed arrival rate)")
-		rate         = flag.Float64("rate", 50, "open-loop arrival rate in req/s")
-		chatFrac     = flag.Float64("chat-frac", 0.5, "fraction of operations that are chats (the rest are retrieves)")
-		sessions     = flag.Int("sessions", 0, "session pool size (0 = same as -concurrency)")
-		k            = flag.Int("k", 5, "retrieval k per query")
-		queries      = flag.Int("queries", 4, "queries per retrieve batch")
-		timeout      = flag.Duration("timeout", 30*time.Second, "per-request client timeout")
-		seed         = flag.Int64("seed", 7, "workload RNG seed (graph shape, op mix)")
-		reupload     = flag.Bool("reupload", true, "send the graph JSON with every chat request (the stateless-client workload); false sends question-only chats")
-		jobsMix      = flag.Float64("jobs-mix", 0, "fraction of operations submitted as async jobs (POST /v1/jobs, polled to completion)")
-		jobsProbe    = flag.Int("jobs-probe", 0, "after the run, burst this many job submissions without polling to measure queue-full shedding (accepted ones are cancelled)")
-		jsonPath     = flag.String("json", "", "write the machine-readable report (chatgraph.loadgen/v1 schema) to this file")
-		strict       = flag.Bool("strict", false, "exit 1 on any transport/status error or failed healthz//metrics probe")
-		readyWait    = flag.Duration("ready-wait", 0, "before the run, wait up to this long for GET /readyz to answer 200 (daemons without the endpoint count as ready)")
-		restartGrace = flag.Duration("restart-grace", 0, "retry transport errors and 503s with backoff for up to this long per request — lets a run span a daemon restart; recoveries are reported as reconnects")
-		tenantKeys   = flag.String("tenant-keys", "", "comma-separated name=key list; workers and the session pool are partitioned over the named tenants, every request carries its tenant's X-API-Key, and the report breaks results down per tenant")
-		hostileList  = flag.String("hostile-tenants", "", "comma-separated tenant names (from -tenant-keys) whose workers mix adversarial requests into their traffic; their expected 4xxs count as rejected, not errors")
-		hostileFrac  = flag.Float64("hostile-frac", 0.5, "fraction of a hostile tenant's operations that are adversarial")
-		graphsN      = flag.Int("graphs", 1, "distinct-graph pool size; > 1 picks each op's graph from a zipf popularity distribution over the pool")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		// flag stops at the first non-flag; the flags after it would be dropped.
-		fmt.Fprintf(os.Stderr, "loadgen: unexpected argument %q (flags after it would be ignored)\n", flag.Arg(0))
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	default:
+		log.Fatalf("loadgen: %v", err)
 	}
-	if *mode != "closed" && *mode != "open" {
-		log.Fatalf("loadgen: -mode must be closed or open, got %q", *mode)
+}
+
+// errUsage is a command-line error run has already reported on stderr; main
+// exits 2 for it, as flag.ExitOnError does. Every other error exits 1.
+var errUsage = errors.New("usage")
+
+// retrieveBody is every retrieve op's request: a batch of four queries at
+// k = 5.
+const retrieveBody = `{"k":5,"queries":["detect communities in the network","who are the most influential nodes","is the network connected","clean the knowledge graph"]}`
+
+// run is the whole command: it parses args, drives the target, prints the
+// report to stdout and returns what main turns into an exit status.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	var (
+		addr         = fs.String("addr", "http://localhost:8080", "base URL of the chatgraphd (or chatgraph-router) to drive")
+		targets      = fs.String("targets", "", "comma-separated base URLs to spread load across (cluster mode: sessions and ops are partitioned over the targets and the report breaks results down per backend); empty = just -addr")
+		duration     = fs.Duration("duration", 5*time.Second, "how long to generate load")
+		concurrency  = fs.Int("concurrency", 4, "closed-loop worker count (open loop: max outstanding requests)")
+		mode         = fs.String("mode", "closed", "load model: closed (workers) or open (fixed arrival rate)")
+		rate         = fs.Float64("rate", 50, "open-loop arrival rate in req/s")
+		chatFrac     = fs.Float64("chat-frac", 0.5, "fraction of operations that are chats (the rest are retrieves)")
+		sessions     = fs.Int("sessions", 0, "session pool size (0 = same as -concurrency)")
+		timeout      = fs.Duration("timeout", 30*time.Second, "per-request client timeout")
+		seed         = fs.Int64("seed", 7, "workload RNG seed (graph shape, op mix)")
+		reupload     = fs.Bool("reupload", true, "send the graph JSON with every chat request (the stateless-client workload); false sends question-only chats")
+		jobsMix      = fs.Float64("jobs-mix", 0, "fraction of operations submitted as async jobs (POST /v1/jobs, polled to completion)")
+		jobsProbe    = fs.Int("jobs-probe", 0, "after the run, burst this many job submissions without polling to measure queue-full shedding (accepted ones are cancelled)")
+		jsonPath     = fs.String("json", "", "write the machine-readable report (chatgraph.loadgen/v1 schema) to this file")
+		strict       = fs.Bool("strict", false, "exit 1 on any transport/status error or failed healthz//metrics probe")
+		readyWait    = fs.Duration("ready-wait", 0, "before the run, wait up to this long for GET /readyz to answer 200 (daemons without the endpoint count as ready)")
+		restartGrace = fs.Duration("restart-grace", 0, "retry transport errors and 503s with backoff for up to this long per request — lets a run span a daemon restart; recoveries are reported as reconnects")
+		tenantKeys   = fs.String("tenant-keys", "", "comma-separated name=key list; workers and the session pool are partitioned over the named tenants, every request carries its tenant's X-API-Key, and the report breaks results down per tenant")
+		hostileList  = fs.String("hostile-tenants", "", "comma-separated tenant names (from -tenant-keys) whose workers mix adversarial requests into their traffic; their expected 4xxs count as rejected, not errors")
+		hostileFrac  = fs.Float64("hostile-frac", 0.5, "fraction of a hostile tenant's operations that are adversarial")
+		graphsN      = fs.Int("graphs", 1, "distinct-graph pool size; > 1 picks each op's graph from a zipf popularity distribution over the pool")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
 	}
-	if *chatFrac < 0 || *chatFrac > 1 {
-		log.Fatalf("loadgen: -chat-frac must be in [0,1], got %g", *chatFrac)
+	if fs.NArg() > 0 {
+		// flag stops at the first non-flag; the flags after it would be dropped.
+		fmt.Fprintf(fs.Output(), "loadgen: unexpected argument %q (flags after it would be ignored)\n", fs.Arg(0))
+		return errUsage
 	}
-	if *jobsMix < 0 || *jobsMix > 1 {
-		log.Fatalf("loadgen: -jobs-mix must be in [0,1], got %g", *jobsMix)
-	}
-	if *hostileFrac < 0 || *hostileFrac > 1 {
-		log.Fatalf("loadgen: -hostile-frac must be in [0,1], got %g", *hostileFrac)
-	}
-	if *graphsN < 1 {
-		log.Fatalf("loadgen: -graphs must be >= 1, got %d", *graphsN)
+	interval := time.Duration(float64(time.Second) / *rate)
+	switch {
+	case *mode != "closed" && *mode != "open":
+		return fmt.Errorf("-mode must be closed or open, got %q", *mode)
+	case *mode == "open" && interval <= 0:
+		return fmt.Errorf("-rate %g is not a usable arrival rate", *rate)
+	case *chatFrac < 0 || *chatFrac > 1:
+		return fmt.Errorf("-chat-frac must be in [0,1], got %g", *chatFrac)
+	case *jobsMix < 0 || *jobsMix > 1:
+		return fmt.Errorf("-jobs-mix must be in [0,1], got %g", *jobsMix)
+	case *hostileFrac < 0 || *hostileFrac > 1:
+		return fmt.Errorf("-hostile-frac must be in [0,1], got %g", *hostileFrac)
+	case *graphsN < 1:
+		return fmt.Errorf("-graphs must be >= 1, got %d", *graphsN)
 	}
 	tenants, err := parseTenants(*tenantKeys, *hostileList)
 	if err != nil {
-		log.Fatalf("loadgen: %v", err)
+		return err
 	}
 	if *sessions <= 0 {
 		*sessions = *concurrency
@@ -149,16 +174,15 @@ func main() {
 			}
 		}
 		if len(bases) == 0 {
-			log.Fatal("loadgen: -targets supplied but empty after parsing")
+			return errors.New("-targets supplied but empty after parsing")
 		}
 	}
 	base := bases[0]
-	client := &http.Client{Timeout: *timeout}
-	rc := &reconnector{grace: *restartGrace}
+	h := &httpClient{client: &http.Client{Timeout: *timeout}, grace: *restartGrace}
 	if *readyWait > 0 {
 		for _, b := range bases {
-			if !waitReady(client, b, *readyWait) {
-				log.Fatalf("loadgen: daemon at %s not ready within %s", b, *readyWait)
+			if !waitReady(h, b, *readyWait) {
+				return fmt.Errorf("daemon at %s not ready within %s", b, *readyWait)
 			}
 		}
 	}
@@ -172,10 +196,9 @@ func main() {
 	chatBodies := make([][]byte, *graphsN)
 	jobBodies := make([][]byte, *graphsN)
 	for i := range chatBodies {
-		g := graph.PlantedCommunities(2, 10, 0.5, 0.05, rng)
-		graphJSON, merr := json.Marshal(g)
-		if merr != nil {
-			log.Fatalf("loadgen: marshal graph %d: %v", i, merr)
+		graphJSON, err := json.Marshal(graph.PlantedCommunities(2, 10, 0.5, 0.05, rng))
+		if err != nil {
+			return fmt.Errorf("marshal graph %d: %w", i, err)
 		}
 		chatPayload := map[string]any{
 			"question": "Summarize the statistics of the graph",
@@ -183,34 +206,17 @@ func main() {
 		if *reupload {
 			chatPayload["graph"] = json.RawMessage(graphJSON)
 		}
-		if chatBodies[i], merr = json.Marshal(chatPayload); merr != nil {
-			log.Fatalf("loadgen: marshal chat body: %v", merr)
+		if chatBodies[i], err = json.Marshal(chatPayload); err != nil {
+			return fmt.Errorf("marshal chat body: %w", err)
 		}
 		// Jobs always carry the graph: the async path exists for graph-heavy
 		// chains, and reuploading exercises the intern layer under job
 		// traffic.
-		jobBodies[i], merr = json.Marshal(map[string]any{
-			"question": "Write a brief report for G",
-			"graph":    json.RawMessage(graphJSON),
-		})
-		if merr != nil {
-			log.Fatalf("loadgen: marshal job body: %v", merr)
+		if jobBodies[i], err = jobBody(graphJSON); err != nil {
+			return fmt.Errorf("marshal job body: %w", err)
 		}
 	}
 	hostileBodies := hostilePayloads()
-	retrieveQueries := []string{
-		"detect communities in the network",
-		"who are the most influential nodes",
-		"is the network connected",
-		"clean the knowledge graph",
-		"how toxic is this molecule",
-		"find molecules similar to G",
-	}
-	qs := retrieveQueries[:min(*queries, len(retrieveQueries))]
-	retrieveBody, err := json.Marshal(map[string]any{"queries": qs, "k": *k})
-	if err != nil {
-		log.Fatalf("loadgen: marshal retrieve body: %v", err)
-	}
 
 	// Session pool, partitioned over the targets and the tenants. Each
 	// session is created under its tenant's key — sessions are
@@ -219,24 +225,22 @@ func main() {
 	// create so every later chat on the session can be checked for
 	// affinity.
 	pools := make([][]poolSession, len(tenants))
-	nSessions := 0
 	for i := 0; i < *sessions; i++ {
 		ti := i % len(tenants)
 		tgt := bases[i%len(bases)]
-		id, backend, err := createSession(rc, client, tgt, tenants[ti].key)
+		id, backend, err := createSession(h, tgt, tenants[ti].key)
 		if err != nil {
-			log.Fatalf("loadgen: create session %d on %s: %v", i, tgt, err)
+			return fmt.Errorf("create session %d on %s: %w", i, tgt, err)
 		}
 		pools[ti] = append(pools[ti], poolSession{base: tgt, id: id, createdOn: backend})
-		nSessions++
 	}
 
 	// Baseline cache counters: the cache block reports deltas over the run,
 	// so earlier traffic against the same daemon doesn't pollute the rates.
 	// Multi-target runs sum the counters across targets.
-	cacheBefore := scrapeAllCacheCounters(client, bases)
+	cacheBefore, _ := scrapeMetrics(h, bases)
 
-	run := newRunStats()
+	stats := newRunStats()
 	doOp := func(w *rand.Rand, zipf *rand.Zipf, worker int) {
 		start := time.Now()
 		tgt := bases[worker%len(bases)]
@@ -245,49 +249,40 @@ func main() {
 		if zipf != nil {
 			gi = int(zipf.Uint64())
 		}
-		if tn.hostile && w.Float64() < *hostileFrac {
+		s := sample{tenant: tn.name}
+		var r reply
+		switch {
+		case tn.hostile && w.Float64() < *hostileFrac:
 			hb := hostileBodies[w.Intn(len(hostileBodies))]
-			var meta respMeta
-			status, err := rc.post(client, tgt+hb.path, hb.body, tn.key, nil, &meta)
-			run.recordHostile(tn.name, meta.backend, status, err, time.Since(start))
-			return
-		}
-		if *jobsMix > 0 && w.Float64() < *jobsMix {
-			status, outcome, backend, err := runJob(rc, client, tgt, jobBodies[gi], tn.key, *timeout)
-			run.recordJob(tn.name, status, outcome, backend, err, time.Since(start))
-			return
-		}
-		var (
-			op     string
-			status int
-			err    error
-			meta   respMeta
-		)
-		if w.Float64() < *chatFrac {
-			op = "chat"
+			s.op = "hostile"
+			r, s.err = h.send(http.MethodPost, tgt+hb.path, hb.body, tn.key, retry503)
+		case *jobsMix > 0 && w.Float64() < *jobsMix:
+			s.op = "job"
+			r, s.jobState, s.err = runJob(h, tgt, jobBodies[gi], tn.key, *timeout)
+		case w.Float64() < *chatFrac:
+			s.op = "chat"
 			sub := pools[worker%len(tenants)]
 			sess := sub[(worker/len(tenants))%len(sub)]
-			status, err = rc.post(client, sess.base+"/v1/sessions/"+sess.id+"/chat", chatBodies[gi], tn.key, nil, &meta)
+			r, s.err = h.send(http.MethodPost, sess.base+"/v1/sessions/"+sess.id+"/chat", chatBodies[gi], tn.key, retry503)
 			// Affinity check: a session's chats must land where the session
 			// was created. Only checkable when both responses named a
 			// backend (i.e. the target is a router).
-			if err == nil && status >= 200 && status < 300 &&
-				sess.createdOn != "" && meta.backend != "" && meta.backend != sess.createdOn {
-				run.affinityViolation()
-			}
-		} else {
-			op = "retrieve"
-			status, err = rc.post(client, tgt+"/v1/retrieve", retrieveBody, tn.key, nil, &meta)
+			s.offHome = s.err == nil && r.status >= 200 && r.status < 300 &&
+				sess.createdOn != "" && r.backend != "" && r.backend != sess.createdOn
+		default:
+			s.op = "retrieve"
+			r, s.err = h.send(http.MethodPost, tgt+"/v1/retrieve", []byte(retrieveBody), tn.key, retry503)
 		}
-		run.record(op, tn.name, meta.backend, status, err, time.Since(start))
+		s.status, s.backend, s.d = r.status, r.backend, time.Since(start)
+		stats.record(s)
 	}
 
 	log.Printf("loadgen: %s loop against %s for %s (concurrency %d, sessions %d, tenants %d, chat-frac %.2f, jobs-mix %.2f)",
-		*mode, base, *duration, *concurrency, nSessions, len(tenants), *chatFrac, *jobsMix)
+		*mode, base, *duration, *concurrency, *sessions, len(tenants), *chatFrac, *jobsMix)
 	wallStart := time.Now()
 	deadline := wallStart.Add(*duration)
+	var wg sync.WaitGroup
 	if *mode == "closed" {
-		var wg sync.WaitGroup
 		for wkr := 0; wkr < *concurrency; wkr++ {
 			wg.Add(1)
 			go func(wkr int) {
@@ -299,19 +294,12 @@ func main() {
 				}
 			}(wkr)
 		}
-		wg.Wait()
 	} else {
-		interval := time.Duration(float64(time.Second) / *rate)
-		if interval <= 0 {
-			log.Fatalf("loadgen: -rate %g is not a usable arrival rate", *rate)
-		}
 		// Outstanding requests are bounded by -concurrency; an arrival that
 		// finds every slot busy is recorded as a local drop, mirroring what
 		// a queueing client would experience.
 		slots := make(chan struct{}, *concurrency)
 		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		var wg sync.WaitGroup
 		next := 0
 		for now := range ticker.C {
 			if now.After(deadline) {
@@ -327,114 +315,95 @@ func main() {
 				}(next, rand.New(rand.NewSource(*seed+int64(next)*7919)))
 				next++
 			default:
-				run.drop()
+				stats.drop()
 			}
 		}
-		wg.Wait()
+		ticker.Stop()
 	}
+	wg.Wait()
 	elapsed := time.Since(wallStart)
 
 	// Post-run observability probes: the serving layer is not healthy if it
 	// cannot say it is healthy. Every target must answer; a router exposes
 	// chatgraph_router_* families instead of the daemon's http counters.
-	healthzOK, metricsOK := true, true
+	healthzOK := true
 	for _, b := range bases {
-		healthzOK = healthzOK && probe(client, b+"/healthz", "")
-		metricsOK = metricsOK && (probe(client, b+"/metrics", "chatgraph_http_requests_total") ||
-			probe(client, b+"/metrics", "chatgraph_router_requests_total"))
+		_, ok := h.get(b + "/healthz")
+		healthzOK = healthzOK && ok
 	}
-	cacheAfter := scrapeAllCacheCounters(client, bases)
+	cacheAfter, metricsOK := scrapeMetrics(h, bases)
 
-	report := run.report(*mode, strings.Join(bases, ","), elapsed, *concurrency, *rate, *chatFrac, nSessions, healthzOK, metricsOK)
+	report := Report{
+		Schema:      "chatgraph.loadgen/v1",
+		Target:      strings.Join(bases, ","),
+		Mode:        *mode,
+		DurationS:   round2(elapsed.Seconds()),
+		Concurrency: *concurrency,
+		ChatFrac:    *chatFrac,
+		Sessions:    *sessions,
+		Reupload:    *reupload,
+		JobsMix:     *jobsMix,
+		GraphPool:   *graphsN,
+		Reconnects:  int(h.reconnects.Load()),
+		HealthzOK:   healthzOK,
+		MetricsOK:   metricsOK,
+		Cache:       cacheDelta(cacheBefore, cacheAfter),
+	}
+	if *mode == "open" {
+		report.RateRPS = *rate
+	}
 	if len(bases) > 1 {
 		report.Targets = bases
 	}
-	report.Reupload = *reupload
-	report.Cache = cacheDelta(cacheBefore, cacheAfter)
-	report.JobsMix = *jobsMix
-	report.GraphPool = *graphsN
-	report.Reconnects = int(rc.count.Load())
+	stats.fill(&report, elapsed)
 	if report.Reconnects > 0 {
 		log.Printf("loadgen: %d requests recovered via retry (daemon restart or recovery window)", report.Reconnects)
 	}
 	if *jobsMix > 0 || *jobsProbe > 0 {
-		jr := run.jobsReport()
+		jr := stats.jobs
 		if *jobsProbe > 0 {
 			jr.ProbeSubmitted = *jobsProbe
-			jr.ProbeAccepted, jr.Probe429 = jobProbe(client, base, tenants[0].key, *seed, *jobsProbe)
+			if jr.ProbeAccepted, jr.Probe429, err = jobProbe(h, base, tenants[0].key, *seed, *jobsProbe); err != nil {
+				return err
+			}
 		}
 		report.Jobs = &jr
 	}
-	report.print(os.Stdout)
+	report.print(stdout)
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			log.Fatalf("loadgen: marshal report: %v", err)
+			return fmt.Errorf("marshal report: %w", err)
 		}
 		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			log.Fatalf("loadgen: write %s: %v", *jsonPath, err)
+			return fmt.Errorf("write %s: %w", *jsonPath, err)
 		}
 		log.Printf("loadgen: wrote %s", *jsonPath)
 	}
-	if *strict {
-		if !healthzOK || !metricsOK {
-			log.Fatal("loadgen: strict: healthz or metrics probe failed")
-		}
-		if report.Total.Errors > 0 {
-			log.Fatalf("loadgen: strict: %d non-2xx/429 responses", report.Total.Errors)
-		}
-		if report.Total.OK == 0 {
-			log.Fatal("loadgen: strict: no successful requests")
-		}
-		if report.AffinityViolations > 0 {
-			log.Fatalf("loadgen: strict: %d session-affinity violations (chats served off the session's home backend)", report.AffinityViolations)
-		}
-		if j := report.Jobs; j != nil && j.Stuck > 0 {
-			log.Fatalf("loadgen: strict: %d jobs stuck (never reached a terminal state)", j.Stuck)
-		}
+	if !*strict {
+		return nil
 	}
+	switch {
+	case !healthzOK || !metricsOK:
+		return errors.New("strict: healthz or metrics probe failed")
+	case report.Total.Errors > 0:
+		return fmt.Errorf("strict: %d non-2xx/429 responses", report.Total.Errors)
+	case report.Total.OK == 0:
+		return errors.New("strict: no successful requests")
+	case report.AffinityViolations > 0:
+		return fmt.Errorf("strict: %d session-affinity violations (chats served off the session's home backend)", report.AffinityViolations)
+	case report.Jobs != nil && report.Jobs.Stuck > 0:
+		return fmt.Errorf("strict: %d jobs stuck (never reached a terminal state)", report.Jobs.Stuck)
+	}
+	return nil
 }
 
-// reconnector is the restart-tolerance policy: with a positive grace, a
-// request that dies in transport (daemon down, connection reset mid-restart)
-// or answers 503 (daemon up but still replaying its WAL) is retried with
-// exponential backoff, each attempt a fresh request under the client's own
-// timeout, until the grace expires. count tallies requests that recovered
-// after at least one failed attempt — the report's "reconnects".
-type reconnector struct {
-	grace time.Duration
-	count atomic.Int64
-}
-
-// do runs op, retrying while op reports a retryable failure and the grace
-// period has budget. It returns op's final verdict either way; a recovery
-// after ≥1 failure bumps the reconnect counter.
-func (rc *reconnector) do(op func() (retry bool, err error)) error {
-	retry, err := op()
-	if !retry || rc.grace <= 0 {
-		return err
-	}
-	deadline := time.Now().Add(rc.grace)
-	backoff := 50 * time.Millisecond
-	for time.Now().Before(deadline) {
-		time.Sleep(backoff)
-		if backoff < time.Second {
-			backoff *= 2
-		}
-		if retry, err = op(); !retry {
-			if err == nil {
-				rc.count.Add(1)
-			}
-			return err
-		}
-	}
-	return err
-}
-
-// respMeta carries response facts that ride outside the decoded body —
-// today just the X-Backend header a cluster router stamps on every reply.
-type respMeta struct {
-	backend string
+// jobBody is a job submission carrying the given graph.
+func jobBody(graphJSON []byte) ([]byte, error) {
+	return json.Marshal(map[string]any{
+		"question": "Write a brief report for G",
+		"graph":    json.RawMessage(graphJSON),
+	})
 }
 
 // poolSession is one pooled v1 session: where it lives and, when the
@@ -541,75 +510,116 @@ func newZipf(w *rand.Rand, n int) *rand.Zipf {
 	return rand.NewZipf(w, 1.2, 1, uint64(n-1))
 }
 
-// post posts body to url, retrying per the grace policy; key (when
-// non-empty) rides the X-API-Key header; when out is non-nil a 2xx reply
-// body is decoded into it, and when meta is non-nil it captures response
-// metadata from the final attempt.
-func (rc *reconnector) post(client *http.Client, url string, body []byte, key string, out any, meta *respMeta) (status int, err error) {
-	err = rc.do(func() (bool, error) {
-		req, rerr := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-		if rerr != nil {
-			return false, rerr
+// retryRule says which failures of one request -restart-grace rides out.
+type retryRule int
+
+const (
+	// once: probes, scrapes and the job-probe burst get one attempt.
+	once retryRule = iota
+	// retry503: a transport error (daemon down, connection reset
+	// mid-restart) or a 503 (daemon up but still replaying its WAL).
+	retry503
+	// retryPoll: retry503, plus a 404 — from the ungated poll route that can
+	// be the same recovery window, a job in the WAL not restored yet.
+	retryPoll
+)
+
+// reply is what loadgen keeps of one HTTP response.
+type reply struct {
+	status  int
+	backend string // X-Backend, which chatgraph-router stamps on every reply
+	body    []byte
+}
+
+// httpClient is loadgen's one road to the wire: every request, load or
+// probe, goes through send. reconnects tallies requests that recovered
+// after at least one failed attempt — the report's "reconnects".
+type httpClient struct {
+	client     *http.Client
+	grace      time.Duration // -restart-grace
+	reconnects atomic.Int64
+}
+
+// send issues one request: key (when non-empty) rides the X-API-Key header,
+// the reply's X-Backend is captured and its body read to the end (which
+// also keeps the connection alive). With a positive grace, a failure that
+// rule names is retried with exponential backoff, each attempt a fresh
+// request under the client's own timeout, until the grace expires; the
+// final attempt's reply is returned either way.
+func (h *httpClient) send(method, url string, body []byte, key string, rule retryRule) (reply, error) {
+	attempt := func() (r reply, retry bool, err error) {
+		req, err := http.NewRequest(method, url, bytes.NewReader(body))
+		if err != nil {
+			return r, false, err
 		}
-		req.Header.Set("Content-Type", "application/json")
+		if method == http.MethodPost {
+			req.Header.Set("Content-Type", "application/json")
+		}
 		if key != "" {
 			req.Header.Set(apiKeyHeader, key)
 		}
-		resp, perr := client.Do(req)
-		if perr != nil {
-			status = 0
-			return true, perr
+		resp, err := h.client.Do(req)
+		if err == nil {
+			r.status, r.backend = resp.StatusCode, resp.Header.Get("X-Backend")
+			r.body, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
 		}
-		defer resp.Body.Close()
-		status = resp.StatusCode
-		if meta != nil {
-			meta.backend = resp.Header.Get("X-Backend")
-		}
-		if status == http.StatusServiceUnavailable {
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			return true, nil
-		}
-		if out != nil && status >= 200 && status < 300 {
-			if derr := json.NewDecoder(resp.Body).Decode(out); derr != nil {
-				return false, fmt.Errorf("decode %s reply: %w", url, derr)
-			}
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
-		return false, nil
-	})
-	if err != nil {
-		return 0, err
+		retry = rule != once && (err != nil || r.status == http.StatusServiceUnavailable ||
+			rule == retryPoll && r.status == http.StatusNotFound)
+		return r, retry, err
 	}
-	return status, nil
+	r, retry, err := attempt()
+	if !retry || h.grace <= 0 {
+		return r, err
+	}
+	deadline := time.Now().Add(h.grace)
+	for backoff := 50 * time.Millisecond; retry && time.Now().Before(deadline); {
+		time.Sleep(backoff)
+		if backoff < time.Second {
+			backoff *= 2
+		}
+		r, retry, err = attempt()
+	}
+	if !retry && err == nil {
+		h.reconnects.Add(1)
+	}
+	return r, err
 }
 
-func createSession(rc *reconnector, client *http.Client, base, key string) (id, backend string, err error) {
-	var info struct {
-		SessionID string `json:"session_id"`
-	}
-	var meta respMeta
+// get fetches url once and returns its body, and whether it answered 200.
+func (h *httpClient) get(url string) (string, bool) {
+	r, err := h.send(http.MethodGet, url, nil, "", once)
+	return string(r.body), err == nil && r.status == http.StatusOK
+}
+
+func createSession(h *httpClient, base, key string) (id, backend string, err error) {
 	// Pool setup paces through 429s: a rate-capped daemon shedding a burst
 	// of session creates is admission working, not a failure — back off and
 	// finish building the pool before the measured window opens.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		status, perr := rc.post(client, base+"/v1/sessions", nil, key, &info, &meta)
-		if perr != nil {
-			return "", "", perr
+		r, err := h.send(http.MethodPost, base+"/v1/sessions", nil, key, retry503)
+		if err != nil {
+			return "", "", err
 		}
-		if status == http.StatusTooManyRequests && time.Now().Before(deadline) {
+		if r.status == http.StatusTooManyRequests && time.Now().Before(deadline) {
 			time.Sleep(200 * time.Millisecond)
 			continue
 		}
-		if status != http.StatusCreated {
-			return "", "", fmt.Errorf("status %d", status)
+		if r.status != http.StatusCreated {
+			return "", "", fmt.Errorf("status %d", r.status)
 		}
-		break
+		var info struct {
+			SessionID string `json:"session_id"`
+		}
+		if err := json.Unmarshal(r.body, &info); err != nil {
+			return "", "", fmt.Errorf("decode %s reply: %w", base+"/v1/sessions", err)
+		}
+		if info.SessionID == "" {
+			return "", "", errors.New("empty session_id")
+		}
+		return info.SessionID, r.backend, nil
 	}
-	if info.SessionID == "" {
-		return "", "", fmt.Errorf("empty session_id")
-	}
-	return info.SessionID, meta.backend, nil
 }
 
 // waitReady blocks until GET /readyz answers 200 — or the stdlib mux's
@@ -620,22 +630,13 @@ func createSession(rc *reconnector, client *http.Client, base, key string) (id, 
 // start the load window into a dark pool. Transport errors (daemon still
 // booting or restarting) and 503 (recovery replay in progress) keep
 // polling until the wait expires.
-func waitReady(client *http.Client, base string, wait time.Duration) bool {
+func waitReady(h *httpClient, base string, wait time.Duration) bool {
 	deadline := time.Now().Add(wait)
 	for {
-		resp, err := client.Get(base + "/readyz")
-		if err == nil {
-			status := resp.StatusCode
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			if status == http.StatusOK {
-				return true
-			}
-			if status == http.StatusNotFound &&
-				strings.HasPrefix(strings.TrimSpace(string(body)), "404 page not found") {
-				return true
-			}
+		r, err := h.send(http.MethodGet, base+"/readyz", nil, "", once)
+		if err == nil && (r.status == http.StatusOK || r.status == http.StatusNotFound &&
+			strings.HasPrefix(strings.TrimSpace(string(r.body)), "404 page not found")) {
+			return true
 		}
 		if time.Now().After(deadline) {
 			return false
@@ -650,79 +651,43 @@ type jobInfo struct {
 	State string `json:"state"`
 }
 
-// terminalJobState reports whether a wire state string is terminal.
-func terminalJobState(s string) bool {
-	return s == "done" || s == "failed" || s == "cancelled"
-}
-
-// runJob submits one async job and polls it to a terminal state. status is
-// the submission status (for shed/error accounting); outcome is the job's
-// terminal state, or "stuck" if it never settled within timeout; backend
-// is the X-Backend that accepted the submission (empty off-cluster).
-func runJob(rc *reconnector, client *http.Client, base string, body []byte, key string, timeout time.Duration) (status int, outcome, backend string, err error) {
-	var info jobInfo
-	var meta respMeta
-	status, err = rc.post(client, base+"/v1/jobs", body, key, &info, &meta)
-	backend = meta.backend
-	if err != nil {
-		return 0, "", backend, err
+// runJob submits one async job and polls it to a terminal state. It returns
+// the submission's reply (its status and X-Backend feed the outcome rule)
+// and the job's terminal state, or "stuck" if it never settled within
+// timeout.
+func runJob(h *httpClient, base string, body []byte, key string, timeout time.Duration) (reply, string, error) {
+	sub, err := h.send(http.MethodPost, base+"/v1/jobs", body, key, retry503)
+	if err != nil || sub.status != http.StatusAccepted {
+		return sub, "", err
 	}
-	if status != http.StatusAccepted {
-		return status, "", backend, nil
+	var info jobInfo
+	if err := json.Unmarshal(sub.body, &info); err != nil {
+		return sub, "", fmt.Errorf("decode %s reply: %w", base+"/v1/jobs", err)
 	}
 	if info.JobID == "" {
-		return status, "", backend, fmt.Errorf("job accepted but reply carried no job_id")
+		return sub, "", errors.New("job accepted but reply carried no job_id")
 	}
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		st, err := getJobState(rc, client, base, info.JobID, key)
-		if err != nil {
-			return status, "", backend, err
+		// Polling is ownership-checked: without the submitting tenant's key
+		// the job answers 404.
+		r, err := h.send(http.MethodGet, base+"/v1/jobs/"+info.JobID, nil, key, retryPoll)
+		if err == nil && r.status != http.StatusOK {
+			err = fmt.Errorf("poll job %s: status %d: %s", info.JobID, r.status, r.body)
 		}
-		if terminalJobState(st) {
-			return status, st, backend, nil
+		var st jobInfo
+		if err == nil {
+			err = json.Unmarshal(r.body, &st)
+		}
+		if err != nil {
+			return sub, "", err
+		}
+		if st.State == "done" || st.State == "failed" || st.State == "cancelled" {
+			return sub, st.State, nil
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	return status, "stuck", backend, nil
-}
-
-func getJobState(rc *reconnector, client *http.Client, base, id, key string) (state string, err error) {
-	err = rc.do(func() (bool, error) {
-		req, rerr := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+id, nil)
-		if rerr != nil {
-			return false, rerr
-		}
-		if key != "" {
-			// Polling is ownership-checked: without the submitting tenant's
-			// key the job answers 404.
-			req.Header.Set(apiKeyHeader, key)
-		}
-		resp, gerr := client.Do(req)
-		if gerr != nil {
-			return true, gerr
-		}
-		defer resp.Body.Close()
-		// 503 is the recovery window; 404 can be the same window seen from
-		// the ungated poll route — the job exists in the WAL but has not
-		// been restored yet. Both settle once replay finishes, so both are
-		// retryable under a restart grace.
-		if resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusNotFound {
-			body, _ := io.ReadAll(resp.Body)
-			return true, fmt.Errorf("poll job %s: status %d: %s", id, resp.StatusCode, body)
-		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			return false, fmt.Errorf("poll job %s: status %d: %s", id, resp.StatusCode, body)
-		}
-		var info jobInfo
-		if derr := json.NewDecoder(resp.Body).Decode(&info); derr != nil {
-			return false, derr
-		}
-		state = info.State
-		return false, nil
-	})
-	return state, err
+	return sub, "stuck", nil
 }
 
 // jobProbe bursts n concurrent job submissions without polling — pure
@@ -732,21 +697,16 @@ func getJobState(rc *reconnector, client *http.Client, base, id, key string) (st
 // cache-warm jobs drains as fast as it fills and never observes the queue
 // bound. Accepted jobs are cancelled afterwards so the probe leaves no
 // stragglers running.
-func jobProbe(client *http.Client, base, key string, seed int64, n int) (accepted, shed429 int) {
+func jobProbe(h *httpClient, base, key string, seed int64, n int) (accepted, shed429 int, err error) {
 	bodies := make([][]byte, n)
 	for i := range bodies {
 		prng := rand.New(rand.NewSource(seed + 104729*int64(i+1)))
-		pg := graph.PlantedCommunities(4, 100, 0.3, 0.02, prng)
-		gj, err := json.Marshal(pg)
+		gj, err := json.Marshal(graph.PlantedCommunities(4, 100, 0.3, 0.02, prng))
 		if err != nil {
-			log.Fatalf("loadgen: marshal probe graph: %v", err)
+			return 0, 0, fmt.Errorf("marshal probe graph: %w", err)
 		}
-		bodies[i], err = json.Marshal(map[string]any{
-			"question": "Write a brief report for G",
-			"graph":    json.RawMessage(gj),
-		})
-		if err != nil {
-			log.Fatalf("loadgen: marshal probe body: %v", err)
+		if bodies[i], err = jobBody(gj); err != nil {
+			return 0, 0, fmt.Errorf("marshal probe body: %w", err)
 		}
 	}
 	var (
@@ -754,54 +714,35 @@ func jobProbe(client *http.Client, base, key string, seed int64, n int) (accepte
 		ids []string
 		wg  sync.WaitGroup
 	)
-	for i := 0; i < n; i++ {
+	for _, body := range bodies {
 		wg.Add(1)
 		go func(body []byte) {
 			defer wg.Done()
-			req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			if key != "" {
-				req.Header.Set(apiKeyHeader, key)
-			}
-			resp, err := client.Do(req)
+			r, err := h.send(http.MethodPost, base+"/v1/jobs", body, key, once)
 			if err != nil {
 				return
 			}
 			var info jobInfo
-			json.NewDecoder(resp.Body).Decode(&info) //nolint:errcheck // error bodies aren't jobInfo
-			io.Copy(io.Discard, resp.Body)           //nolint:errcheck
-			resp.Body.Close()
+			json.Unmarshal(r.body, &info) //nolint:errcheck // error bodies aren't jobInfo
 			mu.Lock()
 			defer mu.Unlock()
-			switch {
-			case resp.StatusCode == http.StatusAccepted:
+			switch r.status {
+			case http.StatusAccepted:
 				accepted++
 				if info.JobID != "" {
 					ids = append(ids, info.JobID)
 				}
-			case resp.StatusCode == http.StatusTooManyRequests:
+			case http.StatusTooManyRequests:
 				shed429++
 			}
-		}(bodies[i])
+		}(body)
 	}
 	wg.Wait()
 	for _, id := range ids {
-		req, err := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+id, nil)
-		if err != nil {
-			continue
-		}
-		if key != "" {
-			req.Header.Set(apiKeyHeader, key)
-		}
-		if resp, err := client.Do(req); err == nil {
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-		}
+		// Best effort: a job whose cancel fails just runs to completion.
+		h.send(http.MethodDelete, base+"/v1/jobs/"+id, nil, key, once) //nolint:errcheck
 	}
-	return accepted, shed429
+	return accepted, shed429, nil
 }
 
 // cacheCounters are the raw /metrics samples the report's cache block is
@@ -813,59 +754,45 @@ type cacheCounters struct {
 	ok                       bool
 }
 
-// scrapeCacheCounters reads the unlabeled cache counters from the
-// Prometheus text exposition (lines are "name value" for plain counters).
-func scrapeCacheCounters(client *http.Client, url string) cacheCounters {
-	resp, err := client.Get(url)
-	if err != nil {
-		return cacheCounters{}
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return cacheCounters{}
-	}
-	c := cacheCounters{ok: true}
-	for _, line := range strings.Split(string(body), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			continue
-		}
-		switch fields[0] {
-		case "chatgraph_invoke_cache_hits_total":
-			c.invokeHits = v
-		case "chatgraph_invoke_cache_misses_total":
-			c.invokeMisses = v
-		case "chatgraph_graphstore_hits_total":
-			c.internHits = v
-		case "chatgraph_graphstore_misses_total":
-			c.internMisses = v
-		}
-	}
-	return c
-}
-
-// scrapeAllCacheCounters sums the cache counters across every target —
-// in cluster mode the run's cache behavior is the pool's aggregate. One
-// failed scrape poisons the block (partial sums would misreport rates).
-func scrapeAllCacheCounters(client *http.Client, bases []string) cacheCounters {
-	var sum cacheCounters
-	sum.ok = true
+// scrapeMetrics reads every target's /metrics once. metricsOK reports that
+// each scrape carries the daemon's http counters (a router exposes the
+// chatgraph_router_* family instead). The unlabeled cache counters — lines
+// are "name value" for plain counters in the Prometheus text exposition —
+// are summed across targets: in cluster mode the run's cache behavior is
+// the pool's aggregate. One failed scrape poisons the sum (partial sums
+// would misreport rates).
+func scrapeMetrics(h *httpClient, bases []string) (c cacheCounters, metricsOK bool) {
+	c.ok, metricsOK = true, true
 	for _, b := range bases {
-		c := scrapeCacheCounters(client, b+"/metrics")
-		if !c.ok {
-			return cacheCounters{}
+		body, ok := h.get(b + "/metrics")
+		metricsOK = metricsOK && ok && (strings.Contains(body, "chatgraph_http_requests_total") ||
+			strings.Contains(body, "chatgraph_router_requests_total"))
+		if !ok {
+			c.ok = false
+			continue
 		}
-		sum.invokeHits += c.invokeHits
-		sum.invokeMisses += c.invokeMisses
-		sum.internHits += c.internHits
-		sum.internMisses += c.internMisses
+		for _, line := range strings.Split(body, "\n") {
+			fields := strings.Fields(line)
+			if len(fields) != 2 {
+				continue
+			}
+			v, err := strconv.ParseFloat(fields[1], 64)
+			if err != nil {
+				continue
+			}
+			switch fields[0] {
+			case "chatgraph_invoke_cache_hits_total":
+				c.invokeHits += v
+			case "chatgraph_invoke_cache_misses_total":
+				c.invokeMisses += v
+			case "chatgraph_graphstore_hits_total":
+				c.internHits += v
+			case "chatgraph_graphstore_misses_total":
+				c.internMisses += v
+			}
+		}
 	}
-	return sum
+	return c, metricsOK
 }
 
 // cacheDelta turns two scrapes into the report's cache block; nil when
@@ -897,29 +824,58 @@ func cacheDelta(before, after cacheCounters) *CacheReport {
 	return r
 }
 
-func probe(client *http.Client, url, mustContain string) bool {
-	resp, err := client.Get(url)
-	if err != nil {
-		return false
+// outcome is the report column one sample lands in.
+type outcome int
+
+const (
+	outOK outcome = iota
+	outShed
+	// outRejected is an expected 4xx to a hostile tenant's adversarial
+	// request — the server saying no, which is the desired outcome.
+	outRejected
+	outError
+	nOutcomes
+)
+
+// classify is loadgen's one outcome rule (DESIGN.md "Load generator" has it
+// as a table). 429 is shed, not an error — shedding is the admission policy
+// working as designed. A hostile request's other 4xxs are rejections; a 2xx
+// to one is counted ok, so the anomaly stays visible. A job is ok only when
+// it was accepted and completed — its latency is submit-to-done — and one
+// that fails, is cancelled or never settles is an error.
+func classify(op string, status int, err error, jobState string) outcome {
+	switch {
+	case err != nil:
+		return outError
+	case status == http.StatusTooManyRequests:
+		return outShed
+	case op == "hostile" && status >= 400 && status < 500:
+		return outRejected
+	case op == "job":
+		if status == http.StatusAccepted && jobState == "done" {
+			return outOK
+		}
+		return outError
+	case status >= 200 && status < 300:
+		return outOK
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return false
-	}
-	return mustContain == "" || strings.Contains(string(body), mustContain)
+	return outError
 }
 
-// opStats accumulates one operation's samples.
+// sample is one finished operation, as a worker hands it to record.
+type sample struct {
+	op, tenant, backend string // tenant and backend are empty when unknown
+	status              int    // 0 on a transport error
+	err                 error
+	jobState            string // a job's terminal state, or "stuck"
+	offHome             bool   // a chat a router served off its session's home backend
+	d                   time.Duration
+}
+
+// opStats accumulates one report row's samples.
 type opStats struct {
-	requests int
-	ok       int
-	shed     int
-	// rejected counts expected 4xxs from a hostile tenant's adversarial
-	// requests — the server saying no, which is the desired outcome.
-	rejected  int
-	errors    int
-	latencies []float64 // seconds, successful (2xx) requests only
+	n         [nOutcomes]int // samples per outcome
+	latencies []float64      // seconds, ok samples only
 }
 
 // runStats is the mutex-guarded collector shared by the workers. A load
@@ -945,157 +901,33 @@ func newRunStats() *runStats {
 	}
 }
 
-// tally applies one sample to an opStats bucket.
-func tally(s *opStats, status int, err error, d time.Duration) {
-	s.requests++
+// record classifies s once and counts it in its op row, its tenant row
+// (-tenant-keys runs) and its backend row (responses that named one), so
+// the three breakdowns always agree about the same sample.
+func (r *runStats) record(s sample) {
+	o := classify(s.op, s.status, s.err, s.jobState)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, st := range [...]*opStats{rowLocked(r.ops, s.op), rowLocked(r.tenants, s.tenant), rowLocked(r.backends, s.backend)} {
+		if st == nil {
+			continue
+		}
+		st.n[o]++
+		if o == outOK {
+			st.latencies = append(st.latencies, s.d.Seconds())
+		}
+	}
+	if s.offHome {
+		r.affinity++
+	}
+	// The jobs block breaks the job row's outcomes down by lifecycle.
 	switch {
-	case err != nil:
-		s.errors++
-	case status >= 200 && status < 300:
-		s.ok++
-		s.latencies = append(s.latencies, d.Seconds())
-	case status == http.StatusTooManyRequests:
-		s.shed++
-	default:
-		s.errors++
-	}
-}
-
-// tenantLocked returns the named tenant's bucket; nil outside -tenant-keys
-// mode (the anonymous single-partition run has no per-tenant breakdown).
-func (r *runStats) tenantLocked(name string) *opStats {
-	if name == "" {
-		return nil
-	}
-	s := r.tenants[name]
-	if s == nil {
-		s = &opStats{}
-		r.tenants[name] = s
-	}
-	return s
-}
-
-// recordBackendLocked mirrors one sample into the per-backend breakdown;
-// backend is empty when the target is a bare daemon (no X-Backend header).
-func (r *runStats) recordBackendLocked(backend string, status int, err error, d time.Duration) {
-	if backend == "" {
-		return
-	}
-	s := r.backends[backend]
-	if s == nil {
-		s = &opStats{}
-		r.backends[backend] = s
-	}
-	tally(s, status, err, d)
-}
-
-func (r *runStats) record(op, tenant, backend string, status int, err error, d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.ops[op]
-	if s == nil {
-		s = &opStats{}
-		r.ops[op] = s
-	}
-	tally(s, status, err, d)
-	if ts := r.tenantLocked(tenant); ts != nil {
-		tally(ts, status, err, d)
-	}
-	r.recordBackendLocked(backend, status, err, d)
-}
-
-// recordHostile accounts one adversarial request. A 4xx other than 429 is
-// the expected outcome — the server rejecting garbage — and lands in the
-// rejected column; a 2xx means the server accepted something it should not
-// have, counted as ok so the anomaly stays visible in the report.
-func (r *runStats) recordHostile(tenant, backend string, status int, err error, d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recordBackendLocked(backend, status, err, d)
-	apply := func(s *opStats) {
-		if s == nil {
-			return
-		}
-		s.requests++
-		switch {
-		case err != nil:
-			s.errors++
-		case status == http.StatusTooManyRequests:
-			s.shed++
-		case status >= 400 && status < 500:
-			s.rejected++
-		case status >= 200 && status < 300:
-			s.ok++
-		default:
-			s.errors++
-		}
-	}
-	s := r.ops["hostile"]
-	if s == nil {
-		s = &opStats{}
-		r.ops["hostile"] = s
-	}
-	apply(s)
-	apply(r.tenantLocked(tenant))
-}
-
-// affinityViolation counts one chat that a router served off its session's
-// home backend — any nonzero count is a routing bug.
-func (r *runStats) affinityViolation() {
-	r.mu.Lock()
-	r.affinity++
-	r.mu.Unlock()
-}
-
-func (r *runStats) drop() {
-	r.mu.Lock()
-	r.drops++
-	r.mu.Unlock()
-}
-
-// recordJob accounts one async job operation. A completed job is the op's
-// success sample — its latency is submit-to-done, so the "job" row's
-// percentiles read as completion latency. A job that fails, is cancelled,
-// or never settles counts as an error on the op and is broken out in the
-// jobs block.
-func (r *runStats) recordJob(tenant string, status int, outcome, backend string, err error, d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recordBackendLocked(backend, status, err, d)
-	apply := func(s *opStats) {
-		if s == nil {
-			return
-		}
-		s.requests++
-		switch {
-		case err != nil:
-			s.errors++
-		case status == http.StatusTooManyRequests:
-			s.shed++
-		case status != http.StatusAccepted:
-			s.errors++
-		case outcome == "done":
-			s.ok++
-			s.latencies = append(s.latencies, d.Seconds())
-		default: // failed, cancelled, stuck
-			s.errors++
-		}
-	}
-	s := r.ops["job"]
-	if s == nil {
-		s = &opStats{}
-		r.ops["job"] = s
-	}
-	apply(s)
-	apply(r.tenantLocked(tenant))
-	switch {
-	case err != nil:
-	case status == http.StatusTooManyRequests:
+	case s.op != "job":
+	case o == outShed:
 		r.jobs.Shed++
-	case status != http.StatusAccepted:
-	default:
+	case s.err == nil && s.status == http.StatusAccepted:
 		r.jobs.Submitted++
-		switch outcome {
+		switch s.jobState {
 		case "done":
 			r.jobs.Completed++
 		case "failed":
@@ -1108,10 +940,61 @@ func (r *runStats) recordJob(tenant string, status int, outcome, backend string,
 	}
 }
 
-func (r *runStats) jobsReport() JobsReport {
+// rowLocked returns m's row for name, creating it; nil for an empty name
+// (no tenant outside -tenant-keys, no backend when no router answered).
+func rowLocked(m map[string]*opStats, name string) *opStats {
+	if name == "" {
+		return nil
+	}
+	st := m[name]
+	if st == nil {
+		st = &opStats{}
+		m[name] = st
+	}
+	return st
+}
+
+func (r *runStats) drop() {
+	r.mu.Lock()
+	r.drops++
+	r.mu.Unlock()
+}
+
+// fill writes the collected rows into rep.
+func (r *runStats) fill(rep *Report, elapsed time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.jobs
+	rep.Drops, rep.AffinityViolations = r.drops, r.affinity
+	rep.Ops = make(map[string]OpReport, len(r.ops))
+	var total opStats
+	for name, s := range r.ops {
+		rep.Ops[name] = summarize(s, elapsed)
+		total.latencies = append(total.latencies, s.latencies...)
+		for o, n := range s.n {
+			total.n[o] += n
+		}
+	}
+	rep.Total = summarize(&total, elapsed)
+	if len(r.backends) > 0 {
+		rep.Backends = make(map[string]OpReport, len(r.backends))
+		for name, s := range r.backends {
+			rep.Backends[name] = summarize(s, elapsed)
+		}
+	}
+	if len(r.tenants) > 0 {
+		admittedTotal := 0
+		for _, s := range r.tenants {
+			admittedTotal += s.n[outOK] + s.n[outRejected]
+		}
+		rep.Tenants = make(map[string]TenantReport, len(r.tenants))
+		for name, s := range r.tenants {
+			tr := TenantReport{OpReport: summarize(s, elapsed), Admitted: s.n[outOK] + s.n[outRejected]}
+			if admittedTotal > 0 {
+				tr.AdmittedShare = round4(float64(tr.Admitted) / float64(admittedTotal))
+			}
+			rep.Tenants[name] = tr
+		}
+	}
 }
 
 // LatencySummary is the latency block of one report entry, milliseconds.
@@ -1220,9 +1103,10 @@ type Report struct {
 }
 
 func summarize(s *opStats, elapsed time.Duration) OpReport {
-	rep := OpReport{Requests: s.requests, OK: s.ok, Shed: s.shed, Rejected: s.rejected, Errors: s.errors}
+	rep := OpReport{OK: s.n[outOK], Shed: s.n[outShed], Rejected: s.n[outRejected], Errors: s.n[outError]}
+	rep.Requests = rep.OK + rep.Shed + rep.Rejected + rep.Errors
 	if elapsed > 0 {
-		rep.ThroughputRPS = round2(float64(s.ok) / elapsed.Seconds())
+		rep.ThroughputRPS = round2(float64(rep.OK) / elapsed.Seconds())
 	}
 	if len(s.latencies) == 0 {
 		return rep
@@ -1264,60 +1148,6 @@ func roundMS(seconds float64) float64 { return round2(seconds * 1000) }
 func round2(v float64) float64 { return math.Round(v*100) / 100 }
 
 func round4(v float64) float64 { return math.Round(v*10000) / 10000 }
-
-func (r *runStats) report(mode, target string, elapsed time.Duration, concurrency int, rate, chatFrac float64, sessions int, healthzOK, metricsOK bool) Report {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rep := Report{
-		Schema:      "chatgraph.loadgen/v1",
-		Target:      target,
-		Mode:        mode,
-		DurationS:   round2(elapsed.Seconds()),
-		Concurrency: concurrency,
-		ChatFrac:    chatFrac,
-		Sessions:    sessions,
-		Drops:       r.drops,
-		HealthzOK:   healthzOK,
-		MetricsOK:   metricsOK,
-		Ops:         make(map[string]OpReport, len(r.ops)),
-	}
-	if mode == "open" {
-		rep.RateRPS = rate
-	}
-	var total opStats
-	for name, s := range r.ops {
-		rep.Ops[name] = summarize(s, elapsed)
-		total.latencies = append(total.latencies, s.latencies...)
-		total.requests += s.requests
-		total.ok += s.ok
-		total.shed += s.shed
-		total.rejected += s.rejected
-		total.errors += s.errors
-	}
-	rep.Total = summarize(&total, elapsed)
-	rep.AffinityViolations = r.affinity
-	if len(r.backends) > 0 {
-		rep.Backends = make(map[string]OpReport, len(r.backends))
-		for name, s := range r.backends {
-			rep.Backends[name] = summarize(s, elapsed)
-		}
-	}
-	if len(r.tenants) > 0 {
-		admittedTotal := 0
-		for _, s := range r.tenants {
-			admittedTotal += s.ok + s.rejected
-		}
-		rep.Tenants = make(map[string]TenantReport, len(r.tenants))
-		for name, s := range r.tenants {
-			tr := TenantReport{OpReport: summarize(s, elapsed), Admitted: s.ok + s.rejected}
-			if admittedTotal > 0 {
-				tr.AdmittedShare = round4(float64(tr.Admitted) / float64(admittedTotal))
-			}
-			rep.Tenants[name] = tr
-		}
-	}
-	return rep
-}
 
 func (rep Report) print(w io.Writer) {
 	fmt.Fprintf(w, "\nloadgen %s loop · %s · %.1fs · healthz=%v metrics=%v\n",

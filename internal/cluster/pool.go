@@ -158,7 +158,6 @@ func (b *Backend) BeginProbe(now time.Time) bool {
 // what makes HRW owners stable identities.
 type Pool struct {
 	backends []*Backend
-	policy   Policy
 }
 
 // NewPool builds a pool over the given backend base URLs (scheme + host,
@@ -173,7 +172,7 @@ func NewPool(rawURLs []string, policy Policy, reg *metrics.Registry) (*Pool, err
 	if len(rawURLs) == 0 {
 		return nil, fmt.Errorf("cluster: pool needs at least one backend")
 	}
-	p := &Pool{policy: policy}
+	p := &Pool{}
 	seen := make(map[string]bool, len(rawURLs))
 	for _, raw := range rawURLs {
 		raw = strings.TrimSpace(raw)

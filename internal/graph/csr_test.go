@@ -20,9 +20,11 @@ func (g *Graph) InNeighbors(u NodeID) []NodeID {
 	if !g.directed {
 		return g.Neighbors(u)
 	}
-	out := make([]NodeID, 0, len(g.radj[u]))
-	for _, ei := range g.radj[u] {
-		out = append(out, g.edges[ei].From)
+	var out []NodeID
+	for _, e := range g.Edges() {
+		if e.To == u {
+			out = append(out, e.From)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -50,7 +50,6 @@ type Graph struct {
 	// adj[u] lists indexes into edges for all edges incident to u (for
 	// undirected graphs) or leaving u (for directed graphs).
 	adj   [][]int
-	radj  [][]int // directed only: edges entering u
 	edges []Edge
 
 	// version counts mutations; Freeze and the cached content hash are
@@ -105,9 +104,6 @@ func (g *Graph) Grow(nodes, edges int) {
 	if nodes > 0 {
 		g.nodes = append(make([]Node, 0, len(g.nodes)+nodes), g.nodes...)
 		g.adj = append(make([][]int, 0, len(g.adj)+nodes), g.adj...)
-		if g.directed {
-			g.radj = append(make([][]int, 0, len(g.radj)+nodes), g.radj...)
-		}
 	}
 	if edges > 0 {
 		g.edges = append(make([]Edge, 0, len(g.edges)+edges), g.edges...)
@@ -134,9 +130,6 @@ func (g *Graph) AddNode(label string) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Label: label})
 	g.adj = append(g.adj, nil)
-	if g.directed {
-		g.radj = append(g.radj, nil)
-	}
 	g.bump()
 	return id
 }
@@ -204,9 +197,7 @@ func (g *Graph) AddEdgeLabeled(from, to NodeID, label string, weight float64) er
 	idx := len(g.edges)
 	g.edges = append(g.edges, Edge{From: from, To: to, Label: label, Weight: weight})
 	g.adj[from] = append(g.adj[from], idx)
-	if g.directed {
-		g.radj[to] = append(g.radj[to], idx)
-	} else {
+	if !g.directed {
 		g.adj[to] = append(g.adj[to], idx)
 	}
 	g.bump()
@@ -283,14 +274,9 @@ func (g *Graph) rebuildAdj() {
 	for i := range g.adj {
 		g.adj[i] = g.adj[i][:0]
 	}
-	for i := range g.radj {
-		g.radj[i] = g.radj[i][:0]
-	}
 	for idx, e := range g.edges {
 		g.adj[e.From] = append(g.adj[e.From], idx)
-		if g.directed {
-			g.radj[e.To] = append(g.radj[e.To], idx)
-		} else {
+		if !g.directed {
 			g.adj[e.To] = append(g.adj[e.To], idx)
 		}
 	}
@@ -349,12 +335,6 @@ func (g *Graph) Clone() *Graph {
 	c.adj = make([][]int, len(g.adj))
 	for i, a := range g.adj {
 		c.adj[i] = append([]int(nil), a...)
-	}
-	if g.directed {
-		c.radj = make([][]int, len(g.radj))
-		for i, a := range g.radj {
-			c.radj[i] = append([]int(nil), a...)
-		}
 	}
 	return c
 }

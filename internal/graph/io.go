@@ -65,7 +65,7 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	// bump the version so any cached view of the old contents is invalid.
 	g.Name = jg.Name
 	g.directed = jg.Directed
-	g.nodes, g.edges, g.adj, g.radj = nil, nil, nil, nil
+	g.nodes, g.edges, g.adj = nil, nil, nil
 	g.bump()
 	return g.loadWire(&jg)
 }
@@ -116,10 +116,6 @@ func (g *Graph) loadWire(jg *jsonGraph) error {
 	// as AddEdgeLabeled reported them.
 	edges := make([]Edge, m)
 	deg := make([]int, n)
-	var rdeg []int
-	if g.directed {
-		rdeg = make([]int, n)
-	}
 	for i := range jg.Edges {
 		e := &jg.Edges[i]
 		var from, to NodeID
@@ -149,9 +145,7 @@ func (g *Graph) loadWire(jg *jsonGraph) error {
 		}
 		edges[i] = Edge{From: from, To: to, Label: e.Label, Weight: w}
 		deg[from]++
-		if g.directed {
-			rdeg[to]++
-		} else {
+		if !g.directed {
 			deg[to]++
 		}
 	}
@@ -163,10 +157,6 @@ func (g *Graph) loadWire(jg *jsonGraph) error {
 	for _, d := range deg {
 		total += d
 	}
-	rstart := total
-	for _, d := range rdeg {
-		total += d
-	}
 	slab := make([]int, 0, total)
 	adj := make([][]int, n)
 	off := 0
@@ -174,26 +164,15 @@ func (g *Graph) loadWire(jg *jsonGraph) error {
 		adj[u] = slab[off : off : off+d]
 		off += d
 	}
-	var radj [][]int
-	if g.directed {
-		radj = make([][]int, n)
-		off = rstart
-		for u, d := range rdeg {
-			radj[u] = slab[off : off : off+d]
-			off += d
-		}
-	}
 	for i := range edges {
 		e := &edges[i]
 		adj[e.From] = append(adj[e.From], i)
-		if g.directed {
-			radj[e.To] = append(radj[e.To], i)
-		} else {
+		if !g.directed {
 			adj[e.To] = append(adj[e.To], i)
 		}
 	}
 
-	g.nodes, g.edges, g.adj, g.radj = nodes, edges, adj, radj
+	g.nodes, g.edges, g.adj = nodes, edges, adj
 	// The version advances exactly as the incremental path did: the caller's
 	// reset bump plus one per node and per edge, so parsing the same bytes
 	// twice yields the same Version() (exported, and pinned by tests).

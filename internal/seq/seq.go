@@ -66,10 +66,8 @@ type Result struct {
 	// SuperPaths is the level-1 path cover over the motif super-graph
 	// (empty when Levels < 2 or the graph has no motifs to merge).
 	SuperPaths []Path
-	// Super is the motif super-graph itself; SuperMembers[i] lists the
-	// original nodes merged into super-node i.
-	Super        *graph.Graph
-	SuperMembers [][]graph.NodeID
+	// Super is the motif super-graph itself.
+	Super *graph.Graph
 	// NumPaths and NumSuperPaths are the sizes of the whole covers. They
 	// exceed len(Paths) and len(SuperPaths) only in a SequentializeHead
 	// result, whose slices hold the printed heads.
@@ -94,7 +92,7 @@ func sequentialize(g *graph.Graph, opts Options, limit, superLimit int) Result {
 	var res Result
 	res.Paths, res.NumPaths = cover(g, opts.MaxLength, limit)
 	if opts.Levels >= 2 && g.NumNodes() > 0 {
-		res.Super, res.SuperMembers = SuperGraph(g)
+		res.Super, _ = SuperGraph(g)
 		// Only sequentialize the super level when it actually coarsens the
 		// graph; otherwise it duplicates level 0.
 		if res.Super.NumNodes() < g.NumNodes() {
