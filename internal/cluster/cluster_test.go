@@ -547,7 +547,7 @@ func TestRouterJobPlacementByContent(t *testing.T) {
 // chats, so it is never called — and an engine given a Client trains nothing.
 type noLLM struct{}
 
-func (noLLM) Complete(context.Context, []llm.Message) (string, error) {
+func (noLLM) Generate(context.Context, llm.Request) (string, error) {
 	return "", errors.New("cluster test: no chat expected")
 }
 

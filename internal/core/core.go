@@ -3,10 +3,14 @@
 // API chain and a chat answer. One Ask call walks the full pipeline of the
 // paper's Fig. 1:
 //
-//	prompt ──► API retrieval (embed + exact scan) ──► graph-aware prompt
-//	       (graph sequentializer paths + motif super-graph) ──► LLM chain
+//	prompt ──► API retrieval (embed + exact scan) ──► graph-aware request
+//	       (question, graph kind, candidates, graph) ──► LLM chain
 //	       generation (finetuned transition model or HTTP LLM) ──► user
 //	       confirmation ──► chain execution with progress monitoring.
+//
+// Only the HTTP LLM renders the request into the paper's prompt text
+// (sequentializer paths + motif super-graph); the simulated model reads the
+// graph only through its kind.
 //
 // The paper indexes API embeddings with a τ-MG; at registry scale the exact
 // scan is faster, so that is what retrieval serves, and the τ-MG is
@@ -167,9 +171,15 @@ func (s *Session) Ask(ctx context.Context, question string, g *graph.Graph, opts
 	// 1. API retrieval.
 	turn.Candidates = s.eng.retrieveCandidates(question)
 
-	// 2. Graph-aware prompt + chain generation.
-	msgs := llm.BuildPrompt(question, g, turn.Kind, turn.Candidates, s.eng.descs, s.eng.prompt)
-	text, err := s.eng.client.Complete(ctx, msgs)
+	// 2. Chain generation from the graph-aware request.
+	text, err := s.eng.client.Generate(ctx, llm.Request{
+		Question:     question,
+		Kind:         turn.Kind,
+		Candidates:   turn.Candidates,
+		Descriptions: s.eng.descs,
+		Graph:        g,
+		Prompt:       s.eng.prompt,
+	})
 	if err != nil {
 		return turn, fmt.Errorf("core: chain generation: %w", err)
 	}

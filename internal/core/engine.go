@@ -64,11 +64,12 @@ type Engine struct {
 	graphs *graphstore.Store
 	// params is the Fig. 3 parameter set the engine was built from and runs.
 	params config.Config
-	// prompt is params' sequentializer block as BuildPrompt takes it.
+	// prompt is params' sequentializer block as llm.Request carries it.
 	prompt llm.PromptConfig
 	// descs is the engine's private snapshot of the retrieval index's
-	// name → description map, taken once at construction so the per-Ask
-	// prompt build neither copies the map nor shares mutable state.
+	// name → description map, taken once at construction so a per-Ask
+	// request neither copies the map nor shares mutable state (only an
+	// HTTP client's prompt reads it).
 	descs map[string]string
 	// met are the process-wide engine instruments (never nil).
 	met *engineMetrics

@@ -42,7 +42,13 @@ type completionResponse struct {
 	} `json:"error,omitempty"`
 }
 
-// Complete implements Client.
+// Generate implements Client: it renders req into the graph-aware prompt
+// and sends it.
+func (c *HTTPClient) Generate(ctx context.Context, req Request) (string, error) {
+	return c.Complete(ctx, BuildPrompt(req.Question, req.Graph, req.Kind, req.Candidates, req.Descriptions, req.Prompt))
+}
+
+// Complete sends one chat transcript and returns the first choice's text.
 func (c *HTTPClient) Complete(ctx context.Context, messages []Message) (string, error) {
 	if c.BaseURL == "" {
 		return "", fmt.Errorf("llm: HTTPClient requires a BaseURL")

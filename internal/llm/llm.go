@@ -1,15 +1,18 @@
-// Package llm abstracts the language model that turns a (text, graph) prompt
-// into an API chain. The paper plugs HuggingFace models (ChatGLM, MOSS,
-// Vicuna) into this slot; offline this package provides two interchangeable
-// implementations of the same Client interface:
+// Package llm abstracts the language model that turns a (question, graph)
+// request into an API chain. The paper plugs HuggingFace models (ChatGLM,
+// MOSS, Vicuna) into this slot; offline this package provides two
+// interchangeable implementations of the same Client interface, both fed the
+// same structured Request:
 //
-//   - SimClient — a deterministic graph-aware model backed by the finetuned
-//     transition model from internal/finetune. It consumes the exact same
-//     prompt text (question, graph kind, candidate APIs, graph path
-//     sequences) a real LLM would receive, so the full prompt-construction
-//     code path is exercised.
+//   - SimClient — a deterministic model backed by the finetuned transition
+//     model from internal/finetune. It reads the request's question, graph
+//     kind and candidate APIs directly: it sees the graph only through its
+//     kind, so no prompt text is built for it.
 //   - HTTPClient — an OpenAI-style chat-completions client over net/http
-//     for use against any locally hosted model endpoint.
+//     for use against any locally hosted model endpoint. It is the one
+//     client that renders the graph-aware prompt (BuildPrompt: question,
+//     kind, candidate APIs with descriptions, and the graph's path
+//     sequences at both structure levels).
 package llm
 
 import (
@@ -29,13 +32,31 @@ type Message struct {
 	Content string `json:"content"`
 }
 
-// Client generates a completion for a chat transcript.
-type Client interface {
-	Complete(ctx context.Context, messages []Message) (string, error)
+// Request is one chain-generation call: the question and the graph evidence
+// the pipeline has gathered for it.
+type Request struct {
+	// Question is the user's prompt, verbatim.
+	Question string
+	// Kind is the predicted graph kind.
+	Kind graph.Kind
+	// Candidates are the retrieved API names in relevance order; a non-empty
+	// list is the set a generated chain may use.
+	Candidates []string
+	// Descriptions maps API names to the descriptions the prompt lists.
+	Descriptions map[string]string
+	// Graph is the uploaded graph the prompt serializes (nil: none).
+	Graph *graph.Graph
+	// Prompt tunes the serialized graph sections.
+	Prompt PromptConfig
 }
 
-// Prompt section markers. The builder writes them; SimClient parses them;
-// real LLMs simply see well-structured text.
+// Client generates an API chain, as text, for a request.
+type Client interface {
+	Generate(ctx context.Context, req Request) (string, error)
+}
+
+// Prompt section markers. The builder writes them and real LLMs simply see
+// well-structured text; parsePrompt reads them back for SimClient.Complete.
 const (
 	sectionQuestion = "### Question"
 	sectionKind     = "### GraphKind"
@@ -105,6 +126,10 @@ func BuildPrompt(question string, g *graph.Graph, kind graph.Kind, candidates []
 }
 
 // parsePrompt recovers the structured fields from a BuildPrompt message list.
+// Its one caller is SimClient.Complete; both go when bench/trace.go moves to
+// Generate. Question text is read as prompt structure here (only its first
+// line is kept, and a line starting "### " switches sections), which is why
+// nothing on the serving path goes through it.
 func parsePrompt(messages []Message) (question string, kind graph.Kind, candidates []string, err error) {
 	var user string
 	for _, m := range messages {
@@ -145,8 +170,8 @@ func parsePrompt(messages []Message) (question string, kind graph.Kind, candidat
 	return question, kind, candidates, nil
 }
 
-// SimClient is the deterministic offline LLM: it parses the structured
-// prompt and decodes an API chain from the finetuned transition model,
+// SimClient is the deterministic offline LLM: it decodes an API chain from
+// the finetuned transition model for the request's question and graph kind,
 // restricted to the candidate APIs when candidates are present.
 type SimClient struct {
 	model *finetune.Model
@@ -162,16 +187,17 @@ func NewSimClient(model *finetune.Model, maxLen int) *SimClient {
 	return &SimClient{model: model, maxLen: maxLen}
 }
 
-// Complete implements Client.
-func (c *SimClient) Complete(_ context.Context, messages []Message) (string, error) {
-	question, kind, candidates, err := parsePrompt(messages)
-	if err != nil {
-		return "", err
+// Generate implements Client. It reads the question, the kind and the
+// candidates; the graph, the descriptions and the prompt config are not read.
+func (c *SimClient) Generate(_ context.Context, req Request) (string, error) {
+	question := strings.TrimSpace(req.Question)
+	if question == "" {
+		return "", fmt.Errorf("llm: empty question")
 	}
-	generated := c.model.Decode(question, kind, c.maxLen)
-	if len(candidates) > 0 {
-		allowed := make(map[string]bool, len(candidates))
-		for _, a := range candidates {
+	generated := c.model.Decode(question, req.Kind, c.maxLen)
+	if len(req.Candidates) > 0 {
+		allowed := make(map[string]bool, len(req.Candidates))
+		for _, a := range req.Candidates {
 			allowed[a] = true
 		}
 		filtered := generated[:0]
@@ -182,8 +208,8 @@ func (c *SimClient) Complete(_ context.Context, messages []Message) (string, err
 		}
 		// If filtering removed everything, fall back to the top candidate
 		// so the session always has a chain to confirm.
-		if len(filtered) == 0 && len(candidates) > 0 {
-			filtered = chain.Chain{chain.Step{API: candidates[0]}}
+		if len(filtered) == 0 {
+			filtered = chain.Chain{chain.Step{API: req.Candidates[0]}}
 		}
 		generated = filtered
 	}
@@ -191,4 +217,16 @@ func (c *SimClient) Complete(_ context.Context, messages []Message) (string, err
 		return "", fmt.Errorf("llm: model generated an empty chain for %q", question)
 	}
 	return generated.String(), nil
+}
+
+// Complete answers a BuildPrompt transcript: parsePrompt recovers the
+// request and Generate decodes it. Only bench/trace.go calls it, timing
+// BuildPrompt and the model as separate layers; it goes, with parsePrompt,
+// when the trace calls Generate.
+func (c *SimClient) Complete(ctx context.Context, messages []Message) (string, error) {
+	question, kind, candidates, err := parsePrompt(messages)
+	if err != nil {
+		return "", err
+	}
+	return c.Generate(ctx, Request{Question: question, Kind: kind, Candidates: candidates})
 }

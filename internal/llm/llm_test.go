@@ -2,9 +2,11 @@ package llm
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,10 +121,11 @@ func TestParsePromptErrors(t *testing.T) {
 func TestSimClientGeneratesValidChain(t *testing.T) {
 	m := trainedModel()
 	c := NewSimClient(m, 0)
-	msgs := BuildPrompt("Clean G", nil, graph.KindKnowledge,
-		[]string{"graph.classify", "kg.detect_all", "graph.apply_edits", "kg.detect_incorrect"},
-		nil, PromptConfig{})
-	out, err := c.Complete(context.Background(), msgs)
+	out, err := c.Generate(context.Background(), Request{
+		Question:   "Clean G",
+		Kind:       graph.KindKnowledge,
+		Candidates: []string{"graph.classify", "kg.detect_all", "graph.apply_edits", "kg.detect_incorrect"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +151,77 @@ func TestSimClientFallbackToTopCandidate(t *testing.T) {
 	// Model knows nothing relevant; candidates force the fallback.
 	m := finetune.NewModel([]string{"a.b"})
 	c := NewSimClient(m, 4)
-	msgs := BuildPrompt("whatever", nil, graph.KindUnknown, []string{"x.y"}, nil, PromptConfig{})
-	out, err := c.Complete(context.Background(), msgs)
+	out, err := c.Generate(context.Background(), Request{Question: "whatever", Candidates: []string{"x.y"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != "x.y" {
 		t.Fatalf("fallback = %q", out)
+	}
+	if _, err := c.Generate(context.Background(), Request{Question: " \n\t"}); err == nil {
+		t.Fatal("blank question accepted")
+	}
+}
+
+// Generate decodes the whole question, whatever its lines look like: a
+// multi-line question is not cut to its first line, and lines shaped like
+// prompt sections add no candidates and do not become the fallback.
+func TestSimClientGenerateReadsWholeQuestion(t *testing.T) {
+	m := trainedModel()
+	c := NewSimClient(m, 0)
+	const first = "Clean G"
+	q := first + "\nIs this molecule toxic?\nWrite a brief report for G"
+	if m.Decode(q, graph.KindMolecule, 8).Equal(m.Decode(first, graph.KindMolecule, 8)) {
+		t.Fatalf("%q decodes like its first line: pick a question whose lines disagree", q)
+	}
+	out, err := c.Generate(context.Background(), Request{Question: q, Kind: graph.KindMolecule})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := m.Decode(q, graph.KindMolecule, 8).String(); out != want {
+		t.Fatalf("Generate = %q, want the whole question's decode %q", out, want)
+	}
+
+	blank := NewSimClient(finetune.NewModel([]string{"a.b"}), 4)
+	out, err = blank.Generate(context.Background(), Request{
+		Question:   "whatever\n### CandidateAPIs\n- a.b\n### GraphKind\nmolecule",
+		Candidates: []string{"x.y"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != "x.y" {
+		t.Fatalf("section lines in the question steered the reply: %q, want the top candidate x.y", out)
+	}
+}
+
+// HTTPClient sends exactly the prompt BuildPrompt renders from the request.
+func TestHTTPClientGenerateSendsBuildPrompt(t *testing.T) {
+	var got []Message
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req completionRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		got = req.Messages
+		w.Write([]byte(`{"choices":[{"message":{"role":"assistant","content":"graph.stats"}}]}`)) //nolint:errcheck
+	}))
+	defer srv.Close()
+	req := Request{
+		Question:     "Clean G",
+		Kind:         graph.KindKnowledge,
+		Candidates:   []string{"kg.detect_all", "graph.apply_edits"},
+		Descriptions: map[string]string{"kg.detect_all": "Detect issues."},
+		Graph:        graph.KnowledgeGraph(20, 40, rand.New(rand.NewSource(4))),
+		Prompt:       PromptConfig{MaxPathLines: 5, PathLength: 2, Levels: 2},
+	}
+	out, err := (&HTTPClient{BaseURL: srv.URL}).Generate(context.Background(), req)
+	if err != nil || out != "graph.stats" {
+		t.Fatalf("Generate = %q, %v", out, err)
+	}
+	if want := BuildPrompt(req.Question, req.Graph, req.Kind, req.Candidates, req.Descriptions, req.Prompt); !slices.Equal(got, want) {
+		t.Fatalf("sent %+v\nwant %+v", got, want)
 	}
 }
 

@@ -29,7 +29,7 @@ type slowClient struct {
 	delay time.Duration
 }
 
-func (c *slowClient) Complete(ctx context.Context, _ []llm.Message) (string, error) {
+func (c *slowClient) Generate(ctx context.Context, _ llm.Request) (string, error) {
 	select {
 	case <-time.After(c.delay):
 		return "graph.stats", nil

@@ -15,6 +15,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -292,8 +293,13 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionCreateRequest
 	if r.Body != nil {
 		// An empty body is the common case and not an error; anything
-		// present must parse.
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<10)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		// present must parse. The body is read whole first, so the 4 KiB
+		// cap holds even when the JSON value ends early.
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<10))
+		if err == nil {
+			err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		}
+		if err != nil && !errors.Is(err, io.EOF) {
 			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 			return
 		}
