@@ -22,7 +22,11 @@ func registerUnderstand(r *Registry, _ *Env) {
 			{Name: "max_iters", Description: "maximum propagation rounds", Kind: "int", Default: "20"},
 		},
 		Fn: func(in Input) (Output, error) {
-			comms := LabelPropagation(in.Graph, in.IntArg("max_iters", 20))
+			rounds := in.IntArg("max_iters", 20)
+			if rounds < 1 {
+				return Output{}, fmt.Errorf("community.detect: max_iters must be at least 1, got %d", rounds)
+			}
+			comms := LabelPropagation(in.Graph, rounds)
 			q := Modularity(in.Graph, comms)
 			sizes := communitySizes(comms)
 			text := fmt.Sprintf("Found %d communities (modularity %.3f). Sizes: %s.",
@@ -245,34 +249,43 @@ func joinInts(xs []int, max int) string {
 }
 
 // LabelPropagation assigns each node a community by iteratively adopting the
-// most common label among its neighbors. Deterministic: nodes update in ID
-// order and ties break toward the smallest label.
+// most common label among its neighbors, for at most maxIters rounds.
+// Deterministic: nodes update in ID order and ties break toward the smallest
+// label.
+//
+// Neighbour labels are counted in one array indexed by label, and only the
+// slots a node touched are reset after it, so a round allocates nothing; the
+// same array then renumbers the labels.
 func LabelPropagation(g *graph.Graph, maxIters int) []int {
 	n := g.NumNodes()
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = i
 	}
-	if maxIters <= 0 {
-		maxIters = 20
-	}
+	scratch := make([]int, 2*n)
+	counts, touched := scratch[:n], scratch[n:n]
 	c := g.Freeze()
 	for iter := 0; iter < maxIters; iter++ {
 		changed := false
 		for u := 0; u < n; u++ {
-			counts := make(map[int]int)
 			for _, nb := range c.OutNeighbors(graph.NodeID(u)) {
-				counts[labels[nb]]++
+				l := labels[nb]
+				if counts[l] == 0 {
+					touched = append(touched, l)
+				}
+				counts[l]++
 			}
-			if len(counts) == 0 {
+			if len(touched) == 0 {
 				continue
 			}
 			best, bestCount := labels[u], counts[labels[u]]
-			for l, c := range counts {
-				if c > bestCount || c == bestCount && l < best {
-					best, bestCount = l, c
+			for _, l := range touched {
+				if cnt := counts[l]; cnt > bestCount || cnt == bestCount && l < best {
+					best, bestCount = l, cnt
 				}
+				counts[l] = 0
 			}
+			touched = touched[:0]
 			if best != labels[u] {
 				labels[u] = best
 				changed = true
@@ -282,13 +295,15 @@ func LabelPropagation(g *graph.Graph, maxIters int) []int {
 			break
 		}
 	}
-	// Renumber to dense community IDs in first-appearance order.
-	remap := make(map[int]int)
+	// Renumber to dense community IDs in first-appearance order; counts is
+	// all zeros again and holds each label's new ID plus one.
+	next := 0
 	for i, l := range labels {
-		if _, ok := remap[l]; !ok {
-			remap[l] = len(remap)
+		if counts[l] == 0 {
+			next++
+			counts[l] = next
 		}
-		labels[i] = remap[l]
+		labels[i] = counts[l] - 1
 	}
 	return labels
 }

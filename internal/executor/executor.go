@@ -170,7 +170,7 @@ func (e *Executor) Run(ctx context.Context, g *graph.Graph, c chain.Chain, opts 
 	}
 	if g != nil && g.Shared() && e.reg.ChainMutates(c) {
 		// g is an interned graph shared across sessions; a chain that edits
-		// it gets a private deep copy so no other conversation observes the
+		// it gets a private copy (Graph.Clone) so no other conversation sees the
 		// edits. Read-only chains keep the shared instance — that is what
 		// makes the CSR, stats memo, and invoke-cache entries shared too.
 		g = g.Clone()

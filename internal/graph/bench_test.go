@@ -281,3 +281,27 @@ func BenchmarkGenerators(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkClone copies a parsed, frozen upload, as the executor does
+// before a mutating chain ("Clean G" on kg300).
+func BenchmarkClone(b *testing.B) {
+	for _, tc := range uploadShapes(b, 2000) {
+		data, err := tc.g.MarshalJSON()
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := ParseJSON(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.Freeze()
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cloneSink = g.Clone()
+			}
+		})
+	}
+}
+
+var cloneSink *Graph

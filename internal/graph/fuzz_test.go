@@ -54,6 +54,22 @@ func fuzzSeedCorpus(f *testing.F) {
 	for _, s := range scannerSeeds {
 		f.Add([]byte(s))
 	}
+	for _, s := range attrShareSeeds {
+		f.Add([]byte(s))
+	}
+	f.Add([]byte(manyAttrsBody(2*attrSeenSize + 1)))
+}
+
+// attrShareSeeds aim at the scanner's per-parse table of attrs objects:
+// repeats that share a map, objects that decode equal but are spelled
+// differently (an escape, inner whitespace), an object that merely starts
+// like a remembered one, and a remembered object followed by a syntax error.
+var attrShareSeeds = []string{
+	`{"nodes":[{"id":0,"attrs":{"t":"p"}},{"id":1,"attrs":{"t":"p"}},{"id":2,"attrs":{"t":"p"}}],"edges":[{"from":0,"to":1},{"from":1,"to":2}]}`,
+	`{"nodes":[{"id":0,"attrs":{"a":"b"}},{"id":1,"attrs":{"\u0061":"b"}},{"id":2,"attrs":{ "a" : "b" }},{"id":3,"attrs":{"a":"b"}}],"edges":[]}`,
+	`{"nodes":[{"id":0,"attrs":{"a":"b"}},{"id":1,"attrs":{"a":"b","c":"d"}},{"id":2,"attrs":{"a":"b","a":"c"}},{"id":3,"attrs":{"a":"b"}}],"edges":[]}`,
+	`{"nodes":[{"id":0,"attrs":{"a":"b"}},{"id":1,"attrs":{"a":"b"}x}],"edges":[]}`,
+	`{"nodes":[{"id":0,"attrs":{}},{"id":1,"attrs":{}},{"id":2,"attrs":{"":""}},{"id":3,"attrs":{"":""}}]}`,
 }
 
 // scannerSeeds aim at the line between what the schema scanner decodes
@@ -199,6 +215,26 @@ func FuzzParseJSON(f *testing.F) {
 		}
 		if !bytes.Equal(out, out2) {
 			t.Fatalf("serialization unstable:\n%s\n%s", out, out2)
+		}
+		// Attribute maps are read-only values nodes may share: setting one
+		// node's attribute leaves every other node as parsed (g2 is a
+		// separate parse, so it shares no map with g).
+		if g.NumNodes() > 0 {
+			g.SetNodeAttr(0, "\x00probe", "set")
+			want := map[string]string{"\x00probe": "set"}
+			for k, v := range g2.Node(0).Attrs {
+				if k != "\x00probe" {
+					want[k] = v
+				}
+			}
+			if !reflect.DeepEqual(g.Node(0).Attrs, want) {
+				t.Fatalf("SetNodeAttr on node 0: attrs %v, want %v", g.Node(0).Attrs, want)
+			}
+			for i := 1; i < g.NumNodes(); i++ {
+				if a, b := g.Node(NodeID(i)).Attrs, g2.Node(NodeID(i)).Attrs; len(a) != len(b) || len(a) > 0 && !reflect.DeepEqual(a, b) {
+					t.Fatalf("SetNodeAttr on node 0 changed node %d: %v, parsed %v\ninput: %q", i, a, b, data)
+				}
+			}
 		}
 	})
 }

@@ -23,6 +23,9 @@ type NodeID int
 type Node struct {
 	ID    NodeID
 	Label string
+	// Attrs is a read-only value: nodes of one parse with equal attrs
+	// objects, and a graph and its clones, may share one map. Nothing writes
+	// into it; SetNodeAttr replaces the node's map with an extended copy.
 	Attrs map[string]string
 }
 
@@ -160,17 +163,24 @@ func (g *Graph) SetNodeLabel(id NodeID, label string) {
 	g.bump()
 }
 
-// SetNodeAttr sets one attribute on node id.
+// SetNodeAttr sets one attribute on node id. Attribute maps are shared
+// read-only values (see Node.Attrs), so it never writes into the node's map:
+// it gives the node a copy that carries the new key, and every other node or
+// clone holding the old map still reads the old value.
 func (g *Graph) SetNodeAttr(id NodeID, key, val string) {
-	if g.nodes[id].Attrs == nil {
-		g.nodes[id].Attrs = make(map[string]string)
+	old := g.nodes[id].Attrs
+	m := make(map[string]string, len(old)+1)
+	for k, v := range old {
+		m[k] = v
 	}
-	g.nodes[id].Attrs[key] = val
+	m[key] = val
+	g.nodes[id].Attrs = m
 	g.bump()
 }
 
 // Nodes returns the nodes in ID order. The returned slice is shared; callers
-// must not modify it.
+// must not modify it, nor the attribute maps it holds, which other nodes and
+// clones may share.
 func (g *Graph) Nodes() []Node { return g.nodes }
 
 // Edges returns all edges. The returned slice is shared; callers must not
@@ -302,39 +312,42 @@ func (g *Graph) Neighbors(u NodeID) []NodeID {
 // graphs).
 func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
 
-// Clone returns a deep copy of g. The copy is private: it is never marked
-// shared (even when g is an interned graph). It says exactly what g says at
-// the same version, so a fingerprint g has already computed is the copy's
-// too — the executor's clone of an interned graph does not hash 300 nodes
-// again just to find the invoke-cache entries of the original — and the
-// copy's first mutation invalidates it like any other.
+// Clone returns a copy of g that mutates independently of it. The copy is
+// private: it is never marked shared (even when g is an interned graph). It
+// copies the node, edge and adjacency slices and shares what is read-only:
+// the attribute maps (SetNodeAttr replaces a map, never writes into it) and,
+// at the same version, the fingerprint and the frozen CSR g has already
+// computed — the executor's clone of an interned graph neither hashes 300
+// nodes again to find the invoke-cache entries of the original nor rebuilds
+// the CSR its first step reads. The copy's first mutation invalidates both,
+// like any other.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{Name: g.Name, directed: g.directed, version: g.version}
 	g.frozenMu.Lock()
 	if g.hashValid && g.hashVersion == g.version {
 		c.hash, c.hashVersion, c.hashValid = g.hash, g.version, true
 	}
+	if g.frozen != nil && g.frozen.version == g.version {
+		c.frozen = g.frozen
+	}
 	g.frozenMu.Unlock()
 	c.nodes = make([]Node, len(g.nodes))
 	copy(c.nodes, g.nodes)
-	for i, n := range g.nodes {
-		if len(n.Attrs) == 0 {
-			// Don't alias (or copy) empty maps; the clone lazily re-creates
-			// one if SetNodeAttr is ever called.
-			c.nodes[i].Attrs = nil
-			continue
-		}
-		m := make(map[string]string, len(n.Attrs))
-		for k, v := range n.Attrs {
-			m[k] = v
-		}
-		c.nodes[i].Attrs = m
-	}
 	c.edges = make([]Edge, len(g.edges))
 	copy(c.edges, g.edges)
+	// One index slab carved into capped rows, as loadWire lays them out: an
+	// AddEdge on the copy reallocates just the row it grows.
+	total := 0
+	for _, a := range g.adj {
+		total += len(a)
+	}
+	slab := make([]int, total)
 	c.adj = make([][]int, len(g.adj))
+	off := 0
 	for i, a := range g.adj {
-		c.adj[i] = append([]int(nil), a...)
+		end := off + copy(slab[off:], a)
+		c.adj[i] = slab[off:end:end]
+		off = end
 	}
 	return c
 }

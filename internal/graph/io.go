@@ -75,7 +75,8 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 // into per-node adjacency rows, instead of the per-AddNode/AddEdge appends
 // (two adjacency allocations per node) the incremental path pays. The
 // decoder's attribute maps are adopted rather than copied — jg is private to
-// this parse. Validation order matches the incremental path exactly:
+// this parse, and nodes the scanner gave one map keep sharing it, as read-only
+// attribute maps may (Node.Attrs). Validation order matches the incremental path exactly:
 // duplicate node IDs in payload order, then per edge unknown-From,
 // unknown-To, self-loop.
 func (g *Graph) loadWire(jg *jsonGraph) error {

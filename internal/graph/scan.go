@@ -51,10 +51,25 @@ type wireScanner struct {
 	// knowledge graph's handful of relation labels are allocated once
 	// instead of once per edge.
 	strs [64]string
+	// attrSeen maps the raw bytes of attrs objects decoded earlier in this
+	// parse to their maps, replaced round-robin once full (attrNext), so
+	// the nodes of a graph whose attributes take a handful of values — a
+	// knowledge graph's entity types, a planted partition's community ids —
+	// share a handful of maps.
+	attrSeen [attrSeenSize]struct {
+		raw []byte
+		m   map[string]string
+	}
+	attrNext int
 }
 
+// attrSeenSize is how many distinct attrs objects one parse remembers.
+const attrSeenSize = 8
+
 // scanWire decodes data into jg, reporting false (jg then holds garbage) on
-// anything outside the accepted set.
+// anything outside the accepted set. Nodes whose attrs objects are the same
+// bytes get the same map (wireScanner.attrs); jg's maps are read-only
+// values from then on.
 func scanWire(data []byte, jg *jsonGraph) bool {
 	s := wireScanner{data: data}
 	s.ws()
@@ -165,7 +180,22 @@ func scanArray[T any](s *wireScanner, elem func(*wireScanner, *T) bool) ([]T, bo
 // attrs decodes a string → string object. Keys here are data, not schema:
 // any string is a key, and a repeated key keeps its last value, as a map
 // assignment does in encoding/json too.
+//
+// An object whose bytes repeat an earlier one of this parse byte for byte
+// gets that object's map, without a second decode: the remembered bytes end
+// at its closing brace, so input that starts with them would decode to the
+// same map and stop at the same place. Maps are read-only values (see
+// Node.Attrs), so the nodes holding one share it; objects that decode equal
+// but are spelled differently simply get maps of their own.
 func (s *wireScanner) attrs() (map[string]string, bool) {
+	start := s.i
+	rest := s.data[start:]
+	for i := range s.attrSeen {
+		if seen := &s.attrSeen[i]; seen.raw != nil && bytes.HasPrefix(rest, seen.raw) {
+			s.i += len(seen.raw)
+			return seen.m, true
+		}
+	}
 	m := map[string]string{}
 	more, ok := s.open('{', '}')
 	for more && ok {
@@ -178,6 +208,10 @@ func (s *wireScanner) attrs() (map[string]string, bool) {
 		}
 		m[k] = v
 		more, ok = s.next('}')
+	}
+	if ok {
+		s.attrSeen[s.attrNext].raw, s.attrSeen[s.attrNext].m = s.data[start:s.i], m
+		s.attrNext = (s.attrNext + 1) % attrSeenSize
 	}
 	return m, ok
 }

@@ -99,7 +99,9 @@ func New(capacity int) *Store {
 // records, label/attr strings, adjacency indexes, and the frozen CSR the
 // shared instance will inevitably carry (~3 index arrays per edge
 // direction). An estimate is enough — the budget exists to stop unbounded
-// growth, not to account precisely.
+// growth, not to account precisely. It counts every node's attribute map
+// as the node's own, so it over-counts a parse whose nodes share maps
+// (graph.Node.Attrs: a 300-node knowledge graph holds three).
 func approxBytes(g *graph.Graph) int64 {
 	n, m := int64(g.NumNodes()), int64(g.NumEdges())
 	b := n*64 + m*96

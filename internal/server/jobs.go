@@ -95,7 +95,7 @@ func jobInfo(st jobs.Status) JobInfo {
 // JSON, bad graph, bad chain, bad priority — so an accepted job only fails
 // for execution reasons. The uploaded graph flows through the same intern
 // layer as chat uploads (one shared instance per content), and the executor
-// deep-clones it if the chain mutates, exactly as on the synchronous path.
+// clones it if the chain mutates, exactly as on the synchronous path.
 // A full queue sheds with 429 + Retry-After, mirroring the admission gate.
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -381,5 +382,34 @@ func TestAsyncMutatingChainUsesClone(t *testing.T) {
 	}
 	if got := shared.NumEdges(); got != wantEdges {
 		t.Fatalf("shared graph mutated by async job: %d edges, want %d", got, wantEdges)
+	}
+}
+
+// TestCommunityDetectRejectsNonPositiveRounds: a job pinning
+// community.detect(max_iters=0) or a negative count fails naming the
+// argument, where the kernel used to read it as its default of 20 rounds and
+// the job reported success; one round is still a valid request.
+func TestCommunityDetectRejectsNonPositiveRounds(t *testing.T) {
+	base := testServer(t).URL
+	gj := socialGraphJSON(t, 5)
+	for _, rounds := range []string{"0", "-3"} {
+		info := mustSubmitJob(t, base, JobRequest{
+			Question: "Detect the communities",
+			Graph:    gj,
+			Chain:    "community.detect(max_iters=" + rounds + ")",
+		})
+		failed := waitJobState(t, base, info.JobID, "failed")
+		if !strings.Contains(failed.Error, "max_iters") {
+			t.Fatalf("max_iters=%s: job failed with %q, want an error naming max_iters", rounds, failed.Error)
+		}
+	}
+	info := mustSubmitJob(t, base, JobRequest{
+		Question: "Detect the communities",
+		Graph:    gj,
+		Chain:    "community.detect(max_iters=1)",
+	})
+	done := waitJobState(t, base, info.JobID, "done")
+	if done.Result == nil || !strings.Contains(done.Result.Answer, "communities") {
+		t.Fatalf("max_iters=1: job result %+v, want a community report", done.Result)
 	}
 }
