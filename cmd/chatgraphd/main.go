@@ -274,7 +274,7 @@ func main() {
 		// ones get their contexts cut, and Close waits for the workers.
 		srv.Close()
 		// Checkpoint after Close so the final job cancellations are in the
-		// manifest, then flush and release the WAL.
+		// snapshot, then flush and release the WAL.
 		if dstore != nil {
 			if err := srv.Checkpoint(); err != nil {
 				log.Printf("chatgraphd: final checkpoint: %v", err)

@@ -1,12 +1,13 @@
 // Package durable is the persistence subsystem: an append-only WAL of
 // CRC32C-framed JSON records for session lifecycle events, chat transcript
 // entries, and job submissions/terminal states; content-addressed graph
-// blobs (written once, never rewritten); and periodic snapshot manifests
-// after which the WAL is rotated and old segments pruned. On boot, Open
-// loads the latest valid snapshot, replays every surviving WAL segment on
-// top of it (truncating a torn tail), and hands the merged State to the
-// serving layer so a restart — graceful or kill -9 — loses nothing that
-// reached the log.
+// blobs (written once, never rewritten); and periodic snapshots after which
+// the WAL is rotated and old segments pruned. A snapshot is itself a segment
+// image: the records that recreate the live state, framed exactly like the
+// log. On boot, Open replays the latest snapshot and then every surviving
+// WAL segment on top of it through one loop (truncating a torn or corrupt
+// tail), and hands the merged State to the serving layer so a restart —
+// graceful or kill -9 — loses nothing that reached the log.
 //
 // Identity note: the in-memory graph hash (graph.ContentHash) is seeded
 // with per-process entropy as cache-poisoning hardening, so it cannot name
@@ -42,11 +43,13 @@ const (
 	RecJobDone RecordType = "job_done"
 )
 
-// Record is the envelope every WAL frame carries: a type tag, a timestamp,
-// and exactly one populated payload field.
+// Record is the envelope every frame carries, in a WAL segment and in a
+// snapshot alike: a type tag, a timestamp, and exactly one populated
+// payload field.
 type Record struct {
 	Type RecordType `json:"t"`
-	// TS is the append wall-clock time in unix nanoseconds. Recovery uses
+	// TS is the append wall-clock time in unix nanoseconds (in a snapshot,
+	// a session_create carries the session's last-used time). Recovery uses
 	// it to approximate each session's idle clock for TTL filtering.
 	TS      int64          `json:"ts"`
 	Session *SessionRecord `json:"session,omitempty"`
@@ -109,34 +112,6 @@ type JobRecord struct {
 	FinishedUnixNS  int64           `json:"finished_unix_ns,omitempty"`
 }
 
-// ManifestSession is one live session's full state inside a snapshot.
-type ManifestSession struct {
-	ID             string       `json:"id"`
-	Tenant         string       `json:"tenant,omitempty"`
-	CreatedUnixNS  int64        `json:"created_unix_ns"`
-	LastUsedUnixNS int64        `json:"last_used_unix_ns"`
-	Turns          []TurnRecord `json:"turns,omitempty"`
-}
-
-// Manifest is one snapshot: the full serving state at a point in time plus
-// the WAL sequence number replay must resume from. Graph blobs are not
-// embedded — they are content-addressed files the manifest references by
-// SHA.
-type Manifest struct {
-	Version int `json:"version"`
-	// Seq is the first WAL segment whose records are NOT fully covered by
-	// this manifest: recovery loads the manifest, then replays segments
-	// with sequence >= Seq (overlapping records re-apply idempotently).
-	Seq         uint64            `json:"seq"`
-	TakenUnixNS int64             `json:"taken_unix_ns"`
-	Sessions    []ManifestSession `json:"sessions"`
-	Graphs      []string          `json:"graphs"`
-	Jobs        []JobRecord       `json:"jobs"`
-}
-
-// manifestVersion guards the snapshot schema.
-const manifestVersion = 1
-
 // SessionState is one session's recovered state.
 type SessionState struct {
 	ID       string
@@ -146,8 +121,8 @@ type SessionState struct {
 	Turns    []TurnRecord
 }
 
-// State is the merged outcome of snapshot load plus WAL replay — everything
-// the serving layer needs to rebuild itself.
+// State is the merged outcome of snapshot plus WAL replay — everything the
+// serving layer needs to rebuild itself.
 type State struct {
 	// Sessions maps session ID to its recovered state (creates minus
 	// deletes; TTL filtering is the caller's policy, applied against
@@ -159,8 +134,9 @@ type State struct {
 	// whose submit record survived but whose terminal record did not.
 	Jobs map[string]*JobRecord
 
-	// Records counts replayed WAL records; Truncations counts segments
-	// whose tail (or body) had to be cut at the first invalid frame.
+	// Records counts WAL records replayed after the snapshot; Truncations
+	// counts segments and snapshots whose tail (or body) had to be cut at
+	// the first invalid frame.
 	Records     int
 	Truncations int
 
@@ -173,27 +149,6 @@ func NewState() *State {
 		Sessions:  make(map[string]*SessionState),
 		Jobs:      make(map[string]*JobRecord),
 		graphSeen: make(map[string]bool),
-	}
-}
-
-// loadManifest seeds the state from a snapshot.
-func (st *State) loadManifest(m *Manifest) {
-	for i := range m.Sessions {
-		ms := &m.Sessions[i]
-		st.Sessions[ms.ID] = &SessionState{
-			ID:       ms.ID,
-			Tenant:   ms.Tenant,
-			Created:  time.Unix(0, ms.CreatedUnixNS),
-			LastUsed: time.Unix(0, ms.LastUsedUnixNS),
-			Turns:    append([]TurnRecord(nil), ms.Turns...),
-		}
-	}
-	for _, sha := range m.Graphs {
-		st.addGraph(sha)
-	}
-	for i := range m.Jobs {
-		j := m.Jobs[i]
-		st.Jobs[j.ID] = &j
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -109,13 +109,13 @@ func newStoreMetrics(reg *metrics.Registry, s *Store) *storeMetrics {
 		fsyncs: reg.Counter("chatgraph_wal_fsyncs_total",
 			"fsync calls issued on the active WAL segment.", nil),
 		snapshots: reg.Counter("chatgraph_snapshots_total",
-			"Snapshot manifests written.", nil),
+			"Snapshots written.", nil),
 		snapshotErrs: reg.Counter("chatgraph_snapshot_errors_total",
 			"Snapshot attempts that failed.", nil),
 		blobsWritten: reg.Counter("chatgraph_blobs_written_total",
 			"Content-addressed graph blobs written (first sight of a content).", nil),
 		truncations: reg.Counter("chatgraph_replay_truncations_total",
-			"WAL segments cut at the first invalid frame during replay.", nil),
+			"WAL segments and snapshots cut at the first invalid frame during replay.", nil),
 		activeSeg: reg.Gauge("chatgraph_wal_active_segment",
 			"Sequence number of the open WAL segment.", nil),
 		snapSessions: reg.Gauge("chatgraph_snapshot_sessions",
@@ -135,7 +135,7 @@ func newStoreMetrics(reg *metrics.Registry, s *Store) *storeMetrics {
 }
 
 // Store owns one data directory: the active WAL segment, the blob store,
-// and the snapshot manifests. All methods are safe for concurrent use.
+// and the snapshots. All methods are safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
@@ -143,17 +143,16 @@ type Store struct {
 
 	// mu guards the active segment (file handle, sequence, dirty flag) and
 	// snapshot rotation.
-	mu      sync.Mutex
-	seg     *os.File
-	segSeq  uint64
-	dirty   bool
-	closed  bool
-	snapSeq uint64
+	mu     sync.Mutex
+	seg    *os.File
+	segSeq uint64
+	dirty  bool
+	closed bool
 
 	// blobMu guards the blob indexes. blobByHash short-circuits repeat
 	// uploads of a content this process has already persisted without
 	// re-marshaling; blobSHAs is every blob known committed on disk, the
-	// set the next manifest references.
+	// set the next snapshot records.
 	blobMu     sync.Mutex
 	blobByHash map[graph.ContentHash]string
 	blobSHAs   map[string]bool
@@ -169,23 +168,35 @@ func (s *Store) walDir() string  { return filepath.Join(s.dir, "wal") }
 func (s *Store) blobDir() string { return filepath.Join(s.dir, "blobs") }
 func (s *Store) snapDir() string { return filepath.Join(s.dir, "snap") }
 
+// Segments and snapshots share one file format (wal.go) and one naming
+// scheme: a prefix, a zero-padded sequence number, ".wal".
 func segName(seq uint64) string  { return fmt.Sprintf("seg-%08d.wal", seq) }
-func snapName(seq uint64) string { return fmt.Sprintf("snap-%08d.json", seq) }
+func snapName(seq uint64) string { return fmt.Sprintf("snap-%08d.wal", seq) }
 
-// parseSeq extracts the sequence number from a seg-/snap- filename.
-func parseSeq(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
+// seqs lists the sequence numbers of dir's prefix<seq>suffix files in
+// ascending order.
+func seqs(dir, prefix, suffix string) ([]uint64, error) {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return 0, false
+		return nil, fmt.Errorf("durable: %w", err)
 	}
-	return n, true
+	var out []uint64
+	for _, e := range ents {
+		rest, ok := strings.CutPrefix(e.Name(), prefix)
+		num, ok2 := strings.CutSuffix(rest, suffix)
+		if !ok || !ok2 {
+			continue
+		}
+		if n, err := strconv.ParseUint(num, 10, 64); err == nil {
+			out = append(out, n)
+		}
+	}
+	slices.Sort(out)
+	return out, nil
 }
 
 // Open initializes the data directory, recovers the persisted state (latest
-// valid snapshot + WAL replay with torn-tail truncation), opens a fresh WAL
+// snapshot + WAL replay with torn-tail truncation), opens a fresh WAL
 // segment for this process's appends, and returns both. A brand-new
 // directory yields an empty State.
 func Open(opts Options) (*Store, *State, error) {
@@ -240,94 +251,85 @@ func Open(opts Options) (*Store, *State, error) {
 	return s, st, nil
 }
 
-// recover loads the newest parseable snapshot and replays every WAL segment
-// at or after its sequence. It returns the merged state and the highest
-// sequence number seen (snapshot or segment), so the caller can open the
-// next segment.
+// recover replays the newest snapshot, if there is one, then every WAL
+// segment at or after its sequence. It returns the merged state and the
+// highest sequence number seen (snapshot or segment), so the caller can open
+// the next segment.
+//
+// Only the newest snapshot is read. An older one survives only a crash
+// between a newer snapshot's rename and the prune, and by then the newer one
+// is complete: it was fsynced before the rename and its directory after.
 func (s *Store) recover() (*State, uint64, error) {
+	// A data dir written before snapshots became segment images holds a
+	// JSON manifest. Reading on without it would replay only the segments
+	// it had not pruned, so refuse before anything is read or truncated.
+	if old, _ := filepath.Glob(filepath.Join(s.snapDir(), "snap-*.json")); len(old) > 0 {
+		return nil, 0, fmt.Errorf("durable: %s is a snapshot in the retired JSON manifest format; this build reads only snap-*.wal snapshots", old[0])
+	}
+	snaps, err := seqs(s.snapDir(), "snap-", ".wal")
+	if err != nil {
+		return nil, 0, err
+	}
+	segs, err := seqs(s.walDir(), "seg-", ".wal")
+	if err != nil {
+		return nil, 0, err
+	}
+
 	st := NewState()
-	var maxSeq uint64
-
-	// Newest valid snapshot wins; older ones are only fallbacks for a
-	// manifest torn mid-write by a crash (the temp+rename protocol makes
-	// that nearly impossible, but reading is cheap insurance).
-	snaps, err := os.ReadDir(s.snapDir())
-	if err != nil {
-		return nil, 0, fmt.Errorf("durable: %w", err)
-	}
-	var snapSeqs []uint64
-	for _, e := range snaps {
-		if seq, ok := parseSeq(e.Name(), "snap-", ".json"); ok {
-			snapSeqs = append(snapSeqs, seq)
+	var snapSeq, maxSeq uint64
+	if len(snaps) > 0 {
+		snapSeq = snaps[len(snaps)-1]
+		maxSeq = snapSeq
+		if err := s.replay(filepath.Join(s.snapDir(), snapName(snapSeq)), st); err != nil {
+			return nil, 0, err
 		}
+		st.Records = 0 // Records counts the WAL replayed on top of the snapshot
 	}
-	sort.Slice(snapSeqs, func(i, j int) bool { return snapSeqs[i] > snapSeqs[j] })
-	for _, seq := range snapSeqs {
-		data, err := os.ReadFile(filepath.Join(s.snapDir(), snapName(seq)))
-		if err != nil {
+	for _, seq := range segs {
+		maxSeq = max(maxSeq, seq)
+		// Segments below the snapshot are fully covered by it; a crash
+		// between the snapshot write and pruning leaves them behind.
+		if seq < snapSeq {
 			continue
 		}
-		var m Manifest
-		if json.Unmarshal(data, &m) != nil || m.Version != manifestVersion {
-			continue
-		}
-		st.loadManifest(&m)
-		s.snapSeq = m.Seq
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		break
-	}
-
-	segs, err := os.ReadDir(s.walDir())
-	if err != nil {
-		return nil, 0, fmt.Errorf("durable: %w", err)
-	}
-	var segSeqs []uint64
-	for _, e := range segs {
-		if seq, ok := parseSeq(e.Name(), "seg-", ".wal"); ok {
-			segSeqs = append(segSeqs, seq)
-		}
-	}
-	sort.Slice(segSeqs, func(i, j int) bool { return segSeqs[i] < segSeqs[j] })
-	for _, seq := range segSeqs {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		if seq < s.snapSeq {
-			// Fully covered by the snapshot; a crash between manifest write
-			// and pruning leaves these behind.
-			continue
-		}
-		path := filepath.Join(s.walDir(), segName(seq))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, 0, fmt.Errorf("durable: %w", err)
-		}
-		payloads, valid, decErr := DecodeFrames(data)
-		for _, p := range payloads {
-			var rec Record
-			if json.Unmarshal(p, &rec) != nil {
-				// An intact frame with an unreadable record is a version
-				// skew problem, not corruption; skip it.
-				continue
-			}
-			st.Apply(&rec)
-		}
-		if decErr != nil {
-			// Torn tail (the expected crash artifact on the last segment)
-			// or mid-file corruption: keep the valid prefix, cut the rest so
-			// the next recovery does not re-detect it.
-			st.Truncations++
-			s.met.truncations.Inc()
-			if valid < len(data) {
-				if err := os.Truncate(path, int64(valid)); err != nil {
-					return nil, 0, fmt.Errorf("durable: truncate torn segment %s: %w", path, err)
-				}
-			}
+		if err := s.replay(filepath.Join(s.walDir(), segName(seq)), st); err != nil {
+			return nil, 0, err
 		}
 	}
 	return st, maxSeq, nil
+}
+
+// replay applies every intact record of one segment image — a WAL segment
+// or a snapshot — to st. At the first invalid frame it keeps the valid
+// prefix, counts the truncation, and cuts the rest so the next recovery does
+// not re-detect it: a torn tail (the expected crash artifact on the last
+// segment) and bit-rot mid-file are handled alike.
+func (s *Store) replay(path string, st *State) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("durable: %w", err)
+	}
+	payloads, valid, decErr := DecodeFrames(data)
+	for _, p := range payloads {
+		var rec Record
+		if json.Unmarshal(p, &rec) != nil {
+			// An intact frame with an unreadable record is a version skew
+			// problem, not corruption; skip it.
+			continue
+		}
+		st.Apply(&rec)
+	}
+	if decErr == nil {
+		return nil
+	}
+	st.Truncations++
+	s.met.truncations.Inc()
+	if valid < len(data) {
+		if err := os.Truncate(path, int64(valid)); err != nil {
+			return fmt.Errorf("durable: truncate %s: %w", path, err)
+		}
+	}
+	return nil
 }
 
 // openSegment creates and syncs the new active segment. Caller must not
@@ -401,16 +403,11 @@ func (s *Store) Append(rec *Record) error {
 	if rec.TS == 0 {
 		rec.TS = time.Now().UnixNano()
 	}
-	payload, err := json.Marshal(rec)
+	frame, err := appendRecord(nil, rec)
 	if err != nil {
 		s.met.appendErrs.Inc()
-		return fmt.Errorf("durable: encode record: %w", err)
+		return err
 	}
-	if len(payload) > MaxRecordLen {
-		s.met.appendErrs.Inc()
-		return fmt.Errorf("durable: record too large (%d bytes)", len(payload))
-	}
-	frame := AppendFrame(nil, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -434,6 +431,19 @@ func (s *Store) Append(rec *Record) error {
 		s.dirty = true
 	}
 	return nil
+}
+
+// appendRecord frames rec's JSON encoding onto buf: the one on-disk form of
+// a record, in the log and in a snapshot.
+func appendRecord(buf []byte, rec *Record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return buf, fmt.Errorf("durable: encode record: %w", err)
+	}
+	if len(payload) > MaxRecordLen {
+		return buf, fmt.Errorf("durable: record too large (%d bytes)", len(payload))
+	}
+	return AppendFrame(buf, payload), nil
 }
 
 // Typed append helpers — one per record type the serving layer emits.
@@ -491,9 +501,6 @@ func (s *Store) PersistGraph(g *graph.Graph) (string, error) {
 		if err := writeFileAtomic(filepath.Join(s.blobDir(), sha+".json"), data); err != nil {
 			return "", err
 		}
-		if err := syncDir(s.blobDir()); err != nil {
-			return "", err
-		}
 		s.met.blobsWritten.Inc()
 		s.blobSHAs[sha] = true
 		// Log after the blob is durable, so a graph record never references
@@ -523,31 +530,19 @@ func (s *Store) LoadGraph(sha string) (*graph.Graph, error) {
 	return g, nil
 }
 
-// BlobSHAs returns every blob committed (written or recovered) so far, the
-// set a manifest references.
-func (s *Store) BlobSHAs() []string {
-	s.blobMu.Lock()
-	defer s.blobMu.Unlock()
-	out := make([]string, 0, len(s.blobSHAs))
-	for sha := range s.blobSHAs {
-		out = append(out, sha)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Snapshot checkpoints the serving state: it rotates the WAL to a fresh
-// segment, asks build for the live sessions and jobs, writes the manifest
-// atomically, and prunes WAL segments and snapshots the new manifest
-// supersedes.
+// segment, asks build for the records that recreate the live sessions and
+// jobs, appends one graph record per committed blob, writes them atomically
+// as a segment image, and prunes the WAL segments and snapshots the new
+// snapshot supersedes.
 //
 // Ordering makes this crash-safe at every step: the rotation happens
-// *before* build runs, so the manifest is a superset of every record in the
+// *before* build runs, so the snapshot is a superset of every record in the
 // pruned segments (records landing in the new segment during build are
-// replayed on top of the manifest, which is idempotent). A crash after
-// rotation but before the manifest write just leaves one extra segment to
+// replayed on top of the snapshot, which is idempotent). A crash after
+// rotation but before the snapshot write just leaves one extra segment to
 // replay.
-func (s *Store) Snapshot(build func() ([]ManifestSession, []JobRecord)) error {
+func (s *Store) Snapshot(build func() []Record) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -568,64 +563,74 @@ func (s *Store) Snapshot(build func() ([]ManifestSession, []JobRecord)) error {
 	if err := s.openSegment(newSeq); err != nil {
 		// The old segment is closed; the store cannot continue. Callers
 		// treat this as fatal.
-		s.closed = true
+		s.stopLocked()
 		s.mu.Unlock()
 		s.met.snapshotErrs.Inc()
 		return err
 	}
 	s.mu.Unlock()
 
-	sessions, jobsList := build()
-	m := Manifest{
-		Version:     manifestVersion,
-		Seq:         newSeq,
-		TakenUnixNS: time.Now().UnixNano(),
-		Sessions:    sessions,
-		Graphs:      s.BlobSHAs(),
-		Jobs:        jobsList,
+	recs := build()
+	s.blobMu.Lock()
+	shas := make([]string, 0, len(s.blobSHAs))
+	for sha := range s.blobSHAs {
+		shas = append(shas, sha)
 	}
-	data, err := json.Marshal(&m)
-	if err != nil {
-		s.met.snapshotErrs.Inc()
-		return fmt.Errorf("durable: encode manifest: %w", err)
+	s.blobMu.Unlock()
+	slices.Sort(shas)
+	for _, sha := range shas {
+		recs = append(recs, Record{Type: RecGraph, Graph: &GraphRecord{SHA: sha}})
+	}
+	data := []byte(segMagic)
+	count := make(map[RecordType]int)
+	for i := range recs {
+		var err error
+		if data, err = appendRecord(data, &recs[i]); err != nil {
+			s.met.snapshotErrs.Inc()
+			return err
+		}
+		count[recs[i].Type]++
 	}
 	if err := writeFileAtomic(filepath.Join(s.snapDir(), snapName(newSeq)), data); err != nil {
 		s.met.snapshotErrs.Inc()
 		return err
 	}
-	if err := syncDir(s.snapDir()); err != nil {
-		s.met.snapshotErrs.Inc()
-		return err
-	}
 
-	s.mu.Lock()
-	s.snapSeq = newSeq
-	s.mu.Unlock()
 	s.met.snapshots.Inc()
 	s.lastSnap.Store(time.Now().Unix())
-	s.met.snapSessions.Set(int64(len(m.Sessions)))
-	s.met.snapGraphs.Set(int64(len(m.Graphs)))
-	s.met.snapJobs.Set(int64(len(m.Jobs)))
+	s.met.snapSessions.Set(int64(count[RecSessionCreate]))
+	s.met.snapGraphs.Set(int64(count[RecGraph]))
+	s.met.snapJobs.Set(int64(count[RecJobSubmit] + count[RecJobDone]))
 
-	// Prune: segments below the manifest's seq are fully covered by it;
+	// Prune: segments below the snapshot's seq are fully covered by it;
 	// snapshots below it are superseded. Failures here are cosmetic (extra
-	// files, all ignored or deduped by the next recovery), so they are not
-	// surfaced.
-	if ents, err := os.ReadDir(s.walDir()); err == nil {
-		for _, e := range ents {
-			if seq, ok := parseSeq(e.Name(), "seg-", ".wal"); ok && seq < newSeq {
-				os.Remove(filepath.Join(s.walDir(), e.Name())) //nolint:errcheck
+	// files, all skipped by the next recovery), so they are not surfaced.
+	if old, err := seqs(s.walDir(), "seg-", ".wal"); err == nil {
+		for _, seq := range old {
+			if seq < newSeq {
+				os.Remove(filepath.Join(s.walDir(), segName(seq))) //nolint:errcheck
 			}
 		}
 	}
-	if ents, err := os.ReadDir(s.snapDir()); err == nil {
-		for _, e := range ents {
-			if seq, ok := parseSeq(e.Name(), "snap-", ".json"); ok && seq < newSeq {
-				os.Remove(filepath.Join(s.snapDir(), e.Name())) //nolint:errcheck
+	if old, err := seqs(s.snapDir(), "snap-", ".wal"); err == nil {
+		for _, seq := range old {
+			if seq < newSeq {
+				os.Remove(filepath.Join(s.snapDir(), snapName(seq))) //nolint:errcheck
 			}
 		}
 	}
 	return nil
+}
+
+// stopLocked marks the store closed and waits for the interval syncer to
+// exit. The caller holds mu; it is released while waiting, because the
+// syncer takes it on every tick.
+func (s *Store) stopLocked() {
+	s.closed = true
+	close(s.stopSync)
+	s.mu.Unlock()
+	s.syncWG.Wait()
+	s.mu.Lock()
 }
 
 // Close flushes and closes the active segment. Call it after the final
@@ -636,11 +641,7 @@ func (s *Store) Close() error {
 	if s.closed {
 		return nil
 	}
-	s.closed = true
-	close(s.stopSync)
-	s.mu.Unlock()
-	s.syncWG.Wait()
-	s.mu.Lock()
+	s.stopLocked()
 	if err := s.seg.Sync(); err != nil {
 		s.seg.Close()
 		return fmt.Errorf("durable: %w", err)
@@ -658,14 +659,14 @@ func (s *Store) Abort() {
 	if s.closed {
 		return
 	}
-	s.closed = true
-	close(s.stopSync)
+	s.stopLocked()
 	s.seg.Close() //nolint:errcheck // crash semantics: no flush, no error handling
 }
 
 // writeFileAtomic writes data to path via a same-directory temp file,
-// fsync, and rename, so a crash leaves either the old file or the new one —
-// never a torn half.
+// fsync, rename, and a directory fsync, so a crash leaves either the old
+// file or the new one — never a torn half — and the new one survives an OS
+// crash once this returns.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".tmp-*")
@@ -691,5 +692,5 @@ func writeFileAtomic(path string, data []byte) error {
 		os.Remove(tmp) //nolint:errcheck
 		return fmt.Errorf("durable: %w", err)
 	}
-	return nil
+	return syncDir(dir)
 }

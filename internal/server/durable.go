@@ -279,38 +279,35 @@ func (s *Server) Recover(st *durable.State) error {
 }
 
 // Checkpoint takes a snapshot of the live serving state through the durable
-// store: the WAL rotates, the manifest captures every live session
-// (transcript included) and every stored job, and superseded segments and
-// snapshots are pruned. Daemons call it periodically and once more during
-// graceful shutdown (after Close, so final job cancellations are covered).
-// A server without a durable store returns nil immediately.
+// store: the WAL rotates, the snapshot holds the records the live log would
+// hold for every live session (creation, last-used time, transcript) and
+// every stored job, and superseded segments and snapshots are pruned.
+// Daemons call it periodically and once more during graceful shutdown
+// (after Close, so final job cancellations are covered). A server without a
+// durable store returns nil immediately.
 func (s *Server) Checkpoint() error {
 	if s.opts.Durable == nil {
 		return nil
 	}
-	return s.opts.Durable.Snapshot(func() ([]durable.ManifestSession, []durable.JobRecord) {
-		var sessions []durable.ManifestSession
+	return s.opts.Durable.Snapshot(func() []durable.Record {
+		var recs []durable.Record
 		s.mgr.sessions.Range(func(_, value any) bool {
 			m := value.(*managed)
-			hist := m.Session.History()
-			ms := durable.ManifestSession{
-				ID:             m.ID,
-				Tenant:         m.Tenant,
-				CreatedUnixNS:  m.Created.UnixNano(),
-				LastUsedUnixNS: m.lastUsed.Load(),
-				Turns:          make([]durable.TurnRecord, 0, len(hist)),
+			recs = append(recs, durable.Record{Type: durable.RecSessionCreate, TS: m.lastUsed.Load(),
+				Session: &durable.SessionRecord{ID: m.ID, CreatedUnixNS: m.Created.UnixNano(), Tenant: m.Tenant}})
+			for i, t := range m.Session.History() {
+				tr := turnRecord(m.ID, i, t)
+				recs = append(recs, durable.Record{Type: durable.RecTurn, Turn: &tr})
 			}
-			for i, t := range hist {
-				ms.Turns = append(ms.Turns, turnRecord(m.ID, i, t))
-			}
-			sessions = append(sessions, ms)
 			return true
 		})
-		all := s.jobs.All()
-		recs := make([]durable.JobRecord, 0, len(all))
-		for _, st := range all {
-			recs = append(recs, jobRecord(st))
+		for _, st := range s.jobs.All() {
+			rec, typ := jobRecord(st), durable.RecJobSubmit
+			if st.State.Terminal() {
+				typ = durable.RecJobDone
+			}
+			recs = append(recs, durable.Record{Type: typ, Job: &rec})
 		}
-		return sessions, recs
+		return recs
 	})
 }

@@ -276,7 +276,7 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	// A checkpoint of the recovered state must round-trip through a third
-	// incarnation: snapshot manifest + empty WAL tail carry everything.
+	// incarnation: the snapshot segment + empty WAL tail carry everything.
 	if err := srv2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
