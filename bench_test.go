@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -136,7 +137,7 @@ func injectForBench(g *graph.Graph, rng *rand.Rand) int {
 		from := graph.NodeID(rng.Intn(n))
 		to := graph.NodeID(rng.Intn(n))
 		sig := sigs[rel]
-		if from == to || g.HasEdge(from, to) {
+		if from == to || slices.Contains(g.Freeze().OutNeighbors(from), to) {
 			continue
 		}
 		if g.Node(from).Attrs["type"] == sig[0] && g.Node(to).Attrs["type"] == sig[1] {

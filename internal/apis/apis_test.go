@@ -150,17 +150,18 @@ func TestPageRankSumsToOne(t *testing.T) {
 	}
 	// The highest-degree node should be (near) top ranked.
 	bestDeg, bestPR := 0, 0
+	c := g.Freeze()
 	for i := range pr {
-		if g.Degree(graph.NodeID(i)) > g.Degree(graph.NodeID(bestDeg)) {
+		if c.OutDegree(graph.NodeID(i)) > c.OutDegree(graph.NodeID(bestDeg)) {
 			bestDeg = i
 		}
 		if pr[i] > pr[bestPR] {
 			bestPR = i
 		}
 	}
-	if g.Degree(graph.NodeID(bestPR)) < g.Degree(graph.NodeID(bestDeg))/2 {
+	if c.OutDegree(graph.NodeID(bestPR)) < c.OutDegree(graph.NodeID(bestDeg))/2 {
 		t.Fatalf("top PR node %d has degree %d, hub degree %d", bestPR,
-			g.Degree(graph.NodeID(bestPR)), g.Degree(graph.NodeID(bestDeg)))
+			c.OutDegree(graph.NodeID(bestPR)), c.OutDegree(graph.NodeID(bestDeg)))
 	}
 }
 
@@ -430,13 +431,13 @@ func TestGraphEditAPIs(t *testing.T) {
 	if _, err := r.Invoke(chain.NewStep("graph.add_edge", "from", "0", "to", "2"), Input{Graph: g}); err != nil {
 		t.Fatal(err)
 	}
-	if !g.HasEdge(0, 2) {
+	if !slices.Contains(g.Freeze().OutNeighbors(0), 2) {
 		t.Fatal("edge not added")
 	}
 	if _, err := r.Invoke(chain.NewStep("graph.remove_edge", "from", "0", "to", "2"), Input{Graph: g}); err != nil {
 		t.Fatal(err)
 	}
-	if g.HasEdge(0, 2) {
+	if slices.Contains(g.Freeze().OutNeighbors(0), 2) {
 		t.Fatal("edge not removed")
 	}
 	if _, err := r.Invoke(chain.NewStep("graph.remove_edge", "from", "0", "to", "2"), Input{Graph: g}); err == nil {

@@ -76,8 +76,9 @@ func registerUnderstand(r *Registry, _ *Env) {
 		},
 		Fn: func(in Input) (Output, error) {
 			scores := make([]float64, in.Graph.NumNodes())
+			c := in.Graph.Freeze()
 			for _, n := range in.Graph.Nodes() {
-				scores[n.ID] = float64(in.Graph.Degree(n.ID))
+				scores[n.ID] = float64(c.OutDegree(n.ID))
 			}
 			return rankOutput(in.Graph, scores, in.IntArg("top", 5), "degree"), nil
 		},

@@ -13,6 +13,7 @@
 package finetune
 
 import (
+	"math"
 	"math/rand"
 
 	"chatgraph/internal/chain"
@@ -188,12 +189,41 @@ func GenerateDataset(n int, rng *rand.Rand) []Example {
 	return out
 }
 
-// SplitDataset partitions examples into train and test by paraphrase parity
-// per task, so test questions are phrasings never seen in training. frac is
-// the approximate test fraction.
+// SplitDataset partitions examples into train and test by paraphrase
+// within each task, so test questions are phrasings never seen in
+// training. Each task's distinct questions are shuffled and about frac of
+// them (at least one when the task has two or more, never all of them) are
+// held out; every example of a held-out question goes to test, every other
+// example to train. Sampling is uniform over paraphrases, so frac is also
+// the approximate test share of the examples.
 func SplitDataset(examples []Example, frac float64, rng *rand.Rand) (train, test []Example) {
+	var tasks []string
+	questions := map[string][]string{}
+	seen := map[string]bool{}
 	for _, ex := range examples {
-		if rng.Float64() < frac {
+		if _, ok := questions[ex.Task]; !ok {
+			tasks = append(tasks, ex.Task)
+			questions[ex.Task] = nil
+		}
+		if key := ex.Task + "\x00" + ex.Question; !seen[key] {
+			seen[key] = true
+			questions[ex.Task] = append(questions[ex.Task], ex.Question)
+		}
+	}
+	heldOut := map[string]bool{}
+	for _, task := range tasks {
+		qs := questions[task]
+		k := len(qs)
+		if k < 2 {
+			continue
+		}
+		rng.Shuffle(k, func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+		for _, q := range qs[:min(max(int(math.Round(frac*float64(k))), 1), k-1)] {
+			heldOut[task+"\x00"+q] = true
+		}
+	}
+	for _, ex := range examples {
+		if heldOut[ex.Task+"\x00"+ex.Question] {
 			test = append(test, ex)
 		} else {
 			train = append(train, ex)

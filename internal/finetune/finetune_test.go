@@ -286,20 +286,60 @@ func TestRolloutsImprovePrediction(t *testing.T) {
 	}
 }
 
+// TestTrainEvaluateEndToEnd trains on one split and evaluates both sides.
+// The exact-match bar is on the phrasings the model was trained on: until
+// SplitDataset held out whole paraphrases, the "test" split was made of
+// those phrasings too, so that is what the bar always measured. On unseen
+// phrasings the model reads 0.343 here (EXPERIMENTS.md E34); the bar there
+// is the mean-GED one the test always had.
 func TestTrainEvaluateEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ds := GenerateDataset(400, rng)
 	train, test := SplitDataset(ds, 0.25, rng)
 	m := Train(vocab(), train, TrainConfig{Epochs: 2, Search: SearchConfig{Rollouts: 4}, Seed: 9})
+	seen := Evaluate(m, train, 0.5)
+	if seen.ExactMatch < 0.5 {
+		t.Fatalf("exact match on trained phrasings = %.3f, want ≥ 0.5 (loss %.3f, ged %.3f)", seen.ExactMatch, seen.MeanLoss, seen.MeanGED)
+	}
 	res := Evaluate(m, test, 0.5)
 	if res.Examples == 0 {
 		t.Fatal("empty test set")
 	}
-	if res.ExactMatch < 0.5 {
-		t.Fatalf("exact match = %.3f, want ≥ 0.5 (loss %.3f, ged %.3f)", res.ExactMatch, res.MeanLoss, res.MeanGED)
-	}
+	t.Logf("unseen phrasings: exact match %.3f, mean GED %.3f over %d examples", res.ExactMatch, res.MeanGED, res.Examples)
 	if res.MeanGED > 2 {
 		t.Fatalf("mean GED = %.3f", res.MeanGED)
+	}
+}
+
+// TestSplitDatasetHoldsOutParaphrases: the test split's questions are
+// phrasings training never saw, and every task with two or more phrasings
+// holds at least one out. (The split used to draw each example
+// independently, so at 400 draws every test question was also a training
+// question.)
+func TestSplitDatasetHoldsOutParaphrases(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ds := GenerateDataset(400, rng)
+		train, test := SplitDataset(ds, 0.25, rng)
+		if len(train)+len(test) != len(ds) {
+			t.Fatalf("seed %d: split lost examples: %d + %d of %d", seed, len(train), len(test), len(ds))
+		}
+		trained := map[string]bool{}
+		for _, ex := range train {
+			trained[ex.Task+"|"+ex.Question] = true
+		}
+		heldOut := map[string]bool{}
+		for _, ex := range test {
+			if trained[ex.Task+"|"+ex.Question] {
+				t.Fatalf("seed %d: test question %q (%s) also occurs in training", seed, ex.Question, ex.Task)
+			}
+			heldOut[ex.Task] = true
+		}
+		for _, tt := range templates() {
+			if len(tt.paraphrases) >= 2 && !heldOut[tt.task] {
+				t.Errorf("seed %d: task %s holds out none of its %d phrasings", seed, tt.task, len(tt.paraphrases))
+			}
+		}
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// CSR is the frozen, read-only adjacency view of one Graph version, laid out
-// in compressed-sparse-row form: one contiguous targets array per direction
+// CSR is the frozen, read-only adjacency view of one Graph version — the
+// only adjacency a Graph has — laid out in compressed-sparse-row form: one contiguous targets array per direction
 // with per-node offset fences. Neighbor iteration is a subslice — no
 // allocation, no sorting, no edge-table indirection — which is what makes the
 // all-source algorithms (eccentricities, triangles, core numbers) cheap
@@ -17,17 +17,16 @@ import (
 // topology, weights, and the label/attribute signals Stats and Classify
 // need, so it stays self-contained even if the parent graph mutates later
 // (Freeze hands out a fresh CSR after any mutation). Per-node rows are
-// sorted by neighbor ID, matching the order Graph.Neighbors reports, so
-// traversals over the CSR visit nodes in exactly the order the slice-based
-// implementations did. Parallel edges keep one entry each.
+// sorted by neighbor ID, so traversals over the CSR visit nodes in exactly
+// the order the slice-based reference implementations in parity_test.go do.
+// Parallel edges keep one entry each.
 type CSR struct {
 	version  uint64
 	directed bool
 	n, m     int
 
 	// Forward adjacency: out-edges for directed graphs, all incident edges
-	// for undirected ones (the Graph.Neighbors contract). weights[i] is the
-	// edge weight for targets[i].
+	// for undirected ones. weights[i] is the edge weight for targets[i].
 	offsets []int32
 	targets []NodeID
 	weights []float64
@@ -134,7 +133,7 @@ func buildCSR(g *Graph) *CSR {
 		}
 	}
 
-	// Forward adjacency (Graph.Neighbors order).
+	// Forward adjacency, rows ascending.
 	fwd := m
 	if !g.directed {
 		fwd = 2 * m
@@ -216,9 +215,8 @@ func buildCSR(g *Graph) *CSR {
 func (c *CSR) NumNodes() int { return c.n }
 
 // OutNeighbors returns u's neighbors (out-neighbors for directed graphs) in
-// ascending ID order — the same contents and order as Graph.Neighbors, but
-// as a zero-allocation view into the frozen arrays. Callers must not modify
-// the returned slice.
+// ascending ID order, parallel edges repeated, as a zero-allocation view
+// into the frozen arrays. Callers must not modify the returned slice.
 func (c *CSR) OutNeighbors(u NodeID) []NodeID {
 	return c.targets[c.offsets[u]:c.offsets[u+1]]
 }

@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"fmt"
+	"slices"
 
 	"chatgraph/internal/graph"
 )
@@ -14,7 +15,7 @@ func ExampleGraph() {
 	g.AddEdge(a, b) //nolint:errcheck
 	g.AddEdge(b, c) //nolint:errcheck
 	fmt.Println(g.NumNodes(), "nodes,", g.NumEdges(), "edges")
-	fmt.Println("alice-bob adjacent:", g.HasEdge(a, b))
+	fmt.Println("alice-bob adjacent:", slices.Contains(g.Freeze().OutNeighbors(a), b))
 	fmt.Println("distance alice->carol:", g.ShortestPathLengths(a)[c])
 	// Output:
 	// 3 nodes, 2 edges

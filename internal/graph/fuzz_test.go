@@ -132,7 +132,7 @@ func graphsEquivalent(a, b *Graph) error {
 
 // parseJSONOracle is ParseJSON as it was before the schema scanner existed —
 // encoding/json into jsonGraph, then loadWire — and stays the reference the
-// scanner is held to.
+// scanner and the in-place load are held to.
 func parseJSONOracle(data []byte) (*Graph, error) {
 	var jg jsonGraph
 	if err := json.Unmarshal(data, &jg); err != nil {
@@ -147,10 +147,91 @@ func parseJSONOracle(data []byte) (*Graph, error) {
 	return g, nil
 }
 
+// loadWire is the copy the decode made before the scanner filled the
+// graph's own slabs: encoding/json's wire structs validated and copied into
+// fresh Node and Edge slabs, in the order AddNode / AddEdgeLabeled check.
+// (It also carved the adjacency rows the graph no longer keeps.)
+func (g *Graph) loadWire(jg *jsonGraph) error {
+	n, m := len(jg.Nodes), len(jg.Edges)
+	dense := true
+	for i := range jg.Nodes {
+		if jg.Nodes[i].ID != i {
+			dense = false
+			break
+		}
+	}
+	var remap map[int]NodeID
+	if !dense {
+		remap = make(map[int]NodeID, n)
+		for i := range jg.Nodes {
+			id := jg.Nodes[i].ID
+			if _, dup := remap[id]; dup {
+				return fmt.Errorf("graph: duplicate node id %d", id)
+			}
+			remap[id] = NodeID(i)
+		}
+	}
+	nodes := make([]Node, n)
+	for i := range jg.Nodes {
+		nodes[i] = Node{ID: NodeID(i), Label: jg.Nodes[i].Label}
+		if len(jg.Nodes[i].Attrs) > 0 {
+			nodes[i].Attrs = jg.Nodes[i].Attrs
+		}
+	}
+	edges := make([]Edge, m)
+	for i := range jg.Edges {
+		e := &jg.Edges[i]
+		var from, to NodeID
+		if dense {
+			if e.From < 0 || e.From >= n {
+				return fmt.Errorf("graph: edge references unknown node %d", e.From)
+			}
+			if e.To < 0 || e.To >= n {
+				return fmt.Errorf("graph: edge references unknown node %d", e.To)
+			}
+			from, to = NodeID(e.From), NodeID(e.To)
+		} else {
+			var ok bool
+			if from, ok = remap[e.From]; !ok {
+				return fmt.Errorf("graph: edge references unknown node %d", e.From)
+			}
+			if to, ok = remap[e.To]; !ok {
+				return fmt.Errorf("graph: edge references unknown node %d", e.To)
+			}
+		}
+		if from == to {
+			return fmt.Errorf("graph: self-loop on node %d rejected", from)
+		}
+		w := e.Weight
+		if w == 0 {
+			w = 1
+		}
+		edges[i] = Edge{From: from, To: to, Label: e.Label, Weight: w}
+	}
+	g.nodes, g.edges = nodes, edges
+	g.version += uint64(n + m)
+	return nil
+}
+
+// wireOf is encoding/json's decode in the scanner's wire form: IDs as sent,
+// weights as sent, attrs maps as decoded (nil versus empty kept), and empty
+// arrays nil, as the scanner's exact-size copy leaves them.
+func wireOf(jg jsonGraph) wire {
+	w := wire{name: jg.Name, directed: jg.Directed}
+	for _, n := range jg.Nodes {
+		w.nodes = append(w.nodes, Node{ID: NodeID(n.ID), Label: n.Label, Attrs: n.Attrs})
+	}
+	for _, e := range jg.Edges {
+		w.edges = append(w.edges, Edge{From: NodeID(e.From), To: NodeID(e.To), Label: e.Label, Weight: e.Weight})
+	}
+	return w
+}
+
 // checkAgainstOracle holds ParseJSON to the oracle on one input: the same
 // accept/reject decision, error text, graph and version — and, where the
-// scanner took the input itself, a jsonGraph identical to encoding/json's
-// down to nil-versus-empty and the sign of a zero weight.
+// scanner took the input itself, a wire graph identical to encoding/json's
+// down to nil-versus-empty attrs and the sign of a zero weight, in slabs of
+// exactly their length.
 func checkAgainstOracle(t *testing.T, data []byte) (*Graph, error) {
 	t.Helper()
 	g, err := ParseJSON(data)
@@ -169,18 +250,23 @@ func checkAgainstOracle(t *testing.T, data []byte) (*Graph, error) {
 		if g.Version() != og.Version() {
 			t.Fatalf("version %d, oracle %d\ninput: %q", g.Version(), og.Version(), data)
 		}
+		if cap(g.Nodes()) != g.NumNodes() || cap(g.Edges()) != g.NumEdges() {
+			t.Fatalf("slabs of cap %d / %d for %d nodes / %d edges\ninput: %q", cap(g.Nodes()), cap(g.Edges()), g.NumNodes(), g.NumEdges(), data)
+		}
 	}
-	var sj, oj jsonGraph
-	if scanWire(data, &sj) {
+	var sw wire
+	if scanWire(data, &sw) {
+		var oj jsonGraph
 		if uerr := json.Unmarshal(data, &oj); uerr != nil {
 			t.Fatalf("scanner accepted what encoding/json rejects: %v\ninput: %q", uerr, data)
 		}
-		if !reflect.DeepEqual(sj, oj) {
-			t.Fatalf("scanner decoded %+v, encoding/json %+v\ninput: %q", sj, oj, data)
+		ow := wireOf(oj)
+		if !reflect.DeepEqual(sw, ow) {
+			t.Fatalf("scanner decoded %+v, encoding/json %+v\ninput: %q", sw, ow, data)
 		}
-		for i := range sj.Edges {
-			if math.Float64bits(sj.Edges[i].Weight) != math.Float64bits(oj.Edges[i].Weight) {
-				t.Fatalf("edge %d weight bits differ: %v vs %v\ninput: %q", i, sj.Edges[i].Weight, oj.Edges[i].Weight, data)
+		for i := range sw.edges {
+			if math.Float64bits(sw.edges[i].Weight) != math.Float64bits(ow.edges[i].Weight) {
+				t.Fatalf("edge %d weight bits differ: %v vs %v\ninput: %q", i, sw.edges[i].Weight, ow.edges[i].Weight, data)
 			}
 		}
 	}

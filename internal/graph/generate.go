@@ -165,14 +165,22 @@ func Molecule(nAtoms int, rng *rand.Rand) *Graph {
 		valLeft[j]--
 		valLeft[i]--
 	}
-	// Ring closures: about one ring per 6 atoms.
+	// Ring closures: about one ring per 6 atoms, never doubling a bond. The
+	// bonds are tracked here, not asked of g, whose adjacency reads rebuild
+	// its CSR after every added edge.
+	bonded := make(map[[2]NodeID]bool, nAtoms+nAtoms/6)
+	for _, e := range g.Edges() {
+		bonded[[2]NodeID{min(e.From, e.To), max(e.From, e.To)}] = true
+	}
 	rings := nAtoms / 6
 	for r := 0; r < rings; r++ {
 		i, j := rng.Intn(nAtoms), rng.Intn(nAtoms)
-		if i == j || valLeft[i] <= 0 || valLeft[j] <= 0 || g.HasEdge(NodeID(i), NodeID(j)) {
+		bond := [2]NodeID{NodeID(min(i, j)), NodeID(max(i, j))}
+		if i == j || valLeft[i] <= 0 || valLeft[j] <= 0 || bonded[bond] {
 			continue
 		}
 		g.AddEdgeLabeled(NodeID(i), NodeID(j), "bond", 1) //nolint:errcheck
+		bonded[bond] = true
 		valLeft[i]--
 		valLeft[j]--
 	}
@@ -211,6 +219,9 @@ func KnowledgeGraph(nEntities, nTriples int, rng *rand.Rand) *Graph {
 	for _, n := range g.Nodes() {
 		byType[n.Attrs["type"]] = append(byType[n.Attrs["type"]], n.ID)
 	}
+	// At most one relation per ordered entity pair; the pairs are tracked
+	// here, not asked of g (see Molecule).
+	linked := make(map[[2]NodeID]bool, nTriples)
 	added := 0
 	for tries := 0; added < nTriples && tries < nTriples*20; tries++ {
 		rel := kgRelations[rng.Intn(len(kgRelations))]
@@ -221,10 +232,11 @@ func KnowledgeGraph(nEntities, nTriples int, rng *rand.Rand) *Graph {
 		}
 		s := subjs[rng.Intn(len(subjs))]
 		o := objs[rng.Intn(len(objs))]
-		if s == o || g.HasEdge(s, o) {
+		if s == o || linked[[2]NodeID{s, o}] {
 			continue
 		}
 		if err := g.AddEdgeLabeled(s, o, rel, 1); err == nil {
+			linked[[2]NodeID{s, o}] = true
 			added++
 		}
 	}

@@ -1,0 +1,51 @@
+package graph
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"math/rand"
+	"testing"
+)
+
+// TestGeneratorsAreStable pins the generators' fixed-seed output byte for
+// byte. The benchmark generates every upload body with them, so a generator
+// that drew its random numbers in another order would silently make "the
+// same workload" another one. The sums were recorded before the generators
+// stopped asking the graph whether an edge exists and kept their own edge
+// sets instead.
+func TestGeneratorsAreStable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		gen  func(*rand.Rand) *Graph
+		sums map[int64]string // seed → SHA-256 of json.Marshal
+	}{
+		{"KnowledgeGraph(300, 900)", func(rng *rand.Rand) *Graph { return KnowledgeGraph(300, 900, rng) }, map[int64]string{
+			1: "f1253747888440acae0a6e46e9682b9508c230aef11ae37bca95f4e0ed426a37",
+			7: "fa06a6db3c7a2116353ce3a6257a4ca91f16846fc17506c89d6cb1443420e22d",
+		}},
+		{"PlantedCommunities(4, 50, .3, .02)", func(rng *rand.Rand) *Graph { return PlantedCommunities(4, 50, .3, .02, rng) }, map[int64]string{
+			1: "9b9159002e981acc2df07f66e6ecf03e5b84d53b2def5eca4e7b781c1d5f49e9",
+			7: "79bccd5813f27dbce9b10bd86b39b3db46f3a4e2da41f0fdb1f1d72b01d3421a",
+		}},
+		{"Molecule(30)", func(rng *rand.Rand) *Graph { return Molecule(30, rng) }, map[int64]string{
+			1: "d4c819cfa6002a6089234bf0d95ef1c64df22c78eb3687ac23af80368feb3dd8",
+			7: "574011b192989778a9105104315cc84fc71cee6b09a53f922bba922dd4939c3c",
+		}},
+		{"Molecule(200)", func(rng *rand.Rand) *Graph { return Molecule(200, rng) }, map[int64]string{
+			1: "2732cefd2ef787dbdad6e634edd94ad981ee8d563516e5e4db8e79fa518f2c58",
+			7: "bc9102a9c2680ef0e744608ddeafaf75d69ea1144866ad07c840bf50553b32f8",
+		}},
+	} {
+		for seed, want := range tc.sums {
+			data, err := json.Marshal(tc.gen(rand.New(rand.NewSource(seed))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("%s at seed %d: sha256 %s, want %s", tc.name, seed, got, want)
+			}
+		}
+	}
+}

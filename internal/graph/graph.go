@@ -30,7 +30,7 @@ type Node struct {
 }
 
 // Edge connects From to To. In an undirected graph each edge is stored once
-// but visible from both endpoints' adjacency lists.
+// but visible from both endpoints' rows of the frozen CSR.
 type Edge struct {
 	From  NodeID
 	To    NodeID
@@ -42,6 +42,13 @@ type Edge struct {
 // Graph is a mutable labeled property graph. The zero value is not usable;
 // construct with New or NewDirected.
 //
+// A graph keeps two slabs, its nodes and its labelled edge list, and reads
+// adjacency from one place: the CSR Freeze builds for the current version
+// (OutNeighbors, OutDegree, UndirectedNeighbors). A mutation costs an append
+// or a compaction, and the next adjacency read after it rebuilds the view
+// once, O(V + E) — so code that interleaves "is this edge there?" with
+// AddEdge keeps its own edge set (the generators, kg.InjectNoise).
+//
 // Mutation is not safe for concurrent use, but any number of goroutines may
 // read one graph concurrently — including through Freeze, whose frozen CSR
 // view backs every traversal-heavy algorithm in this package.
@@ -50,10 +57,7 @@ type Graph struct {
 	Name     string
 	directed bool
 	nodes    []Node
-	// adj[u] lists indexes into edges for all edges incident to u (for
-	// undirected graphs) or leaving u (for directed graphs).
-	adj   [][]int
-	edges []Edge
+	edges    []Edge
 
 	// version counts mutations; Freeze and the cached content hash are
 	// memoized per version, so any structural or label change invalidates
@@ -101,12 +105,11 @@ func (g *Graph) bump() {
 }
 
 // Grow preallocates capacity for nodes additional nodes and edges additional
-// edges, so bulk constructions (complement, union, JSON decode) append
-// without re-growing the backing arrays.
+// edges, so a bulk construction (seq.SuperGraph) appends without re-growing
+// the two slabs.
 func (g *Graph) Grow(nodes, edges int) {
 	if nodes > 0 {
 		g.nodes = append(make([]Node, 0, len(g.nodes)+nodes), g.nodes...)
-		g.adj = append(make([][]int, 0, len(g.adj)+nodes), g.adj...)
 	}
 	if edges > 0 {
 		g.edges = append(make([]Edge, 0, len(g.edges)+edges), g.edges...)
@@ -132,7 +135,6 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 func (g *Graph) AddNode(label string) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Label: label})
-	g.adj = append(g.adj, nil)
 	g.bump()
 	return id
 }
@@ -204,117 +206,50 @@ func (g *Graph) AddEdgeLabeled(from, to NodeID, label string, weight float64) er
 	if from == to {
 		return fmt.Errorf("graph: self-loop on node %d rejected", from)
 	}
-	idx := len(g.edges)
 	g.edges = append(g.edges, Edge{From: from, To: to, Label: label, Weight: weight})
-	g.adj[from] = append(g.adj[from], idx)
-	if !g.directed {
-		g.adj[to] = append(g.adj[to], idx)
-	}
 	g.bump()
 	return nil
 }
 
-// HasEdge reports whether an edge from→to exists (either direction for
-// undirected graphs).
-func (g *Graph) HasEdge(from, to NodeID) bool {
-	if !g.valid(from) || !g.valid(to) {
-		return false
-	}
-	for _, ei := range g.adj[from] {
-		e := g.edges[ei]
-		if e.From == from && e.To == to || !g.directed && e.From == to && e.To == from {
-			return true
-		}
-	}
-	return false
-}
-
-// HasEdgeLabeled reports whether an edge from→to (either direction for
-// undirected graphs) carries exactly the given label — the edge
-// RemoveEdgeLabeled would delete.
-func (g *Graph) HasEdgeLabeled(from, to NodeID, label string) bool {
-	if !g.valid(from) || !g.valid(to) {
-		return false
-	}
-	for _, ei := range g.adj[from] {
-		e := &g.edges[ei]
-		if e.Label == label && (e.From == from && e.To == to || !g.directed && e.From == to && e.To == from) {
-			return true
-		}
-	}
-	return false
-}
-
-// RemoveEdge deletes one edge between from and to (the first found,
-// whatever its label) and reports whether an edge was removed. Removal is
-// O(E) because edge indexes are compacted; cleaning workloads remove few
-// edges so this is acceptable.
+// RemoveEdge deletes one edge between from and to (the first found in edge
+// order, whatever its label) and reports whether an edge was removed.
+// Removal is O(E) because the edge list is compacted; cleaning workloads
+// remove few edges one at a time (kg.Apply edits its whole plan in one pass
+// through SetEdges).
 func (g *Graph) RemoveEdge(from, to NodeID) bool {
-	return g.removeEdge(from, to, "", false)
-}
-
-// RemoveEdgeLabeled deletes one edge between from and to carrying exactly
-// the given label, leaving differently-labeled parallel edges intact.
-func (g *Graph) RemoveEdgeLabeled(from, to NodeID, label string) bool {
-	return g.removeEdge(from, to, label, true)
-}
-
-func (g *Graph) removeEdge(from, to NodeID, label string, matchLabel bool) bool {
-	target := -1
 	for i, e := range g.edges {
-		if matchLabel && e.Label != label {
-			continue
-		}
 		if e.From == from && e.To == to || !g.directed && e.From == to && e.To == from {
-			target = i
-			break
+			g.edges = append(g.edges[:i], g.edges[i+1:]...)
+			g.bump()
+			return true
 		}
 	}
-	if target < 0 {
-		return false
+	return false
+}
+
+// SetEdges replaces g's edge list with edges, which g then owns, checking
+// every edge as AddEdgeLabeled does. edits (at least 1) is how many
+// single-edge additions and removals the replacement stands for: Version
+// advances by that many, as it would have under that sequence of calls. On
+// an error g is unchanged.
+func (g *Graph) SetEdges(edges []Edge, edits int) error {
+	for _, e := range edges {
+		if !g.valid(e.From) || !g.valid(e.To) {
+			return fmt.Errorf("graph: edge (%d,%d) has endpoint outside [0,%d)", e.From, e.To, len(g.nodes))
+		}
+		if e.From == e.To {
+			return fmt.Errorf("graph: self-loop on node %d rejected", e.From)
+		}
 	}
-	g.edges = append(g.edges[:target], g.edges[target+1:]...)
-	g.rebuildAdj()
+	g.edges = edges
 	g.bump()
-	return true
+	g.version += uint64(max(edits, 1) - 1)
+	return nil
 }
-
-// rebuildAdj recomputes adjacency lists from the edge slice.
-func (g *Graph) rebuildAdj() {
-	for i := range g.adj {
-		g.adj[i] = g.adj[i][:0]
-	}
-	for idx, e := range g.edges {
-		g.adj[e.From] = append(g.adj[e.From], idx)
-		if !g.directed {
-			g.adj[e.To] = append(g.adj[e.To], idx)
-		}
-	}
-}
-
-// Neighbors returns the IDs adjacent to u (out-neighbors for directed
-// graphs), in deterministic ascending order.
-func (g *Graph) Neighbors(u NodeID) []NodeID {
-	out := make([]NodeID, 0, len(g.adj[u]))
-	for _, ei := range g.adj[u] {
-		e := g.edges[ei]
-		if e.From == u {
-			out = append(out, e.To)
-		} else {
-			out = append(out, e.From)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Degree returns the number of incident edges at u (out-degree for directed
-// graphs).
-func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
 
 // Clone returns a copy of g that mutates independently of it. The copy is
 // private: it is never marked shared (even when g is an interned graph). It
-// copies the node, edge and adjacency slices and shares what is read-only:
+// copies the node and edge slabs and shares what is read-only:
 // the attribute maps (SetNodeAttr replaces a map, never writes into it) and,
 // at the same version, the fingerprint and the frozen CSR g has already
 // computed — the executor's clone of an interned graph neither hashes 300
@@ -335,20 +270,6 @@ func (g *Graph) Clone() *Graph {
 	copy(c.nodes, g.nodes)
 	c.edges = make([]Edge, len(g.edges))
 	copy(c.edges, g.edges)
-	// One index slab carved into capped rows, as loadWire lays them out: an
-	// AddEdge on the copy reallocates just the row it grows.
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	slab := make([]int, total)
-	c.adj = make([][]int, len(g.adj))
-	off := 0
-	for i, a := range g.adj {
-		end := off + copy(slab[off:], a)
-		c.adj[i] = slab[off:end:end]
-		off = end
-	}
 	return c
 }
 

@@ -32,6 +32,8 @@ func FindSubgraphIsomorphisms(pattern, host *Graph, opts IsoOptions) []SubgraphM
 	st := &isoState{
 		pattern: pattern,
 		host:    host,
+		patCSR:  pattern.Freeze(),
+		hostCSR: host.Freeze(),
 		max:     opts.MaxMatches,
 		mapping: make([]NodeID, pattern.NumNodes()),
 		used:    make([]bool, host.NumNodes()),
@@ -39,7 +41,7 @@ func FindSubgraphIsomorphisms(pattern, host *Graph, opts IsoOptions) []SubgraphM
 	for i := range st.mapping {
 		st.mapping[i] = -1
 	}
-	st.order = matchOrder(pattern)
+	st.order = matchOrder(st.patCSR)
 	st.hostAdj = adjacencySets(host)
 	st.patAdj = adjacencySets(pattern)
 	st.search(0)
@@ -48,6 +50,7 @@ func FindSubgraphIsomorphisms(pattern, host *Graph, opts IsoOptions) []SubgraphM
 
 type isoState struct {
 	pattern, host   *Graph
+	patCSR, hostCSR *CSR // degrees, read once per search rather than per probe
 	max             int
 	order           []NodeID
 	mapping         []NodeID
@@ -59,7 +62,7 @@ type isoState struct {
 // matchOrder visits pattern nodes in a connectivity-aware order: highest
 // degree first, then neighbors of already-ordered nodes, which prunes the
 // search tree much earlier than ID order.
-func matchOrder(p *Graph) []NodeID {
+func matchOrder(p *CSR) []NodeID {
 	n := p.NumNodes()
 	placed := make([]bool, n)
 	var order []NodeID
@@ -71,12 +74,12 @@ func matchOrder(p *Graph) []NodeID {
 				continue
 			}
 			score := 0
-			for _, nb := range p.Neighbors(NodeID(i)) {
+			for _, nb := range p.OutNeighbors(NodeID(i)) {
 				if placed[nb] {
 					score += 1000 // strongly prefer extending the frontier
 				}
 			}
-			score += p.Degree(NodeID(i))
+			score += p.OutDegree(NodeID(i))
 			if score > bestScore {
 				best, bestScore = NodeID(i), score
 			}
@@ -158,7 +161,7 @@ func (st *isoState) feasible(pu, hv NodeID) bool {
 	if p := st.pattern.Node(pu).Label; p != "" && p != st.host.Node(hv).Label {
 		return false
 	}
-	if st.pattern.Degree(pu) > st.host.Degree(hv) {
+	if st.patCSR.OutDegree(pu) > st.hostCSR.OutDegree(hv) {
 		return false
 	}
 	for nb := range st.patAdj[pu] {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"slices"
 	"strconv"
+	"sync"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -12,13 +13,13 @@ import (
 // A non-reflective decoder for the upload wire schema. Every chat and job
 // carries its graph, and encoding/json walks those bytes four times
 // (Decoder scan, RawMessage copy, checkValid, reflective decode); this
-// scanner walks them once, straight into the jsonGraph that loadWire
-// consumes.
+// scanner walks them once, straight into the Node and Edge slabs the graph
+// keeps (in wire form until Graph.load validates and remaps them in place).
 //
 // The contract is one-sided: the scanner either decodes the value
 // completely or declines, and a decline costs nothing but the fallback —
 // the caller runs json.Unmarshal on the same bytes. It therefore only has
-// to be right about what it accepts (accepts ⇒ the jsonGraph encoding/json
+// to be right about what it accepts (accepts ⇒ the wire graph encoding/json
 // would have produced), never about why something is wrong, and every
 // error message stays encoding/json's.
 //
@@ -66,37 +67,83 @@ type wireScanner struct {
 // attrSeenSize is how many distinct attrs objects one parse remembers.
 const attrSeenSize = 8
 
-// scanWire decodes data into jg, reporting false (jg then holds garbage) on
-// anything outside the accepted set. Nodes whose attrs objects are the same
-// bytes get the same map (wireScanner.attrs); jg's maps are read-only
-// values from then on.
-func scanWire(data []byte, jg *jsonGraph) bool {
+// scanSlabs is the growable scratch a scan decodes its arrays into. A graph
+// keeps exact-size slabs, and the array sizes are not known until the
+// closing brackets, so the scan fills pooled scratch and copies each array
+// out once at its final length.
+type scanSlabs struct {
+	nodes []Node
+	edges []Edge
+}
+
+// maxPooledSlab bounds the scratch returned to the pool (in elements), so
+// one 8 MiB upload does not pin megabytes per P afterwards.
+const maxPooledSlab = 1 << 14
+
+var slabPool = sync.Pool{New: func() any { return new(scanSlabs) }}
+
+// scanWire decodes data into w, reporting false (w then holds garbage) on
+// anything outside the accepted set.
+func scanWire(data []byte, w *wire) bool {
 	s := wireScanner{data: data}
 	s.ws()
+	ok := s.graph(w)
+	s.ws()
+	return ok && s.i == len(data)
+}
+
+// graph decodes the graph value at s.i into w and leaves s.i just past it.
+// Nodes whose attrs objects are the same bytes get the same map
+// (wireScanner.attrs); w's maps are read-only values from then on.
+func (s *wireScanner) graph(w *wire) bool {
+	sc := slabPool.Get().(*scanSlabs)
+	defer func() {
+		clear(sc.nodes) // drop the strings and maps the scratch points at
+		clear(sc.edges)
+		sc.nodes, sc.edges = sc.nodes[:0], sc.edges[:0]
+		if cap(sc.nodes) <= maxPooledSlab && cap(sc.edges) <= maxPooledSlab {
+			slabPool.Put(sc)
+		}
+	}()
 	ok := s.object(func(key []byte) (bit int, ok bool) {
 		switch string(key) {
 		case "name":
 			var b []byte
 			b, ok = s.str()
-			jg.Name = string(b)
+			w.name = string(b)
 			return 1, ok
 		case "directed":
-			jg.Directed, ok = s.boolean()
+			w.directed, ok = s.boolean()
 			return 2, ok
 		case "nodes":
-			jg.Nodes, ok = scanArray(&s, (*wireScanner).node)
+			ok = scanArray(s, &sc.nodes, (*wireScanner).node)
+			w.nodes = sc.nodes
 			return 4, ok
 		case "edges":
-			jg.Edges, ok = scanArray(&s, (*wireScanner).edge)
+			ok = scanArray(s, &sc.edges, (*wireScanner).edge)
+			w.edges = sc.edges
 			return 8, ok
 		}
 		return 0, false
 	})
-	s.ws()
-	return ok && s.i == len(data)
+	if !ok {
+		return false
+	}
+	w.nodes, w.edges = exact(w.nodes), exact(w.edges)
+	return true
 }
 
-func (s *wireScanner) node(n *jsonNode) bool {
+// exact copies s into a slice whose capacity is its length.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
+func (s *wireScanner) node(n *Node) bool {
 	return s.object(func(key []byte) (bit int, ok bool) {
 		switch string(key) {
 		case "id":
@@ -113,7 +160,7 @@ func (s *wireScanner) node(n *jsonNode) bool {
 	})
 }
 
-func (s *wireScanner) edge(e *jsonEdge) bool {
+func (s *wireScanner) edge(e *Edge) bool {
 	return s.object(func(key []byte) (bit int, ok bool) {
 		switch string(key) {
 		case "from":
@@ -154,27 +201,37 @@ func (s *wireScanner) object(member func(key []byte) (bit int, ok bool)) bool {
 	return ok
 }
 
-// scanArray scans an array of schema objects into a slab sized once: after
-// the first element, for as many elements of that size as the rest of the
-// input could hold. Elements are close to uniform, so the edge array (which
-// ends the payload) gets what it needs; the node array ahead of it is sized
-// for the edges' bytes too, an over-estimate that dies with the parse.
-func scanArray[T any](s *wireScanner, elem func(*wireScanner, *T) bool) ([]T, bool) {
-	out := []T{}
+// scanArray scans an array of schema objects into *dst, which it reuses
+// from index 0 and leaves holding every element it wrote (the one that
+// failed included), so the caller can clear them; what an earlier scan of
+// the same (duplicate) member wrote past that is cleared here. Scratch that
+// is too small is grown once: after the first element, for as many elements
+// of that size as the rest of the input could hold. Elements are close to uniform, so the
+// edge array (which ends the payload) gets what it needs; the node array
+// ahead of it is sized for the edges' bytes too, an over-estimate that stays
+// in the scratch.
+func scanArray[T any](s *wireScanner, dst *[]T, elem func(*wireScanner, *T) bool) bool {
+	out, old := (*dst)[:0], len(*dst)
+	defer func() {
+		if len(out) < old {
+			clear(out[len(out):old])
+		}
+		*dst = out
+	}()
 	more, ok := s.open('[', ']')
 	start := s.i
 	for more && ok {
 		var zero T
 		out = append(out, zero)
 		if !elem(s, &out[len(out)-1]) {
-			return nil, false
+			return false
 		}
 		more, ok = s.next(']')
 		if len(out) == 1 && more {
 			out = slices.Grow(out, min((len(s.data)-s.i)/(s.i-start), maxPresize))
 		}
 	}
-	return out, ok
+	return ok
 }
 
 // attrs decodes a string → string object. Keys here are data, not schema:
@@ -331,10 +388,11 @@ func (s *wireScanner) intPart() (v, n int) {
 	return v, n
 }
 
-// integer scans an int field. Only what cannot overflow and is not spelled as
-// a fraction or with an exponent is taken (encoding/json rejects "1.0" and
-// "1e2" for an int, and reports overflow with its own message).
-func (s *wireScanner) integer() (int, bool) {
+// integer scans an int field (a node id or an edge endpoint). Only what
+// cannot overflow and is not spelled as a fraction or with an exponent is
+// taken (encoding/json rejects "1.0" and "1e2" for an int, and reports
+// overflow with its own message).
+func (s *wireScanner) integer() (NodeID, bool) {
 	v, n := s.intPart()
 	if n == 0 || n > 18 {
 		return 0, false
@@ -345,7 +403,7 @@ func (s *wireScanner) integer() (int, bool) {
 			return 0, false
 		}
 	}
-	return v, true
+	return NodeID(v), true
 }
 
 // number scans a float64 field: JSON's number grammar checked here (it is
@@ -499,8 +557,9 @@ func hex4(b []byte) rune {
 
 // skipValue finds the end of the JSON value that starts at data[i] without
 // decoding or validating it — brackets are only counted, not matched by
-// kind, and scalars run to the next delimiter. It is how MemberSpan steps
-// over values; whatever it steps over is validated by whoever decodes those
+// kind, and scalars run to the next delimiter. It is how ParseMember steps
+// over the members it does not decode, and over a graph the scanner
+// declined; whatever it steps over is validated by whoever decodes those
 // bytes.
 func skipValue(data []byte, i int) (end int, ok bool) {
 	if i >= len(data) {
@@ -550,38 +609,68 @@ func skipString(data []byte, i int) (end int, ok bool) {
 	return i, false
 }
 
-// MemberSpan locates the value of the member named key in the JSON object
-// data holds, so a caller can decode that one (large) value in place and
-// hand everything around it to encoding/json. It answers only when it is
-// sure which member encoding/json would bind to a field tagged key: every
-// top-level key is plainly spelled ASCII, exactly one is key itself, and no
-// other folds to it. data[lo:hi] is then the value, without surrounding
-// whitespace. Nothing is validated; the object may be followed by anything.
-func MemberSpan(data []byte, key string) (lo, hi int, ok bool) {
+// Member is the graph-valued member ParseMember found: data[Lo:Hi] is its
+// value, without surrounding whitespace, and Graph, Err are what
+// ParseJSON(data[Lo:Hi]) returns.
+type Member struct {
+	Lo, Hi int
+	Graph  *Graph
+	Err    error
+}
+
+// ParseMember walks the JSON object data holds once, parsing the value of
+// the member named key as a graph where it lies, so a caller can hand
+// everything around that one (large) value to encoding/json. It answers only
+// when it is sure which member encoding/json would bind to a field tagged
+// key: every top-level key is plainly spelled ASCII, exactly one is key
+// itself, and no other folds to it. Nothing outside the graph is validated;
+// the object may be followed by anything.
+//
+// The graph is decoded by the scanner as the walk meets it, and the scanner
+// reports where the value ended; the other members are stepped over by
+// skipValue. A graph the scanner declines is stepped over too, and once the
+// walk has answered, decoded from its span by encoding/json exactly as
+// ParseJSON would.
+func ParseMember(data []byte, key string) (m Member, ok bool) {
 	s := wireScanner{data: data}
 	s.ws()
 	more, ok := s.open('{', '}')
-	found := false
+	found, scanned := false, false
+	var w wire
 	for more && ok {
 		k, kok := s.key()
 		if !kok {
-			return 0, 0, false
+			return Member{}, false
 		}
-		end, vok := skipValue(data, s.i)
-		if !vok {
-			return 0, 0, false
-		}
+		lo, hi, mine := s.i, 0, string(k) == key
 		switch {
-		case string(k) == key:
-			if found {
-				return 0, 0, false
+		case mine && found, !mine && bytes.EqualFold(k, []byte(key)):
+			return Member{}, false // k is ASCII, so this is encoding/json's fold
+		case mine && s.graph(&w):
+			hi, scanned = s.i, true
+		default:
+			var vok bool
+			if hi, vok = skipValue(data, lo); !vok {
+				return Member{}, false
 			}
-			found, lo, hi = true, s.i, end
-		case bytes.EqualFold(k, []byte(key)):
-			return 0, 0, false // k is ASCII, so this is encoding/json's fold
 		}
-		s.i = end
+		if mine {
+			found, m.Lo, m.Hi = true, lo, hi
+		}
+		s.i = hi
 		more, ok = s.next('}')
 	}
-	return lo, hi, ok && found
+	if !ok || !found {
+		return Member{}, false
+	}
+	g := New()
+	if scanned {
+		m.Err = g.load(&w)
+	} else if m.Err = decodeWire(data[m.Lo:m.Hi], &w); m.Err == nil {
+		m.Err = g.load(&w)
+	}
+	if m.Err == nil {
+		m.Graph = g
+	}
+	return m, true
 }

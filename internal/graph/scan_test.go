@@ -1,9 +1,13 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -40,7 +44,7 @@ func TestScanWireAcceptSet(t *testing.T) {
 		`{"nodes":[{"id":0,"attrs":{"k":"v","k":"w"}},{"id":1,"attrs":{}}]}`,
 	)
 	for _, in := range accept {
-		if !scanWire([]byte(in), new(jsonGraph)) {
+		if !scanWire([]byte(in), new(wire)) {
 			t.Errorf("scanner declined %.80q", in)
 		}
 		checkAgainstOracle(t, []byte(in))
@@ -54,7 +58,7 @@ func TestScanWireAcceptSet(t *testing.T) {
 		"{\"name\":\"raw\x01control\"}", `{"name":"bad \x escape"}`, `{"name":"quote \' escape"}`, `{"name":"short \u12"}`, `{"name":"open`,
 		`{"nodes":[]} x`, `{"nodes":[],}`, `{"nodes":[{"id":0},]}`, `{"nodes":[}`, `null`, `[]`, ``,
 	} {
-		if scanWire([]byte(in), new(jsonGraph)) {
+		if scanWire([]byte(in), new(wire)) {
 			t.Errorf("scanner took %q, which is encoding/json's to decide", in)
 		}
 		checkAgainstOracle(t, []byte(in))
@@ -97,27 +101,31 @@ func TestSkipValue(t *testing.T) {
 	}
 }
 
+// memberSpanCases are TestMemberSpan's table; TestParseMember runs the same
+// bodies.
+var memberSpanCases = []struct {
+	in, want string
+	ok       bool
+}{
+	{`{"graph":{"a":[1,2]},"q":"x"}`, `{"a":[1,2]}`, true},
+	{" {\n\"q\" : \"graph\" , \"graph\" :\t[1, 2] } trailing", `[1, 2]`, true},
+	{`{"q":{"graph":1},"graph":null}`, `null`, true},
+	{`{"graph":"}"}`, `"}"`, true},
+	{`{"graph":1,"graph":2}`, ``, false},
+	{`{"graph":1,"Graph":2}`, ``, false},
+	{`{"GRAPH":1}`, ``, false},
+	{`{"gr\u0061ph":1}`, ``, false},
+	{`{"q":"x"}`, ``, false},
+	{"{\"graph\":1,\"gräph\":2}", ``, false},
+	{`{"graph":1`, ``, false},
+	{`{"graph":}`, ``, false},
+	{`[{"graph":1}]`, ``, false},
+	{`{}`, ``, false},
+	{``, ``, false},
+}
+
 func TestMemberSpan(t *testing.T) {
-	for _, tc := range []struct {
-		in, want string
-		ok       bool
-	}{
-		{`{"graph":{"a":[1,2]},"q":"x"}`, `{"a":[1,2]}`, true},
-		{" {\n\"q\" : \"graph\" , \"graph\" :\t[1, 2] } trailing", `[1, 2]`, true},
-		{`{"q":{"graph":1},"graph":null}`, `null`, true},
-		{`{"graph":"}"}`, `"}"`, true},
-		{`{"graph":1,"graph":2}`, ``, false},
-		{`{"graph":1,"Graph":2}`, ``, false},
-		{`{"GRAPH":1}`, ``, false},
-		{`{"gr\u0061ph":1}`, ``, false},
-		{`{"q":"x"}`, ``, false},
-		{"{\"graph\":1,\"gräph\":2}", ``, false},
-		{`{"graph":1`, ``, false},
-		{`{"graph":}`, ``, false},
-		{`[{"graph":1}]`, ``, false},
-		{`{}`, ``, false},
-		{``, ``, false},
-	} {
+	for _, tc := range memberSpanCases {
 		lo, hi, ok := MemberSpan([]byte(tc.in), "graph")
 		if ok != tc.ok || (ok && tc.in[lo:hi] != tc.want) {
 			t.Errorf("MemberSpan(%q) = %q, %v; want %q, %v", tc.in, tc.in[lo:hi], ok, tc.want, tc.ok)
@@ -127,5 +135,165 @@ func TestMemberSpan(t *testing.T) {
 	big := `{"graph":` + strings.Repeat("[", 1<<16) + strings.Repeat("]", 1<<16) + `}`
 	if lo, hi, ok := MemberSpan([]byte(big), "graph"); !ok || hi-lo != 2<<16 {
 		t.Fatalf("deeply nested value: span %d:%d ok=%v", lo, hi, ok)
+	}
+}
+
+// MemberSpan is the envelope walk the upload path made before ParseMember
+// fused it with the graph decode, kept as ParseMember's oracle: it locates
+// the value of the member named key in the JSON object data holds, answering
+// only when it is sure which member encoding/json would bind to a field
+// tagged key — every top-level key is plainly spelled ASCII, exactly one is
+// key itself, and no other folds to it. data[lo:hi] is then the value,
+// without surrounding whitespace. Nothing is validated; the object may be
+// followed by anything.
+func MemberSpan(data []byte, key string) (lo, hi int, ok bool) {
+	s := wireScanner{data: data}
+	s.ws()
+	more, ok := s.open('{', '}')
+	found := false
+	for more && ok {
+		k, kok := s.key()
+		if !kok {
+			return 0, 0, false
+		}
+		end, vok := skipValue(data, s.i)
+		if !vok {
+			return 0, 0, false
+		}
+		switch {
+		case string(k) == key:
+			if found {
+				return 0, 0, false
+			}
+			found, lo, hi = true, s.i, end
+		case bytes.EqualFold(k, []byte(key)):
+			return 0, 0, false // k is ASCII, so this is encoding/json's fold
+		}
+		s.i = end
+		more, ok = s.next('}')
+	}
+	return lo, hi, ok && found
+}
+
+// checkParseMember holds ParseMember to its oracle on one body: MemberSpan
+// for the answer and the span, ParseJSON on the span for the graph.
+func checkParseMember(t *testing.T, body []byte) {
+	t.Helper()
+	m, ok := ParseMember(body, "graph")
+	lo, hi, wantOK := MemberSpan(body, "graph")
+	if ok != wantOK || ok && (m.Lo != lo || m.Hi != hi) {
+		t.Fatalf("ParseMember = %d:%d %v, MemberSpan %d:%d %v\nbody: %q", m.Lo, m.Hi, ok, lo, hi, wantOK, body)
+	}
+	if !ok {
+		return
+	}
+	want, werr := ParseJSON(body[lo:hi])
+	if fmt.Sprint(m.Err) != fmt.Sprint(werr) {
+		t.Fatalf("graph error %v, ParseJSON %v\nbody: %q", m.Err, werr, body)
+	}
+	var syntax, wantSyntax *json.SyntaxError
+	if errors.As(m.Err, &syntax) != errors.As(werr, &wantSyntax) {
+		t.Fatalf("graph error %v is a syntax error: %v, ParseJSON's: %v", m.Err, syntax != nil, wantSyntax != nil)
+	}
+	if (m.Graph == nil) != (want == nil) {
+		t.Fatalf("graph present %v, ParseJSON %v\nbody: %q", m.Graph != nil, want != nil, body)
+	}
+	if want == nil {
+		return
+	}
+	if err := graphsEquivalent(m.Graph, want); err != nil || m.Graph.Version() != want.Version() {
+		t.Fatalf("graph differs from ParseJSON's (%v; versions %d, %d)\nbody: %q", err, m.Graph.Version(), want.Version(), body)
+	}
+	if cap(m.Graph.Nodes()) != m.Graph.NumNodes() || cap(m.Graph.Edges()) != m.Graph.NumEdges() {
+		t.Fatalf("slabs are not exact-size\nbody: %q", body)
+	}
+}
+
+// TestParseMember: the fused walk answers as MemberSpan + ParseJSON did, on
+// TestMemberSpan's bodies and on envelopes around every graph the scanner
+// tests use — the graph first, last and in the middle; a second graph or
+// Graph member after one the scanner took; a graph the scanner declines
+// halfway, followed by more members; a body cut inside the graph.
+func TestParseMember(t *testing.T) {
+	for _, tc := range memberSpanCases {
+		checkParseMember(t, []byte(tc.in))
+	}
+	rng := rand.New(rand.NewSource(5))
+	graphs := []string{`{}`, `null`, `[1,2]`, `"g"`, `{"nodes":[{"id":7}],"edges":[{"from":7,"to":7}]}`,
+		`{"nodes":[{"id":0,"label":"a"},{"id":1}],"edges":[{"from":0,"to":1,"label":"r","weight":2}]}`,
+		`{"nodes":[{"id":0},{"id":1}],"edges":[{"from":0,"to":1}],"x":1}`,
+		`{"nodes":[{"id":0,"label":"a\u00e9"},{"id":1}],"edges":[{"from":0,"to":1}]}`,
+		`{"nodes":[{"id":01}]}`, `{"nodes":[{"id":0}],"nodes":[{"id":1}]}`}
+	for _, g := range []*Graph{KnowledgeGraph(30, 60, rng), PlantedCommunities(2, 10, .5, .1, rng), Molecule(12, rng)} {
+		data, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, string(data))
+	}
+	graphs = append(graphs, scannerSeeds...)
+	for _, g := range graphs {
+		for _, body := range []string{
+			`{"graph":` + g + `}`,
+			`{"question":"q","graph":` + g + `}`,
+			`{"graph":` + g + `,"question":"q","x":[{"graph":1}]}`,
+			` { "a" : 1 , "graph" : ` + g + ` , "b" : "}" } trailing`,
+			`{"graph":` + g + `,"graph":` + g + `}`,
+			`{"graph":` + g + `,"Graph":{}}`,
+			`{"graph":` + g + `,"q":"x"`,
+			`{"graph":` + g + `,}`,
+			`{"q":1,"graph":` + g[:len(g)/2],
+		} {
+			checkParseMember(t, []byte(body))
+		}
+	}
+}
+
+// TestConcurrentParsesShareNoScratch: parses running at once lease their
+// own scratch slabs from the pool, and no graph keeps pointing into one —
+// each result stays equal to a parse made alone, after the others reused
+// the scratch.
+func TestConcurrentParsesShareNoScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var bodies [][]byte
+	var want []*Graph
+	for _, g := range []*Graph{KnowledgeGraph(60, 150, rng), PlantedCommunities(3, 20, .4, .05, rng), Molecule(25, rng), BarabasiAlbert(50, 2, rng)} {
+		data, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := ParseJSON(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies, want = append(bodies, data), append(want, alone)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var kept []*Graph
+			for i := 0; i < 40; i++ {
+				g, err := ParseJSON(bodies[(w+i)%len(bodies)])
+				if err != nil {
+					errs <- err
+					return
+				}
+				kept = append(kept, g)
+			}
+			for i, g := range kept {
+				if err := graphsEquivalent(g, want[(w+i)%len(bodies)]); err != nil {
+					errs <- fmt.Errorf("worker %d parse %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -197,10 +197,15 @@ func TestConcurrentClonesOfSharedGraph(t *testing.T) {
 	}
 }
 
-// TestCloneAdjacencyRowsAreCapped: the clone's adjacency is one slab with
-// capped rows, so growing one row cannot write into the next.
-func TestCloneAdjacencyRowsAreCapped(t *testing.T) {
+// TestCloneGrowsIndependently: a clone grown edge by edge reads its own
+// adjacency (the CSR its first mutation makes it rebuild), and the original
+// keeps reading its own.
+func TestCloneGrowsIndependently(t *testing.T) {
 	g := BarabasiAlbert(40, 2, rand.New(rand.NewSource(3)))
+	before := make([][]NodeID, 40)
+	for u := range before {
+		before[u] = g.Neighbors(NodeID(u))
+	}
 	c := g.Clone()
 	for v := NodeID(2); v < 40; v++ {
 		if !c.HasEdge(1, v) {
@@ -210,11 +215,14 @@ func TestCloneAdjacencyRowsAreCapped(t *testing.T) {
 		}
 	}
 	for u := NodeID(0); u < 40; u++ {
+		if got := g.Neighbors(u); !slices.Equal(got, before[u]) {
+			t.Fatalf("original node %d neighbours %v after the clone grew, were %v", u, got, before[u])
+		}
 		if u == 1 {
 			continue
 		}
-		want := g.Neighbors(u)
-		if u >= 2 && !g.HasEdge(1, u) {
+		want := slices.Clone(before[u])
+		if u >= 2 && !slices.Contains(before[1], u) {
 			want = append(want, 1)
 			slices.Sort(want)
 		}
@@ -225,9 +233,9 @@ func TestCloneAdjacencyRowsAreCapped(t *testing.T) {
 }
 
 // TestCloneAndParseAllocBudgets: a clone costs a constant number of
-// allocations whatever the graph's size (it used to rebuild every
-// attribute map and adjacency row: 854 at 300 nodes), and a parse costs
-// about one per node (a label each) plus a constant.
+// allocations whatever the graph's size — the Graph and its two slabs (it
+// used to rebuild every attribute map and adjacency row: 854 at 300 nodes)
+// — and a parse costs about one per node (a label each) plus a constant.
 func TestCloneAndParseAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -235,8 +243,8 @@ func TestCloneAndParseAllocBudgets(t *testing.T) {
 	for _, size := range [][2]int{{300, 900}, {1200, 3600}} {
 		g, data := parsedKG(t, size[0], size[1])
 		g.Freeze()
-		if allocs := testing.AllocsPerRun(20, func() { g.Clone() }); allocs > 5 {
-			t.Errorf("Clone of a %d-node KG: %.0f allocs, budget 5", size[0], allocs)
+		if allocs := testing.AllocsPerRun(20, func() { g.Clone() }); allocs > 3 {
+			t.Errorf("Clone of a %d-node KG: %.0f allocs, budget 3", size[0], allocs)
 		}
 		budget := float64(g.NumNodes() + 40)
 		if allocs := testing.AllocsPerRun(20, func() { ParseJSON(data) }); allocs > budget { //nolint:errcheck

@@ -20,6 +20,7 @@ package graphstore
 import (
 	"container/list"
 	"sync"
+	"unsafe"
 
 	"chatgraph/internal/graph"
 	"chatgraph/internal/metrics"
@@ -95,26 +96,75 @@ func New(capacity int) *Store {
 	return s
 }
 
-// approxBytes estimates what keeping g resident costs: node and edge
-// records, label/attr strings, adjacency indexes, and the frozen CSR the
-// shared instance will inevitably carry (~3 index arrays per edge
-// direction). An estimate is enough — the budget exists to stop unbounded
-// growth, not to account precisely. It counts every node's attribute map
-// as the node's own, so it over-counts a parse whose nodes share maps
-// (graph.Node.Attrs: a 300-node knowledge graph holds three).
+// approxBytes estimates what keeping g resident costs once a chat has read
+// it: the Graph and its two exact-size slabs (nodes, edges); each distinct
+// label string and attribute map once, however many nodes or edges hold it
+// (a parse shares them: graph.Node.Attrs); the frozen CSR, which every
+// shared instance ends up carrying — offsets, targets and weights per
+// direction, plus its label table; and the memoized Stats, whose label
+// histogram holds an entry per distinct label. It is an estimate the byte
+// budget evicts by, held to within 25 % of the measured heap
+// (TestBytesTracksRetention), not an account.
 func approxBytes(g *graph.Graph) int64 {
+	const (
+		nodeSize  = int64(unsafe.Sizeof(graph.Node{}))
+		edgeSize  = int64(unsafe.Sizeof(graph.Edge{}))
+		fixed     = 1024    // the Graph, the CSR and Stats headers, the fingerprint
+		perLabel  = 16 + 40 // the CSR label table's header + a histogram entry
+		mapHeader = 48
+		mapSlot   = 40 // a string → string slot with its share of control bytes
+	)
 	n, m := int64(g.NumNodes()), int64(g.NumEdges())
-	b := n*64 + m*96
-	for _, nd := range g.Nodes() {
-		b += int64(len(nd.Label))
-		for k, v := range nd.Attrs {
-			b += int64(len(k)+len(v)) + 32
+	b := fixed + n*(nodeSize+perLabel) + m*edgeSize
+	if g.Directed() {
+		// Forward, reverse and undirected offsets; forward targets and
+		// weights, reverse targets, and both directions of the undirected
+		// view.
+		b += n*3*4 + m*(8+8+8+2*8)
+	} else {
+		// One offsets array; each edge seen from both ends.
+		b += n*4 + m*2*(8+8)
+	}
+	var seen recent
+	for i := range g.Nodes() {
+		nd := &g.Nodes()[i]
+		b += seen.stringBytes(nd.Label)
+		if len(nd.Attrs) > 0 && seen.first(*(*unsafe.Pointer)(unsafe.Pointer(&nd.Attrs))) {
+			b += mapHeader + mapSlot*int64(max(len(nd.Attrs), 8))
+			for k, v := range nd.Attrs {
+				b += seen.stringBytes(k) + seen.stringBytes(v)
+			}
 		}
 	}
 	for i := range g.Edges() {
-		b += int64(len(g.Edges()[i].Label))
+		b += seen.stringBytes(g.Edges()[i].Label)
 	}
 	return b
+}
+
+// recent is a small direct-mapped table of the string data and maps
+// approxBytes has counted, so a label or attribute map a parse shared among
+// many nodes or edges is counted about once. A collision only counts a
+// shared value again.
+type recent [64]unsafe.Pointer
+
+// first reports whether p is new to the table, and remembers it.
+func (r *recent) first(p unsafe.Pointer) bool {
+	slot := &r[uintptr(p)>>4%uintptr(len(r))]
+	if *slot == p {
+		return false
+	}
+	*slot = p
+	return true
+}
+
+// stringBytes is what s's data costs the heap (its allocation size class,
+// roughly), or 0 if s is empty or was counted already.
+func (r *recent) stringBytes(s string) int64 {
+	if len(s) == 0 || !r.first(unsafe.Pointer(unsafe.StringData(s))) {
+		return 0
+	}
+	return int64(len(s)+7) &^ 7
 }
 
 // Intern resolves g to the one shared instance for its content: the first

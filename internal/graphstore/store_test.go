@@ -141,15 +141,18 @@ func TestInternDiscriminatesCanonicalCollisions(t *testing.T) {
 // entry count — varied large uploads must evict instead of pinning
 // unbounded memory.
 func TestInternByteBudget(t *testing.T) {
+	// A budget of about three of the graphs below, whatever one is
+	// estimated at.
+	budget := 3 * approxBytes(graph.PlantedCommunities(2, 6, 0.7, 0.1, rand.New(rand.NewSource(99))))
 	s := New(1024)
-	s.maxBytes = 4096
+	s.maxBytes = budget
 	var kept []*graph.Graph
 	for i := int64(0); i < 8; i++ {
 		g := graph.PlantedCommunities(2, 6, 0.7, 0.1, rand.New(rand.NewSource(100+i)))
 		kept = append(kept, s.Intern(g))
 	}
-	if s.Bytes() > 4096 {
-		t.Fatalf("Bytes = %d exceeds the 4096 budget", s.Bytes())
+	if s.Bytes() > budget {
+		t.Fatalf("Bytes = %d exceeds the %d budget", s.Bytes(), budget)
 	}
 	if s.Evictions() == 0 {
 		t.Fatal("byte budget never evicted")

@@ -37,3 +37,15 @@ func BenchmarkMineRules(b *testing.B) {
 		MineRules(g, MineConfig{})
 	}
 }
+
+// BenchmarkApply is the "Clean G" edit on the knowledge graph
+// chat_large_cold uploads: the executor's clone of the interned graph, then
+// Apply of every issue Detect reported (~740 additions).
+func BenchmarkApply(b *testing.B) {
+	g := graph.KnowledgeGraph(300, 900, rand.New(rand.NewSource(1)))
+	issues := NewDetector().Detect(g)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Apply(g.Clone(), issues)
+	}
+}

@@ -12,7 +12,9 @@
 // detectors this replaced are the reference in parity_test.go; the issue
 // lists are identical. Apply is label-aware in both directions: it removes
 // the edge carrying the issue's relation and adds a missing triple unless that
-// very triple is stored, whatever other relations join the same two entities.
+// very triple is stored, whatever other relations join the same two entities;
+// it edits the whole plan in one pass, with the one-issue-at-a-time version
+// as its reference in parity_test.go.
 package kg
 
 import (
@@ -324,34 +326,191 @@ func tripleKey(from graph.NodeID, rel string, to graph.NodeID) string {
 
 // Apply edits g in place according to the accepted issues: incorrect edges
 // are removed, missing edges added. It returns how many edits succeeded.
+//
+// The result is exactly that of applying the issues one at a time, in
+// order: a removal takes the first live edge, in edge order, that joins the
+// issue's endpoints (either way round on an undirected graph) and carries
+// its relation — parallel edges with other relations survive; a missing
+// triple is added unless an edge carrying its relation already joins them,
+// whatever other relations do; an issue naming an unknown node or a
+// self-loop is not applied. Version advances once per applied edit.
+//
+// It is done in one pass over the plan. Each endpoint pair the plan names
+// gets a number (numberPairs) and a chain of the edges joining it, in edge
+// order (survivors, then additions); an issue walks its pair's chain,
+// comparing labels there only. The result is written once, at its exact
+// size, through Graph.SetEdges.
 func Apply(g *graph.Graph, issues []Issue) int {
-	missing := 0
-	for _, is := range issues {
-		if is.Kind == "missing" {
-			missing++
+	n, edges, directed := g.NumNodes(), g.Edges(), g.Directed()
+	// ends orders a pair's endpoints: as given on a directed graph, smaller
+	// first on an undirected one.
+	ends := func(a, b graph.NodeID) [2]int32 {
+		if !directed && a > b {
+			a, b = b, a
+		}
+		return [2]int32{int32(a), int32(b)}
+	}
+	issueEnds := make([][2]int32, len(issues))
+	for k, is := range issues {
+		issueEnds[k] = [2]int32{-1, -1} // edits nothing: another kind, an unknown node, a self-loop
+		if (is.Kind == "incorrect" || is.Kind == "missing") &&
+			is.From >= 0 && int(is.From) < n && is.To >= 0 && int(is.To) < n && is.From != is.To {
+			issueEnds[k] = ends(is.From, is.To)
 		}
 	}
-	g.Grow(0, missing)
-	applied := 0
-	for _, is := range issues {
-		switch is.Kind {
-		case "incorrect":
-			// Label-aware removal: parallel edges with other relations
-			// between the same entities must survive.
-			if g.RemoveEdgeLabeled(is.From, is.To, is.Label) {
-				applied++
-			}
-		case "missing":
-			// Label-aware too: another relation between the same entities
-			// does not stand in for the missing one.
-			if !g.HasEdgeLabeled(is.From, is.To, is.Label) {
-				if err := g.AddEdgeLabeled(is.From, is.To, is.Label, 1); err == nil {
-					applied++
-				}
-			}
+	edgeEnds := make([][2]int32, len(edges))
+	for i, e := range edges {
+		edgeEnds[i] = ends(e.From, e.To)
+	}
+	issuePair, edgePair, pairs := numberPairs(n, issueEnds, edgeEnds)
+	if pairs == 0 {
+		return 0
+	}
+
+	// A link names an edge: i < len(edges) is edges[i], and len(edges)+k is
+	// the edge issue k adds. Pair p's chain runs head[p] → next → … → -1.
+	type link struct{ edge, next int32 }
+	links := make([]link, 0, len(issues))
+	head, tail := make([]int32, pairs), make([]int32, pairs)
+	for p := range head {
+		head[p], tail[p] = -1, -1
+	}
+	push := func(p, edge int32) {
+		l := int32(len(links))
+		links = append(links, link{edge, -1})
+		if tail[p] < 0 {
+			head[p] = l
+		} else {
+			links[tail[p]].next = l
 		}
+		tail[p] = l
+	}
+	for i, p := range edgePair {
+		if p >= 0 {
+			push(p, int32(i))
+		}
+	}
+
+	// live[e] tells whether edge e (numbered as in links) is in the result.
+	live := make([]bool, len(edges)+len(issues))
+	for i := range edges {
+		live[i] = true
+	}
+	label := func(edge int32) string {
+		if int(edge) < len(edges) {
+			return edges[edge].Label
+		}
+		return issues[int(edge)-len(edges)].Label
+	}
+	applied, size := 0, len(edges)
+	for k, is := range issues {
+		p := issuePair[k]
+		if p < 0 {
+			continue
+		}
+		l := head[p]
+		for l >= 0 && !(live[links[l].edge] && label(links[l].edge) == is.Label) {
+			l = links[l].next
+		}
+		switch {
+		case is.Kind == "incorrect" && l >= 0:
+			live[links[l].edge] = false
+			size--
+			applied++
+		case is.Kind == "missing" && l < 0:
+			live[len(edges)+k] = true
+			push(p, int32(len(edges)+k))
+			size++
+			applied++
+		}
+	}
+	if applied == 0 {
+		return 0
+	}
+
+	// Survivors are copied a run at a time: a plan of additions only (what
+	// "Clean G" on a clean upload is) copies the old list in one move.
+	out := make([]graph.Edge, 0, size)
+	for i := 0; i < len(edges); {
+		j := i
+		for j < len(edges) && live[j] {
+			j++
+		}
+		out = append(out, edges[i:j]...)
+		for i = j; i < len(edges) && !live[i]; i++ {
+		}
+	}
+	for k, is := range issues {
+		if live[len(edges)+k] {
+			out = append(out, graph.Edge{From: is.From, To: is.To, Label: is.Label, Weight: 1})
+		}
+	}
+	if err := g.SetEdges(out, applied); err != nil {
+		panic(err) // every edge was g's own or had its endpoints checked above
 	}
 	return applied
+}
+
+// numberPairs numbers the distinct endpoint pairs of issueEnds (entries
+// with a negative first node name none) 0, 1, … and returns each issue's
+// and each edge's pair number, or -1 for an edge joining no such pair.
+// Nodes are below n. It hashes nothing: issues and edges are grouped by
+// first node, and within one first node an array indexed by the second
+// node holds the numbers, then is cleared for the next.
+func numberPairs(n int, issueEnds, edgeEnds [][2]int32) (issuePair, edgePair []int32, pairs int32) {
+	issueStart, issueIdx := byFirst(issueEnds, n)
+	edgeStart, edgeIdx := byFirst(edgeEnds, n)
+	issuePair, edgePair = make([]int32, len(issueEnds)), make([]int32, len(edgeEnds))
+	mark := make([]int32, n)
+	for _, s := range [][]int32{issuePair, edgePair, mark} {
+		for i := range s {
+			s[i] = -1
+		}
+	}
+	for a := 0; a < n; a++ {
+		mine := issueIdx[issueStart[a]:issueStart[a+1]]
+		if len(mine) == 0 {
+			continue
+		}
+		for _, k := range mine {
+			b := issueEnds[k][1]
+			if mark[b] < 0 {
+				mark[b] = pairs
+				pairs++
+			}
+			issuePair[k] = mark[b]
+		}
+		for _, i := range edgeIdx[edgeStart[a]:edgeStart[a+1]] {
+			edgePair[i] = mark[edgeEnds[i][1]]
+		}
+		for _, k := range mine {
+			mark[issueEnds[k][1]] = -1
+		}
+	}
+	return issuePair, edgePair, pairs
+}
+
+// byFirst sorts the indexes of ends by first node, stably, leaving out
+// negative ones: the indexes with first node a are idx[start[a]:start[a+1]].
+// The counting runs one slot ahead, as Detector.missing's does.
+func byFirst(ends [][2]int32, n int) (start, idx []int32) {
+	start = make([]int32, n+2)
+	for _, e := range ends {
+		if e[0] >= 0 {
+			start[e[0]+2]++
+		}
+	}
+	for a := 2; a < len(start); a++ {
+		start[a] += start[a-1]
+	}
+	idx = make([]int32, start[n+1])
+	for i, e := range ends {
+		if e[0] >= 0 {
+			idx[start[e[0]+1]] = int32(i)
+			start[e[0]+1]++
+		}
+	}
+	return start[:n+1], idx
 }
 
 // Corruption records the noise InjectNoise introduced, so experiments can
@@ -380,12 +539,18 @@ func InjectNoise(g *graph.Graph, nWrong, nDrop int, rng *rand.Rand) Corruption {
 		g.RemoveEdge(e.From, e.To)
 		c.RemovedTrue = append(c.RemovedTrue, Issue{Kind: "missing", From: e.From, To: e.To, Label: e.Label})
 	}
+	// The links are tracked here, not asked of g, whose adjacency reads
+	// rebuild its CSR after every added edge.
+	linked := make(map[[2]graph.NodeID]bool, g.NumEdges()+nWrong)
+	for _, e := range g.Edges() {
+		linked[[2]graph.NodeID{e.From, e.To}] = true
+	}
 	for added := 0; added < nWrong; {
 		rel := rels[rng.Intn(len(rels))]
 		sig := graph.KGRelationTypes()[rel]
 		from := graph.NodeID(rng.Intn(n))
 		to := graph.NodeID(rng.Intn(n))
-		if from == to || g.HasEdge(from, to) {
+		if from == to || linked[[2]graph.NodeID{from, to}] || !g.Directed() && linked[[2]graph.NodeID{to, from}] {
 			continue
 		}
 		// Only inject if it actually violates the signature, so ground
@@ -396,6 +561,7 @@ func InjectNoise(g *graph.Graph, nWrong, nDrop int, rng *rand.Rand) Corruption {
 		if err := g.AddEdgeLabeled(from, to, rel, 1); err != nil {
 			continue
 		}
+		linked[[2]graph.NodeID{from, to}] = true
 		c.AddedWrong = append(c.AddedWrong, Issue{Kind: "incorrect", From: from, To: to, Label: rel})
 		added++
 	}

@@ -1,10 +1,13 @@
 package kg
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -214,14 +217,14 @@ func TestApplyAddsEveryMissingTriple(t *testing.T) {
 	if applied := Apply(g, []Issue{add, add}); applied != 1 {
 		t.Fatalf("applied %d, want 1 (the repeat is a no-op)", applied)
 	}
-	if g.NumEdges() != 2 || !g.RemoveEdgeLabeled(city, country, "capital_of") || !g.RemoveEdgeLabeled(city, country, "located_in") {
+	if want := []graph.Edge{{From: city, To: country, Label: "capital_of", Weight: 1}, {From: city, To: country, Label: "located_in", Weight: 1}}; !slices.Equal(g.Edges(), want) {
 		t.Fatalf("want capital_of and located_in side by side, have %v", g.Edges())
 	}
 }
 
-// "Clean G" clones the interned graph and adds ~740 edges to the copy, whose
-// edge array Clone sized exactly: Apply reserves room for its additions once
-// instead of doubling a 36 KB array twice on the way.
+// "Clean G" clones the interned graph and adds ~740 edges to the copy: Apply
+// writes the edited edge list once, at its exact size, and what else it
+// allocates — the buckets and the chains — is small beside that array.
 func TestApplyGrowsEdgesOnce(t *testing.T) {
 	g := graph.KnowledgeGraph(300, 900, rand.New(rand.NewSource(1)))
 	issues := NewDetector().Detect(g)
@@ -233,10 +236,154 @@ func TestApplyGrowsEdgesOnce(t *testing.T) {
 	if got, want := cap(c.Edges()), g.NumEdges()+len(issues); got != want {
 		t.Errorf("edge array has room for %d edges after Apply, want exactly %d", got, want)
 	}
-	// What is left to allocate is that one array and the touched nodes'
-	// adjacency lists outgrowing their exact-capacity copies.
 	edgeArray := uint64(cap(c.Edges())) * uint64(unsafe.Sizeof(graph.Edge{}))
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2*edgeArray {
 		t.Errorf("Apply allocated %d B, want under twice its %d B edge array", got, edgeArray)
+	}
+}
+
+// applySequential is Apply as it was before the one-pass rewrite — each
+// issue in turn through Graph.RemoveEdgeLabeled, or Graph.HasEdgeLabeled
+// then AddEdgeLabeled — replayed over a copy of g's edge list, since those
+// methods went with it: a removal deletes the first edge in edge order that
+// joins the endpoints (either way round when undirected) with the issue's
+// label, an addition appends unless such an edge exists and is refused for
+// an unknown node or a self-loop. It returns the edited list and how many
+// edits applied; under the old Apply, Version advanced once per applied edit.
+func applySequential(g *graph.Graph, issues []Issue) ([]graph.Edge, int) {
+	edges := slices.Clone(g.Edges())
+	n := graph.NodeID(g.NumNodes())
+	applied := 0
+	for _, is := range issues {
+		match := func(e graph.Edge) bool {
+			return e.Label == is.Label && (e.From == is.From && e.To == is.To || !g.Directed() && e.From == is.To && e.To == is.From)
+		}
+		switch is.Kind {
+		case "incorrect":
+			if i := slices.IndexFunc(edges, match); i >= 0 {
+				edges = slices.Delete(edges, i, i+1)
+				applied++
+			}
+		case "missing":
+			if slices.ContainsFunc(edges, match) || is.From < 0 || is.From >= n || is.To < 0 || is.To >= n || is.From == is.To {
+				continue
+			}
+			edges = append(edges, graph.Edge{From: is.From, To: is.To, Label: is.Label, Weight: 1})
+			applied++
+		}
+	}
+	return edges, applied
+}
+
+// checkApplyParity runs Apply on a clone of g and holds it to
+// applySequential: the same edges in the same order, the same applied
+// count, Version advanced by that count, an exact-size edge slab, and g
+// itself untouched.
+func checkApplyParity(t *testing.T, g *graph.Graph, issues []Issue) {
+	t.Helper()
+	before := slices.Clone(g.Edges())
+	c := g.Clone()
+	v0 := c.Version()
+	applied := Apply(c, issues)
+	want, wantApplied := applySequential(g, issues)
+	if applied != wantApplied {
+		t.Fatalf("applied %d, sequential %d\nedges %v\nissues %v", applied, wantApplied, before, issues)
+	}
+	if !slices.Equal(c.Edges(), want) && (len(want) > 0 || c.NumEdges() > 0) {
+		t.Fatalf("edges %v, sequential %v\nbefore %v\nissues %v", c.Edges(), want, before, issues)
+	}
+	if got := c.Version(); got != v0+uint64(applied) {
+		t.Fatalf("version %d after %d edits from %d", got, applied, v0)
+	}
+	if applied > 0 && cap(c.Edges()) != c.NumEdges() {
+		t.Fatalf("edge slab cap %d for %d edges", cap(c.Edges()), c.NumEdges())
+	}
+	if !slices.Equal(g.Edges(), before) {
+		t.Fatal("Apply on the clone changed the original")
+	}
+}
+
+// TestApplyParity: cleaning plans as the detector makes them, noisy ones,
+// and the same plans repeated, reversed and interleaved.
+func TestApplyParity(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.KnowledgeGraph(300, 900, rng)
+		checkApplyParity(t, g, NewDetector().Detect(g))
+		InjectNoise(g, 30, 10, rng)
+		issues := NewDetector().Detect(g)
+		checkApplyParity(t, g, issues)
+		twice := append(slices.Clone(issues), issues...)
+		checkApplyParity(t, g, twice)
+		slices.Reverse(twice)
+		checkApplyParity(t, g, twice)
+		rng.Shuffle(len(twice), func(i, j int) { twice[i], twice[j] = twice[j], twice[i] })
+		checkApplyParity(t, g, twice)
+	}
+}
+
+// FuzzApplyParity holds the one-pass Apply to applySequential on small
+// knowledge graphs, directed and undirected, with parallel and repeated
+// edges, under issue lists decoded from the fuzz input: repeats,
+// remove-then-add, add-then-remove, reversed endpoints, unknown nodes,
+// self-loops and kinds Apply ignores.
+func FuzzApplyParity(f *testing.F) {
+	f.Add(true, uint8(4), []byte{0, 1, 0, 1, 2, 0, 0, 1, 1}, []byte{0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 0})
+	f.Add(false, uint8(3), []byte{0, 1, 0, 1, 0, 0, 1, 2, 1}, []byte{0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 2, 1, 1})
+	f.Add(true, uint8(5), []byte{0, 1, 0, 0, 1, 0, 0, 1, 0}, []byte{0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 1, 0})
+	f.Add(false, uint8(2), []byte{}, []byte{1, 0, 1, 2, 1, 0, 1, 2, 0, 0, 1, 2, 0, 1, 0, 2})
+	f.Add(true, uint8(6), []byte{0, 1, 0, 2, 3, 1}, []byte{1, 255, 0, 0, 1, 0, 9, 0, 1, 2, 2, 1, 0, 3, 3, 0, 2, 0, 1, 0, 3, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, directed bool, nodes uint8, edgeSpec, issueSpec []byte) {
+		n := 2 + int(nodes%6)
+		g := graph.New()
+		if directed {
+			g = graph.NewDirected()
+		}
+		for i := 0; i < n; i++ {
+			g.AddNodeAttrs(fmt.Sprintf("e%d", i), map[string]string{"type": "place"})
+		}
+		labels := []string{"located_in", "part_of", "capital_of"}
+		for i := 0; i+2 < len(edgeSpec) && i < 3*64; i += 3 {
+			g.AddEdgeLabeled(graph.NodeID(int(edgeSpec[i])%n), graph.NodeID(int(edgeSpec[i+1])%n), labels[int(edgeSpec[i+2])%3], 1) //nolint:errcheck // self-loops are skipped
+		}
+		// Four bytes per issue: kind (0 incorrect, 1 missing, 2 other),
+		// endpoints as signed bytes (so -1 and n+k name unknown nodes),
+		// label.
+		var issues []Issue
+		kinds := []string{"incorrect", "missing", "noted"}
+		for i := 0; i+3 < len(issueSpec) && i < 4*64; i += 4 {
+			issues = append(issues, Issue{
+				Kind:  kinds[int(issueSpec[i])%3],
+				From:  graph.NodeID(int8(issueSpec[i+1])),
+				To:    graph.NodeID(int8(issueSpec[i+2])),
+				Label: labels[int(issueSpec[i+3])%3],
+			})
+		}
+		checkApplyParity(t, g, issues)
+	})
+}
+
+// TestInjectNoiseIsStable pins InjectNoise's fixed-seed output, recorded
+// before it stopped asking the graph whether an edge exists and kept its own
+// edge set instead: the noisy graph and the corruption it reports.
+func TestInjectNoiseIsStable(t *testing.T) {
+	for seed, want := range map[int64][2]string{
+		1: {"45abe385499cd755b2a016920a33251a840b5222f8ed727cbbd4782dd7326f82", "99492b79f58a9820cacd5a2eb40a5006ef9dbd7b521c515abf9a38db677ab95e"},
+		7: {"471510ea031d60dfea00203675d16653fadd4f6e180d5c1ce377b6aaed3c1a56", "bf0444070e4e341c4543f501feaa0ed0129beda236b47fa4142105b571d1e43f"},
+	} {
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.KnowledgeGraph(300, 900, rng)
+		c := InjectNoise(g, 30, 10, rng)
+		gj, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cj, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [2]string{fmt.Sprintf("%x", sha256.Sum256(gj)), fmt.Sprintf("%x", sha256.Sum256(cj))}; got != want {
+			t.Errorf("seed %d: sha256 of graph, corruption %v, want %v", seed, got, want)
+		}
 	}
 }

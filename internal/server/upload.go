@@ -14,12 +14,13 @@ import (
 // This file is the one road an uploaded graph takes into the server — from a
 // chat, a job submission, or the router's placement key: body bytes →
 // envelope → parsed graph → interned instance. The envelope is a few dozen
-// bytes around a graph of tens of kilobytes, so the graph member is located
-// and parsed in place (graph.MemberSpan, graph.ParseJSON) and only what is
-// left goes through encoding/json. Like the graph scanner underneath, the
-// fast road either understands a body completely or declines, and a declined
-// body takes the encoding/json road on the same bytes — which is therefore
-// what defines every result and every error text.
+// bytes around a graph of tens of kilobytes, so one walk over the body
+// (graph.ParseMember) finds the graph member and decodes it where it lies,
+// straight into the slabs the graph keeps, and only what is left goes
+// through encoding/json. Like the graph scanner underneath, the fast road
+// either understands a body completely or declines, and a declined body
+// takes the encoding/json road on the same bytes — which is therefore what
+// defines every result and every error text.
 
 // maxUploadBody caps a chat or job submission body (question + graph).
 const maxUploadBody = 8 << 20
@@ -73,23 +74,24 @@ func (f failedReader) Read([]byte) (int, error) { return 0, f.err }
 // valid envelope is (a Decoder ignores bytes after the object, Unmarshal
 // does not).
 //
-// Fast road: the body's single "graph" member is parsed where it lies and
-// decode sees the envelope with null in its place. It is taken only when
-// that provably changes nothing: MemberSpan is sure which member binds to
-// the field, the graph's bytes are syntactically valid (so any syntax error
-// is still reported against the whole request, as "decode request"), and
-// decode accepts the rest. Otherwise decode runs on the whole body and the
-// graph is parsed from raw, as it always was.
+// Fast road: graph.ParseMember walks the body once, decoding its single
+// "graph" member where it lies as the walk reaches it (or, for a graph the
+// scanner declines, through encoding/json on that member's bytes), and
+// decode sees the envelope with null in the graph's place. It is taken only
+// when that provably changes nothing: ParseMember is sure which member binds
+// to the field, the graph's bytes are syntactically valid (so any syntax
+// error is still reported against the whole request, as "decode request"),
+// and decode accepts the rest. Otherwise decode runs on the whole body and
+// the graph is parsed from raw, as it always was.
 func decodeUpload(body []byte, decode func([]byte) error, raw *json.RawMessage) (upload, error) {
-	if lo, hi, ok := graph.MemberSpan(body, "graph"); ok {
-		g, gerr := graph.ParseJSON(body[lo:hi])
+	if m, ok := graph.ParseMember(body, "graph"); ok {
 		var syntax *json.SyntaxError
-		if !errors.As(gerr, &syntax) {
-			rest := make([]byte, 0, lo+len("null")+len(body)-hi)
-			rest = append(append(append(rest, body[:lo]...), "null"...), body[hi:]...)
+		if !errors.As(m.Err, &syntax) {
+			rest := make([]byte, 0, m.Lo+len("null")+len(body)-m.Hi)
+			rest = append(append(append(rest, body[:m.Lo]...), "null"...), body[m.Hi:]...)
 			if decode(rest) == nil {
 				*raw = nil
-				return upload{g: g, err: gerr}, nil
+				return upload{g: m.Graph, err: m.Err}, nil
 			}
 		}
 	}

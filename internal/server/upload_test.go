@@ -355,6 +355,27 @@ func FuzzDecodeUpload(f *testing.F) {
 		f.Add([]byte(`{"graph":` + g + `,"chain":"graph.stats","priority":"low","job_id":"deadbeef"} tail`))
 		f.Add([]byte(`{"graph":` + g + `,"Graph":` + g + `}`))
 	}
+	// The fused walk decodes the graph as it meets it, before it knows
+	// whether the envelope will answer: a graph that is not the last member,
+	// a second graph or Graph member after one the scanner took, a graph the
+	// scanner declines halfway (an escaped label, a duplicate key, a leading
+	// zero) followed by more members, and bodies cut inside the graph.
+	for _, g := range []string{envG3, envG4, envSelfLoop, envDupNode, envDangling} {
+		f.Add([]byte(`{"graph":` + g + `,` + envQ + `,"chain":"graph.stats"}`))
+		f.Add([]byte(`{` + envQ + `,"graph":` + g + `,"graph":` + envG3 + `}`))
+		f.Add([]byte(`{` + envQ + `,"graph":` + g + `,"Graph":null}`))
+		f.Add([]byte(`{` + envQ + `,"graph":` + g[:len(g)/2]))
+		f.Add([]byte(`{"graph":` + g[:len(g)-1] + `,` + envQ + `}`))
+	}
+	for _, g := range []string{
+		`{"nodes":[{"id":0},{"id":1,"label":"b\u00e9"}],"edges":[{"from":0,"to":1}]}`,
+		`{"nodes":[{"id":0},{"id":1}],"nodes":[{"id":2}],"edges":[]}`,
+		`{"nodes":[{"id":0},{"id":01}],"edges":[]}`,
+		`{"nodes":[{"id":0},{"id":1}],"edges":[{"from":0,"to":1,"weight":1e999}]}`,
+	} {
+		f.Add([]byte(`{"graph":` + g + `,` + envQ + `,"priority":"low"}`))
+		f.Add([]byte(`{` + envQ + `,"graph":` + g + `,"graph":` + envG4 + `}`))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		stream := func(v any) func([]byte) error {
 			return func(data []byte) error { return json.NewDecoder(bytes.NewReader(data)).Decode(v) }
