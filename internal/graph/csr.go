@@ -14,8 +14,8 @@ import (
 // enough to parallelize.
 //
 // A CSR is immutable and safe for unlimited concurrent use. It snapshots the
-// topology, weights, and the label/attribute signals Stats and Classify
-// need, so it stays self-contained even if the parent graph mutates later
+// topology, weights, and the node labels Stats needs, so it stays
+// self-contained even if the parent graph mutates later
 // (Freeze hands out a fresh CSR after any mutation). Per-node rows are
 // sorted by neighbor ID, so traversals over the CSR visit nodes in exactly
 // the order the slice-based reference implementations in parity_test.go do.
@@ -40,17 +40,12 @@ type CSR struct {
 	uoffsets []int32
 	utargets []NodeID
 
-	// Label/attribute signals snapshotted at freeze time so Stats and
-	// Classify never have to re-read (possibly mutated) node state.
-	labels     []string
-	elementish int // nodes that look like chemical elements
-	typed      int // nodes with a person/place/org type attribute
-	relLabeled int // edges with a non-bond relation label
+	// Node labels snapshotted at freeze time so Stats never has to re-read
+	// (possibly mutated) node state.
+	labels []string
 
 	statsOnce sync.Once
 	stats     Stats
-	kindOnce  sync.Once
-	kind      Kind
 }
 
 // Freeze returns the CSR view of g's current version, building it on first
@@ -118,19 +113,7 @@ func buildCSR(g *Graph) *CSR {
 
 	c.labels = make([]string, n)
 	for i := range g.nodes {
-		nd := &g.nodes[i]
-		c.labels[i] = nd.Label
-		if isElementSymbol(nd.Label) || nd.Attrs["element"] != "" {
-			c.elementish++
-		}
-		if t := nd.Attrs["type"]; t == "person" || t == "place" || t == "org" {
-			c.typed++
-		}
-	}
-	for i := range g.edges {
-		if l := g.edges[i].Label; l != "" && l != "bond" {
-			c.relLabeled++
-		}
+		c.labels[i] = g.nodes[i].Label
 	}
 
 	// Forward adjacency, rows ascending.

@@ -109,8 +109,8 @@ func TestFreezeConcurrent(t *testing.T) {
 					t.Errorf("stats diverged: %+v", got)
 					return
 				}
-				if c.Kind() != KindSocial {
-					t.Errorf("kind diverged: %v", c.Kind())
+				if k := Classify(g); k != KindSocial {
+					t.Errorf("kind diverged: %v", k)
 					return
 				}
 				ecc, _, _ := Eccentricities(g)

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,10 +45,13 @@ type Edge struct {
 //
 // A graph keeps two slabs, its nodes and its labelled edge list, and reads
 // adjacency from one place: the CSR Freeze builds for the current version
-// (OutNeighbors, OutDegree, UndirectedNeighbors). A mutation costs an append
-// or a compaction, and the next adjacency read after it rebuilds the view
-// once, O(V + E) — so code that interleaves "is this edge there?" with
-// AddEdge keeps its own edge set (the generators, kg.InjectNoise).
+// (OutNeighbors, OutDegree, UndirectedNeighbors). Only readers of adjacency
+// build one — Classify, ContentHash and the kg detectors scan the slabs. A
+// mutation costs an append or a compaction, and the next adjacency read
+// after it rebuilds the view once, O(V + E) — so code that interleaves "is
+// this edge there?" with AddEdge keeps its own edge set (the generators,
+// kg.InjectNoise). A clone of an interned graph borrows its slabs until its
+// first in-place write (Clone).
 //
 // Mutation is not safe for concurrent use, but any number of goroutines may
 // read one graph concurrently — including through Freeze, whose frozen CSR
@@ -59,12 +63,18 @@ type Graph struct {
 	nodes    []Node
 	edges    []Edge
 
-	// version counts mutations; Freeze and the cached content hash are
-	// memoized per version, so any structural or label change invalidates
-	// both.
+	// nodesBorrowed and edgesBorrowed mark slabs a clone reads from the
+	// interned graph it was cloned from. They are clipped to cap == len, so
+	// an append reallocates; an in-place write copies them first (ownNodes,
+	// ownEdges).
+	nodesBorrowed, edgesBorrowed bool
+
+	// version counts mutations; Freeze, the cached content hash and the
+	// cached kind are memoized per version, so any structural or label
+	// change invalidates all three.
 	version uint64
-	// frozenMu guards frozen (the cached CSR) and the cached content hash,
-	// both memoized for the current version.
+	// frozenMu guards frozen (the cached CSR), the cached content hash and
+	// the cached kind, each memoized for the current version.
 	frozenMu sync.Mutex
 	frozen   *CSR
 	// Cached ContentHash, computed for hashVersion; the valid flag
@@ -72,6 +82,10 @@ type Graph struct {
 	hash        ContentHash
 	hashVersion uint64
 	hashValid   bool
+	// Cached Classify result, computed for kindVersion, likewise.
+	kind        Kind
+	kindVersion uint64
+	kindValid   bool
 	// shared marks a graph interned by graphstore and visible to any number
 	// of concurrent readers. Shared graphs must never mutate: the executor
 	// clones them before running a mutating chain, and race-enabled builds
@@ -110,9 +124,27 @@ func (g *Graph) bump() {
 func (g *Graph) Grow(nodes, edges int) {
 	if nodes > 0 {
 		g.nodes = append(make([]Node, 0, len(g.nodes)+nodes), g.nodes...)
+		g.nodesBorrowed = false
 	}
 	if edges > 0 {
 		g.edges = append(make([]Edge, 0, len(g.edges)+edges), g.edges...)
+		g.edgesBorrowed = false
+	}
+}
+
+// ownNodes gives g its own copy of a borrowed node slab before an in-place
+// write.
+func (g *Graph) ownNodes() {
+	if g.nodesBorrowed {
+		g.nodes, g.nodesBorrowed = slices.Clone(g.nodes), false
+	}
+}
+
+// ownEdges gives g its own copy of a borrowed edge slab before an in-place
+// write.
+func (g *Graph) ownEdges() {
+	if g.edgesBorrowed {
+		g.edges, g.edgesBorrowed = slices.Clone(g.edges), false
 	}
 }
 
@@ -135,6 +167,7 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 func (g *Graph) AddNode(label string) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Label: label})
+	g.nodesBorrowed = false // a borrowed slab has no room: the append copied it
 	g.bump()
 	return id
 }
@@ -161,6 +194,7 @@ func (g *Graph) Node(id NodeID) Node {
 
 // SetNodeLabel relabels node id.
 func (g *Graph) SetNodeLabel(id NodeID, label string) {
+	g.ownNodes()
 	g.nodes[id].Label = label
 	g.bump()
 }
@@ -176,6 +210,7 @@ func (g *Graph) SetNodeAttr(id NodeID, key, val string) {
 		m[k] = v
 	}
 	m[key] = val
+	g.ownNodes()
 	g.nodes[id].Attrs = m
 	g.bump()
 }
@@ -207,6 +242,7 @@ func (g *Graph) AddEdgeLabeled(from, to NodeID, label string, weight float64) er
 		return fmt.Errorf("graph: self-loop on node %d rejected", from)
 	}
 	g.edges = append(g.edges, Edge{From: from, To: to, Label: label, Weight: weight})
+	g.edgesBorrowed = false // a borrowed slab has no room: the append copied it
 	g.bump()
 	return nil
 }
@@ -219,6 +255,7 @@ func (g *Graph) AddEdgeLabeled(from, to NodeID, label string, weight float64) er
 func (g *Graph) RemoveEdge(from, to NodeID) bool {
 	for i, e := range g.edges {
 		if e.From == from && e.To == to || !g.directed && e.From == to && e.To == from {
+			g.ownEdges()
 			g.edges = append(g.edges[:i], g.edges[i+1:]...)
 			g.bump()
 			return true
@@ -241,7 +278,7 @@ func (g *Graph) SetEdges(edges []Edge, edits int) error {
 			return fmt.Errorf("graph: self-loop on node %d rejected", e.From)
 		}
 	}
-	g.edges = edges
+	g.edges, g.edgesBorrowed = edges, false
 	g.bump()
 	g.version += uint64(max(edits, 1) - 1)
 	return nil
@@ -249,23 +286,36 @@ func (g *Graph) SetEdges(edges []Edge, edits int) error {
 
 // Clone returns a copy of g that mutates independently of it. The copy is
 // private: it is never marked shared (even when g is an interned graph). It
-// copies the node and edge slabs and shares what is read-only:
-// the attribute maps (SetNodeAttr replaces a map, never writes into it) and,
-// at the same version, the fingerprint and the frozen CSR g has already
-// computed — the executor's clone of an interned graph neither hashes 300
-// nodes again to find the invoke-cache entries of the original nor rebuilds
-// the CSR its first step reads. The copy's first mutation invalidates both,
-// like any other.
+// shares what is read-only: the attribute maps (SetNodeAttr replaces a map,
+// never writes into it) and, at the same version, the fingerprint, the kind
+// and the frozen CSR g has already computed — the executor's clone of an
+// interned graph neither hashes 300 nodes again to find the invoke-cache
+// entries of the original nor rebuilds the CSR its first step reads. The
+// copy's first mutation invalidates them, like any other.
+//
+// The node and edge slabs of a Shared graph, which never mutates, are
+// borrowed too: the clone reads them until its first in-place write copies
+// the slab it writes, and an append or a SetEdges leaves them alone ("Clean
+// G" replaces the edge list without ever copying the old one). Any other
+// graph's slabs are copied.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{Name: g.Name, directed: g.directed, version: g.version}
 	g.frozenMu.Lock()
 	if g.hashValid && g.hashVersion == g.version {
 		c.hash, c.hashVersion, c.hashValid = g.hash, g.version, true
 	}
+	if g.kindValid && g.kindVersion == g.version {
+		c.kind, c.kindVersion, c.kindValid = g.kind, g.version, true
+	}
 	if g.frozen != nil && g.frozen.version == g.version {
 		c.frozen = g.frozen
 	}
 	g.frozenMu.Unlock()
+	if g.Shared() {
+		c.nodes, c.edges = slices.Clip(g.nodes), slices.Clip(g.edges)
+		c.nodesBorrowed, c.edgesBorrowed = true, true
+		return c
+	}
 	c.nodes = make([]Node, len(g.nodes))
 	copy(c.nodes, g.nodes)
 	c.edges = make([]Edge, len(g.edges))

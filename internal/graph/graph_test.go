@@ -343,6 +343,47 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// TestClassifyEdgelessDirected: a directed graph with nodes and no edges has
+// no relation labels to go by. It used to classify as a knowledge graph,
+// because relLabeled*2 >= m holds when m = 0; its kind comes from its nodes.
+func TestClassifyEdgelessDirected(t *testing.T) {
+	g := NewDirected()
+	for _, l := range []string{"a", "b", "c"} {
+		g.AddNode(l)
+	}
+	if k := Classify(g); k != KindSocial {
+		t.Fatalf("edgeless directed graph of plain nodes classified as %s, want social", k)
+	}
+	for i := NodeID(0); i < 2; i++ {
+		g.SetNodeAttr(i, "type", "person")
+	}
+	if k := Classify(g); k != KindKnowledge {
+		t.Fatalf("edgeless directed graph of typed nodes classified as %s, want knowledge", k)
+	}
+}
+
+// TestClassifyIsMemoizedPerVersion: Classify builds no CSR, answers from
+// its memo until the next mutation, and a clone at the same version carries
+// the memo.
+func TestClassifyIsMemoizedPerVersion(t *testing.T) {
+	g := KnowledgeGraph(40, 80, rand.New(rand.NewSource(5)))
+	if k := Classify(g); k != KindKnowledge {
+		t.Fatalf("classified as %s", k)
+	}
+	if g.frozen != nil {
+		t.Fatal("Classify built a CSR")
+	}
+	if c := g.Clone(); !c.kindValid || c.kind != KindKnowledge {
+		t.Fatal("the clone dropped the kind its original had computed")
+	}
+	for i := NodeID(0); i < 40; i++ {
+		g.SetNodeAttr(i, "element", "C")
+	}
+	if k := Classify(g); k != KindMolecule {
+		t.Fatalf("after the mutation classified as %s, want molecule", k)
+	}
+}
+
 // TestKindRoundTrip: ParseKind inverts String on every kind — WAL replay
 // reads back what turnRecord wrote — and maps anything else to KindUnknown.
 func TestKindRoundTrip(t *testing.T) {

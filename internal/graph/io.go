@@ -104,6 +104,7 @@ func (g *Graph) load(w *wire) error {
 	// bump the version so any cached view of the old contents is invalid.
 	g.Name, g.directed = w.name, w.directed
 	g.nodes, g.edges = nil, nil
+	g.nodesBorrowed, g.edgesBorrowed = false, false
 	g.bump()
 
 	nodes, edges := w.nodes, w.edges

@@ -405,7 +405,10 @@ func naiveWeightedShortestPath(g *Graph, src, dst NodeID) ([]NodeID, float64) {
 	return rev, dist[dst]
 }
 
-// naiveClassify is the seed's direct-scan classifier.
+// naiveClassify is the seed's direct-scan classifier, with one change: a
+// directed graph needs an edge before its relation labels can make it a
+// knowledge graph (with m = 0, relLabeled*2 >= m held for every edgeless
+// directed graph).
 func naiveClassify(g *Graph) Kind {
 	if g.NumNodes() == 0 {
 		return KindUnknown
@@ -428,7 +431,7 @@ func naiveClassify(g *Graph) Kind {
 	switch {
 	case elementish*2 >= n:
 		return KindMolecule
-	case g.Directed() && (relLabeled*2 >= g.NumEdges() || typed*2 >= n):
+	case g.Directed() && (g.NumEdges() > 0 && relLabeled*2 >= g.NumEdges() || typed*2 >= n):
 		return KindKnowledge
 	case typed*2 >= n:
 		return KindKnowledge

@@ -234,8 +234,9 @@ func TestCloneGrowsIndependently(t *testing.T) {
 
 // TestCloneAndParseAllocBudgets: a clone costs a constant number of
 // allocations whatever the graph's size — the Graph and its two slabs (it
-// used to rebuild every attribute map and adjacency row: 854 at 300 nodes)
-// — and a parse costs about one per node (a label each) plus a constant.
+// used to rebuild every attribute map and adjacency row: 854 at 300 nodes),
+// and the Graph alone for an interned graph, whose slabs it borrows — and a
+// parse costs about one per node (a label each) plus a constant.
 func TestCloneAndParseAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -246,9 +247,134 @@ func TestCloneAndParseAllocBudgets(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { g.Clone() }); allocs > 3 {
 			t.Errorf("Clone of a %d-node KG: %.0f allocs, budget 3", size[0], allocs)
 		}
+		// An interned graph's clone borrows both slabs: the Graph is all.
+		s := g.Clone()
+		s.MarkShared()
+		if allocs := testing.AllocsPerRun(20, func() { s.Clone() }); allocs > 1 {
+			t.Errorf("Clone of a shared %d-node KG: %.0f allocs, budget 1", size[0], allocs)
+		}
 		budget := float64(g.NumNodes() + 40)
 		if allocs := testing.AllocsPerRun(20, func() { ParseJSON(data) }); allocs > budget { //nolint:errcheck
 			t.Errorf("ParseJSON of a %d-node KG: %.0f allocs, budget %.0f", size[0], allocs, budget)
 		}
 	}
+}
+
+// cloneEdits are the mutations a clone of an interned graph may make, each
+// to be kept from the original: the appends, the in-place writes and the
+// wholesale replacement of the edge list.
+var cloneEdits = map[string]func(c *Graph) error{
+	"AddNode":        func(c *Graph) error { c.AddNode("extra"); return nil },
+	"AddEdgeLabeled": func(c *Graph) error { return c.AddEdgeLabeled(0, 1, "located_in", 2) },
+	"SetNodeLabel":   func(c *Graph) error { c.SetNodeLabel(1, "renamed"); return nil },
+	"SetNodeAttr":    func(c *Graph) error { c.SetNodeAttr(2, "type", "org"); return nil },
+	"RemoveEdge": func(c *Graph) error {
+		if e := c.Edges()[0]; !c.RemoveEdge(e.From, e.To) {
+			return fmt.Errorf("RemoveEdge found no edge %d -> %d", e.From, e.To)
+		}
+		return nil
+	},
+	"SetEdges": func(c *Graph) error {
+		return c.SetEdges(append(slices.Clone(c.Edges()[1:]), Edge{From: 3, To: 4, Label: "part_of", Weight: 1}), 2)
+	},
+}
+
+// TestCloneBorrowsSharedSlabs: a clone of an interned graph reads the
+// original's node and edge slabs, clipped so an append cannot reach the
+// original's spare capacity. Each edit lands on the clone only: the
+// original's nodes, edges and fingerprint are unchanged, and a clone of a
+// graph that is not shared copies its slabs as before.
+func TestCloneBorrowsSharedSlabs(t *testing.T) {
+	g, _ := parsedKG(t, 60, 150)
+	g.Grow(8, 8) // spare capacity an append on a clone must not write into
+	g.MarkShared()
+	nodes, edges, hash := slices.Clone(g.Nodes()), slices.Clone(g.Edges()), g.ContentHash()
+	same := func(a, b any) bool { return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer() }
+
+	c := g.Clone()
+	if !same(c.Nodes(), g.Nodes()) || !same(c.Edges(), g.Edges()) {
+		t.Fatal("the clone of a shared graph copied its slabs")
+	}
+	if cap(c.Nodes()) != len(c.Nodes()) || cap(c.Edges()) != len(c.Edges()) {
+		t.Fatalf("borrowed slabs have spare capacity %d / %d", cap(c.Nodes())-len(c.Nodes()), cap(c.Edges())-len(c.Edges()))
+	}
+	private := New()
+	private.AddNode("a")
+	if p := private.Clone(); same(p.Nodes(), private.Nodes()) {
+		t.Fatal("the clone of a private graph borrowed its node slab")
+	}
+
+	for name, edit := range cloneEdits {
+		c := g.Clone()
+		v := c.Version()
+		if err := edit(c); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.Version() == v || c.ContentHash() == hash {
+			t.Fatalf("%s: the clone did not change", name)
+		}
+		if !slices.EqualFunc(g.Nodes(), nodes, sameNode) || !slices.Equal(g.Edges(), edges) || g.ContentHash() != hash {
+			t.Fatalf("%s on the clone changed the original", name)
+		}
+	}
+
+	// Two clones appending into the same spare capacity would each see the
+	// other's node.
+	a, b := g.Clone(), g.Clone()
+	ia, ib := a.AddNode("from a"), b.AddNode("from b")
+	if a.Node(ia).Label != "from a" || b.Node(ib).Label != "from b" {
+		t.Fatalf("appends on two clones met: %q, %q", a.Node(ia).Label, b.Node(ib).Label)
+	}
+	// A slab copied for one in-place write is the clone's own after it.
+	c = g.Clone()
+	c.SetNodeLabel(0, "first")
+	c.SetNodeLabel(1, "second")
+	if g.Node(0).Label != nodes[0].Label || g.Node(1).Label != nodes[1].Label || c.Node(0).Label != "first" {
+		t.Fatal("a second in-place write reached the original")
+	}
+	if !same(c.Edges(), g.Edges()) {
+		t.Fatal("a node edit copied the edge slab")
+	}
+}
+
+// TestConcurrentEditsOnBorrowedSlabs runs every clone edit on its own clone
+// of one interned graph, in parallel with readers of the original. Run under
+// -race: a write into a borrowed slab is a race with the readers.
+func TestConcurrentEditsOnBorrowedSlabs(t *testing.T) {
+	g, _ := parsedKG(t, 300, 900)
+	g.MarkShared()
+	nodes, edges, hash := slices.Clone(g.Nodes()), slices.Clone(g.Edges()), g.ContentHash()
+	var wg sync.WaitGroup
+	for name, edit := range cloneEdits {
+		for r := 0; r < 2; r++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					if err := edit(g.Clone()); err != nil {
+						t.Errorf("%s: %v", name, err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					if !slices.EqualFunc(g.Nodes(), nodes, sameNode) || !slices.Equal(g.Edges(), edges) {
+						t.Errorf("%s: the original changed under a clone's edit", name)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if g.ContentHash() != hash {
+		t.Fatal("the original's fingerprint changed")
+	}
+}
+
+// sameNode compares two nodes, their attribute maps by content.
+func sameNode(a, b Node) bool {
+	return a.ID == b.ID && a.Label == b.Label && reflect.DeepEqual(a.Attrs, b.Attrs)
 }

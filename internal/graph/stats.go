@@ -313,30 +313,46 @@ func ParseKind(s string) Kind {
 
 // Classify predicts the graph category from cheap structural and label
 // signals. This implements the paper's "ChatGraph first predicts the type of
-// G" step (§IV-1). Like ComputeStats, the result is memoized per graph
-// version on the frozen view.
+// G" step (§IV-1). It is one scan of the node and edge slabs, memoized per
+// graph version beside the content hash, so classifying a graph builds no
+// CSR.
 func Classify(g *Graph) Kind {
-	return g.Freeze().Kind()
+	g.frozenMu.Lock()
+	defer g.frozenMu.Unlock()
+	if !g.kindValid || g.kindVersion != g.version {
+		g.kind, g.kindVersion, g.kindValid = g.classify(), g.version, true
+	}
+	return g.kind
 }
 
-// Kind returns the memoized category of the frozen graph, computed from the
-// label/attribute signals snapshotted at freeze time.
-func (c *CSR) Kind() Kind {
-	c.kindOnce.Do(func() { c.kind = c.classify() })
-	return c.kind
-}
-
-func (c *CSR) classify() Kind {
-	n := c.n
+func (g *Graph) classify() Kind {
+	n, m := len(g.nodes), len(g.edges)
 	if n == 0 {
 		return KindUnknown
 	}
+	elementish, typed, relLabeled := 0, 0, 0
+	for i := range g.nodes {
+		nd := &g.nodes[i]
+		if isElementSymbol(nd.Label) || nd.Attrs["element"] != "" {
+			elementish++
+		}
+		if t := nd.Attrs["type"]; t == "person" || t == "place" || t == "org" {
+			typed++
+		}
+	}
+	for i := range g.edges {
+		if l := g.edges[i].Label; l != "" && l != "bond" {
+			relLabeled++
+		}
+	}
 	switch {
-	case c.elementish*2 >= n:
+	case elementish*2 >= n:
 		return KindMolecule
-	case c.directed && (c.relLabeled*2 >= c.m || c.typed*2 >= n):
+	// An edgeless graph has no relations to speak of: relLabeled*2 >= m
+	// alone would call every edgeless directed graph a knowledge graph.
+	case g.directed && (m > 0 && relLabeled*2 >= m || typed*2 >= n):
 		return KindKnowledge
-	case c.typed*2 >= n:
+	case typed*2 >= n:
 		return KindKnowledge
 	default:
 		return KindSocial

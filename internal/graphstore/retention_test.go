@@ -12,7 +12,8 @@ import (
 // TestBytesTracksRetention: Store.Bytes, the estimate the byte budget evicts
 // by, stays within 25 % of what interned graphs really keep alive. It
 // interns 64 KnowledgeGraph(300, 900) and 64 planted 4×50 uploads, each
-// carrying what a chat leaves on it (the frozen CSR, its Stats and Kind), and
+// carrying the most a chat leaves on it (the frozen CSR, its Stats, the
+// kind), and
 // compares the estimate with the heap the store holds after a GC. It also
 // holds every parse to exact-size slabs: an interned graph must not retain
 // the decoder's presized scratch.

@@ -97,14 +97,16 @@ func New(capacity int) *Store {
 }
 
 // approxBytes estimates what keeping g resident costs once a chat has read
-// it: the Graph and its two exact-size slabs (nodes, edges); each distinct
-// label string and attribute map once, however many nodes or edges hold it
-// (a parse shares them: graph.Node.Attrs); the frozen CSR, which every
-// shared instance ends up carrying — offsets, targets and weights per
-// direction, plus its label table; and the memoized Stats, whose label
-// histogram holds an entry per distinct label. It is an estimate the byte
-// budget evicts by, held to within 25 % of the measured heap
-// (TestBytesTracksRetention), not an account.
+// its adjacency: the Graph and its two exact-size slabs (nodes, edges);
+// each distinct label string and attribute map once, however many nodes or
+// edges hold it (a parse shares them: graph.Node.Attrs); the frozen CSR —
+// offsets, targets and weights per direction, plus its label table; and the
+// memoized Stats, whose label histogram holds an entry per distinct label.
+// A graph whose chats never read adjacency (one that is only classified and
+// cleaned) carries no CSR and no Stats, so for it the estimate is an upper
+// bound. It is an estimate the byte budget evicts by, held to within 25 % of
+// the measured heap of graphs that carry both (TestBytesTracksRetention),
+// not an account.
 func approxBytes(g *graph.Graph) int64 {
 	const (
 		nodeSize  = int64(unsafe.Sizeof(graph.Node{}))

@@ -10,6 +10,8 @@ import (
 // BenchmarkDetect runs both detectors on the knowledge graph chat_large_cold
 // uploads: clean, as the workload sends it ("Clean G" then infers ~740
 // missing triples), and with the noise the cleaning experiments inject.
+// hub_10k is one subject with 10,000 transitive conclusions, so a
+// per-subject step that has gone quadratic shows.
 func BenchmarkDetect(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	clean := graph.KnowledgeGraph(300, 900, rng)
@@ -19,7 +21,7 @@ func BenchmarkDetect(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
-	}{{"clean_kg300", clean}, {"noisy_kg300", noisy}} {
+	}{{"clean_kg300", clean}, {"noisy_kg300", noisy}, {"hub_10k", hubKG(100)}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -4,17 +4,21 @@
 // evaluation, and producing an edit plan the executor applies after user
 // confirmation.
 //
-// A detector pass reads the graph through a view (node types in a slice,
-// signature relations numbered in label order) and works on integers from
-// there: triples are 12-byte comparable map keys, the valid triples' adjacency
-// is one offset array indexed by relation·n + subject, and rule conclusions
-// are sorted as 16-byte records before any Issue is built. The string-keyed
-// detectors this replaced are the reference in parity_test.go; the issue
-// lists are identical. Apply is label-aware in both directions: it removes
-// the edge carrying the issue's relation and adds a missing triple unless that
-// very triple is stored, whatever other relations join the same two entities;
-// it edits the whole plan in one pass, with the one-issue-at-a-time version
-// as its reference in parity_test.go.
+// A detector pass reads the graph through a view (node types and relations
+// numbered, each edge's relation id looked up once for both passes) and
+// works on integers from there, with no map or sort over triples:
+// duplicates are found by grouping the edges by (subject, object) pair, and
+// rule conclusions are generated subject by subject over forward and
+// reverse (node, relation) rows of the valid triples, checked and
+// deduplicated against a stamp array, so only each subject's own
+// conclusions are sorted and the issue list grows once. The string-keyed
+// detectors and the map-keyed ones these replaced are the references in
+// parity_test.go; the issue lists are identical. Apply is label-aware in
+// both directions: it removes the edge carrying the issue's relation and
+// adds a missing triple unless that very triple is stored, whatever other
+// relations join the same two entities; it edits the whole plan in one
+// pass, with the one-issue-at-a-time version as its reference in
+// parity_test.go.
 package kg
 
 import (
@@ -91,44 +95,62 @@ func NewDetector() *Detector {
 	return &Detector{Signatures: TypeSignatures(graph.KGRelationTypes()), Rules: DefaultRules()}
 }
 
-// triple identifies one stored or inferred fact within a detector pass, its
-// relation by the view's id: a 12-byte comparable map key, so looking one up
-// builds nothing.
-type triple struct {
-	from, to, rel int32
-}
-
 // view is what one detector pass reads a graph through, so that the
-// per-triple work is array indexing: each node's "type" attribute looked up
-// once, and the signature relations numbered in label order (a relation's id
-// is its index in names, so sorting by id sorts by label).
+// per-triple work is integer comparison: node types and signature types
+// numbered once, the signature relations numbered in label order (a
+// relation's id is its index in names, so sorting by id sorts by label),
+// the labels without a signature numbered after them as they are met, and
+// each edge's relation id looked up once for both passes.
 type view struct {
-	types []string    // node → "type" attribute
-	names []string    // relation id → label, ascending
-	sigs  [][2]string // relation id → required (subject, object) types
-	// ids maps a label to its relation id. incorrect numbers the labels that
-	// have no signature as it meets them, after the ones that do, so that a
-	// duplicate of such an edge still collides with it.
+	types []int32    // node → signature type id, -1 for a type no signature names
+	names []string   // signature relation id → label, ascending
+	sigs  [][2]int32 // signature relation id → required (subject, object) type ids
+	rels  []int32    // edge → relation id
+	// ids maps a label to its relation id: the signatures' first, then every
+	// other label an edge carries.
 	ids map[string]int32
 }
 
 func (d *Detector) view(g *graph.Graph) *view {
 	v := &view{
-		types: make([]string, g.NumNodes()),
+		types: make([]int32, g.NumNodes()),
 		names: make([]string, 0, len(d.Signatures)),
-		sigs:  make([][2]string, len(d.Signatures)),
-		ids:   make(map[string]int32, len(d.Signatures)),
-	}
-	for i, n := range g.Nodes() {
-		v.types[i] = n.Attrs["type"]
+		sigs:  make([][2]int32, len(d.Signatures)),
+		rels:  make([]int32, g.NumEdges()),
 	}
 	for rel := range d.Signatures {
 		v.names = append(v.names, rel)
 	}
 	sort.Strings(v.names)
+	typeIDs := make(map[string]int32, 2*len(v.names))
+	typeID := func(t string) int32 {
+		id, ok := typeIDs[t]
+		if !ok {
+			id = int32(len(typeIDs))
+			typeIDs[t] = id
+		}
+		return id
+	}
+	v.ids = make(map[string]int32, len(v.names))
 	for id, rel := range v.names {
-		v.sigs[id] = d.Signatures[rel]
+		sig := d.Signatures[rel]
+		v.sigs[id] = [2]int32{typeID(sig[0]), typeID(sig[1])}
 		v.ids[rel] = int32(id)
+	}
+	for i, n := range g.Nodes() {
+		t, ok := typeIDs[n.Attrs["type"]]
+		if !ok {
+			t = -1
+		}
+		v.types[i] = t
+	}
+	for i, e := range g.Edges() {
+		rel, ok := v.ids[e.Label]
+		if !ok {
+			rel = int32(len(v.ids))
+			v.ids[e.Label] = rel
+		}
+		v.rels[i] = rel
 	}
 	return v
 }
@@ -139,167 +161,243 @@ func (v *view) rel(label string) (id int32, ok bool) {
 	return id, ok && int(id) < len(v.names)
 }
 
-// valid reports whether the triple satisfies relation rel's type signature.
+// valid reports whether the triple's relation has a signature and its
+// endpoints' types satisfy it.
 func (v *view) valid(from graph.NodeID, rel int32, to graph.NodeID) bool {
-	return v.types[from] == v.sigs[rel][0] && v.types[to] == v.sigs[rel][1]
+	return int(rel) < len(v.names) && v.types[from] == v.sigs[rel][0] && v.types[to] == v.sigs[rel][1]
 }
 
 // DetectIncorrect flags edges whose endpoint types violate the relation
 // signature and duplicate edges (same endpoints and label stored twice).
 func (d *Detector) DetectIncorrect(g *graph.Graph) []Issue {
-	issues, _ := d.incorrect(g, d.view(g))
+	return d.incorrect(g, d.view(g))
+}
+
+func (d *Detector) incorrect(g *graph.Graph, v *view) []Issue {
+	var issues []Issue
+	dup := v.duplicates(g)
+	for i, e := range g.Edges() {
+		rel := v.rels[i]
+		var reason string
+		switch {
+		case dup != nil && dup[i]:
+			reason = "duplicate triple"
+		case int(rel) >= len(v.names):
+			reason = "unknown relation"
+		case !v.valid(e.From, rel, e.To):
+			sig := d.Signatures[e.Label]
+			reason = fmt.Sprintf("type violation: %s(%s,%s) requires (%s,%s)",
+				e.Label, g.Node(e.From).Attrs["type"], g.Node(e.To).Attrs["type"], sig[0], sig[1])
+		default:
+			continue
+		}
+		issues = append(issues, Issue{Kind: "incorrect", From: e.From, To: e.To, Label: e.Label, Reason: reason})
+	}
 	return issues
 }
 
-// incorrect also returns the set of triples g stores, which it has to build
-// to find the duplicates and which missing needs next.
-func (d *Detector) incorrect(g *graph.Graph, v *view) ([]Issue, map[triple]struct{}) {
-	var issues []Issue
-	stored := make(map[triple]struct{}, g.NumEdges())
-	for _, e := range g.Edges() {
-		rel, seen := v.ids[e.Label]
-		if !seen {
-			rel = int32(len(v.ids))
-			v.ids[e.Label] = rel
-		}
-		key := triple{int32(e.From), int32(e.To), rel}
-		if _, dup := stored[key]; dup {
-			issues = append(issues, Issue{
-				Kind: "incorrect", From: e.From, To: e.To, Label: e.Label,
-				Reason: "duplicate triple",
-			})
-			continue
-		}
-		stored[key] = struct{}{}
-		if int(rel) >= len(v.names) {
-			issues = append(issues, Issue{
-				Kind: "incorrect", From: e.From, To: e.To, Label: e.Label,
-				Reason: "unknown relation",
-			})
-			continue
-		}
-		if !v.valid(e.From, rel, e.To) {
-			sig := v.sigs[rel]
-			issues = append(issues, Issue{
-				Kind: "incorrect", From: e.From, To: e.To, Label: e.Label,
-				Reason: fmt.Sprintf("type violation: %s(%s,%s) requires (%s,%s)", e.Label, v.types[e.From], v.types[e.To], sig[0], sig[1]),
-			})
+// duplicates reports which edges store the triple of an earlier edge, or
+// nil when no two edges join the same (subject, object) pair. It hashes
+// nothing: numberPairs numbers the pairs, byFirst groups the edges by pair
+// in edge order, and within one pair seen[rel] tells whether the relation
+// was met already.
+func (v *view) duplicates(g *graph.Graph) []bool {
+	edges := g.Edges()
+	ends := make([][2]int32, len(edges))
+	for i, e := range edges {
+		ends[i] = [2]int32{int32(e.From), int32(e.To)}
+	}
+	pair, _, pairs := numberPairs(g.NumNodes(), ends, nil)
+	if int(pairs) == len(edges) {
+		return nil
+	}
+	for i := range ends {
+		ends[i] = [2]int32{pair[i], v.rels[i]}
+	}
+	start, idx := byFirst(ends, int(pairs))
+	dup := make([]bool, len(edges))
+	seen := make([]int32, len(v.ids)) // relation → 1 + the pair it was last met in
+	for p := int32(0); p < pairs; p++ {
+		for _, i := range idx[start[p]:start[p+1]] {
+			if r := v.rels[i]; seen[r] == p+1 {
+				dup[i] = true
+			} else {
+				seen[r] = p + 1
+			}
 		}
 	}
-	return issues, stored
+	return dup
 }
 
 // DetectMissing applies the inference rules and reports conclusions not
 // present in the graph.
 func (d *Detector) DetectMissing(g *graph.Graph) []Issue {
-	v := d.view(g)
-	stored := make(map[triple]struct{}, g.NumEdges())
-	for _, e := range g.Edges() {
-		// No rule concludes a relation that has no signature.
-		if rel, ok := v.rel(e.Label); ok {
-			stored[triple{int32(e.From), int32(e.To), rel}] = struct{}{}
+	return d.missing(g, d.view(g), nil)
+}
+
+// rows is the adjacency of the signature-valid triples, one row per (node,
+// relation): row k = node·len(names) + rel is nodes[off[k]:off[k+1]], in
+// edge order. Only valid triples feed the rules: inferring over an
+// incorrect edge would launder its error into plausible-looking "missing"
+// conclusions.
+type rows struct {
+	off   []int32
+	nodes []int32
+	nrel  int
+}
+
+func (r rows) row(node int, rel int32) []int32 {
+	k := node*r.nrel + int(rel)
+	return r.nodes[r.off[k]:r.off[k+1]]
+}
+
+// rowsOf builds the forward rows (a subject's objects) and, if reverse is
+// set, the reverse ones (an object's subjects) in the same two passes over
+// the edges. The counting sort runs one slot ahead — counts land in
+// off[k+2], so after the prefix sums off[k+1] is row k's start, and filling
+// advances it to row k's end, which is row k+1's start.
+func (v *view) rowsOf(g *graph.Graph, reverse bool) (fwd, rev rows) {
+	n, nrel, edges := g.NumNodes(), len(v.names), g.Edges()
+	fwd = rows{off: make([]int32, n*nrel+2), nrel: nrel}
+	if reverse {
+		rev = rows{off: make([]int32, n*nrel+2), nrel: nrel}
+	}
+	valid := 0
+	for i, e := range edges {
+		if rel := v.rels[i]; v.valid(e.From, rel, e.To) {
+			valid++
+			fwd.off[int(e.From)*nrel+int(rel)+2]++
+			if reverse {
+				rev.off[int(e.To)*nrel+int(rel)+2]++
+			}
 		}
 	}
-	return d.missing(g, v, stored, nil)
-}
-
-// inferred is one rule conclusion before it becomes an Issue: small enough
-// to sort by value, with from<<32|to as one word and the relation id
-// standing in for label order.
-type inferred struct {
-	ends      uint64
-	rel, rule int32
-}
-
-// missing appends the rule conclusions absent from stored to issues, ordered
-// by (from, to, label). stored gains every conclusion reported.
-func (d *Detector) missing(g *graph.Graph, v *view, stored map[triple]struct{}, issues []Issue) []Issue {
-	// Adjacency of the signature-valid triples, one row per (relation,
-	// subject): row k = rel·n + from is tos[off[k]:off[k+1]]. Only valid
-	// triples feed the rules: inferring over an incorrect edge would launder
-	// its error into plausible-looking "missing" conclusions. The counting
-	// sort runs one slot ahead — counts land in off[k+2], so after the prefix
-	// sums off[k+1] is row k's start, and filling advances it to row k's end,
-	// which is row k+1's start.
-	n := g.NumNodes()
-	off := make([]int32, len(v.names)*n+2)
-	edges := g.Edges()
-	rels := make([]int32, len(edges)) // edge → relation id, -1 if it feeds no rule
+	for _, r := range []rows{fwd, rev} {
+		for k := 2; k < len(r.off); k++ {
+			r.off[k] += r.off[k-1]
+		}
+	}
+	fwd.nodes = make([]int32, valid)
+	if reverse {
+		rev.nodes = make([]int32, valid)
+	}
 	for i, e := range edges {
-		rel, ok := v.rel(e.Label)
-		if !ok || !v.valid(e.From, rel, e.To) {
-			rels[i] = -1
+		rel := v.rels[i]
+		if !v.valid(e.From, rel, e.To) {
 			continue
 		}
-		rels[i] = rel
-		off[int(rel)*n+int(e.From)+2]++
-	}
-	for k := 2; k < len(off); k++ {
-		off[k] += off[k-1]
-	}
-	tos := make([]int32, off[len(off)-1])
-	for i, e := range edges {
-		if rels[i] >= 0 {
-			k := int(rels[i])*n + int(e.From) + 1
-			tos[off[k]] = int32(e.To)
-			off[k]++
+		k := int(e.From)*nrel + int(rel) + 1
+		fwd.nodes[fwd.off[k]] = int32(e.To)
+		fwd.off[k]++
+		if reverse {
+			k = int(e.To)*nrel + int(rel) + 1
+			rev.nodes[rev.off[k]] = int32(e.From)
+			rev.off[k]++
 		}
 	}
-	row := func(rel int32, from int) []int32 {
-		k := int(rel)*n + from
-		return tos[off[k]:off[k+1]]
-	}
+	return fwd, rev
+}
 
-	var found []inferred
-	emit := func(from, to int32, rel int32, rule int) {
-		key := triple{from, to, rel}
-		if _, ok := stored[key]; from == to || ok {
-			return
-		}
-		if !v.valid(graph.NodeID(from), rel, graph.NodeID(to)) {
-			return
-		}
-		stored[key] = struct{}{} // dedup across rules
-		found = append(found, inferred{uint64(from)<<32 | uint64(to), rel, int32(rule)})
+// missing appends the rule conclusions g does not store to issues, ordered
+// by (from, to, label); a conclusion several rules reach carries the first
+// one's name. It works subject by subject: stamp[rel·n + to] holds 1 + the
+// subject that stores or has concluded (subject, rel, to), so a conclusion
+// is checked against the graph and deduplicated by one array read, and only
+// the subject's own conclusions are sorted. Each is kept as to<<32 | rank,
+// where a rule's rank orders the rules by head relation, then position:
+// within one subject no two conclusions share (to, head), so sorting those
+// words sorts by (to, label), and the rank names the rule.
+func (d *Detector) missing(g *graph.Graph, v *view, issues []Issue) []Issue {
+	type rule struct {
+		sym       bool
+		b1, b2, h int32
+		name      string
+		pos, rank int
 	}
-	for ri, r := range d.Rules {
+	var rules []rule
+	for _, r := range d.Rules {
 		// A transitive rule is the composition of its relation with itself.
 		body1, body2, head := r.Rel, r.Rel, r.Rel
-		if r.Kind == "composition" {
+		switch r.Kind {
+		case "symmetric", "transitive":
+		case "composition":
 			body1, body2, head = r.Body1, r.Body2, r.Head
+		default:
+			continue
 		}
 		b1, ok1 := v.rel(body1)
 		b2, ok2 := v.rel(body2)
 		h, ok3 := v.rel(head)
-		if !ok1 || !ok2 || !ok3 {
-			continue // a relation without a signature has no valid triples
+		if ok1 && ok2 && ok3 { // a relation without a signature has no valid triples
+			rules = append(rules, rule{sym: r.Kind == "symmetric", b1: b1, b2: b2, h: h, name: r.Name, pos: len(rules)})
 		}
-		switch r.Kind {
-		case "symmetric":
-			for from := 0; from < n; from++ {
-				for _, to := range row(b1, from) {
-					emit(to, int32(from), h, ri)
-				}
+	}
+	if len(rules) == 0 {
+		return issues
+	}
+	byRank := slices.Clone(rules)
+	slices.SortStableFunc(byRank, func(a, b rule) int { return cmp.Compare(a.h, b.h) })
+	var heads []int32
+	sym := false
+	for k, r := range byRank {
+		rules[r.pos].rank = k
+		if k == 0 || byRank[k-1].h != r.h {
+			heads = append(heads, r.h)
+		}
+		sym = sym || r.sym
+	}
+
+	n := g.NumNodes()
+	fwd, rev := v.rowsOf(g, sym)
+	stamp := make([]int32, len(v.names)*n)
+	var found []uint64
+	bounds := make([]int32, n+1) // subject x's conclusions are found[bounds[x]:bounds[x+1]]
+	for x := 0; x < n; x++ {
+		s := int32(x + 1)
+		for _, h := range heads {
+			stamp[int(h)*n+x] = s // no self-loops
+			for _, z := range fwd.row(x, h) {
+				stamp[int(h)*n+int(z)] = s
 			}
-		case "transitive", "composition":
-			for x := 0; x < n; x++ {
-				for _, y := range row(b1, x) {
-					for _, z := range row(b2, int(y)) {
-						emit(int32(x), z, h, ri)
+		}
+		first := len(found)
+		for _, r := range rules {
+			sig := v.sigs[r.h]
+			if v.types[x] != sig[0] {
+				continue // x is not the subject of any valid r.h triple
+			}
+			mark, rank := stamp[int(r.h)*n:int(r.h+1)*n], uint64(r.rank)
+			if r.sym {
+				for _, y := range rev.row(x, r.b1) {
+					if mark[y] != s && v.types[y] == sig[1] {
+						mark[y] = s
+						found = append(found, uint64(y)<<32|rank)
+					}
+				}
+				continue
+			}
+			for _, y := range fwd.row(x, r.b1) {
+				for _, z := range fwd.row(int(y), r.b2) {
+					if mark[z] != s && v.types[z] == sig[1] {
+						mark[z] = s
+						found = append(found, uint64(z)<<32|rank)
 					}
 				}
 			}
 		}
+		slices.Sort(found[first:])
+		bounds[x+1] = int32(len(found))
 	}
-	slices.SortFunc(found, func(a, b inferred) int {
-		return cmp.Or(cmp.Compare(a.ends, b.ends), cmp.Compare(a.rel, b.rel))
-	})
+
 	issues = slices.Grow(issues, len(found))
-	for _, f := range found {
-		issues = append(issues, Issue{
-			Kind: "missing", From: graph.NodeID(f.ends >> 32), To: graph.NodeID(uint32(f.ends)),
-			Label: v.names[f.rel], Reason: d.Rules[f.rule].Name,
-		})
+	for x := 0; x < n; x++ {
+		for _, f := range found[bounds[x]:bounds[x+1]] {
+			r := byRank[uint32(f)]
+			issues = append(issues, Issue{
+				Kind: "missing", From: graph.NodeID(x), To: graph.NodeID(f >> 32),
+				Label: v.names[r.h], Reason: r.name,
+			})
+		}
 	}
 	return issues
 }
@@ -307,8 +405,7 @@ func (d *Detector) missing(g *graph.Graph, v *view, stored map[triple]struct{}, 
 // Detect runs both detectors, incorrect first.
 func (d *Detector) Detect(g *graph.Graph) []Issue {
 	v := d.view(g)
-	issues, stored := d.incorrect(g, v)
-	return d.missing(g, v, stored, issues)
+	return d.missing(g, v, d.incorrect(g, v))
 }
 
 // tripleKey renders "from|rel|to"; rule mining and Score key their triple

@@ -1,6 +1,7 @@
 package kg
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -126,6 +127,199 @@ func oracleDetect(d *Detector, g *graph.Graph) []Issue {
 	return append(oracleDetectIncorrect(d, g), oracleDetectMissing(d, g)...)
 }
 
+// mapTriple, mapView and the mapDetect* functions are the map-keyed
+// detectors the row-based ones replaced, kept as the second reference:
+// triples as 12-byte comparable map keys, a string-map relation lookup per
+// edge in each pass, the valid triples' adjacency as one offset array
+// indexed by relation·n + subject, and every rule conclusion collected
+// before one comparator sort of 16-byte records.
+type mapTriple struct {
+	from, to, rel int32
+}
+
+type mapView struct {
+	types []string    // node → "type" attribute
+	names []string    // relation id → label, ascending
+	sigs  [][2]string // relation id → required (subject, object) types
+	// ids maps a label to its relation id. mapIncorrect numbers the labels
+	// that have no signature as it meets them, after the ones that do.
+	ids map[string]int32
+}
+
+func mapViewOf(d *Detector, g *graph.Graph) *mapView {
+	v := &mapView{
+		types: make([]string, g.NumNodes()),
+		names: make([]string, 0, len(d.Signatures)),
+		sigs:  make([][2]string, len(d.Signatures)),
+		ids:   make(map[string]int32, len(d.Signatures)),
+	}
+	for i, n := range g.Nodes() {
+		v.types[i] = n.Attrs["type"]
+	}
+	for rel := range d.Signatures {
+		v.names = append(v.names, rel)
+	}
+	sort.Strings(v.names)
+	for id, rel := range v.names {
+		v.sigs[id] = d.Signatures[rel]
+		v.ids[rel] = int32(id)
+	}
+	return v
+}
+
+func (v *mapView) rel(label string) (id int32, ok bool) {
+	id, ok = v.ids[label]
+	return id, ok && int(id) < len(v.names)
+}
+
+func (v *mapView) valid(from graph.NodeID, rel int32, to graph.NodeID) bool {
+	return v.types[from] == v.sigs[rel][0] && v.types[to] == v.sigs[rel][1]
+}
+
+func mapIncorrect(g *graph.Graph, v *mapView) ([]Issue, map[mapTriple]struct{}) {
+	var issues []Issue
+	stored := make(map[mapTriple]struct{}, g.NumEdges())
+	for _, e := range g.Edges() {
+		rel, seen := v.ids[e.Label]
+		if !seen {
+			rel = int32(len(v.ids))
+			v.ids[e.Label] = rel
+		}
+		key := mapTriple{int32(e.From), int32(e.To), rel}
+		if _, dup := stored[key]; dup {
+			issues = append(issues, Issue{
+				Kind: "incorrect", From: e.From, To: e.To, Label: e.Label,
+				Reason: "duplicate triple",
+			})
+			continue
+		}
+		stored[key] = struct{}{}
+		if int(rel) >= len(v.names) {
+			issues = append(issues, Issue{
+				Kind: "incorrect", From: e.From, To: e.To, Label: e.Label,
+				Reason: "unknown relation",
+			})
+			continue
+		}
+		if !v.valid(e.From, rel, e.To) {
+			sig := v.sigs[rel]
+			issues = append(issues, Issue{
+				Kind: "incorrect", From: e.From, To: e.To, Label: e.Label,
+				Reason: fmt.Sprintf("type violation: %s(%s,%s) requires (%s,%s)", e.Label, v.types[e.From], v.types[e.To], sig[0], sig[1]),
+			})
+		}
+	}
+	return issues, stored
+}
+
+func mapMissing(d *Detector, g *graph.Graph, v *mapView, stored map[mapTriple]struct{}, issues []Issue) []Issue {
+	n := g.NumNodes()
+	off := make([]int32, len(v.names)*n+2)
+	edges := g.Edges()
+	rels := make([]int32, len(edges))
+	for i, e := range edges {
+		rel, ok := v.rel(e.Label)
+		if !ok || !v.valid(e.From, rel, e.To) {
+			rels[i] = -1
+			continue
+		}
+		rels[i] = rel
+		off[int(rel)*n+int(e.From)+2]++
+	}
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	tos := make([]int32, off[len(off)-1])
+	for i, e := range edges {
+		if rels[i] >= 0 {
+			k := int(rels[i])*n + int(e.From) + 1
+			tos[off[k]] = int32(e.To)
+			off[k]++
+		}
+	}
+	row := func(rel int32, from int) []int32 {
+		k := int(rel)*n + from
+		return tos[off[k]:off[k+1]]
+	}
+	type inferred struct {
+		ends      uint64
+		rel, rule int32
+	}
+	var found []inferred
+	emit := func(from, to int32, rel int32, rule int) {
+		key := mapTriple{from, to, rel}
+		if _, ok := stored[key]; from == to || ok {
+			return
+		}
+		if !v.valid(graph.NodeID(from), rel, graph.NodeID(to)) {
+			return
+		}
+		stored[key] = struct{}{}
+		found = append(found, inferred{uint64(from)<<32 | uint64(to), rel, int32(rule)})
+	}
+	for ri, r := range d.Rules {
+		body1, body2, head := r.Rel, r.Rel, r.Rel
+		if r.Kind == "composition" {
+			body1, body2, head = r.Body1, r.Body2, r.Head
+		}
+		b1, ok1 := v.rel(body1)
+		b2, ok2 := v.rel(body2)
+		h, ok3 := v.rel(head)
+		if !ok1 || !ok2 || !ok3 {
+			continue
+		}
+		switch r.Kind {
+		case "symmetric":
+			for from := 0; from < n; from++ {
+				for _, to := range row(b1, from) {
+					emit(to, int32(from), h, ri)
+				}
+			}
+		case "transitive", "composition":
+			for x := 0; x < n; x++ {
+				for _, y := range row(b1, x) {
+					for _, z := range row(b2, int(y)) {
+						emit(int32(x), z, h, ri)
+					}
+				}
+			}
+		}
+	}
+	slices.SortFunc(found, func(a, b inferred) int {
+		return cmp.Or(cmp.Compare(a.ends, b.ends), cmp.Compare(a.rel, b.rel))
+	})
+	issues = slices.Grow(issues, len(found))
+	for _, f := range found {
+		issues = append(issues, Issue{
+			Kind: "missing", From: graph.NodeID(f.ends >> 32), To: graph.NodeID(uint32(f.ends)),
+			Label: v.names[f.rel], Reason: d.Rules[f.rule].Name,
+		})
+	}
+	return issues
+}
+
+func mapDetectIncorrect(d *Detector, g *graph.Graph) []Issue {
+	issues, _ := mapIncorrect(g, mapViewOf(d, g))
+	return issues
+}
+
+func mapDetectMissing(d *Detector, g *graph.Graph) []Issue {
+	v := mapViewOf(d, g)
+	stored := make(map[mapTriple]struct{}, g.NumEdges())
+	for _, e := range g.Edges() {
+		if rel, ok := v.rel(e.Label); ok {
+			stored[mapTriple{int32(e.From), int32(e.To), rel}] = struct{}{}
+		}
+	}
+	return mapMissing(d, g, v, stored, nil)
+}
+
+func mapDetect(d *Detector, g *graph.Graph) []Issue {
+	v := mapViewOf(d, g)
+	issues, stored := mapIncorrect(g, v)
+	return mapMissing(d, g, v, stored, issues)
+}
+
 // sameIssues is DeepEqual that does not tell a nil list from an empty one.
 func sameIssues(a, b []Issue) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
@@ -155,6 +349,7 @@ func TestDetectParity(t *testing.T) {
 	b := und.AddNodeAttrs("b", map[string]string{"type": "person"})
 	und.AddEdgeLabeled(a, b, "spouse_of", 1) //nolint:errcheck
 	graphs["undirected"] = und
+	graphs["hub"] = hubKG(30)
 
 	mined := NewDetector()
 	mined.Rules = append(mined.Rules,
@@ -167,17 +362,105 @@ func TestDetectParity(t *testing.T) {
 
 	for gname, g := range graphs {
 		for dname, d := range detectors {
-			if got, want := d.DetectIncorrect(g), oracleDetectIncorrect(d, g); !sameIssues(got, want) {
-				t.Fatalf("%s/%s: DetectIncorrect differs\n got %v\nwant %v", gname, dname, got, want)
-			}
-			if got, want := d.DetectMissing(g), oracleDetectMissing(d, g); !sameIssues(got, want) {
-				t.Fatalf("%s/%s: DetectMissing differs\n got %v\nwant %v", gname, dname, got, want)
-			}
-			if got, want := d.Detect(g), oracleDetect(d, g); !sameIssues(got, want) {
-				t.Fatalf("%s/%s: Detect differs\n got %v\nwant %v", gname, dname, got, want)
-			}
+			checkDetectParity(t, gname+"/"+dname, d, g)
 		}
 	}
+}
+
+// checkDetectParity holds the three detectors to both references: the
+// string-keyed oracle and the map-keyed detectors.
+func checkDetectParity(t *testing.T, name string, d *Detector, g *graph.Graph) {
+	t.Helper()
+	for _, c := range []struct {
+		detector    string
+		got, oracle func(*Detector, *graph.Graph) []Issue
+		mapKeyed    func(*Detector, *graph.Graph) []Issue
+	}{
+		{"DetectIncorrect", (*Detector).DetectIncorrect, oracleDetectIncorrect, mapDetectIncorrect},
+		{"DetectMissing", (*Detector).DetectMissing, oracleDetectMissing, mapDetectMissing},
+		{"Detect", (*Detector).Detect, oracleDetect, mapDetect},
+	} {
+		got := c.got(d, g)
+		if want := c.oracle(d, g); !sameIssues(got, want) {
+			t.Fatalf("%s: %s differs from the string-keyed oracle\n got %v\nwant %v", name, c.detector, got, want)
+		}
+		if want := c.mapKeyed(d, g); !sameIssues(got, want) {
+			t.Fatalf("%s: %s differs from the map-keyed detector\n got %v\nwant %v", name, c.detector, got, want)
+		}
+	}
+}
+
+// hubKG is one place located in k places, each located in k places of its
+// own: located_in transitivity concludes k² triples, all with the hub as
+// their subject.
+func hubKG(k int) *graph.Graph {
+	g := graph.NewDirected()
+	place := map[string]string{"type": "place"}
+	hub := g.AddNodeAttrs("hub", place)
+	for i := 0; i < k; i++ {
+		mid := g.AddNodeAttrs(fmt.Sprintf("mid%d", i), place)
+		g.AddEdgeLabeled(hub, mid, "located_in", 1) //nolint:errcheck
+		for j := 0; j < k; j++ {
+			g.AddEdgeLabeled(mid, g.AddNodeAttrs(fmt.Sprintf("leaf%d_%d", i, j), place), "located_in", 1) //nolint:errcheck
+		}
+	}
+	return g
+}
+
+// FuzzDetectParity holds the three detectors to both references on small
+// knowledge graphs, directed and undirected, decoded from the fuzz input:
+// node types from the signatures, untyped nodes and a type no signature
+// names; edges that repeat, carry labels with no signature, or violate
+// their relation's types; signatures dropped by a mask; and rule lists of
+// every kind, including bad kinds and rules over relations with no
+// signature.
+func FuzzDetectParity(f *testing.F) {
+	f.Add(true, uint8(5), uint8(0), []byte{1, 1, 1, 0, 2}, []byte{0, 1, 1, 1, 2, 1, 0, 1, 1, 3, 4, 2}, []byte{})
+	f.Add(false, uint8(4), uint8(0), []byte{0, 0, 1, 1}, []byte{0, 1, 3, 1, 0, 3, 2, 3, 1}, []byte{0, 3, 0, 0})
+	f.Add(true, uint8(6), uint8(2), []byte{1, 1, 1, 1, 2, 4}, []byte{0, 1, 1, 1, 2, 1, 2, 3, 7, 3, 4, 1}, []byte{1, 1, 0, 0, 2, 2, 1, 7, 3, 1, 0, 0})
+	f.Add(true, uint8(7), uint8(0), []byte{2, 2, 2, 0, 0, 3, 1}, []byte{0, 1, 4, 1, 2, 4, 3, 1, 6, 4, 2, 5}, []byte{2, 6, 4, 6, 0, 8, 8, 8, 1, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, directed bool, nodes, sigMask uint8, typeSpec, edgeSpec, ruleSpec []byte) {
+		labels := []string{"born_in", "located_in", "part_of", "spouse_of", "capital_of", "member_of", "works_for", "teleports_to", "orbits"}
+		types := []string{"person", "place", "org", "", "alien"}
+		n := 1 + int(nodes%8)
+		g := graph.New()
+		if directed {
+			g = graph.NewDirected()
+		}
+		for i := 0; i < n; i++ {
+			tp := types[3]
+			if i < len(typeSpec) {
+				tp = types[int(typeSpec[i])%len(types)]
+			}
+			id := g.AddNode(fmt.Sprintf("e%d", i))
+			if tp != "" {
+				g.SetNodeAttr(id, "type", tp)
+			}
+		}
+		for i := 0; i+2 < len(edgeSpec) && i < 3*48; i += 3 {
+			g.AddEdgeLabeled(graph.NodeID(int(edgeSpec[i])%n), graph.NodeID(int(edgeSpec[i+1])%n), labels[int(edgeSpec[i+2])%len(labels)], 1) //nolint:errcheck // self-loops are skipped
+		}
+		d := NewDetector()
+		for bit, rel := range labels[:7] {
+			if sigMask&(1<<bit) != 0 {
+				delete(d.Signatures, rel)
+			}
+		}
+		// Four bytes per rule: kind, then three labels (the relation, or
+		// the two bodies and the head).
+		if len(ruleSpec) >= 4 {
+			kinds := []string{"symmetric", "transitive", "composition", "reflexive"}
+			d.Rules = nil
+			for i := 0; i+3 < len(ruleSpec) && i < 4*8; i += 4 {
+				at := func(k int) string { return labels[int(ruleSpec[i+k])%len(labels)] }
+				d.Rules = append(d.Rules, Rule{
+					Name: fmt.Sprintf("rule%d", i/4), Kind: kinds[int(ruleSpec[i])%len(kinds)],
+					Rel: at(1), Body1: at(1), Body2: at(2), Head: at(3),
+				})
+			}
+		}
+		checkDetectParity(t, "fuzz", d, g)
+	})
 }
 
 // Apply used to skip a missing triple whenever any edge joined its endpoints,
