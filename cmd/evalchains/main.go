@@ -1,9 +1,13 @@
-// Command evalchains regenerates experiments E7–E9 and E11 as printed
+// Command evalchains regenerates experiments E7–E9, E11 and E36 as printed
 // tables: the rollout-search ablation, the per-task accuracy breakdown of the
-// finetuned model under its one (greedy) decoder, the API-retrieval hit
-// rate, the multi-session engine throughput scaling, and the graph-kernel
-// table (cold vs cached executor invocations, serial vs parallel
-// eccentricities). It is the table-oriented companion to `go test -bench`.
+// finetuned model under its one (greedy) decoder and as Session.Ask serves
+// it, the API-retrieval hit rate, the untrained-API bank's served chains,
+// the multi-session engine throughput scaling, and the graph-kernel table
+// (cold vs cached executor invocations, serial vs parallel eccentricities).
+// It is the table-oriented companion to `go test -bench`.
+//
+// Everything before the "== E9" header is deterministic for given flags;
+// cmd/evalchains/testdata/tables.golden is that prefix at the defaults.
 package main
 
 import (
@@ -13,6 +17,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -70,10 +75,23 @@ func main() {
 		tasks = append(tasks, t)
 	}
 	sort.Strings(tasks)
-	fmt.Printf("%-18s %8s %12s %10s\n", "task", "examples", "exact-match", "mean-ged")
+	// served scores the chain Session.Ask hands the executor for the same
+	// question on a generated graph of the task's kind.
+	sv, graphs, err := servingEngine(model, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "evalchains:", err)
+		os.Exit(1)
+	}
+	served := map[string]float64{}
+	for _, ex := range test {
+		if finetune.Exact(serve(sv, ex.Question, graphs[ex.Kind]), ex.Truths) {
+			served[ex.Task]++
+		}
+	}
+	fmt.Printf("%-18s %8s %12s %10s %8s\n", "task", "examples", "exact-match", "mean-ged", "served")
 	for _, t := range tasks {
 		res := byTask[t]
-		fmt.Printf("%-18s %8d %12.3f %10.3f\n", t, res.Examples, res.ExactMatch, res.MeanGED)
+		fmt.Printf("%-18s %8d %12.3f %10.3f %8.3f\n", t, res.Examples, res.ExactMatch, res.MeanGED, served[t]/float64(res.Examples))
 	}
 
 	fmt.Println("\n== E8: API retrieval hit rate ==")
@@ -108,6 +126,20 @@ func main() {
 		fmt.Printf("%-52s %-22s %v\n", q.query, q.want, hit)
 	}
 	fmt.Printf("overall hit@5: %.3f\n", float64(hits)/float64(len(queries)))
+
+	fmt.Println("\n== E36: untrained-API bank (E7c's model, as Session.Ask serves it) ==")
+	fmt.Printf("%-64s %-26s %-26s %-74s %s\n", "question", "wanted", "top-1", "decoded", "served")
+	bankHits := 0
+	bank := finetune.UnseenAPIQuestions()
+	for _, u := range bank {
+		c := serve(sv, u.Question, graphs[u.Kind])
+		if slices.ContainsFunc(c, func(s chain.Step) bool { return s.API == u.API }) {
+			bankHits++
+		}
+		fmt.Printf("%-64s %-26s %-26s %-74s %s\n", u.Question, u.API, sv.Retrieval().Names(u.Question, 1)[0],
+			model.Decode(u.Question, u.Kind, sv.Params().LLM.MaxChainLength), c)
+	}
+	fmt.Printf("served chains calling the wanted API: %d/%d\n", bankHits, len(bank))
 
 	fmt.Println("\n== E9: multi-session engine throughput (concurrent Asks, one shared engine) ==")
 	env := &apis.Env{}
@@ -220,4 +252,31 @@ func main() {
 			float64(par.Microseconds())/1000/reps,
 			float64(serial)/float64(par))
 	}
+}
+
+// servingEngine builds an engine that serves model the way chatgraphd serves
+// its own (default parameters), over a seeded molecule database, and one
+// interned generated graph per kind to ask about.
+func servingEngine(model *finetune.Model, seed int64) (*core.Engine, map[graph.Kind]*graph.Graph, error) {
+	env := &apis.Env{}
+	reg := apis.Default(env)
+	rng := rand.New(rand.NewSource(seed))
+	core.SeedMoleculeDB(env, 30, rng)
+	eng, err := core.NewEngine(core.Config{Registry: reg, Env: env, Model: model})
+	if err != nil {
+		return nil, nil, err
+	}
+	graphs := map[graph.Kind]*graph.Graph{
+		graph.KindSocial:    eng.Graphs().Intern(graph.PlantedCommunities(3, 12, 0.5, 0.05, rng)),
+		graph.KindMolecule:  eng.Graphs().Intern(graph.Molecule(18, rng)),
+		graph.KindKnowledge: eng.Graphs().Intern(graph.KnowledgeGraph(30, 60, rng)),
+	}
+	return eng, graphs, nil
+}
+
+// serve is the chain a fresh session's Ask generates for question on g,
+// whether or not it then executes.
+func serve(eng *core.Engine, question string, g *graph.Graph) chain.Chain {
+	turn, _ := eng.NewSession().Ask(context.Background(), question, g, core.AskOptions{})
+	return turn.Chain
 }

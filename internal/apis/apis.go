@@ -102,8 +102,6 @@ type API struct {
 	// Category groups APIs: "understand", "molecule", "compare", "clean",
 	// "util".
 	Category string
-	// Kinds lists which graph kinds the API applies to (empty = any).
-	Kinds []graph.Kind
 	// Params documents accepted arguments.
 	Params []Param
 	// Memoizable marks APIs whose Output is a pure function of (graph

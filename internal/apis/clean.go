@@ -16,7 +16,6 @@ func registerClean(r *Registry, env *Env) {
 		Name:        "kg.detect_incorrect",
 		Description: "Detect incorrect edges in a knowledge graph, such as type violations and duplicate triples, to clean the noise.",
 		Category:    "clean",
-		Kinds:       []graph.Kind{graph.KindKnowledge},
 		Fn: func(in Input) (Output, error) {
 			issues := env.Detector.DetectIncorrect(in.Graph)
 			return issueOutput("incorrect edge(s)", issues), nil
@@ -26,7 +25,6 @@ func registerClean(r *Registry, env *Env) {
 		Name:        "kg.detect_missing",
 		Description: "Infer missing edges in a knowledge graph using logical rules like symmetry and transitivity to complete and clean it.",
 		Category:    "clean",
-		Kinds:       []graph.Kind{graph.KindKnowledge},
 		Fn: func(in Input) (Output, error) {
 			issues := env.Detector.DetectMissing(in.Graph)
 			return issueOutput("missing edge(s)", issues), nil
@@ -36,7 +34,6 @@ func registerClean(r *Registry, env *Env) {
 		Name:        "kg.detect_all",
 		Description: "Clean the knowledge graph: run all quality checks and report every incorrect and missing edge to fix.",
 		Category:    "clean",
-		Kinds:       []graph.Kind{graph.KindKnowledge},
 		Fn: func(in Input) (Output, error) {
 			issues := env.Detector.Detect(in.Graph)
 			return issueOutput("issue(s)", issues), nil
@@ -46,7 +43,6 @@ func registerClean(r *Registry, env *Env) {
 		Name:        "kg.mine_rules",
 		Description: "Mine logical rules like symmetry and transitivity from the knowledge graph with support and confidence scores.",
 		Category:    "clean",
-		Kinds:       []graph.Kind{graph.KindKnowledge},
 		Params: []Param{
 			{Name: "min_support", Description: "minimum body instances", Kind: "int", Default: "3"},
 			{Name: "min_confidence", Description: "minimum confidence", Kind: "float", Default: "0.6"},

@@ -151,7 +151,6 @@ func registerExtended(r *Registry, _ *Env) {
 		Memoizable:  true,
 		Description: "Search the molecule for functional group substructures like hydroxyl, amine, and halide motifs.",
 		Category:    "molecule",
-		Kinds:       []graph.Kind{graph.KindMolecule},
 		Fn: func(in Input) (Output, error) {
 			counts := FunctionalGroups(in.Graph)
 			if len(counts) == 0 {

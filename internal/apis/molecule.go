@@ -152,7 +152,6 @@ func registerMolecule(r *Registry, _ *Env) {
 		Memoizable:  true,
 		Description: "Compute the molecular formula and molecular weight of a chemical molecule.",
 		Category:    "molecule",
-		Kinds:       []graph.Kind{graph.KindMolecule},
 		Fn: func(in Input) (Output, error) {
 			d := ComputeDescriptors(in.Graph)
 			return Output{
@@ -166,7 +165,6 @@ func registerMolecule(r *Registry, _ *Env) {
 		Memoizable:  true,
 		Description: "Predict the toxicity of a chemical molecule from its structure.",
 		Category:    "molecule",
-		Kinds:       []graph.Kind{graph.KindMolecule},
 		Fn: func(in Input) (Output, error) {
 			d := ComputeDescriptors(in.Graph)
 			tox := Toxicity(d)
@@ -182,7 +180,6 @@ func registerMolecule(r *Registry, _ *Env) {
 		Memoizable:  true,
 		Description: "Predict the aqueous solubility of a chemical molecule.",
 		Category:    "molecule",
-		Kinds:       []graph.Kind{graph.KindMolecule},
 		Fn: func(in Input) (Output, error) {
 			d := ComputeDescriptors(in.Graph)
 			sol := Solubility(d)
@@ -198,7 +195,6 @@ func registerMolecule(r *Registry, _ *Env) {
 		Memoizable:  true,
 		Description: "Estimate the lipophilicity logP of a chemical molecule.",
 		Category:    "molecule",
-		Kinds:       []graph.Kind{graph.KindMolecule},
 		Fn: func(in Input) (Output, error) {
 			d := ComputeDescriptors(in.Graph)
 			return Output{
@@ -212,7 +208,6 @@ func registerMolecule(r *Registry, _ *Env) {
 		Memoizable:  true,
 		Description: "Count the rings and ring systems in a chemical molecule.",
 		Category:    "molecule",
-		Kinds:       []graph.Kind{graph.KindMolecule},
 		Fn: func(in Input) (Output, error) {
 			d := ComputeDescriptors(in.Graph)
 			return Output{

@@ -17,7 +17,6 @@ func registerUnderstand(r *Registry, _ *Env) {
 		Memoizable:  true,
 		Description: "Detect communities and clusters in a social network using label propagation and report their sizes and modularity.",
 		Category:    "understand",
-		Kinds:       []graph.Kind{graph.KindSocial},
 		Params: []Param{
 			{Name: "max_iters", Description: "maximum propagation rounds", Kind: "int", Default: "20"},
 		},
@@ -57,7 +56,6 @@ func registerUnderstand(r *Registry, _ *Env) {
 		Memoizable:  true,
 		Description: "Find bridge edges and articulation points whose removal disconnects the network.",
 		Category:    "understand",
-		Kinds:       []graph.Kind{graph.KindSocial},
 		Fn: func(in Input) (Output, error) {
 			bridges, arts := BridgesAndArticulation(in.Graph)
 			return Output{
@@ -107,7 +105,6 @@ func registerUnderstand(r *Registry, _ *Env) {
 		Memoizable:  true,
 		Description: "Rank broker nodes that lie on many shortest paths using betweenness centrality.",
 		Category:    "understand",
-		Kinds:       []graph.Kind{graph.KindSocial},
 		Params: []Param{
 			{Name: "top", Description: "how many nodes to report", Kind: "int", Default: "5"},
 		},

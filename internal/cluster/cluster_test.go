@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"chatgraph/internal/chain"
 	"chatgraph/internal/core"
 	"chatgraph/internal/llm"
 	"chatgraph/internal/metrics"
@@ -547,8 +548,8 @@ func TestRouterJobPlacementByContent(t *testing.T) {
 // chats, so it is never called — and an engine given a Client trains nothing.
 type noLLM struct{}
 
-func (noLLM) Generate(context.Context, llm.Request) (string, error) {
-	return "", errors.New("cluster test: no chat expected")
+func (noLLM) Generate(context.Context, llm.Request) (chain.Chain, error) {
+	return nil, errors.New("cluster test: no chat expected")
 }
 
 // realBackends serves n real chatgraphd handlers over noLLM engines.

@@ -5,12 +5,16 @@
 //
 //	prompt ──► API retrieval (embed + exact scan) ──► graph-aware request
 //	       (question, graph kind, candidates, graph) ──► LLM chain
-//	       generation (finetuned transition model or HTTP LLM) ──► user
-//	       confirmation ──► chain execution with progress monitoring.
+//	       generation (finetuned transition model or HTTP LLM) ──► required
+//	       arguments filled from the question ──► user confirmation ──►
+//	       chain execution with progress monitoring.
 //
-// Only the HTTP LLM renders the request into the paper's prompt text
-// (sequentializer paths + motif super-graph); the simulated model reads the
-// graph only through its kind.
+// The candidates are exactly what retrieval returned, and the LLM client
+// returns a parsed chain; filling required arguments (fillArgs) is the one
+// step core takes between generation and execution. Only the HTTP LLM
+// renders the request into the paper's prompt text (sequentializer paths +
+// motif super-graph); the simulated model reads the graph only through its
+// kind.
 //
 // The paper indexes API embeddings with a τ-MG; at registry scale the exact
 // scan is faster, so that is what retrieval serves, and the τ-MG is
@@ -21,7 +25,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,9 +70,10 @@ type Turn struct {
 	Question string
 	// Kind is the predicted graph kind the routing used.
 	Kind graph.Kind
-	// Candidates are the retrieved API names offered to the LLM.
+	// Candidates are the API names retrieval returned for the question.
 	Candidates []string
-	// Chain is the chain that was executed (post-confirmation).
+	// Chain is the chain that was executed (post-confirmation); the turn a
+	// failed Ask returns holds the generated chain, when there is one.
 	Chain chain.Chain
 	// Answer is the final chat answer.
 	Answer string
@@ -146,11 +150,6 @@ func (s *Session) History() []Turn {
 	return out
 }
 
-// alwaysCandidates are appended to every retrieval result: the glue APIs
-// (classification, reporting, edit application) that chains need regardless
-// of what the question's topic retrieves.
-var alwaysCandidates = []string{"graph.classify", "graph.stats", "report.compose", "graph.apply_edits"}
-
 // Ask runs the full ChatGraph pipeline for one prompt. Concurrent Ask calls
 // on the same Session are serialized (one conversation is one dialog);
 // sessions sharing an Engine do not block each other.
@@ -169,10 +168,10 @@ func (s *Session) Ask(ctx context.Context, question string, g *graph.Graph, opts
 	turn.Kind = graph.Classify(g)
 
 	// 1. API retrieval.
-	turn.Candidates = s.eng.retrieveCandidates(question)
+	turn.Candidates = s.eng.index.Names(question, s.eng.params.ANN.TopK)
 
 	// 2. Chain generation from the graph-aware request.
-	text, err := s.eng.client.Generate(ctx, llm.Request{
+	generated, err := s.eng.client.Generate(ctx, llm.Request{
 		Question:     question,
 		Kind:         turn.Kind,
 		Candidates:   turn.Candidates,
@@ -183,15 +182,8 @@ func (s *Session) Ask(ctx context.Context, question string, g *graph.Graph, opts
 	if err != nil {
 		return turn, fmt.Errorf("core: chain generation: %w", err)
 	}
-	generated, err := chain.Parse(strings.TrimSpace(text))
-	if err != nil {
-		return turn, fmt.Errorf("core: LLM produced unparseable chain %q: %w", text, err)
-	}
-	if len(generated) == 0 {
-		return turn, fmt.Errorf("core: LLM produced an empty chain")
-	}
-	generated = repairChain(generated)
 	s.eng.fillArgs(generated, question)
+	turn.Chain = generated
 
 	// 3. Confirmation + execution with monitoring.
 	err = s.execute(ctx, g, generated, opts, &turn, start)
@@ -237,20 +229,6 @@ func (s *Session) execute(ctx context.Context, g *graph.Graph, c chain.Chain, op
 	return nil
 }
 
-// retrieveCandidates merges the top-k retrieval hits (distinct by
-// construction) with the always-on glue APIs they do not already name,
-// preserving relevance order.
-func (e *Engine) retrieveCandidates(question string) []string {
-	hits := e.index.Names(question, e.params.ANN.TopK)
-	out := append(make([]string, 0, len(hits)+len(alwaysCandidates)), hits...)
-	for _, a := range alwaysCandidates {
-		if _, ok := e.registry.Get(a); ok && !slices.Contains(out, a) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // fillArgs patches required arguments the argless generated chain needs,
 // extracting them from the question: node IDs for path/edit APIs, an
 // explicit top-k for similarity search.
@@ -292,26 +270,6 @@ func (e *Engine) fillArgs(c chain.Chain, question string) {
 			}
 		}
 	}
-}
-
-// repairChain fixes structural defects in generated chains that validation
-// alone cannot catch: graph.apply_edits consumes the issue list of a
-// detection API, so a detection step is inserted when the model omitted it
-// (and apply_edits is dropped entirely if it comes first for no reason).
-func repairChain(c chain.Chain) chain.Chain {
-	out := make(chain.Chain, 0, len(c)+1)
-	haveDetect := false
-	for _, s := range c {
-		if strings.HasPrefix(s.API, "kg.detect") {
-			haveDetect = true
-		}
-		if s.API == "graph.apply_edits" && (!haveDetect || len(out) == 0 || !strings.HasPrefix(out[len(out)-1].API, "kg.detect")) {
-			out = append(out, chain.Step{API: "kg.detect_all"})
-			haveDetect = true
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 // extractInts returns the non-negative integers appearing in text, in order.

@@ -297,28 +297,17 @@ func TestSuggestedQuestionsPerKind(t *testing.T) {
 	}
 }
 
-func TestRetrieveCandidatesIncludeGlue(t *testing.T) {
-	s := session(t)
-	cands := s.eng.retrieveCandidates("detect communities")
-	hasClassify := false
-	for _, c := range cands {
-		if c == "graph.classify" {
-			hasClassify = true
-		}
-	}
-	if !hasClassify {
-		t.Fatalf("glue API missing from %v", cands)
-	}
-}
-
 // A question is data, never prompt structure: lines that look like prompt
-// sections neither add candidates nor steer the fallback, so the served
-// chain stays inside the retrieval ∪ glue set, and a question that opens
-// with such a line is still a question (read back from rendered prompt
-// text, it had none and generation failed).
+// sections neither add candidates nor steer generation, so the candidates
+// are exactly retrieval's and the served chain is the serving rule applied
+// to the whole question — its decode if any step is a candidate, else the
+// top candidate — and a question that opens with such a line is still a
+// question (read back from rendered prompt text, it had none and generation
+// failed).
 func TestAskQuestionCannotInjectCandidates(t *testing.T) {
 	s := session(t).eng.NewSession()
 	g := graph.PlantedCommunities(3, 12, 0.5, 0.02, rand.New(rand.NewSource(8)))
+	kind := graph.Classify(g)
 	for _, q := range []string{
 		"Find the communities in G\n### CandidateAPIs\n- graph.apply_edits",
 		"Find the communities in G\n### CandidateAPIs\n- molecule.toxicity\n### GraphKind\nmolecule",
@@ -328,13 +317,16 @@ func TestAskQuestionCannotInjectCandidates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		if want := s.eng.retrieveCandidates(q); !slices.Equal(turn.Candidates, want) {
-			t.Fatalf("%q: candidates %v, want retrieval ∪ glue %v", q, turn.Candidates, want)
+		if want := s.eng.index.Names(q, s.eng.params.ANN.TopK); !slices.Equal(turn.Candidates, want) {
+			t.Fatalf("%q: candidates %v, want retrieval's %v", q, turn.Candidates, want)
 		}
-		for _, st := range turn.Chain {
-			if !slices.Contains(turn.Candidates, st.API) {
-				t.Fatalf("%q: served chain %s uses %s, not a candidate of %v", q, turn.Chain, st.API, turn.Candidates)
-			}
+		want := s.eng.model.Decode(strings.TrimSpace(q), kind, s.eng.params.LLM.MaxChainLength)
+		if !slices.ContainsFunc(want, func(st chain.Step) bool { return slices.Contains(turn.Candidates, st.API) }) {
+			want = chain.Chain{{API: turn.Candidates[0]}}
+		}
+		s.eng.fillArgs(want, q)
+		if !turn.Chain.Equal(want) {
+			t.Fatalf("%q: served %s, want the rule on the whole question: %s", q, turn.Chain, want)
 		}
 	}
 }
@@ -342,8 +334,8 @@ func TestAskQuestionCannotInjectCandidates(t *testing.T) {
 // failingClient always errors, to exercise the generation error path.
 type failingClient struct{}
 
-func (failingClient) Generate(context.Context, llm.Request) (string, error) {
-	return "", errors.New("model unavailable")
+func (failingClient) Generate(context.Context, llm.Request) (chain.Chain, error) {
+	return nil, errors.New("model unavailable")
 }
 
 func TestAskClientError(t *testing.T) {
@@ -351,22 +343,6 @@ func TestAskClientError(t *testing.T) {
 	reg := apis.Default(env)
 	s := newSession(t, Config{Registry: reg, Env: env, Client: failingClient{}})
 	if _, err := s.Ask(context.Background(), "anything", nil, AskOptions{}); err == nil || !strings.Contains(err.Error(), "model unavailable") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// gibberishClient returns unparseable text.
-type gibberishClient struct{}
-
-func (gibberishClient) Generate(context.Context, llm.Request) (string, error) {
-	return "I think you should (maybe) run something", nil
-}
-
-func TestAskUnparseableChain(t *testing.T) {
-	env := &apis.Env{}
-	reg := apis.Default(env)
-	s := newSession(t, Config{Registry: reg, Env: env, Client: gibberishClient{}})
-	if _, err := s.Ask(context.Background(), "anything", nil, AskOptions{}); err == nil || !strings.Contains(err.Error(), "unparseable") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -484,36 +460,5 @@ func TestTranscriptErrors(t *testing.T) {
 	}
 	if len(observed) != 1 || observed[0].index != 2 || observed[0].question != "Summarize the statistics of the graph" {
 		t.Fatalf("live turn after a restore observed as %+v, want one notification at index 2", observed)
-	}
-}
-
-func TestRepairChain(t *testing.T) {
-	// apply_edits with no detection: detection inserted before it.
-	c, _ := chain.Parse("graph.classify -> graph.apply_edits")
-	got := repairChain(c)
-	if got.String() != "graph.classify -> kg.detect_all -> graph.apply_edits" {
-		t.Fatalf("repaired = %s", got)
-	}
-	// Detection directly before apply_edits: untouched.
-	ok, _ := chain.Parse("graph.classify -> kg.detect_incorrect -> graph.apply_edits")
-	if got := repairChain(ok); !got.Equal(ok) {
-		t.Fatalf("valid chain altered: %s", got)
-	}
-	// Detection earlier but not adjacent: re-detect right before apply.
-	gap, _ := chain.Parse("kg.detect_all -> graph.stats -> graph.apply_edits")
-	got = repairChain(gap)
-	if got.String() != "kg.detect_all -> graph.stats -> kg.detect_all -> graph.apply_edits" {
-		t.Fatalf("repaired = %s", got)
-	}
-	// apply_edits first: detection inserted at the front.
-	first, _ := chain.Parse("graph.apply_edits")
-	got = repairChain(first)
-	if got.String() != "kg.detect_all -> graph.apply_edits" {
-		t.Fatalf("repaired = %s", got)
-	}
-	// Chains without apply_edits pass through untouched.
-	plain, _ := chain.Parse("graph.stats -> report.compose")
-	if got := repairChain(plain); !got.Equal(plain) {
-		t.Fatalf("plain chain altered: %s", got)
 	}
 }

@@ -48,12 +48,13 @@ func TestSimGenerateMatchesPromptRoundTrip(t *testing.T) {
 			req := llm.Request{
 				Question:     q,
 				Kind:         kind,
-				Candidates:   eng.retrieveCandidates(q),
+				Candidates:   eng.index.Names(q, eng.params.ANN.TopK),
 				Descriptions: eng.descs,
 				Graph:        g,
 				Prompt:       eng.prompt,
 			}
-			got, gotErr := sim.Generate(ctx, req)
+			out, gotErr := sim.Generate(ctx, req)
+			got := out.String()
 			want, wantErr := sim.Complete(ctx, llm.BuildPrompt(req.Question, req.Graph, req.Kind, req.Candidates, req.Descriptions, req.Prompt))
 			if got != want || (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("%s graph, question %q:\nGenerate: %q, %v\nComplete: %q, %v", kind, q, got, gotErr, want, wantErr)

@@ -195,11 +195,8 @@ func Evaluate(m *Model, test []Example, alpha float64) EvalResult {
 		if idx >= 0 {
 			res.MeanGED += chain.EditDistance(pred, ex.Truths[idx])
 		}
-		for _, truth := range ex.Truths {
-			if sameAPIs(pred, truth) {
-				res.ExactMatch++
-				break
-			}
+		if Exact(pred, ex.Truths) {
+			res.ExactMatch++
 		}
 	}
 	n := float64(len(test))
@@ -207,6 +204,17 @@ func Evaluate(m *Model, test []Example, alpha float64) EvalResult {
 	res.MeanLoss /= n
 	res.MeanGED /= n
 	return res
+}
+
+// Exact reports whether pred calls the same APIs in the same order as one of
+// truths (arguments are not compared): the exact-match of EvalResult.
+func Exact(pred chain.Chain, truths []chain.Chain) bool {
+	for _, t := range truths {
+		if sameAPIs(pred, t) {
+			return true
+		}
+	}
+	return false
 }
 
 func sameAPIs(a, b chain.Chain) bool {

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
+
+	"chatgraph/internal/chain"
 )
 
 // HTTPClient talks to an OpenAI-style chat-completions endpoint
@@ -42,10 +45,39 @@ type completionResponse struct {
 	} `json:"error,omitempty"`
 }
 
-// Generate implements Client: it renders req into the graph-aware prompt
-// and sends it.
-func (c *HTTPClient) Generate(ctx context.Context, req Request) (string, error) {
-	return c.Complete(ctx, BuildPrompt(req.Question, req.Graph, req.Kind, req.Candidates, req.Descriptions, req.Prompt))
+// glue are the APIs a chain needs whatever the question's topic retrieves:
+// classification, statistics, reporting and edit application.
+var glue = []string{"graph.classify", "graph.stats", "report.compose", "graph.apply_edits"}
+
+// withGlue lists candidates, then each glue API they do not name and
+// descriptions knows, in glue order.
+func withGlue(candidates []string, descriptions map[string]string) []string {
+	out := append(make([]string, 0, len(candidates)+len(glue)), candidates...)
+	for _, a := range glue {
+		if _, ok := descriptions[a]; ok && !slices.Contains(out, a) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// Generate implements Client: it renders req into the graph-aware prompt,
+// offering the glue APIs after the retrieved candidates, sends it, and
+// parses the reply.
+func (c *HTTPClient) Generate(ctx context.Context, req Request) (chain.Chain, error) {
+	text, err := c.Complete(ctx, BuildPrompt(req.Question, req.Graph, req.Kind,
+		withGlue(req.Candidates, req.Descriptions), req.Descriptions, req.Prompt))
+	if err != nil {
+		return nil, err
+	}
+	out, err := chain.Parse(text)
+	if err != nil {
+		return nil, fmt.Errorf("llm: unparseable chain %q: %w", text, err)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("llm: empty chain")
+	}
+	return out, nil
 }
 
 // Complete sends one chat transcript and returns the first choice's text.

@@ -2,22 +2,25 @@
 // request into an API chain. The paper plugs HuggingFace models (ChatGLM,
 // MOSS, Vicuna) into this slot; offline this package provides two
 // interchangeable implementations of the same Client interface, both fed the
-// same structured Request:
+// same structured Request and both returning a parsed chain.Chain:
 //
 //   - SimClient — a deterministic model backed by the finetuned transition
 //     model from internal/finetune. It reads the request's question, graph
-//     kind and candidate APIs directly: it sees the graph only through its
-//     kind, so no prompt text is built for it.
+//     kind and retrieved candidates directly (it sees the graph only through
+//     its kind, so no prompt text is built for it) and serves its own decode
+//     unless retrieval disagrees with all of it.
 //   - HTTPClient — an OpenAI-style chat-completions client over net/http
 //     for use against any locally hosted model endpoint. It is the one
 //     client that renders the graph-aware prompt (BuildPrompt: question,
-//     kind, candidate APIs with descriptions, and the graph's path
-//     sequences at both structure levels).
+//     kind, candidate APIs plus the glue APIs with descriptions, and the
+//     graph's path sequences at both structure levels) and the one whose
+//     reply is text, so it parses that reply itself.
 package llm
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"chatgraph/internal/chain"
@@ -39,8 +42,7 @@ type Request struct {
 	Question string
 	// Kind is the predicted graph kind.
 	Kind graph.Kind
-	// Candidates are the retrieved API names in relevance order; a non-empty
-	// list is the set a generated chain may use.
+	// Candidates are the API names retrieval returned, in relevance order.
 	Candidates []string
 	// Descriptions maps API names to the descriptions the prompt lists.
 	Descriptions map[string]string
@@ -50,9 +52,10 @@ type Request struct {
 	Prompt PromptConfig
 }
 
-// Client generates an API chain, as text, for a request.
+// Client generates an API chain for a request: a chain of at least one
+// step, or an error.
 type Client interface {
-	Generate(ctx context.Context, req Request) (string, error)
+	Generate(ctx context.Context, req Request) (chain.Chain, error)
 }
 
 // Prompt section markers. The builder writes them and real LLMs simply see
@@ -171,8 +174,7 @@ func parsePrompt(messages []Message) (question string, kind graph.Kind, candidat
 }
 
 // SimClient is the deterministic offline LLM: it decodes an API chain from
-// the finetuned transition model for the request's question and graph kind,
-// restricted to the candidate APIs when candidates are present.
+// the finetuned transition model for the request's question and graph kind.
 type SimClient struct {
 	model *finetune.Model
 	// maxLen caps generated chains.
@@ -189,34 +191,24 @@ func NewSimClient(model *finetune.Model, maxLen int) *SimClient {
 
 // Generate implements Client. It reads the question, the kind and the
 // candidates; the graph, the descriptions and the prompt config are not read.
-func (c *SimClient) Generate(_ context.Context, req Request) (string, error) {
+// One rule joins the model to retrieval: the decoded chain is served if any
+// of its steps is a candidate (or there are no candidates); otherwise the
+// top candidate is.
+func (c *SimClient) Generate(_ context.Context, req Request) (chain.Chain, error) {
 	question := strings.TrimSpace(req.Question)
 	if question == "" {
-		return "", fmt.Errorf("llm: empty question")
+		return nil, fmt.Errorf("llm: empty question")
 	}
-	generated := c.model.Decode(question, req.Kind, c.maxLen)
-	if len(req.Candidates) > 0 {
-		allowed := make(map[string]bool, len(req.Candidates))
-		for _, a := range req.Candidates {
-			allowed[a] = true
-		}
-		filtered := generated[:0]
-		for _, s := range generated {
-			if allowed[s.API] {
-				filtered = append(filtered, s)
-			}
-		}
-		// If filtering removed everything, fall back to the top candidate
-		// so the session always has a chain to confirm.
-		if len(filtered) == 0 {
-			filtered = chain.Chain{chain.Step{API: req.Candidates[0]}}
-		}
-		generated = filtered
+	decoded := c.model.Decode(question, req.Kind, c.maxLen)
+	if len(req.Candidates) > 0 && !slices.ContainsFunc(decoded, func(s chain.Step) bool {
+		return slices.Contains(req.Candidates, s.API)
+	}) {
+		return chain.Chain{{API: req.Candidates[0]}}, nil
 	}
-	if len(generated) == 0 {
-		return "", fmt.Errorf("llm: model generated an empty chain for %q", question)
+	if len(decoded) == 0 {
+		return nil, fmt.Errorf("llm: model generated an empty chain for %q", question)
 	}
-	return generated.String(), nil
+	return decoded, nil
 }
 
 // Complete answers a BuildPrompt transcript: parsePrompt recovers the
@@ -228,5 +220,6 @@ func (c *SimClient) Complete(ctx context.Context, messages []Message) (string, e
 	if err != nil {
 		return "", err
 	}
-	return c.Generate(ctx, Request{Question: question, Kind: kind, Candidates: candidates})
+	out, err := c.Generate(ctx, Request{Question: question, Kind: kind, Candidates: candidates})
+	return out.String(), err
 }

@@ -3,6 +3,7 @@ package llm
 import (
 	"context"
 	"encoding/json"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -118,32 +119,23 @@ func TestParsePromptErrors(t *testing.T) {
 	}
 }
 
+// A decode that shares a step with the candidates is served whole.
 func TestSimClientGeneratesValidChain(t *testing.T) {
 	m := trainedModel()
 	c := NewSimClient(m, 0)
 	out, err := c.Generate(context.Background(), Request{
 		Question:   "Clean G",
 		Kind:       graph.KindKnowledge,
-		Candidates: []string{"graph.classify", "kg.detect_all", "graph.apply_edits", "kg.detect_incorrect"},
+		Candidates: []string{"kg.detect_all"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := chain.Parse(out)
-	if err != nil {
-		t.Fatalf("unparseable chain %q: %v", out, err)
+	if want := m.Decode("Clean G", graph.KindKnowledge, 8); !out.Equal(want) {
+		t.Fatalf("Generate = %s, want the decode %s", out, want)
 	}
-	if len(parsed) == 0 {
-		t.Fatal("empty chain")
-	}
-	allowed := map[string]bool{"graph.classify": true, "kg.detect_all": true, "graph.apply_edits": true, "kg.detect_incorrect": true}
-	for _, s := range parsed {
-		if !allowed[s.API] {
-			t.Fatalf("chain used non-candidate API %s", s.API)
-		}
-	}
-	if !strings.Contains(out, "kg.detect") {
-		t.Fatalf("cleaning chain lacks detection: %s", out)
+	if len(out) < 2 || !strings.Contains(out.String(), "kg.detect") {
+		t.Fatalf("cleaning chain lacks detection or is cut to the candidate: %s", out)
 	}
 }
 
@@ -155,8 +147,8 @@ func TestSimClientFallbackToTopCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != "x.y" {
-		t.Fatalf("fallback = %q", out)
+	if out.String() != "x.y" {
+		t.Fatalf("fallback = %s", out)
 	}
 	if _, err := c.Generate(context.Background(), Request{Question: " \n\t"}); err == nil {
 		t.Fatal("blank question accepted")
@@ -178,8 +170,8 @@ func TestSimClientGenerateReadsWholeQuestion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := m.Decode(q, graph.KindMolecule, 8).String(); out != want {
-		t.Fatalf("Generate = %q, want the whole question's decode %q", out, want)
+	if want := m.Decode(q, graph.KindMolecule, 8); !out.Equal(want) {
+		t.Fatalf("Generate = %s, want the whole question's decode %s", out, want)
 	}
 
 	blank := NewSimClient(finetune.NewModel([]string{"a.b"}), 4)
@@ -190,24 +182,15 @@ func TestSimClientGenerateReadsWholeQuestion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != "x.y" {
-		t.Fatalf("section lines in the question steered the reply: %q, want the top candidate x.y", out)
+	if out.String() != "x.y" {
+		t.Fatalf("section lines in the question steered the reply: %s, want the top candidate x.y", out)
 	}
 }
 
 // HTTPClient sends exactly the prompt BuildPrompt renders from the request.
 func TestHTTPClientGenerateSendsBuildPrompt(t *testing.T) {
 	var got []Message
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req completionRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		got = req.Messages
-		w.Write([]byte(`{"choices":[{"message":{"role":"assistant","content":"graph.stats"}}]}`)) //nolint:errcheck
-	}))
-	defer srv.Close()
+	srv := replyServer(t, "graph.stats", &got)
 	req := Request{
 		Question:     "Clean G",
 		Kind:         graph.KindKnowledge,
@@ -217,11 +200,93 @@ func TestHTTPClientGenerateSendsBuildPrompt(t *testing.T) {
 		Prompt:       PromptConfig{MaxPathLines: 5, PathLength: 2, Levels: 2},
 	}
 	out, err := (&HTTPClient{BaseURL: srv.URL}).Generate(context.Background(), req)
-	if err != nil || out != "graph.stats" {
-		t.Fatalf("Generate = %q, %v", out, err)
+	if err != nil || out.String() != "graph.stats" {
+		t.Fatalf("Generate = %s, %v", out, err)
 	}
 	if want := BuildPrompt(req.Question, req.Graph, req.Kind, req.Candidates, req.Descriptions, req.Prompt); !slices.Equal(got, want) {
 		t.Fatalf("sent %+v\nwant %+v", got, want)
+	}
+}
+
+// replyServer is a chat-completions endpoint that answers every request
+// with content and records the messages it was sent in *sent.
+func replyServer(t *testing.T, content string, sent *[]Message) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req completionRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		*sent = req.Messages
+		json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
+			"choices": []any{map[string]any{"message": Message{Role: "assistant", Content: content}}},
+		})
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// An HTTP LLM is offered the glue APIs after the retrieved candidates —
+// those the candidates do not name and the descriptions know, in glue
+// order — so its prompt carries the candidate list core used to build
+// before retrieval and glue were split.
+func TestHTTPClientSendsGlue(t *testing.T) {
+	reg := apis.Default(nil)
+	descs := map[string]string{}
+	for _, name := range reg.Names() {
+		a, _ := reg.Get(name)
+		descs[name] = a.Description
+	}
+	g := graph.PlantedCommunities(2, 8, 0.5, 0.1, rand.New(rand.NewSource(5)))
+	for _, tc := range []struct {
+		drop       string
+		candidates []string
+		want       []string
+	}{
+		{"", []string{"community.detect", "graph.stats", "connectivity.components"},
+			[]string{"community.detect", "graph.stats", "connectivity.components", "graph.classify", "report.compose", "graph.apply_edits"}},
+		{"report.compose", []string{"community.detect"},
+			[]string{"community.detect", "graph.classify", "graph.stats", "graph.apply_edits"}},
+	} {
+		d := maps.Clone(descs)
+		delete(d, tc.drop)
+		var sent []Message
+		srv := replyServer(t, "community.detect", &sent)
+		req := Request{Question: "Find the communities", Kind: graph.KindSocial, Candidates: tc.candidates, Descriptions: d, Graph: g}
+		if _, err := (&HTTPClient{BaseURL: srv.URL}).Generate(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		if want := BuildPrompt(req.Question, g, req.Kind, tc.want, d, req.Prompt); !slices.Equal(sent, want) {
+			t.Fatalf("candidates %v (dropped %q): sent %+v\nwant %+v", tc.candidates, tc.drop, sent, want)
+		}
+		if !slices.Equal(req.Candidates, tc.candidates) {
+			t.Fatalf("Generate rewrote the request's candidates to %v", req.Candidates)
+		}
+	}
+}
+
+// Only an HTTP LLM's reply is text, so HTTPClient is where a reply that is
+// not a chain fails.
+func TestHTTPClientParsesReply(t *testing.T) {
+	var sent []Message
+	for _, tc := range []struct{ reply, want, err string }{
+		{"I think you should (maybe) run something", "", "unparseable"},
+		{"  ", "", "empty chain"},
+		{"graph.classify -> kg.detect_all -> graph.apply_edits", "graph.classify -> kg.detect_all -> graph.apply_edits", ""},
+		{" similarity.search(top=3)\n", "similarity.search(top=3)", ""},
+	} {
+		srv := replyServer(t, tc.reply, &sent)
+		out, err := (&HTTPClient{BaseURL: srv.URL}).Generate(context.Background(), Request{Question: "q"})
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Fatalf("reply %q: Generate = %s, %v; want an error naming %q", tc.reply, out, err, tc.err)
+			}
+			continue
+		}
+		if want, _ := chain.Parse(tc.want); err != nil || !out.Equal(want) {
+			t.Fatalf("reply %q: Generate = %s, %v; want %s", tc.reply, out, err, tc.want)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"chatgraph/internal/apis"
+	"chatgraph/internal/chain"
 	"chatgraph/internal/core"
 	"chatgraph/internal/llm"
 	"chatgraph/internal/metrics"
@@ -29,12 +30,12 @@ type slowClient struct {
 	delay time.Duration
 }
 
-func (c *slowClient) Generate(ctx context.Context, _ llm.Request) (string, error) {
+func (c *slowClient) Generate(ctx context.Context, _ llm.Request) (chain.Chain, error) {
 	select {
 	case <-time.After(c.delay):
-		return "graph.stats", nil
+		return chain.Chain{{API: "graph.stats"}}, nil
 	case <-ctx.Done():
-		return "", ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
