@@ -1,9 +1,11 @@
-// Command evalchains regenerates experiments E7–E9, E11 and E36 as printed
-// tables: the rollout-search ablation, the per-task accuracy breakdown of the
-// finetuned model under its one (greedy) decoder and as Session.Ask serves
-// it, the API-retrieval hit rate, the untrained-API bank's served chains,
-// the multi-session engine throughput scaling, and the graph-kernel table
-// (cold vs cached executor invocations, serial vs parallel eccentricities).
+// Command evalchains regenerates experiments E7–E9, E11, E36 and E37 as
+// printed tables: the rollout-search ablation, the per-task accuracy
+// breakdown of the finetuned model under its one (greedy) decoder and as
+// Session.Ask serves it, the API-retrieval hit rate, the untrained-API bank's
+// served chains, the prompt-fidelity table (how much of a graph the prompt
+// names), the multi-session engine throughput scaling, and the graph-kernel
+// table (cold vs cached executor invocations, serial vs parallel
+// eccentricities).
 // It is the table-oriented companion to `go test -bench`.
 //
 // Everything before the "== E9" header is deterministic for given flags;
@@ -140,6 +142,9 @@ func main() {
 			model.Decode(u.Question, u.Kind, sv.Params().LLM.MaxChainLength), c)
 	}
 	fmt.Printf("served chains calling the wanted API: %d/%d\n", bankHits, len(bank))
+
+	fmt.Println("\n== E37: prompt fidelity (what llm.BuildPrompt shows an HTTP LLM of its graph) ==")
+	promptFidelity()
 
 	fmt.Println("\n== E9: multi-session engine throughput (concurrent Asks, one shared engine) ==")
 	env := &apis.Env{}

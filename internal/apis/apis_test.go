@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -237,6 +238,38 @@ func TestBridgesAndArticulation(t *testing.T) {
 	}
 	if len(arts) != 2 {
 		t.Fatalf("articulation points = %v, want [2 3]", arts)
+	}
+}
+
+// On a directed graph the bridges and articulation points are those of its
+// undirected view: the same as for the same edges built undirected.
+func TestBridgesAndArticulationDirected(t *testing.T) {
+	build := func(g *graph.Graph, n int, edges [][2]graph.NodeID) *graph.Graph {
+		for i := 0; i < n; i++ {
+			g.AddNode("v")
+		}
+		for _, e := range edges {
+			g.AddEdge(e[0], e[1]) //nolint:errcheck // self-loops rejected in both
+		}
+		return g
+	}
+	check := func(name string, n int, edges [][2]graph.NodeID) {
+		t.Helper()
+		gotB, gotA := BridgesAndArticulation(build(graph.NewDirected(), n, edges))
+		wantB, wantA := BridgesAndArticulation(build(graph.New(), n, edges))
+		if !slices.Equal(gotB, wantB) || !slices.Equal(gotA, wantA) {
+			t.Fatalf("%s: directed bridges %v articulation %v, undirected %v %v", name, gotB, gotA, wantB, wantA)
+		}
+	}
+	check("1→0, 1→2", 3, [][2]graph.NodeID{{1, 0}, {1, 2}})
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < 50; i++ {
+		n := 2 + rng.Intn(25)
+		var edges [][2]graph.NodeID
+		for e := rng.Intn(2 * n); e > 0; e-- {
+			edges = append(edges, [2]graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))})
+		}
+		check("random graph "+strconv.Itoa(i), n, edges)
 	}
 }
 

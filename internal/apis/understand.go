@@ -384,7 +384,9 @@ func PageRank(g *graph.Graph, damping float64, iters int) []float64 {
 }
 
 // Betweenness computes exact unweighted betweenness centrality with
-// Brandes' algorithm on the undirected view of g.
+// Brandes' algorithm over the edges as they point: directed betweenness on a
+// directed graph (shortest paths follow out-edges), and on an undirected one
+// the usual undirected score, each pair counted once.
 func Betweenness(g *graph.Graph) []float64 {
 	n := g.NumNodes()
 	c := g.Freeze()
@@ -516,7 +518,7 @@ func BridgesAndArticulation(g *graph.Graph) ([][2]graph.NodeID, []graph.NodeID) 
 		timer++
 		children := 0
 		parentSkipped := false
-		for _, vID := range c.OutNeighbors(graph.NodeID(u)) {
+		for _, vID := range c.UndirectedNeighbors(graph.NodeID(u)) {
 			v := int(vID)
 			if v == parent && !parentSkipped {
 				parentSkipped = true // skip the tree edge once; parallel edges count

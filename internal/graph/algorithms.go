@@ -87,8 +87,8 @@ func CoreNumbers(g *Graph) []int {
 const bitAdjacencyMaxNodes = 4096
 
 // adjacencyTest returns an O(1)-ish membership test over the forward
-// adjacency (asymmetric for directed graphs, matching the adjacencySets
-// semantics the map-based clique search used).
+// adjacency (asymmetric for directed graphs, matching the adjacency sets the
+// map-based clique search and subgraph matcher used).
 func adjacencyTest(c *CSR) func(u, v NodeID) bool {
 	if c.n > bitAdjacencyMaxNodes {
 		return sparseAdjacencyTest(c)
@@ -352,7 +352,8 @@ func Center(g *Graph) []NodeID {
 }
 
 // GreedyColoring colors nodes in descending-degree order with the smallest
-// available color, returning per-node colors and the color count. Optimal
+// available color, returning per-node colors and the color count, so that no
+// edge of either direction joins two nodes of one color. Optimal
 // only for special graphs, but a standard quality/speed tradeoff. The
 // per-node "colors taken by neighbors" set is a stamped scratch array, not a
 // map, so coloring allocates only the order and color slices.
@@ -364,7 +365,7 @@ func GreedyColoring(g *Graph) ([]int, int) {
 		order[i] = NodeID(i)
 	}
 	sort.Slice(order, func(i, j int) bool {
-		di, dj := c.OutDegree(order[i]), c.OutDegree(order[j])
+		di, dj := c.undDegree(order[i]), c.undDegree(order[j])
 		if di != dj {
 			return di > dj
 		}
@@ -383,7 +384,7 @@ func GreedyColoring(g *Graph) ([]int, int) {
 	maxColor := -1
 	for round, u := range order {
 		stamp := int32(round)
-		for _, v := range c.OutNeighbors(u) {
+		for _, v := range c.UndirectedNeighbors(u) {
 			if colors[v] >= 0 {
 				taken[colors[v]] = stamp
 			}

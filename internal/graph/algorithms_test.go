@@ -173,6 +173,37 @@ func TestGreedyColoring(t *testing.T) {
 	}
 }
 
+// A directed edge constrains the coloring in both directions: the coloring is
+// proper over the undirected view, whichever way the edges point.
+func TestGreedyColoringDirected(t *testing.T) {
+	g := NewDirected()
+	for i := 0; i < 3; i++ {
+		g.AddNode("v")
+	}
+	g.AddEdge(1, 0) //nolint:errcheck
+	g.AddEdge(1, 2) //nolint:errcheck
+	if colors, k := GreedyColoring(g); k != 2 || colors[1] == colors[0] || colors[1] == colors[2] {
+		t.Fatalf("1→0, 1→2: colors %v (%d), want a proper 2-coloring", colors, k)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 50; i++ {
+		g := NewDirected()
+		n := 2 + rng.Intn(30)
+		for j := 0; j < n; j++ {
+			g.AddNode("v")
+		}
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n))) //nolint:errcheck // self-loops rejected
+		}
+		colors, _ := GreedyColoring(g)
+		for _, e := range g.Edges() {
+			if colors[e.From] == colors[e.To] {
+				t.Fatalf("graph %d: edge %d→%d joins two nodes of color %d", i, e.From, e.To, colors[e.From])
+			}
+		}
+	}
+}
+
 func TestMinimumSpanningForest(t *testing.T) {
 	g := New()
 	for i := 0; i < 4; i++ {

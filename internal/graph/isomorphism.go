@@ -1,7 +1,5 @@
 package graph
 
-import "sort"
-
 // Subgraph isomorphism in the VF2 style: find an injective mapping from
 // pattern nodes to host nodes that preserves labels (exact equality, with ""
 // in the pattern a wildcard) and adjacency. Non-edges of the pattern need not
@@ -42,20 +40,21 @@ func FindSubgraphIsomorphisms(pattern, host *Graph, opts IsoOptions) []SubgraphM
 		st.mapping[i] = -1
 	}
 	st.order = matchOrder(st.patCSR)
-	st.hostAdj = adjacencySets(host)
-	st.patAdj = adjacencySets(pattern)
+	st.hostAdj = adjacencyTest(st.hostCSR)
 	st.search(0)
 	return st.found
 }
 
+// isoState reads both graphs' forward adjacency (both directions for an
+// undirected graph): a pattern edge pu→nb needs the host edge hv→img.
 type isoState struct {
 	pattern, host   *Graph
-	patCSR, hostCSR *CSR // degrees, read once per search rather than per probe
+	patCSR, hostCSR *CSR
+	hostAdj         func(u, v NodeID) bool
 	max             int
 	order           []NodeID
 	mapping         []NodeID
 	used            []bool
-	patAdj, hostAdj []map[NodeID]bool
 	found           []SubgraphMatch
 }
 
@@ -90,20 +89,6 @@ func matchOrder(p *CSR) []NodeID {
 	return order
 }
 
-func adjacencySets(g *Graph) []map[NodeID]bool {
-	adj := make([]map[NodeID]bool, g.NumNodes())
-	for i := range adj {
-		adj[i] = make(map[NodeID]bool)
-	}
-	for _, e := range g.Edges() {
-		adj[e.From][e.To] = true
-		if !g.Directed() {
-			adj[e.To][e.From] = true
-		}
-	}
-	return adj
-}
-
 func (st *isoState) search(depth int) bool {
 	if len(st.found) >= st.max {
 		return true
@@ -130,19 +115,20 @@ func (st *isoState) search(depth int) bool {
 }
 
 // candidates returns host nodes worth trying for pattern node pu: if pu has
-// an already-mapped pattern neighbor, only host neighbors of its image
-// qualify; otherwise every unused host node does.
+// an already-mapped pattern neighbor, only unused host neighbors of the
+// lowest such neighbor's image qualify, ascending; otherwise every unused
+// host node does.
 func (st *isoState) candidates(pu NodeID) []NodeID {
-	for nb := range st.patAdj[pu] {
-		if st.mapping[nb] >= 0 {
-			img := st.mapping[nb]
+	for _, nb := range st.patCSR.OutNeighbors(pu) {
+		if img := st.mapping[nb]; img >= 0 {
 			var out []NodeID
-			for h := range st.hostAdj[img] {
-				if !st.used[h] {
+			prev := NodeID(-1)
+			for _, h := range st.hostCSR.OutNeighbors(img) {
+				if h != prev && !st.used[h] {
 					out = append(out, h)
 				}
+				prev = h
 			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 			return out
 		}
 	}
@@ -164,12 +150,8 @@ func (st *isoState) feasible(pu, hv NodeID) bool {
 	if st.patCSR.OutDegree(pu) > st.hostCSR.OutDegree(hv) {
 		return false
 	}
-	for nb := range st.patAdj[pu] {
-		img := st.mapping[nb]
-		if img < 0 {
-			continue
-		}
-		if !st.hostAdj[hv][img] {
+	for _, nb := range st.patCSR.OutNeighbors(pu) {
+		if img := st.mapping[nb]; img >= 0 && !st.hostAdj(hv, img) {
 			return false
 		}
 	}

@@ -185,15 +185,22 @@ func naiveApproxDiameter(g *Graph, comps [][]NodeID) int {
 	return d
 }
 
-// naiveGreedyColoring is the seed's map-palette implementation.
+// naiveGreedyColoring is the seed's map-palette implementation over the
+// undirected view. The seed read out-neighbours, which leaves a directed
+// graph improperly colored; on an undirected graph the two views agree.
 func naiveGreedyColoring(g *Graph) ([]int, int) {
 	n := g.NumNodes()
+	nbrs := make([][]NodeID, n)
+	for _, e := range g.Edges() {
+		nbrs[e.From] = append(nbrs[e.From], e.To)
+		nbrs[e.To] = append(nbrs[e.To], e.From)
+	}
 	order := make([]NodeID, n)
 	for i := range order {
 		order[i] = NodeID(i)
 	}
 	sort.Slice(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
+		di, dj := len(nbrs[order[i]]), len(nbrs[order[j]])
 		if di != dj {
 			return di > dj
 		}
@@ -206,7 +213,7 @@ func naiveGreedyColoring(g *Graph) ([]int, int) {
 	maxColor := -1
 	for _, u := range order {
 		taken := make(map[int]bool)
-		for _, v := range g.Neighbors(u) {
+		for _, v := range nbrs[u] {
 			if colors[v] >= 0 {
 				taken[colors[v]] = true
 			}
@@ -221,6 +228,107 @@ func naiveGreedyColoring(g *Graph) ([]int, int) {
 		}
 	}
 	return colors, maxColor + 1
+}
+
+// adjacencySets is the per-node map adjacency the seed's clique search and
+// subgraph matcher read: forward edges, both directions when undirected.
+func adjacencySets(g *Graph) []map[NodeID]bool {
+	adj := make([]map[NodeID]bool, g.NumNodes())
+	for i := range adj {
+		adj[i] = make(map[NodeID]bool)
+	}
+	for _, e := range g.Edges() {
+		adj[e.From][e.To] = true
+		if !g.Directed() {
+			adj[e.To][e.From] = true
+		}
+	}
+	return adj
+}
+
+// naiveSubgraphIsomorphisms is the seed's matcher over adjacencySets. The
+// seed took candidates from whichever mapped pattern neighbour map iteration
+// met first, which on a directed host can change the candidate set; this
+// copy takes the lowest, as the CSR matcher does. On undirected graphs every
+// choice gives the same candidates.
+func naiveSubgraphIsomorphisms(pattern, host *Graph, maxMatches int) []SubgraphMatch {
+	if pattern.NumNodes() == 0 || pattern.NumNodes() > host.NumNodes() {
+		return nil
+	}
+	patAdj, hostAdj := adjacencySets(pattern), adjacencySets(host)
+	patCSR, hostCSR := pattern.Freeze(), host.Freeze()
+	order := matchOrder(patCSR)
+	mapping := make([]NodeID, pattern.NumNodes())
+	for i := range mapping {
+		mapping[i] = -1
+	}
+	used := make([]bool, host.NumNodes())
+	var found []SubgraphMatch
+	sortedKeys := func(m map[NodeID]bool) []NodeID {
+		out := make([]NodeID, 0, len(m))
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	candidates := func(pu NodeID) []NodeID {
+		for _, nb := range sortedKeys(patAdj[pu]) {
+			if mapping[nb] >= 0 {
+				var out []NodeID
+				for _, h := range sortedKeys(hostAdj[mapping[nb]]) {
+					if !used[h] {
+						out = append(out, h)
+					}
+				}
+				return out
+			}
+		}
+		var out []NodeID
+		for h := 0; h < host.NumNodes(); h++ {
+			if !used[h] {
+				out = append(out, NodeID(h))
+			}
+		}
+		return out
+	}
+	feasible := func(pu, hv NodeID) bool {
+		if p := pattern.Node(pu).Label; p != "" && p != host.Node(hv).Label {
+			return false
+		}
+		if patCSR.OutDegree(pu) > hostCSR.OutDegree(hv) {
+			return false
+		}
+		for nb := range patAdj[pu] {
+			if img := mapping[nb]; img >= 0 && !hostAdj[hv][img] {
+				return false
+			}
+		}
+		return true
+	}
+	var search func(depth int) bool
+	search = func(depth int) bool {
+		if len(found) >= maxMatches {
+			return true
+		}
+		if depth == len(order) {
+			found = append(found, append(SubgraphMatch(nil), mapping...))
+			return len(found) >= maxMatches
+		}
+		pu := order[depth]
+		for _, cand := range candidates(pu) {
+			if feasible(pu, cand) {
+				mapping[pu], used[cand] = cand, true
+				if search(depth + 1) {
+					return true
+				}
+				mapping[pu], used[cand] = -1, false
+			}
+		}
+		return false
+	}
+	search(0)
+	return found
 }
 
 // naiveMaximalCliques is the seed's Bron–Kerbosch over adjacencySets.
@@ -627,6 +735,31 @@ func TestTrianglesParity(t *testing.T) {
 	}
 }
 
+// TestBenchShapesUseBitRows pins which triangle kernel serves the graphs the
+// repository benchmark uploads (bench/workload.go): the undirected view of
+// every shape is dense enough for bit rows, the 300-entity knowledge graph's
+// included.
+func TestBenchShapesUseBitRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, s := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"mol20", Molecule(20, rng)},
+		{"mol40", Molecule(40, rng)},
+		{"sbm2x10", PlantedCommunities(2, 10, .5, .05, rng)},
+		{"sbm3x30", PlantedCommunities(3, 30, .3, .03, rng)},
+		{"sbm4x50", PlantedCommunities(4, 50, .3, .02, rng)},
+		{"kg120", KnowledgeGraph(120, 360, rng)},
+		{"kg300", KnowledgeGraph(300, 900, rng)},
+	} {
+		c := s.g.Freeze()
+		if !bitRowsPay(c.n, len(c.utargets)) {
+			t.Errorf("%s (%d nodes, %d edges): triangles by neighbour lists, want bit rows", s.name, c.n, s.g.NumEdges())
+		}
+	}
+}
+
 func TestApproxDiameterParity(t *testing.T) {
 	for name, g := range parityFixtures(t) {
 		comps := g.ConnectedComponents()
@@ -654,6 +787,45 @@ func TestMaximalCliquesParity(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s max=%d: MaximalCliques = %v, want %v", name, max, got, want)
 			}
+		}
+	}
+}
+
+// The CSR matcher returns the seed's matches in the seed's order: random
+// labelled patterns against the parity fixtures, directed and multigraph ones
+// included, and functional-group-sized paths against a molecule.
+func TestSubgraphIsomorphismParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	labels := []string{"", "C", "O"}
+	for name, host := range parityFixtures(t) {
+		if host.NumNodes() < 2 {
+			continue
+		}
+		for i := 0; i < 20; i++ {
+			pattern := NewDirected()
+			if !host.Directed() {
+				pattern = New()
+			}
+			k := 2 + rng.Intn(3)
+			for j := 0; j < k; j++ {
+				pattern.AddNode(labels[rng.Intn(len(labels))])
+			}
+			for e := rng.Intn(2 * k); e > 0; e-- {
+				pattern.AddEdge(NodeID(rng.Intn(k)), NodeID(rng.Intn(k))) //nolint:errcheck // self-loops rejected
+			}
+			for _, max := range []int{1, 64} {
+				got := FindSubgraphIsomorphisms(pattern, host, IsoOptions{MaxMatches: max})
+				if want := naiveSubgraphIsomorphisms(pattern, host, max); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s pattern %d max=%d: matches %v, want %v", name, i, max, got, want)
+				}
+			}
+		}
+	}
+	mol := Molecule(30, rng)
+	for _, pattern := range []*Graph{labeledPath("C", "O"), labeledPath("C", "O", "C"), labeledPath("", "", "", "")} {
+		got := FindSubgraphIsomorphisms(pattern, mol, IsoOptions{MaxMatches: 64})
+		if want := naiveSubgraphIsomorphisms(pattern, mol, 64); !reflect.DeepEqual(got, want) {
+			t.Fatalf("molecule: matches %v, want %v", got, want)
 		}
 	}
 }

@@ -36,27 +36,11 @@ func BenchmarkSuperGraph(b *testing.B) {
 	}
 }
 
-// testBitRows builds adjacency bit rows the way graph.CSR.OutBitRows does,
-// but for a graph of any size: the parity tests and the crossover benchmark
-// run the bit kernels on both sides of the bound.
-func testBitRows(c *graph.CSR, neighbors func(graph.NodeID) []graph.NodeID) ([]uint64, int) {
-	n := c.NumNodes()
-	words := (n + 63) / 64
-	rows := make([]uint64, n*words)
-	for u := 0; u < n; u++ {
-		for _, v := range neighbors(graph.NodeID(u)) {
-			rows[u*words+int(v)/64] |= 1 << (uint(v) % 64)
-		}
-	}
-	return rows, words
-}
-
-// BenchmarkCoverCount is the crossover table beside graph.bitRowMinFill: one
-// count-only path cover at l = 3 (what every root past the prompt's head
-// costs) by the bit-row kernel, filling the rows included, and by the list
-// kernel — on the bench's shapes, on 300-node random graphs with half, one
-// and two neighbour-list entries per matrix word, and on sparse graphs whose
-// rows are 16 to 63 words wide.
+// BenchmarkCoverCount times one count-only path cover at l = 3 (what every
+// root past the prompt's head costs) by the list kernel — on the bench's
+// shapes, on 300-node random graphs with half, one and two neighbour-list
+// entries per bit-row matrix word, and on sparse graphs of 1,000 to 4,000
+// nodes: the rows of the crossover table beside graph.bitRowMinFill.
 func BenchmarkCoverCount(b *testing.B) {
 	shapes := benchShapes()
 	super, _ := SuperGraph(shapes[1].g)
@@ -71,26 +55,10 @@ func BenchmarkCoverCount(b *testing.B) {
 		shapes = append(shapes, benchShape{"n" + strconv.Itoa(n) + "_sparse", g})
 	}
 	for _, shape := range shapes {
-		c := shape.g.Freeze()
-		n := c.NumNodes()
-		t := leaseTree(n)
-		var total int
-		b.Run(shape.name+"/bits", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, words := testBitRows(c, c.OutNeighbors)
-				total = 0
-				for u := 0; u < n; u++ {
-					total += t.countLeaves(rows, words, n, int32(u), 3)
-				}
-			}
-			b.ReportMetric(float64(total), "paths/op")
-		})
 		b.Run(shape.name+"/list", func(b *testing.B) {
+			var total int
 			for i := 0; i < b.N; i++ {
-				total = 0
-				for u := 0; u < n; u++ {
-					total += t.build(c, int32(u), 3)
-				}
+				_, total = cover(shape.g, 3, 0)
 			}
 			b.ReportMetric(float64(total), "paths/op")
 		})
@@ -111,7 +79,8 @@ func BenchmarkRenderAll(b *testing.B) {
 // benchmark's own graph shapes at the serving default l = 3: "head" is what
 // one chat request pays (the bounded 40 + 20 line block llm.BuildPrompt
 // prints), "full" is the whole cover through the same kernel. paths/op is the
-// size of the level-0 cover either way — head counts what it does not build.
+// size of the level-0 cover either way — head builds every tree but keeps only
+// the printed paths.
 func BenchmarkPromptBlock(b *testing.B) {
 	for _, shape := range []struct {
 		name string

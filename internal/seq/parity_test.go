@@ -113,8 +113,8 @@ func oracleMembers(g *graph.Graph) [][]graph.NodeID {
 }
 
 // randomGraph draws a multigraph: directed or not, some nodes left isolated,
-// parallel edges kept, some labels empty; one in four spans two or three
-// bit-row words. Self-loops are attempted too; every graph constructor
+// parallel edges kept, some labels empty; one in four has 60 to 159 nodes.
+// Self-loops are attempted too; every graph constructor
 // rejects them, which is why the kernel never has to consider one.
 func randomGraph(rng *rand.Rand) *graph.Graph {
 	g := graph.New()
@@ -123,7 +123,7 @@ func randomGraph(rng *rand.Rand) *graph.Graph {
 	}
 	n := rng.Intn(36)
 	if rng.Intn(4) == 0 {
-		n = 60 + rng.Intn(100) // across the 64- and 128-node word boundaries
+		n = 60 + rng.Intn(100)
 	}
 	for i := 0; i < n; i++ {
 		g.AddNode([]string{"", "C", "person"}[rng.Intn(3)])
@@ -148,19 +148,9 @@ func samePaths(a, b []Path) bool {
 
 // checkCoverParity pins both consumers of the kernel to the oracle: the full
 // cover is DeepEqual, and every bounded head is its prefix with an exact
-// count. cover picks the count-only kernel by the graph's density, so both
-// are also run on every root, whichever side of the rule g falls on.
+// count.
 func checkCoverParity(t *testing.T, g *graph.Graph, l int) {
 	t.Helper()
-	c := g.Freeze()
-	rows, words := testBitRows(c, c.OutNeighbors)
-	tree := leaseTree(c.NumNodes())
-	for u := 0; u < c.NumNodes(); u++ {
-		if bits, list := tree.countLeaves(rows, words, c.NumNodes(), int32(u), l), tree.build(c, int32(u), l); bits != list {
-			t.Fatalf("l=%d directed=%v root %d: bit rows count %d leaves, lists %d", l, g.Directed(), u, bits, list)
-		}
-	}
-	treePool.Put(tree)
 	want := oraclePathCover(g, l)
 	if got := PathCover(g, l); !reflect.DeepEqual(got, want) {
 		t.Fatalf("l=%d directed=%v: full cover differs from oracle\n got %v\nwant %v", l, g.Directed(), got, want)
@@ -191,7 +181,7 @@ func FuzzPathCoverParity(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 2, 0, 2, 3}, uint8(2), false)
 	f.Add([]byte{9, 0, 1, 0, 1, 1, 1, 3, 4, 4, 3}, uint8(3), true)
 	f.Add([]byte{0}, uint8(1), false)
-	// Two and three bit-row words; a directed pair stored twice and reversed.
+	// 70 and 140 nodes; a directed pair stored twice and reversed.
 	f.Add([]byte{70, 0, 69, 69, 1, 1, 64, 64, 63, 63, 0, 0, 69}, uint8(3), false)
 	f.Add([]byte{140, 0, 130, 0, 130, 130, 0, 130, 64, 64, 128, 128, 1, 1, 139}, uint8(4), true)
 	f.Fuzz(func(t *testing.T, data []byte, l uint8, directed bool) {
@@ -202,7 +192,7 @@ func FuzzPathCoverParity(f *testing.F) {
 		if directed {
 			g = graph.NewDirected()
 		}
-		n := int(data[0]) % 160 // up to three bit-row words
+		n := int(data[0]) % 160
 		for i := 0; i < n; i++ {
 			g.AddNode("")
 		}
@@ -267,21 +257,12 @@ func TestSuperGraphPartitionParity(t *testing.T) {
 		if super.NumNodes() != len(members) {
 			t.Fatalf("graph %d: %d super-nodes for %d member sets", i, super.NumNodes(), len(members))
 		}
-		// SuperGraph took one of the two triangle merges by the graph's
-		// density; both must draw that partition.
-		c := g.Freeze()
-		rows, words := testBitRows(c, c.UndirectedNeighbors)
-		byBits, _ := motifSets(c, rows, words)
-		byLists, _ := motifSets(c, nil, 0)
-		if len(want) > 0 && (!reflect.DeepEqual(byBits, want) || !reflect.DeepEqual(byLists, want)) {
-			t.Fatalf("graph %d: motif sets\n bit rows %v\n lists    %v\n want     %v", i, byBits, byLists, want)
-		}
 	}
 }
 
-// The kernel's scratch is pooled; concurrent bounded and full covers over one
-// shared (interned-style) graph must each lease their own and agree with a
-// result computed alone. Run under -race.
+// Every cover allocates its own tree; concurrent bounded and full covers over
+// one shared (interned-style) graph must agree with a result computed alone.
+// Run under -race.
 func TestConcurrentCoversShareNoScratch(t *testing.T) {
 	g := graph.PlantedCommunities(3, 30, 0.3, 0.03, rand.New(rand.NewSource(23)))
 	g.MarkShared()
@@ -311,41 +292,4 @@ func TestConcurrentCoversShareNoScratch(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestBenchShapesUseBitRows pins which kernel serves the graphs the repository
-// benchmark uploads (bench/workload.go): every view the cold chat walks is dense enough for bit
-// rows except the forward view of the 300-entity knowledge graph, whose mean
-// out-degree of 3 is below its 5-word rows — the shape BenchmarkCoverCount
-// shows losing on them, and the reason the rule has a density term at all.
-func TestBenchShapesUseBitRows(t *testing.T) {
-	type shape struct {
-		name string
-		g    *graph.Graph
-	}
-	rng := rand.New(rand.NewSource(24))
-	shapes := []shape{
-		{"mol20", graph.Molecule(20, rng)},
-		{"mol40", graph.Molecule(40, rng)},
-		{"sbm2x10", graph.PlantedCommunities(2, 10, .5, .05, rng)},
-		{"sbm3x30", graph.PlantedCommunities(3, 30, .3, .03, rng)},
-		{"sbm4x50", graph.PlantedCommunities(4, 50, .3, .02, rng)},
-		{"kg120", graph.KnowledgeGraph(120, 360, rng)},
-		{"kg300", graph.KnowledgeGraph(300, 900, rng)},
-	}
-	for _, s := range shapes[:len(shapes):len(shapes)] {
-		// A super-graph that coarsens its graph is sequentialized too.
-		if super, _ := SuperGraph(s.g); super.NumNodes() < s.g.NumNodes() && super.NumEdges() > 0 {
-			shapes = append(shapes, shape{s.name + "_super", super})
-		}
-	}
-	for _, s := range shapes {
-		c := s.g.Freeze()
-		_, fwd := c.OutBitRows(nil)
-		_, und := c.UndirectedBitRows(nil)
-		if wantFwd := s.name != "kg300"; (fwd > 0) != wantFwd || und == 0 {
-			t.Errorf("%s (%d nodes, %d edges): bit rows for the path cover %v (want %v), for motifs and triangles %v (want true)",
-				s.name, c.NumNodes(), s.g.NumEdges(), fwd > 0, wantFwd, und > 0)
-		}
-	}
 }

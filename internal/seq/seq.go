@@ -15,24 +15,22 @@
 //     the same way, giving the LLM a second, coarser level that exposes
 //     multi-level structure (communities, protein tertiary structure, ...).
 //
-// One array-based BFS-tree kernel (bfsTree) builds every tree, and it has two
-// consumers. Sequentialize and PathCover materialise every leaf: the whole
-// cover, for callers that analyse it. SequentializeHead serves the prompt
-// builder, which prints a few dozen lines of a cover that is tens of
-// thousands of paths on a 200-node graph: it materialises only the first
-// paths and counts the leaves of every remaining root without building
-// them — over the graph's adjacency bit rows (graph.CSR.OutBitRows) when it
-// is dense enough to have them. Bounded keeps two things exact — the head is the full cover's prefix
-// (same paths, same order) and NumPaths/NumSuperPaths are the full cover's
-// sizes — so the "... (N more paths)" line, and with it the prompt, is
-// byte-identical to rendering the whole cover and truncating.
+// One array-based BFS-tree kernel (bfsTree) builds and counts every tree.
+// Sequentialize and PathCover materialise every leaf: the whole cover, for
+// callers that analyse it. SequentializeHead serves the prompt builder, which
+// prints a few dozen lines of a cover that is tens of thousands of paths on a
+// 200-node graph: it materialises only the first paths, and builds every
+// remaining root's tree only to count its leaves. Bounded keeps two things
+// exact — the head is the full cover's prefix (same paths, same order) and
+// NumPaths/NumSuperPaths are the full cover's sizes — so the
+// "... (N more paths)" line, and with it the prompt, is byte-identical to
+// rendering the whole cover and truncating.
 package seq
 
 import (
-	"math/bits"
+	"math"
 	"strconv"
 	"strings"
-	"sync"
 
 	"chatgraph/internal/graph"
 )
@@ -104,48 +102,26 @@ func sequentialize(g *graph.Graph, opts Options, limit, superLimit int) Result {
 
 // cover walks the BFS tree of every node in ID order. It returns the first
 // limit paths of the cover (all of them when limit < 0) and the size of the
-// whole cover. Roots whose leaves reach the output are built by the list
-// kernel, which records the parent and depth appendPaths needs; every root
-// after that — all of them in a sizing pass — is only counted, over the
-// graph's adjacency bit rows when it has them.
+// whole cover.
 func cover(g *graph.Graph, l, limit int) (paths []Path, total int) {
 	if limit < 0 {
-		// A counting pass sizes the output exactly, which is cheaper than
-		// regrowing a slice of slice headers.
-		if _, limit = cover(g, l, 0); limit > 0 {
-			paths = make([]Path, 0, limit)
-		}
+		limit = math.MaxInt
 	}
 	c := g.Freeze()
 	n := c.NumNodes()
-	t := leaseTree(n)
-	defer treePool.Put(t)
-	u := 0
-	for ; u < n && len(paths) < limit; u++ {
+	t := &bfsTree{stamp: make([]uint32, n), parent: make([]int32, n), depth: make([]int32, n), kids: make([]int32, n)}
+	for u := range n {
 		leaves := t.build(c, int32(u), l)
 		total += leaves
 		paths = t.appendPaths(paths, min(leaves, limit-len(paths)))
-	}
-	if u == n {
-		return paths, total
-	}
-	var words int
-	t.rows, words = c.OutBitRows(t.rows)
-	for ; u < n; u++ {
-		if words > 0 {
-			total += t.countLeaves(t.rows, words, n, int32(u), l)
-		} else {
-			total += t.build(c, int32(u), l)
-		}
 	}
 	return paths, total
 }
 
 // bfsTree is the one BFS-tree implementation behind every path cover: the
 // radius-l tree of the current root in flat arrays indexed by node, stamped
-// with an epoch so moving to the next root costs O(1) instead of a clear.
-// Instances recycle through treePool (the graph.travScratch pattern), so
-// concurrent covers over one shared frozen graph each lease their own.
+// with an epoch so moving to the next root costs O(1) instead of a clear. A
+// cover allocates its own, so its epoch never exceeds the node count.
 type bfsTree struct {
 	// stamp[v] == epoch marks v as in the current root's tree; parent, depth
 	// and kids (child count) are valid only for stamped nodes.
@@ -156,23 +132,6 @@ type bfsTree struct {
 	kids   []int32
 	// order lists the tree's nodes in BFS order (the queue, kept whole).
 	order []int32
-	// rows and vis back the count-only roots: the graph's adjacency bit rows,
-	// filled once per cover, and the current root's visited set.
-	rows, vis []uint64
-}
-
-var treePool = sync.Pool{New: func() any { return new(bfsTree) }}
-
-func leaseTree(n int) *bfsTree {
-	t := treePool.Get().(*bfsTree)
-	if cap(t.stamp) < n {
-		t.stamp = make([]uint32, n)
-		t.epoch = 0
-		t.parent = make([]int32, n)
-		t.depth = make([]int32, n)
-		t.kids = make([]int32, n)
-	}
-	return t
 }
 
 // build grows the tree of radius l rooted at root over the forward adjacency
@@ -180,10 +139,6 @@ func leaseTree(n int) *bfsTree {
 // count — the number of root-to-leaf paths. A lone root is its own leaf.
 func (t *bfsTree) build(c *graph.CSR, root int32, l int) int {
 	t.epoch++
-	if t.epoch == 0 { // wrapped: stale stamps could collide, so really clear
-		clear(t.stamp)
-		t.epoch = 1
-	}
 	stamp, n := t.stamp, c.NumNodes()
 	q := append(t.order[:0], root)
 	stamp[root] = t.epoch
@@ -211,50 +166,6 @@ func (t *bfsTree) build(c *graph.CSR, root int32, l int) int {
 	}
 	t.order = q
 	return len(q) - internal
-}
-
-// countLeaves returns what build would for root — the leaf count of the same
-// first-discoverer tree — from the adjacency bit rows, recording no tree. A
-// node's children are row[u] &^ visited, claimed word by word; their bits
-// are extracted (ascending, so the queue keeps neighbour order) only on
-// levels that will be expanded again, and on the last level, where most of a
-// tree's nodes sit, merely counted.
-func (t *bfsTree) countLeaves(rows []uint64, words, n int, root int32, l int) int {
-	if cap(t.vis) < words {
-		t.vis = make([]uint64, words)
-	}
-	vis := t.vis[:words]
-	clear(vis)
-	vis[root>>6] = 1 << (uint(root) & 63)
-	q := append(t.order[:0], root)
-	size, internal := 1, 0
-	for lo, d := 0, 0; d < l && size < n && lo < len(q); d++ {
-		hi := len(q)
-		rim := d+1 == l
-		for _, u := range q[lo:hi] {
-			found := size
-			for w, x := range rows[int(u)*words:][:words] {
-				x &^= vis[w]
-				if x == 0 {
-					continue
-				}
-				vis[w] |= x
-				size += bits.OnesCount64(x)
-				for ; !rim && x != 0; x &= x - 1 {
-					q = append(q, int32(w<<6+bits.TrailingZeros64(x)))
-				}
-			}
-			if size > found {
-				internal++
-				if size == n {
-					break // every node is in the tree: no later scan adds a child
-				}
-			}
-		}
-		lo = hi
-	}
-	t.order = q
-	return size - internal
 }
 
 // appendPaths materialises the first k leaves of the current tree, in BFS

@@ -18,12 +18,7 @@ import (
 // rings) collapse into single super-nodes — exactly the multi-level signal
 // the sequentializer wants to expose.
 func SuperGraph(g *graph.Graph) (*graph.Graph, [][]graph.NodeID) {
-	c := g.Freeze()
-	t := treePool.Get().(*bfsTree) // for its bit-row buffer, as cover uses it
-	var words int
-	t.rows, words = c.UndirectedBitRows(t.rows)
-	members, superOf := motifSets(c, t.rows, words)
-	treePool.Put(t)
+	members, superOf := motifSets(g.Freeze())
 	// Cross edges between distinct super-nodes, one per pair: packed
 	// (low, high) keys, sorted so duplicates are adjacent.
 	var cross []uint64
@@ -53,28 +48,16 @@ func SuperGraph(g *graph.Graph) (*graph.Graph, [][]graph.NodeID) {
 
 // motifSets partitions the nodes into motif sets — the connected components
 // of the edges that lie on a triangle — and returns each set's members and
-// each node's set. Given the undirected adjacency bit rows (words > 0) an
-// edge {u, v} lies on a triangle iff row[u] & row[v] ≠ 0; without them the
-// sorted neighbour lists of u and v are merge-intersected for a w > v, which
-// finds every triangle u < v < w once. Either way all three corners of every
-// triangle end up in one set.
-func motifSets(c *graph.CSR, rows []uint64, words int) (members [][]graph.NodeID, setOf []graph.NodeID) {
+// each node's set. The sorted undirected neighbour lists of u and v are
+// merge-intersected for a w > v, which finds every triangle u < v < w once
+// and puts all three of its corners in one set.
+func motifSets(c *graph.CSR) (members [][]graph.NodeID, setOf []graph.NodeID) {
 	n := c.NumNodes()
 	uf := newUnionFind(n)
 	for u := 0; u < n; u++ {
 		row := c.UndirectedNeighbors(graph.NodeID(u))
 		for i, v := range row {
 			if int(v) <= u || i > 0 && row[i-1] == v {
-				continue
-			}
-			if words > 0 {
-				ru, rv := rows[u*words:][:words], rows[int(v)*words:][:words]
-				for w, x := range ru {
-					if x&rv[w] != 0 {
-						uf.union(u, int(v))
-						break
-					}
-				}
 				continue
 			}
 			a, b := row[i+1:], c.UndirectedNeighbors(v)

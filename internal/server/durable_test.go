@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"chatgraph/internal/durable"
 	"chatgraph/internal/finetune"
 	"chatgraph/internal/graph"
+	"chatgraph/internal/metrics"
 	"chatgraph/internal/tenant"
 )
 
@@ -432,4 +435,94 @@ func TestRecoverInterruptedJob(t *testing.T) {
 	if fmt.Sprint(st.Priority) != "high" {
 		t.Fatalf("priority = %s", st.Priority)
 	}
+}
+
+// TestClosedStoreKeepsServing makes every log-and-continue site on the
+// request path fire: the server's store is closed under it, so each WAL
+// append fails. The policy it pins is that a failed append is counted and
+// the turn is still acknowledged: statuses and answers equal a store-less
+// server's, chatgraph_wal_append_errors_total rises by exactly the appends
+// attempted, /readyz stays 200, and only Checkpoint reports the failure.
+func TestClosedStoreKeepsServing(t *testing.T) {
+	reg := metrics.NewRegistry()
+	dstore, state, err := durable.Open(durable.Options{Dir: t.TempDir(), Sync: durable.SyncAlways, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	durSrv := New(durableEngine(t), Options{Durable: dstore})
+	if err := durSrv.Recover(state); err != nil {
+		t.Fatal(err)
+	}
+	plainSrv := New(durableEngine(t), Options{})
+	appendErrs := reg.Counter("chatgraph_wal_append_errors_total", "", nil)
+	if err := dstore.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	gj, err := json.Marshal(graph.PlantedCommunities(2, 10, 0.5, 0.05, rand.New(rand.NewSource(3))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chat, err := json.Marshal(ChatRequest{Question: "Write a brief report for G", Graph: gj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// drive runs the traffic and returns what a client sees of it.
+	drive := func(srv *Server) []string {
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		var seen []string
+		created := doReqJSON(t, http.MethodPost, ts.URL+"/v1/sessions", "", nil)
+		sid, _ := created.body["session_id"].(string)
+		seen = append(seen, fmt.Sprint("create ", created.status))
+		chatted := doReqJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+sid+"/chat", "", chat)
+		seen = append(seen, fmt.Sprint("chat ", chatted.status, " ", chatted.body["chain"], " ", chatted.body["answer"]))
+		submitted := doReqJSON(t, http.MethodPost, ts.URL+"/v1/jobs", "", chat)
+		seen = append(seen, fmt.Sprint("job ", submitted.status))
+		jid, _ := submitted.body["job_id"].(string)
+		var ji JobInfo
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			getTo(t, ts.URL+"/v1/jobs/"+jid, &ji)
+			if ji.State != "queued" && ji.State != "running" || time.Now().After(deadline) {
+				break
+			}
+		}
+		answer := ""
+		if ji.Result != nil {
+			answer = ji.Result.Answer
+		}
+		seen = append(seen, "job "+ji.State+" "+answer)
+		deleted := doReq(t, http.MethodDelete, ts.URL+"/v1/sessions/"+sid, "", nil)
+		seen = append(seen, fmt.Sprint("delete ", deleted.StatusCode))
+		ready := doReq(t, http.MethodGet, ts.URL+"/readyz", "", nil)
+		seen = append(seen, fmt.Sprint("readyz ", ready.StatusCode))
+		return seen
+	}
+	want := drive(plainSrv)
+	got := drive(durSrv)
+	if !slices.Equal(got, want) {
+		t.Fatalf("with a closed store the client saw\n%q\nwithout a store\n%q", got, want)
+	}
+	if want[len(want)-1] != "readyz 200" || !strings.HasPrefix(want[1], "chat 200 ") || !strings.HasPrefix(want[3], "job done ") {
+		t.Fatalf("store-less run: %q", want)
+	}
+	// Appends attempted: the session create; the chat's graph record and
+	// turn; the job's submit and terminal records (its upload is the chat's
+	// graph, whose blob is already marked committed); the delete. The
+	// terminal record is appended after the job reads done, so wait for it.
+	const attempted = 6
+	for deadline := time.Now().Add(5 * time.Second); appendErrs.Value() < attempted && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := appendErrs.Value(); n != attempted {
+		t.Fatalf("chatgraph_wal_append_errors_total = %d, want %d", n, attempted)
+	}
+	if err := durSrv.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint on a closed store succeeded")
+	}
+	if err := plainSrv.Checkpoint(); err != nil {
+		t.Fatalf("store-less Checkpoint: %v", err)
+	}
+	durSrv.Close()
+	plainSrv.Close()
 }
