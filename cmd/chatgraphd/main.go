@@ -15,13 +15,13 @@
 // -session-rate/-session-burst rate-limit each session's chats, and
 // -request-timeout bounds one request's lifetime.
 //
-// Durability: with -data-dir set, session lifecycle, chat transcripts,
-// uploaded graphs, and async job records persist through a CRC-framed WAL
-// plus periodic content-addressed snapshots (-snapshot-interval, -wal-sync).
-// On boot the daemon replays the log — GET /readyz answers 503 until the
-// replay lands — and on SIGTERM it checkpoints after draining, so a restart
-// (graceful or kill -9) resumes with every committed session, transcript,
-// graph, and finished job intact.
+// Durability: with -data-dir set, session lifecycle, chat transcripts, and
+// async job records persist through a CRC-framed WAL plus periodic
+// snapshots (-snapshot-interval, -wal-sync). Uploaded graphs do not: every
+// request carries its own. On boot the daemon replays the log — GET /readyz
+// answers 503 until the replay lands — and on SIGTERM it checkpoints after
+// draining, so a restart (graceful or kill -9) resumes with every committed
+// session, transcript, and finished job intact.
 //
 // Example:
 //
@@ -94,7 +94,7 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", 0, "http.Server write timeout; must exceed -request-timeout when set (0 = none, required for long NDJSON streams)")
 		readHeader   = flag.Duration("read-header-timeout", 10*time.Second, "http.Server read-header timeout")
 
-		dataDir      = flag.String("data-dir", "", "durability directory (WAL + snapshots + graph blobs); empty = in-memory only")
+		dataDir      = flag.String("data-dir", "", "durability directory (WAL + snapshots); empty = in-memory only")
 		walSync      = flag.String("wal-sync", "interval", "WAL fsync policy: always, interval, or none (needs -data-dir)")
 		walSyncEvery = flag.Duration("wal-sync-interval", durable.DefaultSyncInterval, "fsync cadence for -wal-sync interval")
 		snapEvery    = flag.Duration("snapshot-interval", 5*time.Minute, "how often to checkpoint state and rotate the WAL (0 = only on shutdown; needs -data-dir)")

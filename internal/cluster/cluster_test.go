@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -205,12 +206,14 @@ func TestFailureStateMachine(t *testing.T) {
 // --- router tests against fake backends ---
 
 // fakeBackend is a minimal chatgraphd stand-in: healthy, ready, and it
-// records what the router forwarded.
+// records what the router forwarded. Unlike chatgraphd it neither mints
+// nor echoes X-Request-ID, so any id a client sees came from the router.
 type fakeBackend struct {
 	ts *httptest.Server
 
 	mu        sync.Mutex
 	hits      []string
+	ids       []string // X-Request-ID of each hit
 	jobBodies [][]byte
 }
 
@@ -261,6 +264,7 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		f.hits = append(f.hits, r.Method+" "+r.URL.Path)
+		f.ids = append(f.ids, r.Header.Get("X-Request-ID"))
 		f.mu.Unlock()
 		mux.ServeHTTP(w, r)
 	}))
@@ -274,6 +278,16 @@ func (f *fakeBackend) hitCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.hits)
+}
+
+// lastID is the X-Request-ID of the backend's latest hit.
+func (f *fakeBackend) lastID() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.ids) == 0 {
+		return ""
+	}
+	return f.ids[len(f.ids)-1]
 }
 
 // testRouter wires fakes into a pool, probes them up synchronously, and
@@ -625,12 +639,23 @@ func TestRouterRemovedChatRouteIs404(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		data, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("POST /chat through the router = %d, want the backend's 404", resp.StatusCode)
 		}
-		if resp.Header.Get("X-Request-ID") == "" {
-			t.Fatal("404 did not come from a chatgraphd backend (no X-Request-ID)")
+		// The router sets X-Request-ID on its own answers too, so only a
+		// backend's evidence counts: an X-Backend, and the Go mux's plain
+		// text 404 body, which the router's catch-all never writes.
+		if resp.Header.Get("X-Backend") == "" || string(data) != "404 page not found\n" {
+			t.Fatalf("404 did not come from a chatgraphd backend: X-Backend %q, body %q", resp.Header.Get("X-Backend"), data)
+		}
+		// The backend echoes the router's id: the client gets it once.
+		if ids := resp.Header.Values("X-Request-ID"); len(ids) != 1 {
+			t.Fatalf("404 carries X-Request-ID %q, want exactly one", ids)
 		}
 		served[resp.Header.Get("X-Backend")] = true
 	}
@@ -699,5 +724,80 @@ func TestInjectField(t *testing.T) {
 		} else if tc.in != `null` && req.JobID != "k" {
 			t.Errorf("injectField(%q) = %q binds job_id %q, want the injected one", tc.in, got, req.JobID)
 		}
+	}
+}
+
+// TestRouterMintsRequestID checks the router names every request it
+// handles: a request without X-Request-ID gets a 16-hex-digit id that the
+// serving backend saw and the client gets back; every leg of a fan-out
+// carries the same one; the router's own 503 and 413 carry one; and a
+// client-sent id passes through unchanged.
+func TestRouterMintsRequestID(t *testing.T) {
+	f1, f2 := newFakeBackend(t), newFakeBackend(t)
+	pool, rt := testRouter(t, f1, f2)
+	fakes := map[string]*fakeBackend{f1.name(): f1, f2.name(): f2}
+	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString
+	do := func(method, url, id string, body io.Reader) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, url, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != "" {
+			req.Header.Set("X-Request-ID", id)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		return resp
+	}
+
+	seen := map[string]bool{}
+	for i := 0; i < 4; i++ {
+		resp := do(http.MethodGet, rt.URL+"/apis", "", nil)
+		id := resp.Header.Values("X-Request-ID")
+		if len(id) != 1 || !hex16(id[0]) {
+			t.Fatalf("proxied GET carries X-Request-ID %q, want one 16-hex-digit id", id)
+		}
+		if got := fakes[resp.Header.Get("X-Backend")].lastID(); got != id[0] {
+			t.Fatalf("backend saw id %q, client got %q", got, id[0])
+		}
+		seen[id[0]] = true
+	}
+	if len(seen) != 4 {
+		t.Fatalf("4 requests got %d distinct ids", len(seen))
+	}
+
+	resp := do(http.MethodGet, rt.URL+"/v1/sessions", "", nil)
+	if id := resp.Header.Get("X-Request-ID"); !hex16(id) || f1.lastID() != id || f2.lastID() != id {
+		t.Fatalf("fan-out answered id %q; legs saw %q and %q", id, f1.lastID(), f2.lastID())
+	}
+
+	resp = do(http.MethodGet, rt.URL+"/apis", "client-chosen-id", nil)
+	if got := resp.Header.Values("X-Request-ID"); len(got) != 1 || got[0] != "client-chosen-id" {
+		t.Fatalf("client-sent id came back as %q", got)
+	}
+	if got := fakes[resp.Header.Get("X-Backend")].lastID(); got != "client-chosen-id" {
+		t.Fatalf("backend saw %q for a client-sent id", got)
+	}
+
+	small := httptest.NewServer(NewRouter(pool, Options{MaxBody: 16, Registry: metrics.NewRegistry()}).Handler())
+	defer small.Close()
+	resp = do(http.MethodPost, small.URL+"/v1/retrieve", "", jsonRaw(bytes.Repeat([]byte(" "), 64)))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !hex16(resp.Header.Get("X-Request-ID")) {
+		t.Fatalf("oversized body = %d with id %q, want 413 with an id", resp.StatusCode, resp.Header.Get("X-Request-ID"))
+	}
+
+	for _, b := range pool.Backends() {
+		for i := 0; i < 3; i++ {
+			b.MarkFailure()
+		}
+	}
+	resp = do(http.MethodPost, rt.URL+"/v1/sessions", "", nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || !hex16(resp.Header.Get("X-Request-ID")) {
+		t.Fatalf("all backends down = %d with id %q, want 503 with an id", resp.StatusCode, resp.Header.Get("X-Request-ID"))
 	}
 }

@@ -126,8 +126,17 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// route is the proxy catch-all: classify, buffer, dispatch.
+// route is the proxy catch-all: name, classify, buffer, dispatch.
 func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
+	// An unnamed request gets its id here (16 hex digits, as a backend
+	// mints), so every attempt, retry and fan-out leg forwards the same one
+	// and every answer the router writes itself carries it too.
+	id := r.Header.Get("X-Request-ID")
+	if id == "" {
+		id = randomHex(8)
+		r.Header.Set("X-Request-ID", id)
+	}
+	w.Header().Set("X-Request-ID", id)
 	if rt.tenants != nil {
 		// Observation only: the label set is bounded at construction, so
 		// key-spraying cannot mint series.
@@ -422,7 +431,10 @@ func (rt *Router) attempt(r *http.Request, b *Backend, body []byte) (*http.Respo
 // so NDJSON chat and job streams pass through live.
 func (rt *Router) forwardResponse(w http.ResponseWriter, resp *http.Response, b *Backend) {
 	defer resp.Body.Close()
+	// The backend echoes the id it was sent; keep one copy, not two.
+	id := w.Header().Get("X-Request-ID")
 	copyHeaders(w.Header(), resp.Header)
+	w.Header().Set("X-Request-ID", id)
 	w.Header().Set("X-Backend", b.Name)
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)

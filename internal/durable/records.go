@@ -1,20 +1,17 @@
 // Package durable is the persistence subsystem: an append-only WAL of
 // CRC32C-framed JSON records for session lifecycle events, chat transcript
-// entries, and job submissions/terminal states; content-addressed graph
-// blobs (written once, never rewritten); and periodic snapshots after which
-// the WAL is rotated and old segments pruned. A snapshot is itself a segment
-// image: the records that recreate the live state, framed exactly like the
-// log. On boot, Open replays the latest snapshot and then every surviving
-// WAL segment on top of it through one loop (truncating a torn or corrupt
-// tail), and hands the merged State to the serving layer so a restart —
-// graceful or kill -9 — loses nothing that reached the log.
+// entries, and job submissions/terminal states, and periodic snapshots
+// after which the WAL is rotated and old segments pruned. A snapshot is
+// itself a segment image: the records that recreate the live state, framed
+// exactly like the log. On boot, Open replays the latest snapshot and then
+// every surviving WAL segment on top of it through one loop (truncating a
+// torn or corrupt tail), and hands the merged State to the serving layer so
+// a restart — graceful or kill -9 — loses nothing that reached the log.
 //
-// Identity note: the in-memory graph hash (graph.ContentHash) is seeded
-// with per-process entropy as cache-poisoning hardening, so it cannot name
-// anything on disk. Durable graph identity is the SHA-256 of
-// the canonical JSON wire form — a deliberate stable-key policy, echoing
-// the entity-canonicalization lesson from the cross-lingual entity-linking
-// work: durable identity is chosen, not inherited from process lifetime.
+// Only what a client can read back persists. Uploaded graphs do not: every
+// chat and job carries its own, no record names one (the per-process seeded
+// graph.ContentHash could not anyway), and a data dir's old graph records
+// are replayed as no-ops with its blobs/ files left in place.
 package durable
 
 import (
@@ -34,7 +31,8 @@ const (
 	RecSessionDelete RecordType = "session_delete"
 	// RecTurn is one completed chat exchange on a session.
 	RecTurn RecordType = "turn"
-	// RecGraph marks a graph blob committed to the blob store.
+	// RecGraph marks a graph blob committed to the blob store. Replay
+	// ignores it; only Store.PersistGraph writes it.
 	RecGraph RecordType = "graph"
 	// RecJobSubmit is an async job accepted into the queue.
 	RecJobSubmit RecordType = "job_submit"
@@ -100,7 +98,8 @@ type JobRecord struct {
 	Priority string `json:"priority"`
 	Question string `json:"question,omitempty"`
 	Chain    string `json:"chain,omitempty"`
-	// GraphSHA names the job's uploaded graph blob, when it had one.
+	// GraphSHA names a graph blob. The daemon never sets it and replay
+	// ignores it; only bench/trace.go fills it, beside its PersistGraph call.
 	GraphSHA string `json:"graph_sha,omitempty"`
 	State    string `json:"state"`
 	Error    string `json:"error,omitempty"`
@@ -128,8 +127,6 @@ type State struct {
 	// deletes; TTL filtering is the caller's policy, applied against
 	// LastUsed).
 	Sessions map[string]*SessionState
-	// Graphs lists committed blob SHAs in first-seen order.
-	Graphs []string
 	// Jobs maps job ID to its latest record; non-terminal entries are jobs
 	// whose submit record survived but whose terminal record did not.
 	Jobs map[string]*JobRecord
@@ -139,30 +136,20 @@ type State struct {
 	// the first invalid frame.
 	Records     int
 	Truncations int
-
-	graphSeen map[string]bool
 }
 
 // NewState returns an empty recovered state (what a fresh data dir yields).
 func NewState() *State {
 	return &State{
-		Sessions:  make(map[string]*SessionState),
-		Jobs:      make(map[string]*JobRecord),
-		graphSeen: make(map[string]bool),
+		Sessions: make(map[string]*SessionState),
+		Jobs:     make(map[string]*JobRecord),
 	}
-}
-
-func (st *State) addGraph(sha string) {
-	if sha == "" || st.graphSeen[sha] {
-		return
-	}
-	st.graphSeen[sha] = true
-	st.Graphs = append(st.Graphs, sha)
 }
 
 // Apply merges one replayed record into the state. Every case is
 // idempotent, so records that overlap the snapshot (or a double-applied
-// rotation window) cannot corrupt the merge.
+// rotation window) cannot corrupt the merge. A graph record is counted in
+// Records and changes nothing else.
 func (st *State) Apply(rec *Record) {
 	st.Records++
 	ts := time.Unix(0, rec.TS)
@@ -205,11 +192,6 @@ func (st *State) Apply(rec *Record) {
 		if ts.After(s.LastUsed) {
 			s.LastUsed = ts
 		}
-	case RecGraph:
-		if rec.Graph == nil {
-			return
-		}
-		st.addGraph(rec.Graph.SHA)
 	case RecJobSubmit:
 		if rec.Job == nil {
 			return
@@ -232,9 +214,6 @@ func (st *State) Apply(rec *Record) {
 			}
 			if j.Chain == "" {
 				j.Chain = prev.Chain
-			}
-			if j.GraphSHA == "" {
-				j.GraphSHA = prev.GraphSHA
 			}
 			if j.Tenant == "" {
 				j.Tenant = prev.Tenant

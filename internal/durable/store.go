@@ -94,7 +94,6 @@ type storeMetrics struct {
 	truncations  *metrics.Counter
 	activeSeg    *metrics.Gauge
 	snapSessions *metrics.Gauge
-	snapGraphs   *metrics.Gauge
 	snapJobs     *metrics.Gauge
 }
 
@@ -120,8 +119,6 @@ func newStoreMetrics(reg *metrics.Registry, s *Store) *storeMetrics {
 			"Sequence number of the open WAL segment.", nil),
 		snapSessions: reg.Gauge("chatgraph_snapshot_sessions",
 			"Sessions captured by the latest snapshot.", nil),
-		snapGraphs: reg.Gauge("chatgraph_snapshot_graphs",
-			"Graph blobs referenced by the latest snapshot.", nil),
 		snapJobs: reg.Gauge("chatgraph_snapshot_jobs",
 			"Job records captured by the latest snapshot.", nil),
 	}
@@ -134,8 +131,8 @@ func newStoreMetrics(reg *metrics.Registry, s *Store) *storeMetrics {
 	return m
 }
 
-// Store owns one data directory: the active WAL segment, the blob store,
-// and the snapshots. All methods are safe for concurrent use.
+// Store owns one data directory: the active WAL segment and the snapshots.
+// All methods are safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
@@ -149,10 +146,9 @@ type Store struct {
 	dirty  bool
 	closed bool
 
-	// blobMu guards the blob indexes. blobByHash short-circuits repeat
-	// uploads of a content this process has already persisted without
-	// re-marshaling; blobSHAs is every blob known committed on disk, the
-	// set the next snapshot records.
+	// blobMu guards PersistGraph's indexes: blobByHash short-circuits a
+	// content this process has already persisted without re-marshaling, and
+	// blobSHAs is every blob this process has written.
 	blobMu     sync.Mutex
 	blobByHash map[graph.ContentHash]string
 	blobSHAs   map[string]bool
@@ -230,14 +226,6 @@ func Open(opts Options) (*Store, *State, error) {
 		return nil, nil, err
 	}
 	s.replayDur.Store(math.Float64bits(time.Since(start).Seconds()))
-
-	// Index the blobs the recovered state references so PersistGraph does
-	// not rewrite (or re-log) a content that is already committed.
-	s.blobMu.Lock()
-	for _, sha := range st.Graphs {
-		s.blobSHAs[sha] = true
-	}
-	s.blobMu.Unlock()
 
 	// Appends from this incarnation go to a fresh segment — replayed
 	// segments are never appended to, so their valid prefix is immutable.
@@ -474,13 +462,10 @@ func (s *Store) LogJobDone(j JobRecord) error {
 	return s.Append(&Record{Type: RecJobDone, Job: &j})
 }
 
-// PersistGraph commits g to the blob store and returns its durable identity
-// (SHA-256 hex of the canonical JSON wire form). The blob is written once —
-// repeat uploads of the same content return the recorded SHA without
-// touching disk — and a graph record is appended to the WAL on first sight
-// so recovery knows the blob is live. The in-memory content hash only
-// short-circuits re-marshaling; it never names anything on disk (it is
-// per-process seeded by design).
+// PersistGraph writes g to blobs/ under the SHA-256 of its JSON wire form,
+// once per content per process, and logs a graph record that replay
+// ignores. Only bench/trace.go calls it; it goes, with GraphRecord, RecGraph
+// and the blob indexes, when the trace stops calling it.
 func (s *Store) PersistGraph(g *graph.Graph) (string, error) {
 	if g == nil {
 		return "", nil
@@ -513,28 +498,10 @@ func (s *Store) PersistGraph(g *graph.Graph) (string, error) {
 	return sha, nil
 }
 
-// LoadGraph reads a blob back into a graph, verifying its content hash
-// matches the filename it was addressed by.
-func (s *Store) LoadGraph(sha string) (*graph.Graph, error) {
-	data, err := os.ReadFile(filepath.Join(s.blobDir(), sha+".json"))
-	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != sha {
-		return nil, fmt.Errorf("durable: blob %s content does not match its address", sha)
-	}
-	g, err := graph.ParseJSON(data)
-	if err != nil {
-		return nil, fmt.Errorf("durable: blob %s: %w", sha, err)
-	}
-	return g, nil
-}
-
 // Snapshot checkpoints the serving state: it rotates the WAL to a fresh
 // segment, asks build for the records that recreate the live sessions and
-// jobs, appends one graph record per committed blob, writes them atomically
-// as a segment image, and prunes the WAL segments and snapshots the new
-// snapshot supersedes.
+// jobs, writes them atomically as a segment image, and prunes the WAL
+// segments and snapshots the new snapshot supersedes.
 //
 // Ordering makes this crash-safe at every step: the rotation happens
 // *before* build runs, so the snapshot is a superset of every record in the
@@ -571,16 +538,6 @@ func (s *Store) Snapshot(build func() []Record) error {
 	s.mu.Unlock()
 
 	recs := build()
-	s.blobMu.Lock()
-	shas := make([]string, 0, len(s.blobSHAs))
-	for sha := range s.blobSHAs {
-		shas = append(shas, sha)
-	}
-	s.blobMu.Unlock()
-	slices.Sort(shas)
-	for _, sha := range shas {
-		recs = append(recs, Record{Type: RecGraph, Graph: &GraphRecord{SHA: sha}})
-	}
 	data := []byte(segMagic)
 	count := make(map[RecordType]int)
 	for i := range recs {
@@ -599,7 +556,6 @@ func (s *Store) Snapshot(build func() []Record) error {
 	s.met.snapshots.Inc()
 	s.lastSnap.Store(time.Now().Unix())
 	s.met.snapSessions.Set(int64(count[RecSessionCreate]))
-	s.met.snapGraphs.Set(int64(count[RecGraph]))
 	s.met.snapJobs.Set(int64(count[RecJobSubmit] + count[RecJobDone]))
 
 	// Prune: segments below the snapshot's seq are fully covered by it;

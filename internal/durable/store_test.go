@@ -55,15 +55,6 @@ func TestStoreAppendReopen(t *testing.T) {
 	if err := st.LogJobDone(JobRecord{ID: "job-1", Priority: "normal", State: "done", Result: []byte(`{"answer":"42"}`), SubmittedUnixNS: 100, FinishedUnixNS: 200}); err != nil {
 		t.Fatal(err)
 	}
-
-	g := graph.PlantedCommunities(2, 8, 0.5, 0.05, rand.New(rand.NewSource(7)))
-	sha, err := st.PersistGraph(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sha == "" {
-		t.Fatal("empty graph sha")
-	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,18 +75,8 @@ func TestStoreAppendReopen(t *testing.T) {
 	if !ok || j.State != "done" || string(j.Result) != `{"answer":"42"}` || j.Question != "count" {
 		t.Fatalf("job-1 = %+v", j)
 	}
-	if len(rec.Graphs) != 1 || rec.Graphs[0] != sha {
-		t.Fatalf("graphs = %v, want [%s]", rec.Graphs, sha)
-	}
 	if rec.Truncations != 0 {
 		t.Fatalf("truncations = %d", rec.Truncations)
-	}
-	g2, err := st2.LoadGraph(sha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("blob graph = %d nodes/%d edges, want %d/%d", g2.NumNodes(), g2.NumEdges(), g.NumNodes(), g.NumEdges())
 	}
 }
 
@@ -459,8 +440,10 @@ func TestAppendReplayProperty(t *testing.T) {
 					if rng.Intn(3) > 0 {
 						apply(&Record{Type: RecJobDone, TS: now + 1, Job: &JobRecord{ID: id, Priority: "normal", State: "done", Result: []byte(`{"ok":true}`), FinishedUnixNS: now + 1}})
 					}
-				case op < 9: // graph commit record (no blob needed for replay)
-					apply(&Record{Type: RecGraph, TS: now, Graph: &GraphRecord{SHA: fmt.Sprintf("%064x", rng.Int63())}})
+				case op < 9: // graph record: replay must ignore it, so the reference never sees it
+					if err := st.Append(&Record{Type: RecGraph, TS: now, Graph: &GraphRecord{SHA: fmt.Sprintf("%064x", rng.Int63())}}); err != nil {
+						t.Fatal(err)
+					}
 				case op < 10: // checkpoint, sometimes crashing straight after it
 					if err := st.Snapshot(func() []Record { return stateRecords(ref) }); err != nil {
 						t.Fatal(err)
@@ -507,14 +490,11 @@ func stateRecords(st *State) []Record {
 		}
 		recs = append(recs, Record{Type: typ, Job: j})
 	}
-	for _, sha := range st.Graphs {
-		recs = append(recs, Record{Type: RecGraph, Graph: &GraphRecord{SHA: sha}})
-	}
 	return recs
 }
 
 // compareStates checks the replayed state carries exactly the reference's
-// sessions (with owners, clocks and transcripts), jobs, and graph set.
+// sessions (with owners, clocks and transcripts) and jobs.
 func compareStates(t *testing.T, step int, ref, got *State) {
 	t.Helper()
 	if len(got.Sessions) != len(ref.Sessions) {
@@ -546,8 +526,5 @@ func compareStates(t *testing.T, step int, ref, got *State) {
 		if !reflect.DeepEqual(g, want) {
 			t.Fatalf("step %d: job %s = %+v, want %+v", step, id, g, want)
 		}
-	}
-	if !reflect.DeepEqual(got.Graphs, ref.Graphs) {
-		t.Fatalf("step %d: graphs = %v, want %v", step, got.Graphs, ref.Graphs)
 	}
 }

@@ -90,20 +90,6 @@ func turnRecord(sessionID string, index int, t core.Turn) durable.TurnRecord {
 	}
 }
 
-// persistGraph commits an uploaded graph to the blob store, returning its
-// durable SHA ("" without a durable store or on failure).
-func (s *Server) persistGraph(g *graph.Graph) string {
-	if s.opts.Durable == nil || g == nil {
-		return ""
-	}
-	sha, err := s.opts.Durable.PersistGraph(g)
-	if err != nil {
-		log.Printf("server: durable: persist graph: %v", err)
-		return ""
-	}
-	return sha
-}
-
 // jobRecord is the one place a job status becomes its durable form: the
 // identity and timing fields, the error text, and — for a completed job —
 // the result payload, so a restart can answer GET /v1/jobs/{id} for work
@@ -132,7 +118,7 @@ func jobRecord(st jobs.Status) durable.JobRecord {
 }
 
 // logJobSubmit records an accepted async job.
-func (s *Server) logJobSubmit(j *jobs.Job, req JobRequest, graphSHA string) {
+func (s *Server) logJobSubmit(j *jobs.Job, req JobRequest) {
 	if s.opts.Durable == nil {
 		return
 	}
@@ -140,7 +126,7 @@ func (s *Server) logJobSubmit(j *jobs.Job, req JobRequest, graphSHA string) {
 	// worker has done to it since; the terminal record carries the rest.
 	st := j.Status()
 	rec := jobRecord(jobs.Status{ID: st.ID, Owner: st.Owner, Priority: st.Priority, State: jobs.StateQueued, Submitted: st.Submitted})
-	rec.Question, rec.Chain, rec.GraphSHA = req.Question, req.Chain, graphSHA
+	rec.Question, rec.Chain = req.Question, req.Chain
 	if err := s.opts.Durable.LogJobSubmit(rec); err != nil {
 		log.Printf("server: durable: job submit %s: %v", st.ID, err)
 	}
@@ -157,14 +143,13 @@ func (s *Server) onJobTerminal(st jobs.Status) {
 	}
 }
 
-// Recover rebuilds the server from a recovered State: graphs are re-parsed
-// from their blobs and re-interned (so the content-addressed invoke cache
-// re-warms under the fresh process hash seed), live sessions get their IDs,
-// idle clocks, and transcripts back, and terminal job records become
-// queryable again. Jobs that were queued or running at the crash are
-// restored as failed ("interrupted by restart") — their submission was
-// durable, their execution was not. Sessions idle past the TTL at recovery
-// time are dropped, exactly as the sweeper would have.
+// Recover rebuilds the server from a recovered State: live sessions get
+// their IDs, idle clocks, and transcripts back, and terminal job records
+// become queryable again. No graph is interned: nothing recovered names
+// one. Jobs that were queued or running at the crash are restored as
+// failed ("interrupted by restart") — their submission was durable, their
+// execution was not. Sessions idle past the TTL at recovery time are
+// dropped, exactly as the sweeper would have.
 //
 // Recover must be called exactly once, before traffic, whenever
 // Options.Durable is set (a fresh data dir yields an empty state); it
@@ -178,19 +163,7 @@ func (s *Server) Recover(st *durable.State) error {
 		st = durable.NewState()
 	}
 	start := time.Now()
-
-	graphs := 0
-	for _, sha := range st.Graphs {
-		g, err := s.opts.Durable.LoadGraph(sha)
-		if err != nil {
-			log.Printf("server: recover: graph blob %s: %v", sha, err)
-			continue
-		}
-		s.eng.Graphs().Intern(g)
-		graphs++
-	}
-
-	now := time.Now()
+	now := start
 	ttl := s.mgr.TTL()
 	sessions, turns, expired := 0, 0, 0
 	for _, ss := range st.Sessions {
@@ -272,8 +245,8 @@ func (s *Server) Recover(st *durable.State) error {
 		}
 	}
 
-	log.Printf("server: recovered %d sessions (%d turns, %d expired in absence), %d graphs, %d job records from %d WAL records in %s",
-		sessions, turns, expired, graphs, restoredJobs, st.Records, time.Since(start).Round(time.Millisecond))
+	log.Printf("server: recovered %d sessions (%d turns, %d expired in absence), %d job records from %d WAL records in %s",
+		sessions, turns, expired, restoredJobs, st.Records, time.Since(start).Round(time.Millisecond))
 	s.ready.Store(true)
 	return nil
 }

@@ -2,11 +2,16 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -30,8 +35,8 @@ var (
 // durableEngine builds a fresh engine (own env, registry, graph store) for
 // crash-recovery tests. The finetuned model is trained once and shared —
 // training dominates engine construction and the durability layer never
-// touches it, while a fresh graph store per engine is exactly what proves
-// recovery re-interns blobs instead of inheriting warm state.
+// touches it, while a fresh graph store per engine is what shows that
+// recovery interns nothing and that a re-upload needs no warm state.
 func durableEngine(t *testing.T) *core.Engine {
 	t.Helper()
 	mk := func(model *finetune.Model) *core.Engine {
@@ -60,10 +65,12 @@ func TestReadyzWithoutDurable(t *testing.T) {
 	}
 }
 
-// TestCrashRecovery is the kill-and-recover pin: sessions, transcripts,
-// interned graphs, and terminal job records written before an unflushed
-// crash must all come back in a fresh process (fresh engine, fresh graph
-// store), and the restored session must keep serving chats.
+// TestCrashRecovery is the kill-and-recover pin: sessions, transcripts, and
+// terminal job records written before an unflushed crash must all come back
+// in a fresh process (fresh engine, fresh graph store), and the restored
+// session must keep serving chats. Uploaded graphs are not persisted: the
+// fresh graph store stays empty through Recover, and re-posting the
+// pre-crash question and graph still returns the pre-crash answer.
 func TestCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	dstore, state, err := durable.Open(durable.Options{Dir: dir, Sync: durable.SyncNone})
@@ -212,9 +219,9 @@ func TestCrashRecovery(t *testing.T) {
 			t.Fatalf("turn %d chain lost", i)
 		}
 	}
-	// ...the graph re-interned into the fresh store...
-	if eng2.Graphs().Len() != interned {
-		t.Fatalf("recovered graphs = %d, want %d", eng2.Graphs().Len(), interned)
+	// ...no graph interned, because nothing recovered refers to one...
+	if n := eng2.Graphs().Len(); n != 0 {
+		t.Fatalf("graph store after Recover = %d, want 0", n)
 	}
 	// ...and the job's terminal record, result included.
 	j2, ok := srv2.jobs.Get(ji.JobID)
@@ -251,10 +258,20 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered job owner = %q, want dur", ownedJ.Owner)
 	}
 
-	// The restored session keeps serving: one more chat over HTTP, on the
-	// same session ID, against the re-interned graph.
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
+	// No reader needed the pre-crash graph: the first upload after recovery,
+	// the pre-crash question over the same graph on a fresh session, gets
+	// the pre-crash answer.
+	var fresh SessionInfo
+	postTo(t, ts2.URL+"/v1/sessions", nil, http.StatusCreated, &fresh)
+	var again ChatResponse
+	postTo(t, ts2.URL+"/v1/sessions/"+fresh.SessionID+"/chat", ChatRequest{Question: "Write a brief report for G", Graph: gj}, http.StatusOK, &again)
+	if again.Answer != answers[0] {
+		t.Fatalf("re-upload after recovery answered %q, want the pre-crash %q", again.Answer, answers[0])
+	}
+	// The restored session keeps serving: one more chat over HTTP, on the
+	// same session ID, with the graph uploaded again.
 	var cr ChatResponse
 	postTo(t, ts2.URL+"/v1/sessions/"+si.SessionID+"/chat", ChatRequest{Question: "How many nodes does G have?", Graph: gj}, http.StatusOK, &cr)
 	if cr.Answer == "" {
@@ -297,9 +314,6 @@ func TestCrashRecovery(t *testing.T) {
 	}
 	if _, ok := state3.Jobs[ji.JobID]; !ok {
 		t.Fatalf("post-checkpoint jobs = %v", state3.Jobs)
-	}
-	if len(state3.Graphs) == 0 {
-		t.Fatal("post-checkpoint graphs empty")
 	}
 	if s3o, ok := state3.Sessions[ownedSID]; !ok || s3o.Tenant != "dur" {
 		t.Fatalf("post-checkpoint owned session = %+v, want tenant dur", s3o)
@@ -506,11 +520,11 @@ func TestClosedStoreKeepsServing(t *testing.T) {
 	if want[len(want)-1] != "readyz 200" || !strings.HasPrefix(want[1], "chat 200 ") || !strings.HasPrefix(want[3], "job done ") {
 		t.Fatalf("store-less run: %q", want)
 	}
-	// Appends attempted: the session create; the chat's graph record and
-	// turn; the job's submit and terminal records (its upload is the chat's
-	// graph, whose blob is already marked committed); the delete. The
-	// terminal record is appended after the job reads done, so wait for it.
-	const attempted = 6
+	// Appends attempted: the session create; the chat's turn; the job's
+	// submit and terminal records; the delete. Uploads are not persisted,
+	// so neither graph is attempted. The terminal record is appended after
+	// the job reads done, so wait for it.
+	const attempted = 5
 	for deadline := time.Now().Add(5 * time.Second); appendErrs.Value() < attempted && time.Now().Before(deadline); {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -525,4 +539,144 @@ func TestClosedStoreKeepsServing(t *testing.T) {
 	}
 	durSrv.Close()
 	plainSrv.Close()
+}
+
+// TestRecoverDataDirWithGraphBlobs recovers a data dir in the format the
+// daemon wrote while it still persisted uploads: graph records in the
+// snapshot and in the segment on top of it, jobs naming a blob by
+// graph_sha, and the blobs themselves under blobs/. Every session, turn and
+// job must come back; the graph records must be counted as replayed and
+// change nothing, against the same dir written without them; and the blob
+// files must be left exactly as they were, through a checkpoint too.
+func TestRecoverDataDirWithGraphBlobs(t *testing.T) {
+	var blobs [2][]byte
+	var shas [2]string
+	for i := range blobs {
+		data, err := json.Marshal(graph.PlantedCommunities(2, 6+i, 0.5, 0.05, rand.New(rand.NewSource(int64(i)))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		blobs[i], shas[i] = data, hex.EncodeToString(sum[:])
+	}
+	now := time.Now().UnixNano()
+	result := `{"answer":"snap answer","chain":"graph.stats","kind":"social","elapsed_ms":2}`
+	snap := []string{
+		fmt.Sprintf(`{"t":"session_create","ts":%d,"session":{"id":"s-snap","created_unix_ns":%d}}`, now-4000, now-5000),
+		`{"t":"turn","ts":0,"turn":{"session_id":"s-snap","index":0,"question":"q0","kind":"social","chain":"graph.stats","answer":"a0","elapsed_ms":1}}`,
+		fmt.Sprintf(`{"t":"job_done","ts":0,"job":{"id":"j-snap","priority":"normal","question":"q","graph_sha":%q,"state":"done","result":%s,"submitted_unix_ns":%d,"finished_unix_ns":%d}}`, shas[0], result, now-4000, now-3500),
+		fmt.Sprintf(`{"t":"graph","ts":0,"graph":{"sha":%q}}`, shas[0]),
+	}
+	seg := []string{
+		fmt.Sprintf(`{"t":"graph","ts":%d,"graph":{"sha":%q}}`, now-3000, shas[1]),
+		fmt.Sprintf(`{"t":"session_create","ts":%d,"session":{"id":"s-wal","created_unix_ns":%d}}`, now-3000, now-3000),
+		fmt.Sprintf(`{"t":"turn","ts":%d,"turn":{"session_id":"s-wal","index":0,"question":"q1","kind":"molecule","chain":"graph.stats -> report.compose","answer":"a1","elapsed_ms":3}}`, now-2000),
+		fmt.Sprintf(`{"t":"turn","ts":%d,"turn":{"session_id":"s-snap","index":1,"question":"q2","kind":"social","chain":"graph.stats","answer":"a2","elapsed_ms":4}}`, now-1000),
+		fmt.Sprintf(`{"t":"job_submit","ts":%d,"job":{"id":"j-wal","priority":"high","question":"q3","graph_sha":%q,"state":"queued","submitted_unix_ns":%d}}`, now-500, shas[1], now-500),
+	}
+	// writeImage writes one segment image (the magic, then one frame per
+	// record), leaving out the graph records unless withGraphs is set.
+	writeImage := func(path string, recs []string, withGraphs bool) {
+		data := []byte("CGWAL001")
+		for _, r := range recs {
+			if withGraphs || !strings.HasPrefix(r, `{"t":"graph"`) {
+				data = durable.AppendFrame(data, []byte(r))
+			}
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(dir string, withGraphs bool) (*durable.Store, *durable.State) {
+		writeImage(filepath.Join(dir, "snap", "snap-00000002.wal"), snap, withGraphs)
+		writeImage(filepath.Join(dir, "wal", "seg-00000002.wal"), seg, withGraphs)
+		dstore, state, err := durable.Open(durable.Options{Dir: dir, Sync: durable.SyncNone, Metrics: metrics.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dstore, state
+	}
+
+	dir := t.TempDir()
+	blobDir := filepath.Join(dir, "blobs")
+	if err := os.MkdirAll(blobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i, data := range blobs {
+		if err := os.WriteFile(filepath.Join(blobDir, shas[i]+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// blobFiles lists blobs/ with each file's bytes and modification time.
+	blobFiles := func() []string {
+		ents, err := os.ReadDir(blobDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range ents {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(blobDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprint(e.Name(), " ", info.ModTime().UnixNano(), " ", string(data)))
+		}
+		return out
+	}
+	blobsBefore := blobFiles()
+
+	dstore, state := open(dir, true)
+	defer dstore.Close()
+	plainStore, plain := open(t.TempDir(), false)
+	plainStore.Close()
+	if state.Records != plain.Records+1 {
+		t.Fatalf("records replayed on top of the snapshot = %d, want %d plus the segment's graph record", state.Records, plain.Records)
+	}
+	if state.Truncations != 0 || !reflect.DeepEqual(state.Sessions, plain.Sessions) || !reflect.DeepEqual(state.Jobs, plain.Jobs) {
+		t.Fatalf("graph records changed the recovered state:\n%+v\nwithout them:\n%+v", state, plain)
+	}
+
+	srv := New(durableEngine(t), Options{Durable: dstore})
+	defer srv.Close()
+	if err := srv.Recover(state); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.eng.Graphs().Len(); n != 0 {
+		t.Fatalf("graph store after Recover = %d, want 0", n)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for id, want := range map[string][]HistoryTurn{
+		"s-snap": {{"q0", "social", "graph.stats", "a0", 1}, {"q2", "social", "graph.stats", "a2", 4}},
+		"s-wal":  {{"q1", "molecule", "graph.stats -> report.compose", "a1", 3}},
+	} {
+		var hist struct{ Turns []HistoryTurn }
+		getTo(t, ts.URL+"/v1/sessions/"+id+"/history", &hist)
+		if !slices.Equal(hist.Turns, want) {
+			t.Fatalf("session %s history = %+v, want %+v", id, hist.Turns, want)
+		}
+	}
+	var done, interrupted JobInfo
+	getTo(t, ts.URL+"/v1/jobs/j-snap", &done)
+	if done.State != "done" || done.Result == nil || done.Result.Answer != "snap answer" {
+		t.Fatalf("j-snap = %+v", done)
+	}
+	getTo(t, ts.URL+"/v1/jobs/j-wal", &interrupted)
+	if interrupted.State != "failed" || interrupted.Priority != "high" || !strings.Contains(interrupted.Error, "interrupted by restart") {
+		t.Fatalf("j-wal = %+v", interrupted)
+	}
+
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := blobFiles(); !slices.Equal(got, blobsBefore) {
+		t.Fatalf("blobs/ after recovery and a checkpoint:\n%q\nwas:\n%q", got, blobsBefore)
+	}
 }

@@ -117,7 +117,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, ErrBadID.Error())
 		return
 	}
-	g, graphSHA, ok := s.internUpload(w, r, up)
+	g, ok := s.internUpload(w, r, up)
 	if !ok {
 		return
 	}
@@ -170,7 +170,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.logJobSubmit(j, req, graphSHA)
+	s.logJobSubmit(j, req)
 	writeJSON(w, http.StatusAccepted, jobInfo(j.Status()))
 }
 

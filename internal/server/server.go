@@ -77,8 +77,8 @@ type Options struct {
 	// JobRetention is how long finished jobs stay queryable (0 →
 	// jobs.DefaultRetention).
 	JobRetention time.Duration
-	// Durable, when set, persists session lifecycle, transcripts, uploaded
-	// graphs, and job records through the WAL + snapshot store, and the
+	// Durable, when set, persists session lifecycle, transcripts, and job
+	// records (not uploaded graphs) through the WAL + snapshot store, and the
 	// server boots not-ready (/readyz 503, gated routes shed) until the
 	// caller completes recovery with Recover — which must be called even
 	// when the recovered state is empty.
@@ -580,7 +580,7 @@ func (s *Server) decodeChat(w http.ResponseWriter, r *http.Request) (question st
 		writeError(w, r, http.StatusBadRequest, "question is required")
 		return "", nil, false
 	}
-	g, _, ok = s.internUpload(w, r, up)
+	g, ok = s.internUpload(w, r, up)
 	return req.Question, g, ok
 }
 

@@ -106,21 +106,20 @@ func decodeUpload(body []byte, decode func([]byte) error, raw *json.RawMessage) 
 }
 
 // internUpload takes a decoded upload the rest of the way: 400 on a bad
-// graph (written here), intern through the engine's graph store, persist the
-// blob. A payload whose content was seen before — in this session, another
-// session, or a deleted one — resolves to the one shared instance, so the
-// CSR, stats memo, and invoke-cache entries built for it are reused instead
-// of rebuilt. Chains that edit the graph get a private clone inside the
-// executor, so sharing is invisible to callers. A body without a graph is
-// nil, "", ok. sha is the durable blob name ("" without a durable store).
-func (s *Server) internUpload(w http.ResponseWriter, r *http.Request, up upload) (g *graph.Graph, sha string, ok bool) {
+// graph (written here), intern through the engine's graph store. A payload
+// whose content was seen before — in this session, another session, or a
+// deleted one — resolves to the one shared instance, so the CSR, stats memo,
+// and invoke-cache entries built for it are reused instead of rebuilt.
+// Chains that edit the graph get a private clone inside the executor, so
+// sharing is invisible to callers. A body without a graph is nil, ok. The
+// graph is never persisted: no transcript or job result refers to it.
+func (s *Server) internUpload(w http.ResponseWriter, r *http.Request, up upload) (g *graph.Graph, ok bool) {
 	if up.err != nil {
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad graph: %v", up.err))
-		return nil, "", false
+		return nil, false
 	}
 	if up.g == nil {
-		return nil, "", true
+		return nil, true
 	}
-	g = s.eng.Graphs().Intern(up.g)
-	return g, s.persistGraph(g), true
+	return s.eng.Graphs().Intern(up.g), true
 }
