@@ -10,6 +10,8 @@
 //	E6 §II-B   BenchmarkPathCover               path-cover size/coverage
 //	E7 §II-C   BenchmarkRollouts                rollout-search ablation
 //	E8 Fig. 1  BenchmarkAPIRetrieval            retrieval hit rate
+//	E39        BenchmarkOneGoroutinePerRequest  the former fan-out sites, idle
+//	                                            and under two callers
 //
 // Quality numbers (recall, hit rate, loss) are attached to the -bench output
 // via b.ReportMetric, so one `go test -bench=. -benchmem` run yields both
@@ -28,6 +30,7 @@ import (
 	"chatgraph/internal/apis"
 	"chatgraph/internal/chain"
 	"chatgraph/internal/core"
+	"chatgraph/internal/embed"
 	"chatgraph/internal/executor"
 	"chatgraph/internal/finetune"
 	"chatgraph/internal/graph"
@@ -198,7 +201,7 @@ func benchIndex(b *testing.B, build func(vecs [][]float32) ann.Index) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.Search(queries[i%len(queries)], annK)
+		idx.SearchWithStats(queries[i%len(queries)], annK)
 	}
 	b.ReportMetric(ev.RecallAtK, "recall@10")
 	b.ReportMetric(ev.AvgHops, "hops")
@@ -240,36 +243,6 @@ func BenchmarkANNNSW(b *testing.B) {
 			b.Fatal(err)
 		}
 		return idx
-	})
-}
-
-// BenchmarkANNSearchBatch is the E10 ANN side: the one-query-at-a-time
-// Search loop versus SearchBatch's worker-pool fan-out over one shared
-// index. On multi-core hosts the batch path approaches loop-qps × cores;
-// b.ReportAllocs makes the ~0 allocs/op of the scratch-pooled graph search
-// visible in the same table.
-func BenchmarkANNSearchBatch(b *testing.B) {
-	vecs, queries := annData()
-	idx, err := ann.NewTauMG(vecs, ann.TauMGConfig{Tau: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ann.SearchBatch(idx, queries, annK) // warm the scratch/worker pools
-	b.Run("loop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				idx.Search(q, annK)
-			}
-		}
-		b.ReportMetric(float64(len(queries)*b.N)/b.Elapsed().Seconds(), "queries/s")
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ann.SearchBatch(idx, queries, annK)
-		}
-		b.ReportMetric(float64(len(queries)*b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
 }
 
@@ -378,4 +351,77 @@ func BenchmarkAPIRetrieval(b *testing.B) {
 		ix.TopAPIs(cases[i%len(cases)].query, 5)
 	}
 	b.ReportMetric(float64(hits)/float64(len(cases)), "hit@5")
+}
+
+// --- E39: one goroutine per request ---
+
+// BenchmarkOneGoroutinePerRequest times the call sites that used to spread
+// one request over GOMAXPROCS goroutines, each twice: idle (one caller, the
+// latency of a lone request) and under two concurrent callers (ns/op is
+// wall time per call, the inverse of throughput when two requests compete).
+// Run at -cpu 1,2 to compare a single core with the 2-vCPU host:
+//
+//	go test -run '^$' -bench OneGoroutinePerRequest -cpu 1,2 -count 6 .
+func BenchmarkOneGoroutinePerRequest(b *testing.B) {
+	center, _ := apis.Default(nil).Get("structure.center")
+	var corpus []string
+	for _, a := range apis.Default(nil).All() {
+		corpus = append(corpus, a.Name+" "+a.Description)
+	}
+	emb := embed.NewHashing(512)
+	emb.Fit(corpus)
+	ba := func(n int) *graph.Graph { return graph.BarabasiAlbert(n, 2, rand.New(rand.NewSource(1))) }
+	// Each site builds one call per caller; a caller's call may own state.
+	sites := []struct {
+		name string
+		call func() func()
+	}{
+		{"eccentricities/n500", shared(ba(500), func(g *graph.Graph) { graph.Eccentricities(g) })},
+		{"eccentricities/n2000", shared(ba(2000), func(g *graph.Graph) { graph.Eccentricities(g) })},
+		{"structure_center/n500", shared(ba(500), func(g *graph.Graph) { center.Fn(apis.Input{Graph: g}) })},
+		{"structure_center/n2000", shared(ba(2000), func(g *graph.Graph) { center.Fn(apis.Input{Graph: g}) })},
+		{"compute_stats_cold/n500", func() func() {
+			g := ba(500) // each caller mutates its own graph
+			return func() {
+				g.SetNodeLabel(0, "v") // version bump: full freeze + recompute
+				graph.ComputeStats(g)
+			}
+		}},
+		{"embed_batch/registry", func() func() { return func() { emb.EmbedBatch(corpus) } }},
+	}
+	for _, site := range sites {
+		b.Run(site.name+"/idle", func(b *testing.B) {
+			call := site.call()
+			call()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				call()
+			}
+		})
+		b.Run(site.name+"/two_callers", func(b *testing.B) {
+			calls := [2]func(){site.call(), site.call()}
+			calls[0]()
+			calls[1]()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for c, call := range calls {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := c; i < b.N; i += len(calls) {
+						call()
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// shared is a site whose callers all read one frozen graph.
+func shared(g *graph.Graph, fn func(*graph.Graph)) func() func() {
+	g.Freeze()
+	return func() func() { return func() { fn(g) } }
 }

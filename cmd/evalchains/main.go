@@ -4,8 +4,7 @@
 // Session.Ask serves it, the API-retrieval hit rate, the untrained-API bank's
 // served chains, the prompt-fidelity table (how much of a graph the prompt
 // names), the multi-session engine throughput scaling, and the graph-kernel
-// table (cold vs cached executor invocations, serial vs parallel
-// eccentricities).
+// table (cold vs cached executor invocations).
 // It is the table-oriented companion to `go test -bench`.
 //
 // Everything before the "== E9" header is deterministic for given flags;
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -230,33 +228,6 @@ func main() {
 			float64(cold)/float64(cached))
 	}
 
-	fmt.Println("\n== E11b: all-source eccentricities, serial vs parallel BFS sweeps ==")
-	// parallel.ForEach clamps to GOMAXPROCS, so pinning it to 1 gives the
-	// serial baseline; the speedup tracks core count (≈1x on one core).
-	fmt.Printf("%-10s %14s %14s %9s  (GOMAXPROCS=%d)\n",
-		"nodes", "serial-ms", "parallel-ms", "speedup", runtime.GOMAXPROCS(0))
-	for _, n := range []int{500, 2000} {
-		g := graph.BarabasiAlbert(n, 3, rand.New(rand.NewSource(*seed)))
-		g.Freeze()
-		graph.Eccentricities(g) // warm the scratch pool
-		const reps = 5
-		procs := runtime.GOMAXPROCS(1)
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			graph.Eccentricities(g)
-		}
-		serial := time.Since(start)
-		runtime.GOMAXPROCS(procs)
-		start = time.Now()
-		for r := 0; r < reps; r++ {
-			graph.Eccentricities(g)
-		}
-		par := time.Since(start)
-		fmt.Printf("%-10d %14.2f %14.2f %8.2fx\n", n,
-			float64(serial.Microseconds())/1000/reps,
-			float64(par.Microseconds())/1000/reps,
-			float64(serial)/float64(par))
-	}
 }
 
 // servingEngine builds an engine that serves model the way chatgraphd serves

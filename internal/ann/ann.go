@@ -13,11 +13,12 @@
 // Every index stores its vectors in a contiguous vecmath.Matrix and
 // computes distances with fused dot-trick kernels against precomputed row
 // norms. Per-search working state (visited stamps, heaps, distance tiles)
-// recycles through a sync.Pool, so single searches allocate only their
-// result slice and SearchBatch serves concurrent queries over one shared
-// index without locks or garbage. Every proximity graph routes through one
-// beam-search loop and the flat scan is one tile loop, both parameterised
-// over a distSource that hides whether the query is dense or sparse.
+// recycles through a sync.Pool, so a search allocates only its result slice
+// and concurrent requests search one shared index without locks or garbage.
+// A search runs on its caller's goroutine: the only parallelism is between
+// requests. Every proximity graph routes through one beam-search loop and
+// the flat scan is one tile loop, both parameterised over a distSource that
+// hides whether the query is dense or sparse.
 package ann
 
 import (
@@ -45,9 +46,8 @@ type SearchStats struct {
 // Index is a built ANN index over a fixed vector set. Implementations are
 // immutable after construction, so all methods are safe for concurrent use.
 type Index interface {
-	// Search returns the k nearest candidates to q, closest first.
-	Search(q []float32, k int) []Result
-	// SearchWithStats is Search plus per-query work counters.
+	// SearchWithStats returns the k nearest candidates to q, closest
+	// first, and the work the search did.
 	SearchWithStats(q []float32, k int) ([]Result, SearchStats)
 }
 
@@ -67,7 +67,7 @@ func NewBruteForce(vecs [][]float32) *BruteForce {
 // construction to avoid duplicating vector storage).
 func newBruteForceMatrix(m *vecmath.Matrix) *BruteForce { return &BruteForce{mat: m} }
 
-// Search implements Index.
+// Search returns the k nearest vectors to q, closest first.
 func (b *BruteForce) Search(q []float32, k int) []Result {
 	rs, _ := b.SearchWithStats(q, k)
 	return rs
@@ -145,18 +145,12 @@ func Recall(approx, exact []Result) float64 {
 
 // graphIndex is the shared machinery of the single-layer proximity-graph
 // indexes (τ-MG, NSW): the flat vector matrix, adjacency, an entry point,
-// and the Index methods over beam-search routing.
+// and the Index method over beam-search routing.
 type graphIndex struct {
 	mat   *vecmath.Matrix
 	adj   [][]int32
 	entry int
 	beam  int // default ef for search, ≥ k
-}
-
-// Search implements Index using beam search with the configured beam width.
-func (g *graphIndex) Search(q []float32, k int) []Result {
-	rs, _ := g.SearchWithStats(q, k)
-	return rs
 }
 
 // SearchWithStats implements Index: route from the entry point toward q

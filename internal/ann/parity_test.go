@@ -11,6 +11,13 @@ import (
 	"chatgraph/internal/vecmath"
 )
 
+// Search is SearchWithStats without the counters: the one-query form the
+// tests compare across indexes.
+func (g *graphIndex) Search(q []float32, k int) []Result {
+	rs, _ := g.SearchWithStats(q, k)
+	return rs
+}
+
 // naiveTopK is the pre-refactor brute-force baseline, reimplemented the way
 // the seed did it: direct [][]float32 subtraction distances, a full n-sized
 // result slice, and a complete (Dist, ID) sort. The matrix-backed indexes
@@ -95,70 +102,30 @@ func TestGraphIndexParity(t *testing.T) {
 	}
 }
 
-// TestSearchBatchMatchesSearch: the batch surface must be a pure fan-out —
-// identical results to the one-query loop, in input order, for every index
-// type.
-func TestSearchBatchMatchesSearch(t *testing.T) {
-	vecs, queries := parityFixture()
-	indexes := map[string]Index{
-		"bruteforce": NewBruteForce(vecs),
-	}
-	if idx, err := NewTauMG(vecs, TauMGConfig{Tau: 0.05}); err == nil {
-		indexes["taumg"] = idx
-	} else {
-		t.Fatal(err)
-	}
-	if idx, err := NewNSW(vecs, NSWConfig{}); err == nil {
-		indexes["nsw"] = idx
-	} else {
-		t.Fatal(err)
-	}
-	for name, idx := range indexes {
-		batch := SearchBatch(idx, queries, 5)
-		if len(batch) != len(queries) {
-			t.Fatalf("%s: batch returned %d lists", name, len(batch))
-		}
-		for i, q := range queries {
-			if want := idx.Search(q, 5); !reflect.DeepEqual(batch[i], want) {
-				t.Fatalf("%s: batch[%d] = %+v, loop = %+v", name, i, batch[i], want)
-			}
-		}
-	}
-	empty := SearchBatch(indexes["bruteforce"], nil, 5)
-	if len(empty) != 0 {
-		t.Fatalf("empty batch returned %d lists", len(empty))
-	}
-}
-
-// TestSearchBatchRace hammers one shared index from many goroutines mixing
-// SearchBatch and single Search calls — the scratch-pool concurrency
-// contract, verified by CI's -race run.
-func TestSearchBatchRace(t *testing.T) {
+// TestConcurrentSearch hammers one shared τ-MG from many goroutines, each
+// comparing against a serial pass: the scratch-pool concurrency contract
+// that lets concurrent requests share an index, verified by CI's -race run.
+func TestConcurrentSearch(t *testing.T) {
 	vecs, queries := parityFixture()
 	idx, err := NewTauMG(vecs, TauMGConfig{Tau: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := SearchBatch(idx, queries, 5)
+	want := make([][]Result, len(queries))
+	for i, q := range queries {
+		want[i] = idx.Search(q, 5)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				if w%2 == 0 {
-					got := SearchBatch(idx, queries, 5)
-					if !reflect.DeepEqual(got, want) {
-						errs <- "concurrent SearchBatch diverged"
-						return
-					}
-				} else {
-					qi := (w + i) % len(queries)
-					if got := idx.Search(queries[qi], 5); !reflect.DeepEqual(got, want[qi]) {
-						errs <- "concurrent Search diverged"
-						return
-					}
+			for i := 0; i < 25*len(queries); i++ {
+				qi := (w + i) % len(queries)
+				if got := idx.Search(queries[qi], 5); !reflect.DeepEqual(got, want[qi]) {
+					errs <- "concurrent Search diverged"
+					return
 				}
 			}
 		}(w)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"chatgraph/internal/parallel"
 	"chatgraph/internal/vecmath"
 )
 
@@ -264,20 +263,4 @@ func beamSearch(src *distSource, adj [][]int32, entry, ef int, sc *searchScratch
 			}
 		}
 	}
-}
-
-// SearchBatch fans qs across a bounded worker pool (at most GOMAXPROCS
-// goroutines) and returns one result list per query, in input order. Every
-// worker leases its own scratch through the pool, so batches over one
-// shared index are race-free and per-query allocation-free; out[i] is nil
-// only when qs[i] produced no results.
-func SearchBatch(ix Index, qs [][]float32, k int) [][]Result {
-	out := make([][]Result, len(qs))
-	if len(qs) == 0 || k <= 0 {
-		return out
-	}
-	parallel.ForEach(len(qs), func(i int) {
-		out[i] = ix.Search(qs[i], k)
-	})
-	return out
 }

@@ -112,8 +112,13 @@ func registerExtended(r *Registry, _ *Env) {
 		Description: "Find the center of the graph: the nodes with the smallest eccentricity, plus the radius and diameter.",
 		Category:    "understand",
 		Fn: func(in Input) (Output, error) {
-			_, radius, diameter := graph.Eccentricities(in.Graph)
-			center := graph.Center(in.Graph)
+			ecc, radius, diameter := graph.Eccentricities(in.Graph)
+			var center []graph.NodeID
+			for u, e := range ecc {
+				if e == radius {
+					center = append(center, graph.NodeID(u))
+				}
+			}
 			return Output{
 				Text: fmt.Sprintf("Radius %d, diameter %d; %d node(s) form the center.", radius, diameter, len(center)),
 				Data: center,

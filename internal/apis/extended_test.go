@@ -2,6 +2,7 @@ package apis
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -94,8 +95,8 @@ func TestCenterColoringSpanningTreeAPIs(t *testing.T) {
 		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1)) //nolint:errcheck
 	}
 	out, err := r.Invoke(chain.NewStep("structure.center"), Input{Graph: g})
-	if err != nil || !strings.Contains(out.Text, "Radius 2, diameter 4") {
-		t.Fatalf("center = %v, %v", out, err)
+	if err != nil || out.Text != "Radius 2, diameter 4; 1 node(s) form the center." || !reflect.DeepEqual(out.Data, []graph.NodeID{2}) {
+		t.Fatalf("center = %#v, %v", out, err)
 	}
 	out, err = r.Invoke(chain.NewStep("structure.coloring"), Input{Graph: g})
 	if err != nil || !strings.Contains(out.Text, "2 color") {
@@ -104,6 +105,40 @@ func TestCenterColoringSpanningTreeAPIs(t *testing.T) {
 	out, err = r.Invoke(chain.NewStep("structure.spanning_tree"), Input{Graph: g})
 	if err != nil || !strings.Contains(out.Text, "4 edge") {
 		t.Fatalf("mst = %v, %v", out, err)
+	}
+}
+
+// TestCenterOutputIsPinned pins structure.center's Text and Data on fixed
+// graphs: a tree, a ring beside an isolated node (the isolated node is not
+// in the center), isolated nodes alone (radius 0: every node is) and the
+// empty graph (nil Data).
+func TestCenterOutputIsPinned(t *testing.T) {
+	r := reg()
+	ring := graph.New()
+	for i := 0; i < 7; i++ {
+		ring.AddNode("v")
+	}
+	for i := 0; i < 6; i++ {
+		ring.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%6)) //nolint:errcheck
+	}
+	isolated := graph.New()
+	isolated.AddNode("v")
+	isolated.AddNode("v")
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		text string
+		data []graph.NodeID
+	}{
+		{"ba60", graph.BarabasiAlbert(60, 1, rand.New(rand.NewSource(4))), "Radius 5, diameter 10; 1 node(s) form the center.", []graph.NodeID{0}},
+		{"ring6+1", ring, "Radius 3, diameter 3; 6 node(s) form the center.", []graph.NodeID{0, 1, 2, 3, 4, 5}},
+		{"isolated2", isolated, "Radius 0, diameter 0; 2 node(s) form the center.", []graph.NodeID{0, 1}},
+		{"empty", graph.New(), "Radius 0, diameter 0; 0 node(s) form the center.", nil},
+	} {
+		out, err := r.Invoke(chain.NewStep("structure.center"), Input{Graph: tc.g})
+		if err != nil || out.Text != tc.text || !reflect.DeepEqual(out.Data, tc.data) {
+			t.Errorf("%s: center = %q %#v, %v; want %q %#v", tc.name, out.Text, out.Data, err, tc.text, tc.data)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"unicode"
 	"unicode/utf8"
 
-	"chatgraph/internal/parallel"
 	"chatgraph/internal/vecmath"
 )
 
@@ -124,12 +123,13 @@ func (h *Hashing) Embed(text string) []float32 {
 	return v
 }
 
-// EmbedBatch embeds many texts across a bounded worker pool (at most
-// GOMAXPROCS goroutines; Embed only takes the IDF read-lock); out[i] is the
-// embedding of texts[i]. It is the companion to ann.SearchBatch.
+// EmbedBatch embeds many texts, in order: out[i] is the embedding of
+// texts[i].
 func (h *Hashing) EmbedBatch(texts []string) [][]float32 {
 	out := make([][]float32, len(texts))
-	parallel.ForEach(len(texts), func(i int) { out[i] = h.Embed(texts[i]) })
+	for i, text := range texts {
+		out[i] = h.Embed(text)
+	}
 	return out
 }
 

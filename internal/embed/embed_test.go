@@ -118,7 +118,7 @@ func TestFitChangesWeighting(t *testing.T) {
 	}
 }
 
-// TestEmbedBatchMatchesEmbed: the batch fan-out must be a pure wrapper —
+// TestEmbedBatchMatchesEmbed: the batch must be a pure wrapper —
 // byte-identical vectors to per-text Embed calls, in input order.
 func TestEmbedBatchMatchesEmbed(t *testing.T) {
 	h := NewHashing(64)

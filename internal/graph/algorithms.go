@@ -3,8 +3,6 @@ package graph
 import (
 	"math"
 	"sort"
-
-	"chatgraph/internal/parallel"
 )
 
 // Additional whole-graph algorithms backing the extended API catalog:
@@ -13,9 +11,9 @@ import (
 // spanning trees. All operate on the undirected view unless noted.
 //
 // Every traversal-heavy algorithm here runs on the frozen CSR view
-// (Graph.Freeze) with pooled scratch, and the all-source ones fan their
-// independent sources across parallel.ForEach — the same flat-contiguous +
-// pooled-scratch + bounded-worker recipe the vector layer uses.
+// (Graph.Freeze) with pooled scratch, on its caller's goroutine — the same
+// flat-contiguous + pooled-scratch recipe the vector layer uses. The only
+// parallelism is between requests.
 
 // CoreNumbers returns, for every node, the largest k such that the node
 // belongs to the k-core (the maximal subgraph with minimum degree ≥ k),
@@ -311,19 +309,18 @@ func WeightedShortestPath(g *Graph, src, dst NodeID) ([]NodeID, float64) {
 
 // Eccentricities returns each node's eccentricity (max BFS distance to any
 // reachable node), plus the radius (min positive eccentricity) and diameter
-// (max eccentricity). Isolated nodes get eccentricity 0. The independent
-// per-source BFS sweeps fan out across parallel.ForEach, each worker leasing
-// its own pooled scratch, so the whole computation allocates only the
-// eccentricity slice.
+// (max eccentricity). Isolated nodes get eccentricity 0. One BFS per source
+// runs over one pooled scratch lease (each sweep starts a fresh visited
+// epoch), so the whole computation allocates only the eccentricity slice.
 func Eccentricities(g *Graph) (ecc []int, radius, diameter int) {
 	c := g.Freeze()
 	n := c.n
 	ecc = make([]int, n)
-	parallel.ForEach(n, func(u int) {
-		sc := getTrav(n)
+	sc := getTrav(n)
+	for u := range ecc {
 		ecc[u] = int(c.eccFrom(int32(u), sc))
-		putTrav(sc)
-	})
+	}
+	putTrav(sc)
 	radius = math.MaxInt
 	for _, e := range ecc {
 		if e > diameter {
@@ -337,18 +334,6 @@ func Eccentricities(g *Graph) (ecc []int, radius, diameter int) {
 		radius = 0
 	}
 	return ecc, radius, diameter
-}
-
-// Center returns the nodes with minimum (positive) eccentricity.
-func Center(g *Graph) []NodeID {
-	ecc, radius, _ := Eccentricities(g)
-	var out []NodeID
-	for i, e := range ecc {
-		if e == radius {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
 }
 
 // GreedyColoring colors nodes in descending-degree order with the smallest

@@ -139,8 +139,8 @@ func TestConnectedComponentsDense(t *testing.T) {
 	}
 }
 
-// TestEccentricitiesDense runs the public all-source API (which fans eccFrom
-// out across workers) on a dense fixture against the naive oracle.
+// TestEccentricitiesDense runs the public all-source API (eccFrom from
+// every source) on a dense fixture against the naive oracle.
 func TestEccentricitiesDense(t *testing.T) {
 	g := denseFixtures(t)["er_dense"]
 	ecc, radius, diameter := Eccentricities(g)

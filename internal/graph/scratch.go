@@ -9,8 +9,9 @@ import (
 // an epoch-stamped visited buffer, a frontier queue, integer and float
 // distance arrays, and a hand-rolled Dijkstra heap. Instances recycle
 // through travPool (mirroring ann.searchScratch), so a steady-state BFS or
-// Dijkstra allocates nothing per visited node, and concurrent traversals
-// over one shared frozen graph each lease their own scratch.
+// Dijkstra allocates nothing per visited node, and concurrent requests
+// traversing one shared frozen graph each lease their own scratch. An
+// all-source kernel keeps one lease for all its sweeps.
 type travScratch struct {
 	// visited[i] == epoch marks node i seen by the current traversal.
 	// Bumping epoch invalidates the whole buffer in O(1).

@@ -6,8 +6,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-
-	"chatgraph/internal/parallel"
 )
 
 // Stats summarizes the structural properties the report-generation APIs talk
@@ -33,10 +31,10 @@ type Stats struct {
 // ComputeStats derives Stats from g. The result is memoized on the frozen
 // CSR view, so repeated calls on an unmutated graph are O(1); any mutation
 // (version bump) triggers a full recompute. The heavy pieces — triangle
-// counting and the diameter sweep — run on the CSR with pooled scratch;
-// triangle counting intersects adjacency bit rows where the graph is dense
-// enough for them and fans sorted-list merges across parallel.ForEach where
-// it is not.
+// counting and the diameter sweep — run on the CSR with pooled scratch, on
+// the caller's goroutine; triangle counting intersects adjacency bit rows
+// where the graph is dense enough for them and merges sorted neighbour
+// lists where it is not.
 func ComputeStats(g *Graph) Stats {
 	return g.Freeze().Stats()
 }
@@ -120,11 +118,9 @@ func (c *CSR) countTriangles() (int, float64) {
 // triangleStats counts, per node u, the closed wedges at u — adjacent pairs
 // {v, w} ⊂ N(u) — as half the sum over neighbours v of |N(u) ∩ N(v)|, then
 // folds the per-node counts in ID order. With bit rows an intersection is a
-// popcount of row[u] & row[v], a few words per edge, and the whole pass is
-// cheaper than a goroutine hand-off; without them it merge-intersects the
-// sorted neighbour lists and the independent per-node counts fan out across
-// parallel.ForEach. Both fill the same integers, so the results are equal
-// bit for bit (TestTrianglesParity).
+// popcount of row[u] & row[v], a few words per edge; without them it
+// merge-intersects the sorted neighbour lists. Both fill the same integers,
+// so the results are equal bit for bit (TestTrianglesParity).
 func (c *CSR) triangleStats(bitRows bool) (int, float64) {
 	n := c.n
 	if n == 0 {
@@ -167,12 +163,8 @@ func (c *CSR) triangleStats(bitRows bool) (int, float64) {
 		// and once from w.
 		closed[ui] = pairSum / 2
 	}
-	if bitRows {
-		for u := 0; u < n; u++ {
-			wedges(u)
-		}
-	} else {
-		parallel.ForEach(n, wedges)
+	for u := 0; u < n; u++ {
+		wedges(u)
 	}
 	var triTotal int64
 	var ccSum float64

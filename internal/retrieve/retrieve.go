@@ -100,9 +100,8 @@ func (ix *Index) TopAPIs(query string, k int) []Scored {
 }
 
 // TopAPIsBatch answers many queries in one call; out[i] is the ranked hit
-// list for queries[i]. The loop is serial: at ≈ 3 µs a query the largest
-// batch the server admits is under a millisecond, less than a worker pool's
-// hand-off.
+// list for queries[i]. Like all of one request's work, the loop runs on the
+// caller's goroutine.
 func (ix *Index) TopAPIsBatch(queries []string, k int) [][]Scored {
 	out := make([][]Scored, len(queries))
 	for i, q := range queries {

@@ -342,7 +342,7 @@ func BenchmarkRetrievalCrossover(b *testing.B) {
 			} {
 				b.Run(tc.name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						tc.ix.Search(qs[i%len(qs)], 6)
+						tc.ix.SearchWithStats(qs[i%len(qs)], 6)
 					}
 				})
 			}

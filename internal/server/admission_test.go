@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,7 +19,6 @@ import (
 	"chatgraph/internal/core"
 	"chatgraph/internal/llm"
 	"chatgraph/internal/metrics"
-	"chatgraph/internal/parallel"
 	"chatgraph/internal/ratelimit"
 	"chatgraph/internal/tenant"
 )
@@ -71,12 +71,26 @@ func chatBody(t *testing.T) []byte {
 	return data
 }
 
+// concurrently runs fn(i) for every i in [0, n), each on its own goroutine
+// as each request is on its own connection, and returns when all have.
+func concurrently(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // TestInFlightShedding holds a MaxInFlight=1 server's only slot with a slow
-// background chat, then fans in 6 more requests via parallel.ForEach: every
-// one must come back 429 with Retry-After (never any other error), the
-// admitted chat must succeed, and the gate must reopen afterwards. The
-// ForEach fan-in works on any GOMAXPROCS — the slot is provably occupied for
-// the whole burst, so the burst's concurrency level doesn't matter.
+// background chat, then fans in 6 more concurrent requests: every one must
+// come back 429 with Retry-After (never any other error), the admitted chat
+// must succeed, and the gate must reopen afterwards. The slot is provably
+// occupied for the whole burst, so the burst's concurrency level doesn't
+// matter.
 func TestInFlightShedding(t *testing.T) {
 	eng := slowEngine(t, 600*time.Millisecond)
 	srv, ts := newAdmissionServer(t, eng, Options{MaxInFlight: 1})
@@ -108,7 +122,7 @@ func TestInFlightShedding(t *testing.T) {
 	const n = 6
 	var shed, other atomic.Int64
 	var missingRetryAfter atomic.Int64
-	parallel.ForEach(n, func(i int) {
+	concurrently(n, func(i int) {
 		resp, err := http.Post(ts.URL+"/v1/sessions/"+burster.SessionID+"/chat", "application/json", bytes.NewReader(body))
 		if err != nil {
 			other.Add(1)
@@ -174,7 +188,7 @@ func TestNoSheddingBelowCap(t *testing.T) {
 	}
 	body := chatBody(t)
 	var bad atomic.Int64
-	parallel.ForEach(slots, func(i int) {
+	concurrently(slots, func(i int) {
 		resp, err := http.Post(ts.URL+"/v1/sessions/"+ids[i]+"/chat", "application/json", bytes.NewReader(body))
 		if err != nil {
 			bad.Add(1)
@@ -216,8 +230,8 @@ func TestHealthzAndMetricsBypassGate(t *testing.T) {
 }
 
 // TestSessionRateLimit drives one session past its token bucket with a
-// parallel.ForEach burst: exactly burst requests pass, the rest are 429
-// with Retry-After, and a second session is unaffected.
+// concurrent burst: exactly burst requests pass, the rest are 429 with
+// Retry-After, and a second session is unaffected.
 func TestSessionRateLimit(t *testing.T) {
 	eng := slowEngine(t, 0)
 	srv, ts := newAdmissionServer(t, eng, Options{
@@ -230,7 +244,7 @@ func TestSessionRateLimit(t *testing.T) {
 
 	const n = 6
 	var ok2xx, shed, other atomic.Int64
-	parallel.ForEach(n, func(i int) {
+	concurrently(n, func(i int) {
 		resp, err := http.Post(ts.URL+"/v1/sessions/"+limited.SessionID+"/chat", "application/json", bytes.NewReader(body))
 		if err != nil {
 			other.Add(1)

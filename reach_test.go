@@ -1,10 +1,12 @@
 // The reachability gates. Every function and method declared in a non-test
 // file under internal/ or cmd/ must be reached, through non-test code, from
-// some binary's main (cmd/, examples/, bench/), an init, or a package-level
+// some binary's main (cmd/, examples/), an init, or a package-level
 // initializer: a function only its own tests call is code no program runs;
 // it goes, or it moves into a _test.go file (TestEveryFunctionIsReached).
 // And every option field under internal/ must be set by non-test code: a
-// field nothing sets is a constant (TestEveryOptionIsSet).
+// field nothing sets is a constant (TestEveryOptionIsSet). Both gates load
+// bench/ but count it as a test: what only the benchmark reaches or sets
+// needs a benchKeep entry.
 package chatgraph_test
 
 import (
@@ -34,6 +36,46 @@ var reachKeep = map[string]string{
 	"(internal/chain.Chain).Equal":         "whole-chain comparison in internal/finetune's TestDenseModelMatchesMapModel, internal/core's and internal/durable's round-trip tests",
 	"(*internal/graph.Graph).AddNodeAttrs": "builds the typed knowledge-graph fixtures of internal/kg's and internal/apis' tests (kg_test.go's and mining_test.go's builders, TestDetectMissingAPI)",
 	"internal/graph.ErdosRenyi":            "the random fixture of internal/seq's TestPathCoverQuadraticBound, TestQuickPathsAreWalks, TestQuickSuperGraphPartition and TestSuperGraphPartitionParity",
+}
+
+// benchKeep lists the functions (spelled as in reachKeep) and option fields
+// (spelled as in optionKeep) that only bench/ reaches or sets, each with the
+// bench/ file that does. bench/ is the benchmark harness and changes only in
+// a benchmark-only change, so its callers keep nothing alive by themselves:
+// a new bench-only survivor shows up as a new entry here. An entry the scan
+// no longer needs, or whose file no longer reaches it, fails the gate too.
+var benchKeep = map[string]string{
+	"(*internal/apis.InvokeCache).Counters":  "bench/trace.go",
+	"(*internal/apis.InvokeCache).Evictions": "bench/trace.go",
+	"(*internal/core.Engine).Env":            "bench/trace.go",
+	"(*internal/core.Engine).Model":          "bench/main.go",
+	"(*internal/durable.Store).PersistGraph": "bench/trace.go",
+	"(*internal/graph.Graph).MarshalJSON":    "bench/trace.go",
+	"(*internal/graphstore.Store).Counters":  "bench/trace.go",
+	"(*internal/graphstore.Store).Evictions": "bench/trace.go",
+	"(*internal/jobs.Job).Done":              "bench/trace.go",
+	"(*internal/jobs.Manager).Submit":        "bench/trace.go",
+	"(*internal/llm.SimClient).Complete":     "bench/trace.go",
+	"(*internal/retrieve.Index).Description": "bench/oracle.go",
+	"internal/llm.parsePrompt":               "bench/trace.go",
+	"internal/seq.RenderAll":                 "bench/trace.go",
+	"internal/seq.Sequentialize":             "bench/trace.go",
+	"internal/cluster.Options.Registry":      "bench/trace.go",
+	"internal/durable.Options.Metrics":       "bench/trace.go",
+	"internal/retrieve.Config.Quantize":      "bench/oracle.go",
+	"internal/server.Options.Metrics":        "bench/trace.go",
+}
+
+// isOptionName reports whether a benchKeep entry names an option field
+// (pkg.Type.Field) rather than a function (pkg.Func or (recv).Method).
+func isOptionName(name string) bool {
+	return !strings.HasPrefix(name, "(") && strings.Count(name[strings.LastIndex(name, "/")+1:], ".") == 2
+}
+
+// inBench reports whether a module directory is bench/ or below it.
+func inBench(dir string) bool {
+	dir = filepath.ToSlash(dir)
+	return dir == "bench" || strings.HasPrefix(dir, "bench/")
 }
 
 // reachStdInterfaces are the standard-library interfaces whose methods only
@@ -184,6 +226,10 @@ func TestEveryFunctionIsReached(t *testing.T) {
 		refs  = make(map[*types.Func][]*types.Func)
 		roots []*types.Func
 		named []types.Type // every concrete named type of the module, for interface dispatch
+		// What each bench/ file names, and the functions bench/ declares: the
+		// benchmark is walked file by file, apart from the roots.
+		benchSeeds = make(map[string][]*types.Func)
+		benchFuncs = make(map[*types.Func]bool)
 	)
 	collect := func(info *types.Info, n ast.Node) (out []*types.Func) {
 		ast.Inspect(n, func(n ast.Node) bool {
@@ -204,11 +250,18 @@ func TestEveryFunctionIsReached(t *testing.T) {
 			}
 		}
 		checked := strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "internal/")
+		bench := inBench(dir)
 		for _, f := range p.files {
+			file := filepath.ToSlash(l.fset.File(f.Pos()).Name())
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.GenDecl:
-					if d.Tok == token.VAR {
+					if d.Tok != token.VAR {
+						break
+					}
+					if bench {
+						benchSeeds[file] = append(benchSeeds[file], collect(p.info, d)...)
+					} else {
 						roots = append(roots, collect(p.info, d)...)
 					}
 				case *ast.FuncDecl:
@@ -216,7 +269,10 @@ func TestEveryFunctionIsReached(t *testing.T) {
 					if d.Body != nil {
 						refs[fn] = collect(p.info, d.Body)
 					}
-					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.types.Name() == "main") {
+					if bench {
+						benchFuncs[fn] = true
+						benchSeeds[file] = append(benchSeeds[file], refs[fn]...)
+					} else if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.types.Name() == "main") {
 						roots = append(roots, fn)
 					} else if checked {
 						pos := l.fset.Position(d.Pos())
@@ -263,22 +319,36 @@ func TestEveryFunctionIsReached(t *testing.T) {
 		roots = append(roots, methodsFor(iface, "")...)
 	}
 
-	reached := make(map[*types.Func]bool)
-	work := roots
-	for len(work) > 0 {
-		fn := work[len(work)-1]
-		work = work[:len(work)-1]
-		if reached[fn] {
-			continue
-		}
-		reached[fn] = true
-		work = append(work, refs[fn]...)
-		// A call through an interface reaches that method on every module
-		// type that implements the interface.
-		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-			if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
-				work = append(work, methodsFor(iface, fn.Name())...)
+	// walk marks in reached everything work reaches, expanding no function
+	// stop reports.
+	walk := func(work []*types.Func, reached map[*types.Func]bool, stop func(*types.Func) bool) {
+		for len(work) > 0 {
+			fn := work[len(work)-1]
+			work = work[:len(work)-1]
+			if reached[fn] || stop(fn) {
+				continue
 			}
+			reached[fn] = true
+			work = append(work, refs[fn]...)
+			// A call through an interface reaches that method on every module
+			// type that implements the interface.
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					work = append(work, methodsFor(iface, fn.Name())...)
+				}
+			}
+		}
+	}
+	reached := make(map[*types.Func]bool)
+	walk(roots, reached, func(*types.Func) bool { return false })
+	// benchFiles[fn] lists the bench/ files that reach fn, directly or
+	// through module code, when nothing else does.
+	benchFiles := make(map[*types.Func][]string)
+	for file, seeds := range benchSeeds {
+		from := make(map[*types.Func]bool)
+		walk(seeds, from, func(fn *types.Func) bool { return reached[fn] || benchFuncs[fn] })
+		for fn := range from {
+			benchFiles[fn] = append(benchFiles[fn], file)
 		}
 	}
 
@@ -294,7 +364,20 @@ func TestEveryFunctionIsReached(t *testing.T) {
 			kept[name] = true
 			continue
 		}
+		files := benchFiles[d.fn]
+		sort.Strings(files)
+		if file, ok := benchKeep[name]; ok {
+			kept[name] = true
+			if !slices.Contains(files, file) {
+				t.Errorf("benchKeep says %s reaches %s; the bench/ files that reach it: %v", file, name, files)
+			}
+			continue
+		}
 		dead += d.lines
+		if len(files) > 0 {
+			t.Errorf("%s (%s, %d lines) is reached only from %v, and bench/ counts as a test: delete it with its bench/ caller in a benchmark-only change, or list it in benchKeep with the file that reaches it", name, d.file, d.lines, files)
+			continue
+		}
 		t.Errorf("%s (%s, %d lines) is declared in non-test code and nothing but tests reaches it: delete it, move it into a _test.go file, or list it in reachKeep with the test that needs it", name, d.file, d.lines)
 	}
 	if dead > 0 {
@@ -303,6 +386,11 @@ func TestEveryFunctionIsReached(t *testing.T) {
 	for name := range reachKeep {
 		if !kept[name] {
 			t.Errorf("reachKeep lists %s, which is reached from non-test code or no longer exists: drop the entry", name)
+		}
+	}
+	for name := range benchKeep {
+		if !kept[name] && !isOptionName(name) {
+			t.Errorf("benchKeep lists %s, which is reached from non-bench code or no longer exists: drop the entry", name)
 		}
 	}
 }
@@ -318,16 +406,17 @@ var optionKeep = map[string]string{
 	"internal/ann.TauMGConfig.RandomCandidates": "internal/ann's TestTauMGGuaranteeWithinTau switches the sampled candidates off (-1) so the build is the exhaustive one",
 	"internal/ann.TauMGConfig.Beam":             "internal/ann's TestGraphIndexParity (beam opened to n) and root BenchmarkANNMRNG",
 	"internal/core.Config.Retrieve":             "read by nothing since NewEngine builds the index from Params.ANN; bench/oracle.go still assigns its inert Quantize, and bench/ changes only in benchmark-only PRs; it goes with chatgraphd's -quantize no-op",
-	"internal/cluster.Options.Transport":        "the router's http.RoundTripper seam: ROADMAP item 1(c)'s faulting transport plugs in here; no test sets it yet, and it goes if that item lands without it",
+	"internal/cluster.Options.Transport":        "the router's http.RoundTripper seam: ROADMAP item 3(c)'s faulting transport plugs in here; no test sets it yet, and it goes if that item lands without it",
 }
 
 // TestEveryOptionIsSet is the reachability gate asked of option fields: every
 // untagged field of an exported struct named *Options, *Config or Policy
-// under internal/ must be set by non-test code — as a composite-literal key
-// (or position) anywhere, or by an assignment, increment or address-of
-// outside the field's own package; an in-package `if x == 0 { x = d }` is a
-// default, not a caller. A field nothing sets has one value in every binary:
-// it becomes that constant. Tagged fields are set by the files they decode.
+// under internal/ must be set by non-test code outside bench/ — as a
+// composite-literal key (or position) anywhere, or by an assignment,
+// increment or address-of outside the field's own package; an in-package
+// `if x == 0 { x = d }` is a default, not a caller. A field nothing sets has
+// one value in every binary: it becomes that constant. Tagged fields are set
+// by the files they decode.
 func TestEveryOptionIsSet(t *testing.T) {
 	l := loadModule(t)
 
@@ -357,17 +446,27 @@ func TestEveryOptionIsSet(t *testing.T) {
 	}
 
 	set := make(map[*types.Var]bool)
-	for _, p := range l.pkgs {
-		// written marks the field a selector expression names, when the
-		// write happens outside the package that declares the field.
-		written := func(e ast.Expr) {
-			if sel, ok := e.(*ast.SelectorExpr); ok {
-				if f, ok := p.info.Uses[sel.Sel].(*types.Var); ok && f.IsField() && f.Pkg() != p.types {
-					set[f] = true
+	benchSet := make(map[string][]string) // field name → the bench/ files that set it
+	for dir, p := range l.pkgs {
+		for _, file := range p.files {
+			mark := func(f *types.Var) { set[f] = true }
+			if inBench(dir) {
+				name := filepath.ToSlash(l.fset.File(file.Pos()).Name())
+				mark = func(f *types.Var) {
+					if field, ok := fields[f]; ok && !slices.Contains(benchSet[field], name) {
+						benchSet[field] = append(benchSet[field], name)
+					}
 				}
 			}
-		}
-		for _, file := range p.files {
+			// written marks the field a selector expression names, when the
+			// write happens outside the package that declares the field.
+			written := func(e ast.Expr) {
+				if sel, ok := e.(*ast.SelectorExpr); ok {
+					if f, ok := p.info.Uses[sel.Sel].(*types.Var); ok && f.IsField() && f.Pkg() != p.types {
+						mark(f)
+					}
+				}
+			}
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CompositeLit:
@@ -381,9 +480,9 @@ func TestEveryOptionIsSet(t *testing.T) {
 					}
 					for i, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); !ok {
-							set[st.Field(i)] = true
+							mark(st.Field(i))
 						} else if f, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-							set[f] = true
+							mark(f)
 						}
 					}
 				case *ast.AssignStmt:
@@ -410,13 +509,31 @@ func TestEveryOptionIsSet(t *testing.T) {
 	}
 	sort.Strings(unset)
 	for _, name := range unset {
-		if _, ok := optionKeep[name]; !ok {
-			t.Errorf("%s is an option no non-test code sets: make it the constant it has always been, or list it in optionKeep with the test that needs it", name)
+		files := benchSet[name]
+		sort.Strings(files)
+		if _, ok := optionKeep[name]; ok {
+			continue
 		}
+		if file, ok := benchKeep[name]; ok {
+			if !slices.Contains(files, file) {
+				t.Errorf("benchKeep says %s sets %s; the bench/ files that set it: %v", file, name, files)
+			}
+			continue
+		}
+		if len(files) > 0 {
+			t.Errorf("%s is an option only %v sets, and bench/ counts as a test: make it a constant with its bench/ setter gone in a benchmark-only change, or list it in benchKeep with the file that sets it", name, files)
+			continue
+		}
+		t.Errorf("%s is an option no non-test code sets: make it the constant it has always been, or list it in optionKeep with the test that needs it", name)
 	}
 	for name := range optionKeep {
 		if _, ok := slices.BinarySearch(unset, name); !ok {
 			t.Errorf("optionKeep lists %s, which non-test code sets or which no longer exists: drop the entry", name)
+		}
+	}
+	for name := range benchKeep {
+		if _, ok := slices.BinarySearch(unset, name); isOptionName(name) && !ok {
+			t.Errorf("benchKeep lists %s, which non-bench code sets or which no longer exists: drop the entry", name)
 		}
 	}
 }
