@@ -1,10 +1,11 @@
-// Command evalchains regenerates experiments E7–E9, E11, E36 and E37 as
+// Command evalchains regenerates experiments E7–E9, E11, E36, E37 and E41 as
 // printed tables: the rollout-search ablation, the per-task accuracy
 // breakdown of the finetuned model under its one (greedy) decoder and as
 // Session.Ask serves it, the API-retrieval hit rate, the untrained-API bank's
 // served chains, the prompt-fidelity table (how much of a graph the prompt
-// names), the multi-session engine throughput scaling, and the graph-kernel
-// table (cold vs cached executor invocations).
+// names), the listing of E7c's misses (decoded vs served vs nearest truth),
+// the multi-session engine throughput scaling, and the graph-kernel table
+// (cold vs cached executor invocations).
 // It is the table-oriented companion to `go test -bench`.
 //
 // Everything before the "== E9" header is deterministic for given flags;
@@ -83,9 +84,13 @@ func main() {
 		os.Exit(1)
 	}
 	served := map[string]float64{}
+	var misses []miss
 	for _, ex := range test {
-		if finetune.Exact(serve(sv, ex.Question, graphs[ex.Kind]), ex.Truths) {
+		turn := serve(sv, ex.Question, graphs[ex.Kind])
+		if finetune.Exact(turn.Chain, ex.Truths) {
 			served[ex.Task]++
+		} else {
+			misses = append(misses, miss{ex, turn})
 		}
 	}
 	fmt.Printf("%-18s %8s %12s %10s %8s\n", "task", "examples", "exact-match", "mean-ged", "served")
@@ -132,7 +137,7 @@ func main() {
 	bankHits := 0
 	bank := finetune.UnseenAPIQuestions()
 	for _, u := range bank {
-		c := serve(sv, u.Question, graphs[u.Kind])
+		c := serve(sv, u.Question, graphs[u.Kind]).Chain
 		if slices.ContainsFunc(c, func(s chain.Step) bool { return s.API == u.API }) {
 			bankHits++
 		}
@@ -143,6 +148,9 @@ func main() {
 
 	fmt.Println("\n== E37: prompt fidelity (what llm.BuildPrompt shows an HTTP LLM of its graph) ==")
 	promptFidelity()
+
+	fmt.Println("\n== E41: E7c misses (held-out questions whose served chain is not exact) ==")
+	printMisses(misses, model, sv.Params().LLM.MaxChainLength, sv.Params().ANN.TopK, *alpha)
 
 	fmt.Println("\n== E9: multi-session engine throughput (concurrent Asks, one shared engine) ==")
 	env := &apis.Env{}
@@ -250,9 +258,10 @@ func servingEngine(model *finetune.Model, seed int64) (*core.Engine, map[graph.K
 	return eng, graphs, nil
 }
 
-// serve is the chain a fresh session's Ask generates for question on g,
-// whether or not it then executes.
-func serve(eng *core.Engine, question string, g *graph.Graph) chain.Chain {
+// serve is the turn a fresh session's Ask returns for question on g: its
+// Chain is the generated chain whether or not it then executes, and its
+// Candidates are retrieval's top-k.
+func serve(eng *core.Engine, question string, g *graph.Graph) core.Turn {
 	turn, _ := eng.NewSession().Ask(context.Background(), question, g, core.AskOptions{})
-	return turn.Chain
+	return turn
 }

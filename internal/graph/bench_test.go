@@ -82,9 +82,8 @@ func BenchmarkFreeze(b *testing.B) {
 
 // BenchmarkEccentricities runs the all-source sweep on the BA sizes and on
 // the upload shapes the serving benchmark sends: sbm4x50 is
-// chat_large_cold's social graph, the size at which the hybrid bitset BFS
-// has to earn its keep (EXPERIMENTS.md E22: ≈ 2× there against a queue-only
-// build, nothing on kg300).
+// chat_large_cold's social graph (EXPERIMENTS.md E40 has the price of the
+// one queue BFS there against the hybrid it replaced).
 func BenchmarkEccentricities(b *testing.B) {
 	for _, tc := range uploadShapes(b, 500, 2000) {
 		g := tc.g
@@ -98,10 +97,11 @@ func BenchmarkEccentricities(b *testing.B) {
 	}
 }
 
-// BenchmarkBFSFrontier pits the retired queue-only BFS (eccFromQueue) against
-// the hybrid queue/bitset traversal (eccFrom) on graphs dense enough to reach
-// the bottom-up mode, plus the sparse BA graph where the hybrid must not
-// regress (it never promotes there).
+// BenchmarkBFSFrontier pits production's one queue loop (eccFrom, the
+// "queue" rows) against the hybrid queue/bitset oracle it replaced
+// (hybridBFS.ecc, the "hybrid" rows) on graphs dense enough to reach the
+// oracle's bottom-up mode, on chat_large_cold's sbm4x50 upload, and on the
+// sparse BA graph where the oracle never promotes.
 func BenchmarkBFSFrontier(b *testing.B) {
 	graphs := []struct {
 		name string
@@ -110,6 +110,7 @@ func BenchmarkBFSFrontier(b *testing.B) {
 		{"er_n2000_d40", ErdosRenyi(2000, 0.02, rand.New(rand.NewSource(1)))},
 		{"er_n4000_d120", ErdosRenyi(4000, 0.03, rand.New(rand.NewSource(2)))},
 		{"planted_n2000", PlantedCommunities(4, 500, 0.08, 0.002, rand.New(rand.NewSource(3)))},
+		{"sbm4x50", uploadShapes(b)[0].g},
 		{"ba_n2000_sparse", BarabasiAlbert(2000, 2, rand.New(rand.NewSource(4)))},
 	}
 	for _, tc := range graphs {
@@ -117,7 +118,7 @@ func BenchmarkBFSFrontier(b *testing.B) {
 		for _, impl := range []struct {
 			name string
 			ecc  func(int32, *travScratch) int32
-		}{{"queue", c.eccFromQueue}, {"hybrid", c.eccFrom}} {
+		}{{"queue", c.eccFrom}, {"hybrid", newHybridBFS(c).ecc}} {
 			b.Run(tc.name+"/"+impl.name, func(b *testing.B) {
 				sc := getTrav(c.n)
 				defer putTrav(sc)

@@ -1,17 +1,17 @@
 package graph
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 )
 
 // CSR is the frozen, read-only adjacency view of one Graph version — the
-// only adjacency a Graph has — laid out in compressed-sparse-row form: one contiguous targets array per direction
-// with per-node offset fences. Neighbor iteration is a subslice — no
-// allocation, no sorting, no edge-table indirection — which is what makes the
-// all-source algorithms (eccentricities, triangles, core numbers) cheap
-// enough to parallelize.
+// only adjacency a Graph has — laid out in compressed-sparse-row form: one
+// contiguous targets array for the forward rows and, on a directed graph,
+// one for the undirected view, each with per-node offset fences. Neighbor
+// iteration is a subslice — no allocation, no sorting, no edge-table
+// indirection — so the all-source algorithms (eccentricities, triangles,
+// core numbers) run one request's sweeps without per-node garbage.
 //
 // A CSR is immutable and safe for unlimited concurrent use. It snapshots the
 // topology, weights, and the node labels Stats needs, so it stays
@@ -30,10 +30,6 @@ type CSR struct {
 	offsets []int32
 	targets []NodeID
 	weights []float64
-
-	// Reverse adjacency (directed only): in-edges per node.
-	roffsets []int32
-	rtargets []NodeID
 
 	// Undirected view: both endpoints of every edge. For undirected graphs
 	// these alias the forward arrays.
@@ -150,23 +146,6 @@ func buildCSR(g *Graph) *CSR {
 	sortRows(c.offsets, c.targets, c.weights)
 
 	if g.directed {
-		// Reverse adjacency.
-		c.roffsets = make([]int32, n+1)
-		c.rtargets = make([]NodeID, m)
-		for _, e := range g.edges {
-			c.roffsets[e.To+1]++
-		}
-		for i := 0; i < n; i++ {
-			c.roffsets[i+1] += c.roffsets[i]
-		}
-		copy(pos, c.roffsets[:n])
-		for _, e := range g.edges {
-			p := pos[e.To]
-			pos[e.To]++
-			c.rtargets[p] = e.From
-		}
-		sortRows(c.roffsets, c.rtargets, nil)
-
 		// Undirected view: both directions of every edge.
 		c.uoffsets = make([]int32, n+1)
 		c.utargets = make([]NodeID, 2*m)
@@ -214,12 +193,15 @@ func (c *CSR) OutDegree(u NodeID) int {
 	return int(c.offsets[u+1] - c.offsets[u])
 }
 
-// InDegree returns the in-degree (Degree for undirected graphs).
+// InDegree returns the in-degree (Degree for undirected graphs). On a
+// directed graph the undirected row holds both ends of every edge, so what
+// it holds beyond the out row is exactly the in-edges, parallel ones
+// included.
 func (c *CSR) InDegree(u NodeID) int {
 	if !c.directed {
 		return c.OutDegree(u)
 	}
-	return int(c.roffsets[u+1] - c.roffsets[u])
+	return c.undDegree(u) - c.OutDegree(u)
 }
 
 // UndirectedNeighbors returns u's neighbors in the undirected view (both
@@ -244,19 +226,31 @@ func (c *CSR) BFS(start NodeID, visit func(id NodeID, depth int) bool) {
 	}
 	sc := getTrav(c.n)
 	defer putTrav(sc)
+	c.bfs(int32(start), sc, c.offsets, c.targets, visit)
+}
+
+// bfs is the one level-order queue loop every unweighted traversal shares:
+// BFS, farthest, eccFrom, ShortestPathLengths and components. It walks
+// off/tgt from src under sc's current epoch, setting sc.depths[v] and the
+// epoch mark of every reached node, and returns the queue: the reached
+// nodes in visit order, so depths never decrease along it. visit, when
+// non-nil, sees each node as it is dequeued and stops the walk by returning
+// false (the queue then also holds nodes reached but not yet seen). The
+// caller owns the epoch: bfs never bumps it, so components can share one
+// epoch across per-component walks. The returned slice is sc.queue and is
+// valid until the next walk on sc.
+func (c *CSR) bfs(src int32, sc *travScratch, off []int32, tgt []NodeID, visit func(NodeID, int) bool) []int32 {
 	depth := sc.ints(c.n)
-	q := sc.queue[:0]
-	defer func() { sc.queue = q[:0] }()
-	q = append(q, int32(start))
-	sc.mark(int32(start))
-	depth[start] = 0
+	q := append(sc.queue[:0], src)
+	sc.mark(src)
+	depth[src] = 0
 	for head := 0; head < len(q); head++ {
 		u := q[head]
 		d := depth[u]
-		if !visit(NodeID(u), int(d)) {
-			return
+		if visit != nil && !visit(NodeID(u), int(d)) {
+			break
 		}
-		for _, v := range c.targets[c.offsets[u]:c.offsets[u+1]] {
+		for _, v := range tgt[off[u]:off[u+1]] {
 			if !sc.seen(int32(v)) {
 				sc.mark(int32(v))
 				depth[v] = d + 1
@@ -264,211 +258,51 @@ func (c *CSR) BFS(start NodeID, visit func(id NodeID, depth int) bool) {
 			}
 		}
 	}
-}
-
-// Hybrid BFS tuning. A frontier holding at least
-// max(n/denseFrontierDivisor, minDenseFrontier) nodes promotes to the dense
-// (bitset, bottom-up) mode; it demotes back to the queue when a level
-// shrinks below half that threshold. The floor keeps tiny graphs — where a
-// whole traversal costs less than one bitset rebuild — on the queue path.
-const (
-	denseFrontierDivisor = 16
-	minDenseFrontier     = 64
-)
-
-// bfsFrom is the level-synchronous hybrid BFS core shared by eccFrom,
-// ShortestPathLengths, and components. Sparse frontiers expand top-down
-// through the queue, exactly like the classic loop. When a level grows past
-// the density threshold the traversal promotes to bottom-up: the visited
-// bitset is rebuilt from the epoch marks, and each subsequent level is found
-// by sweeping the complement words (bits.TrailingZeros64 per unvisited
-// node) and probing reverse-adjacency rows for a frontier member, breaking
-// at the first hit — on dense levels that replaces |frontier|·degree edge
-// scans with early-exiting probes of the (few) unvisited nodes. Epoch marks
-// stay in sync in dense mode, so demotion (and any later caller using
-// sc.seen) just works.
-//
-// off/tgt is the adjacency to traverse; roff/rtgt must be its reverse (the
-// same slices for symmetric views). depth[v] is set for every reached node;
-// unreached entries are left untouched (callers identify reached nodes via
-// sc.seen). members, when non-nil, collects every reached node, in no
-// particular order. The caller owns the epoch: bfsFrom never bumps it, so
-// components can share one epoch across per-component calls. Returns the
-// maximum depth reached.
-func (c *CSR) bfsFrom(src int32, sc *travScratch, off []int32, tgt []NodeID, roff []int32, rtgt []NodeID, depth []int32, members *[]NodeID) int32 {
-	threshold := c.n / denseFrontierDivisor
-	if threshold < minDenseFrontier {
-		threshold = minDenseFrontier
-	}
-	q := sc.queue[:0]
-	defer func() { sc.queue = q[:0] }()
-	q = append(q, src)
-	sc.mark(src)
-	depth[src] = 0
-	if members != nil {
-		*members = append(*members, NodeID(src))
-	}
-	var (
-		d, maxD        int32 // current frontier depth, deepest level seen
-		dense          bool
-		cur, next, vis []uint64
-	)
-	lo, hi := 0, 1 // current level occupies q[lo:hi]
-	for {
-		if !dense && hi-lo >= threshold {
-			// Promote: rebuild the bitsets — visited from the epoch marks,
-			// the frontier from the current queue level. O(n) once, paid
-			// only when the level itself is Ω(n/16).
-			cur, next, vis = sc.bitsets(c.n)
-			clear(cur)
-			clear(vis)
-			for i := 0; i < c.n; i++ {
-				if sc.visited[i] == sc.epoch {
-					vis[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-			for _, u := range q[lo:hi] {
-				cur[u>>6] |= 1 << (uint(u) & 63)
-			}
-			q = q[:0]
-			lo, hi = 0, 0
-			dense = true
-		}
-		if dense {
-			clear(next)
-			count := 0
-			for w, free := range vis {
-				free = ^free
-				if base := w << 6; base+64 > c.n {
-					free &= 1<<(uint(c.n-base)) - 1
-				}
-				for free != 0 {
-					b := bits.TrailingZeros64(free)
-					free &^= 1 << uint(b)
-					v := int32(w<<6 + b)
-					for _, u := range rtgt[roff[v]:roff[v+1]] {
-						if cur[u>>6]&(1<<(uint(u)&63)) != 0 {
-							depth[v] = d + 1
-							sc.mark(v)
-							vis[w] |= 1 << uint(b)
-							next[v>>6] |= 1 << (uint(v) & 63)
-							count++
-							if members != nil {
-								*members = append(*members, NodeID(v))
-							}
-							break
-						}
-					}
-				}
-			}
-			if count == 0 {
-				return maxD
-			}
-			d++
-			maxD = d
-			cur, next = next, cur
-			if count < threshold/2 {
-				// Demote: extract the again-sparse frontier into the queue.
-				dense = false
-				for w, bw := range cur {
-					for bw != 0 {
-						b := bits.TrailingZeros64(bw)
-						bw &^= 1 << uint(b)
-						q = append(q, int32(w<<6+b))
-					}
-				}
-				lo, hi = 0, len(q)
-			}
-			continue
-		}
-		if lo == hi {
-			return maxD
-		}
-		for i := lo; i < hi; i++ {
-			u := q[i]
-			for _, v := range tgt[off[u]:off[u+1]] {
-				if !sc.seen(int32(v)) {
-					sc.mark(int32(v))
-					depth[v] = d + 1
-					q = append(q, int32(v))
-					if members != nil {
-						*members = append(*members, NodeID(v))
-					}
-				}
-			}
-		}
-		lo, hi = hi, len(q)
-		if lo < hi {
-			d++
-			maxD = d
-		}
-	}
-}
-
-// bfsForward runs the hybrid BFS from src over the forward adjacency using
-// sc's current epoch (directed graphs probe in-neighbors bottom-up via the
-// reverse arrays). See bfsFrom for the depth/seen contract.
-func (c *CSR) bfsForward(src int32, sc *travScratch, depth []int32) int32 {
-	roff, rtgt := c.offsets, c.targets
-	if c.directed {
-		roff, rtgt = c.roffsets, c.rtargets
-	}
-	return c.bfsFrom(src, sc, c.offsets, c.targets, roff, rtgt, depth, nil)
+	sc.queue = q
+	return q
 }
 
 // eccFrom returns the maximum BFS depth reachable from src over the forward
-// adjacency, using the caller's scratch. Zero allocations; dense levels run
-// bottom-up (see bfsFrom).
+// adjacency, using the caller's scratch: the depth of the last node queued.
+// Zero allocations.
 func (c *CSR) eccFrom(src int32, sc *travScratch) int32 {
 	sc.nextEpoch()
-	return c.bfsForward(src, sc, sc.ints(c.n))
+	q := c.bfs(src, sc, c.offsets, c.targets, nil)
+	return sc.depths[q[len(q)-1]]
 }
 
 // farthest returns the node at maximum BFS depth from src (ties broken by
 // BFS visit order, matching the slice-based double sweep) and that depth.
 func (c *CSR) farthest(src int32, sc *travScratch) (NodeID, int32) {
 	sc.nextEpoch()
-	depth := sc.ints(c.n)
-	q := sc.queue[:0]
-	defer func() { sc.queue = q[:0] }()
-	q = append(q, src)
-	sc.mark(src)
-	depth[src] = 0
-	best, bestD := src, int32(0)
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		d := depth[u]
-		if d > bestD {
-			best, bestD = u, d
-		}
-		for _, v := range c.targets[c.offsets[u]:c.offsets[u+1]] {
-			if !sc.seen(int32(v)) {
-				sc.mark(int32(v))
-				depth[v] = d + 1
-				q = append(q, int32(v))
-			}
+	q := c.bfs(src, sc, c.offsets, c.targets, nil)
+	best := q[0]
+	for _, u := range q {
+		if sc.depths[u] > sc.depths[best] {
+			best = u
 		}
 	}
-	return NodeID(best), bestD
+	return NodeID(best), sc.depths[best]
 }
 
 // components returns the weakly connected components (members sorted,
 // components ordered by smallest member), matching the pre-CSR
-// Graph.ConnectedComponents output exactly. Each component is traversed by
-// the hybrid BFS over the symmetric undirected view; one shared epoch spans
-// all components, so the dense mode's visited bitset automatically excludes
-// nodes claimed by earlier components.
+// Graph.ConnectedComponents output exactly. Each component is one walk over
+// the undirected view; one shared epoch spans all components, so a node
+// claimed by an earlier component starts no walk of its own.
 func (c *CSR) components() [][]NodeID {
 	sc := getTrav(c.n)
 	defer putTrav(sc)
-	depth := sc.ints(c.n)
 	var comps [][]NodeID
 	for s := 0; s < c.n; s++ {
 		if sc.seen(int32(s)) {
 			continue
 		}
-		members := make([]NodeID, 0, 8)
-		c.bfsFrom(int32(s), sc, c.uoffsets, c.utargets, c.uoffsets, c.utargets, depth, &members)
+		q := c.bfs(int32(s), sc, c.uoffsets, c.utargets, nil)
+		members := make([]NodeID, len(q))
+		for i, u := range q {
+			members[i] = NodeID(u)
+		}
 		sortNodeIDs(members)
 		comps = append(comps, members)
 	}

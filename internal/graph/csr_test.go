@@ -8,13 +8,10 @@ import (
 	"testing"
 )
 
-// The two InNeighbors below are the in-edge views nothing outside the tests
-// reads (the kernels walk the reverse rows directly): the Graph one is the
-// naive reference for in-degrees, the CSR one exposes the frozen reverse rows
-// so TestCSRNeighborViews can hold them to it.
-
 // InNeighbors returns the IDs with an edge into u. For undirected graphs it
-// equals Neighbors.
+// equals Neighbors. Nothing outside the tests reads in-edges as a list (the
+// CSR keeps no reverse rows), so it lives here as the naive reference for
+// CSR.InDegree.
 func (g *Graph) InNeighbors(u NodeID) []NodeID {
 	if !g.directed {
 		return g.Neighbors(u)
@@ -29,18 +26,12 @@ func (g *Graph) InNeighbors(u NodeID) []NodeID {
 	return out
 }
 
-// InNeighbors returns the sources of edges entering u, ascending. For
-// undirected graphs it equals OutNeighbors.
-func (c *CSR) InNeighbors(u NodeID) []NodeID {
-	if !c.directed {
-		return c.OutNeighbors(u)
-	}
-	return c.rtargets[c.roffsets[u]:c.roffsets[u+1]]
-}
-
 // TestCSRNeighborViews: every CSR view must report exactly what the
-// slice-materializing Graph accessors report, in the same order.
+// slice-materializing Graph accessors report, in the same order. InDegree is
+// derived from the undirected and out rows, so the fixtures must include a
+// directed graph with parallel edges and a node with out-edges only.
 func TestCSRNeighborViews(t *testing.T) {
+	var sawParallel, sawSourceOnly bool
 	for name, g := range parityFixtures(t) {
 		c := g.Freeze()
 		if c.NumNodes() != g.NumNodes() || c.m != g.NumEdges() || c.directed != g.Directed() {
@@ -60,12 +51,14 @@ func TestCSRNeighborViews(t *testing.T) {
 				t.Fatalf("%s node %d: OutDegree = %d, want %d", name, u, c.OutDegree(id), g.Degree(id))
 			}
 			wantIn := g.InNeighbors(id)
-			gotIn := c.InNeighbors(id)
-			if len(gotIn) != len(wantIn) || len(gotIn) > 0 && !reflect.DeepEqual(gotIn, wantIn) {
-				t.Fatalf("%s node %d: InNeighbors = %v, want %v", name, u, gotIn, wantIn)
-			}
 			if c.InDegree(id) != len(wantIn) {
 				t.Fatalf("%s node %d: InDegree = %d, want %d", name, u, c.InDegree(id), len(wantIn))
+			}
+			if g.Directed() {
+				sawSourceOnly = sawSourceOnly || len(wantIn) == 0 && len(wantOut) > 0
+				for i := 1; i < len(wantOut); i++ {
+					sawParallel = sawParallel || wantOut[i] == wantOut[i-1]
+				}
 			}
 			// Weights stay aligned with their targets.
 			ws := c.OutWeights(id)
@@ -86,6 +79,9 @@ func TestCSRNeighborViews(t *testing.T) {
 				}
 			}
 		}
+	}
+	if !sawParallel || !sawSourceOnly {
+		t.Fatalf("no directed fixture with parallel edges (%v) and a node with out-edges only (%v)", sawParallel, sawSourceOnly)
 	}
 }
 

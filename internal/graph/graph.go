@@ -358,9 +358,7 @@ func (g *Graph) ConnectedComponents() [][]NodeID {
 }
 
 // ShortestPathLengths runs an unweighted BFS from src and returns hop counts
-// to every node; unreachable nodes get -1. The traversal uses the hybrid
-// queue/bitset frontier, so dense graphs pay bottom-up sweeps instead of
-// per-edge scans.
+// to every node; unreachable nodes get -1.
 func (g *Graph) ShortestPathLengths(src NodeID) []int {
 	dist := make([]int, len(g.nodes))
 	for i := range dist {
@@ -372,12 +370,8 @@ func (g *Graph) ShortestPathLengths(src NodeID) []int {
 	c := g.Freeze()
 	sc := getTrav(c.n)
 	defer putTrav(sc)
-	depth := sc.ints(c.n)
-	c.bfsForward(int32(src), sc, depth)
-	for i := range dist {
-		if sc.seen(int32(i)) {
-			dist[i] = int(depth[i])
-		}
+	for _, u := range c.bfs(int32(src), sc, c.offsets, c.targets, nil) {
+		dist[u] = int(sc.depths[u])
 	}
 	return dist
 }

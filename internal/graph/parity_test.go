@@ -650,6 +650,18 @@ func parityFixtures(t *testing.T) map[string]*Graph {
 	}
 	du.AddNode("iso")
 	fixtures["directed_disconnected"] = du
+
+	// Directed, hand-built: parallel edges (0→1 twice, 3→2 three times), a
+	// node with out-edges only (4), a cycle and an isolated node — the
+	// shapes CSR.InDegree must count right from the undirected and out rows.
+	dm := NewDirected()
+	for i := 0; i < 6; i++ {
+		dm.AddNode("")
+	}
+	for _, e := range [][2]NodeID{{0, 1}, {0, 1}, {1, 2}, {2, 0}, {3, 2}, {3, 2}, {3, 2}, {4, 0}, {4, 3}, {2, 3}} {
+		dm.AddEdge(e[0], e[1]) //nolint:errcheck // endpoints valid by construction
+	}
+	fixtures["directed_multi_source"] = dm
 	return fixtures
 }
 

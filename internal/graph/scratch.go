@@ -17,7 +17,8 @@ type travScratch struct {
 	// Bumping epoch invalidates the whole buffer in O(1).
 	visited []uint32
 	epoch   uint32
-	// queue doubles as BFS frontier and DFS stack.
+	// queue is the BFS frontier; after a walk it holds the reached nodes
+	// in visit order (see CSR.bfs).
 	queue []int32
 	// depths holds per-node hop counts (valid only for visited nodes).
 	depths []int32
@@ -28,11 +29,6 @@ type travScratch struct {
 	parent []int32
 	// heap is the Dijkstra priority queue.
 	heap []heapEntry
-	// curBits/nextBits/visBits are the word-packed frontier and visited
-	// bitsets of the hybrid BFS's dense (bottom-up) mode; see CSR.bfsFrom.
-	curBits  []uint64
-	nextBits []uint64
-	visBits  []uint64
 	// rows holds adjacency bit rows for the duration of one kernel; see
 	// bitrows.go.
 	rows []uint64
@@ -98,19 +94,6 @@ func (sc *travScratch) floats(n int) []float64 {
 		sc.fdist = make([]float64, n)
 	}
 	return sc.fdist[:n]
-}
-
-// bitsets returns the three word-packed bitsets backing the hybrid BFS's
-// dense mode — current frontier, next frontier, visited — each sized for n
-// nodes. Contents are undefined; the promotion path rebuilds all three.
-func (sc *travScratch) bitsets(n int) (cur, next, vis []uint64) {
-	words := (n + 63) >> 6
-	if cap(sc.curBits) < words {
-		sc.curBits = make([]uint64, words)
-		sc.nextBits = make([]uint64, words)
-		sc.visBits = make([]uint64, words)
-	}
-	return sc.curBits[:words], sc.nextBits[:words], sc.visBits[:words]
 }
 
 // parents returns sc.parent grown to at least n entries (contents undefined).
