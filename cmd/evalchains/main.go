@@ -86,11 +86,12 @@ func main() {
 	served := map[string]float64{}
 	var misses []miss
 	for _, ex := range test {
-		turn := serve(sv, ex.Question, graphs[ex.Kind])
+		g := graphs[ex.Kind]
+		turn, err := serve(sv, ex.Question, g)
 		if finetune.Exact(turn.Chain, ex.Truths) {
 			served[ex.Task]++
 		} else {
-			misses = append(misses, miss{ex, turn})
+			misses = append(misses, miss{ex, g, turn, err})
 		}
 	}
 	fmt.Printf("%-18s %8s %12s %10s %8s\n", "task", "examples", "exact-match", "mean-ged", "served")
@@ -137,7 +138,8 @@ func main() {
 	bankHits := 0
 	bank := finetune.UnseenAPIQuestions()
 	for _, u := range bank {
-		c := serve(sv, u.Question, graphs[u.Kind]).Chain
+		turn, _ := serve(sv, u.Question, graphs[u.Kind])
+		c := turn.Chain
 		if slices.ContainsFunc(c, func(s chain.Step) bool { return s.API == u.API }) {
 			bankHits++
 		}
@@ -150,7 +152,7 @@ func main() {
 	promptFidelity()
 
 	fmt.Println("\n== E41: E7c misses (held-out questions whose served chain is not exact) ==")
-	printMisses(misses, model, sv.Params().LLM.MaxChainLength, sv.Params().ANN.TopK, *alpha)
+	printMisses(sv, misses, model, sv.Params().LLM.MaxChainLength, sv.Params().ANN.TopK, *alpha)
 
 	fmt.Println("\n== E9: multi-session engine throughput (concurrent Asks, one shared engine) ==")
 	env := &apis.Env{}
@@ -258,10 +260,9 @@ func servingEngine(model *finetune.Model, seed int64) (*core.Engine, map[graph.K
 	return eng, graphs, nil
 }
 
-// serve is the turn a fresh session's Ask returns for question on g: its
-// Chain is the generated chain whether or not it then executes, and its
-// Candidates are retrieval's top-k.
-func serve(eng *core.Engine, question string, g *graph.Graph) core.Turn {
-	turn, _ := eng.NewSession().Ask(context.Background(), question, g, core.AskOptions{})
-	return turn
+// serve is the turn and error a fresh session's Ask returns for question on
+// g: the turn's Chain is the generated chain whether or not it then
+// executes, and its Candidates are retrieval's top-k.
+func serve(eng *core.Engine, question string, g *graph.Graph) (core.Turn, error) {
+	return eng.NewSession().Ask(context.Background(), question, g, core.AskOptions{})
 }

@@ -194,7 +194,7 @@ func TestBetweennessPathCenter(t *testing.T) {
 
 func TestClosenessCenterHighest(t *testing.T) {
 	g := pathGraph(5)
-	cl := Closeness(g)
+	cl := graph.Closeness(g)
 	for i := range cl {
 		if i != 2 && cl[i] > cl[2] {
 			t.Fatalf("closeness center not maximal: %v", cl)
@@ -204,17 +204,17 @@ func TestClosenessCenterHighest(t *testing.T) {
 
 func TestShortestPath(t *testing.T) {
 	g := pathGraph(5)
-	p := ShortestPath(g, 0, 4)
+	p := graph.ShortestPath(g, 0, 4)
 	if len(p) != 5 || p[0] != 0 || p[4] != 4 {
 		t.Fatalf("path = %v", p)
 	}
-	if p := ShortestPath(g, 2, 2); len(p) != 1 {
+	if p := graph.ShortestPath(g, 2, 2); len(p) != 1 {
 		t.Fatalf("self path = %v", p)
 	}
 	g2 := graph.New()
 	g2.AddNode("a")
 	g2.AddNode("b")
-	if p := ShortestPath(g2, 0, 1); p != nil {
+	if p := graph.ShortestPath(g2, 0, 1); p != nil {
 		t.Fatalf("unreachable path = %v", p)
 	}
 }
@@ -514,6 +514,21 @@ func TestUtilAPIs(t *testing.T) {
 	}
 	if _, err := r.Invoke(chain.NewStep("graph.sample_neighborhood", "node", "999"), Input{Graph: g}); err == nil {
 		t.Fatal("out-of-range neighborhood succeeded")
+	}
+}
+
+// TestSampleNeighborhoodRejectsNegativeHops: a negative radius is a failed
+// step, not "The -1-hop neighborhood … contains 0 node(s)"; hops=0 still
+// answers the node itself.
+func TestSampleNeighborhoodRejectsNegativeHops(t *testing.T) {
+	r := reg()
+	g := pathGraph(5)
+	if out, err := r.Invoke(chain.NewStep("graph.sample_neighborhood", "node", "2", "hops", "-1"), Input{Graph: g}); err == nil {
+		t.Fatalf("hops=-1 succeeded: %q", out.Text)
+	}
+	out, err := r.Invoke(chain.NewStep("graph.sample_neighborhood", "node", "2", "hops", "0"), Input{Graph: g})
+	if err != nil || out.Text != "The 0-hop neighborhood of node 2 contains 1 node(s)." {
+		t.Fatalf("hops=0 = %q, %v", out.Text, err)
 	}
 }
 

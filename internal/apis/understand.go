@@ -122,7 +122,7 @@ func registerUnderstand(r *Registry, _ *Env) {
 			{Name: "top", Description: "how many nodes to report", Kind: "int", Default: "5"},
 		},
 		Fn: func(in Input) (Output, error) {
-			scores := Closeness(in.Graph)
+			scores := graph.Closeness(in.Graph)
 			return rankOutput(in.Graph, scores, in.IntArg("top", 5), "closeness"), nil
 		},
 	})
@@ -142,7 +142,7 @@ func registerUnderstand(r *Registry, _ *Env) {
 			if from >= n || to >= n || from < 0 || to < 0 {
 				return Output{}, fmt.Errorf("path.shortest: node out of range (have %d nodes)", n)
 			}
-			path := ShortestPath(in.Graph, from, to)
+			path := graph.ShortestPath(in.Graph, from, to)
 			if path == nil {
 				return Output{Text: fmt.Sprintf("No path exists between node %d and node %d.", from, to), Data: []graph.NodeID(nil)}, nil
 			}
@@ -436,66 +436,6 @@ func Betweenness(g *graph.Graph) []float64 {
 		}
 	}
 	return bc
-}
-
-// Closeness computes closeness centrality: (reachable−1) / Σ distances,
-// scaled by the reachable fraction (the Wasserman–Faust formula), so
-// disconnected graphs still rank sensibly.
-func Closeness(g *graph.Graph) []float64 {
-	n := g.NumNodes()
-	out := make([]float64, n)
-	for u := 0; u < n; u++ {
-		dist := g.ShortestPathLengths(graph.NodeID(u))
-		sum, reach := 0, 0
-		for _, d := range dist {
-			if d > 0 {
-				sum += d
-				reach++
-			}
-		}
-		if sum > 0 {
-			out[u] = float64(reach) / float64(sum) * float64(reach) / float64(n-1)
-		}
-	}
-	return out
-}
-
-// ShortestPath returns the node sequence of an unweighted shortest path from
-// src to dst, or nil when unreachable.
-func ShortestPath(g *graph.Graph, src, dst graph.NodeID) []graph.NodeID {
-	if src == dst {
-		return []graph.NodeID{src}
-	}
-	parent := make([]graph.NodeID, g.NumNodes())
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[src] = src
-	c := g.Freeze()
-	queue := []graph.NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range c.OutNeighbors(u) {
-			if parent[v] >= 0 {
-				continue
-			}
-			parent[v] = u
-			if v == dst {
-				var rev []graph.NodeID
-				for cur := dst; cur != src; cur = parent[cur] {
-					rev = append(rev, cur)
-				}
-				rev = append(rev, src)
-				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-					rev[i], rev[j] = rev[j], rev[i]
-				}
-				return rev
-			}
-			queue = append(queue, v)
-		}
-	}
-	return nil
 }
 
 // BridgesAndArticulation finds bridge edges and articulation points with

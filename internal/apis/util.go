@@ -77,9 +77,13 @@ func registerUtil(r *Registry, _ *Env) {
 			if id < 0 || id >= in.Graph.NumNodes() {
 				return Output{}, fmt.Errorf("graph.sample_neighborhood: node %d out of range", id)
 			}
-			nodes := in.Graph.KHopSubgraphNodes(graph.NodeID(id), in.IntArg("hops", 2))
+			hops := in.IntArg("hops", 2)
+			if hops < 0 {
+				return Output{}, fmt.Errorf("graph.sample_neighborhood: hops must be at least 0, got %d", hops)
+			}
+			nodes := in.Graph.KHopSubgraphNodes(graph.NodeID(id), hops)
 			return Output{
-				Text: fmt.Sprintf("The %d-hop neighborhood of node %d contains %d node(s).", in.IntArg("hops", 2), id, len(nodes)),
+				Text: fmt.Sprintf("The %d-hop neighborhood of node %d contains %d node(s).", hops, id, len(nodes)),
 				Data: nodes,
 			}, nil
 		},

@@ -737,7 +737,9 @@ func TestRouterMintsRequestID(t *testing.T) {
 	pool, rt := testRouter(t, f1, f2)
 	fakes := map[string]*fakeBackend{f1.name(): f1, f2.name(): f2}
 	hex16 := regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString
-	do := func(method, url, id string, body io.Reader) *http.Response {
+	// do sends one request and returns the response with the request_id of
+	// its JSON body ("" when the body carries none).
+	do := func(method, url, id string, body io.Reader) (*http.Response, string) {
 		t.Helper()
 		req, err := http.NewRequest(method, url, body)
 		if err != nil {
@@ -750,14 +752,18 @@ func TestRouterMintsRequestID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		return resp
+		defer resp.Body.Close()
+		var reply struct {
+			RequestID string `json:"request_id"`
+		}
+		json.NewDecoder(resp.Body).Decode(&reply) //nolint:errcheck // a proxied reply need not be an object
+		io.Copy(io.Discard, resp.Body)            //nolint:errcheck
+		return resp, reply.RequestID
 	}
 
 	seen := map[string]bool{}
 	for i := 0; i < 4; i++ {
-		resp := do(http.MethodGet, rt.URL+"/apis", "", nil)
+		resp, _ := do(http.MethodGet, rt.URL+"/apis", "", nil)
 		id := resp.Header.Values("X-Request-ID")
 		if len(id) != 1 || !hex16(id[0]) {
 			t.Fatalf("proxied GET carries X-Request-ID %q, want one 16-hex-digit id", id)
@@ -771,12 +777,12 @@ func TestRouterMintsRequestID(t *testing.T) {
 		t.Fatalf("4 requests got %d distinct ids", len(seen))
 	}
 
-	resp := do(http.MethodGet, rt.URL+"/v1/sessions", "", nil)
+	resp, _ := do(http.MethodGet, rt.URL+"/v1/sessions", "", nil)
 	if id := resp.Header.Get("X-Request-ID"); !hex16(id) || f1.lastID() != id || f2.lastID() != id {
 		t.Fatalf("fan-out answered id %q; legs saw %q and %q", id, f1.lastID(), f2.lastID())
 	}
 
-	resp = do(http.MethodGet, rt.URL+"/apis", "client-chosen-id", nil)
+	resp, _ = do(http.MethodGet, rt.URL+"/apis", "client-chosen-id", nil)
 	if got := resp.Header.Values("X-Request-ID"); len(got) != 1 || got[0] != "client-chosen-id" {
 		t.Fatalf("client-sent id came back as %q", got)
 	}
@@ -786,9 +792,12 @@ func TestRouterMintsRequestID(t *testing.T) {
 
 	small := httptest.NewServer(NewRouter(pool, Options{MaxBody: 16, Registry: metrics.NewRegistry()}).Handler())
 	defer small.Close()
-	resp = do(http.MethodPost, small.URL+"/v1/retrieve", "", jsonRaw(bytes.Repeat([]byte(" "), 64)))
+	resp, bodyID := do(http.MethodPost, small.URL+"/v1/retrieve", "", jsonRaw(bytes.Repeat([]byte(" "), 64)))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || !hex16(resp.Header.Get("X-Request-ID")) {
 		t.Fatalf("oversized body = %d with id %q, want 413 with an id", resp.StatusCode, resp.Header.Get("X-Request-ID"))
+	}
+	if bodyID != resp.Header.Get("X-Request-ID") {
+		t.Fatalf("413 body names request_id %q, header %q", bodyID, resp.Header.Get("X-Request-ID"))
 	}
 
 	for _, b := range pool.Backends() {
@@ -796,8 +805,18 @@ func TestRouterMintsRequestID(t *testing.T) {
 			b.MarkFailure()
 		}
 	}
-	resp = do(http.MethodPost, rt.URL+"/v1/sessions", "", nil)
-	if resp.StatusCode != http.StatusServiceUnavailable || !hex16(resp.Header.Get("X-Request-ID")) {
-		t.Fatalf("all backends down = %d with id %q, want 503 with an id", resp.StatusCode, resp.Header.Get("X-Request-ID"))
+	for _, r := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/sessions"}, // createSession
+		{http.MethodPost, "/v1/jobs"},     // createJob
+		{http.MethodGet, "/v1/sessions"},  // fanout
+		{http.MethodGet, "/apis"},         // spread
+	} {
+		resp, bodyID = do(r.method, rt.URL+r.path, "", nil)
+		if resp.StatusCode != http.StatusServiceUnavailable || !hex16(resp.Header.Get("X-Request-ID")) {
+			t.Fatalf("%s %s, all backends down = %d with id %q, want 503 with an id", r.method, r.path, resp.StatusCode, resp.Header.Get("X-Request-ID"))
+		}
+		if bodyID != resp.Header.Get("X-Request-ID") {
+			t.Fatalf("%s %s: 503 body names request_id %q, header %q", r.method, r.path, bodyID, resp.Header.Get("X-Request-ID"))
+		}
 	}
 }

@@ -107,7 +107,7 @@ func NewRouter(pool *Pool, opts Options) *Router {
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		rtWriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	// The router is ready while it can route somewhere: readiness follows
 	// the pool, so an orchestrator in front of N routers drains one whose
@@ -116,27 +116,21 @@ func (rt *Router) Handler() http.Handler {
 		up := rt.pool.UpCount()
 		if up == 0 {
 			w.Header().Set("Retry-After", "1")
-			rtWriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "no backends up", "backends_up": 0})
+			server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "no backends up", "backends_up": 0})
 			return
 		}
-		rtWriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "backends_up": up})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "backends_up": up})
 	})
 	mux.Handle("GET /metrics", rt.reg.Handler())
 	mux.HandleFunc("/", rt.route)
-	return mux
+	// An unnamed request gets its id here, the way a backend mints one, so
+	// every attempt, retry and fan-out leg forwards the same id and every
+	// answer the router writes itself carries it too.
+	return server.WithRequestID(mux)
 }
 
 // route is the proxy catch-all: name, classify, buffer, dispatch.
 func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
-	// An unnamed request gets its id here (16 hex digits, as a backend
-	// mints), so every attempt, retry and fan-out leg forwards the same one
-	// and every answer the router writes itself carries it too.
-	id := r.Header.Get("X-Request-ID")
-	if id == "" {
-		id = randomHex(8)
-		r.Header.Set("X-Request-ID", id)
-	}
-	w.Header().Set("X-Request-ID", id)
 	if rt.tenants != nil {
 		// Observation only: the label set is bounded at construction, so
 		// key-spraying cannot mint series.
@@ -175,7 +169,7 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.maxBody))
 	if err != nil {
-		rtWriteJSON(w, http.StatusRequestEntityTooLarge, errBody(fmt.Sprintf("request body too large or unreadable: %v", err)))
+		server.WriteError(w, r, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body too large or unreadable: %v", err))
 		return nil, false
 	}
 	return body, true
@@ -190,7 +184,7 @@ func (rt *Router) createSession(w http.ResponseWriter, r *http.Request, body []b
 	var req server.SessionCreateRequest
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
-			rtWriteJSON(w, http.StatusBadRequest, errBody(fmt.Sprintf("decode request: %v", err)))
+			server.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 			return
 		}
 	}
@@ -200,12 +194,12 @@ func (rt *Router) createSession(w http.ResponseWriter, r *http.Request, body []b
 	}
 	key, target := rt.pool.MintRoutableKey()
 	if target == nil {
-		rt.refuse(w, nil, "no backends up")
+		rt.refuse(w, r, nil, "no backends up")
 		return
 	}
 	pinned, err := json.Marshal(server.SessionCreateRequest{SessionID: key})
 	if err != nil {
-		rtWriteJSON(w, http.StatusInternalServerError, errBody(err.Error()))
+		server.WriteError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
 	rt.forwardTo(w, r, pinned, target)
@@ -223,7 +217,7 @@ func (rt *Router) createJob(w http.ResponseWriter, r *http.Request, body []byte)
 	}
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
-			rtWriteJSON(w, http.StatusBadRequest, errBody(fmt.Sprintf("decode request: %v", err)))
+			server.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 			return
 		}
 	}
@@ -244,7 +238,7 @@ func (rt *Router) createJob(w http.ResponseWriter, r *http.Request, body []byte)
 		_, target = rt.pool.MintRoutableKey()
 	}
 	if target == nil {
-		rt.refuse(w, nil, "no backends up")
+		rt.refuse(w, r, nil, "no backends up")
 		return
 	}
 	key := rt.pool.MintKeyFor(target)
@@ -252,7 +246,7 @@ func (rt *Router) createJob(w http.ResponseWriter, r *http.Request, body []byte)
 	// job still lands where its id points, so it remains pollable.
 	owner := rt.pool.Owner(key)
 	if owner == nil || !owner.Routable() {
-		rt.refuse(w, owner, "job owner down")
+		rt.refuse(w, r, owner, "job owner down")
 		return
 	}
 	rt.forwardTo(w, r, injectField(body, "job_id", key), owner)
@@ -266,7 +260,7 @@ func (rt *Router) createJob(w http.ResponseWriter, r *http.Request, body []byte)
 func (rt *Router) toOwner(w http.ResponseWriter, r *http.Request, body []byte, key string) {
 	b := rt.pool.Owner(key)
 	if b == nil || !b.Routable() {
-		rt.refuse(w, b, "owner backend down")
+		rt.refuse(w, r, b, "owner backend down")
 		return
 	}
 	rt.forwardTo(w, r, body, b)
@@ -279,7 +273,7 @@ func (rt *Router) toOwner(w http.ResponseWriter, r *http.Request, body []byte, k
 func (rt *Router) spread(w http.ResponseWriter, r *http.Request, body []byte, idempotent bool) {
 	ups := rt.upBackends()
 	if len(ups) == 0 {
-		rt.refuse(w, nil, "no backends up")
+		rt.refuse(w, r, nil, "no backends up")
 		return
 	}
 	start := int(rt.rr.Add(1))
@@ -312,7 +306,7 @@ func (rt *Router) spread(w http.ResponseWriter, r *http.Request, body []byte, id
 		name = lastBackend.Name
 	}
 	w.Header().Set("X-Backend", name)
-	rtWriteJSON(w, http.StatusBadGateway, errBody(fmt.Sprintf("all hops failed: %v", lastErr)))
+	server.WriteError(w, r, http.StatusBadGateway, fmt.Sprintf("all hops failed: %v", lastErr))
 }
 
 // fanout answers a list route by merging every up backend's reply: the
@@ -346,7 +340,7 @@ func (rt *Router) fanout(w http.ResponseWriter, r *http.Request) {
 		served = append(served, b.Name)
 	}
 	if len(served) == 0 {
-		rt.refuse(w, nil, "no backends up")
+		rt.refuse(w, r, nil, "no backends up")
 		return
 	}
 	if partial {
@@ -359,18 +353,18 @@ func (rt *Router) fanout(w http.ResponseWriter, r *http.Request) {
 	for k, items := range merged {
 		out[k] = items
 	}
-	rtWriteJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // refuse answers 503 for a request nothing can serve right now. b names
 // the down owner when there is one.
-func (rt *Router) refuse(w http.ResponseWriter, b *Backend, msg string) {
+func (rt *Router) refuse(w http.ResponseWriter, r *http.Request, b *Backend, msg string) {
 	rt.unroutable.Inc()
 	if b != nil {
 		w.Header().Set("X-Backend", b.Name)
 	}
 	w.Header().Set("Retry-After", "1")
-	rtWriteJSON(w, http.StatusServiceUnavailable, errBody(msg))
+	server.WriteError(w, r, http.StatusServiceUnavailable, msg)
 }
 
 // forwardTo runs one attempt against b and relays the outcome; transport
@@ -379,7 +373,7 @@ func (rt *Router) forwardTo(w http.ResponseWriter, r *http.Request, body []byte,
 	resp, err := rt.attempt(r, b, body)
 	if err != nil {
 		w.Header().Set("X-Backend", b.Name)
-		rtWriteJSON(w, http.StatusBadGateway, errBody(fmt.Sprintf("backend %s: %v", b.Name, err)))
+		server.WriteError(w, r, http.StatusBadGateway, fmt.Sprintf("backend %s: %v", b.Name, err))
 		return
 	}
 	rt.forwardResponse(w, resp, b)
@@ -521,13 +515,4 @@ func injectField(body []byte, field, value string) []byte {
 	fmt.Fprintf(&out, "%q:%q", field, value)
 	out.Write(body[end:])
 	return out.Bytes()
-}
-
-// errBody is the router's error JSON shape, mirroring the backend's.
-func errBody(msg string) map[string]string { return map[string]string{"error": msg} }
-
-func rtWriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // best effort once status is written
 }

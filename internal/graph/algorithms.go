@@ -5,14 +5,16 @@ import (
 	"sort"
 )
 
-// Additional whole-graph algorithms backing the extended API catalog:
-// k-core decomposition, maximal cliques, degree assortativity, weighted
-// shortest paths, eccentricity/radius/center, greedy coloring, and minimum
-// spanning trees. All operate on the undirected view unless noted.
+// Additional whole-graph algorithms backing the API catalog: k-core
+// decomposition, maximal cliques, degree assortativity, weighted and
+// unweighted shortest paths, closeness, eccentricity/radius/center, greedy
+// coloring, and minimum spanning trees. All operate on the undirected view
+// unless noted.
 //
 // Every traversal-heavy algorithm here runs on the frozen CSR view
 // (Graph.Freeze) with pooled scratch, on its caller's goroutine — the same
-// flat-contiguous + pooled-scratch recipe the vector layer uses. The only
+// flat-contiguous + pooled-scratch recipe the vector layer uses. The
+// unweighted ones read what they need off CSR.bfs's queue. The only
 // parallelism is between requests.
 
 // CoreNumbers returns, for every node, the largest k such that the node
@@ -115,14 +117,7 @@ func sparseAdjacencyTest(c *CSR) func(u, v NodeID) bool {
 // denseAdjacencyTest materializes the n×n bitset: O(1) per test,
 // n²/8 bytes.
 func denseAdjacencyTest(c *CSR) func(u, v NodeID) bool {
-	words := (c.n + 63) / 64
-	bits := make([]uint64, c.n*words)
-	for u := 0; u < c.n; u++ {
-		row := bits[u*words : (u+1)*words]
-		for _, v := range c.OutNeighbors(NodeID(u)) {
-			row[int(v)>>6] |= 1 << (uint(v) & 63)
-		}
-	}
+	bits, words := fillBitRows(nil, c.n, c.offsets, c.targets)
 	return func(u, v NodeID) bool {
 		return bits[int(u)*words+int(v)>>6]&(1<<(uint(v)&63)) != 0
 	}
@@ -289,9 +284,44 @@ func WeightedShortestPath(g *Graph, src, dst NodeID) ([]NodeID, float64) {
 	if math.IsInf(dist[dst], 1) {
 		return nil, math.Inf(1)
 	}
-	total := dist[dst]
-	// Walk the parent chain once to size the path exactly, then fill it
-	// back-to-front — one allocation for the returned path.
+	return parentPath(parent, src, dst), dist[dst]
+}
+
+// ShortestPath returns an unweighted shortest path from src to dst over the
+// forward adjacency, or nil when dst is unreachable. After one walk from src,
+// v's parent is the first node u in visit order with u→v one level above v:
+// the node whose expansion reached v first, as in a search stopping at dst.
+func ShortestPath(g *Graph, src, dst NodeID) []NodeID {
+	if !g.valid(src) || !g.valid(dst) {
+		return nil
+	}
+	c := g.Freeze()
+	sc := getTrav(c.n)
+	defer putTrav(sc)
+	q := c.bfs(int32(src), sc, c.offsets, c.targets)
+	if !sc.seen(int32(dst)) {
+		return nil
+	}
+	depth, parent := sc.depths, sc.parents(c.n)
+	for _, u := range q {
+		parent[u] = -1
+	}
+	for _, u := range q {
+		if depth[u] >= depth[dst] {
+			break
+		}
+		for _, v := range c.OutNeighbors(NodeID(u)) {
+			if parent[v] == -1 && depth[v] == depth[u]+1 {
+				parent[v] = u
+			}
+		}
+	}
+	return parentPath(parent, src, dst)
+}
+
+// parentPath reads the path src → dst off a parent chain from dst back to
+// src: one walk to size it, one back-to-front fill, one allocation.
+func parentPath(parent []int32, src, dst NodeID) []NodeID {
 	hops := 1
 	for cur := dst; cur != src && parent[cur] != -1; cur = NodeID(parent[cur]) {
 		hops++
@@ -304,7 +334,31 @@ func WeightedShortestPath(g *Graph, src, dst NodeID) ([]NodeID, float64) {
 			cur = NodeID(parent[cur])
 		}
 	}
-	return path, total
+	return path
+}
+
+// Closeness returns each node's closeness centrality over the forward
+// adjacency: reach / Σ distances, scaled by the reachable fraction
+// (Wasserman–Faust), so disconnected graphs still rank sensibly. Each
+// source's reach and sum are read off its walk; all walks share one lease.
+func Closeness(g *Graph) []float64 {
+	c := g.Freeze()
+	n := c.n
+	out := make([]float64, n)
+	sc := getTrav(n)
+	defer putTrav(sc)
+	for u := range n {
+		sc.nextEpoch()
+		q := c.bfs(int32(u), sc, c.offsets, c.targets)
+		sum, reach := 0, len(q)-1
+		for _, v := range q[1:] {
+			sum += int(sc.depths[v])
+		}
+		if sum > 0 {
+			out[u] = float64(reach) / float64(sum) * float64(reach) / float64(n-1)
+		}
+	}
+	return out
 }
 
 // Eccentricities returns each node's eccentricity (max BFS distance to any

@@ -11,13 +11,51 @@ func benchGraph(b *testing.B, n int) *Graph {
 	return BarabasiAlbert(n, 2, rand.New(rand.NewSource(1)))
 }
 
+// BenchmarkBFS is one queue walk from node 0 on a pooled scratch lease.
 func BenchmarkBFS(b *testing.B) {
+	c := benchGraph(b, 2000).Freeze()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc := getTrav(c.n)
+		c.bfs(0, sc, c.offsets, c.targets)
+		putTrav(sc)
+	}
+}
+
+// BenchmarkKHopSubgraphNodes prices graph.sample_neighborhood's default
+// radius: a full walk from each source, cut at two hops and sorted.
+func BenchmarkKHopSubgraphNodes(b *testing.B) {
 	g := benchGraph(b, 2000)
 	g.Freeze()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.BFS(0, func(NodeID, int) bool { return true })
+		g.KHopSubgraphNodes(NodeID(i%2000), 2)
+	}
+}
+
+// BenchmarkShortestPath prices path.shortest: a full walk from each source,
+// then the parent pass up to the target's depth.
+func BenchmarkShortestPath(b *testing.B) {
+	g := benchGraph(b, 2000)
+	g.Freeze()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ShortestPath(g, NodeID(i%2000), NodeID((i*7919+1)%2000))
+	}
+}
+
+// BenchmarkCloseness prices centrality.closeness on chat_large_cold's
+// social upload: one walk per source, all on one scratch lease.
+func BenchmarkCloseness(b *testing.B) {
+	g := uploadShapes(b)[0].g
+	g.Freeze()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Closeness(g)
 	}
 }
 

@@ -215,45 +215,26 @@ func (c *CSR) undDegree(u NodeID) int {
 	return int(c.uoffsets[u+1] - c.uoffsets[u])
 }
 
-// BFS visits nodes reachable from start in breadth-first order over the
-// forward adjacency (neighbors ascending), calling visit with each node and
-// its hop distance; visit returning false stops the traversal. All working
-// state comes from the pooled traversal scratch, so the walk allocates
-// nothing per visited node.
-func (c *CSR) BFS(start NodeID, visit func(id NodeID, depth int) bool) {
-	if start < 0 || int(start) >= c.n {
-		return
-	}
-	sc := getTrav(c.n)
-	defer putTrav(sc)
-	c.bfs(int32(start), sc, c.offsets, c.targets, visit)
-}
-
 // bfs is the one level-order queue loop every unweighted traversal shares:
-// BFS, farthest, eccFrom, ShortestPathLengths and components. It walks
-// off/tgt from src under sc's current epoch, setting sc.depths[v] and the
-// epoch mark of every reached node, and returns the queue: the reached
-// nodes in visit order, so depths never decrease along it. visit, when
-// non-nil, sees each node as it is dequeued and stops the walk by returning
-// false (the queue then also holds nodes reached but not yet seen). The
-// caller owns the epoch: bfs never bumps it, so components can share one
-// epoch across per-component walks. The returned slice is sc.queue and is
-// valid until the next walk on sc.
-func (c *CSR) bfs(src int32, sc *travScratch, off []int32, tgt []NodeID, visit func(NodeID, int) bool) []int32 {
+// farthest, eccFrom, components, KHopSubgraphNodes, ShortestPath and
+// Closeness. It walks off/tgt from src under sc's current epoch, setting
+// sc.depths[v] and the epoch mark of every reached node, and returns the
+// queue: every reached node in visit order (neighbors ascending), so depths
+// never decrease along it. The caller owns the epoch: bfs never bumps it, so
+// components can share one epoch across per-component walks. The returned
+// slice is sc.queue and is valid until the next walk on sc.
+func (c *CSR) bfs(src int32, sc *travScratch, off []int32, tgt []NodeID) []int32 {
 	depth := sc.ints(c.n)
 	q := append(sc.queue[:0], src)
 	sc.mark(src)
 	depth[src] = 0
 	for head := 0; head < len(q); head++ {
 		u := q[head]
-		d := depth[u]
-		if visit != nil && !visit(NodeID(u), int(d)) {
-			break
-		}
+		d := depth[u] + 1
 		for _, v := range tgt[off[u]:off[u+1]] {
 			if !sc.seen(int32(v)) {
 				sc.mark(int32(v))
-				depth[v] = d + 1
+				depth[v] = d
 				q = append(q, int32(v))
 			}
 		}
@@ -267,7 +248,7 @@ func (c *CSR) bfs(src int32, sc *travScratch, off []int32, tgt []NodeID, visit f
 // Zero allocations.
 func (c *CSR) eccFrom(src int32, sc *travScratch) int32 {
 	sc.nextEpoch()
-	q := c.bfs(src, sc, c.offsets, c.targets, nil)
+	q := c.bfs(src, sc, c.offsets, c.targets)
 	return sc.depths[q[len(q)-1]]
 }
 
@@ -275,7 +256,7 @@ func (c *CSR) eccFrom(src int32, sc *travScratch) int32 {
 // BFS visit order, matching the slice-based double sweep) and that depth.
 func (c *CSR) farthest(src int32, sc *travScratch) (NodeID, int32) {
 	sc.nextEpoch()
-	q := c.bfs(src, sc, c.offsets, c.targets, nil)
+	q := c.bfs(src, sc, c.offsets, c.targets)
 	best := q[0]
 	for _, u := range q {
 		if sc.depths[u] > sc.depths[best] {
@@ -298,7 +279,7 @@ func (c *CSR) components() [][]NodeID {
 		if sc.seen(int32(s)) {
 			continue
 		}
-		q := c.bfs(int32(s), sc, c.uoffsets, c.utargets, nil)
+		q := c.bfs(int32(s), sc, c.uoffsets, c.utargets)
 		members := make([]NodeID, len(q))
 		for i, u := range q {
 			members[i] = NodeID(u)

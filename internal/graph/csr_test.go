@@ -138,16 +138,21 @@ func TestEccentricitiesAllocs(t *testing.T) {
 	}
 }
 
-// TestBFSAllocs: a single pooled-scratch BFS allocates nothing.
+// TestBFSAllocs: a single queue walk on a pooled scratch lease allocates
+// nothing.
 func TestBFSAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	g := BarabasiAlbert(2000, 3, rand.New(rand.NewSource(6)))
-	g.Freeze()
-	visit := func(NodeID, int) bool { return true }
-	g.BFS(0, visit)
-	if allocs := testing.AllocsPerRun(10, func() { g.BFS(0, visit) }); allocs > 0 {
+	c := g.Freeze()
+	walk := func() {
+		sc := getTrav(c.n)
+		c.bfs(0, sc, c.offsets, c.targets)
+		putTrav(sc)
+	}
+	walk()
+	if allocs := testing.AllocsPerRun(10, walk); allocs > 0 {
 		t.Fatalf("BFS allocates %v per run, want 0", allocs)
 	}
 }

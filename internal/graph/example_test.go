@@ -16,7 +16,7 @@ func ExampleGraph() {
 	g.AddEdge(b, c) //nolint:errcheck
 	fmt.Println(g.NumNodes(), "nodes,", g.NumEdges(), "edges")
 	fmt.Println("alice-bob adjacent:", slices.Contains(g.Freeze().OutNeighbors(a), b))
-	fmt.Println("distance alice->carol:", g.ShortestPathLengths(a)[c])
+	fmt.Println("distance alice->carol:", len(graph.ShortestPath(g, a, c))-1)
 	// Output:
 	// 3 nodes, 2 edges
 	// alice-bob adjacent: true

@@ -342,7 +342,7 @@ func TestHybridBFSMatchesQueue(t *testing.T) {
 	}
 }
 
-// TestShortestPathLengthsDense checks the public hop-count API on every
+// TestShortestPathLengthsDense checks the queue walk's hop counts on every
 // parity and dense fixture against the hybrid oracle and the naive
 // slice-based BFS.
 func TestShortestPathLengthsDense(t *testing.T) {

@@ -11,7 +11,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -323,30 +322,24 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// BFS visits nodes in breadth-first order from start, calling visit with each
-// node and its hop distance. Traversal stops early if visit returns false.
-// Neighbors are visited in ascending ID order. The traversal runs over the
-// frozen CSR view with pooled scratch, so it allocates nothing per visited
-// node; visit must not mutate the graph mid-traversal.
-func (g *Graph) BFS(start NodeID, visit func(id NodeID, depth int) bool) {
-	if !g.valid(start) {
-		return
-	}
-	g.Freeze().BFS(start, visit)
-}
-
 // KHopSubgraphNodes returns the set of nodes within l hops of u (inclusive of
-// u), in ascending ID order.
+// u), in ascending ID order: the prefix of one forward walk from u while the
+// depth is at most l, sorted.
 func (g *Graph) KHopSubgraphNodes(u NodeID, l int) []NodeID {
+	if !g.valid(u) {
+		return nil
+	}
+	c := g.Freeze()
+	sc := getTrav(c.n)
+	defer putTrav(sc)
 	var out []NodeID
-	g.BFS(u, func(id NodeID, depth int) bool {
-		if depth > l {
-			return false
+	for _, v := range c.bfs(int32(u), sc, c.offsets, c.targets) {
+		if int(sc.depths[v]) > l {
+			break
 		}
-		out = append(out, id)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		out = append(out, NodeID(v))
+	}
+	sortNodeIDs(out)
 	return out
 }
 
@@ -355,25 +348,6 @@ func (g *Graph) KHopSubgraphNodes(u NodeID, l int) []NodeID {
 // smallest member). Directed graphs are treated as undirected here.
 func (g *Graph) ConnectedComponents() [][]NodeID {
 	return g.Freeze().components()
-}
-
-// ShortestPathLengths runs an unweighted BFS from src and returns hop counts
-// to every node; unreachable nodes get -1.
-func (g *Graph) ShortestPathLengths(src NodeID) []int {
-	dist := make([]int, len(g.nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	if src < 0 || int(src) >= len(g.nodes) {
-		return dist
-	}
-	c := g.Freeze()
-	sc := getTrav(c.n)
-	defer putTrav(sc)
-	for _, u := range c.bfs(int32(src), sc, c.offsets, c.targets, nil) {
-		dist[u] = int(sc.depths[u])
-	}
-	return dist
 }
 
 // String summarizes the graph for logs and chat transcripts.

@@ -99,6 +99,20 @@ func TestRemoveEdge(t *testing.T) {
 	}
 }
 
+// ShortestPathLengths returns the hop count from src to every node over the
+// forward adjacency, -1 where unreachable: one production queue walk
+// (queueOrder), read out for the tests that pin depths.
+func (g *Graph) ShortestPathLengths(src NodeID) []int {
+	dist := make([]int, len(g.nodes))
+	for i := range dist {
+		dist[i] = -1
+	}
+	for _, v := range queueOrder(g, src) {
+		dist[v.id] = v.d
+	}
+	return dist
+}
+
 func TestBFSDepths(t *testing.T) {
 	g := line(t, 5)
 	dist := g.ShortestPathLengths(0)

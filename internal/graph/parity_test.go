@@ -665,25 +665,154 @@ func parityFixtures(t *testing.T) map[string]*Graph {
 	return fixtures
 }
 
+// bfsVisit is one node of a walk and its hop distance from the source.
+type bfsVisit struct {
+	id NodeID
+	d  int
+}
+
+// queueOrder runs the production queue walk from src over the forward rows
+// and returns the reached nodes in visit order with their depths.
+func queueOrder(g *Graph, src NodeID) []bfsVisit {
+	if !g.valid(src) {
+		return nil
+	}
+	c := g.Freeze()
+	sc := getTrav(c.n)
+	defer putTrav(sc)
+	var out []bfsVisit
+	for _, u := range c.bfs(int32(src), sc, c.offsets, c.targets) {
+		out = append(out, bfsVisit{NodeID(u), int(sc.depths[u])})
+	}
+	return out
+}
+
+// TestBFSParity pins the queue walk's visit order and depths to the naive
+// slice-queue BFS.
 func TestBFSParity(t *testing.T) {
 	for name, g := range parityFixtures(t) {
 		for _, src := range []NodeID{0, NodeID(g.NumNodes() / 2), NodeID(g.NumNodes() - 1)} {
-			type visit struct {
-				id NodeID
-				d  int
-			}
-			var want, got []visit
-			naiveBFS(g, src, func(id NodeID, d int) bool { want = append(want, visit{id, d}); return true })
-			g.BFS(src, func(id NodeID, d int) bool { got = append(got, visit{id, d}); return true })
-			if !reflect.DeepEqual(got, want) {
+			var want []bfsVisit
+			naiveBFS(g, src, func(id NodeID, d int) bool { want = append(want, bfsVisit{id, d}); return true })
+			if got := queueOrder(g, src); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s src=%d: BFS order %v, want %v", name, src, got, want)
 			}
-			// Early-stop parity: cut the traversal after 5 visits.
-			want, got = nil, nil
-			naiveBFS(g, src, func(id NodeID, d int) bool { want = append(want, visit{id, d}); return len(want) < 5 })
-			g.BFS(src, func(id NodeID, d int) bool { got = append(got, visit{id, d}); return len(got) < 5 })
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s src=%d: early-stop BFS %v, want %v", name, src, got, want)
+		}
+	}
+}
+
+// naiveKHopSubgraphNodes is KHopSubgraphNodes as it was on the callback
+// walk: visit in BFS order, stop at the first node deeper than l, sort.
+func naiveKHopSubgraphNodes(g *Graph, u NodeID, l int) []NodeID {
+	var out []NodeID
+	naiveBFS(g, u, func(id NodeID, depth int) bool {
+		if depth > l {
+			return false
+		}
+		out = append(out, id)
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func TestKHopSubgraphNodesParity(t *testing.T) {
+	for name, g := range parityFixtures(t) {
+		n := g.NumNodes()
+		for u := 0; u < n; u++ {
+			for _, l := range []int{0, 1, 2, 3, n} {
+				got, want := g.KHopSubgraphNodes(NodeID(u), l), naiveKHopSubgraphNodes(g, NodeID(u), l)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: KHopSubgraphNodes(%d, %d) = %v, want %v", name, u, l, got, want)
+				}
+			}
+		}
+	}
+}
+
+// naiveShortestPath is the private queue loop path.shortest ran before it
+// moved onto the shared walk, kept verbatim: parents set on discovery, the
+// walk stopping at dst.
+func naiveShortestPath(g *Graph, src, dst NodeID) []NodeID {
+	if src == dst {
+		return []NodeID{src}
+	}
+	parent := make([]NodeID, g.NumNodes())
+	for i := range parent {
+		parent[i] = -1
+	}
+	parent[src] = src
+	c := g.Freeze()
+	queue := []NodeID{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range c.OutNeighbors(u) {
+			if parent[v] >= 0 {
+				continue
+			}
+			parent[v] = u
+			if v == dst {
+				var rev []NodeID
+				for cur := dst; cur != src; cur = parent[cur] {
+					rev = append(rev, cur)
+				}
+				rev = append(rev, src)
+				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+					rev[i], rev[j] = rev[j], rev[i]
+				}
+				return rev
+			}
+			queue = append(queue, v)
+		}
+	}
+	return nil
+}
+
+func TestShortestPathParity(t *testing.T) {
+	for name, g := range parityFixtures(t) {
+		n := g.NumNodes()
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				got, want := ShortestPath(g, NodeID(src), NodeID(dst)), naiveShortestPath(g, NodeID(src), NodeID(dst))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: ShortestPath(%d, %d) = %v, want %v", name, src, dst, got, want)
+				}
+			}
+		}
+	}
+}
+
+// naiveCloseness is centrality.closeness as it ran before it moved onto the
+// shared walk, kept verbatim: one allocated hop-count slice per source.
+func naiveCloseness(g *Graph) []float64 {
+	n := g.NumNodes()
+	out := make([]float64, n)
+	for u := 0; u < n; u++ {
+		dist := g.ShortestPathLengths(NodeID(u))
+		sum, reach := 0, 0
+		for _, d := range dist {
+			if d > 0 {
+				sum += d
+				reach++
+			}
+		}
+		if sum > 0 {
+			out[u] = float64(reach) / float64(sum) * float64(reach) / float64(n-1)
+		}
+	}
+	return out
+}
+
+func TestClosenessParity(t *testing.T) {
+	for name, g := range parityFixtures(t) {
+		got, want := Closeness(g), naiveCloseness(g)
+		if len(got) != len(want) {
+			t.Fatalf("%s: Closeness has %d scores, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: Closeness[%d] = %v, want %v (bitwise)", name, i, got[i], want[i])
 			}
 		}
 	}

@@ -12,8 +12,9 @@ import (
 )
 
 // oraclePathCover is the map-based path cover the BFS-tree kernel replaced,
-// kept verbatim as the reference: one callback-driven CSR.BFS per root with
-// parent/depth/inTree/hasChild maps, every leaf walked up to the root.
+// kept as the reference: one slice-queue BFS per root over the forward rows,
+// stopping at the first node deeper than l, with parent/depth/inTree/hasChild
+// maps, every leaf walked up to the root.
 func oraclePathCover(g *graph.Graph, l int) []Path {
 	var out []Path
 	for _, n := range g.Nodes() {
@@ -27,19 +28,30 @@ func oracleCoverFrom(g *graph.Graph, u graph.NodeID, l int) []Path {
 	depth := map[graph.NodeID]int{u: 0}
 	var order []graph.NodeID
 	c := g.Freeze()
-	c.BFS(u, func(id graph.NodeID, d int) bool {
+	type hop struct {
+		id graph.NodeID
+		d  int
+	}
+	seen := map[graph.NodeID]bool{u: true}
+	queue := []hop{{u, 0}}
+	for len(queue) > 0 {
+		id, d := queue[0].id, queue[0].d
+		queue = queue[1:]
 		if d > l {
-			return false
+			break
 		}
 		order = append(order, id)
 		for _, nb := range c.OutNeighbors(id) {
-			if _, seen := parent[nb]; !seen && d < l {
+			if _, ok := parent[nb]; !ok && d < l {
 				parent[nb] = id
 				depth[nb] = d + 1
 			}
+			if !seen[nb] {
+				seen[nb] = true
+				queue = append(queue, hop{nb, d + 1})
+			}
 		}
-		return true
-	})
+	}
 	inTree := make(map[graph.NodeID]bool, len(parent))
 	for id := range parent {
 		inTree[id] = true

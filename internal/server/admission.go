@@ -115,7 +115,7 @@ func (s *Server) sessionRateLimit(w http.ResponseWriter, r *http.Request, b *rat
 // retryAfter is the refill wait when a bucket knows one, 0 otherwise.
 func shed(w http.ResponseWriter, r *http.Request, status int, retryAfter time.Duration, msg string) {
 	setRetryAfter(w, retryAfter)
-	writeError(w, r, status, msg)
+	WriteError(w, r, status, msg)
 }
 
 // setRetryAfter stamps the Retry-After header: d rounded up to the integer

@@ -26,11 +26,11 @@ import (
 // persisted state is still being replayed.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.ready.Load() {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 		return
 	}
 	setRetryAfter(w, 0)
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "recovering"})
+	WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "recovering"})
 }
 
 func unixNS(t time.Time) int64 {

@@ -101,20 +101,20 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	up, err := readUpload(w, r, &req, &req.Graph)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+		WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return
 	}
 	if req.Question == "" {
-		writeError(w, r, http.StatusBadRequest, "question is required")
+		WriteError(w, r, http.StatusBadRequest, "question is required")
 		return
 	}
 	pri, err := jobs.ParsePriority(req.Priority)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.JobID != "" && !validPinnedID(req.JobID) {
-		writeError(w, r, http.StatusBadRequest, ErrBadID.Error())
+		WriteError(w, r, http.StatusBadRequest, ErrBadID.Error())
 		return
 	}
 	g, ok := s.internUpload(w, r, up)
@@ -124,15 +124,15 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var c chain.Chain
 	if req.Chain != "" {
 		if c, err = chain.Parse(req.Chain); err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad chain: %v", err))
+			WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("bad chain: %v", err))
 			return
 		}
 		if len(c) == 0 {
-			writeError(w, r, http.StatusBadRequest, "chain is empty")
+			WriteError(w, r, http.StatusBadRequest, "chain is empty")
 			return
 		}
 		if err := chain.Validate(c, s.eng.Registry()); err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad chain: %v", err))
+			WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("bad chain: %v", err))
 			return
 		}
 	}
@@ -158,20 +158,20 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	j, err := s.jobs.SubmitOwned(req.JobID, s.currentTenant(r).Name, pri, task)
 	switch {
 	case errors.Is(err, jobs.ErrDuplicateID):
-		writeError(w, r, http.StatusConflict, err.Error())
+		WriteError(w, r, http.StatusConflict, err.Error())
 		return
 	case errors.Is(err, jobs.ErrQueueFull):
 		shed(w, r, http.StatusTooManyRequests, 0, "job queue full, retry later")
 		return
 	case errors.Is(err, jobs.ErrClosed):
-		writeError(w, r, http.StatusServiceUnavailable, "job pool shut down")
+		WriteError(w, r, http.StatusServiceUnavailable, "job pool shut down")
 		return
 	case err != nil:
-		writeError(w, r, http.StatusInternalServerError, err.Error())
+		WriteError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
 	s.logJobSubmit(j, req)
-	writeJSON(w, http.StatusAccepted, jobInfo(j.Status()))
+	WriteJSON(w, http.StatusAccepted, jobInfo(j.Status()))
 }
 
 // handleJobList reports the calling tenant's stored jobs (queued,
@@ -186,7 +186,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 			out = append(out, jobInfo(st))
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 // getOwnedJob fetches a job and checks the caller's tenant owns it. These
@@ -200,7 +200,7 @@ func (s *Server) getOwnedJob(w http.ResponseWriter, r *http.Request) (*jobs.Job,
 	}
 	j, ok := s.jobs.Get(r.PathValue("id"))
 	if !ok || !ownedBy(j.Owner, tn) {
-		writeError(w, r, http.StatusNotFound, "no such job")
+		WriteError(w, r, http.StatusNotFound, "no such job")
 		return nil, false
 	}
 	return j, true
@@ -220,7 +220,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		s.streamJob(w, r, j)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobInfo(j.Status()))
+	WriteJSON(w, http.StatusOK, jobInfo(j.Status()))
 }
 
 // streamJob writes the job's event tail as NDJSON in the chat-stream wire
@@ -267,8 +267,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, ok := s.jobs.Cancel(id)
 	if !ok {
-		writeError(w, r, http.StatusNotFound, "no such job")
+		WriteError(w, r, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]string{"job_id": id, "state": st.String()})
+	WriteJSON(w, http.StatusAccepted, map[string]string{"job_id": id, "state": st.String()})
 }

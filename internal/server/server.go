@@ -214,7 +214,7 @@ func (s *Server) routes() []route {
 		{"/suggest", "suggest", s.handleSuggest, false},
 		{"/config", "config", s.handleConfig, false},
 		{"/healthz", "healthz", func(w http.ResponseWriter, _ *http.Request) {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		}, false},
 		// Readiness is distinct from liveness: a recovering server is alive
 		// (healthz 200) but not ready (readyz 503), so orchestrators and load
@@ -240,19 +240,21 @@ func (s *Server) Handler() http.Handler {
 		}
 		mux.Handle(rt.pattern, s.instrument(rt.name, h))
 	}
-	return withRequestID(mux)
+	return WithRequestID(mux)
 }
 
 // requestIDKey carries the per-request correlation ID in the context.
 type requestIDKey struct{}
 
-// withRequestID tags every request with a random correlation ID, echoed in
-// the X-Request-ID response header and in error JSON.
-func withRequestID(next http.Handler) http.Handler {
+// WithRequestID tags every request with a correlation ID, echoed in the
+// X-Request-ID response header and in error JSON. A minted ID is also set on
+// the request's header, so a proxy forwarding that header forwards it.
+func WithRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
 			id = randomHex(8)
+			r.Header.Set("X-Request-ID", id)
 		}
 		w.Header().Set("X-Request-ID", id)
 		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
@@ -300,24 +302,24 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			err = json.NewDecoder(bytes.NewReader(body)).Decode(&req)
 		}
 		if err != nil && !errors.Is(err, io.EOF) {
-			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+			WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 			return
 		}
 	}
 	m, err := s.mgr.CreateWithID(req.SessionID, s.currentTenant(r).Name)
 	switch {
 	case errors.Is(err, ErrBadID):
-		writeError(w, r, http.StatusBadRequest, err.Error())
+		WriteError(w, r, http.StatusBadRequest, err.Error())
 		return
 	case errors.Is(err, ErrSessionExists):
-		writeError(w, r, http.StatusConflict, err.Error())
+		WriteError(w, r, http.StatusConflict, err.Error())
 		return
 	case err != nil:
-		writeError(w, r, http.StatusServiceUnavailable, err.Error())
+		WriteError(w, r, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	s.logSessionCreate(m)
-	writeJSON(w, http.StatusCreated, s.sessionInfo(m))
+	WriteJSON(w, http.StatusCreated, s.sessionInfo(m))
 }
 
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
@@ -330,7 +332,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	})
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"sessions": out})
 }
 
 // getOwnedSession fetches a live session and checks the caller's tenant
@@ -339,7 +341,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) getOwnedSession(w http.ResponseWriter, r *http.Request, id string) (*managed, bool) {
 	m, err := s.mgr.Get(id, s.currentTenant(r))
 	if err != nil {
-		writeError(w, r, http.StatusNotFound, "no such session")
+		WriteError(w, r, http.StatusNotFound, "no such session")
 		return nil, false
 	}
 	return m, true
@@ -351,11 +353,11 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.mgr.Delete(id) {
-		writeError(w, r, http.StatusNotFound, "no such session")
+		WriteError(w, r, http.StatusNotFound, "no such session")
 		return
 	}
 	s.logSessionDelete(id)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
 
 func (s *Server) handleSessionHistory(w http.ResponseWriter, r *http.Request) {
@@ -373,7 +375,7 @@ func (s *Server) handleSessionHistory(w http.ResponseWriter, r *http.Request) {
 			ElapsedMS: t.Elapsed.Milliseconds(),
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"session_id": m.ID, "turns": turns})
+	WriteJSON(w, http.StatusOK, map[string]any{"session_id": m.ID, "turns": turns})
 }
 
 // HistoryTurn is one dialog exchange in the /history reply.
@@ -403,10 +405,10 @@ func (s *Server) handleSessionChat(w http.ResponseWriter, r *http.Request) {
 	}
 	turn, err := m.Session.Ask(r.Context(), q, g, core.AskOptions{})
 	if err != nil {
-		writeError(w, r, askStatus(err), err.Error())
+		WriteError(w, r, askStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, chatResponse(turn))
+	WriteJSON(w, http.StatusOK, chatResponse(turn))
 }
 
 // askStatus maps an Ask failure to its HTTP status: a request that ran out
@@ -519,28 +521,28 @@ type RetrieveResponse struct {
 func (s *Server) handleRetrieve(w http.ResponseWriter, r *http.Request) {
 	var req RetrieveRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+		WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, r, http.StatusBadRequest, "queries is required")
+		WriteError(w, r, http.StatusBadRequest, "queries is required")
 		return
 	}
 	if len(req.Queries) > maxRetrieveQueries {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("too many queries (max %d)", maxRetrieveQueries))
+		WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("too many queries (max %d)", maxRetrieveQueries))
 		return
 	}
 	for i, q := range req.Queries {
 		if q == "" {
-			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("queries[%d] is empty", i))
+			WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("queries[%d] is empty", i))
 			return
 		}
 	}
 	if req.K < 0 || req.K > maxRetrieveK {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("k must be in [0, %d]", maxRetrieveK))
+		WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("k must be in [0, %d]", maxRetrieveK))
 		return
 	}
-	writeJSON(w, http.StatusOK, RetrieveResponse{Results: s.eng.RetrieveBatch(req.Queries, req.K)})
+	WriteJSON(w, http.StatusOK, RetrieveResponse{Results: s.eng.RetrieveBatch(req.Queries, req.K)})
 }
 
 // ChatRequest is the POST /v1/sessions/{id}/chat payload.
@@ -573,11 +575,11 @@ func (s *Server) decodeChat(w http.ResponseWriter, r *http.Request) (question st
 	var req ChatRequest
 	up, err := readUpload(w, r, &req, &req.Graph)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+		WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 		return "", nil, false
 	}
 	if req.Question == "" {
-		writeError(w, r, http.StatusBadRequest, "question is required")
+		WriteError(w, r, http.StatusBadRequest, "question is required")
 		return "", nil, false
 	}
 	g, ok = s.internUpload(w, r, up)
@@ -618,19 +620,19 @@ type APIInfo struct {
 
 func (s *Server) handleAPIs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, r, http.StatusMethodNotAllowed, "GET required")
+		WriteError(w, r, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	var out []APIInfo
 	for _, a := range s.eng.Registry().All() {
 		out = append(out, APIInfo{Name: a.Name, Description: a.Description, Category: a.Category})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, r, http.StatusMethodNotAllowed, "GET required")
+		WriteError(w, r, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	// No kind (or "unknown") means no uploaded graph yet: generic
@@ -638,23 +640,24 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	v := r.URL.Query().Get("kind")
 	kind := graph.ParseKind(v)
 	if kind == graph.KindUnknown && v != "" && v != "unknown" {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("unknown kind %q (want social, molecule, knowledge, or unknown)", v))
+		WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("unknown kind %q (want social, molecule, knowledge, or unknown)", v))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string][]string{"questions": core.SuggestedQuestions(kind)})
+	WriteJSON(w, http.StatusOK, map[string][]string{"questions": core.SuggestedQuestions(kind)})
 }
 
 // handleConfig exposes the Fig. 3 parameter panel: the parameter set the
 // engine runs.
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, r, http.StatusMethodNotAllowed, "GET required")
+		WriteError(w, r, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.eng.Params())
+	WriteJSON(w, http.StatusOK, s.eng.Params())
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a status reply.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // best effort once status is written
@@ -666,6 +669,8 @@ type errorBody struct {
 	RequestID string `json:"request_id"`
 }
 
-func writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	writeJSON(w, status, errorBody{Error: msg, RequestID: requestID(r)})
+// WriteError writes a status reply whose JSON body carries msg and the
+// request's correlation id (WithRequestID).
+func WriteError(w http.ResponseWriter, r *http.Request, status int, msg string) {
+	WriteJSON(w, status, errorBody{Error: msg, RequestID: requestID(r)})
 }

@@ -51,13 +51,13 @@ func (s *Server) writeAuthError(w http.ResponseWriter, r *http.Request, err erro
 	switch {
 	case errors.Is(err, tenant.ErrDisabled):
 		s.tm.authDisabled.Inc()
-		writeError(w, r, http.StatusForbidden, "tenant disabled")
+		WriteError(w, r, http.StatusForbidden, "tenant disabled")
 	case errors.Is(err, tenant.ErrKeyRequired):
 		s.tm.authMissing.Inc()
-		writeError(w, r, http.StatusUnauthorized, "api key required")
+		WriteError(w, r, http.StatusUnauthorized, "api key required")
 	default:
 		s.tm.authUnknown.Inc()
-		writeError(w, r, http.StatusUnauthorized, "unknown api key")
+		WriteError(w, r, http.StatusUnauthorized, "unknown api key")
 	}
 }
 

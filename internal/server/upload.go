@@ -115,7 +115,7 @@ func decodeUpload(body []byte, decode func([]byte) error, raw *json.RawMessage) 
 // graph is never persisted: no transcript or job result refers to it.
 func (s *Server) internUpload(w http.ResponseWriter, r *http.Request, up upload) (g *graph.Graph, ok bool) {
 	if up.err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("bad graph: %v", up.err))
+		WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("bad graph: %v", up.err))
 		return nil, false
 	}
 	if up.g == nil {
