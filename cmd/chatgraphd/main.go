@@ -209,27 +209,8 @@ func main() {
 		WriteTimeout:      *writeTimeout,
 	}
 
-	// Sweep expired sessions and finished jobs in the background so idle
-	// daemons release memory without waiting for traffic.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	go func() {
-		ticker := time.NewTicker(*sessionTTL / 2)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				if n := srv.Sessions().Sweep(); n > 0 {
-					log.Printf("expired %d idle sessions (%d live)", n, srv.Sessions().Len())
-				}
-				if n := srv.Jobs().Sweep(); n > 0 {
-					log.Printf("evicted %d finished jobs (%d retained)", n, srv.Jobs().Len())
-				}
-			}
-		}
-	}()
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()

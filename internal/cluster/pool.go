@@ -18,8 +18,6 @@
 package cluster
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -29,6 +27,7 @@ import (
 	"time"
 
 	"chatgraph/internal/metrics"
+	"chatgraph/internal/server"
 )
 
 // State is one backend's health, as seen by the failure-marking machine.
@@ -311,7 +310,7 @@ const mintAttempts = 256
 func (p *Pool) MintKeyFor(target *Backend) string {
 	var key string
 	for i := 0; i < mintAttempts; i++ {
-		key = randomHex(12)
+		key = server.RandomHex(12)
 		if p.Owner(key) == target {
 			return key
 		}
@@ -325,19 +324,10 @@ func (p *Pool) MintKeyFor(target *Backend) string {
 // pool is down.
 func (p *Pool) MintRoutableKey() (string, *Backend) {
 	for i := 0; i < mintAttempts; i++ {
-		key := randomHex(12)
+		key := server.RandomHex(12)
 		if b := p.Owner(key); b != nil && b.Routable() {
 			return key, b
 		}
 	}
 	return "", nil
-}
-
-// randomHex returns 2n hex characters of crypto/rand entropy.
-func randomHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
-		panic(fmt.Sprintf("cluster: id entropy: %v", err))
-	}
-	return hex.EncodeToString(b)
 }

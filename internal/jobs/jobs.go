@@ -476,7 +476,7 @@ func (m *Manager) Cancel(id string) (State, bool) {
 
 // Sweep evicts finished jobs past the retention TTL (the count bound is
 // enforced eagerly on every finish). Submission and completion already
-// sweep; long-lived daemons may also call this from a janitor so idle
+// sweep; the server's sweeper also calls it every half session TTL so idle
 // processes release memory without waiting for traffic.
 func (m *Manager) Sweep() int {
 	m.mu.Lock()

@@ -2,14 +2,15 @@
 // chat-based graph comparison scenario (Fig. 5): it stores molecule graphs
 // and answers "what molecules are similar to G" via a Weisfeiler–Lehman
 // subtree kernel, the standard label-refinement similarity for labeled
-// graphs.
+// graphs. Stored fingerprints live in an inverted index (feature → the
+// molecules holding it), so a search touches only the molecules that share
+// a feature with the query.
 package moldb
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -21,16 +22,23 @@ type Entry struct {
 	ID    int
 	Name  string
 	Graph *graph.Graph
-	// fingerprint caches the WL feature multiset for fast scoring.
-	fingerprint map[uint64]float64
-	norm        float64
 }
 
-// DB is an in-memory molecule database safe for concurrent reads after the
-// last Add.
+// posting is one molecule's count of one WL feature.
+type posting struct {
+	id    int32
+	count float64
+}
+
+// DB is an in-memory molecule database; Add may run concurrently with
+// Search, Similarity and Get.
 type DB struct {
-	mu         sync.RWMutex
-	entries    []Entry
+	mu      sync.RWMutex
+	entries []Entry
+	// postings maps each WL feature to the molecules holding it, in id
+	// order (ids only grow); norms[id] is molecule id's fingerprint norm.
+	postings   map[uint64][]posting
+	norms      []float64
 	iterations int
 }
 
@@ -40,7 +48,7 @@ func New(wlIterations int) *DB {
 	if wlIterations <= 0 {
 		wlIterations = 3
 	}
-	return &DB{iterations: wlIterations}
+	return &DB{iterations: wlIterations, postings: make(map[uint64][]posting)}
 }
 
 // Len reports how many molecules are stored.
@@ -52,14 +60,15 @@ func (db *DB) Len() int {
 
 // Add stores g under name and returns its ID.
 func (db *DB) Add(name string, g *graph.Graph) int {
-	fp := Fingerprint(g, db.iterations)
+	fp := newFingerprint(g, db.iterations)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	id := len(db.entries)
-	db.entries = append(db.entries, Entry{
-		ID: id, Name: name, Graph: g,
-		fingerprint: fp, norm: fpNorm(fp),
-	})
+	db.entries = append(db.entries, Entry{ID: id, Name: name, Graph: g})
+	db.norms = append(db.norms, fp.norm)
+	for i, key := range fp.keys {
+		db.postings[key] = append(db.postings[key], posting{int32(id), fp.counts[i]})
+	}
 	return id
 }
 
@@ -86,116 +95,150 @@ func (db *DB) Search(q *graph.Graph, k int) []Match {
 	if k <= 0 {
 		return nil
 	}
-	qfp := Fingerprint(q, db.iterations)
-	qn := fpNorm(qfp)
+	fq := newFingerprint(q, db.iterations)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	ms := make([]Match, 0, len(db.entries))
-	for _, e := range db.entries {
-		ms = append(ms, Match{ID: e.ID, Name: e.Name, Similarity: cosineKernel(qfp, qn, e.fingerprint, e.norm)})
-	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Similarity != ms[j].Similarity {
-			return ms[i].Similarity > ms[j].Similarity
+	dots := make([]float64, len(db.entries))
+	for i, key := range fq.keys {
+		for _, p := range db.postings[key] {
+			dots[p.id] += fq.counts[i] * p.count
 		}
-		return ms[i].ID < ms[j].ID
-	})
-	if k > len(ms) {
-		k = len(ms)
 	}
-	return ms[:k]
+	// Keep the best k in order by insertion: k is small (the API's default
+	// is 2), so this beats sorting every molecule.
+	top := make([]Match, 0, min(k, len(dots)))
+	for id, dot := range dots {
+		s := cosine(dot, fq.norm, db.norms[id])
+		if len(top) == k && s <= top[k-1].Similarity {
+			continue // ties keep the lower ID, which came first
+		}
+		if len(top) < k {
+			top = append(top, Match{})
+		}
+		j := len(top) - 1
+		for ; j > 0 && top[j-1].Similarity < s; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = Match{ID: id, Name: db.entries[id].Name, Similarity: s}
+	}
+	return top
 }
 
 // Similarity returns the normalized WL kernel between two graphs, using the
 // DB's iteration count.
 func (db *DB) Similarity(a, b *graph.Graph) float64 {
-	fa := Fingerprint(a, db.iterations)
-	fb := Fingerprint(b, db.iterations)
-	return cosineKernel(fa, fpNorm(fa), fb, fpNorm(fb))
+	fa, fb := newFingerprint(a, db.iterations), newFingerprint(b, db.iterations)
+	var dot float64
+	for i, j := 0, 0; i < len(fa.keys) && j < len(fb.keys); {
+		switch {
+		case fa.keys[i] < fb.keys[j]:
+			i++
+		case fa.keys[i] > fb.keys[j]:
+			j++
+		default:
+			dot += fa.counts[i] * fb.counts[j]
+			i, j = i+1, j+1
+		}
+	}
+	return cosine(dot, fa.norm, fb.norm)
 }
 
-// Fingerprint computes the WL subtree feature multiset of g: labels are
-// iteratively refined by hashing each node's label with the sorted labels of
-// its neighbors, and every (iteration, label) occurrence increments a
-// feature bucket.
-func Fingerprint(g *graph.Graph, iterations int) map[uint64]float64 {
-	n := g.NumNodes()
-	fp := make(map[uint64]float64)
-	if n == 0 {
-		return fp
+// cosine normalizes a dot product of two feature multisets, 1 for
+// identical structures and 0 when either is empty. Counts are small
+// integers, so every product and partial sum is exact and the result does
+// not depend on the order the dot product was summed in.
+func cosine(dot, an, bn float64) float64 {
+	if an == 0 || bn == 0 {
+		return 0
 	}
-	labels := make([]uint64, n)
+	return dot / (an * bn)
+}
+
+// fingerprint is a graph's WL subtree feature multiset: the distinct
+// feature hashes in ascending order, the count of each, and the norm of
+// the count vector.
+type fingerprint struct {
+	keys   []uint64
+	counts []float64
+	norm   float64
+}
+
+// FNV-1a (hash/fnv's New64a), inlined so hashing allocates nothing.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvU64 feeds v to the running FNV-1a hash h as 8 little-endian bytes.
+func fnvU64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ v&0xff) * fnvPrime
+		v >>= 8
+	}
+	return h
+}
+
+// fnvString feeds the bytes of s to the running FNV-1a hash h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
+// newFingerprint computes g's WL subtree features: labels are iteratively
+// refined by hashing each node's label with the sorted labels of its
+// neighbors, and every (iteration, label) occurrence is one feature.
+func newFingerprint(g *graph.Graph, iterations int) fingerprint {
+	n := g.NumNodes()
+	if n == 0 {
+		return fingerprint{}
+	}
+	feats := make([]uint64, 0, n*(iterations+1))
+	labels, next := make([]uint64, n), make([]uint64, n)
 	for i, nd := range g.Nodes() {
 		l := nd.Label
 		if e := nd.Attrs["element"]; e != "" {
 			l = e
 		}
-		labels[i] = hash64("L0:" + l)
-		fp[labels[i]]++
+		labels[i] = fnvString(fnvString(fnvOffset, "L0:"), l)
 	}
+	feats = append(feats, labels...)
 	c := g.Freeze()
 	var nbLabels []uint64
 	for it := 1; it <= iterations; it++ {
-		next := make([]uint64, n)
-		for i := 0; i < n; i++ {
+		for i := range next {
 			nbLabels = nbLabels[:0]
 			for _, nb := range c.OutNeighbors(graph.NodeID(i)) {
 				nbLabels = append(nbLabels, labels[nb])
 			}
-			sort.Slice(nbLabels, func(a, b int) bool { return nbLabels[a] < nbLabels[b] })
-			h := fnv.New64a()
-			writeU64(h, uint64(it))
-			writeU64(h, labels[i])
+			slices.Sort(nbLabels)
+			h := fnvU64(fnvU64(fnvOffset, uint64(it)), labels[i])
 			for _, nl := range nbLabels {
-				writeU64(h, nl)
+				h = fnvU64(h, nl)
 			}
-			next[i] = h.Sum64()
-			fp[next[i]]++
+			next[i] = h
 		}
-		labels = next
+		feats = append(feats, next...)
+		labels, next = next, labels
 	}
+	// Run-length encode the sorted features, reusing feats for the keys.
+	slices.Sort(feats)
+	fp := fingerprint{keys: feats[:0], counts: make([]float64, 0, len(feats))}
+	var sq float64
+	for i := 0; i < len(feats); {
+		j := i + 1
+		for j < len(feats) && feats[j] == feats[i] {
+			j++
+		}
+		cnt := float64(j - i)
+		fp.keys = append(fp.keys, feats[i])
+		fp.counts = append(fp.counts, cnt)
+		sq += cnt * cnt
+		i = j
+	}
+	fp.norm = math.Sqrt(sq)
 	return fp
-}
-
-func writeU64(h interface{ Write([]byte) (int, error) }, v uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
-	h.Write(buf[:]) //nolint:errcheck // fnv never errors
-}
-
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s)) //nolint:errcheck
-	return h.Sum64()
-}
-
-func fpNorm(fp map[uint64]float64) float64 {
-	var s float64
-	for _, v := range fp {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// cosineKernel is the cosine-normalized dot product of two feature
-// multisets, 1 for identical structures.
-func cosineKernel(a map[uint64]float64, an float64, b map[uint64]float64, bn float64) float64 {
-	if an == 0 || bn == 0 {
-		return 0
-	}
-	// Iterate the smaller map.
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var dot float64
-	for k, av := range a {
-		if bv, ok := b[k]; ok {
-			dot += av * bv
-		}
-	}
-	return dot / (an * bn)
 }
 
 // Describe renders a stored molecule as a one-line summary for chat output.

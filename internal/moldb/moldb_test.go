@@ -2,6 +2,7 @@ package moldb
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,20 +23,18 @@ func benzeneLike(label string) *graph.Graph {
 
 func TestFingerprintIdenticalGraphsEqual(t *testing.T) {
 	a, b := benzeneLike("C"), benzeneLike("C")
-	fa, fb := Fingerprint(a, 3), Fingerprint(b, 3)
-	if len(fa) != len(fb) {
-		t.Fatalf("fingerprint sizes differ: %d vs %d", len(fa), len(fb))
+	fa, fb := newFingerprint(a, 3), newFingerprint(b, 3)
+	if !slices.Equal(fa.keys, fb.keys) || !slices.Equal(fa.counts, fb.counts) || fa.norm != fb.norm {
+		t.Fatalf("fingerprints differ for identical graphs: %+v vs %+v", fa, fb)
 	}
-	for k, v := range fa {
-		if fb[k] != v {
-			t.Fatal("fingerprints differ for identical graphs")
-		}
+	if len(fa.keys) == 0 || fa.norm == 0 {
+		t.Fatalf("a 6-ring has an empty fingerprint: %+v", fa)
 	}
 }
 
 func TestFingerprintEmptyGraph(t *testing.T) {
-	if fp := Fingerprint(graph.New(), 3); len(fp) != 0 {
-		t.Fatalf("empty graph fingerprint = %v", fp)
+	if fp := newFingerprint(graph.New(), 3); len(fp.keys) != 0 || len(fp.counts) != 0 || fp.norm != 0 {
+		t.Fatalf("empty graph fingerprint = %+v", fp)
 	}
 }
 

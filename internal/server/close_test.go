@@ -19,7 +19,7 @@ import (
 // one, and a running job whose progress a client is tailing (?stream=1)
 // cancels all three and ends the stream, and once the HTTP server and the
 // client are closed the goroutine count is back to what it was before the
-// server was built.
+// server was built: the session/job sweeper New starts has stopped too.
 func TestCloseLeaksNoGoroutines(t *testing.T) {
 	eng := slowEngine(t, time.Minute)
 	client := &http.Client{Transport: &http.Transport{}}
@@ -27,6 +27,9 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 	reg := metrics.NewRegistry()
 	srv := New(eng, Options{JobWorkers: 2, Metrics: reg})
 	ts := httptest.NewServer(srv.Handler())
+	if runtime.NumGoroutine() < base+3 {
+		t.Fatalf("goroutines after New = %d, want at least %d: two workers and the sweeper", runtime.NumGoroutine(), base+3)
+	}
 
 	submit := func() string {
 		body, err := json.Marshal(JobRequest{Question: "Summarize the statistics of the graph", Graph: socialGraphJSON(t, 7)})
@@ -45,7 +48,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		return info.JobID
 	}
 	state := func(id string) jobs.State {
-		j, ok := srv.Jobs().Get(id)
+		j, ok := srv.jobs.Get(id)
 		if !ok {
 			t.Fatalf("job %s is gone", id)
 		}
@@ -110,5 +113,25 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines after Close = %d, want %d: a worker or a stream leaked", runtime.NumGoroutine(), base)
 		}
+	}
+}
+
+// TestSweeperExpiresIdleSessions: with no traffic at all, the sweeper New
+// starts expires an idle session once its TTL has passed (expiry is
+// otherwise lazy, on access), and Close stops it.
+func TestSweeperExpiresIdleSessions(t *testing.T) {
+	testServer(t) // ensure the shared engine exists
+	srv := New(srvEngine, Options{SessionTTL: 40 * time.Millisecond, Metrics: metrics.NewRegistry()})
+	defer srv.Close()
+	if _, err := srv.mgr.CreateWithID("", ""); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.mgr.Len() != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("an idle session outlived its 40ms TTL by 5s: %d live, none swept", srv.mgr.Len())
+		}
+	}
+	if n := srv.mgr.expired.Load(); n != 1 {
+		t.Fatalf("expired tally = %d, want 1", n)
 	}
 }

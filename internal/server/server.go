@@ -21,7 +21,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -112,6 +114,10 @@ type Server struct {
 	// the per-tenant metric handles (bounded label set).
 	tenants *tenant.Registry
 	tm      *tenantMetrics
+	// stopSweep ends the sweeper New starts; sweepDone closes when it has
+	// returned.
+	stopSweep, sweepDone chan struct{}
+	closeOnce            sync.Once
 }
 
 // New returns a Server over eng.
@@ -126,6 +132,9 @@ func New(eng *core.Engine, opts Options) *Server {
 		opts:    opts,
 		hm:      newHTTPMetrics(reg),
 		tenants: opts.Tenants,
+
+		stopSweep: make(chan struct{}),
+		sweepDone: make(chan struct{}),
 	}
 	if s.tenants == nil {
 		// Single-tenant default: anonymous only, unlimited quota — the
@@ -163,21 +172,41 @@ func New(eng *core.Engine, opts Options) *Server {
 	reg.CounterFunc("chatgraph_sessions_restored_total",
 		"v1 sessions rebuilt from the durable log at boot.", nil,
 		func() float64 { return float64(s.mgr.restored.Load()) })
+	go s.sweep()
 	return s
 }
 
-// Sessions exposes the session manager (daemons wire flags and sweepers to
-// it; tests inspect it).
-func (s *Server) Sessions() *SessionManager { return s.mgr }
+// sweep expires idle sessions and evicts finished jobs every half session
+// TTL, so an idle daemon releases memory without waiting for traffic. It
+// runs from New until Close.
+func (s *Server) sweep() {
+	defer close(s.sweepDone)
+	ticker := time.NewTicker(s.mgr.TTL() / 2)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-s.stopSweep:
+			return
+		case <-ticker.C:
+			if n := s.mgr.Sweep(); n > 0 {
+				log.Printf("expired %d idle sessions (%d live)", n, s.mgr.Len())
+			}
+			if n := s.jobs.Sweep(); n > 0 {
+				log.Printf("evicted %d finished jobs (%d retained)", n, s.jobs.Len())
+			}
+		}
+	}
+}
 
-// Jobs exposes the async job pool (daemons wire sweepers to it; tests
-// inspect it).
-func (s *Server) Jobs() *jobs.Manager { return s.jobs }
-
-// Close stops the async job pool: queued jobs are cancelled, running jobs
-// have their contexts cancelled, and Close returns once every worker has
-// exited. Call it after draining HTTP traffic.
-func (s *Server) Close() { s.jobs.Close() }
+// Close stops the sweeper and the async job pool: queued jobs are
+// cancelled, running jobs have their contexts cancelled, and Close returns
+// once the sweeper and every worker have exited. Call it after draining
+// HTTP traffic.
+func (s *Server) Close() {
+	s.closeOnce.Do(func() { close(s.stopSweep) })
+	<-s.sweepDone
+	s.jobs.Close()
+}
 
 // route is one row of the server's route table.
 type route struct {
@@ -253,7 +282,7 @@ func WithRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
-			id = randomHex(8)
+			id = RandomHex(8)
 			r.Header.Set("X-Request-ID", id)
 		}
 		w.Header().Set("X-Request-ID", id)

@@ -61,8 +61,9 @@ func (m *managed) expired(now time.Time, ttl time.Duration) bool {
 // one shared Engine. The registry is a sync.Map so session lookups on the
 // hot chat path never contend with each other; only the live-session count
 // is shared, as an atomic. Expiry is lazy (checked on every access) plus a
-// sweep when a create finds the manager full, so no janitor goroutine is
-// required — long-lived daemons may still run one via Sweep.
+// sweep when a create finds the manager full; the Server's sweeper also
+// calls Sweep every half TTL, so an idle daemon releases expired sessions
+// without traffic.
 type SessionManager struct {
 	eng *core.Engine
 	ttl time.Duration
@@ -235,9 +236,9 @@ func (sm *SessionManager) remove(id string) bool {
 }
 
 // newSessionID returns a 128-bit random hex session identifier.
-func newSessionID() string { return randomHex(16) }
+func newSessionID() string { return RandomHex(16) }
 
-// validPinnedID accepts 8-64 lowercase hex characters — the shape randomHex
+// validPinnedID accepts 8-64 lowercase hex characters — the shape RandomHex
 // produces, so pinned and minted IDs are indistinguishable on the wire.
 func validPinnedID(id string) bool {
 	if len(id) < 8 || len(id) > 64 {
@@ -252,8 +253,9 @@ func validPinnedID(id string) bool {
 	return true
 }
 
-// randomHex returns 2n hex characters of crypto/rand entropy.
-func randomHex(n int) string {
+// RandomHex returns 2n hex characters of crypto/rand entropy: the
+// session, request and router placement ids.
+func RandomHex(n int) string {
 	b := make([]byte, n)
 	if _, err := rand.Read(b); err != nil {
 		// crypto/rand never fails on supported platforms; panic beats

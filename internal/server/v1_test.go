@@ -199,8 +199,8 @@ func TestV1SessionExpiry(t *testing.T) {
 	if hresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("expired session status = %d", hresp.StatusCode)
 	}
-	if srv.Sessions().Len() != 0 {
-		t.Fatalf("expired session still counted: %d", srv.Sessions().Len())
+	if srv.mgr.Len() != 0 {
+		t.Fatalf("expired session still counted: %d", srv.mgr.Len())
 	}
 }
 
