@@ -110,6 +110,7 @@ func main() {
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("chatgraph-router: shutdown: %v", err)
 		}
+		router.CloseIdleConnections()
 		log.Println("chatgraph-router stopped")
 	}
 }

@@ -29,8 +29,8 @@ func registerUtil(r *Registry, _ *Env) {
 		Description: "Summarize the basic statistics of the graph: nodes, edges, density, degrees, components, and clustering.",
 		Category:    "util",
 		Fn: func(in Input) (Output, error) {
-			s := graph.ComputeStats(in.Graph)
-			return Output{Text: strings.TrimRight(s.Describe(), "\n"), Data: s}, nil
+			c := in.Graph.Freeze()
+			return Output{Text: strings.TrimRight(c.Describe(), "\n"), Data: c.Stats()}, nil
 		},
 	})
 	r.mustRegister(API{
@@ -42,14 +42,15 @@ func registerUtil(r *Registry, _ *Env) {
 		},
 		Fn: func(in Input) (Output, error) {
 			kind := graph.Classify(in.Graph)
-			s := graph.ComputeStats(in.Graph)
+			c := in.Graph.Freeze()
+			s := c.Stats()
 			var b strings.Builder
 			name := in.Graph.Name
 			if name == "" {
 				name = "G"
 			}
 			fmt.Fprintf(&b, "Report for %s (%s graph):\n", name, kind)
-			b.WriteString(s.Describe())
+			b.WriteString(c.Describe())
 			if in.Prev.Text != "" {
 				b.WriteString("Analysis findings:\n")
 				for _, line := range strings.Split(in.Prev.Text, "\n") {

@@ -820,3 +820,31 @@ func TestRouterMintsRequestID(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterKeepsContentLength: a proxied /v1/retrieve batch, too big for
+// net/http's 2 KiB buffer, reaches the client framed by the backend's
+// Content-Length rather than re-chunked, so a client that stops reading at
+// the end of the JSON value keeps its connection to the router too.
+func TestRouterKeepsContentLength(t *testing.T) {
+	_, rt := testRouter(t, realBackends(t, 1)...)
+	queries := make([]string, 16)
+	for i := range queries {
+		queries[i] = fmt.Sprintf("detect the communities of network %d and rank its nodes", i)
+	}
+	resp, err := http.Post(rt.URL+"/v1/retrieve", "application/json", jsonBody(map[string]any{"queries": queries, "k": 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(body) <= 2048 {
+		t.Fatalf("retrieve through the router = %d with %d bytes, want 200 with more than 2 KiB", resp.StatusCode, len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body; want the length and no chunking",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+}

@@ -102,6 +102,15 @@ func NewRouter(pool *Pool, opts Options) *Router {
 	return rt
 }
 
+// CloseIdleConnections closes the proxy's idle backend connections, which
+// the transport otherwise keeps open for as long as the backends are up.
+// Call it once the HTTP server in front has shut down.
+func (rt *Router) CloseIdleConnections() {
+	if c, ok := rt.transport.(interface{ CloseIdleConnections() }); ok {
+		c.CloseIdleConnections()
+	}
+}
+
 // Handler returns the router's route table: its own health/readiness/
 // metrics endpoints, and the proxy catch-all for everything else.
 func (rt *Router) Handler() http.Handler {

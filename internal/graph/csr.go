@@ -42,6 +42,7 @@ type CSR struct {
 
 	statsOnce sync.Once
 	stats     Stats
+	describe  string // stats.Describe(), rendered once
 }
 
 // Freeze returns the CSR view of g's current version, building it on first

@@ -185,6 +185,19 @@ func TestComputeStatsCachedAllocs(t *testing.T) {
 	}
 }
 
+// TestDescribeRenderedOnce: the frozen graph's Describe is the stats'
+// text, rendered once and then handed out without allocating.
+func TestDescribeRenderedOnce(t *testing.T) {
+	g := PlantedCommunities(3, 8, 0.6, 0.05, rand.New(rand.NewSource(4)))
+	c := g.Freeze()
+	if got, want := c.Describe(), ComputeStats(g).Describe(); got != want {
+		t.Fatalf("Describe = %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { c.Describe() }); allocs != 0 {
+		t.Fatalf("a repeated Describe allocates %v per run, want 0", allocs)
+	}
+}
+
 // TestGrow: preallocation must not change observable contents.
 func TestGrow(t *testing.T) {
 	g := New()

@@ -42,7 +42,7 @@ func ComputeStats(g *Graph) Stats {
 // Stats returns the memoized statistics of the frozen graph. The returned
 // LabelCounts map is a fresh copy each call, so callers may modify it.
 func (c *CSR) Stats() Stats {
-	c.statsOnce.Do(func() { c.stats = c.computeStats() })
+	c.memoStats()
 	s := c.stats
 	counts := make(map[string]int, len(s.LabelCounts))
 	for k, v := range s.LabelCounts {
@@ -50,6 +50,19 @@ func (c *CSR) Stats() Stats {
 	}
 	s.LabelCounts = counts
 	return s
+}
+
+// Describe returns Stats().Describe(), rendered once per frozen graph.
+func (c *CSR) Describe() string {
+	c.memoStats()
+	return c.describe
+}
+
+func (c *CSR) memoStats() {
+	c.statsOnce.Do(func() {
+		c.stats = c.computeStats()
+		c.describe = c.stats.Describe()
+	})
 }
 
 func (c *CSR) computeStats() Stats {

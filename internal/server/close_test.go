@@ -23,7 +23,19 @@ import (
 func TestCloseLeaksNoGoroutines(t *testing.T) {
 	eng := slowEngine(t, time.Minute)
 	client := &http.Client{Transport: &http.Transport{}}
+	// A keep-alive connection the previous test's server closed on its way
+	// out may still be winding down (its two client loops and the server's
+	// conn goroutine): take the base once the count stops falling, or their
+	// exits hide the rise New must cause.
 	base := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n >= base {
+			break
+		}
+		base = n
+	}
 	reg := metrics.NewRegistry()
 	srv := New(eng, Options{JobWorkers: 2, Metrics: reg})
 	ts := httptest.NewServer(srv.Handler())

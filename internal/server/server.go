@@ -23,6 +23,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -685,11 +686,28 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, s.eng.Params())
 }
 
-// WriteJSON writes v as the JSON body of a status reply.
+// jsonBufs holds WriteJSON's encode buffers. One grown past maxPooledJSON
+// is left to the collector, so a rare large reply pins no memory.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledJSON = 64 << 10
+
+// WriteJSON writes v as the JSON body of a status reply. The body is encoded
+// whole first and sent with its Content-Length in one Write: a chunked reply
+// ends with a terminator a client that stops reading at the end of the value
+// never waits for, and its connection is dropped instead of reused. A value
+// that fails to encode gets an empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	json.NewEncoder(buf).Encode(v) //nolint:errcheck // writes nothing on error
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // best effort once status is written
+	w.Write(buf.Bytes()) //nolint:errcheck // best effort once status is written
+	if buf.Cap() <= maxPooledJSON {
+		jsonBufs.Put(buf)
+	}
 }
 
 // errorBody is the JSON shape of every error reply.
