@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"chatgraph/internal/cluster"
-	"chatgraph/internal/tenant"
 )
 
 func main() {
@@ -51,7 +50,6 @@ func main() {
 		maxBody      = flag.Int64("max-body", 0, "request body buffer cap in bytes; larger uploads answer 413 (0 = 8MiB + headroom)")
 		readHeader   = flag.Duration("read-header-timeout", 10*time.Second, "http.Server read-header timeout")
 		drainWait    = flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
-		tenantsPath  = flag.String("tenants", "", "tenant config file for per-tenant router metrics (enforcement stays on the backends); empty = no tenant labels")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -70,13 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("chatgraph-router: %v", err)
 	}
-	var tenants *tenant.Registry
-	if *tenantsPath != "" {
-		if tenants, err = tenant.LoadFile(*tenantsPath); err != nil {
-			log.Fatalf("chatgraph-router: %v", err)
-		}
-	}
-	router := cluster.NewRouter(pool, cluster.Options{MaxBody: *maxBody, Tenants: tenants})
+	router := cluster.NewRouter(pool, cluster.Options{MaxBody: *maxBody})
 	prober := cluster.NewProber(pool, *probeEvery, *probeTimeout)
 	prober.Start()
 	defer prober.Stop()

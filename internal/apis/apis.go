@@ -8,6 +8,7 @@ package apis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -198,9 +199,7 @@ func (r *Registry) ValidateStep(s chain.Step) error {
 	if !ok {
 		return fmt.Errorf("unknown API %q", s.API)
 	}
-	known := make(map[string]Param, len(a.Params))
 	for _, p := range a.Params {
-		known[p.Name] = p
 		v, present := s.Args[p.Name]
 		if !present {
 			if p.Required {
@@ -218,39 +217,33 @@ func (r *Registry) ValidateStep(s chain.Step) error {
 				return fmt.Errorf("argument %q must be a number, got %q", p.Name, v)
 			}
 		case "enum":
-			ok := false
-			for _, e := range p.Enum {
-				if e == v {
-					ok = true
-					break
-				}
-			}
-			if !ok {
+			if !slices.Contains(p.Enum, v) {
 				return fmt.Errorf("argument %q must be one of %v, got %q", p.Name, p.Enum, v)
 			}
 		}
 	}
 	for arg := range s.Args {
-		if _, ok := known[arg]; !ok {
+		if !slices.ContainsFunc(a.Params, func(p Param) bool { return p.Name == arg }) {
 			return fmt.Errorf("unexpected argument %q", arg)
 		}
 	}
 	return nil
 }
 
-// Invoke validates and executes one step against in. Memoizable APIs are
-// served from (and stored into) the Env invocation cache keyed by the
-// graph's content hash, so repeating a step on the same graph content —
-// whether the same instance, a re-upload in another session, or a fresh
-// parse of identical JSON — short-circuits without re-running the
-// implementation. A result is only cached when the graph version is
-// unchanged after the call — a safety net against an API marked Memoizable
-// that mutates anyway.
+// Invoke executes one step against in. The caller has validated its
+// arguments (executor.Run validates the whole chain first), so only an
+// unknown API is refused here. Memoizable APIs are served from (and
+// stored into) the Env invocation cache keyed by the graph's content hash,
+// so repeating a step on the same graph content — whether the same
+// instance, a re-upload in another session, or a fresh parse of identical
+// JSON — short-circuits without re-running the implementation. A result is
+// only cached when the graph version is unchanged after the call — a
+// safety net against an API marked Memoizable that mutates anyway.
 func (r *Registry) Invoke(s chain.Step, in Input) (Output, error) {
-	if err := r.ValidateStep(s); err != nil {
-		return Output{}, err
+	a, ok := r.Get(s.API)
+	if !ok {
+		return Output{}, fmt.Errorf("unknown API %q", s.API)
 	}
-	a, _ := r.Get(s.API)
 	if in.Args == nil {
 		in.Args = s.Args
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -123,6 +124,79 @@ func TestOwnerIgnoresHealth(t *testing.T) {
 		t.Fatalf("rank order violated: rank[0]=%s rank[1]=%s first-routable=%s",
 			rank[0].Name, rank[1].Name, fr.Name)
 	}
+}
+
+// Rank returns every backend ordered by descending rendezvous score for
+// key, the lower name first on a tie. It is the full sort FirstRoutable
+// replaced with one argmax, kept as the oracle of its hop order.
+func (p *Pool) Rank(key string) []*Backend {
+	out := make([]*Backend, len(p.backends))
+	copy(out, p.backends)
+	scores := make(map[*Backend]uint64, len(out))
+	for _, b := range out {
+		scores[b] = hrwScore(b.Name, key)
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && (scores[out[j]] > scores[out[j-1]] ||
+			(scores[out[j]] == scores[out[j-1]] && out[j].Name < out[j-1].Name)); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}
+
+// TestFirstRoutableMatchesRank: for random keys over pools of one to six
+// backends, each key under its own random up/down pattern, FirstRoutable is
+// the first routable backend of the Rank oracle (nil when none is up).
+func TestFirstRoutableMatchesRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	hosts := []string{"10.0.0.1:8080", "10.0.0.2:8080", "10.0.0.3:8080", "b:1", "a:1", "10.0.0.10:8080"}
+	pools := make([]*Pool, len(hosts))
+	for n := range pools {
+		pools[n] = testPool(t, hosts[:n+1]...)
+	}
+	const keys = 1200
+	downs, allDown := 0, 0
+	for i := 0; i < keys; i++ {
+		p := pools[rng.Intn(len(pools))]
+		key := fmt.Sprintf("%016x", rng.Uint64())
+		for _, b := range p.backends {
+			if rng.Intn(2) == 0 {
+				b.MarkSuccess()
+			} else {
+				for b.State() == StateUp {
+					b.MarkFailure()
+				}
+			}
+		}
+		var want *Backend
+		for _, b := range p.Rank(key) {
+			if b.Routable() {
+				want = b
+				break
+			}
+		}
+		if got := p.FirstRoutable(key); got != want {
+			t.Fatalf("key %q over %d backends: FirstRoutable = %s, the oracle's first routable = %s", key, len(p.backends), nameOf(got), nameOf(want))
+		}
+		if !p.Owner(key).Routable() {
+			downs++
+		}
+		if want == nil {
+			allDown++
+		}
+	}
+	// The fallback must have been taken, not just the up-owner case.
+	if downs < keys/4 || allDown == 0 {
+		t.Fatalf("%d of %d keys had a down owner and %d an all-down pool: the patterns did not exercise the fallback", downs, keys, allDown)
+	}
+}
+
+func nameOf(b *Backend) string {
+	if b == nil {
+		return "none"
+	}
+	return b.Name
 }
 
 // TestMintKeyFor verifies minted keys land on the requested backend — the

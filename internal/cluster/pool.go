@@ -256,44 +256,28 @@ func hrwScore(backend, key string) uint64 {
 // over the full membership and regardless of health: ownership is an
 // identity, not an availability fact — a session on a dead backend is
 // unavailable, not re-homed (nothing is replicated to re-home it to).
-func (p *Pool) Owner(key string) *Backend {
+func (p *Pool) Owner(key string) *Backend { return p.argmax(key, false) }
+
+// FirstRoutable returns the routable backend whose rendezvous score for key
+// is highest — the owner when it is up, otherwise the next hop in score
+// order — or nil when the whole pool is down.
+func (p *Pool) FirstRoutable(key string) *Backend { return p.argmax(key, true) }
+
+// argmax returns the backend with the highest rendezvous score for key,
+// the lower name winning a tie; with routable set, down backends do not
+// compete.
+func (p *Pool) argmax(key string, routable bool) *Backend {
 	var best *Backend
 	var bestScore uint64
 	for _, b := range p.backends {
+		if routable && !b.Routable() {
+			continue
+		}
 		if s := hrwScore(b.Name, key); best == nil || s > bestScore || (s == bestScore && b.Name < best.Name) {
 			best, bestScore = b, s
 		}
 	}
 	return best
-}
-
-// Rank returns every backend ordered by descending rendezvous score for
-// key — the hop order for placement fallback and retry-on-next-hop.
-func (p *Pool) Rank(key string) []*Backend {
-	out := make([]*Backend, len(p.backends))
-	copy(out, p.backends)
-	scores := make(map[*Backend]uint64, len(out))
-	for _, b := range out {
-		scores[b] = hrwScore(b.Name, key)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && (scores[out[j]] > scores[out[j-1]] ||
-			(scores[out[j]] == scores[out[j-1]] && out[j].Name < out[j-1].Name)); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// FirstRoutable returns the highest-ranked routable backend for key, or
-// nil when the whole pool is down.
-func (p *Pool) FirstRoutable(key string) *Backend {
-	for _, b := range p.Rank(key) {
-		if b.Routable() {
-			return b
-		}
-	}
-	return nil
 }
 
 // mintAttempts bounds MintKeyFor's rejection sampling. Each draw lands on

@@ -35,9 +35,11 @@ func NewProber(pool *Pool, interval, timeout time.Duration) *Prober {
 	return &Prober{
 		pool:     pool,
 		interval: interval,
-		client:   &http.Client{Timeout: timeout},
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		// Its own transport, so that Stop can close the connections it
+		// keeps without touching the process-wide default.
+		client: &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone(), Timeout: timeout},
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 }
 
@@ -60,10 +62,12 @@ func (p *Prober) Start() {
 	}()
 }
 
-// Stop terminates the probe loop and waits for it to exit.
+// Stop terminates the probe loop, waits for it to exit, and closes the
+// probe connections left idle.
 func (p *Prober) Stop() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	<-p.done
+	p.client.CloseIdleConnections()
 }
 
 // ProbeOnce runs one probe round over every backend. Up backends are

@@ -13,7 +13,6 @@ import (
 
 	"chatgraph/internal/metrics"
 	"chatgraph/internal/server"
-	"chatgraph/internal/tenant"
 )
 
 // Options tunes the Router.
@@ -30,11 +29,6 @@ type Options struct {
 	// fanout); per-backend series were bound when the Pool was built.
 	// nil → metrics.Default().
 	Registry *metrics.Registry
-	// Tenants, when set, labels router traffic per tenant (the same
-	// bounded set the backends use, plus "unknown" for unrecognized
-	// keys). The router never rejects on tenancy — backends own
-	// enforcement — it only forwards the API key header and observes.
-	Tenants *tenant.Registry
 }
 
 // Router is the cluster front door: an HTTP reverse proxy that owns
@@ -54,11 +48,6 @@ type Router struct {
 	retries       *metrics.Counter
 	unroutable    *metrics.Counter
 	fanoutPartial *metrics.Counter
-
-	// tenants maps API keys to bounded label values; tenantSeries holds
-	// one pre-resolved counter per possible value (nil without -tenants).
-	tenants      *tenant.Registry
-	tenantSeries map[string]*metrics.Counter
 }
 
 // NewRouter builds a Router over pool.
@@ -78,7 +67,7 @@ func NewRouter(pool *Pool, opts Options) *Router {
 	if maxBody <= 0 {
 		maxBody = 8<<20 + 64<<10
 	}
-	rt := &Router{
+	return &Router{
 		pool:      pool,
 		transport: tr,
 		maxBody:   maxBody,
@@ -90,16 +79,6 @@ func NewRouter(pool *Pool, opts Options) *Router {
 		fanoutPartial: reg.Counter("chatgraph_router_fanout_partial_total",
 			"List fan-outs that merged fewer backends than are configured.", nil),
 	}
-	if opts.Tenants != nil {
-		rt.tenants = opts.Tenants
-		rt.tenantSeries = make(map[string]*metrics.Counter)
-		for _, name := range append(opts.Tenants.Names(), "unknown") {
-			rt.tenantSeries[name] = reg.Counter("chatgraph_router_tenant_requests_total",
-				"Proxied requests per tenant (by API key; unknown keys pool under \"unknown\").",
-				metrics.Labels{"tenant": name})
-		}
-	}
-	return rt
 }
 
 // CloseIdleConnections closes the proxy's idle backend connections, which
@@ -140,11 +119,6 @@ func (rt *Router) Handler() http.Handler {
 
 // route is the proxy catch-all: name, classify, buffer, dispatch.
 func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
-	if rt.tenants != nil {
-		// Observation only: the label set is bounded at construction, so
-		// key-spraying cannot mint series.
-		rt.tenantSeries[rt.tenants.NameForKey(r.Header.Get(server.APIKeyHeader))].Inc()
-	}
 	aff := server.ClassifyRoute(r.Method, r.URL.Path)
 	body, ok := rt.readBody(w, r)
 	if !ok {
@@ -236,13 +210,10 @@ func (rt *Router) createJob(w http.ResponseWriter, r *http.Request, body []byte)
 	}
 	var target *Backend
 	if ck, ok := server.UploadContentKey(body); ok {
-		target = rt.pool.Owner(ck)
-		if target != nil && !target.Routable() {
-			// The content's home shard is down: place on the next hop in
-			// its rank order (stable while the outage lasts) rather than
-			// refusing — placement is an optimization, not correctness.
-			target = rt.pool.FirstRoutable(ck)
-		}
+		// While the content's home shard is down, place on the next hop
+		// in its score order (stable while the outage lasts) rather than
+		// refusing — placement is an optimization, not correctness.
+		target = rt.pool.FirstRoutable(ck)
 	} else {
 		_, target = rt.pool.MintRoutableKey()
 	}
@@ -406,11 +377,6 @@ func (rt *Router) attempt(r *http.Request, b *Backend, body []byte) (*http.Respo
 	}
 	copyHeaders(req.Header, r.Header)
 	req.ContentLength = int64(len(body))
-	if prior := r.Header.Get("X-Forwarded-For"); prior != "" {
-		req.Header.Set("X-Forwarded-For", prior+", "+remoteIP(r))
-	} else {
-		req.Header.Set("X-Forwarded-For", remoteIP(r))
-	}
 	b.requests.Inc()
 	start := time.Now()
 	resp, err := rt.transport.RoundTrip(req)
@@ -491,14 +457,6 @@ func copyHeaders(dst, src http.Header) {
 			dst.Add(k, v)
 		}
 	}
-}
-
-func remoteIP(r *http.Request) string {
-	host := r.RemoteAddr
-	if i := strings.LastIndexByte(host, ':'); i > 0 {
-		host = host[:i]
-	}
-	return strings.Trim(host, "[]")
 }
 
 // injectField splices `"field":"value"` in as the last member of a JSON

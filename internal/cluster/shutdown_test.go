@@ -107,8 +107,6 @@ func TestRouterShutdownDrainsStreams(t *testing.T) {
 	prober.Stop()
 	router.CloseIdleConnections()
 	tr.CloseIdleConnections()
-	// The prober's client is the default one.
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)

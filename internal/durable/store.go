@@ -362,7 +362,9 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// syncLoop is the SyncInterval background flusher.
+// syncLoop is the SyncInterval background flusher. A failed fsync counts
+// as an append error, not as an fsync, and leaves the segment dirty, so the
+// next tick tries again.
 func (s *Store) syncLoop() {
 	defer s.syncWG.Done()
 	t := time.NewTicker(s.opts.SyncInterval)
@@ -374,9 +376,12 @@ func (s *Store) syncLoop() {
 		case <-t.C:
 			s.mu.Lock()
 			if s.dirty && !s.closed {
-				s.dirty = false
-				s.seg.Sync() //nolint:errcheck // best effort; append errors are counted
-				s.met.fsyncs.Inc()
+				if err := s.seg.Sync(); err != nil {
+					s.met.appendErrs.Inc()
+				} else {
+					s.dirty = false
+					s.met.fsyncs.Inc()
+				}
 			}
 			s.mu.Unlock()
 		}

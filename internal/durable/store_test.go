@@ -272,6 +272,66 @@ func TestSnapshotRotationFailureStopsSyncer(t *testing.T) {
 	}
 }
 
+// TestIntervalSyncFailureIsCounted drives the SyncInterval flusher. A
+// healthy tick syncs the dirty segment and counts one fsync. With the
+// segment swapped for a pipe, whose fsync fails (EINVAL), every tick counts
+// an append error and no fsync, and the segment stays dirty; once the real
+// segment is back, the next tick's retry syncs it.
+func TestIntervalSyncFailureIsCounted(t *testing.T) {
+	reg := metrics.NewRegistry()
+	st, _, err := Open(Options{Dir: t.TempDir(), Sync: SyncInterval, SyncInterval: 2 * time.Millisecond, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	appendErrs := reg.Counter("chatgraph_wal_append_errors_total", "", nil)
+	fsyncs := reg.Counter("chatgraph_wal_fsyncs_total", "", nil)
+	synced := func(after uint64) bool {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return !st.dirty && fsyncs.Value() > after
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s within 5 s (append errors %d, fsyncs %d)", what, appendErrs.Value(), fsyncs.Value())
+			}
+		}
+	}
+
+	before := fsyncs.Value()
+	if err := st.LogSessionCreate("s", time.Now(), ""); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("no tick synced the appended record", func() bool { return synced(before) })
+	if n := appendErrs.Value(); n != 0 {
+		t.Fatalf("append errors after a healthy tick = %d, want 0", n)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer w.Close()
+	st.mu.Lock()
+	seg := st.seg
+	st.seg, st.dirty = w, true
+	before = fsyncs.Value()
+	st.mu.Unlock()
+	// Two failures: the first tick's left the segment dirty for the second.
+	waitFor("no failed fsync was counted twice", func() bool { return appendErrs.Value() >= 2 })
+	st.mu.Lock()
+	dirty, after := st.dirty, fsyncs.Value()
+	st.seg = seg
+	st.mu.Unlock()
+	if !dirty || after != before {
+		t.Fatalf("after failed fsyncs: dirty = %v, fsyncs %d → %d; want dirty and no fsync counted", dirty, before, after)
+	}
+	waitFor("the retry on the restored segment did not sync", func() bool { return synced(before) })
+}
+
 // TestOldSnapshotFormatIsRefused boots over a data dir whose snap/ holds a
 // JSON manifest from before snapshots were segment images. Open must name
 // the file and leave wal/ and snap/ exactly as they were: replaying the live

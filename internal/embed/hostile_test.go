@@ -40,7 +40,9 @@ func TestHostileRetrieveLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler := server.New(eng, server.Options{}).Handler()
+	srv := server.New(eng, server.Options{})
+	t.Cleanup(srv.Close)
+	handler := srv.Handler()
 
 	// The oracle's side: decode, embed through the maps, scan densely.
 	var corpus, names []string

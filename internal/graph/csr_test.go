@@ -85,6 +85,45 @@ func TestCSRNeighborViews(t *testing.T) {
 	}
 }
 
+// TestSparseAdjacencyMatchesDense: the binary-search membership test that
+// adjacencyTest takes above bitAdjacencyMaxNodes answers every (u, v) pair
+// as the dense bitset and the Edges() scan do, on random directed and
+// undirected graphs with parallel edges.
+func TestSparseAdjacencyMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, directed := range []bool{false, true} {
+		for trial := 0; trial < 10; trial++ {
+			g := New()
+			if directed {
+				g = NewDirected()
+			}
+			n := 2 + rng.Intn(60)
+			for i := 0; i < n; i++ {
+				g.AddNode("")
+			}
+			// Each drawn pair goes in once or twice; the last always twice.
+			for i := n + rng.Intn(2*n); i >= 0; i-- {
+				u := rng.Intn(n)
+				v := (u + 1 + rng.Intn(n-1)) % n
+				for copies := 2 - min(i, rng.Intn(2)); copies > 0; copies-- {
+					if err := g.AddEdge(NodeID(u), NodeID(v)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			c := g.Freeze()
+			sparse, dense := sparseAdjacencyTest(c), denseAdjacencyTest(c)
+			for u := NodeID(0); int(u) < n; u++ {
+				for v := NodeID(0); int(v) < n; v++ {
+					if s, d, want := sparse(u, v), dense(u, v), g.HasEdge(u, v); s != d || s != want {
+						t.Fatalf("directed=%v trial %d (%d, %d): sparse %v, dense %v, edge list %v", directed, trial, u, v, s, d, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFreezeConcurrent hammers Freeze + the frozen algorithms from many
 // goroutines over one shared graph — the CSR build must publish exactly one
 // view per version and every reader must see consistent results (run with

@@ -55,10 +55,9 @@ func newAdmissionServer(t *testing.T, eng *core.Engine, opts Options) (*Server, 
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
 	}
-	srv := New(eng, opts)
+	srv := newServer(t, eng, opts)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	return srv, ts
 }
 

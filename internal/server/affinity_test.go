@@ -56,8 +56,7 @@ func TestClassifyRoute(t *testing.T) {
 // spread to any backend and never retried — which silently breaks a route
 // that carries a session or job id.
 func TestRouteTableClassified(t *testing.T) {
-	srv := New(slowEngine(t, 0), Options{Metrics: metrics.NewRegistry()})
-	t.Cleanup(srv.Close)
+	srv := newServer(t, slowEngine(t, 0), Options{Metrics: metrics.NewRegistry()})
 	for _, rt := range srv.routes() {
 		// A pattern is "[METHOD ]/path"; the bare ones answer GET.
 		method, path, ok := strings.Cut(rt.pattern, " ")

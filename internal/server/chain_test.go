@@ -89,7 +89,7 @@ func TestApplyEditsWithoutDetectionFails(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewServer(New(eng, Options{}).Handler())
+			ts := httptest.NewServer(newServer(t, eng, Options{}).Handler())
 			defer ts.Close()
 
 			resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", nil)

@@ -23,21 +23,9 @@ import (
 func TestCloseLeaksNoGoroutines(t *testing.T) {
 	eng := slowEngine(t, time.Minute)
 	client := &http.Client{Transport: &http.Transport{}}
-	// A keep-alive connection the previous test's server closed on its way
-	// out may still be winding down (its two client loops and the server's
-	// conn goroutine): take the base once the count stops falling, or their
-	// exits hide the rise New must cause.
 	base := runtime.NumGoroutine()
-	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
-		time.Sleep(20 * time.Millisecond)
-		n := runtime.NumGoroutine()
-		if n >= base {
-			break
-		}
-		base = n
-	}
 	reg := metrics.NewRegistry()
-	srv := New(eng, Options{JobWorkers: 2, Metrics: reg})
+	srv := newServer(t, eng, Options{JobWorkers: 2, Metrics: reg})
 	ts := httptest.NewServer(srv.Handler())
 	if runtime.NumGoroutine() < base+3 {
 		t.Fatalf("goroutines after New = %d, want at least %d: two workers and the sweeper", runtime.NumGoroutine(), base+3)
@@ -133,8 +121,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 // otherwise lazy, on access), and Close stops it.
 func TestSweeperExpiresIdleSessions(t *testing.T) {
 	testServer(t) // ensure the shared engine exists
-	srv := New(srvEngine, Options{SessionTTL: 40 * time.Millisecond, Metrics: metrics.NewRegistry()})
-	defer srv.Close()
+	srv := newServer(t, srvEngine, Options{SessionTTL: 40 * time.Millisecond, Metrics: metrics.NewRegistry()})
 	if _, err := srv.mgr.CreateWithID("", ""); err != nil {
 		t.Fatal(err)
 	}

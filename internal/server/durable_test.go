@@ -78,7 +78,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng1 := durableEngine(t)
-	srv1 := New(eng1, Options{Durable: dstore, Tenants: durTenants(t)})
+	srv1 := newServer(t, eng1, Options{Durable: dstore, Tenants: durTenants(t)})
 	ts1 := httptest.NewServer(srv1.Handler())
 
 	// Before Recover the server must refuse gated work and fail readiness.
@@ -196,8 +196,7 @@ func TestCrashRecovery(t *testing.T) {
 	if eng2.Graphs().Len() != 0 {
 		t.Fatalf("fresh engine graph store = %d", eng2.Graphs().Len())
 	}
-	srv2 := New(eng2, Options{Durable: dstore2, Tenants: durTenants(t)})
-	defer srv2.Close()
+	srv2 := newServer(t, eng2, Options{Durable: dstore2, Tenants: durTenants(t)})
 	if err := srv2.Recover(state2); err != nil {
 		t.Fatal(err)
 	}
@@ -392,9 +391,8 @@ func TestRecoverExpiredSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dstore2.Close()
-	srv := New(durableEngine(t), Options{Durable: dstore2, SessionTTL: time.Hour})
-	defer srv.Close()
+	t.Cleanup(func() { dstore2.Close() }) // cleanups run in reverse: the server closes first
+	srv := newServer(t, durableEngine(t), Options{Durable: dstore2, SessionTTL: time.Hour})
 	if err := srv.Recover(state); err != nil {
 		t.Fatal(err)
 	}
@@ -429,9 +427,8 @@ func TestRecoverInterruptedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dstore2.Close()
-	srv := New(durableEngine(t), Options{Durable: dstore2})
-	defer srv.Close()
+	t.Cleanup(func() { dstore2.Close() }) // cleanups run in reverse: the server closes first
+	srv := newServer(t, durableEngine(t), Options{Durable: dstore2})
 	if err := srv.Recover(state); err != nil {
 		t.Fatal(err)
 	}
@@ -463,11 +460,11 @@ func TestClosedStoreKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	durSrv := New(durableEngine(t), Options{Durable: dstore})
+	durSrv := newServer(t, durableEngine(t), Options{Durable: dstore})
 	if err := durSrv.Recover(state); err != nil {
 		t.Fatal(err)
 	}
-	plainSrv := New(durableEngine(t), Options{})
+	plainSrv := newServer(t, durableEngine(t), Options{})
 	appendErrs := reg.Counter("chatgraph_wal_append_errors_total", "", nil)
 	if err := dstore.Close(); err != nil {
 		t.Fatal(err)
@@ -537,8 +534,6 @@ func TestClosedStoreKeepsServing(t *testing.T) {
 	if err := plainSrv.Checkpoint(); err != nil {
 		t.Fatalf("store-less Checkpoint: %v", err)
 	}
-	durSrv.Close()
-	plainSrv.Close()
 }
 
 // TestRecoverDataDirWithGraphBlobs recovers a data dir in the format the
@@ -633,7 +628,7 @@ func TestRecoverDataDirWithGraphBlobs(t *testing.T) {
 	blobsBefore := blobFiles()
 
 	dstore, state := open(dir, true)
-	defer dstore.Close()
+	t.Cleanup(func() { dstore.Close() }) // cleanups run in reverse: the server closes first
 	plainStore, plain := open(t.TempDir(), false)
 	plainStore.Close()
 	if state.Records != plain.Records+1 {
@@ -643,8 +638,7 @@ func TestRecoverDataDirWithGraphBlobs(t *testing.T) {
 		t.Fatalf("graph records changed the recovered state:\n%+v\nwithout them:\n%+v", state, plain)
 	}
 
-	srv := New(durableEngine(t), Options{Durable: dstore})
-	defer srv.Close()
+	srv := newServer(t, durableEngine(t), Options{Durable: dstore})
 	if err := srv.Recover(state); err != nil {
 		t.Fatal(err)
 	}

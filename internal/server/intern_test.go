@@ -159,7 +159,7 @@ func parityEngine(t *testing.T, seed int64) *core.Engine {
 // responses (modulo wall-clock timings). Interning is a cache layer; it
 // must never be observable in answers, chains, or events.
 func TestInternParity(t *testing.T) {
-	interned := httptest.NewServer(New(parityEngine(t, 77), Options{}).Handler())
+	interned := httptest.NewServer(newServer(t, parityEngine(t, 77), Options{}).Handler())
 	defer interned.Close()
 	// One conversation per side carries the whole sequence, so history
 	// growth is part of what must not differ.

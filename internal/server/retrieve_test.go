@@ -24,7 +24,7 @@ func FuzzRetrieveRequest(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	testServer(f)
-	handler := New(srvEngine, Options{}).Handler()
+	handler := newServer(f, srvEngine, Options{}).Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/retrieve", bytes.NewReader(body)))

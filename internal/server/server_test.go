@@ -2,12 +2,16 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"chatgraph/internal/apis"
 	"chatgraph/internal/config"
@@ -18,8 +22,59 @@ import (
 var (
 	srvOnce   sync.Once
 	srvTest   *httptest.Server
+	srvShared *Server
 	srvEngine *core.Engine
 )
+
+// serverGoroutines name, as runtime.Stack prints them, the goroutines a
+// Server starts: the session/job sweeper and the job pool's workers.
+var serverGoroutines = []string{"internal/server.(*Server).sweep(", "internal/jobs.(*Manager).worker("}
+
+// TestMain closes the shared test server after the run, then fails the
+// package if a goroutine some Server started is still alive: a server a test
+// left running keeps its sweeper and workers for the rest of the run, and
+// they make every goroutine count after it order-dependent.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if srvTest != nil {
+		srvTest.Close()
+		srvShared.Close()
+	}
+	if leaked := serverLeaks(); leaked != "" && code == 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: goroutines a Server started are alive after the tests:\n%s\n", leaked)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// serverLeaks returns the stacks of the live serverGoroutines, waiting up
+// to a second for goroutines that are on their way out.
+func serverLeaks() string {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var leaked []string
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			for _, fn := range serverGoroutines {
+				if strings.Contains(g, fn) {
+					leaked = append(leaked, g)
+					break
+				}
+			}
+		}
+		if len(leaked) == 0 || time.Now().After(deadline) {
+			return strings.Join(leaked, "\n\n")
+		}
+	}
+}
+
+// newServer builds a Server that is closed when t ends. Every test in the
+// package builds its servers through it.
+func newServer(t testing.TB, eng *core.Engine, opts Options) *Server {
+	t.Helper()
+	srv := New(eng, opts)
+	t.Cleanup(srv.Close)
+	return srv
+}
 
 func testServer(t testing.TB) *httptest.Server {
 	t.Helper()
@@ -32,7 +87,8 @@ func testServer(t testing.TB) *httptest.Server {
 			panic(err)
 		}
 		srvEngine = eng
-		srvTest = httptest.NewServer(New(eng, Options{}).Handler())
+		srvShared = New(eng, Options{})
+		srvTest = httptest.NewServer(srvShared.Handler())
 	})
 	return srvTest
 }
@@ -179,8 +235,7 @@ func TestConfigIsWhatTheEngineRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(eng, Options{})
-	defer srv.Close()
+	srv := newServer(t, eng, Options{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

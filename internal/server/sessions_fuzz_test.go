@@ -35,7 +35,7 @@ func FuzzSessionCreate(f *testing.F) {
 	const maxSessions = 3
 	// The handler alone, without the timing middleware: latency-dependent
 	// coverage would make the fuzzer chase inputs it cannot reproduce.
-	srv := New(srvEngine, Options{SessionTTL: time.Hour, MaxSessions: maxSessions})
+	srv := newServer(f, srvEngine, Options{SessionTTL: time.Hour, MaxSessions: maxSessions})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		srv.mgr.sessions.Range(func(id, _ any) bool {
 			srv.mgr.Delete(id.(string))
@@ -89,7 +89,7 @@ func FuzzSessionCreate(f *testing.F) {
 // create a session, 4097 are refused, padding or not.
 func TestSessionCreateBodyCap(t *testing.T) {
 	testServer(t)
-	srv := New(srvEngine, Options{})
+	srv := newServer(t, srvEngine, Options{})
 	for _, tc := range []struct {
 		body string
 		want int

@@ -263,8 +263,7 @@ func BenchmarkDecodeChat(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := New(eng, Options{Metrics: metrics.NewRegistry()})
-	defer s.Close()
+	s := newServer(b, eng, Options{Metrics: metrics.NewRegistry()})
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct {
 		name string

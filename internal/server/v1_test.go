@@ -178,7 +178,7 @@ func TestV1ChatStreaming(t *testing.T) {
 // must 404 once its TTL elapses.
 func TestV1SessionExpiry(t *testing.T) {
 	testServer(t) // ensure the shared engine exists
-	srv := New(srvEngine, Options{SessionTTL: 30 * time.Millisecond, MaxSessions: 2})
+	srv := newServer(t, srvEngine, Options{SessionTTL: 30 * time.Millisecond, MaxSessions: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -207,7 +207,7 @@ func TestV1SessionExpiry(t *testing.T) {
 // TestV1MaxSessions fills the cap and expects 503 on the next create.
 func TestV1MaxSessions(t *testing.T) {
 	testServer(t)
-	srv := New(srvEngine, Options{SessionTTL: time.Hour, MaxSessions: 2})
+	srv := newServer(t, srvEngine, Options{SessionTTL: time.Hour, MaxSessions: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	for i := 0; i < 2; i++ {

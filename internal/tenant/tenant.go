@@ -229,20 +229,6 @@ func (r *Registry) Resolve(key string) (*Tenant, error) {
 	return t, nil
 }
 
-// NameForKey maps an API key to a bounded label value: the tenant's name
-// for known keys, AnonymousName for no key, "unknown" otherwise. Routers
-// use it to label per-tenant metrics without taking an admission
-// decision (backends own enforcement).
-func (r *Registry) NameForKey(key string) string {
-	if key == "" {
-		return AnonymousName
-	}
-	if t, ok := r.byKey[key]; ok {
-		return t.Name
-	}
-	return "unknown"
-}
-
 // Names returns every tenant name the registry can produce — the
 // configured tenants plus the anonymous tenant — which is exactly the
 // bounded label set metric families may use.
