@@ -182,7 +182,7 @@ func TestPageRankDanglingMass(t *testing.T) {
 
 func TestBetweennessPathCenter(t *testing.T) {
 	g := pathGraph(5)
-	bc := Betweenness(g)
+	bc := graph.Betweenness(g)
 	// Center of a 5-path lies on all 2·(2·2)=... exactly: bc = [0,3,4,3,0].
 	want := []float64{0, 3, 4, 3, 0}
 	for i, w := range want {

@@ -109,7 +109,7 @@ func registerUnderstand(r *Registry, _ *Env) {
 			{Name: "top", Description: "how many nodes to report", Kind: "int", Default: "5"},
 		},
 		Fn: func(in Input) (Output, error) {
-			scores := Betweenness(in.Graph)
+			scores := graph.Betweenness(in.Graph)
 			return rankOutput(in.Graph, scores, in.IntArg("top", 5), "betweenness"), nil
 		},
 	})
@@ -381,61 +381,6 @@ func PageRank(g *graph.Graph, damping float64, iters int) []float64 {
 		}
 	}
 	return pr
-}
-
-// Betweenness computes exact unweighted betweenness centrality with
-// Brandes' algorithm over the edges as they point: directed betweenness on a
-// directed graph (shortest paths follow out-edges), and on an undirected one
-// the usual undirected score, each pair counted once.
-func Betweenness(g *graph.Graph) []float64 {
-	n := g.NumNodes()
-	c := g.Freeze()
-	bc := make([]float64, n)
-	for s := 0; s < n; s++ {
-		// Single-source shortest paths with path counting.
-		var stack []int
-		preds := make([][]int, n)
-		sigma := make([]float64, n)
-		dist := make([]int, n)
-		for i := range dist {
-			dist[i] = -1
-		}
-		sigma[s] = 1
-		dist[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			stack = append(stack, v)
-			for _, w := range c.OutNeighbors(graph.NodeID(v)) {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					queue = append(queue, int(w))
-				}
-				if dist[w] == dist[v]+1 {
-					sigma[w] += sigma[v]
-					preds[w] = append(preds[w], v)
-				}
-			}
-		}
-		delta := make([]float64, n)
-		for i := len(stack) - 1; i >= 0; i-- {
-			w := stack[i]
-			for _, v := range preds[w] {
-				delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
-			}
-			if w != s {
-				bc[w] += delta[w]
-			}
-		}
-	}
-	// Undirected: each pair counted twice.
-	if !g.Directed() {
-		for i := range bc {
-			bc[i] /= 2
-		}
-	}
-	return bc
 }
 
 // BridgesAndArticulation finds bridge edges and articulation points with

@@ -249,8 +249,8 @@ func WeightedShortestPath(g *Graph, src, dst NodeID) ([]NodeID, float64) {
 	}
 	sc := getTrav(n)
 	defer putTrav(sc)
-	dist := sc.floats(n)
-	parent := sc.parents(n)
+	dist := grow(&sc.fdist, n)
+	parent := grow(&sc.parent, n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		parent[i] = -1
@@ -288,9 +288,9 @@ func WeightedShortestPath(g *Graph, src, dst NodeID) ([]NodeID, float64) {
 }
 
 // ShortestPath returns an unweighted shortest path from src to dst over the
-// forward adjacency, or nil when dst is unreachable. After one walk from src,
-// v's parent is the first node u in visit order with u→v one level above v:
-// the node whose expansion reached v first, as in a search stopping at dst.
+// forward adjacency, or nil when dst is unreachable: the parent chain of one
+// walk from src. Each node's parent is its first discoverer, the parent a
+// search stopping at dst would record, so the path is that search's.
 func ShortestPath(g *Graph, src, dst NodeID) []NodeID {
 	if !g.valid(src) || !g.valid(dst) {
 		return nil
@@ -298,25 +298,11 @@ func ShortestPath(g *Graph, src, dst NodeID) []NodeID {
 	c := g.Freeze()
 	sc := getTrav(c.n)
 	defer putTrav(sc)
-	q := c.bfs(int32(src), sc, c.offsets, c.targets)
+	c.bfs(int32(src), sc, c.offsets, c.targets, allDepths)
 	if !sc.seen(int32(dst)) {
 		return nil
 	}
-	depth, parent := sc.depths, sc.parents(c.n)
-	for _, u := range q {
-		parent[u] = -1
-	}
-	for _, u := range q {
-		if depth[u] >= depth[dst] {
-			break
-		}
-		for _, v := range c.OutNeighbors(NodeID(u)) {
-			if parent[v] == -1 && depth[v] == depth[u]+1 {
-				parent[v] = u
-			}
-		}
-	}
-	return parentPath(parent, src, dst)
+	return parentPath(sc.parent, src, dst)
 }
 
 // parentPath reads the path src → dst off a parent chain from dst back to
@@ -349,7 +335,7 @@ func Closeness(g *Graph) []float64 {
 	defer putTrav(sc)
 	for u := range n {
 		sc.nextEpoch()
-		q := c.bfs(int32(u), sc, c.offsets, c.targets)
+		q := c.bfs(int32(u), sc, c.offsets, c.targets, allDepths)
 		sum, reach := 0, len(q)-1
 		for _, v := range q[1:] {
 			sum += int(sc.depths[v])
@@ -359,6 +345,72 @@ func Closeness(g *Graph) []float64 {
 		}
 	}
 	return out
+}
+
+// Betweenness computes exact unweighted betweenness centrality with
+// Brandes' algorithm over the edges as they point: directed betweenness on a
+// directed graph (shortest paths follow out-edges), and on an undirected one
+// the usual undirected score, each pair counted once. Each source's walk
+// gives the visit order. One forward pass over it sums σ (shortest-path
+// counts) and counts each node's predecessors, a second files them in one
+// flat array, each node's run in visit order, and the backward pass sums δ.
+// Every float is added in the order of the textbook queue loop (σ[w] by
+// predecessor in visit order, δ[v] by successor in reverse visit order), so
+// the scores are that loop's bit for bit; all sources share one lease.
+func Betweenness(g *Graph) []float64 {
+	c := g.Freeze()
+	n := c.n
+	bc := make([]float64, n)
+	sc := getTrav(n)
+	defer putTrav(sc)
+	sigma, delta, end := grow(&sc.fdist, n), grow(&sc.delta, n), grow(&sc.marks, n)
+	for s := range n {
+		sc.nextEpoch()
+		q := c.bfs(int32(s), sc, c.offsets, c.targets, allDepths)
+		depth := sc.depths
+		for _, u := range q {
+			sigma[u], delta[u], end[u] = 0, 0, 0
+		}
+		sigma[s] = 1
+		for _, u := range q {
+			for _, v := range c.OutNeighbors(NodeID(u)) {
+				if depth[v] == depth[u]+1 {
+					sigma[v] += sigma[u]
+					end[v]++
+				}
+			}
+		}
+		// Lay the runs out in visit order: end[w] is first w's run start,
+		// then, once filled, its end — the next node's start.
+		total := int32(0)
+		for _, w := range q {
+			total, end[w] = total+end[w], total
+		}
+		preds := grow(&sc.preds, int(total))
+		for _, u := range q {
+			for _, v := range c.OutNeighbors(NodeID(u)) {
+				if depth[v] == depth[u]+1 {
+					preds[end[v]] = u
+					end[v]++
+				}
+			}
+		}
+		// q[0] is s: no predecessors, no score.
+		for i := len(q) - 1; i > 0; i-- {
+			w := q[i]
+			for _, v := range preds[end[q[i-1]]:end[w]] {
+				delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+			}
+			bc[w] += delta[w]
+		}
+	}
+	// Undirected: each pair counted twice.
+	if !c.directed {
+		for i := range bc {
+			bc[i] /= 2
+		}
+	}
+	return bc
 }
 
 // Eccentricities returns each node's eccentricity (max BFS distance to any
@@ -416,7 +468,7 @@ func GreedyColoring(g *Graph) ([]int, int) {
 	}
 	sc := getTrav(n)
 	defer putTrav(sc)
-	taken := sc.intMarks(n + 1)
+	taken := grow(&sc.marks, n+1)
 	for i := range taken {
 		taken[i] = -1
 	}

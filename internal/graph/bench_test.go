@@ -18,13 +18,13 @@ func BenchmarkBFS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc := getTrav(c.n)
-		c.bfs(0, sc, c.offsets, c.targets)
+		c.bfs(0, sc, c.offsets, c.targets, allDepths)
 		putTrav(sc)
 	}
 }
 
 // BenchmarkKHopSubgraphNodes prices graph.sample_neighborhood's default
-// radius: a full walk from each source, cut at two hops and sorted.
+// radius: a walk of radius two from each source, sorted.
 func BenchmarkKHopSubgraphNodes(b *testing.B) {
 	g := benchGraph(b, 2000)
 	g.Freeze()
@@ -36,7 +36,7 @@ func BenchmarkKHopSubgraphNodes(b *testing.B) {
 }
 
 // BenchmarkShortestPath prices path.shortest: a full walk from each source,
-// then the parent pass up to the target's depth.
+// the path read off the recorded parents.
 func BenchmarkShortestPath(b *testing.B) {
 	g := benchGraph(b, 2000)
 	g.Freeze()
@@ -56,6 +56,20 @@ func BenchmarkCloseness(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Closeness(g)
+	}
+}
+
+// BenchmarkBetweenness prices centrality.betweenness: Brandes from every
+// source on one scratch lease, so allocs/op stay flat as n grows.
+func BenchmarkBetweenness(b *testing.B) {
+	for _, tc := range uploadShapes(b, 500) {
+		tc.g.Freeze()
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Betweenness(tc.g)
+			}
+		})
 	}
 }
 

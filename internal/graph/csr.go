@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"sort"
 	"sync"
 )
@@ -216,32 +217,76 @@ func (c *CSR) undDegree(u NodeID) int {
 	return int(c.uoffsets[u+1] - c.uoffsets[u])
 }
 
+// allDepths is the radius of a walk that reaches every node it can.
+const allDepths = math.MaxInt32
+
 // bfs is the one level-order queue loop every unweighted traversal shares:
-// farthest, eccFrom, components, KHopSubgraphNodes, ShortestPath and
-// Closeness. It walks off/tgt from src under sc's current epoch, setting
-// sc.depths[v] and the epoch mark of every reached node, and returns the
-// queue: every reached node in visit order (neighbors ascending), so depths
-// never decrease along it. The caller owns the epoch: bfs never bumps it, so
-// components can share one epoch across per-component walks. The returned
-// slice is sc.queue and is valid until the next walk on sc.
-func (c *CSR) bfs(src int32, sc *travScratch, off []int32, tgt []NodeID) []int32 {
-	depth := sc.ints(c.n)
-	q := append(sc.queue[:0], src)
-	sc.mark(src)
-	depth[src] = 0
-	for head := 0; head < len(q); head++ {
+// farthest, eccFrom, components, KHopSubgraphNodes, ShortestPath, Closeness,
+// Betweenness and the sequentializer's trees (Walker). It walks off/tgt from
+// src under sc's current epoch, expanding no node at depth ≥ radius, and sets
+// sc.depths[v], sc.parent[v] (the first discoverer, -1 at src) and the epoch
+// mark of every reached node. It returns the queue: every reached node in
+// visit order (neighbors ascending), so depths never decrease along it. The
+// walk ends as soon as every node is queued, since no expansion can reach
+// more. The caller owns the epoch: bfs never bumps it, so components can
+// share one epoch across per-component walks. The returned slice is a prefix
+// of sc.queue and is valid until the next walk on sc.
+//
+// The parent store must cost the walks nothing (EXPERIMENTS.md E45): the
+// queue is sized to n up front, each node being queued once, so the loop
+// makes no call that would spill registers, and depth and parent share
+// seen's length, so seen's bounds check covers theirs.
+func (c *CSR) bfs(src int32, sc *travScratch, off []int32, tgt []NodeID, radius int32) []int32 {
+	n, seen, epoch := c.n, sc.visited[:c.n], sc.epoch
+	depth, parent := grow(&sc.depths, n)[:len(seen)], grow(&sc.parent, n)[:len(seen)]
+	q := grow(&sc.queue, n)
+	q[0] = src
+	seen[src], depth[src], parent[src] = epoch, 0, -1
+	tail := 1
+	for head := 0; head < tail && tail < n; head++ {
 		u := q[head]
-		d := depth[u] + 1
+		d := depth[u]
+		if d >= radius {
+			break // BFS order: everything still queued sits on the rim too
+		}
 		for _, v := range tgt[off[u]:off[u+1]] {
-			if !sc.seen(int32(v)) {
-				sc.mark(int32(v))
-				depth[v] = d
-				q = append(q, int32(v))
+			if seen[v] != epoch {
+				seen[v], depth[v], parent[v] = epoch, d+1, u
+				q[tail] = int32(v)
+				tail++
 			}
 		}
 	}
-	sc.queue = q
-	return q
+	return q[:tail]
+}
+
+// Walker is a run of radius-bounded walks over a CSR's forward rows on one
+// leased scratch: the sequentializer grows every root's tree through it.
+// A Walker is not safe for concurrent use; Release returns its scratch.
+type Walker struct {
+	c  *CSR
+	sc *travScratch
+}
+
+// Walker leases one traversal scratch for a run of Tree calls.
+func (c *CSR) Walker() *Walker { return &Walker{c: c, sc: getTrav(c.n)} }
+
+// Release returns the walker's scratch to the pool; the walker and every
+// slice it handed out are dead afterwards.
+func (w *Walker) Release() {
+	putTrav(w.sc)
+	w.sc = nil
+}
+
+// Tree walks the BFS tree of the given radius rooted at root over the
+// forward rows (neighbors ascending, the first discoverer is the parent). It
+// returns the tree's nodes in visit order, and depth and parent indexed by
+// node, valid for those nodes only (the root's parent is -1). All three are
+// views into the walker's scratch, valid until its next Tree or Release.
+func (w *Walker) Tree(root NodeID, radius int) (order, depth, parent []int32) {
+	w.sc.nextEpoch()
+	order = w.c.bfs(int32(root), w.sc, w.c.offsets, w.c.targets, int32(min(radius, allDepths)))
+	return order, w.sc.depths, w.sc.parent
 }
 
 // eccFrom returns the maximum BFS depth reachable from src over the forward
@@ -249,7 +294,7 @@ func (c *CSR) bfs(src int32, sc *travScratch, off []int32, tgt []NodeID) []int32
 // Zero allocations.
 func (c *CSR) eccFrom(src int32, sc *travScratch) int32 {
 	sc.nextEpoch()
-	q := c.bfs(src, sc, c.offsets, c.targets)
+	q := c.bfs(src, sc, c.offsets, c.targets, allDepths)
 	return sc.depths[q[len(q)-1]]
 }
 
@@ -257,7 +302,7 @@ func (c *CSR) eccFrom(src int32, sc *travScratch) int32 {
 // BFS visit order, matching the slice-based double sweep) and that depth.
 func (c *CSR) farthest(src int32, sc *travScratch) (NodeID, int32) {
 	sc.nextEpoch()
-	q := c.bfs(src, sc, c.offsets, c.targets)
+	q := c.bfs(src, sc, c.offsets, c.targets, allDepths)
 	best := q[0]
 	for _, u := range q {
 		if sc.depths[u] > sc.depths[best] {
@@ -280,7 +325,7 @@ func (c *CSR) components() [][]NodeID {
 		if sc.seen(int32(s)) {
 			continue
 		}
-		q := c.bfs(int32(s), sc, c.uoffsets, c.utargets)
+		q := c.bfs(int32(s), sc, c.uoffsets, c.utargets, allDepths)
 		members := make([]NodeID, len(q))
 		for i, u := range q {
 			members[i] = NodeID(u)

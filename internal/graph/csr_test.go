@@ -187,7 +187,7 @@ func TestBFSAllocs(t *testing.T) {
 	c := g.Freeze()
 	walk := func() {
 		sc := getTrav(c.n)
-		c.bfs(0, sc, c.offsets, c.targets)
+		c.bfs(0, sc, c.offsets, c.targets, allDepths)
 		putTrav(sc)
 	}
 	walk()
@@ -208,6 +208,19 @@ func TestWeightedShortestPathAllocs(t *testing.T) {
 	WeightedShortestPath(g, 0, dst)
 	if allocs := testing.AllocsPerRun(10, func() { WeightedShortestPath(g, 0, dst) }); allocs > 2 {
 		t.Fatalf("WeightedShortestPath allocates %v per run, want ≤ 2 (result path)", allocs)
+	}
+}
+
+// TestBetweennessAllocs: Brandes' per-source state is pooled; only the
+// score slice allocates, whatever the node count.
+func TestBetweennessAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	g := BarabasiAlbert(300, 3, rand.New(rand.NewSource(10)))
+	Betweenness(g)
+	if allocs := testing.AllocsPerRun(5, func() { Betweenness(g) }); allocs > 1 {
+		t.Fatalf("Betweenness allocates %v per run, want ≤ 1 (the scores)", allocs)
 	}
 }
 

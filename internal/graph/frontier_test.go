@@ -82,6 +82,10 @@ const (
 	minDenseFrontier     = 64
 )
 
+// mark stamps node i seen under the current epoch: what the oracle's loops
+// write where production's one queue loop writes the stamp inline.
+func (sc *travScratch) mark(i int32) { sc.visited[i] = sc.epoch }
+
 // hybridBFS is the direction-optimizing BFS (Beamer et al., SC'12) that
 // production carried until the one queue loop (CSR.bfs) replaced it, kept as
 // that loop's parity oracle and benchmark baseline. It holds its own reverse
@@ -246,7 +250,7 @@ func (h *hybridBFS) from(src int32, sc *travScratch, off []int32, tgt []NodeID, 
 // forward rows, with a fresh epoch.
 func (h *hybridBFS) ecc(src int32, sc *travScratch) int32 {
 	sc.nextEpoch()
-	return h.from(src, sc, h.c.offsets, h.c.targets, h.roff, h.rtgt, sc.ints(h.c.n), nil)
+	return h.from(src, sc, h.c.offsets, h.c.targets, h.roff, h.rtgt, grow(&sc.depths, h.c.n), nil)
 }
 
 // eccentricities is the oracle's Eccentricities.
@@ -290,7 +294,7 @@ func (h *hybridBFS) components() [][]NodeID {
 	c := h.c
 	sc := getTrav(c.n)
 	defer putTrav(sc)
-	depth := sc.ints(c.n)
+	depth := grow(&sc.depths, c.n)
 	var comps [][]NodeID
 	for s := 0; s < c.n; s++ {
 		if sc.seen(int32(s)) {

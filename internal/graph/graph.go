@@ -323,21 +323,18 @@ func (g *Graph) Clone() *Graph {
 }
 
 // KHopSubgraphNodes returns the set of nodes within l hops of u (inclusive of
-// u), in ascending ID order: the prefix of one forward walk from u while the
-// depth is at most l, sorted.
+// u), in ascending ID order: one forward walk from u of radius l, sorted.
 func (g *Graph) KHopSubgraphNodes(u NodeID, l int) []NodeID {
-	if !g.valid(u) {
+	if !g.valid(u) || l < 0 {
 		return nil
 	}
 	c := g.Freeze()
 	sc := getTrav(c.n)
 	defer putTrav(sc)
-	var out []NodeID
-	for _, v := range c.bfs(int32(u), sc, c.offsets, c.targets) {
-		if int(sc.depths[v]) > l {
-			break
-		}
-		out = append(out, NodeID(v))
+	q := c.bfs(int32(u), sc, c.offsets, c.targets, int32(min(l, allDepths)))
+	out := make([]NodeID, len(q))
+	for i, v := range q {
+		out[i] = NodeID(v)
 	}
 	sortNodeIDs(out)
 	return out

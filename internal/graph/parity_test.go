@@ -681,7 +681,7 @@ func queueOrder(g *Graph, src NodeID) []bfsVisit {
 	sc := getTrav(c.n)
 	defer putTrav(sc)
 	var out []bfsVisit
-	for _, u := range c.bfs(int32(src), sc, c.offsets, c.targets) {
+	for _, u := range c.bfs(int32(src), sc, c.offsets, c.targets, allDepths) {
 		out = append(out, bfsVisit{NodeID(u), int(sc.depths[u])})
 	}
 	return out
@@ -720,7 +720,9 @@ func TestKHopSubgraphNodesParity(t *testing.T) {
 	for name, g := range parityFixtures(t) {
 		n := g.NumNodes()
 		for u := 0; u < n; u++ {
-			for _, l := range []int{0, 1, 2, 3, n} {
+			// n exceeds every fixture's diameter; MaxInt exceeds the walk's
+			// int32 depths; a negative radius reaches nothing.
+			for _, l := range []int{-1, 0, 1, 2, 3, n, math.MaxInt} {
 				got, want := g.KHopSubgraphNodes(NodeID(u), l), naiveKHopSubgraphNodes(g, NodeID(u), l)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: KHopSubgraphNodes(%d, %d) = %v, want %v", name, u, l, got, want)
@@ -783,6 +785,25 @@ func TestShortestPathParity(t *testing.T) {
 	}
 }
 
+// TestShortestPathUnreachableTarget: a target the walk never reaches has no path,
+// whether it sits in another component or only behind an edge's tail.
+func TestShortestPathUnreachableTarget(t *testing.T) {
+	fixtures := parityFixtures(t)
+	und := fixtures["undirected_disconnected"]
+	iso := NodeID(und.NumNodes() - 1) // the last node added is isolated
+	if got := ShortestPath(und, 0, iso); got != nil {
+		t.Fatalf("undirected_disconnected: ShortestPath(0, %d) = %v, want nil", iso, got)
+	}
+	// directed_multi_source: 4 has out-edges only, so nothing reaches it.
+	dm := fixtures["directed_multi_source"]
+	if got := ShortestPath(dm, 0, 4); got != nil {
+		t.Fatalf("directed_multi_source: ShortestPath(0, 4) = %v, want nil", got)
+	}
+	if got, want := ShortestPath(dm, 4, 2), naiveShortestPath(dm, 4, 2); !reflect.DeepEqual(got, want) || got == nil {
+		t.Fatalf("directed_multi_source: ShortestPath(4, 2) = %v, want %v", got, want)
+	}
+}
+
 // naiveCloseness is centrality.closeness as it ran before it moved onto the
 // shared walk, kept verbatim: one allocated hop-count slice per source.
 func naiveCloseness(g *Graph) []float64 {
@@ -813,6 +834,78 @@ func TestClosenessParity(t *testing.T) {
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s: Closeness[%d] = %v, want %v (bitwise)", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// naiveBetweenness is centrality.betweenness as it ran in internal/apis
+// before it moved onto the shared walk, kept verbatim: its own slice queue,
+// per-node predecessor slices and fresh σ, distance and δ arrays per source.
+func naiveBetweenness(g *Graph) []float64 {
+	n := g.NumNodes()
+	c := g.Freeze()
+	bc := make([]float64, n)
+	for s := 0; s < n; s++ {
+		// Single-source shortest paths with path counting.
+		var stack []int
+		preds := make([][]int, n)
+		sigma := make([]float64, n)
+		dist := make([]int, n)
+		for i := range dist {
+			dist[i] = -1
+		}
+		sigma[s] = 1
+		dist[s] = 0
+		queue := []int{s}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			stack = append(stack, v)
+			for _, w := range c.OutNeighbors(NodeID(v)) {
+				if dist[w] < 0 {
+					dist[w] = dist[v] + 1
+					queue = append(queue, int(w))
+				}
+				if dist[w] == dist[v]+1 {
+					sigma[w] += sigma[v]
+					preds[w] = append(preds[w], v)
+				}
+			}
+		}
+		delta := make([]float64, n)
+		for i := len(stack) - 1; i >= 0; i-- {
+			w := stack[i]
+			for _, v := range preds[w] {
+				delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+			}
+			if w != s {
+				bc[w] += delta[w]
+			}
+		}
+	}
+	// Undirected: each pair counted twice.
+	if !g.Directed() {
+		for i := range bc {
+			bc[i] /= 2
+		}
+	}
+	return bc
+}
+
+func TestBetweennessParity(t *testing.T) {
+	fixtures := parityFixtures(t)
+	rng := rand.New(rand.NewSource(11))
+	fixtures["ba300"] = BarabasiAlbert(300, 3, rng)
+	fixtures["sbm4x50"] = PlantedCommunities(4, 50, 0.3, 0.02, rng)
+	for name, g := range fixtures {
+		got, want := Betweenness(g), naiveBetweenness(g)
+		if len(got) != len(want) {
+			t.Fatalf("%s: Betweenness has %d scores, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: Betweenness[%d] = %v, want %v (bitwise)", name, i, got[i], want[i])
 			}
 		}
 	}

@@ -6,12 +6,12 @@ import (
 )
 
 // travScratch is the per-traversal working set every CSR algorithm reuses:
-// an epoch-stamped visited buffer, a frontier queue, integer and float
-// distance arrays, and a hand-rolled Dijkstra heap. Instances recycle
-// through travPool (mirroring ann.searchScratch), so a steady-state BFS or
-// Dijkstra allocates nothing per visited node, and concurrent requests
-// traversing one shared frozen graph each lease their own scratch. An
-// all-source kernel keeps one lease for all its sweeps.
+// an epoch-stamped visited buffer, a frontier queue, per-node integer and
+// float arrays, and a hand-rolled Dijkstra heap. Instances recycle through
+// travPool (mirroring ann.searchScratch), so a steady-state BFS or Dijkstra
+// allocates nothing per visited node, and concurrent requests traversing one
+// shared frozen graph each lease their own scratch. An all-source kernel
+// keeps one lease for all its sweeps.
 type travScratch struct {
 	// visited[i] == epoch marks node i seen by the current traversal.
 	// Bumping epoch invalidates the whole buffer in O(1).
@@ -20,13 +20,18 @@ type travScratch struct {
 	// queue is the BFS frontier; after a walk it holds the reached nodes
 	// in visit order (see CSR.bfs).
 	queue []int32
-	// depths holds per-node hop counts (valid only for visited nodes).
+	// depths and parent hold each reached node's hop count and first
+	// discoverer after a walk; Dijkstra reuses parent.
 	depths []int32
-	// marks is a second stamped buffer (coloring palettes, peeling state).
-	marks []int32
-	// fdist and parent back Dijkstra.
-	fdist  []float64
 	parent []int32
+	// marks is a second stamped buffer (coloring palettes, Brandes'
+	// predecessor runs).
+	marks []int32
+	// fdist backs Dijkstra's distances and Brandes' σ, delta Brandes' δ,
+	// and preds Brandes' predecessors, flat.
+	fdist []float64
+	delta []float64
+	preds []int32
 	// heap is the Dijkstra priority queue.
 	heap []heapEntry
 	// rows holds adjacency bit rows for the duration of one kernel; see
@@ -70,38 +75,14 @@ func (sc *travScratch) nextEpoch() {
 }
 
 func (sc *travScratch) seen(i int32) bool { return sc.visited[i] == sc.epoch }
-func (sc *travScratch) mark(i int32)      { sc.visited[i] = sc.epoch }
 
-// ints returns sc.depths grown to at least n entries (contents undefined).
-func (sc *travScratch) ints(n int) []int32 {
-	if cap(sc.depths) < n {
-		sc.depths = make([]int32, n)
+// grow returns *s resliced to n entries, reallocated first if it is too
+// short (contents undefined).
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
 	}
-	return sc.depths[:n]
-}
-
-// intMarks returns sc.marks grown to at least n entries (contents undefined).
-func (sc *travScratch) intMarks(n int) []int32 {
-	if cap(sc.marks) < n {
-		sc.marks = make([]int32, n)
-	}
-	return sc.marks[:n]
-}
-
-// floats returns sc.fdist grown to at least n entries (contents undefined).
-func (sc *travScratch) floats(n int) []float64 {
-	if cap(sc.fdist) < n {
-		sc.fdist = make([]float64, n)
-	}
-	return sc.fdist[:n]
-}
-
-// parents returns sc.parent grown to at least n entries (contents undefined).
-func (sc *travScratch) parents(n int) []int32 {
-	if cap(sc.parent) < n {
-		sc.parent = make([]int32, n)
-	}
-	return sc.parent[:n]
+	return (*s)[:n]
 }
 
 // The Dijkstra heap is hand-rolled over []heapEntry for the same reason the

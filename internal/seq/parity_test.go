@@ -86,6 +86,90 @@ func oracleCoverFrom(g *graph.Graph, u graph.NodeID, l int) []Path {
 	return paths
 }
 
+// bfsTree is the array kernel cover ran on before its trees moved onto
+// internal/graph's queue walk, kept verbatim as the second reference: its own
+// queue loop growing the radius-l tree in flat epoch-stamped arrays, child
+// counts kept as it walks, and its own path builder.
+type bfsTree struct {
+	stamp  []uint32
+	epoch  uint32
+	parent []int32
+	depth  []int32
+	kids   []int32
+	order  []int32
+}
+
+func (t *bfsTree) build(c *graph.CSR, root int32, l int) int {
+	t.epoch++
+	stamp, n := t.stamp, c.NumNodes()
+	q := append(t.order[:0], root)
+	stamp[root] = t.epoch
+	t.depth[root], t.kids[root] = 0, 0
+	internal := 0
+	for head := 0; head < len(q) && len(q) < n; head++ {
+		u := q[head]
+		d := t.depth[u]
+		if int(d) >= l {
+			break
+		}
+		for _, v := range c.OutNeighbors(graph.NodeID(u)) {
+			if stamp[v] == t.epoch {
+				continue
+			}
+			stamp[v] = t.epoch
+			t.parent[v], t.depth[v], t.kids[v] = u, d+1, 0
+			if t.kids[u] == 0 {
+				internal++
+			}
+			t.kids[u]++
+			q = append(q, int32(v))
+		}
+	}
+	t.order = q
+	return len(q) - internal
+}
+
+func (t *bfsTree) appendPaths(paths []Path, k int) []Path {
+	if k <= 0 {
+		return paths
+	}
+	size, last := 0, 0
+	for found := 0; found < k; last++ {
+		if v := t.order[last]; t.kids[v] == 0 {
+			size += int(t.depth[v]) + 1
+			found++
+		}
+	}
+	slab := make([]graph.NodeID, size)
+	for _, v := range t.order[:last] {
+		if t.kids[v] != 0 {
+			continue
+		}
+		n := int(t.depth[v]) + 1
+		p := slab[:n:n]
+		slab = slab[n:]
+		for i := n - 1; i >= 0; i-- {
+			p[i] = graph.NodeID(v)
+			v = t.parent[v]
+		}
+		paths = append(paths, p)
+	}
+	return paths
+}
+
+// oracleTreeCover is cover on the bfsTree kernel.
+func oracleTreeCover(g *graph.Graph, l, limit int) (paths []Path, total int) {
+	c := g.Freeze()
+	n := c.NumNodes()
+	t := &bfsTree{stamp: make([]uint32, n), parent: make([]int32, n), depth: make([]int32, n), kids: make([]int32, n)}
+	for u := range n {
+		leaves := t.build(c, int32(u), l)
+		total += leaves
+		paths = t.appendPaths(paths, min(leaves, limit-len(paths)))
+	}
+	return paths, total
+}
+
 // oracleMembers is the super-node partition of the map-based triangle loop
 // SuperGraph used before it merge-intersected CSR rows.
 func oracleMembers(g *graph.Graph) [][]graph.NodeID {
@@ -160,7 +244,7 @@ func samePaths(a, b []Path) bool {
 
 // checkCoverParity pins both consumers of the kernel to the oracle: the full
 // cover is DeepEqual, and every bounded head is its prefix with an exact
-// count.
+// count and equal to the bfsTree kernel's head.
 func checkCoverParity(t *testing.T, g *graph.Graph, l int) {
 	t.Helper()
 	want := oraclePathCover(g, l)
@@ -171,6 +255,9 @@ func checkCoverParity(t *testing.T, g *graph.Graph, l int) {
 		head, total := cover(g, l, k)
 		if total != len(want) {
 			t.Fatalf("l=%d k=%d: counted %d paths, oracle built %d", l, k, total, len(want))
+		}
+		if treeHead, treeTotal := oracleTreeCover(g, l, k); treeTotal != total || !samePaths(head, treeHead) {
+			t.Fatalf("l=%d k=%d: cover (%d paths) differs from the bfsTree kernel (%d)\n got %v\nwant %v", l, k, total, treeTotal, head, treeHead)
 		}
 		if prefix := want[:min(k, len(want))]; !samePaths(head, prefix) {
 			t.Fatalf("l=%d k=%d: head differs from oracle prefix\n got %v\nwant %v", l, k, head, prefix)
@@ -272,7 +359,7 @@ func TestSuperGraphPartitionParity(t *testing.T) {
 	}
 }
 
-// Every cover allocates its own tree; concurrent bounded and full covers over
+// Every cover leases its own walker scratch; concurrent bounded and full covers over
 // one shared (interned-style) graph must agree with a result computed alone.
 // Run under -race.
 func TestConcurrentCoversShareNoScratch(t *testing.T) {

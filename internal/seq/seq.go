@@ -15,7 +15,8 @@
 //     the same way, giving the LLM a second, coarser level that exposes
 //     multi-level structure (communities, protein tertiary structure, ...).
 //
-// One array-based BFS-tree kernel (bfsTree) builds and counts every tree.
+// Every tree is one radius-l walk of internal/graph's queue BFS (a
+// graph.Walker), its leaves counted off the recorded parents.
 // Sequentialize and PathCover materialise every leaf: the whole cover, for
 // callers that analyse it. SequentializeHead serves the prompt builder, which
 // prints a few dozen lines of a cover that is tens of thousands of paths on a
@@ -100,102 +101,77 @@ func sequentialize(g *graph.Graph, opts Options, limit, superLimit int) Result {
 	return res
 }
 
-// cover walks the BFS tree of every node in ID order. It returns the first
-// limit paths of the cover (all of them when limit < 0) and the size of the
-// whole cover.
+// cover walks the radius-l BFS tree of every node in ID order, all on one
+// graph.Walker lease. It returns the first limit paths of the cover (all of
+// them when limit < 0) and the size of the whole cover.
 func cover(g *graph.Graph, l, limit int) (paths []Path, total int) {
 	if limit < 0 {
 		limit = math.MaxInt
 	}
 	c := g.Freeze()
-	n := c.NumNodes()
-	t := &bfsTree{stamp: make([]uint32, n), parent: make([]int32, n), depth: make([]int32, n), kids: make([]int32, n)}
-	for u := range n {
-		leaves := t.build(c, int32(u), l)
+	w := c.Walker()
+	defer w.Release()
+	var leafBuf []int32
+	for u := range c.NumNodes() {
+		order, depth, parent := w.Tree(graph.NodeID(u), l)
+		leaves := countLeaves(order, parent)
 		total += leaves
-		paths = t.appendPaths(paths, min(leaves, limit-len(paths)))
+		if k := min(leaves, limit-len(paths)); k > 0 {
+			paths, leafBuf = appendPaths(paths, k, order, depth, parent, leafBuf)
+		}
 	}
 	return paths, total
 }
 
-// bfsTree is the one BFS-tree implementation behind every path cover: the
-// radius-l tree of the current root in flat arrays indexed by node, stamped
-// with an epoch so moving to the next root costs O(1) instead of a clear. A
-// cover allocates its own, so its epoch never exceeds the node count.
-type bfsTree struct {
-	// stamp[v] == epoch marks v as in the current root's tree; parent, depth
-	// and kids (child count) are valid only for stamped nodes.
-	stamp  []uint32
-	epoch  uint32
-	parent []int32
-	depth  []int32
-	kids   []int32
-	// order lists the tree's nodes in BFS order (the queue, kept whole).
-	order []int32
+// countLeaves counts a tree's leaves, its nodes that are nobody's parent (a
+// lone root is its own leaf). The walk queues a node's children together
+// while it expands it, so the parents along order[1:] come in runs, one per
+// internal node.
+func countLeaves(order, parent []int32) int {
+	leaves, prev := len(order), int32(-1)
+	for _, v := range order[1:] {
+		p := parent[v]
+		if p != prev {
+			leaves--
+		}
+		prev = p
+	}
+	return leaves
 }
 
-// build grows the tree of radius l rooted at root over the forward adjacency
-// (neighbors ascending, first discoverer is the parent) and returns its leaf
-// count — the number of root-to-leaf paths. A lone root is its own leaf.
-func (t *bfsTree) build(c *graph.CSR, root int32, l int) int {
-	t.epoch++
-	stamp, n := t.stamp, c.NumNodes()
-	q := append(t.order[:0], root)
-	stamp[root] = t.epoch
-	t.depth[root], t.kids[root] = 0, 0
-	internal := 0
-	// Once every node is in the tree no scan can add a child: stop early.
-	for head := 0; head < len(q) && len(q) < n; head++ {
-		u := q[head]
-		d := t.depth[u]
-		if int(d) >= l {
-			break // BFS order: everything still queued sits on the rim too
+// appendPaths materialises the first k leaves of one tree, in BFS order, as
+// root-to-leaf paths carved out of one backing array. The runs of parents
+// along order[1:] come in the order of the nodes they belong to, so one
+// cursor over them tells each node in turn whether it has children. buf is
+// scratch for the leaves; appendPaths returns it grown.
+func appendPaths(paths []Path, k int, order, depth, parent, buf []int32) ([]Path, []int32) {
+	leaves, size, next := buf[:0], 0, 1
+	for _, v := range order {
+		run := next
+		for next < len(order) && parent[order[next]] == v {
+			next++
 		}
-		for _, v := range c.OutNeighbors(graph.NodeID(u)) {
-			if stamp[v] == t.epoch {
-				continue
-			}
-			stamp[v] = t.epoch
-			t.parent[v], t.depth[v], t.kids[v] = u, d+1, 0
-			if t.kids[u] == 0 {
-				internal++
-			}
-			t.kids[u]++
-			q = append(q, int32(v))
+		if next > run {
+			continue // v's children: v is no leaf
 		}
-	}
-	t.order = q
-	return len(q) - internal
-}
-
-// appendPaths materialises the first k leaves of the current tree, in BFS
-// order, as root-to-leaf paths carved out of one backing array.
-func (t *bfsTree) appendPaths(paths []Path, k int) []Path {
-	if k <= 0 {
-		return paths
-	}
-	size, last := 0, 0
-	for found := 0; found < k; last++ {
-		if v := t.order[last]; t.kids[v] == 0 {
-			size += int(t.depth[v]) + 1
-			found++
+		leaves = append(leaves, v)
+		size += int(depth[v]) + 1
+		if len(leaves) == k {
+			break
 		}
 	}
 	slab := make([]graph.NodeID, size)
-	for _, v := range t.order[:last] {
-		if t.kids[v] != 0 {
-			continue
-		}
-		n := int(t.depth[v]) + 1
+	for _, v := range leaves {
+		n := int(depth[v]) + 1
 		p := slab[:n:n]
 		slab = slab[n:]
 		for i := n - 1; i >= 0; i-- {
 			p[i] = graph.NodeID(v)
-			v = t.parent[v]
+			v = parent[v]
 		}
 		paths = append(paths, p)
 	}
-	return paths
+	return paths, leaves
 }
 
 // renderPath writes one path as the token sequence fed to the LLM, e.g.

@@ -121,7 +121,9 @@ func TestPinnedSessionID(t *testing.T) {
 		return resp, info
 	}
 
-	const pin = "deadbeef42a1"
+	// A fresh pin per run: testServer is shared by the package, so a fixed
+	// one would already be taken on a second run (-count=2).
+	pin := RandomHex(6)
 	resp, info := post(`{"session_id":"` + pin + `"}`)
 	if resp.StatusCode != http.StatusCreated || info.SessionID != pin {
 		t.Fatalf("pinned create: status=%d id=%q", resp.StatusCode, info.SessionID)
@@ -164,7 +166,7 @@ func TestPinnedJobID(t *testing.T) {
 		return resp, info
 	}
 
-	const pin = "cafef00d1234"
+	pin := RandomHex(6) // fresh per run, as in TestPinnedSessionID
 	resp, info := submit(JobRequest{Question: "Summarize the statistics of the graph", JobID: pin})
 	if resp.StatusCode != http.StatusAccepted || info.JobID != pin {
 		t.Fatalf("pinned submit: status=%d id=%q", resp.StatusCode, info.JobID)

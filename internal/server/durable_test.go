@@ -448,6 +448,59 @@ func TestRecoverInterruptedJob(t *testing.T) {
 	}
 }
 
+// TestRecoverLogAndContinue hands Recover a state that trips each of its
+// log-and-continue paths: a session beyond MaxSessions, a turn whose chain
+// no longer parses, a job with an unknown priority and a result that is not
+// JSON. The extra session is dropped, the turn is kept without its chain,
+// the job comes back at normal priority without a result, and the server
+// still turns ready.
+func TestRecoverLogAndContinue(t *testing.T) {
+	dstore, _, err := durable.Open(durable.Options{Dir: t.TempDir(), Sync: durable.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dstore.Close() }) // cleanups run in reverse: the server closes first
+	now := time.Now()
+	state := durable.NewState()
+	for _, id := range []string{"aaaaaaaaaaaa", "bbbbbbbbbbbb"} {
+		state.Sessions[id] = &durable.SessionState{ID: id, Created: now, LastUsed: now,
+			Turns: []durable.TurnRecord{{SessionID: id, Question: "q " + id, Kind: "social", Chain: "((not a chain", Answer: "a " + id}}}
+	}
+	state.Jobs["job-1"] = &durable.JobRecord{ID: "job-1", Priority: "urgent", State: "done",
+		Result: json.RawMessage(`not json`), SubmittedUnixNS: now.UnixNano(), FinishedUnixNS: now.UnixNano()}
+
+	srv := newServer(t, durableEngine(t), Options{Durable: dstore, SessionTTL: time.Hour, MaxSessions: 1})
+	if err := srv.Recover(state); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.ready.Load() {
+		t.Fatal("server not ready after Recover")
+	}
+	if n := srv.mgr.restored.Load(); n != 1 {
+		t.Fatalf("restored %d sessions, want 1 (MaxSessions)", n)
+	}
+	var kept *managed
+	for id := range state.Sessions {
+		if m, err := srv.mgr.Get(id, srv.tenants.Anonymous()); err == nil {
+			kept = m
+		}
+	}
+	if kept == nil {
+		t.Fatal("no session recovered")
+	}
+	hist := kept.Session.History()
+	if len(hist) != 1 || hist[0].Chain != nil || hist[0].Question != "q "+kept.ID || hist[0].Answer != "a "+kept.ID {
+		t.Fatalf("recovered history %+v, want the one turn with an empty chain", hist)
+	}
+	j, ok := srv.jobs.Get("job-1")
+	if !ok {
+		t.Fatal("job not recovered")
+	}
+	if st := j.Status(); st.State.String() != "done" || fmt.Sprint(st.Priority) != "normal" || st.Result != nil {
+		t.Fatalf("recovered job = %s priority %s result %v, want done, normal, no result", st.State, st.Priority, st.Result)
+	}
+}
+
 // TestClosedStoreKeepsServing makes every log-and-continue site on the
 // request path fire: the server's store is closed under it, so each WAL
 // append fails. The policy it pins is that a failed append is counted and
