@@ -36,32 +36,28 @@ const (
 	SyncNone
 )
 
+// syncPolicyNames spells each SyncPolicy as a flag value; String and
+// ParseSyncPolicy both read it.
+var syncPolicyNames = [...]string{SyncInterval: "interval", SyncAlways: "always", SyncNone: "none"}
+
 // String names the policy for flags and logs.
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncNone:
-		return "none"
-	default:
+	if p < 0 || int(p) >= len(syncPolicyNames) {
 		return "unknown"
 	}
+	return syncPolicyNames[p]
 }
 
-// ParseSyncPolicy reads a -wal-sync flag value.
+// ParseSyncPolicy reads a -wal-sync flag value; the empty string is
+// SyncInterval.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "", "interval":
+	if s == "" {
 		return SyncInterval, nil
-	case "none":
-		return SyncNone, nil
-	default:
-		return 0, fmt.Errorf("durable: unknown sync policy %q (want always, interval, or none)", s)
 	}
+	if i := slices.Index(syncPolicyNames[:], s); i >= 0 {
+		return SyncPolicy(i), nil
+	}
+	return 0, fmt.Errorf("durable: unknown sync policy %q (want always, interval, or none)", s)
 }
 
 // DefaultSyncInterval is the background fsync cadence for SyncInterval.

@@ -588,3 +588,25 @@ func compareStates(t *testing.T, step int, ref, got *State) {
 		}
 	}
 }
+
+// TestSyncPolicyRoundTrip: every SyncPolicy parses back from its own name,
+// an out-of-range value prints "unknown", "" is interval sync, and an
+// unknown name is refused.
+func TestSyncPolicyRoundTrip(t *testing.T) {
+	for _, p := range []SyncPolicy{SyncInterval, SyncAlways, SyncNone} {
+		if got, err := ParseSyncPolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParseSyncPolicy(%q) = %s, %v; want %s", p.String(), got, err, p)
+		}
+	}
+	if s := SyncPolicy(SyncNone + 1).String(); s != "unknown" {
+		t.Errorf("out-of-range policy prints %q, want unknown", s)
+	}
+	if p, err := ParseSyncPolicy(""); err != nil || p != SyncInterval {
+		t.Errorf(`ParseSyncPolicy("") = %s, %v; want interval`, p, err)
+	}
+	for _, name := range []string{"Always", "unknown", "fsync"} {
+		if p, err := ParseSyncPolicy(name); err == nil {
+			t.Errorf("ParseSyncPolicy(%q) = %s, want refused", name, p)
+		}
+	}
+}

@@ -60,7 +60,8 @@ type wire struct {
 }
 
 // decodeWire is the encoding/json road into w, for what the scanner
-// declines; its errors are the ones the upload path reports.
+// declines — among it every string with an escape or invalid UTF-8; its
+// results and errors are the ones the upload path reports for those inputs.
 func decodeWire(data []byte, w *wire) error {
 	var jg jsonGraph
 	if err := json.Unmarshal(data, &jg); err != nil {
@@ -78,9 +79,10 @@ func decodeWire(data []byte, w *wire) error {
 
 // UnmarshalJSON decodes the upload wire format. Node IDs in the payload may
 // be sparse; they are remapped to dense IDs preserving payload order. The
-// schema scanner (scan.go) decodes what it fully understands in one pass;
-// whatever it declines goes through encoding/json on the same bytes, so
-// results and error texts for those inputs are encoding/json's.
+// schema scanner (scan.go) decodes what it fully understands — plain
+// strings, plain keys, plain numbers — in one pass; whatever it declines
+// goes through encoding/json on the same bytes, so results and error texts
+// for those inputs are encoding/json's.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var w wire
 	if !scanWire(data, &w) {

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
@@ -27,12 +25,13 @@ import (
 // edges, each at most once, spelled plainly; nodes of id / label / attrs and
 // edges of from / to / label / weight under the same rule; ids that are
 // plain integers of at most 18 digits; weights in JSON number syntax that
-// strconv.ParseFloat takes; strings with any escape encoding/json accepts,
-// invalid UTF-8 coerced to U+FFFD exactly as it coerces it; JSON whitespace
-// anywhere. Declined: everything else — unknown, case-folded, duplicate,
-// escaped or non-ASCII keys (encoding/json folds case, Unicode included, and
-// lets the last duplicate win), null anywhere, fractional / exponent /
-// overflowing ids, out-of-range weights, and any syntax error.
+// strconv.ParseFloat takes; plain strings (valid UTF-8, no escape, no
+// control character); JSON whitespace anywhere. Declined: everything else —
+// unknown, case-folded, duplicate, escaped or non-ASCII keys (encoding/json
+// folds case, Unicode included, and lets the last duplicate win), string
+// values with an escape or invalid UTF-8 (encoding/json unquotes and
+// coerces them), null anywhere, fractional / exponent / overflowing ids,
+// out-of-range weights, and any syntax error.
 
 // maxPresize caps how many wire elements an array is sized for up front. The
 // size is an estimate from the bytes that remain, so an 8 MiB body of
@@ -44,8 +43,6 @@ const maxPresize = 1 << 16
 type wireScanner struct {
 	data []byte
 	i    int
-	// buf is the unquoting scratch for strings that need it.
-	buf []byte
 	// strs shares one string per distinct label, attribute key and
 	// attribute value seen in this parse: a direct-mapped cache, so a
 	// payload of all-distinct strings pays one compare per string and a
@@ -443,12 +440,10 @@ func (s *wireScanner) shared() (string, bool) {
 	return *slot, true
 }
 
-// str scans one JSON string and returns its decoded bytes: a sub-slice of
-// the input when nothing needed unquoting, s.buf otherwise. It decodes what
-// encoding/json's scanner accepts the way its unquote does — the two-rune
-// surrogate escapes, U+FFFD for a lone surrogate and for each byte of
-// invalid UTF-8 — and declines what that scanner rejects: raw control
-// characters, unknown escapes, short \u escapes, a missing closing quote.
+// str scans one JSON string that needs no unquoting — valid UTF-8 with no
+// escape and no control character — and returns its bytes, a sub-slice of
+// the input. Any other string declines: its decoding (escapes, surrogate
+// pairs, invalid UTF-8 coerced to U+FFFD) is encoding/json's.
 func (s *wireScanner) str() ([]byte, bool) {
 	data, i := s.data, s.i
 	if i >= len(data) || data[i] != '"' {
@@ -457,110 +452,30 @@ func (s *wireScanner) str() ([]byte, bool) {
 	i++
 	start := i
 	for i < len(data) {
-		c := data[i]
-		if c == '"' {
-			s.i = i + 1
-			return data[start:i], true
-		}
-		if c == '\\' || c < ' ' {
-			break
-		}
-		if c < utf8.RuneSelf {
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRune(data[i:])
-		if r == utf8.RuneError && size == 1 {
-			break
-		}
-		i += size
-	}
-
-	buf := append(s.buf[:0], data[start:i]...)
-	for i < len(data) {
 		switch c := data[i]; {
 		case c == '"':
-			s.i, s.buf = i+1, buf
-			return buf, true
-		case c < ' ':
+			s.i = i + 1
+			return data[start:i], true
+		case c == '\\' || c < ' ':
 			return nil, false
-		case c == '\\':
-			if i+1 >= len(data) {
-				return nil, false
-			}
-			switch data[i+1] {
-			case '"', '\\', '/':
-				buf = append(buf, data[i+1])
-			case 'b':
-				buf = append(buf, '\b')
-			case 'f':
-				buf = append(buf, '\f')
-			case 'n':
-				buf = append(buf, '\n')
-			case 'r':
-				buf = append(buf, '\r')
-			case 't':
-				buf = append(buf, '\t')
-			case 'u':
-				r := hex4(data[i:])
-				if r < 0 {
-					return nil, false
-				}
-				if utf16.IsSurrogate(r) {
-					if dec := utf16.DecodeRune(r, hex4(data[i+6:])); dec != unicode.ReplacementChar {
-						buf = utf8.AppendRune(buf, dec)
-						i += 12
-						continue
-					}
-					r = unicode.ReplacementChar // lone surrogate; the next escape stands alone
-				}
-				buf = utf8.AppendRune(buf, r)
-				i += 6
-				continue
-			default:
-				return nil, false
-			}
-			i += 2
 		case c < utf8.RuneSelf:
-			buf = append(buf, c)
 			i++
 		default:
 			r, size := utf8.DecodeRune(data[i:])
-			buf = utf8.AppendRune(buf, r)
+			if r == utf8.RuneError && size == 1 {
+				return nil, false
+			}
 			i += size
 		}
 	}
 	return nil, false
 }
 
-// hex4 decodes a \uXXXX escape at the start of b, or returns -1.
-func hex4(b []byte) rune {
-	if len(b) < 6 || b[0] != '\\' || b[1] != 'u' {
-		return -1
-	}
-	var r rune
-	for _, c := range b[2:6] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
-	}
-	return r
-}
-
 // skipValue finds the end of the JSON value that starts at data[i] without
 // decoding or validating it — brackets are only counted, not matched by
 // kind, and scalars run to the next delimiter. It is how ParseMember steps
-// over the members it does not decode, and over a graph the scanner
-// declined; whatever it steps over is validated by whoever decodes those
-// bytes.
+// over the members it does not decode; whatever it steps over is validated
+// by whoever decodes those bytes.
 func skipValue(data []byte, i int) (end int, ok bool) {
 	if i >= len(data) {
 		return i, false
@@ -623,53 +538,49 @@ type Member struct {
 // everything around that one (large) value to encoding/json. It answers only
 // when it is sure which member encoding/json would bind to a field tagged
 // key: every top-level key is plainly spelled ASCII, exactly one is key
-// itself, and no other folds to it. Nothing outside the graph is validated;
-// the object may be followed by anything.
+// itself, and no other folds to it — and only when the scanner takes the
+// graph. Nothing outside the graph is validated; the object may be followed
+// by anything.
 //
 // The graph is decoded by the scanner as the walk meets it, and the scanner
 // reports where the value ended; the other members are stepped over by
-// skipValue. A graph the scanner declines is stepped over too, and once the
-// walk has answered, decoded from its span by encoding/json exactly as
-// ParseJSON would.
+// skipValue. A graph the scanner declines makes ParseMember decline, and
+// the caller's encoding/json road decodes it.
 func ParseMember(data []byte, key string) (m Member, ok bool) {
 	s := wireScanner{data: data}
 	s.ws()
 	more, ok := s.open('{', '}')
-	found, scanned := false, false
+	found := false
 	var w wire
 	for more && ok {
 		k, kok := s.key()
 		if !kok {
 			return Member{}, false
 		}
-		lo, hi, mine := s.i, 0, string(k) == key
+		mine := string(k) == key
 		switch {
 		case mine && found, !mine && bytes.EqualFold(k, []byte(key)):
 			return Member{}, false // k is ASCII, so this is encoding/json's fold
-		case mine && s.graph(&w):
-			hi, scanned = s.i, true
-		default:
-			var vok bool
-			if hi, vok = skipValue(data, lo); !vok {
+		case mine:
+			m.Lo = s.i
+			if !s.graph(&w) {
 				return Member{}, false
 			}
+			found, m.Hi = true, s.i
+		default:
+			end, vok := skipValue(data, s.i)
+			if !vok {
+				return Member{}, false
+			}
+			s.i = end
 		}
-		if mine {
-			found, m.Lo, m.Hi = true, lo, hi
-		}
-		s.i = hi
 		more, ok = s.next('}')
 	}
 	if !ok || !found {
 		return Member{}, false
 	}
 	g := New()
-	if scanned {
-		m.Err = g.load(&w)
-	} else if m.Err = decodeWire(data[m.Lo:m.Hi], &w); m.Err == nil {
-		m.Err = g.load(&w)
-	}
-	if m.Err == nil {
+	if m.Err = g.load(&w); m.Err == nil {
 		m.Graph = g
 	}
 	return m, true

@@ -36,6 +36,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,22 +65,17 @@ const (
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s >= StateDone }
 
+// stateNames spells each State on the wire and in the WAL; String and
+// ParseState both read it, so a recovered record cannot drift from the
+// name it was written under.
+var stateNames = [...]string{StateQueued: "queued", StateRunning: "running", StateDone: "done", StateFailed: "failed", StateCancelled: "cancelled"}
+
 // String names the state for the wire and for transcripts.
 func (s State) String() string {
-	switch s {
-	case StateQueued:
-		return "queued"
-	case StateRunning:
-		return "running"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	case StateCancelled:
-		return "cancelled"
-	default:
+	if s < 0 || int(s) >= len(stateNames) {
 		return "unknown"
 	}
+	return stateNames[s]
 }
 
 // Priority orders jobs in the queue. Higher values are served first; FIFO
@@ -96,50 +92,35 @@ const (
 	numPriorities = 3
 )
 
+// priorityNames spells each Priority on the wire; String and
+// ParsePriority both read it.
+var priorityNames = [numPriorities]string{PriorityLow: "low", PriorityNormal: "normal", PriorityHigh: "high"}
+
 // String names the priority for the wire.
 func (p Priority) String() string {
-	switch p {
-	case PriorityLow:
-		return "low"
-	case PriorityNormal:
-		return "normal"
-	case PriorityHigh:
-		return "high"
-	default:
+	if p < 0 || int(p) >= len(priorityNames) {
 		return "unknown"
 	}
+	return priorityNames[p]
 }
 
 // ParseState inverts State.String; ok is false for unrecognized names.
 func ParseState(s string) (State, bool) {
-	switch s {
-	case "queued":
-		return StateQueued, true
-	case "running":
-		return StateRunning, true
-	case "done":
-		return StateDone, true
-	case "failed":
-		return StateFailed, true
-	case "cancelled":
-		return StateCancelled, true
-	default:
-		return 0, false
+	if i := slices.Index(stateNames[:], s); i >= 0 {
+		return State(i), true
 	}
+	return 0, false
 }
 
 // ParsePriority reads a wire priority; the empty string is PriorityNormal.
 func ParsePriority(s string) (Priority, error) {
-	switch s {
-	case "", "normal":
+	if s == "" {
 		return PriorityNormal, nil
-	case "low":
-		return PriorityLow, nil
-	case "high":
-		return PriorityHigh, nil
-	default:
-		return 0, fmt.Errorf("jobs: unknown priority %q (want low, normal, or high)", s)
 	}
+	if i := slices.Index(priorityNames[:], s); i >= 0 {
+		return Priority(i), nil
+	}
+	return 0, fmt.Errorf("jobs: unknown priority %q (want low, normal, or high)", s)
 }
 
 // Task is one job's work. It must honor ctx (the executor does so between

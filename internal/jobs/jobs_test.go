@@ -400,3 +400,35 @@ func TestEventsSinceTail(t *testing.T) {
 		t.Fatalf("tailed %d events, want 3", seen)
 	}
 }
+
+// TestNamesRoundTrip: every State and Priority parses back from its own
+// name, an out-of-range value prints "unknown", "" is normal priority, and
+// an unknown name is refused.
+func TestNamesRoundTrip(t *testing.T) {
+	for _, s := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
+		if got, ok := ParseState(s.String()); !ok || got != s {
+			t.Errorf("ParseState(%q) = %s, %v; want %s", s.String(), got, ok, s)
+		}
+	}
+	for _, p := range []Priority{PriorityLow, PriorityNormal, PriorityHigh} {
+		if got, err := ParsePriority(p.String()); err != nil || got != p {
+			t.Errorf("ParsePriority(%q) = %s, %v; want %s", p.String(), got, err, p)
+		}
+	}
+	if s, p := State(StateCancelled+1).String(), Priority(-1).String(); s != "unknown" || p != "unknown" {
+		t.Errorf("out-of-range names %q, %q; want unknown", s, p)
+	}
+	if p, err := ParsePriority(""); err != nil || p != PriorityNormal {
+		t.Errorf(`ParsePriority("") = %s, %v; want normal`, p, err)
+	}
+	for _, name := range []string{"", "Done", "unknown", "interrupted"} {
+		if s, ok := ParseState(name); ok {
+			t.Errorf("ParseState(%q) = %s, want refused", name, s)
+		}
+	}
+	for _, name := range []string{"High", "unknown", "urgent"} {
+		if p, err := ParsePriority(name); err == nil {
+			t.Errorf("ParsePriority(%q) = %s, want refused", name, p)
+		}
+	}
+}

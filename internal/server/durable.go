@@ -1,11 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"log"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"chatgraph/internal/chain"
@@ -149,7 +151,8 @@ func (s *Server) onJobTerminal(st jobs.Status) {
 // one. Jobs that were queued or running at the crash are restored as
 // failed ("interrupted by restart") — their submission was durable, their
 // execution was not. Sessions idle past the TTL at recovery time are
-// dropped, exactly as the sweeper would have.
+// dropped, exactly as the sweeper would have; every other session comes
+// back, whatever MaxSessions is now.
 //
 // Recover must be called exactly once, before traffic, whenever
 // Options.Durable is set (a fresh data dir yields an empty state); it
@@ -202,7 +205,8 @@ func (s *Server) Recover(st *durable.State) error {
 	}
 
 	// Jobs restore in finish order to preserve the retention sweep's
-	// eviction-queue invariant. Interrupted jobs settle "now".
+	// eviction-queue invariant. Interrupted jobs all settle at the same
+	// "now", so the ID breaks ties and the order does not follow the map's.
 	recs := make([]durable.JobRecord, 0, len(st.Jobs))
 	for _, jr := range st.Jobs {
 		rec := *jr
@@ -213,7 +217,9 @@ func (s *Server) Recover(st *durable.State) error {
 		}
 		recs = append(recs, rec)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].FinishedUnixNS < recs[j].FinishedUnixNS })
+	slices.SortFunc(recs, func(a, b durable.JobRecord) int {
+		return cmp.Or(cmp.Compare(a.FinishedUnixNS, b.FinishedUnixNS), strings.Compare(a.ID, b.ID))
+	})
 	restoredJobs := 0
 	for _, rec := range recs {
 		jst, _ := jobs.ParseState(rec.State)

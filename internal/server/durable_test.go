@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -21,8 +22,10 @@ import (
 	"chatgraph/internal/apis"
 	"chatgraph/internal/core"
 	"chatgraph/internal/durable"
+	"chatgraph/internal/executor"
 	"chatgraph/internal/finetune"
 	"chatgraph/internal/graph"
+	"chatgraph/internal/jobs"
 	"chatgraph/internal/metrics"
 	"chatgraph/internal/tenant"
 )
@@ -449,11 +452,12 @@ func TestRecoverInterruptedJob(t *testing.T) {
 }
 
 // TestRecoverLogAndContinue hands Recover a state that trips each of its
-// log-and-continue paths: a session beyond MaxSessions, a turn whose chain
+// log-and-continue paths: more sessions than MaxSessions, a turn whose chain
 // no longer parses, a job with an unknown priority and a result that is not
-// JSON. The extra session is dropped, the turn is kept without its chain,
-// the job comes back at normal priority without a result, and the server
-// still turns ready.
+// JSON. Every session comes back — the cap governs creation, so a create
+// answers 503 until the live count is under it again — each turn is kept
+// without its chain, the job comes back at normal priority without a
+// result, and the server still turns ready.
 func TestRecoverLogAndContinue(t *testing.T) {
 	dstore, _, err := durable.Open(durable.Options{Dir: t.TempDir(), Sync: durable.SyncNone})
 	if err != nil {
@@ -476,21 +480,31 @@ func TestRecoverLogAndContinue(t *testing.T) {
 	if !srv.ready.Load() {
 		t.Fatal("server not ready after Recover")
 	}
-	if n := srv.mgr.restored.Load(); n != 1 {
-		t.Fatalf("restored %d sessions, want 1 (MaxSessions)", n)
+	if n := srv.mgr.restored.Load(); n != 2 {
+		t.Fatalf("restored %d sessions, want both (MaxSessions governs creation only)", n)
 	}
-	var kept *managed
 	for id := range state.Sessions {
-		if m, err := srv.mgr.Get(id, srv.tenants.Anonymous()); err == nil {
-			kept = m
+		m, err := srv.mgr.Get(id, srv.tenants.Anonymous())
+		if err != nil {
+			t.Fatalf("session %s not recovered: %v", id, err)
+		}
+		hist := m.Session.History()
+		if len(hist) != 1 || hist[0].Chain != nil || hist[0].Question != "q "+id || hist[0].Answer != "a "+id {
+			t.Fatalf("recovered history %+v, want the one turn with an empty chain", hist)
 		}
 	}
-	if kept == nil {
-		t.Fatal("no session recovered")
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, id := range []string{"aaaaaaaaaaaa", "bbbbbbbbbbbb"} {
+		if r := doReq(t, http.MethodPost, ts.URL+"/v1/sessions", "", nil); r.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("create with %d live sessions under MaxSessions 1 = %d, want 503", srv.mgr.Len(), r.StatusCode)
+		}
+		if r := doReq(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, "", nil); r.StatusCode != http.StatusOK {
+			t.Fatalf("delete %s = %d", id, r.StatusCode)
+		}
 	}
-	hist := kept.Session.History()
-	if len(hist) != 1 || hist[0].Chain != nil || hist[0].Question != "q "+kept.ID || hist[0].Answer != "a "+kept.ID {
-		t.Fatalf("recovered history %+v, want the one turn with an empty chain", hist)
+	if r := doReq(t, http.MethodPost, ts.URL+"/v1/sessions", "", nil); r.StatusCode != http.StatusCreated {
+		t.Fatalf("create under the cap = %d, want 201", r.StatusCode)
 	}
 	j, ok := srv.jobs.Get("job-1")
 	if !ok {
@@ -498,6 +512,97 @@ func TestRecoverLogAndContinue(t *testing.T) {
 	}
 	if st := j.Status(); st.State.String() != "done" || fmt.Sprint(st.Priority) != "normal" || st.Result != nil {
 		t.Fatalf("recovered job = %s priority %s result %v, want done, normal, no result", st.State, st.Priority, st.Result)
+	}
+}
+
+// TestRecoverOverCapKeepsEverySession restarts a data dir under a smaller
+// MaxSessions twice, checkpointing in between: no acknowledged turn is lost,
+// because Recover restores every unexpired session whatever the cap, and the
+// checkpoint that follows therefore keeps every session's records.
+func TestRecoverOverCapKeepsEverySession(t *testing.T) {
+	dir := t.TempDir()
+	dstore, _, err := durable.Open(durable.Options{Dir: dir, Sync: durable.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"aaaaaaaaaaaa", "bbbbbbbbbbbb", "cccccccccccc", "dddddddddddd"}
+	now := time.Now()
+	for _, id := range ids {
+		if err := dstore.LogSessionCreate(id, now, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := dstore.LogTurn(durable.TurnRecord{SessionID: id, Question: "q " + id, Kind: "social", Answer: "a " + id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dstore.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for restart := 1; restart <= 2; restart++ {
+		dstore, state, err := durable.Open(durable.Options{Dir: dir, Sync: durable.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(durableEngine(t), Options{Durable: dstore, SessionTTL: time.Hour, MaxSessions: 1})
+		if err := srv.Recover(state); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			m, err := srv.mgr.Get(id, srv.tenants.Anonymous())
+			if err != nil {
+				t.Fatalf("restart %d: session %s lost: %v", restart, id, err)
+			}
+			if h := m.Session.History(); len(h) != 1 || h[0].Question != "q "+id || h[0].Answer != "a "+id {
+				t.Fatalf("restart %d: session %s history %+v", restart, id, h)
+			}
+		}
+		if err := srv.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		if err := dstore.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoverJobsRetireInIDOrder: the jobs a restart interrupted all settle
+// at the same instant, so they enter the retention queue in ID order, and
+// the count bound retires the lowest IDs first — not whichever the state's
+// map yielded first.
+func TestRecoverJobsRetireInIDOrder(t *testing.T) {
+	dstore, _, err := durable.Open(durable.Options{Dir: t.TempDir(), Sync: durable.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dstore.Close() }) // cleanups run in reverse: the server closes first
+	state := durable.NewState()
+	const n = 300 // above the retention count bound, so one more finish retires some
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("job-%03d", i)
+		state.Jobs[id] = &durable.JobRecord{ID: id, State: "running", SubmittedUnixNS: time.Now().UnixNano()}
+	}
+	srv := newServer(t, durableEngine(t), Options{Durable: dstore})
+	if err := srv.Recover(state); err != nil {
+		t.Fatal(err)
+	}
+	j, err := srv.jobs.Submit(jobs.PriorityNormal, func(context.Context, func(executor.Event)) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	kept := 0
+	for i := n - 1; i >= 0; i-- {
+		_, ok := srv.jobs.Get(fmt.Sprintf("job-%03d", i))
+		if ok && kept != n-1-i {
+			t.Fatalf("job-%03d kept after a higher ID was retired", i)
+		}
+		if ok {
+			kept++
+		}
+	}
+	if kept == 0 || kept == n {
+		t.Fatalf("%d of %d recovered jobs kept; want the count bound to retire some", kept, n)
 	}
 }
 

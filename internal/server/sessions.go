@@ -144,9 +144,12 @@ func (sm *SessionManager) CreateWithID(id, tenantName string) (*managed, error) 
 // Restore re-inserts a session recovered from the durability layer under
 // its original ID, with its original creation time, idle clock, and tenant
 // ownership (the caller applies TTL policy before deciding to restore).
-// The rate bucket comes back empty — a fresh bucket is fine, lost
-// ownership is not. The restored session's history is empty; the caller
-// rebuilds it via core.Session.RestoreHistory.
+// The live-session cap governs creation only: a session whose turns were
+// acknowledged comes back even when the cap is lower than it was, and
+// CreateWithID refuses until the count is under the cap again. The rate
+// bucket comes back empty — a fresh bucket is fine, lost ownership is not.
+// The restored session's history is empty; the caller rebuilds it via
+// core.Session.RestoreHistory.
 func (sm *SessionManager) Restore(id string, created, lastUsed time.Time, tenantName string) (*managed, error) {
 	if id == "" {
 		return nil, fmt.Errorf("server: restore: empty session id")
@@ -155,9 +158,6 @@ func (sm *SessionManager) Restore(id string, created, lastUsed time.Time, tenant
 	defer sm.createMu.Unlock()
 	if _, exists := sm.sessions.Load(id); exists {
 		return nil, fmt.Errorf("server: restore: session %s already live", id)
-	}
-	if int(sm.count.Load()) >= sm.max {
-		return nil, ErrTooManySessions
 	}
 	m := &managed{
 		ID:      id,

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -75,24 +74,20 @@ func (f failedReader) Read([]byte) (int, error) { return 0, f.err }
 // does not).
 //
 // Fast road: graph.ParseMember walks the body once, decoding its single
-// "graph" member where it lies as the walk reaches it (or, for a graph the
-// scanner declines, through encoding/json on that member's bytes), and
-// decode sees the envelope with null in the graph's place. It is taken only
-// when that provably changes nothing: ParseMember is sure which member binds
-// to the field, the graph's bytes are syntactically valid (so any syntax
-// error is still reported against the whole request, as "decode request"),
-// and decode accepts the rest. Otherwise decode runs on the whole body and
-// the graph is parsed from raw, as it always was.
+// "graph" member where it lies as the walk reaches it, and decode sees the
+// envelope with null in the graph's place. It is taken only when that
+// provably changes nothing: ParseMember is sure which member binds to the
+// field and the scanner took the graph (so its bytes are valid JSON, and
+// m.Err can only be the graph's own content error), and decode accepts the
+// rest. Otherwise decode runs on the whole body and the graph is parsed
+// from raw, as it always was.
 func decodeUpload(body []byte, decode func([]byte) error, raw *json.RawMessage) (upload, error) {
 	if m, ok := graph.ParseMember(body, "graph"); ok {
-		var syntax *json.SyntaxError
-		if !errors.As(m.Err, &syntax) {
-			rest := make([]byte, 0, m.Lo+len("null")+len(body)-m.Hi)
-			rest = append(append(append(rest, body[:m.Lo]...), "null"...), body[m.Hi:]...)
-			if decode(rest) == nil {
-				*raw = nil
-				return upload{g: m.Graph, err: m.Err}, nil
-			}
+		rest := make([]byte, 0, m.Lo+len("null")+len(body)-m.Hi)
+		rest = append(append(append(rest, body[:m.Lo]...), "null"...), body[m.Hi:]...)
+		if decode(rest) == nil {
+			*raw = nil
+			return upload{g: m.Graph, err: m.Err}, nil
 		}
 	}
 	if err := decode(body); err != nil {
