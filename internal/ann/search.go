@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"chatgraph/internal/heap"
 	"chatgraph/internal/vecmath"
 )
 
@@ -77,104 +78,22 @@ func worse(a, b Result) bool {
 	return a.ID > b.ID
 }
 
-// The heaps below are hand-rolled over []Result rather than container/heap
-// because interface{} boxing on every Push/Pop is exactly the per-candidate
-// allocation this package is built to avoid.
-
-// minPush adds r to the min-heap h (closest on top).
-func minPush(h *[]Result, r Result) {
-	*h = append(*h, r)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !worse(s[p], s[i]) {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-}
-
-// minPop removes and returns the closest entry of h.
-func minPop(h *[]Result) Result {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		next := i
-		if l < n && worse(s[next], s[l]) {
-			next = l
-		}
-		if r < n && worse(s[next], s[r]) {
-			next = r
-		}
-		if next == i {
-			return top
-		}
-		s[i], s[next] = s[next], s[i]
-		i = next
-	}
-}
-
-// maxPush adds r to the max-heap h (worst on top), the bounded result set.
-func maxPush(h *[]Result, r Result) {
-	*h = append(*h, r)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !worse(s[i], s[p]) {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-}
-
-// maxPop removes and returns the worst entry of h.
-func maxPop(h *[]Result) Result {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		next := i
-		if l < n && worse(s[l], s[next]) {
-			next = l
-		}
-		if r < n && worse(s[r], s[next]) {
-			next = r
-		}
-		if next == i {
-			return top
-		}
-		s[i], s[next] = s[next], s[i]
-		i = next
-	}
-}
+// closer is worse reversed: the frontier heap's order, closest on top. The
+// result heap runs on worse itself, worst on top.
+func closer(a, b Result) bool { return worse(b, a) }
 
 // boundedInsert offers r to the k-bounded max-heap h, evicting the current
 // worst when full and r improves on it.
 func boundedInsert(h *[]Result, r Result, k int) bool {
 	if len(*h) < k {
-		maxPush(h, r)
+		heap.Push(h, r, worse)
 		return true
 	}
 	if worse(r, (*h)[0]) {
 		return false
 	}
-	maxPop(h)
-	maxPush(h, r)
+	heap.Pop(h, worse)
+	heap.Push(h, r, worse)
 	return true
 }
 
@@ -183,11 +102,11 @@ func boundedInsert(h *[]Result, r Result, k int) bool {
 // in back to linear.
 func drainSorted(h *[]Result, k int) []Result {
 	for len(*h) > k {
-		maxPop(h)
+		heap.Pop(h, worse)
 	}
 	out := make([]Result, len(*h))
 	for i := len(out) - 1; i >= 0; i-- {
-		r := maxPop(h)
+		r := heap.Pop(h, worse)
 		r.Dist = sqrtf(r.Dist)
 		out[i] = r
 	}
@@ -238,11 +157,11 @@ func beamSearch(src *distSource, adj [][]int32, entry, ef int, sc *searchScratch
 	stats.DistComps++
 	sc.frontier = sc.frontier[:0]
 	sc.best = sc.best[:0]
-	minPush(&sc.frontier, start)
-	maxPush(&sc.best, start)
+	heap.Push(&sc.frontier, start, closer)
+	heap.Push(&sc.best, start, worse)
 	sc.mark(int32(entry))
 	for len(sc.frontier) > 0 {
-		cur := minPop(&sc.frontier)
+		cur := heap.Pop(&sc.frontier, closer)
 		if len(sc.best) >= ef && cur.Dist > sc.best[0].Dist {
 			break
 		}
@@ -255,10 +174,10 @@ func beamSearch(src *distSource, adj [][]int32, entry, ef int, sc *searchScratch
 			d := src.dist(int(nb))
 			stats.DistComps++
 			if len(sc.best) < ef || d < sc.best[0].Dist {
-				minPush(&sc.frontier, Result{ID: int(nb), Dist: d})
-				maxPush(&sc.best, Result{ID: int(nb), Dist: d})
+				heap.Push(&sc.frontier, Result{ID: int(nb), Dist: d}, closer)
+				heap.Push(&sc.best, Result{ID: int(nb), Dist: d}, worse)
 				if len(sc.best) > ef {
-					maxPop(&sc.best)
+					heap.Pop(&sc.best, worse)
 				}
 			}
 		}

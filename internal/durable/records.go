@@ -66,8 +66,9 @@ type SessionRecord struct {
 	Tenant string `json:"tenant,omitempty"`
 }
 
-// TurnRecord is one transcript entry in the same wire shape the transcript
-// files use: the chain is stored in its text form and re-parsed on replay.
+// TurnRecord is one transcript entry: /history's server.HistoryTurn plus the
+// session and the turn's index. The chain is stored in its text form and
+// re-parsed on replay.
 type TurnRecord struct {
 	SessionID string `json:"session_id"`
 	// Index is the turn's dense position in the session history; replay

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sort"
+
+	"chatgraph/internal/heap"
 )
 
 // Additional whole-graph algorithms backing the API catalog: k-core
@@ -141,7 +144,7 @@ func MaximalCliques(g *Graph, maxCliques int) [][]NodeID {
 		}
 		if len(p) == 0 && len(x) == 0 {
 			clique := append([]NodeID(nil), r...)
-			sortNodeIDs(clique)
+			slices.Sort(clique)
 			out = append(out, clique)
 			return
 		}
@@ -258,9 +261,9 @@ func WeightedShortestPath(g *Graph, src, dst NodeID) ([]NodeID, float64) {
 	dist[src] = 0
 	h := sc.heap[:0]
 	defer func() { sc.heap = h[:0] }()
-	heapPush(&h, heapEntry{int32(src), 0})
+	heap.Push(&h, heapEntry{int32(src), 0}, nearer)
 	for len(h) > 0 {
-		it := heapPop(&h)
+		it := heap.Pop(&h, nearer)
 		if it.dist > dist[it.node] {
 			continue
 		}
@@ -277,7 +280,7 @@ func WeightedShortestPath(g *Graph, src, dst NodeID) ([]NodeID, float64) {
 			if nd := it.dist + w; nd < dist[v] {
 				dist[v] = nd
 				parent[v] = it.node
-				heapPush(&h, heapEntry{int32(v), nd})
+				heap.Push(&h, heapEntry{int32(v), nd}, nearer)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -330,7 +331,7 @@ func (c *CSR) components() [][]NodeID {
 		for i, u := range q {
 			members[i] = NodeID(u)
 		}
-		sortNodeIDs(members)
+		slices.Sort(members)
 		comps = append(comps, members)
 	}
 	return comps

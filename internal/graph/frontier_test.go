@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -302,7 +303,7 @@ func (h *hybridBFS) components() [][]NodeID {
 		}
 		members := make([]NodeID, 0, 8)
 		h.from(int32(s), sc, c.uoffsets, c.utargets, c.uoffsets, c.utargets, depth, &members)
-		sortNodeIDs(members)
+		slices.Sort(members)
 		comps = append(comps, members)
 	}
 	return comps

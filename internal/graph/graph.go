@@ -336,7 +336,7 @@ func (g *Graph) KHopSubgraphNodes(u NodeID, l int) []NodeID {
 	for i, v := range q {
 		out[i] = NodeID(v)
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -1,17 +1,14 @@
 package graph
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // travScratch is the per-traversal working set every CSR algorithm reuses:
 // an epoch-stamped visited buffer, a frontier queue, per-node integer and
-// float arrays, and a hand-rolled Dijkstra heap. Instances recycle through
-// travPool (mirroring ann.searchScratch), so a steady-state BFS or Dijkstra
-// allocates nothing per visited node, and concurrent requests traversing one
-// shared frozen graph each lease their own scratch. An all-source kernel
-// keeps one lease for all its sweeps.
+// float arrays, and the Dijkstra heap's slice. Instances recycle through
+// travPool, so a steady-state BFS or Dijkstra allocates nothing per visited
+// node, and concurrent requests traversing one shared frozen graph each
+// lease their own scratch. An all-source kernel keeps one lease for all its
+// sweeps.
 type travScratch struct {
 	// visited[i] == epoch marks node i seen by the current traversal.
 	// Bumping epoch invalidates the whole buffer in O(1).
@@ -85,54 +82,6 @@ func grow[T any](s *[]T, n int) []T {
 	return (*s)[:n]
 }
 
-// The Dijkstra heap is hand-rolled over []heapEntry for the same reason the
-// ANN heaps are: container/heap boxes every Push/Pop through interface{},
-// which is precisely the per-relaxation allocation this package avoids.
-
-func heapPush(h *[]heapEntry, e heapEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p].dist <= s[i].dist {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
-}
-
-func heapPop(h *[]heapEntry) heapEntry {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		next := i
-		if l < n && s[l].dist < s[next].dist {
-			next = l
-		}
-		if r < n && s[r].dist < s[next].dist {
-			next = r
-		}
-		if next == i {
-			return top
-		}
-		s[i], s[next] = s[next], s[i]
-		i = next
-	}
-}
-
-// nodeIDSlice sorts []NodeID without the closure allocation of sort.Slice.
-type nodeIDSlice []NodeID
-
-func (s nodeIDSlice) Len() int           { return len(s) }
-func (s nodeIDSlice) Less(i, j int) bool { return s[i] < s[j] }
-func (s nodeIDSlice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
-func sortNodeIDs(s []NodeID) { sort.Sort(nodeIDSlice(s)) }
+// nearer is the Dijkstra queue's order for internal/heap: least distance on
+// top.
+func nearer(a, b heapEntry) bool { return a.dist < b.dist }

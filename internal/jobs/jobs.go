@@ -605,7 +605,9 @@ func (m *Manager) observeTerminal(j *Job) {
 // Restore inserts a job recovered from the durability layer: a settled
 // record with no task, context, or queue presence. st must be terminal.
 // Restored jobs are fully queryable (Status, EventsSince replay, Cancel
-// no-op) and are retention-swept like any finished job, but they do not
+// no-op) and are retention-swept like any finished job, from the restore
+// on: each Restore sweeps, so a restart keeps the count and age bounds
+// before anything else finishes. They do not
 // fire OnTerminal and do not count in the outcome metrics — both already
 // happened in a previous incarnation. ok is false if the ID is already
 // present, the state is non-terminal, or the manager is closed.
@@ -643,6 +645,7 @@ func (m *Manager) Restore(id, owner string, pri Priority, st State, submitted, s
 	// the-front scan; recovery restores jobs sorted by finish time before
 	// any live job can finish, so append preserves the invariant.
 	m.finished = append(m.finished, j)
+	m.sweepLocked(time.Now())
 	return true
 }
 

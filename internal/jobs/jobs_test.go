@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -304,6 +305,31 @@ func TestRetentionCountBound(t *testing.T) {
 		if _, ok := m.Get(id); !ok {
 			t.Fatalf("recent job %s evicted too early", id)
 		}
+	}
+}
+
+// TestRestoreKeepsRetentionBounds: jobs restored in finish order are held to
+// both retention bounds as they are restored, not at the next submit,
+// finish or sweeper tick. The oldest finished two retention periods ago.
+func TestRestoreKeepsRetentionBounds(t *testing.T) {
+	const retention = time.Minute
+	m := newTestManager(t, Options{Workers: 1, Retention: retention})
+	now := time.Now()
+	oldest := now.Add(-2 * retention)
+	for i := 0; i < maxFinished+10; i++ {
+		finished := now.Add(time.Duration(i-maxFinished-10) * time.Millisecond)
+		if i == 0 {
+			finished = oldest
+		}
+		if !m.Restore(fmt.Sprintf("job-%03d", i), "", PriorityNormal, StateDone, finished, finished, finished, nil, nil) {
+			t.Fatalf("Restore job-%03d refused", i)
+		}
+	}
+	if n := m.Len(); n != maxFinished {
+		t.Fatalf("retained after restore = %d, want %d", n, maxFinished)
+	}
+	if _, ok := m.Get("job-000"); ok {
+		t.Fatal("job finished two retention periods ago still readable after restore")
 	}
 }
 

@@ -577,7 +577,7 @@ func TestRecoverJobsRetireInIDOrder(t *testing.T) {
 	}
 	t.Cleanup(func() { dstore.Close() }) // cleanups run in reverse: the server closes first
 	state := durable.NewState()
-	const n = 300 // above the retention count bound, so one more finish retires some
+	const n = 300 // above the retention count bound, which Restore applies as it restores
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("job-%03d", i)
 		state.Jobs[id] = &durable.JobRecord{ID: id, State: "running", SubmittedUnixNS: time.Now().UnixNano()}

@@ -406,7 +406,7 @@ var optionKeep = map[string]string{
 	"internal/ann.TauMGConfig.RandomCandidates": "internal/ann's TestTauMGGuaranteeWithinTau switches the sampled candidates off (-1) so the build is the exhaustive one",
 	"internal/ann.TauMGConfig.Beam":             "internal/ann's TestGraphIndexParity (beam opened to n) and root BenchmarkANNMRNG",
 	"internal/core.Config.Retrieve":             "read by nothing since NewEngine builds the index from Params.ANN; bench/oracle.go still assigns its inert Quantize, and bench/ changes only in benchmark-only PRs; it goes with chatgraphd's -quantize no-op",
-	"internal/cluster.Options.Transport":        "the router's http.RoundTripper seam: ROADMAP item 3(c)'s faulting transport plugs in here; no test sets it yet, and it goes if that item lands without it",
+	"internal/cluster.Options.Transport":        "the router's http.RoundTripper seam: internal/cluster's fault tests (fault_test.go: TestRouterFaultNeverReplaysChatOrJob, TestRouterFaultReplaysIdempotentWithOneID, TestRouterFaultMarking) plug their faulting transport in here; only tests set it",
 }
 
 // TestEveryOptionIsSet is the reachability gate asked of option fields: every
