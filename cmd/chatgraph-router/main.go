@@ -3,11 +3,10 @@
 // scale out: it mints session and job IDs itself and pins each onto a
 // backend via rendezvous hashing, so every later request carrying the id
 // re-derives its owner with no routing table — stable across router
-// restarts and shared by any router replica fed the same backend list.
-// Graph-bearing uploads are placed by graph content hash so identical
-// interned graphs concentrate on one shard's caches; stateless routes
-// round-robin over healthy backends with retry-on-next-hop for idempotent
-// methods. Backends are health-probed (/healthz + /readyz) with
+// restarts and shared by any router replica fed the same backend list. A
+// new session or job goes to whichever routable backend owns the id minted
+// for it, whatever its body carries; stateless routes round-robin over
+// healthy backends with retry-on-next-hop for idempotent methods. Backends are health-probed (/healthz + /readyz) with
 // consecutive-failure marking and half-open recovery.
 //
 // The router itself serves GET /healthz (always 200 while the process is

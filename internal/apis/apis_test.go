@@ -130,6 +130,20 @@ func TestLabelPropagationFindsPlantedCommunities(t *testing.T) {
 	}
 }
 
+// TestModularityIsOneValue: one assignment gives one modularity. The degree
+// terms were once subtracted in map order, and on this fixture 200 calls
+// returned two values an ulp apart.
+func TestModularityIsOneValue(t *testing.T) {
+	g := graph.PlantedCommunities(4, 50, 0.2, 0.01, rand.New(rand.NewSource(7)))
+	comms := LabelPropagation(g, 20)
+	want := Modularity(g, comms)
+	for i := 0; i < 200; i++ {
+		if q := Modularity(g, LabelPropagation(g, 20)); q != want {
+			t.Fatalf("call %d: modularity %v, first call %v", i, q, want)
+		}
+	}
+}
+
 func TestModularityEdgeCases(t *testing.T) {
 	g := graph.New()
 	g.AddNode("a")

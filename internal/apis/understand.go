@@ -307,7 +307,9 @@ func LabelPropagation(g *graph.Graph, maxIters int) []int {
 }
 
 // Modularity computes the Newman modularity Q of a community assignment on
-// an undirected view of g.
+// an undirected view of g. comms[i] is node i's community, a dense ID from 0
+// as LabelPropagation returns them; the degree terms are subtracted in
+// community order, so one assignment always gives one value.
 func Modularity(g *graph.Graph, comms []int) float64 {
 	m := float64(g.NumEdges())
 	if m == 0 {
@@ -325,7 +327,11 @@ func Modularity(g *graph.Graph, comms []int) float64 {
 		}
 	}
 	q /= m
-	sumDeg := make(map[int]float64)
+	k := 0
+	for _, c := range comms {
+		k = max(k, c+1)
+	}
+	sumDeg := make([]float64, k)
 	for i, c := range comms {
 		sumDeg[c] += deg[i]
 	}

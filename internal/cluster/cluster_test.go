@@ -100,7 +100,9 @@ func TestHRWBalance(t *testing.T) {
 
 // TestOwnerIgnoresHealth pins the identity-vs-availability split: Owner is
 // computed over full membership even when the owner is down (the session
-// is unavailable, not re-homed), while FirstRoutable walks past it.
+// is unavailable, not re-homed). For random keys over pools of one to six
+// backends, each key under its own random up/down pattern, Owner is the
+// first backend of the Rank oracle.
 func TestOwnerIgnoresHealth(t *testing.T) {
 	p := testPool(t, "a:1", "b:1", "c:1")
 	const key = "some-session-id"
@@ -114,21 +116,43 @@ func TestOwnerIgnoresHealth(t *testing.T) {
 	if got := p.Owner(key); got != owner {
 		t.Fatalf("Owner moved to %s when the true owner went down", got.Name)
 	}
-	fr := p.FirstRoutable(key)
-	if fr == nil || fr == owner {
-		t.Fatalf("FirstRoutable = %v, want a routable non-owner", fr)
+
+	rng := rand.New(rand.NewSource(1))
+	hosts := []string{"10.0.0.1:8080", "10.0.0.2:8080", "10.0.0.3:8080", "b:1", "a:1", "10.0.0.10:8080"}
+	pools := make([]*Pool, len(hosts))
+	for n := range pools {
+		pools[n] = testPool(t, hosts[:n+1]...)
 	}
-	// It must also be the *next* hop in rank order, not an arbitrary one.
-	rank := p.Rank(key)
-	if rank[0] != owner || fr != rank[1] {
-		t.Fatalf("rank order violated: rank[0]=%s rank[1]=%s first-routable=%s",
-			rank[0].Name, rank[1].Name, fr.Name)
+	downs := 0
+	const keys = 1200
+	for i := 0; i < keys; i++ {
+		p := pools[rng.Intn(len(pools))]
+		key := fmt.Sprintf("%016x", rng.Uint64())
+		for _, b := range p.backends {
+			if rng.Intn(2) == 0 {
+				b.MarkSuccess()
+			} else {
+				for b.State() == StateUp {
+					b.MarkFailure()
+				}
+			}
+		}
+		want := p.Rank(key)[0]
+		if got := p.Owner(key); got != want {
+			t.Fatalf("key %q over %d backends: Owner = %s, the oracle's first = %s", key, len(p.backends), got.Name, want.Name)
+		}
+		if !want.Routable() {
+			downs++
+		}
+	}
+	if downs < keys/4 {
+		t.Fatalf("%d of %d keys had a down owner: the patterns did not exercise health", downs, keys)
 	}
 }
 
 // Rank returns every backend ordered by descending rendezvous score for
-// key, the lower name first on a tie. It is the full sort FirstRoutable
-// replaced with one argmax, kept as the oracle of its hop order.
+// key, the lower name first on a tie. It is the full sort that Owner's one
+// argmax replaced, kept as the oracle of its order and tie-break.
 func (p *Pool) Rank(key string) []*Backend {
 	out := make([]*Backend, len(p.backends))
 	copy(out, p.backends)
@@ -145,63 +169,22 @@ func (p *Pool) Rank(key string) []*Backend {
 	return out
 }
 
-// TestFirstRoutableMatchesRank: for random keys over pools of one to six
-// backends, each key under its own random up/down pattern, FirstRoutable is
-// the first routable backend of the Rank oracle (nil when none is up).
-func TestFirstRoutableMatchesRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	hosts := []string{"10.0.0.1:8080", "10.0.0.2:8080", "10.0.0.3:8080", "b:1", "a:1", "10.0.0.10:8080"}
-	pools := make([]*Pool, len(hosts))
-	for n := range pools {
-		pools[n] = testPool(t, hosts[:n+1]...)
-	}
-	const keys = 1200
-	downs, allDown := 0, 0
-	for i := 0; i < keys; i++ {
-		p := pools[rng.Intn(len(pools))]
-		key := fmt.Sprintf("%016x", rng.Uint64())
-		for _, b := range p.backends {
-			if rng.Intn(2) == 0 {
-				b.MarkSuccess()
-			} else {
-				for b.State() == StateUp {
-					b.MarkFailure()
-				}
-			}
-		}
-		var want *Backend
-		for _, b := range p.Rank(key) {
-			if b.Routable() {
-				want = b
-				break
-			}
-		}
-		if got := p.FirstRoutable(key); got != want {
-			t.Fatalf("key %q over %d backends: FirstRoutable = %s, the oracle's first routable = %s", key, len(p.backends), nameOf(got), nameOf(want))
-		}
-		if !p.Owner(key).Routable() {
-			downs++
-		}
-		if want == nil {
-			allDown++
+// MintKeyFor draws random keys until one is owned by target, so a test can
+// address a session or job to a backend of its choice. After mintAttempts
+// misses it returns the last key drawn.
+func (p *Pool) MintKeyFor(target *Backend) string {
+	var key string
+	for i := 0; i < mintAttempts; i++ {
+		key = server.RandomHex(12)
+		if p.Owner(key) == target {
+			return key
 		}
 	}
-	// The fallback must have been taken, not just the up-owner case.
-	if downs < keys/4 || allDown == 0 {
-		t.Fatalf("%d of %d keys had a down owner and %d an all-down pool: the patterns did not exercise the fallback", downs, keys, allDown)
-	}
+	return key
 }
 
-func nameOf(b *Backend) string {
-	if b == nil {
-		return "none"
-	}
-	return b.Name
-}
-
-// TestMintKeyFor verifies minted keys land on the requested backend — the
-// mechanism that pins freshly created sessions and jobs to the placement
-// target.
+// TestMintKeyFor verifies minted keys land on the requested backend, so the
+// tests that address a backend through it reach the one they name.
 func TestMintKeyFor(t *testing.T) {
 	p := testPool(t, "a:1", "b:1", "c:1", "d:1")
 	for _, target := range p.backends {
@@ -578,16 +561,18 @@ func TestRouterFanoutMergesLists(t *testing.T) {
 	}
 }
 
-// TestRouterJobPlacementByContent submits the same graph-bearing job body
-// twice: both must land on the same backend (content-hash placement) with
-// a job id whose rendezvous owner is that backend, so later polls follow.
-func TestRouterJobPlacementByContent(t *testing.T) {
+// TestRouterJobPlacementSpreads submits one graph-bearing job body 32
+// times: each submission lands on the rendezvous owner of the job id the
+// router minted, both backends receive some (the graph plays no part in
+// placement), and the forwarded body keeps the client's members next to the
+// spliced-in id.
+func TestRouterJobPlacementSpreads(t *testing.T) {
 	f1, f2 := newFakeBackend(t), newFakeBackend(t)
 	pool, rt := testRouter(t, f1, f2)
 
 	body := []byte(`{"question":"Summarize the statistics of the graph","graph":{"nodes":[{"id":0},{"id":1},{"id":2}],"edges":[{"from":0,"to":1},{"from":1,"to":2}]}}`)
-	var landed []string
-	for i := 0; i < 2; i++ {
+	landed := map[string]int{}
+	for i := 0; i < 32; i++ {
 		resp, err := http.Post(rt.URL+"/v1/jobs", "application/json", jsonRaw(body))
 		if err != nil {
 			t.Fatal(err)
@@ -601,16 +586,14 @@ func TestRouterJobPlacementByContent(t *testing.T) {
 			t.Fatalf("submit %d: status=%d id=%q", i, resp.StatusCode, created.JobID)
 		}
 		backend := resp.Header.Get("X-Backend")
-		landed = append(landed, backend)
+		landed[backend]++
 		if want := pool.Owner(created.JobID).Name; want != backend {
 			t.Fatalf("job %s landed on %s but its id is owned by %s", created.JobID, backend, want)
 		}
 	}
-	if landed[0] != landed[1] {
-		t.Fatalf("same graph placed on two backends: %v", landed)
+	if landed[f1.name()] == 0 || landed[f2.name()] == 0 {
+		t.Fatalf("32 submissions of one graph landed %v: placement must not follow the graph", landed)
 	}
-	// The forwarded body must still carry the original fields next to the
-	// injected job_id.
 	for _, f := range []*fakeBackend{f1, f2} {
 		f.mu.Lock()
 		for _, b := range f.jobBodies {
@@ -698,11 +681,40 @@ func TestRouterMintedJobIDIsTheOneBound(t *testing.T) {
 	}
 }
 
+// TestRouterSessionCreateBodies: every body a client may send to create a
+// session without pinning its id, through a router fronting real chatgraphd
+// handlers, creates the session on the rendezvous owner of the id it got
+// back. The router forwards only the id it minted; injected into a null
+// body the id would be lost, and the backend would mint its own on a
+// coin-flip owner.
+func TestRouterSessionCreateBodies(t *testing.T) {
+	pool, rt := testRouter(t, realBackends(t, 2)...)
+	for _, body := range []string{``, `{}`, `null`, `{"session_id":""}`} {
+		for i := 0; i < 8; i++ {
+			resp, err := http.Post(rt.URL+"/v1/sessions", "application/json", jsonRaw([]byte(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var created struct {
+				SessionID string `json:"session_id"`
+			}
+			json.NewDecoder(resp.Body).Decode(&created) //nolint:errcheck
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated || created.SessionID == "" {
+				t.Fatalf("body %q: create = %d, id %q", body, resp.StatusCode, created.SessionID)
+			}
+			if owner := pool.Owner(created.SessionID).Name; owner != resp.Header.Get("X-Backend") {
+				t.Fatalf("body %q: session %s was created on %s but its id is owned by %s", body, created.SessionID, resp.Header.Get("X-Backend"), owner)
+			}
+		}
+	}
+}
+
 // TestRouterRemovedChatRouteIs404 sends the removed single-conversation
 // POST /chat through a router fronting real chatgraphd handlers: the router
 // has no special case for it any more, so it is spread like any unknown path
 // and the client sees the backend's own 404 (with X-Backend naming who said
-// so) — not a router-made answer, and not a content-hash placement.
+// so) — not a router-made answer.
 func TestRouterRemovedChatRouteIs404(t *testing.T) {
 	_, rt := testRouter(t, realBackends(t, 2)...)
 
@@ -733,8 +745,7 @@ func TestRouterRemovedChatRouteIs404(t *testing.T) {
 		}
 		served[resp.Header.Get("X-Backend")] = true
 	}
-	// Identical uploads used to pin to one shard by content hash; as an
-	// unknown path they rotate over the pool.
+	// As an unknown path, identical uploads rotate over the pool.
 	if len(served) != 2 || served[""] {
 		t.Fatalf("POST /chat was answered by %v, want both backends in rotation", served)
 	}
@@ -880,8 +891,8 @@ func TestRouterMintsRequestID(t *testing.T) {
 		}
 	}
 	for _, r := range []struct{ method, path string }{
-		{http.MethodPost, "/v1/sessions"}, // createSession
-		{http.MethodPost, "/v1/jobs"},     // createJob
+		{http.MethodPost, "/v1/sessions"}, // create
+		{http.MethodPost, "/v1/jobs"},     // create
 		{http.MethodGet, "/v1/sessions"},  // fanout
 		{http.MethodGet, "/apis"},         // spread
 	} {

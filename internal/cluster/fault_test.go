@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -249,5 +250,82 @@ func TestRouterFaultMarking(t *testing.T) {
 		if down := !b.Routable(); down != tc.wantDown {
 			t.Fatalf("%s: after %d faulted requests the backend is %s", tc.f, requests, b.State())
 		}
+	}
+}
+
+// TestRouterFaultCountsCutBodies: a reply whose body is cut after the
+// headers is the backend's error, so each of three cut replies moves that
+// backend's chatgraph_router_errors_total by one, while whole replies move
+// it by none and the backend stays up throughout.
+func TestRouterFaultCountsCutBodies(t *testing.T) {
+	f := newFakeBackend(t)
+	ft := newFaultTransport()
+	pool, _, rt := faultRouter(t, Policy{FailAfter: 1, RecoverAfter: time.Hour}, ft, f)
+	b := pool.Backends()[0]
+	for _, tc := range []struct {
+		f     fault
+		whole bool
+		want  uint64
+	}{
+		{faultNone, true, 0},
+		{faultCut, false, 3},
+	} {
+		ft.set(f.name(), tc.f)
+		before := b.errors.Value()
+		for i := 0; i < 3; i++ {
+			if status, whole := post(t, rt.URL+"/v1/retrieve", `{"queries":["q"]}`); status != http.StatusOK || whole != tc.whole {
+				t.Fatalf("%s: POST /v1/retrieve = %d, whole body %v; want 200, %v", tc.f, status, whole, tc.whole)
+			}
+		}
+		if got := b.errors.Value() - before; got != tc.want {
+			t.Fatalf("%s: three replies moved errors_total by %v, want %v", tc.f, got, tc.want)
+		}
+		if !b.Routable() {
+			t.Fatalf("%s: backend %s after three replies, want up", tc.f, b.State())
+		}
+	}
+}
+
+// cancelOnWrite is a client connection that goes away as soon as the first
+// bytes of the reply reach it: it cancels the request's context and
+// accepts the write.
+type cancelOnWrite struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (c cancelOnWrite) Write(p []byte) (int, error) {
+	c.cancel()
+	return c.ResponseRecorder.Write(p)
+}
+
+// TestRouterClientGoneIsNotABackendError: a reply cut because the client
+// left mid-body is not the backend's fault, so it moves no error counter.
+func TestRouterClientGoneIsNotABackendError(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" || r.URL.Path == "/readyz" {
+			return
+		}
+		w.Write([]byte(`{"partial":`)) //nolint:errcheck
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	t.Cleanup(slow.Close)
+	pool, router, _ := faultRouter(t, Policy{}, newFaultTransport(), &fakeBackend{ts: slow})
+	b := pool.Backends()[0]
+	if !b.Routable() {
+		t.Fatal("backend not up after probe")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, "/apis", nil).WithContext(ctx)
+	w := cancelOnWrite{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
+	router.Handler().ServeHTTP(w, req)
+	if w.Body.String() != `{"partial":` {
+		t.Fatalf("client got %q, want the first chunk and no more", w.Body.String())
+	}
+	if got := b.errors.Value(); got != 0 {
+		t.Fatalf("a client that left mid-body moved the backend's errors_total to %v, want 0", got)
 	}
 }

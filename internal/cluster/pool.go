@@ -10,11 +10,10 @@
 // IDs itself and hashes id → backend with HRW, so any later request
 // carrying that id deterministically re-derives its owner, with no routing
 // table, across router restarts, for any router replica fed the same
-// backend list. Job submissions, which carry a graph but no identity yet,
-// are placed by the graph's content hash instead, so identical
-// interned graphs concentrate on one shard's caches rather than duplicating
-// across the pool. Stateless routes spread round-robin over healthy
-// backends and may retry on the next hop.
+// backend list. A new session or job is placed by the id alone: the Router
+// draws ids until one is owned by a routable backend, whatever the request
+// carries. Stateless routes spread round-robin over healthy backends and
+// may retry on the next hop.
 package cluster
 
 import (
@@ -204,7 +203,7 @@ func NewPool(rawURLs []string, policy Policy, reg *metrics.Registry) (*Pool, err
 			requests: reg.Counter("chatgraph_router_requests_total",
 				"Requests proxied to the backend.", labels),
 			errors: reg.Counter("chatgraph_router_errors_total",
-				"Proxied requests that failed in transport or answered 5xx.", labels),
+				"Proxied requests that failed in transport, answered 5xx, or had their reply body cut after the headers.", labels),
 			duration: reg.Histogram("chatgraph_router_request_duration_seconds",
 				"Proxied request latency by backend.", metrics.DefBuckets, labels),
 		}
@@ -252,27 +251,15 @@ func hrwScore(backend, key string) uint64 {
 	return x
 }
 
-// Owner returns the backend whose rendezvous score for key is highest,
-// over the full membership and regardless of health: ownership is an
-// identity, not an availability fact — a session on a dead backend is
-// unavailable, not re-homed (nothing is replicated to re-home it to).
-func (p *Pool) Owner(key string) *Backend { return p.argmax(key, false) }
-
-// FirstRoutable returns the routable backend whose rendezvous score for key
-// is highest — the owner when it is up, otherwise the next hop in score
-// order — or nil when the whole pool is down.
-func (p *Pool) FirstRoutable(key string) *Backend { return p.argmax(key, true) }
-
-// argmax returns the backend with the highest rendezvous score for key,
-// the lower name winning a tie; with routable set, down backends do not
-// compete.
-func (p *Pool) argmax(key string, routable bool) *Backend {
+// Owner returns the backend whose rendezvous score for key is highest, the
+// lower name winning a tie, over the full membership and regardless of
+// health: ownership is an identity, not an availability fact — a session
+// on a dead backend is unavailable, not re-homed (nothing is replicated to
+// re-home it to).
+func (p *Pool) Owner(key string) *Backend {
 	var best *Backend
 	var bestScore uint64
 	for _, b := range p.backends {
-		if routable && !b.Routable() {
-			continue
-		}
 		if s := hrwScore(b.Name, key); best == nil || s > bestScore || (s == bestScore && b.Name < best.Name) {
 			best, bestScore = b, s
 		}
@@ -280,32 +267,15 @@ func (p *Pool) argmax(key string, routable bool) *Backend {
 	return best
 }
 
-// mintAttempts bounds MintKeyFor's rejection sampling. Each draw lands on
-// the target with probability ~1/N, so 256 attempts miss with probability
-// (1-1/N)^256 — about 1e-7 at N=16.
+// mintAttempts bounds MintRoutableKey's rejection sampling. Each draw lands
+// on a routable backend with probability ≥ 1/N while any is up, so 256
+// attempts miss with probability at most (1-1/N)^256 — about 1e-7 at N=16.
 const mintAttempts = 256
 
-// MintKeyFor generates a random hex key whose Owner is target — how the
-// router pins a freshly created session or job onto the backend placement
-// chose, while keeping the id → owner derivation purely hash-based. The
-// extremely unlikely sampling failure returns the last key drawn (the
-// object stays reachable wherever it was created; only cache locality is
-// lost), so callers route by Owner(key), never by assuming target.
-func (p *Pool) MintKeyFor(target *Backend) string {
-	var key string
-	for i := 0; i < mintAttempts; i++ {
-		key = server.RandomHex(12)
-		if p.Owner(key) == target {
-			return key
-		}
-	}
-	return key
-}
-
 // MintRoutableKey draws random keys until one is owned by a routable
-// backend — uniform placement over live backends, weighted by keyspace
-// share. It returns the key and its owner, or ("", nil) when the whole
-// pool is down.
+// backend — how the router places every new session and job: uniformly
+// over live backends, weighted by keyspace share. It returns the key and
+// its owner, or ("", nil) when the whole pool is down.
 func (p *Pool) MintRoutableKey() (string, *Backend) {
 	for i := 0; i < mintAttempts; i++ {
 		key := server.RandomHex(12)

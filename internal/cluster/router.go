@@ -18,9 +18,10 @@ import (
 // Options tunes the Router.
 type Options struct {
 	// MaxBody caps one buffered request body; larger uploads answer 413.
-	// Bodies are buffered so placement can hash them and idempotent routes
-	// can replay them on the next hop. 0 → 8MiB + headroom (the backend's
-	// own chat/job body cap plus slack for the injected routing fields).
+	// Bodies are buffered so a job's minted id can be spliced in and
+	// idempotent routes can replay them on the next hop. 0 → 8MiB +
+	// headroom (the backend's own chat/job body cap plus slack for the
+	// injected routing field).
 	MaxBody int64
 	// Transport performs the proxied round trips. nil → a cloned
 	// http.DefaultTransport with a deeper idle-connection pool.
@@ -125,15 +126,9 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch aff.Class {
-	case server.AffinitySession:
+	case server.AffinitySession, server.AffinityJob:
 		if aff.Key == "" {
-			rt.createSession(w, r, body)
-			return
-		}
-		rt.toOwner(w, r, body, aff.Key)
-	case server.AffinityJob:
-		if aff.Key == "" {
-			rt.createJob(w, r, body)
+			rt.create(w, r, body, aff.Class)
 			return
 		}
 		rt.toOwner(w, r, body, aff.Key)
@@ -158,21 +153,30 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return body, true
 }
 
-// createSession routes POST /v1/sessions: mint a session id, derive its
-// owner from the rendezvous hash, and forward the create with the id
-// pinned — after which every request carrying the id re-derives the same
-// owner with no routing table. A client-pinned id is honored (its owner
-// must be up).
-func (rt *Router) createSession(w http.ResponseWriter, r *http.Request, body []byte) {
-	var req server.SessionCreateRequest
+// create routes POST /v1/sessions and POST /v1/jobs, the two requests that
+// make a keyed object. A client-pinned id goes to its owner. Otherwise the
+// router mints an id that a routable backend owns and forwards the create
+// with that id pinned, after which every request carrying the id re-derives
+// the same owner with no routing table. A session create forwards the
+// minted id and nothing else; a job body is forwarded as the client's bytes
+// with job_id spliced in last, so it is the id the backend binds.
+func (rt *Router) create(w http.ResponseWriter, r *http.Request, body []byte, class server.AffinityClass) {
+	var session server.SessionCreateRequest
+	var job struct {
+		JobID string `json:"job_id"`
+	}
+	req, id := any(&session), &session.SessionID
+	if class == server.AffinityJob {
+		req, id = &job, &job.JobID
+	}
 	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := json.Unmarshal(body, req); err != nil {
 			server.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
 			return
 		}
 	}
-	if req.SessionID != "" {
-		rt.toOwner(w, r, body, req.SessionID)
+	if *id != "" {
+		rt.toOwner(w, r, body, *id)
 		return
 	}
 	key, target := rt.pool.MintRoutableKey()
@@ -180,56 +184,12 @@ func (rt *Router) createSession(w http.ResponseWriter, r *http.Request, body []b
 		rt.refuse(w, r, nil, "no backends up")
 		return
 	}
-	pinned, err := json.Marshal(server.SessionCreateRequest{SessionID: key})
-	if err != nil {
-		server.WriteError(w, r, http.StatusInternalServerError, err.Error())
-		return
-	}
-	rt.forwardTo(w, r, pinned, target)
-}
-
-// createJob routes POST /v1/jobs. Placement prefers the content hash of
-// the uploaded graph — identical interned graphs then concentrate on one
-// shard's graphstore, invoke cache, and CSR memos instead of duplicating
-// across the pool — and falls back to spreading for graph-less jobs. The
-// job id is then minted to hash onto the placed backend, so polls and
-// cancels re-derive the owner from the id alone.
-func (rt *Router) createJob(w http.ResponseWriter, r *http.Request, body []byte) {
-	var req struct {
-		JobID string `json:"job_id"`
-	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			server.WriteError(w, r, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
-			return
-		}
-	}
-	if req.JobID != "" {
-		rt.toOwner(w, r, body, req.JobID)
-		return
-	}
-	var target *Backend
-	if ck, ok := server.UploadContentKey(body); ok {
-		// While the content's home shard is down, place on the next hop
-		// in its score order (stable while the outage lasts) rather than
-		// refusing — placement is an optimization, not correctness.
-		target = rt.pool.FirstRoutable(ck)
+	if class == server.AffinityJob {
+		body = injectField(body, "job_id", key)
 	} else {
-		_, target = rt.pool.MintRoutableKey()
+		body, _ = json.Marshal(server.SessionCreateRequest{SessionID: key}) // one string field: never fails
 	}
-	if target == nil {
-		rt.refuse(w, r, nil, "no backends up")
-		return
-	}
-	key := rt.pool.MintKeyFor(target)
-	// Route by the key's actual owner: on the (≈1e-7) sampling miss the
-	// job still lands where its id points, so it remains pollable.
-	owner := rt.pool.Owner(key)
-	if owner == nil || !owner.Routable() {
-		rt.refuse(w, r, owner, "job owner down")
-		return
-	}
-	rt.forwardTo(w, r, injectField(body, "job_id", key), owner)
+	rt.forwardTo(w, r, body, target)
 }
 
 // toOwner routes a request bound to existing state: the rendezvous owner
@@ -278,7 +238,7 @@ func (rt *Router) spread(w http.ResponseWriter, r *http.Request, body []byte, id
 			rt.retries.Inc()
 			continue
 		}
-		rt.forwardResponse(w, resp, b)
+		rt.forwardResponse(w, r, resp, b)
 		return
 	}
 	name := ""
@@ -356,7 +316,7 @@ func (rt *Router) forwardTo(w http.ResponseWriter, r *http.Request, body []byte,
 		server.WriteError(w, r, http.StatusBadGateway, fmt.Sprintf("backend %s: %v", b.Name, err))
 		return
 	}
-	rt.forwardResponse(w, resp, b)
+	rt.forwardResponse(w, r, resp, b)
 }
 
 // attempt proxies one buffered request to b, instrumenting the round trip
@@ -397,8 +357,11 @@ func (rt *Router) attempt(r *http.Request, b *Backend, body []byte) (*http.Respo
 }
 
 // forwardResponse relays the backend response, flushing after every chunk
-// so NDJSON chat and job streams pass through live.
-func (rt *Router) forwardResponse(w http.ResponseWriter, resp *http.Response, b *Backend) {
+// so NDJSON chat and job streams pass through live. A body that fails after
+// the headers is relayed as far as it came and counts as one of b's errors,
+// unless the client went away first; like any answered attempt, it does not
+// count toward b's failure marking.
+func (rt *Router) forwardResponse(w http.ResponseWriter, r *http.Request, resp *http.Response, b *Backend) {
 	defer resp.Body.Close()
 	// The backend echoes the id it was sent; keep one copy, not two.
 	id := w.Header().Get("X-Request-ID")
@@ -419,6 +382,9 @@ func (rt *Router) forwardResponse(w http.ResponseWriter, resp *http.Response, b 
 			}
 		}
 		if err != nil {
+			if err != io.EOF && r.Context().Err() == nil {
+				b.errors.Inc()
+			}
 			return
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // The generators below produce the synthetic workloads the demonstration
@@ -56,19 +57,21 @@ func BarabasiAlbert(n, m int, rng *rand.Rand) *Graph {
 	}
 	for i := seed; i < n; i++ {
 		u := g.AddNode(fmt.Sprintf("u%d", i))
-		chosen := make(map[NodeID]bool, m)
-		for len(chosen) < m {
+		// Targets in draw order, so one seed builds one graph: they extend
+		// stubs, which every later node samples from.
+		targets := make([]NodeID, 0, m)
+		for len(targets) < m {
 			var t NodeID
 			if len(stubs) == 0 || rng.Float64() < 0.05 {
 				t = NodeID(rng.Intn(int(u)))
 			} else {
 				t = stubs[rng.Intn(len(stubs))]
 			}
-			if t != u {
-				chosen[t] = true
+			if t != u && !slices.Contains(targets, t) {
+				targets = append(targets, t)
 			}
 		}
-		for t := range chosen {
+		for _, t := range targets {
 			g.AddEdge(u, t) //nolint:errcheck
 			stubs = append(stubs, u, t)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -47,5 +48,29 @@ func TestGeneratorsAreStable(t *testing.T) {
 				t.Errorf("%s at seed %d: sha256 %s, want %s", tc.name, seed, got, want)
 			}
 		}
+	}
+}
+
+// TestBarabasiAlbertIsOneGraphPerSeed: one seed builds one graph, in this
+// process and in any other. Each new node's targets extend the stub list
+// that later nodes sample from, so drawing them in map order made every
+// build a different graph: all 20 rebuilds below differed when it did. The
+// pinned sum is the second process's check.
+func TestBarabasiAlbertIsOneGraphPerSeed(t *testing.T) {
+	const want = "89e332b32bb2ac60861a4438ce04f1f52378fe9a898628ec50f9203abd8a26fb"
+	first := BarabasiAlbert(200, 2, rand.New(rand.NewSource(1)))
+	for i := 0; i < 20; i++ {
+		g := BarabasiAlbert(200, 2, rand.New(rand.NewSource(1)))
+		if !slices.Equal(g.Edges(), first.Edges()) {
+			t.Fatalf("rebuild %d of BarabasiAlbert(200, 2, seed 1) has another edge list", i)
+		}
+	}
+	data, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("BarabasiAlbert(200, 2, seed 1): sha256 %s, want %s", got, want)
 	}
 }

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"encoding/json"
-	"strings"
-)
+import "strings"
 
 // This file is the routing contract shared between the server and the
 // chatgraph-router proxy tier (internal/cluster). The router never imports
@@ -98,28 +95,4 @@ func ClassifyRoute(method, path string) RouteAffinity {
 	default:
 		return RouteAffinity{}
 	}
-}
-
-// uploadBody is the slice of the JobRequest schema placement cares about.
-type uploadBody struct {
-	Graph json.RawMessage `json:"graph"`
-}
-
-// UploadContentKey extracts the content-hash routing key from a job
-// submission body: the ContentHash of the uploaded graph, the same identity
-// the graphstore interns by, so a cluster tier concentrates identical
-// uploads — however their JSON is spelled — onto one shard. ok is false
-// when the body has no parseable graph — the request then has no content
-// identity and the caller falls back to spreading it.
-//
-// The hash is computed with this process's own seed, so the key is only
-// meaningful within one router process — which is all placement needs: the
-// same router sends the same content to the same shard.
-func UploadContentKey(body []byte) (string, bool) {
-	var req uploadBody
-	up, err := decodeUpload(body, func(data []byte) error { return json.Unmarshal(data, &req) }, &req.Graph)
-	if err != nil || up.g == nil {
-		return "", false
-	}
-	return up.g.ContentHash().String(), true
 }

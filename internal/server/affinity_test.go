@@ -74,37 +74,6 @@ func TestRouteTableClassified(t *testing.T) {
 	}
 }
 
-// TestUploadContentKey verifies the placement key is the graph's content
-// hash: stable for the same graph regardless of surrounding fields, and
-// absent for graph-less or malformed bodies.
-func TestUploadContentKey(t *testing.T) {
-	gj := socialGraphJSON(t, 11)
-	b1, _ := json.Marshal(map[string]any{"question": "report", "graph": json.RawMessage(gj)})
-	b2, _ := json.Marshal(map[string]any{"question": "different question", "graph": json.RawMessage(gj)})
-	k1, ok1 := UploadContentKey(b1)
-	k2, ok2 := UploadContentKey(b2)
-	if !ok1 || !ok2 {
-		t.Fatalf("ok = %v, %v", ok1, ok2)
-	}
-	if k1 == "" || k1 != k2 {
-		t.Fatalf("same graph produced keys %q vs %q", k1, k2)
-	}
-	other, _ := json.Marshal(map[string]any{"graph": json.RawMessage(socialGraphJSON(t, 12))})
-	if k3, ok := UploadContentKey(other); !ok || k3 == k1 {
-		t.Fatalf("different graph: ok=%v key=%q (want distinct from %q)", ok, k3, k1)
-	}
-	for name, body := range map[string][]byte{
-		"no graph":  []byte(`{"question":"q"}`),
-		"bad graph": []byte(`{"graph":{"nodes":3}}`),
-		"not json":  []byte(`hello`),
-		"empty":     nil,
-	} {
-		if _, ok := UploadContentKey(body); ok {
-			t.Errorf("%s: UploadContentKey ok = true, want false", name)
-		}
-	}
-}
-
 // TestPinnedSessionID exercises the caller-pinned id path the cluster
 // router depends on: accept a valid pin, 409 a duplicate, 400 a bad id.
 func TestPinnedSessionID(t *testing.T) {

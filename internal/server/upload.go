@@ -11,15 +11,14 @@ import (
 )
 
 // This file is the one road an uploaded graph takes into the server — from a
-// chat, a job submission, or the router's placement key: body bytes →
-// envelope → parsed graph → interned instance. The envelope is a few dozen
-// bytes around a graph of tens of kilobytes, so one walk over the body
-// (graph.ParseMember) finds the graph member and decodes it where it lies,
-// straight into the slabs the graph keeps, and only what is left goes
-// through encoding/json. Like the graph scanner underneath, the fast road
-// either understands a body completely or declines, and a declined body
-// takes the encoding/json road on the same bytes — which is therefore what
-// defines every result and every error text.
+// chat or a job submission: body bytes → envelope → parsed graph → interned
+// instance. The envelope is a few dozen bytes around a graph of tens of
+// kilobytes, so one walk over the body (graph.ParseMember) finds the graph
+// member and decodes it where it lies, straight into the slabs the graph
+// keeps, and only what is left goes through encoding/json. Like the graph
+// scanner underneath, the fast road either understands a body completely or
+// declines, and a declined body takes the encoding/json road on the same
+// bytes — which is therefore what defines every result and every error text.
 
 // maxUploadBody caps a chat or job submission body (question + graph).
 const maxUploadBody = 8 << 20

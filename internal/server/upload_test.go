@@ -215,44 +215,6 @@ func TestJobEnvelope(t *testing.T) {
 	}
 }
 
-// TestUploadContentKeyEnvelope pins the router's view of the same bodies:
-// the key is the content hash of the graph the backend would use, and bodies
-// json.Unmarshal rejects (trailing bytes included) have none.
-func TestUploadContentKeyEnvelope(t *testing.T) {
-	key := func(body string) string {
-		k, ok := UploadContentKey([]byte(body))
-		if ok != (k != "") {
-			t.Fatalf("key %q with ok=%v", k, ok)
-		}
-		return k
-	}
-	k3, k4 := key(`{"graph":`+envG3+`}`), key(`{"graph":`+envG4+`}`)
-	kEmpty := key(`{"graph":{}}`)
-	if k3 == "" || k4 == "" || kEmpty == "" || k3 == k4 || k3 == kEmpty {
-		t.Fatalf("reference keys %q %q %q", k3, k4, kEmpty)
-	}
-	for _, tc := range []struct{ name, body, want string }{
-		{"surrounding members", `{` + envQ + `,"graph":` + envG3 + `,"priority":"low"}`, k3},
-		{"whitespace", " {\n\"graph\" :\t" + envG3 + "\r\n} ", k3},
-		{"duplicate graph, last wins", `{"graph":` + envG3 + `,"graph":` + envG4 + `}`, k4},
-		{"case variant key", `{"GRAPH":` + envG4 + `}`, k4},
-		{"escaped key", `{"gr\u0061ph":` + envG3 + `}`, k3},
-		{"null graph", `{"graph":null}`, kEmpty},
-		{"absent graph", `{` + envQ + `}`, ""},
-		{"trailing bytes", `{"graph":` + envG3 + `} x`, ""},
-		{"trailing object", `{"graph":` + envG3 + `}{}`, ""},
-		{"truncated", `{"graph":` + envG3, ""},
-		{"syntax error after the graph", `{"graph":` + envG3 + `,}`, ""},
-		{"syntax error in the graph", `{"graph":{"nodes":[{"id":01}]}}`, ""},
-		{"self-loop", `{"graph":` + envSelfLoop + `}`, ""},
-		{"question of the wrong type", `{"question":7,"graph":` + envG3 + `}`, k3},
-	} {
-		if got := key(tc.body); got != tc.want {
-			t.Errorf("%s: key %q, want %q", tc.name, got, tc.want)
-		}
-	}
-}
-
 // BenchmarkDecodeChat is the upload front half in isolation — body bytes →
 // envelope → parsed graph → content + exact hash → intern lookup — over the
 // two graph shapes chat_large_cold uploads, so bench's graph.parse_ms,
@@ -334,9 +296,8 @@ func sameUpload(got upload, gotErr error, want upload, wantErr error) error {
 }
 
 // FuzzDecodeUpload holds the envelope helper to the oracle on any body, for
-// each of its three callers: the chat and job handlers (Decoder semantics,
-// bytes after the object ignored) and the router's UploadContentKey
-// (Unmarshal semantics).
+// each of its two callers: the chat and job handlers (Decoder semantics,
+// bytes after the object ignored).
 func FuzzDecodeUpload(f *testing.F) {
 	for _, tc := range envelopeCases() {
 		if len(tc.body) < 1<<16 {
@@ -398,16 +359,6 @@ func FuzzDecodeUpload(f *testing.F) {
 		job.Graph, jobWant.Graph = nil, nil
 		if gotErr == nil && !reflect.DeepEqual(job, jobWant) {
 			t.Fatalf("job request %+v, oracle %+v\nbody: %q", job, jobWant, body)
-		}
-
-		var place uploadBody
-		want, wantErr = decodeUploadOracle(body, func(data []byte) error { return json.Unmarshal(data, &place) }, &place.Graph)
-		wantKey := ""
-		if wantErr == nil && want.g != nil {
-			wantKey = want.g.ContentHash().String()
-		}
-		if key, ok := UploadContentKey(body); key != wantKey || ok != (wantKey != "") {
-			t.Fatalf("UploadContentKey %q %v, oracle %q\nbody: %q", key, ok, wantKey, body)
 		}
 	})
 }
