@@ -6,8 +6,9 @@
 // restarts and shared by any router replica fed the same backend list. A
 // new session or job goes to whichever routable backend owns the id minted
 // for it, whatever its body carries; stateless routes round-robin over
-// healthy backends with retry-on-next-hop for idempotent methods. Backends are health-probed (/healthz + /readyz) with
-// consecutive-failure marking and half-open recovery.
+// healthy backends with retry-on-next-hop for idempotent methods. Backends
+// are probed with GET /readyz alone, with consecutive-failure marking and
+// half-open recovery.
 //
 // The router itself serves GET /healthz (always 200 while the process is
 // alive), GET /readyz (503 until at least one backend is routable), and

@@ -11,9 +11,9 @@
 // is sized by -job-workers/-job-queue and finished jobs are retained for
 // -job-retention. Demo-panel endpoints: GET /apis, GET /suggest,
 // GET /config, GET /healthz. Observability: GET /metrics (Prometheus text
-// format). Overload policy: -max-inflight sheds with 429,
-// -session-rate/-session-burst rate-limit each session's chats, and
-// -request-timeout bounds one request's lifetime.
+// format). Overload policy: -max-inflight and -max-rps shed with 429 (and
+// -tenants adds per-tenant quotas and fair shares), and -request-timeout
+// bounds one request's lifetime.
 //
 // Durability: with -data-dir set, session lifecycle, chat transcripts, and
 // async job records persist through a CRC-framed WAL plus periodic
@@ -84,8 +84,6 @@ func main() {
 
 		maxInFlight  = flag.Int("max-inflight", 0, "cap on concurrently admitted requests; excess sheds with 429 (0 = unlimited)")
 		maxRPS       = flag.Float64("max-rps", 0, "cap on the aggregate admitted request rate (this replica's provisioned capacity); excess sheds with 429 (0 = unlimited)")
-		sessionRate  = flag.Float64("session-rate", 0, "per-session chat rate limit in requests/sec (0 = unlimited)")
-		sessionBurst = flag.Int("session-burst", 0, "per-session rate-limit burst (0 = one second's worth)")
 		reqTimeout   = flag.Duration("request-timeout", 60*time.Second, "per-request context deadline on chat/retrieve; expired chats answer 504 (0 = none)")
 		tenantsPath  = flag.String("tenants", "", "multi-tenant config file (API keys, quotas, fair-share weights); empty = single anonymous tenant")
 		jobWorkers   = flag.Int("job-workers", jobs.DefaultWorkers, "async job pool size; each worker runs one /v1/jobs chain at a time")
@@ -193,8 +191,6 @@ func main() {
 		MaxSessions:    *maxSessions,
 		MaxInFlight:    *maxInFlight,
 		MaxRPS:         *maxRPS,
-		SessionRate:    *sessionRate,
-		SessionBurst:   *sessionBurst,
 		RequestTimeout: *reqTimeout,
 		JobWorkers:     *jobWorkers,
 		JobQueue:       *jobQueue,

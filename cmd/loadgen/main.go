@@ -3,14 +3,10 @@
 // shed rates, per operation and overall. It is the repeatable measurement
 // tool behind EXPERIMENTS.md's serving tables (E12–E18) and the CI smoke jobs.
 //
-// Two load models:
-//
-//   - closed loop (default): -concurrency workers each issue the next
-//     request as soon as the previous one finishes — throughput follows
-//     service rate, the classic saturation probe.
-//   - open loop: requests are dispatched on a fixed schedule at -rate
-//     req/s regardless of completions — the arrival process real users
-//     produce, which is what exposes queueing collapse under overload.
+// One load model, the closed loop: -concurrency workers each issue the
+// next request as soon as the previous one finishes, so throughput follows
+// service rate — the classic saturation probe. (Paced open-loop arrivals
+// are the benchmark's job: bench drives its own paced phase.)
 //
 // The operation mix interleaves chat (POST /v1/sessions/{id}/chat, session
 // pool round-robin) and batched retrieval (POST /v1/retrieve) per
@@ -105,9 +101,7 @@ func run(args []string, stdout io.Writer) error {
 		addr         = fs.String("addr", "http://localhost:8080", "base URL of the chatgraphd (or chatgraph-router) to drive")
 		targets      = fs.String("targets", "", "comma-separated base URLs to spread load across (cluster mode: sessions and ops are partitioned over the targets and the report breaks results down per backend); empty = just -addr")
 		duration     = fs.Duration("duration", 5*time.Second, "how long to generate load")
-		concurrency  = fs.Int("concurrency", 4, "closed-loop worker count (open loop: max outstanding requests)")
-		mode         = fs.String("mode", "closed", "load model: closed (workers) or open (fixed arrival rate)")
-		rate         = fs.Float64("rate", 50, "open-loop arrival rate in req/s")
+		concurrency  = fs.Int("concurrency", 4, "closed-loop worker count")
 		chatFrac     = fs.Float64("chat-frac", 0.5, "fraction of operations that are chats (the rest are retrieves)")
 		sessions     = fs.Int("sessions", 0, "session pool size (0 = same as -concurrency)")
 		timeout      = fs.Duration("timeout", 30*time.Second, "per-request client timeout")
@@ -117,7 +111,7 @@ func run(args []string, stdout io.Writer) error {
 		jobsProbe    = fs.Int("jobs-probe", 0, "after the run, burst this many job submissions without polling to measure queue-full shedding (accepted ones are cancelled)")
 		jsonPath     = fs.String("json", "", "write the machine-readable report (chatgraph.loadgen/v1 schema) to this file")
 		strict       = fs.Bool("strict", false, "exit 1 on any transport/status error or failed healthz//metrics probe")
-		readyWait    = fs.Duration("ready-wait", 0, "before the run, wait up to this long for GET /readyz to answer 200 (daemons without the endpoint count as ready)")
+		readyWait    = fs.Duration("ready-wait", 0, "before the run, wait up to this long for GET /readyz to answer 200")
 		restartGrace = fs.Duration("restart-grace", 0, "retry transport errors and 503s with backoff for up to this long per request — lets a run span a daemon restart; recoveries are reported as reconnects")
 		tenantKeys   = fs.String("tenant-keys", "", "comma-separated name=key list; workers and the session pool are partitioned over the named tenants, every request carries its tenant's X-API-Key, and the report breaks results down per tenant")
 		hostileList  = fs.String("hostile-tenants", "", "comma-separated tenant names (from -tenant-keys) whose workers mix adversarial requests into their traffic; their expected 4xxs count as rejected, not errors")
@@ -135,12 +129,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(fs.Output(), "loadgen: unexpected argument %q (flags after it would be ignored)\n", fs.Arg(0))
 		return errUsage
 	}
-	interval := time.Duration(float64(time.Second) / *rate)
 	switch {
-	case *mode != "closed" && *mode != "open":
-		return fmt.Errorf("-mode must be closed or open, got %q", *mode)
-	case *mode == "open" && interval <= 0:
-		return fmt.Errorf("-rate %g is not a usable arrival rate", *rate)
 	case *chatFrac < 0 || *chatFrac > 1:
 		return fmt.Errorf("-chat-frac must be in [0,1], got %g", *chatFrac)
 	case *jobsMix < 0 || *jobsMix > 1:
@@ -277,48 +266,21 @@ func run(args []string, stdout io.Writer) error {
 		stats.record(s)
 	}
 
-	log.Printf("loadgen: %s loop against %s for %s (concurrency %d, sessions %d, tenants %d, chat-frac %.2f, jobs-mix %.2f)",
-		*mode, base, *duration, *concurrency, *sessions, len(tenants), *chatFrac, *jobsMix)
+	log.Printf("loadgen: closed loop against %s for %s (concurrency %d, sessions %d, tenants %d, chat-frac %.2f, jobs-mix %.2f)",
+		base, *duration, *concurrency, *sessions, len(tenants), *chatFrac, *jobsMix)
 	wallStart := time.Now()
 	deadline := wallStart.Add(*duration)
 	var wg sync.WaitGroup
-	if *mode == "closed" {
-		for wkr := 0; wkr < *concurrency; wkr++ {
-			wg.Add(1)
-			go func(wkr int) {
-				defer wg.Done()
-				w := rand.New(rand.NewSource(*seed + int64(wkr)*7919))
-				z := newZipf(w, *graphsN)
-				for time.Now().Before(deadline) {
-					doOp(w, z, wkr)
-				}
-			}(wkr)
-		}
-	} else {
-		// Outstanding requests are bounded by -concurrency; an arrival that
-		// finds every slot busy is recorded as a local drop, mirroring what
-		// a queueing client would experience.
-		slots := make(chan struct{}, *concurrency)
-		ticker := time.NewTicker(interval)
-		next := 0
-		for now := range ticker.C {
-			if now.After(deadline) {
-				break
+	for wkr := 0; wkr < *concurrency; wkr++ {
+		wg.Add(1)
+		go func(wkr int) {
+			defer wg.Done()
+			w := rand.New(rand.NewSource(*seed + int64(wkr)*7919))
+			z := newZipf(w, *graphsN)
+			for time.Now().Before(deadline) {
+				doOp(w, z, wkr)
 			}
-			select {
-			case slots <- struct{}{}:
-				wg.Add(1)
-				go func(wkr int, w *rand.Rand) {
-					defer wg.Done()
-					defer func() { <-slots }()
-					doOp(w, newZipf(w, *graphsN), wkr)
-				}(next, rand.New(rand.NewSource(*seed+int64(next)*7919)))
-				next++
-			default:
-				stats.drop()
-			}
-		}
-		ticker.Stop()
+		}(wkr)
 	}
 	wg.Wait()
 	elapsed := time.Since(wallStart)
@@ -336,7 +298,7 @@ func run(args []string, stdout io.Writer) error {
 	report := Report{
 		Schema:      "chatgraph.loadgen/v1",
 		Target:      strings.Join(bases, ","),
-		Mode:        *mode,
+		Mode:        "closed",
 		DurationS:   round2(elapsed.Seconds()),
 		Concurrency: *concurrency,
 		ChatFrac:    *chatFrac,
@@ -348,9 +310,6 @@ func run(args []string, stdout io.Writer) error {
 		HealthzOK:   healthzOK,
 		MetricsOK:   metricsOK,
 		Cache:       cacheDelta(cacheBefore, cacheAfter),
-	}
-	if *mode == "open" {
-		report.RateRPS = *rate
 	}
 	if len(bases) > 1 {
 		report.Targets = bases
@@ -622,20 +581,16 @@ func createSession(h *httpClient, base, key string) (id, backend string, err err
 	}
 }
 
-// waitReady blocks until GET /readyz answers 200 — or the stdlib mux's
-// plain "404 page not found", which marks a daemon predating the readiness
-// probe and therefore born ready. A 404 with any other body is NOT ready:
-// a router or proxy in front answers unknown routes with its own 404 shape
-// long before its backends are reachable, and treating that as ready would
-// start the load window into a dark pool. Transport errors (daemon still
-// booting or restarting) and 503 (recovery replay in progress) keep
-// polling until the wait expires.
+// waitReady blocks until GET /readyz answers 200. Every chatgraphd and
+// chatgraph-router serves the endpoint, so any other answer is not ready:
+// transport errors (daemon still booting or restarting), 503 (recovery
+// replay in progress, or a router with no routable backend) and a 404 from
+// whatever else listens there keep polling until the wait expires.
 func waitReady(h *httpClient, base string, wait time.Duration) bool {
 	deadline := time.Now().Add(wait)
 	for {
 		r, err := h.send(http.MethodGet, base+"/readyz", nil, "", once)
-		if err == nil && (r.status == http.StatusOK || r.status == http.StatusNotFound &&
-			strings.HasPrefix(strings.TrimSpace(string(r.body)), "404 page not found")) {
+		if err == nil && r.status == http.StatusOK {
 			return true
 		}
 		if time.Now().After(deadline) {
@@ -886,7 +841,6 @@ type runStats struct {
 	backends map[string]*opStats
 	tenants  map[string]*opStats
 	affinity int
-	drops    int
 	jobs     JobsReport
 }
 
@@ -954,17 +908,11 @@ func rowLocked(m map[string]*opStats, name string) *opStats {
 	return st
 }
 
-func (r *runStats) drop() {
-	r.mu.Lock()
-	r.drops++
-	r.mu.Unlock()
-}
-
 // fill writes the collected rows into rep.
 func (r *runStats) fill(rep *Report, elapsed time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rep.Drops, rep.AffinityViolations = r.drops, r.affinity
+	rep.AffinityViolations = r.affinity
 	rep.Ops = make(map[string]OpReport, len(r.ops))
 	var total opStats
 	for name, s := range r.ops {
@@ -1065,19 +1013,19 @@ type JobsReport struct {
 // versioned so the perf-trajectory tooling can evolve it; the reupload,
 // cache, and jobs fields are additive.
 type Report struct {
-	Schema      string  `json:"schema"`
-	Target      string  `json:"target"`
+	Schema string `json:"schema"`
+	Target string `json:"target"`
+	// Mode is always "closed", the one load model; every report keeps the
+	// field.
 	Mode        string  `json:"mode"`
 	DurationS   float64 `json:"duration_s"`
 	Concurrency int     `json:"concurrency"`
-	RateRPS     float64 `json:"rate_rps,omitempty"`
 	ChatFrac    float64 `json:"chat_fraction"`
 	Sessions    int     `json:"sessions"`
 	Reupload    bool    `json:"reupload"`
 	JobsMix     float64 `json:"jobs_mix,omitempty"`
 	// GraphPool is the distinct-graph pool size (zipf-selected when > 1).
 	GraphPool int `json:"graph_pool,omitempty"`
-	Drops     int `json:"open_loop_drops,omitempty"`
 	// Reconnects counts requests that failed in transport (or answered 503)
 	// and then succeeded on a -restart-grace retry — nonzero means the run
 	// spanned a daemon restart or recovery window and rode it out.
@@ -1193,9 +1141,6 @@ func (rep Report) print(w io.Writer) {
 			row("@"+n, rep.Backends[n])
 		}
 		fmt.Fprintf(w, "session-affinity violations: %d\n", rep.AffinityViolations)
-	}
-	if rep.Drops > 0 {
-		fmt.Fprintf(w, "open-loop arrivals dropped at the client (all %d slots busy): %d\n", rep.Concurrency, rep.Drops)
 	}
 	if rep.Reconnects > 0 {
 		fmt.Fprintf(w, "reconnects: %d requests rode out a restart/recovery window via retry\n", rep.Reconnects)

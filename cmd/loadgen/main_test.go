@@ -193,15 +193,20 @@ func TestPlainDaemon(t *testing.T) {
 	}
 }
 
-func TestTenantsOpenLoop(t *testing.T) {
+// TestTenantsClosedLoop drives a tenant daemon with a hostile tenant mixed
+// in; the report still names its one load model.
+func TestTenantsClosedLoop(t *testing.T) {
 	d := daemon(t, true)
-	rep, err := runReport(t, "-addr", d.URL, "-mode", "open", "-rate", "200", "-duration", "300ms",
+	rep, err := runReport(t, "-addr", d.URL, "-duration", "300ms",
 		"-concurrency", "4", "-graphs", "2", "-jobs-mix", "0.2",
 		"-tenant-keys", "compliant=ck-1,hostile=hk-1", "-hostile-tenants", "hostile")
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkArithmetic(t, rep)
+	if rep.Mode != "closed" {
+		t.Errorf("mode %q, want closed", rep.Mode)
+	}
 	if len(rep.Tenants) != 2 {
 		t.Errorf("tenant rows %v, want compliant and hostile", rep.Tenants)
 	}
@@ -347,8 +352,7 @@ func TestCommandLineErrors(t *testing.T) {
 		{args: []string{"-k", "5"}, usage: true}, // -k and -queries are constants
 		{args: []string{"-queries", "4"}, usage: true},
 		{args: []string{"-duration", "soon"}, usage: true},
-		{args: []string{"-mode", "burst"}, want: "-mode must be closed or open"},
-		{args: []string{"-mode", "open", "-rate", "0"}, want: "-rate 0 is not a usable arrival rate"},
+		{args: []string{"-mode", "open"}, usage: true}, // one load model: the closed loop
 		{args: []string{"-chat-frac", "2"}, want: "-chat-frac must be in [0,1]"},
 		{args: []string{"-hostile-tenants", "h"}, want: "-hostile-tenants requires -tenant-keys"},
 		{args: []string{"-targets", " , "}, want: "-targets supplied but empty"},

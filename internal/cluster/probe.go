@@ -8,11 +8,12 @@ import (
 )
 
 // Prober actively health-checks the pool: every interval each up backend
-// gets a liveness (/healthz) plus readiness (/readyz) probe, and each down
-// backend whose cooldown has expired gets one half-open recovery probe. A
-// backend is routable only while both probes pass — a daemon that is alive
-// but still replaying its WAL (healthz 200, readyz 503) stays out of
-// rotation until replay lands, instead of shedding 503s at clients.
+// gets one readiness probe (GET /readyz), and each down backend whose
+// cooldown has expired gets one half-open recovery probe. A backend is
+// routable only while /readyz answers 200: a daemon answers it only while
+// it is alive, and answers 200 only once recovery has landed, so a daemon
+// still replaying its WAL (readyz 503) stays out of rotation instead of
+// shedding 503s at clients.
 type Prober struct {
 	pool     *Pool
 	interval time.Duration
@@ -99,25 +100,13 @@ func (p *Prober) ProbeOnce() {
 	}
 }
 
-// probe runs the liveness + readiness pair against one backend.
+// probe asks one backend whether it is ready: GET /readyz must answer 200.
 func (p *Prober) probe(b *Backend) bool {
-	if !p.get(b, "/healthz", false) {
-		return false
-	}
-	// A 404 readyz marks a daemon predating the readiness endpoint: alive
-	// implies ready for those.
-	return p.get(b, "/readyz", true)
-}
-
-func (p *Prober) get(b *Backend, path string, notFoundOK bool) bool {
-	resp, err := p.client.Get(b.URL.String() + path)
+	resp, err := p.client.Get(b.URL.String() + "/readyz")
 	if err != nil {
 		return false
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
 	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		return true
-	}
-	return notFoundOK && resp.StatusCode == http.StatusNotFound
+	return resp.StatusCode == http.StatusOK
 }

@@ -1,6 +1,7 @@
 package finetune
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
@@ -36,6 +37,25 @@ func TestGenerateDataset(t *testing.T) {
 	}
 	if len(tasks) < 8 {
 		t.Fatalf("only %d distinct tasks in 200 samples", len(tasks))
+	}
+}
+
+// TestGenerateDatasetIsStable pins GenerateDataset's fixed-seed output
+// across processes: the digest of every example's question, kind, task and
+// truth chains, in order, was written by one process and is read by
+// another, so a dataset that followed map order would fail here.
+func TestGenerateDatasetIsStable(t *testing.T) {
+	const want = "b5652dbfe77d50bfbf21d047669d9f123377cffb567db1c49c9a2a4b1d5811e3"
+	h := sha256.New()
+	for _, ex := range GenerateDataset(400, rand.New(rand.NewSource(1))) {
+		fmt.Fprintf(h, "%s\x00%s\x00%s", ex.Question, ex.Kind, ex.Task)
+		for _, c := range ex.Truths {
+			fmt.Fprintf(h, "\x00%s", c)
+		}
+		fmt.Fprint(h, "\n")
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("GenerateDataset(400, seed 1): sha256 %s, want %s", got, want)
 	}
 }
 

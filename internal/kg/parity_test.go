@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -507,21 +508,33 @@ func TestApplyAddsEveryMissingTriple(t *testing.T) {
 
 // "Clean G" clones the interned graph and adds ~740 edges to the copy: Apply
 // writes the edited edge list once, at its exact size, and what else it
-// allocates — the buckets and the chains — is small beside that array.
+// allocates — the pair numbering, the buckets and the chains — stays below
+// the size of that array.
+// TotalAlloc is process-wide, so another goroutine's allocation can land in
+// one measured window; Apply's own allocation is the same on every run (no
+// map, every slice sized from its inputs), so the least of several runs is
+// Apply's alone.
 func TestApplyGrowsEdgesOnce(t *testing.T) {
 	g := graph.KnowledgeGraph(300, 900, rand.New(rand.NewSource(1)))
 	issues := NewDetector().Detect(g)
-	c := g.Clone()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	Apply(c, issues)
-	runtime.ReadMemStats(&after)
-	if got, want := cap(c.Edges()), g.NumEdges()+len(issues); got != want {
-		t.Errorf("edge array has room for %d edges after Apply, want exactly %d", got, want)
+	clones := make([]*graph.Graph, 5)
+	for i := range clones {
+		clones[i] = g.Clone()
 	}
-	edgeArray := uint64(cap(c.Edges())) * uint64(unsafe.Sizeof(graph.Edge{}))
-	if got := after.TotalAlloc - before.TotalAlloc; got > 2*edgeArray {
-		t.Errorf("Apply allocated %d B, want under twice its %d B edge array", got, edgeArray)
+	least := uint64(math.MaxUint64)
+	for _, c := range clones {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Apply(c, issues)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if got, want := cap(c.Edges()), g.NumEdges()+len(issues); got != want {
+			t.Fatalf("edge array has room for %d edges after Apply, want exactly %d", got, want)
+		}
+	}
+	edgeArray := uint64(g.NumEdges()+len(issues)) * uint64(unsafe.Sizeof(graph.Edge{}))
+	if least > 2*edgeArray {
+		t.Errorf("Apply allocated %d B, want under twice its %d B edge array", least, edgeArray)
 	}
 }
 

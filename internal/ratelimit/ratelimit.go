@@ -1,8 +1,7 @@
 // Package ratelimit is the serving tier's one rate limiter: a
-// continuous-refill token bucket. Per-session, per-tenant and global
-// (-max-rps) limits all hold a Bucket and differ only in the rate and burst
-// they pass to Take, so every layer shares one arithmetic and one
-// retry-after answer.
+// continuous-refill token bucket. The per-tenant and global (-max-rps)
+// limits both hold a Bucket and differ only in the rate and burst they pass
+// to Take, so both layers share one arithmetic and one retry-after answer.
 package ratelimit
 
 import (
@@ -12,8 +11,8 @@ import (
 )
 
 // Bucket is a continuous-refill token bucket; the zero value is a full
-// bucket. The mutex is per-bucket, so limits on different sessions or
-// tenants never contend with each other.
+// bucket. The mutex is per-bucket, so limits on different tenants never
+// contend with each other.
 type Bucket struct {
 	mu     sync.Mutex
 	tokens float64

@@ -92,23 +92,6 @@ func (s *Server) admission(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// sessionRateLimit is the per-conversation stage chat runs after admission,
-// once the path has named a session: it spends one token from the session's
-// bucket b, writing the 429 itself when the budget is spent. A zero
-// SessionRate disables it.
-func (s *Server) sessionRateLimit(w http.ResponseWriter, r *http.Request, b *ratelimit.Bucket) (ok bool) {
-	rate := s.opts.SessionRate
-	if rate <= 0 {
-		return true
-	}
-	ok, retry := b.Take(rate, ratelimit.Burst(s.opts.SessionBurst, rate), time.Now())
-	if !ok {
-		s.hm.shedRate.Inc()
-		shed(w, r, http.StatusTooManyRequests, retry, "session rate limit exceeded, retry later")
-	}
-	return ok
-}
-
 // shed writes one load-shedding reply — 429, or 503 while recovering — with
 // its Retry-After. Every refusal that asks the client to come back goes
 // through here, so all of them agree on the header and the error body.

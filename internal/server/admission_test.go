@@ -228,64 +228,9 @@ func TestHealthzAndMetricsBypassGate(t *testing.T) {
 	}
 }
 
-// TestSessionRateLimit drives one session past its token bucket with a
-// concurrent burst: exactly burst requests pass, the rest are 429 with
-// Retry-After, and a second session is unaffected.
-func TestSessionRateLimit(t *testing.T) {
-	eng := slowEngine(t, 0)
-	srv, ts := newAdmissionServer(t, eng, Options{
-		SessionRate:  0.5, // refill far slower than the test runs
-		SessionBurst: 2,
-	})
-	limited := mustCreateSession(t, ts)
-	fresh := mustCreateSession(t, ts)
-	body := chatBody(t)
-
-	const n = 6
-	var ok2xx, shed, other atomic.Int64
-	concurrently(n, func(i int) {
-		resp, err := http.Post(ts.URL+"/v1/sessions/"+limited.SessionID+"/chat", "application/json", bytes.NewReader(body))
-		if err != nil {
-			other.Add(1)
-			return
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			ok2xx.Add(1)
-		case http.StatusTooManyRequests:
-			shed.Add(1)
-			if resp.Header.Get("Retry-After") == "" {
-				other.Add(1)
-			}
-		default:
-			other.Add(1)
-		}
-	})
-	if other.Load() != 0 {
-		t.Fatalf("unexpected failures: %d", other.Load())
-	}
-	if ok2xx.Load() != 2 || shed.Load() != n-2 {
-		t.Fatalf("burst=2 over %d requests: ok=%d shed=%d", n, ok2xx.Load(), shed.Load())
-	}
-	if got := srv.hm.shedRate.Value(); got != uint64(shed.Load()) {
-		t.Fatalf("rate shed metric = %d, observed %d", got, shed.Load())
-	}
-	// The other session's bucket is untouched.
-	resp, err := http.Post(ts.URL+"/v1/sessions/"+fresh.SessionID+"/chat", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fresh session status = %d", resp.StatusCode)
-	}
-}
-
-// TestTokenBucketRefill pins the bucket math as the session limiter uses it
-// (the shared bucket's own arithmetic test lives in internal/ratelimit):
+// TestTokenBucketRefill pins the bucket math as the tenant and global
+// limiters use it (the shared bucket's own arithmetic test lives in
+// internal/ratelimit):
 // drained bucket, deterministic clock, token-per-second refill.
 func TestTokenBucketRefill(t *testing.T) {
 	var b ratelimit.Bucket

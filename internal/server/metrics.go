@@ -18,7 +18,6 @@ type httpMetrics struct {
 	// gate — the value the cap is enforced against.
 	gatedInFlight  *metrics.Gauge
 	shedInFlight   *metrics.Counter
-	shedRate       *metrics.Counter
 	shedTenantRate *metrics.Counter
 	shedRPS        *metrics.Counter
 	routes         map[string]*routeMetrics
@@ -42,8 +41,6 @@ func newHTTPMetrics(reg *metrics.Registry) *httpMetrics {
 			"Requests admitted past the max-in-flight gate and still running.", nil),
 		shedInFlight: reg.Counter("chatgraph_http_shed_total",
 			"Requests shed with 429.", metrics.Labels{"reason": "in_flight"}),
-		shedRate: reg.Counter("chatgraph_http_shed_total",
-			"Requests shed with 429.", metrics.Labels{"reason": "session_rate"}),
 		shedTenantRate: reg.Counter("chatgraph_http_shed_total",
 			"Requests shed with 429.", metrics.Labels{"reason": "tenant_rate"}),
 		shedRPS: reg.Counter("chatgraph_http_shed_total",

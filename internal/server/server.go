@@ -63,12 +63,6 @@ type Options struct {
 	// to a fronting router tier: the router spreads load, each backend
 	// enforces its own budget. 0 disables the cap.
 	MaxRPS float64
-	// SessionRate is the per-session token-bucket refill rate in requests
-	// per second for chat; 0 disables rate limiting.
-	SessionRate float64
-	// SessionBurst is the token-bucket capacity (0 → one second's worth of
-	// tokens, minimum 1).
-	SessionBurst int
 	// RequestTimeout bounds one gated request's lifetime via a context
 	// deadline; expired chats answer 504. 0 disables the deadline.
 	RequestTimeout time.Duration
@@ -420,9 +414,6 @@ type HistoryTurn struct {
 func (s *Server) handleSessionChat(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.getOwnedSession(w, r, r.PathValue("id"))
 	if !ok {
-		return
-	}
-	if !s.sessionRateLimit(w, r, &m.bucket) {
 		return
 	}
 	q, g, ok := s.decodeChat(w, r)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"chatgraph/internal/core"
-	"chatgraph/internal/ratelimit"
 	"chatgraph/internal/tenant"
 )
 
@@ -46,9 +45,6 @@ type managed struct {
 	Tenant string
 	// lastUsed is unix nanoseconds, advanced on every touch.
 	lastUsed atomic.Int64
-	// bucket rate-limits this session's chat requests (see
-	// Server.sessionRateLimit).
-	bucket ratelimit.Bucket
 }
 
 func (m *managed) touch(now time.Time)  { m.lastUsed.Store(now.UnixNano()) }
@@ -146,9 +142,8 @@ func (sm *SessionManager) CreateWithID(id, tenantName string) (*managed, error) 
 // ownership (the caller applies TTL policy before deciding to restore).
 // The live-session cap governs creation only: a session whose turns were
 // acknowledged comes back even when the cap is lower than it was, and
-// CreateWithID refuses until the count is under the cap again. The rate
-// bucket comes back empty — a fresh bucket is fine, lost ownership is not.
-// The restored session's history is empty; the caller rebuilds it via
+// CreateWithID refuses until the count is under the cap again. The
+// restored session's history is empty; the caller rebuilds it via
 // core.Session.RestoreHistory.
 func (sm *SessionManager) Restore(id string, created, lastUsed time.Time, tenantName string) (*managed, error) {
 	if id == "" {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"chatgraph/internal/metrics"
 	"chatgraph/internal/tenant"
 )
 
@@ -52,17 +53,12 @@ func mustRegistry(t *testing.T, cfg *tenant.Config) *tenant.Registry {
 
 // TestLegacyChatRateLimited guards the rate-limit bypass the single-
 // conversation endpoint once was: POST /chat used to reach a shared
-// conversation without passing the session token bucket, so a client that
-// never upgraded to /v1 could sidestep -session-rate. The bypass is now
-// closed the simple way — the endpoint is gone: POST /chat is 404, is never
-// shed, and spends no token anywhere, so the one remaining chat road still
-// admits exactly its burst afterwards.
+// conversation past the per-conversation limit. The bypass is closed the
+// simple way — the endpoint is gone: POST /chat is 404 and is never shed,
+// so it reaches no limiter at all.
 func TestLegacyChatRateLimited(t *testing.T) {
 	eng := slowEngine(t, 0)
-	srv, ts := newAdmissionServer(t, eng, Options{
-		SessionRate:  0.5, // refill far slower than the test runs
-		SessionBurst: 2,
-	})
+	srv, ts := newAdmissionServer(t, eng, Options{MaxInFlight: 1, MaxRPS: 0.5})
 	body := chatBody(t)
 
 	for i := 0; i < 6; i++ {
@@ -70,39 +66,18 @@ func TestLegacyChatRateLimited(t *testing.T) {
 			t.Fatalf("POST /chat #%d = %d, want 404", i, resp.StatusCode)
 		}
 	}
-	if got := srv.hm.shedRate.Value(); got != 0 {
-		t.Fatalf("POST /chat was shed %d times; it must not reach a limiter at all", got)
-	}
-
-	info := mustCreateSession(t, ts)
-	var ok2xx, shed int
-	for i := 0; i < 6; i++ {
-		resp := doReq(t, http.MethodPost, ts.URL+"/v1/sessions/"+info.SessionID+"/chat", "", body)
-		switch resp.StatusCode {
-		case http.StatusOK:
-			ok2xx++
-		case http.StatusTooManyRequests:
-			shed++
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatal("429 without Retry-After")
-			}
-		default:
-			t.Fatalf("unexpected status %d", resp.StatusCode)
+	for _, c := range []*metrics.Counter{srv.hm.shedInFlight, srv.hm.shedTenantRate, srv.hm.shedRPS} {
+		if got := c.Value(); got != 0 {
+			t.Fatalf("POST /chat was shed %d times; it must not reach a limiter at all", got)
 		}
-	}
-	if ok2xx != 2 || shed != 4 {
-		t.Fatalf("burst=2 over 6 chats after the /chat probes: ok=%d shed=%d", ok2xx, shed)
-	}
-	if got := srv.hm.shedRate.Value(); got != uint64(shed) {
-		t.Fatalf("session_rate shed metric = %d, observed %d", got, shed)
 	}
 }
 
-// TestRetryAfterRounding pins the Retry-After contract across all three
-// bucket layers — per-session, per-tenant, and global -max-rps: every shed
-// path must answer with the same correctly-rounded integer seconds
-// (ceil of the refill wait, minimum 1). At 0.25 tokens/sec with burst 1 the
-// wait after a drain is just under 4s, so all three layers must say "4".
+// TestRetryAfterRounding pins the Retry-After contract across both bucket
+// layers — per-tenant and global -max-rps: every shed path must answer
+// with the same correctly-rounded integer seconds (ceil of the refill
+// wait, minimum 1). At 0.25 tokens/sec with burst 1 the wait after a drain
+// is just under 4s, so both layers must say "4".
 func TestRetryAfterRounding(t *testing.T) {
 	retrieveBody := []byte(`{"queries":["communities"],"k":3}`)
 	cases := []struct {
@@ -110,10 +85,6 @@ func TestRetryAfterRounding(t *testing.T) {
 		opts Options
 		key  string
 	}{
-		{
-			name: "session_bucket",
-			opts: Options{SessionRate: 0.25, SessionBurst: 1},
-		},
 		{
 			name: "tenant_bucket",
 			opts: Options{}, // registry injected below
@@ -139,21 +110,11 @@ func TestRetryAfterRounding(t *testing.T) {
 			eng := slowEngine(t, 0)
 			_, ts := newAdmissionServer(t, eng, opts)
 
-			var shedResp *http.Response
-			if tc.name == "session_bucket" {
-				info := mustCreateSession(t, ts)
-				url := ts.URL + "/v1/sessions/" + info.SessionID + "/chat"
-				if resp := doReq(t, http.MethodPost, url, "", chatBody(t)); resp.StatusCode != http.StatusOK {
-					t.Fatalf("first chat = %d", resp.StatusCode)
-				}
-				shedResp = doReq(t, http.MethodPost, url, "", chatBody(t))
-			} else {
-				url := ts.URL + "/v1/retrieve"
-				if resp := doReq(t, http.MethodPost, url, tc.key, retrieveBody); resp.StatusCode != http.StatusOK {
-					t.Fatalf("first retrieve = %d", resp.StatusCode)
-				}
-				shedResp = doReq(t, http.MethodPost, url, tc.key, retrieveBody)
+			url := ts.URL + "/v1/retrieve"
+			if resp := doReq(t, http.MethodPost, url, tc.key, retrieveBody); resp.StatusCode != http.StatusOK {
+				t.Fatalf("first retrieve = %d", resp.StatusCode)
 			}
+			shedResp := doReq(t, http.MethodPost, url, tc.key, retrieveBody)
 			if shedResp.StatusCode != http.StatusTooManyRequests {
 				t.Fatalf("second request = %d, want 429", shedResp.StatusCode)
 			}
